@@ -16,7 +16,12 @@ import numpy as np
 
 from . import model_plane
 from .acceptance import run_suite
-from .concavity_tight import build_strictly_concave, tight_check, tight_image_study
+from .concavity_tight import (
+    ConstructionError,
+    build_strictly_concave,
+    tight_check,
+    tight_image_study,
+)
 from .extremal import detect_extremal, verify_extremal, SubsetDescriptor
 from .flow import CurveRecord, gradient, gradient_curve
 from .functions import (
@@ -32,7 +37,7 @@ from .functions import (
     check_concavity,
     evaluate,
 )
-from .quasigeodesic import check_quasigeodesic, trace_quasigeodesic
+from .quasigeodesic import TraceError, check_quasigeodesic, trace_quasigeodesic
 from .radial import gexp_map
 from .spaces import SpaceError, format_point, load_space, parse_angle, parse_point
 from .tangent import GradientError, TangentVec
@@ -527,7 +532,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliError, SpaceError, ExprError, ValueError) as exc:
+    except (CliError, SpaceError, ExprError, ValueError, TraceError,
+            ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GradientError as exc:

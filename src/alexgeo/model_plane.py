@@ -24,16 +24,6 @@ def _require_finite(*values):
             raise ModelDomainError(f"non-finite input {v!r}")
 
 
-def kappa_sign(kappa: float) -> int:
-    """Total sign classification of a curvature bound: -1, 0 or +1."""
-    _require_finite(kappa)
-    if kappa > 0.0:
-        return 1
-    if kappa < 0.0:
-        return -1
-    return 0
-
-
 def rho(kappa: float, x: float) -> float:
     """Comparison potential: (1-cos(x sqrt(k)))/k for k > 0, x^2/2 at zero,
     (cosh(x sqrt(-k)) - 1)/(-k) for k < 0.

@@ -14,25 +14,8 @@ __all__ = [
     "CapSpace", "PolygonSpace", "MeshSpace", "MeshPoint", "DoubledPolygon",
     "DoubledCap", "build_doubling", "load_space", "parse_point", "parse_angle",
     "format_point", "random_convex_polygon", "random_tetrahedron",
-    "regular_tetrahedron", "distance", "geodesic_points", "directions_to",
-    "log_map", "cone_angle", "space_of_directions",
+    "regular_tetrahedron", "log_map",
 ]
-
-
-def distance(space, p, q):
-    return space.distance(p, q)
-
-
-def distance_with_error(space, p, q):
-    return space.distance_with_error(p, q)
-
-
-def geodesic_points(space, p, q, n=33):
-    return space.geodesic_points(p, q, n)
-
-
-def directions_to(space, p, q):
-    return space.directions_to(p, q)
 
 
 def log_map(space, p, q):
@@ -42,11 +25,3 @@ def log_map(space, p, q):
     d = space.distance(p, q)
     dirs = space.directions_to(p, q)
     return TangentVec(d, dirs[0], space.sigma_at(p))
-
-
-def space_of_directions(space, p):
-    return space.sigma_at(p)
-
-
-def cone_angle(space, p):
-    return space.sigma_at(p).length

@@ -59,12 +59,8 @@ class ConeSpace:
         p, q = self.validate_point(p), self.validate_point(q)
         if self.is_apex(p) or self.is_apex(q):
             return p[0] + q[0]
-        a = min(self._wraps(p, q))
-        if a <= math.pi:
-            return math.sqrt(
-                max(0.0, p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(a))
-            )
-        return p[0] + q[0]
+        a = min(self._wraps(p, q))  # at most theta/2 <= pi: theta is clamped to 2*pi
+        return math.sqrt(max(0.0, p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(a)))
 
     def distance_with_error(self, p, q):
         return self.distance(p, q), 0.0
@@ -83,13 +79,12 @@ class ConeSpace:
             return [math.pi]
         ccw, cw = self._wraps(p, q)
         cands = []
+        # at least one wrap is <= theta/2 <= pi: theta is clamped to 2*pi
         for a, sign in ((ccw, 1.0), (cw, -1.0)):
             if a <= math.pi:
                 ex = q[0] * math.cos(a) - p[0]
                 ey = sign * q[0] * math.sin(a)
                 cands.append((math.hypot(ex, ey), angle_of(ex, ey)))
-        if not cands:  # both wraps > pi cannot happen (they sum to theta <= 2*pi)
-            cands.append((p[0] + q[0], math.pi))
         best = min(d for d, _ in cands)
         dirs = sorted(ang for d, ang in cands if d <= best + tol)
         out = [dirs[0]]
@@ -135,10 +130,8 @@ class ConeSpace:
                     pts.append((d - p[0], q[1]))
             return pts
         ccw, cw = self._wraps(p, q)
+        # the smaller wrap is at most theta/2 <= pi: theta is clamped to 2*pi
         a, sign = (ccw, 1.0) if ccw <= cw else (cw, -1.0)
-        if a > math.pi:
-            half = self.geodesic_points(p, (0.0, 0.0), (n + 1) // 2)
-            return half + self.geodesic_points((0.0, 0.0), q, (n + 1) // 2)[1:]
         ax, ay = p[0], 0.0
         bx, by = q[0] * math.cos(a), sign * q[0] * math.sin(a)
         pts = []

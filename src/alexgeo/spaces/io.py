@@ -44,22 +44,28 @@ def load_space(description):
     if not isinstance(description, dict) or "type" not in description:
         raise SpaceError("space description needs a 'type' field")
     kind = description["type"]
+
+    def field(name):
+        if name not in description:
+            raise SpaceError(f"{kind} space description has no {name!r} field")
+        return description[name]
+
     if kind == "cone":
-        return ConeSpace(parse_angle(description["total_angle"]))
+        return ConeSpace(parse_angle(field("total_angle")))
     if kind == "spindle":
-        return SpindleSpace(parse_angle(description["circle_length"]))
+        return SpindleSpace(parse_angle(field("circle_length")))
     if kind == "polygon":
-        return PolygonSpace(description["vertices"])
+        return PolygonSpace(field("vertices"))
     if kind == "cap":
-        return CapSpace(parse_angle(description["radius"]))
+        return CapSpace(parse_angle(field("radius")))
     if kind == "mesh":
-        tris = description["triangles"]
+        tris = field("triangles")
         if "coords" in description:
             return MeshSpace(tris, coords=description["coords"],
                              max_depth=description.get("max_depth", 12))
         lengths = {
             frozenset((int(i), int(j))): float(L)
-            for i, j, L in description["edge_lengths"]
+            for i, j, L in field("edge_lengths")
         }
         return MeshSpace(tris, edge_lengths=lengths,
                          max_depth=description.get("max_depth", 12))

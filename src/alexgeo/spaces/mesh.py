@@ -2,10 +2,13 @@
 
 Points are (face index, barycentric triple).  Each face carries a flat
 2-D chart; crossing an edge composes a cached rigid motion between the
-two charts.  Distances come from a branch-and-bound enumeration of
-unfolded edge sequences (each accepted candidate is a realizable path,
-and certified pruning keeps the result exact up to the depth cutoff),
-combined with a Dijkstra pass over vertex-routed legs.  A subdivision
+two charts.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
+unfolded edge sequences from a source; each accepted candidate is a
+realizable straight path, and pruning keeps the result exact up to the
+depth cutoff, whose lower bound the engine reports.  Distances (`_bnb`)
+and minimizing directions (`_funnel_directions`) are thin callers that
+only choose targets, pruning and what a hit records.  Distances combine
+the engine with a Dijkstra pass over vertex-routed legs.  A subdivision
 graph Dijkstra provides an independent upper-bound certificate on
 demand.
 """
@@ -52,9 +55,6 @@ class _Rigid:
     def compose(self, other):
         """self after other: x -> self(other(x))."""
         return _Rigid(self.R @ other.R, self.R @ other.t + self.t)
-
-
-_IDENTITY = _Rigid(np.eye(2), np.zeros(2))
 
 
 class MeshSpace:
@@ -502,52 +502,24 @@ class MeshSpace:
         return best
 
     # -- distance machinery ----------------------------------------------
-    def _source_anchors(self, p):
-        """(face, position) pairs from which straight segments may start."""
-        kind = self.classify(p)
-        if kind[0] == "vertex":
-            v = kind[1]
-            return [(fi, self.charts[fi][c].copy()) for fi, c in self.fans[v][0]], v
-        face = p.face
-        src = self.pos2(p)
-        anchors = [(face, src)]
+    def _face_images(self, q):
+        """q in its own face chart, plus its image across the edge it lies on."""
+        q = self.validate_point(q)
+        pos = self.pos2(q)
+        images = [(q.face, pos)]
+        kind = self.classify(q)
         if kind[0] == "edge":
-            nb = self.nbr[face][kind[2]]
+            nb = self.nbr[q.face][kind[2]]
             if nb is not None:
-                anchors.append((nb[0], self.crossing(face, kind[2]).apply(src)))
-        return anchors, None
+                images.append((nb[0], self.crossing(q.face, kind[2]).apply(pos)))
+        return images
 
-    def _init_states(self, p):
-        """Initial heap states: (anchor_face, face, M, w0, w1, src, depth).
-
-        Each state sits in the face across one edge of an anchor face,
-        with the shared edge as window (in anchor-chart coordinates) and
-        M mapping the new face's chart into the anchor chart.
-        """
-        anchors, src_vertex = self._source_anchors(p)
-        states = []
-        if src_vertex is not None:
-            for (fi, c), (af, src) in zip(self.fans[src_vertex][0], anchors):
-                e_opp = (c + 1) % 3  # edge not containing the corner
-                nb = self.nbr[fi][e_opp]
-                if nb is None:
-                    continue
-                a = self.charts[fi][e_opp]
-                b = self.charts[fi][(e_opp + 1) % 3]
-                states.append((af, nb[0], self._g_to_f(fi, e_opp),
-                               a.copy(), b.copy(), src, 1,
-                               self._edge_bit(fi, e_opp)))
-        else:
-            for fi, src in anchors:
-                ch = self.charts[fi]
-                for e in range(3):
-                    nb = self.nbr[fi][e]
-                    if nb is None:
-                        continue
-                    states.append((fi, nb[0], self._g_to_f(fi, e),
-                                   ch[e].copy(), ch[(e + 1) % 3].copy(), src, 1,
-                                   self._edge_bit(fi, e)))
-        return anchors, states, src_vertex
+    def _anchors(self, p):
+        """(face, position) pairs of p: a vertex's fan corners, else its face images."""
+        v = self.vertex_of_point(p)
+        if v is None:
+            return self._face_images(p), None
+        return [(fi, self.charts[fi][c]) for fi, c in self.fans[v][0]], v
 
     @staticmethod
     def _seg_dist(p, a, b):
@@ -603,7 +575,7 @@ class MeshSpace:
             denom = seg[0] * e[1] - seg[1] * e[0]
             if abs(denom) < 1e-14:
                 # degenerate or parallel window: require src->tp to pass near it
-                if self._point_to_segment_gap(src, tp, 0.5 * (w0 + w1)) > 1e-7:
+                if self._seg_dist(0.5 * (w0 + w1), src, tp) > 1e-7:
                     return False
                 continue
             t = ((w0[0] - src[0]) * e[1] - (w0[1] - src[1]) * e[0]) / denom
@@ -615,89 +587,64 @@ class MeshSpace:
             t_prev = t
         return True
 
-    @staticmethod
-    def _point_to_segment_gap(a, b, p):
-        ab = b - a
-        L2 = float(ab @ ab)
-        if L2 <= 1e-300:
-            return float(np.linalg.norm(p - a))
-        t = min(max(float((p - a) @ ab) / L2, 0.0), 1.0)
-        return float(np.linalg.norm(p - (a + t * ab)))
+    def _unfold(self, p, targets, keep, want, hit):
+        """Branch-and-bound over unfolded edge sequences from p.
 
-    def _bnb(self, p, target_points=None, target_vertices=None, max_depth=None,
-             upper_cap=math.inf):
-        """Branch-and-bound unfolding search from p.
+        The one window loop behind both distances and directions.  A
+        state is a face unfolded into the chart of an anchor of p,
+        together with the window (in anchor coordinates) through which
+        straight segments from the anchor enter it.  States pop in order
+        of their lower bound, the distance from the anchor to the window.
 
-        Returns (best, unresolved) where best maps ("pt", i) / ("vx", v)
-        to vertex-avoiding path lengths and `unresolved` is the smallest
-        lower bound among branches cut by the depth limit (inf if the
-        search is exhaustive, which certifies exactness).  Branches at
-        least `upper_cap` long are certified irrelevant and pruned.
+        `targets` maps a face to (key, chart position) pairs.  Each
+        target is tried straight from every anchor in its face and from
+        every popped state in its face.  The caller filters: `want(key,
+        d)` runs first and cheaply on the straight length d, and only
+        then does the engine check that the segment crosses every
+        ancestor window; a segment that passes both is reported as
+        `hit(key, d, face, seg)`, with seg the anchor-chart vector in
+        `face`.  The caller prunes: the loop stops at the first popped
+        state with `not keep(lb)`, and children failing `keep` are never
+        pushed.
+
+        Returns `unresolved`: the smallest lower bound among states cut
+        at depth `max_depth` (inf when none was cut).  Every straight
+        path that the cutoff hid is at least that long, so a result
+        below it misses nothing but what `keep` pruned.
         """
-        if max_depth is None:
-            max_depth = self.max_depth
-        target_points = [self.validate_point(q) for q in (target_points or [])]
-        target_vertices = list(target_vertices or [])
-        anchors, init, src_vertex = self._init_states(p)
-
-        t_by_face = {}
-        for idx, q in enumerate(target_points):
-            t_by_face.setdefault(q.face, []).append(("pt", idx, self.pos2(q)))
-            qk = self.classify(q)
-            if qk[0] == "edge":
-                nb = self.nbr[q.face][qk[2]]
-                if nb is not None:
-                    t_by_face.setdefault(nb[0], []).append(
-                        ("pt", idx, self.crossing(q.face, qk[2]).apply(self.pos2(q)))
-                    )
-        v_by_face = {}
-        for v in target_vertices:
-            for fi, c in self.fans[v][0]:
-                v_by_face.setdefault(fi, []).append(("vx", v, self.charts[fi][c]))
-
-        best = {}
-
-        def offer(key, val):
-            if val < best.get(key, math.inf):
-                best[key] = val
-
-        for fi, s in anchors:
-            for kind, key, tp in t_by_face.get(fi, []) + v_by_face.get(fi, []):
-                if kind == "vx" and key == src_vertex:
-                    continue
-                offer((kind, key), float(np.linalg.norm(tp - s)))
-        if src_vertex is not None and src_vertex in target_vertices:
-            offer(("vx", src_vertex), 0.0)
-
-        def bound():
-            vals = [best.get(("pt", i), math.inf) for i in range(len(target_points))]
-            vals += [best.get(("vx", v), math.inf) for v in target_vertices]
-            return min(max(vals) if vals else math.inf, upper_cap)
-
+        anchors, src_vertex = self._anchors(p)
+        for fi, src in anchors:
+            for key, tp in targets.get(fi, ()):
+                d = float(np.linalg.norm(tp - src))
+                if want(key, d):
+                    hit(key, d, fi, tp - src)
+        if src_vertex is None:
+            first = [(fi, src, e) for fi, src in anchors for e in range(3)]
+        else:  # from a vertex only the edge opposite its corner leaves the face
+            first = [(fi, self.charts[fi][c], (c + 1) % 3)
+                     for fi, c in self.fans[src_vertex][0]]
         heap = []
-        counter = 0
-        for af, fi, M, w0, w1, src, depth, crossed in init:
-            lb = self._seg_dist(src, w0, w1)
-            heapq.heappush(heap, (lb, counter, af, fi, M, w0, w1, src, depth,
-                                  None, crossed))
-            counter += 1
-
+        for fi, src, e in first:
+            nb = self.nbr[fi][e]
+            if nb is not None:
+                w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
+                heap.append((self._seg_dist(src, w0, w1), len(heap), fi, nb[0],
+                             self._g_to_f(fi, e), w0, w1, src, 1, None,
+                             self._edge_bit(fi, e)))
+        heapq.heapify(heap)
+        counter = len(heap)
         unresolved = math.inf
         parents = {}
         while heap:
             lb, cid, af, fi, M, w0, w1, src, depth, parent, crossed = heapq.heappop(heap)
-            if lb >= bound() - 1e-12:
+            if not keep(lb):
                 break
-            for kind, key, tp_chart in t_by_face.get(fi, []) + v_by_face.get(fi, []):
-                if kind == "vx" and key == src_vertex:
-                    continue
+            for key, tp_chart in targets.get(fi, ()):
                 tp = M.apply(tp_chart)
                 d = float(np.linalg.norm(tp - src))
-                if d < best.get((kind, key), math.inf) and self._chain_ok(
-                    src, tp, (w0, w1), parent, parents
-                ):
-                    offer((kind, key), d)
-            if depth >= max_depth:
+                if want(key, d) and self._chain_ok(src, tp, (w0, w1), parent, parents):
+                    hit(key, d, af, tp - src)
+            if depth >= self.max_depth:
                 unresolved = min(unresolved, lb)
                 continue
             parents[cid] = (parent, w0, w1)
@@ -718,15 +665,50 @@ class MeshSpace:
                 if float(np.linalg.norm(clipped[1] - clipped[0])) < 1e-12:
                     continue  # window pinched at a vertex: vertex routing covers it
                 lb2 = self._seg_dist(src, clipped[0], clipped[1])
-                if lb2 >= bound() - 1e-12:
-                    continue  # certified prune
-                heapq.heappush(
-                    heap,
-                    (lb2, counter, af, nb[0], M.compose(self._g_to_f(fi, e)),
-                     clipped[0], clipped[1], src, depth + 1, cid, crossed | bit),
-                )
-                counter += 1
-        return best, unresolved
+                if keep(lb2):
+                    heapq.heappush(
+                        heap,
+                        (lb2, counter, af, nb[0], M.compose(self._g_to_f(fi, e)),
+                         clipped[0], clipped[1], src, depth + 1, cid, crossed | bit),
+                    )
+                    counter += 1
+        return unresolved
+
+    def _bnb(self, p, target_points=(), target_vertices=(), upper_cap=math.inf):
+        """Vertex-avoiding path lengths from p, by `_unfold`.
+
+        Returns (best, unresolved) where best maps ("pt", i) / ("vx", v)
+        to path lengths and `unresolved` is the engine's depth-cutoff
+        bound.  Branches at least as long as the worst current target,
+        or as `upper_cap`, are certified irrelevant and pruned.
+        """
+        target_points = [self.validate_point(q) for q in target_points]
+        target_vertices = list(target_vertices)
+        src_vertex = self.vertex_of_point(p)
+        targets = {}
+        for i, q in enumerate(target_points):
+            for fi, pos in self._face_images(q):
+                targets.setdefault(fi, []).append((("pt", i), pos))
+        for v in target_vertices:
+            if v != src_vertex:
+                for fi, c in self.fans[v][0]:
+                    targets.setdefault(fi, []).append((("vx", v), self.charts[fi][c]))
+        best = {}
+        if src_vertex in target_vertices:
+            best[("vx", src_vertex)] = 0.0
+
+        def keep(lb):
+            vals = [best.get(("pt", i), math.inf) for i in range(len(target_points))]
+            vals += [best.get(("vx", v), math.inf) for v in target_vertices]
+            return lb < min(max(vals) if vals else math.inf, upper_cap) - 1e-12
+
+        def want(key, d):
+            return d < best.get(key, math.inf)
+
+        def hit(key, d, face, seg):
+            best[key] = d
+
+        return best, self._unfold(p, targets, keep, want, hit)
 
     def _point_key(self, p):
         p = self.validate_point(p)
@@ -875,69 +857,17 @@ class MeshSpace:
 
     def _funnel_directions(self, p, q, dmax, tol):
         """Chart angles of straight unfolded segments p->q of length <= dmax+tol."""
-        anchors, init, _ = self._init_states(p)
-        q = self.validate_point(q)
-        qk = self.classify(q)
-        q_in_face = {}
-        if qk[0] == "vertex":
-            for fi, c in self.fans[qk[1]][0]:
-                q_in_face[fi] = self.charts[fi][c]
-        else:
-            q_in_face[q.face] = self.pos2(q)
-            if qk[0] == "edge":
-                nb = self.nbr[q.face][qk[2]]
-                if nb is not None:
-                    q_in_face[nb[0]] = self.crossing(q.face, qk[2]).apply(self.pos2(q))
+        images, _ = self._anchors(q)
+        targets = {fi: [(None, pos)] for fi, pos in images}
         dirs = []
-        for fi, s in anchors:
-            if fi in q_in_face:
-                tp = q_in_face[fi]
-                d = float(np.linalg.norm(tp - s))
-                if d <= dmax + tol and d > 1e-15:
-                    dirs.append(self.chart_angle_of_dir(p, fi, (tp - s) / d))
-        heap = []
-        counter = 0
-        for af, fi, M, w0, w1, src, depth, crossed in init:
-            heapq.heappush(heap, (self._seg_dist(src, w0, w1), counter, af, fi, M,
-                                  w0, w1, src, depth, None, crossed))
-            counter += 1
-        parents = {}
-        while heap:
-            lb, cid, af, fi, M, w0, w1, src, depth, parent, crossed = heapq.heappop(heap)
-            if lb > dmax + tol:
-                break
-            if fi in q_in_face:
-                tp = M.apply(q_in_face[fi])
-                d = float(np.linalg.norm(tp - src))
-                if d <= dmax + tol and d > 1e-15 and self._chain_ok(
-                    src, tp, (w0, w1), parent, parents
-                ):
-                    dirs.append(self.chart_angle_of_dir(p, af, (tp - src) / d))
-            if depth >= self.max_depth:
-                continue
-            parents[cid] = (parent, w0, w1)
-            for e in range(3):
-                nb = self.nbr[fi][e]
-                if nb is None:
-                    continue
-                bit = self._edge_bit(fi, e)
-                if crossed & bit:
-                    continue
-                a2 = M.apply(self.charts[fi][e])
-                b2 = M.apply(self.charts[fi][(e + 1) % 3])
-                clipped = self._clip_to_wedge(src, w0, w1, a2, b2)
-                if clipped is None:
-                    continue
-                if float(np.linalg.norm(clipped[1] - clipped[0])) < 1e-12:
-                    continue
-                lb2 = self._seg_dist(src, clipped[0], clipped[1])
-                if lb2 > dmax + tol:
-                    continue
-                heapq.heappush(heap, (lb2, counter, af, nb[0],
-                                      M.compose(self._g_to_f(fi, e)),
-                                      clipped[0], clipped[1], src, depth + 1, cid,
-                                      crossed | bit))
-                counter += 1
+
+        def want(key, d):
+            return d <= dmax + tol and d > 1e-15
+
+        def hit(key, d, face, seg):
+            dirs.append(self.chart_angle_of_dir(p, face, seg / d))
+
+        self._unfold(p, targets, lambda lb: lb <= dmax + tol, want, hit)
         return dirs
 
     def geodesic_points(self, p, q, n: int = 33):

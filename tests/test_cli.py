@@ -52,6 +52,26 @@ class TestCommands:
                    "--p", "1,0", "--q", "1,1", "--prefix", str(tmp_path / "d")])
         assert rc == 2
 
+    def _trace_qg_on(self, space, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        rc = main(["trace-qg", "--space", str(path), "--from", "0.3,0.2",
+                   "--dir", "1.0", "--length", "1", "--prefix", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        return rc, err
+
+    def test_missing_space_field_exits_2(self, tmp_path, capsys):
+        rc, err = self._trace_qg_on({"type": "cap"}, tmp_path, capsys)
+        assert rc == 2
+        assert err.startswith("error:") and "'radius'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unsupported_space_exits_2(self, tmp_path, capsys):
+        rc, err = self._trace_qg_on({"type": "cap", "radius": "1"}, tmp_path, capsys)
+        assert rc == 2
+        assert err.startswith("error:") and "cap" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_trace_qg_artifacts(self, tetra_file, tmp_path, capsys):
         prefix = str(tmp_path / "tq")
         rc = main(["trace-qg", "--space", tetra_file, "--from", "F0:0.2,0.3",

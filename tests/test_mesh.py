@@ -1,9 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from alexgeo.spaces import MeshPoint, random_tetrahedron, regular_tetrahedron
+from alexgeo.spaces import (
+    MeshPoint,
+    SpaceError,
+    build_doubling,
+    random_convex_polygon,
+    random_tetrahedron,
+    regular_tetrahedron,
+)
 from alexgeo.spaces.mesh import MeshSpace
 
 
@@ -114,3 +122,77 @@ class TestIntrinsicConstruction:
         xy = t.pos2(p)
         back = t.bary(2, xy)
         assert back.bary == pytest.approx(p.bary)
+
+
+def _jittered_hull(rng, pts):
+    """Boundary of a regular solid, its vertices moved radially by up to 5%.
+
+    The faces are the vertex triples at the (shortest) edge length, so the
+    solid is built from its coordinates alone.
+    """
+    pts = np.asarray(pts, dtype=float)
+    edge = min(np.linalg.norm(a - b) for a, b in itertools.combinations(pts, 2))
+    faces = [t for t in itertools.combinations(range(len(pts)), 3)
+             if all(abs(np.linalg.norm(pts[i] - pts[j]) - edge) < 1e-9
+                    for i, j in itertools.combinations(t, 2))]
+    while True:
+        moved = pts * (0.95 + 0.1 * rng.random((len(pts), 1)))
+        try:
+            mesh = MeshSpace(faces, coords=moved)
+        except SpaceError:
+            continue
+        return mesh, lambda p: sum(b * moved[v] for b, v in zip(p.bary, mesh.faces[p.face]))
+
+
+def _octahedron(rng):
+    return _jittered_hull(rng, [s * e for e in np.eye(3) for s in (1.0, -1.0)])
+
+
+def _icosahedron(rng):
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    pts = []
+    for a, b in itertools.product((1.0, -1.0), repeat=2):
+        pts += [(0.0, a, b * g), (a, b * g, 0.0), (b * g, 0.0, a)]
+    return _jittered_hull(rng, pts)
+
+
+def _doubled_heptagon(rng):
+    # both sheets lie on the polygon, so the projection is 1-Lipschitz
+    mesh = build_doubling(random_convex_polygon(rng, 7, 7))
+    return mesh, lambda p: np.array(mesh.project(p))
+
+
+class TestDeeperMeshes:
+    """The unfolding search on meshes where the depth cutoff can bind."""
+
+    @pytest.mark.parametrize("build, seed", [(_octahedron, 11), (_icosahedron, 12),
+                                             (_doubled_heptagon, 13)])
+    def test_distances_against_oracles_and_walks(self, build, seed):
+        rng = np.random.default_rng(seed)
+        mesh, position = build(rng)
+        for _ in range(3):
+            p = mesh.random_point(rng)
+            qs = [mesh.random_point(rng) for _ in range(4)]
+            qs.append(mesh.point_at_vertex(int(rng.integers(mesh.nv))))
+            many = mesh.distances_from(p, qs)
+            for q, (d_many, err_many) in zip(qs, many):
+                d, err = mesh.distance_with_error(p, q)
+                assert abs(d_many - d) <= max(err, err_many) + 1e-9
+                assert np.linalg.norm(position(p) - position(q)) <= d + 1e-9
+                assert d <= mesh.graph_upper_bound(p, q) + 1e-9
+                dirs = mesh.directions_to(p, q)
+                assert dirs
+                for ang in dirs:
+                    assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
+
+    def test_walks_from_tetrahedron_vertices(self):
+        t = regular_tetrahedron()
+        rng = np.random.default_rng(14)
+        for v in range(4):
+            p = t.point_at_vertex(v)
+            for q in (t.random_point(rng) for _ in range(4)):
+                d = t.distance(p, q)
+                dirs = t.directions_to(p, q)
+                assert dirs
+                for ang in dirs:
+                    assert t.distance(t.walk(p, ang, d).end, q) <= 1e-7
