@@ -61,8 +61,11 @@ def parse_function(space, spec):
     if isinstance(spec, str):
         text = spec
         if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise CliError(f"function file {spec!r}: {exc}") from exc
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -74,26 +77,32 @@ def _parse_node(space, node):
     if not isinstance(node, dict) or "op" not in node:
         raise CliError(f"function node needs an 'op': {node!r}")
     op = node["op"]
+
+    def field(name):
+        if name not in node:
+            raise CliError(f"function node {op!r} has no {name!r} field")
+        return node[name]
+
     if op == "dist":
-        return Dist(q=parse_point(space, node["q"]))
+        return Dist(q=parse_point(space, field("q")))
     if op == "dist_sq":
-        return DistSq(q=parse_point(space, node["q"]))
+        return DistSq(q=parse_point(space, field("q")))
     if op == "rho_dist":
         return RhoDist(kappa=float(node.get("kappa", space.kappa)),
-                       q=parse_point(space, node["q"]))
+                       q=parse_point(space, field("q")))
     if op == "phi_rc":
-        return PhiRC(r=float(node["r"]), c=float(node["c"]),
-                     q=parse_point(space, node["q"]))
+        return PhiRC(r=float(field("r")), c=float(field("c")),
+                     q=parse_point(space, field("q")))
     if op == "boundary_dist":
         return BoundaryDist()
     if op in ("sum", "affine"):
-        terms = tuple(_parse_node(space, t) for t in node["terms"])
+        terms = tuple(_parse_node(space, t) for t in field("terms"))
         weights = tuple(float(w) for w in node.get(
             "weights", [1.0] * len(terms)))
         return Affine(weights=weights, constant=float(node.get("constant", 0.0)),
                       terms=terms)
     if op == "min":
-        return MinExpr(terms=tuple(_parse_node(space, t) for t in node["terms"]))
+        return MinExpr(terms=tuple(_parse_node(space, t) for t in field("terms")))
     raise CliError(f"unknown function op {op!r}")
 
 
@@ -140,15 +149,7 @@ def _emit(args, payload, curve=None, space=None, development=None):
 
 
 def _curve_svg(space, curve, width=1000):
-    pts = []
-    for p in curve.points:
-        if space.variant in ("cone", "spindle", "cap"):
-            pts.append((p[0] * math.cos(p[1]), p[0] * math.sin(p[1])))
-        elif space.variant == "polygon":
-            pts.append((p[0], p[1]))
-        else:
-            xy = space.pos2(p)
-            pts.append((float(xy[0]), float(xy[1])))
+    pts = [tuple(map(float, space.pos2(p))) for p in curve.points]
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
@@ -176,6 +177,8 @@ def cmd_distance(args):
 
 
 def cmd_geodesic(args):
+    if args.samples < 2:
+        raise CliError(f"--samples must be at least 2, not {args.samples}")
     space = _load_space_arg(args.space)
     p = parse_point(space, args.p)
     q = parse_point(space, args.q)
@@ -273,10 +276,7 @@ def cmd_develop(args):
     p = parse_point(space, args.p)
     rec = trace_quasigeodesic(space, parse_point(space, getattr(args, "from")),
                               parse_angle(args.dir), args.length)
-    if space.variant == "mesh":
-        rs = [d for d, _ in space.distances_from(p, rec.points)]
-    else:
-        rs = [space.distance(p, x) for x in rec.points]
+    rs = [d for d, _ in space.distances_from(p, rec.points)]
     dev = model_plane.develop_curve(space.kappa, list(zip(rec.ts, rs)),
                                     tolerance=args.tol)
     print(f"development: convex={dev.convex} min_turn={dev.min_turn():.3e}")
@@ -335,6 +335,9 @@ def cmd_detect_extremal(args):
 def cmd_verify_extremal(args):
     space = _load_space_arg(args.space)
     if args.subset == "boundary":
+        if not hasattr(space, "boundary_point"):
+            raise CliError(f"--subset boundary needs a polygon or cap space, "
+                           f"not {space.variant}")
         desc = SubsetDescriptor("boundary", label="boundary")
     else:
         desc = SubsetDescriptor("point", parse_point(space, args.subset),

@@ -22,6 +22,7 @@ from .functions import (
     evaluate,
 )
 from .flow import gradient
+from .spaces.base import SpaceError
 from .tangent import GradientError
 
 
@@ -152,12 +153,6 @@ def tight_check(space, funcs, region, n_samples=200, grid=180, seed=0) -> TightR
 
 
 # -- image study ----------------------------------------------------------------
-def _planar_xy(space, p):
-    if space.variant == "cone":
-        return (p[0] * math.cos(p[1]), p[0] * math.sin(p[1]))
-    return (float(p[0]), float(p[1]))
-
-
 def _compile_planar(space, funcs):
     """Vectorizable closures for affine phi/dist expressions on flat charts.
 
@@ -181,7 +176,7 @@ def _compile_planar(space, funcs):
                         return False
                 return True
             if isinstance(node, PhiRC):
-                terms.append((weight, node.r, node.c, _planar_xy(space, node.q)))
+                terms.append((weight, node.r, node.c, space.pos2(node.q)))
                 return True
             return False
 
@@ -246,7 +241,7 @@ def _argmax_min_planar(space, compiled, ys, region, grid_pts, grid_vals):
             return -math.inf
         return min(ev(xy) - y for (ev, _), y in zip(compiled, ys))
 
-    pts_xy = [_planar_xy(space, p) for p in grid_pts]
+    pts_xy = [space.pos2(p) for p in grid_pts]
     if grid_vals is not None:
         best_i = max(range(len(pts_xy)),
                      key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
@@ -346,7 +341,7 @@ def _argmax_min(space, funcs, ys, region, grid_pts, refine=60, compiled=None,
                 else min(max(sig.length * k / 16.0, 0.0), sig.length)
             try:
                 w = space.walk(x, ang, step)
-            except Exception:
+            except SpaceError:
                 continue
             v = min(evaluate(f, space, w.end) - y for f, y in zip(funcs, ys))
             if v > best_v + 1e-15:

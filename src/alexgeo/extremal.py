@@ -40,12 +40,8 @@ class SubsetDescriptor:
         if self.kind == "point":
             return [self.point] * 1
         if self.kind == "boundary":
-            if space.variant == "polygon":
-                total = sum(space.edge_lens)
-                return [space.boundary_point(rng.random() * total) for _ in range(n)]
-            if space.variant == "cap":
-                return [(space.radius, rng.random() * 2.0 * math.pi)
-                        for _ in range(n)]
+            return [space.boundary_point(rng.random() * space.boundary_period)
+                    for _ in range(n)]
         if self.kind == "whole":
             return [space.random_point(rng) for _ in range(n)]
         return []
@@ -131,14 +127,8 @@ def _argmin_on_subset(space, subset, q, rng, n_scan=256):
         return subset.point
     if subset.kind != "boundary":
         return None
-    if space.variant == "polygon":
-        total = sum(space.edge_lens)
-        param = lambda s: space.boundary_point(s)
-    elif space.variant == "cap":
-        total = 2.0 * math.pi
-        param = lambda s: (space.radius, s)
-    else:
-        return None
+    total = space.boundary_period
+    param = space.boundary_point
     best_s, best_d = 0.0, math.inf
     for i in range(n_scan):
         s = total * i / n_scan
@@ -199,7 +189,7 @@ def boundary_edge_path(space, start_s, length, n_samples=200) -> CurveRecord:
     step = length / n_samples
     params = [k * step for k in range(n_samples + 1)]
     corner_ts = []
-    total = sum(space.edge_lens)
+    total = space.boundary_period
     acc = 0.0
     corner_positions = []
     for L in space.edge_lens:
@@ -234,9 +224,9 @@ def boundary_edge_path(space, start_s, length, n_samples=200) -> CurveRecord:
 def lieberman_check(space, start_s=0.1, length=None, n_probes=10, tol=1e-6,
                     seed=0):
     """Intrinsic boundary geodesics are ambient quasigeodesics."""
-    total = sum(space.edge_lens)
     if length is None:
-        length = 0.45 * total  # under half the perimeter: intrinsically minimizing
+        # under half the perimeter: intrinsically minimizing
+        length = 0.45 * space.boundary_period
     rec = boundary_edge_path(space, start_s, length)
     return check_quasigeodesic(space, rec, n_probes=n_probes, tol=tol, seed=seed)
 

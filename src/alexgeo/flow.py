@@ -38,9 +38,6 @@ class CurveRecord:
     def end(self):
         return self.points[-1]
 
-    def tangent_norms(self):
-        return [t.norm if t is not None else 0.0 for t in self.right_tangents]
-
     def to_csv(self, space=None) -> str:
         from .spaces.io import format_point
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model_plane
+from .spaces.base import SpaceError
 from .tangent import (
     DirectionalFn,
     combine_affine,
@@ -348,6 +349,8 @@ class InfConvolution:
 
     def __init__(self, expr, space, eps, lip_hint=2.0, n_angles=16, n_radii=8,
                  refine_rounds=3):
+        if not 0.0 < eps < math.inf:
+            raise ExprError(f"inf-convolution needs a finite eps > 0, not {eps}")
         self.expr = expr
         self.space = space
         self.eps = eps
@@ -374,7 +377,7 @@ class InfConvolution:
                     r = radius * k / self.n_radii
                     try:
                         w = space.walk(center, ang, r)
-                    except Exception:
+                    except SpaceError:
                         break
                     v = self._obj(w.end, y)
                     if v < best_v - 1e-15:
@@ -397,7 +400,7 @@ class InfConvolution:
                 ang = sig.length * k / 8.0
                 try:
                     w = space.walk(best_x, ang, step)
-                except Exception:
+                except SpaceError:
                     continue
                 v = self._obj(w.end, y)
                 if v < best_v - 1e-16:
@@ -435,13 +438,8 @@ class SmoothedDistance:
         else:
             self.samples = self._sample_ball(space, p, eps, n_mc, rng)
 
-    def _to_xy(self, pt):
-        if self.space.variant == "cone":
-            return np.array([pt[0] * math.cos(pt[1]), pt[0] * math.sin(pt[1])])
-        return np.asarray(pt, dtype=float)
-
     def _sample_planar(self, space, p, eps, n, rng):
-        c = self._to_xy(p)
+        c = space.pos2(p)
         rr = eps * np.sqrt(rng.random(n))
         aa = rng.random(n) * 2.0 * math.pi
         xy = np.column_stack([c[0] + rr * np.cos(aa), c[1] + rr * np.sin(aa)])
@@ -467,14 +465,14 @@ class SmoothedDistance:
                     break
             try:
                 w = space.walk(p, ang, r)
-            except Exception:
+            except SpaceError:
                 continue
             pts.append(w.end)
         return pts
 
     def value(self, y):
         if self._planar:
-            c = self._to_xy(y)
+            c = self.space.pos2(y)
             return float(np.mean(np.hypot(self._xy[:, 0] - c[0], self._xy[:, 1] - c[1])))
         total = 0.0
         for x in self.samples:
@@ -487,7 +485,7 @@ class SmoothedDistance:
     def differential(self, y) -> DirectionalFn:
         sigma = self.space.sigma_at(y)
         if self._planar:
-            c = self._to_xy(y)
+            c = self.space.pos2(y)
             planar = np.arctan2(self._xy[:, 1] - c[1], self._xy[:, 0] - c[0])
             if self.space.variant == "cone":
                 # chart zero points radially away from the cone apex

@@ -188,9 +188,6 @@ class EntropyRecord:
     total: float
     resolution: float
 
-    def passed_zero(self, tol):
-        return abs(self.total) <= tol
-
 
 def entropy(curve: CurveRecord, min_jump: float = 0.0) -> EntropyRecord:
     atoms = []
@@ -273,16 +270,13 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
     event_ts = {round(t, 12) for t, _, _ in curve.events}
 
     clean = [True] * len(pts)
-    cone_pts = space.cone_points() if hasattr(space, "cone_points") else []
+    cone_pts = space.cone_points()
     if cone_pts:
         step_hint = max(
             (ts[i + 1] - ts[i] for i in range(len(ts) - 1)), default=0.0
         )
         for v_pt, _ in cone_pts:
-            if space.variant == "mesh":
-                ds = [d for d, _ in space.distances_from(v_pt, pts)]
-            else:
-                ds = [space.distance(v_pt, x) for x in pts]
+            ds = [d for d, _ in space.distances_from(v_pt, pts)]
             for i, d in enumerate(ds):
                 if d < 2.5 * step_hint:
                     clean[i] = False
@@ -310,10 +304,7 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
     while used < n_probes and attempts < 8 * n_probes:
         attempts += 1
         probe = space.random_point(rng)
-        if space.variant == "mesh":
-            rs = [d for d, _ in space.distances_from(probe, pts)]
-        else:
-            rs = [space.distance(probe, x) for x in pts]
+        rs = [d for d, _ in space.distances_from(probe, pts)]
         if min(rs) < 20.0 * max(curve.h, 1e-9) or min(rs) < 1e-6:
             continue
         if kappa > 0 and max(rs) >= math.pi / math.sqrt(kappa) - 1e-9:

@@ -351,10 +351,7 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
                    if t > 0.0})
     t_used = [rec.ts[i] for i in idxs]
     pts = [rec.points[i] for i in idxs]
-    if space.variant == "mesh":
-        dists = [d for d, _ in space.distances_from(q, pts)]
-    else:
-        dists = [space.distance(x, q) for x in pts]
+    dists = [d for d, _ in space.distances_from(q, pts)]
     angles = []
     t_grid = t_used
     for t, dq in zip(t_used, dists):

@@ -1,4 +1,21 @@
-"""Shared structures for the concrete space implementations."""
+"""Shared structures for the concrete space implementations.
+
+Every space (cone, spindle, cap, polygon, mesh and the doubles) answers
+the same queries, so callers need not ask which variant they hold:
+
+- `validate_point(p)`, `random_point(rng)`, `random_point_near(p, r, rng)`;
+- `distance(p, q)`, `distance_with_error(p, q)` and
+  `distances_from(p, targets)`, the last two as `(d, certified error)`
+  pairs (the error is 0 on the closed forms);
+- `sigma_at(p)`, `directions_to(p, q)`, `walk(p, angle, length)` and
+  `geodesic_points(p, q, n)`;
+- `pos2(p)`, a planar position for plots and flat charts;
+- `cone_points()`, the interior cone points with their total angles.
+
+Spaces with a boundary parametrization (polygon and cap) add
+`boundary_dist(p)`, `boundary_point(s)` and `boundary_period`, the range
+of the parameter s.
+"""
 from __future__ import annotations
 
 import math
@@ -9,6 +26,16 @@ TWO_PI = 2.0 * math.pi
 
 class SpaceError(ValueError):
     """Malformed space description or invalid point."""
+
+
+class ExactMetric:
+    """One-to-one and one-to-many queries of a space with a closed-form metric."""
+
+    def distance_with_error(self, p, q):
+        return self.distance(p, q), 0.0
+
+    def distances_from(self, p, targets):
+        return [(self.distance(p, q), 0.0) for q in targets]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 
-from .base import SigmaDesc, SpaceError, WalkResult, wrap_angle, angle_of
+from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, wrap_angle, angle_of
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
 
 
-class ConeSpace:
+class ConeSpace(ExactMetric):
     variant = "cone"
     kappa = 0.0
     has_boundary = False
@@ -35,6 +35,11 @@ class ConeSpace:
         if r < 0.0 or not math.isfinite(r) or not math.isfinite(phi):
             raise SpaceError(f"invalid cone point {p!r}")
         return (float(r), wrap_angle(float(phi), self.total_angle))
+
+    def pos2(self, p):
+        """Planar position (r cos phi, r sin phi), with phi as given."""
+        r, phi = p
+        return (r * math.cos(phi), r * math.sin(phi))
 
     def is_apex(self, p) -> bool:
         return p[0] <= _APEX_EPS
@@ -61,9 +66,6 @@ class ConeSpace:
             return p[0] + q[0]
         a = min(self._wraps(p, q))  # at most theta/2 <= pi: theta is clamped to 2*pi
         return math.sqrt(max(0.0, p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(a)))
-
-    def distance_with_error(self, p, q):
-        return self.distance(p, q), 0.0
 
     def sigma_at(self, p) -> SigmaDesc:
         if self.is_apex(p):

@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 
-from .base import SigmaDesc, SpaceError, WalkResult, angle_of, wrap_angle
+from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, angle_of, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
 
 
-class PolygonSpace:
+class PolygonSpace(ExactMetric):
     variant = "polygon"
     kappa = 0.0
     has_boundary = True
@@ -46,6 +46,7 @@ class PolygonSpace:
             self.edge_lens.append(L)
         # inward normals
         self.normals = [np.array([-d[1], d[0]]) for d in self.edge_dirs]
+        self.boundary_period = sum(self.edge_lens)  # perimeter
         self.scale = float(np.max(np.ptp(v, axis=0)))
 
     def describe(self):
@@ -59,6 +60,9 @@ class PolygonSpace:
         if not self.contains((x, y)):
             raise SpaceError(f"point {p!r} outside the polygon")
         return (x, y)
+
+    def pos2(self, p):
+        return (float(p[0]), float(p[1]))
 
     def contains(self, p, tol=1e-9):
         x, y = p
@@ -94,9 +98,6 @@ class PolygonSpace:
     def distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
 
-    def distance_with_error(self, p, q):
-        return self.distance(p, q), 0.0
-
     def sigma_at(self, p):
         kind = self.classify(p)
         if kind[0] == "interior":
@@ -109,23 +110,16 @@ class PolygonSpace:
         """Planar angle of the chart's zero direction at p."""
         kind = self.classify(p)
         if kind[0] == "interior":
-            return 0.0, kind
-        if kind[0] == "edge":
-            d = self.edge_dirs[kind[1]]
-            return angle_of(d[0], d[1]), kind
-        d = self.edge_dirs[kind[1]]
-        return angle_of(d[0], d[1]), kind
+            return 0.0
+        d = self.edge_dirs[kind[1]]  # the edge, or a corner's outgoing edge
+        return angle_of(d[0], d[1])
 
     def to_chart(self, p, planar_angle):
-        ref, kind = self._chart_reference(p)
-        a = wrap_angle(planar_angle - ref, TWO_PI)
-        if kind[0] == "interior":
-            return a
-        return a  # arcs: valid range checked by callers
+        # on an arc the valid range is checked by callers
+        return wrap_angle(planar_angle - self._chart_reference(p), TWO_PI)
 
     def from_chart(self, p, chart_angle):
-        ref, _ = self._chart_reference(p)
-        return wrap_angle(chart_angle + ref, TWO_PI)
+        return wrap_angle(chart_angle + self._chart_reference(p), TWO_PI)
 
     def directions_to(self, p, q, tol=1e-9):
         p, q = self.validate_point(p), self.validate_point(q)
@@ -179,9 +173,9 @@ class PolygonSpace:
 
     def boundary_point(self, s):
         """Point at perimeter arclength s from vertex 0, CCW."""
-        s = math.fmod(s, sum(self.edge_lens))
+        s = math.fmod(s, self.boundary_period)
         if s < 0:
-            s += sum(self.edge_lens)
+            s += self.boundary_period
         for i, L in enumerate(self.edge_lens):
             if s <= L:
                 a = self.edges[i][0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .base import SigmaDesc, SpaceError, WalkResult, wrap_angle
+from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -24,10 +24,15 @@ def _clamp1(x):
     return 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
 
 
-class _SphereBase:
+class _SphereBase(ExactMetric):
     """Common trig for (r, phi) points on a unit-curvature suspension."""
 
     wrap_length = TWO_PI  # azimuth period
+
+    def pos2(self, p):
+        """Planar position (r cos phi, r sin phi), with phi as given."""
+        r, phi = p
+        return (r * math.cos(phi), r * math.sin(phi))
 
     def _loc(self, r1, r2, a):
         """Spherical law of cosines with azimuth separation a (capped at pi)."""
@@ -190,9 +195,6 @@ class SpindleSpace(_SphereBase):
         a = min(self._azimuth_sep(p, q))
         return self._loc(p[0], q[0], a)
 
-    def distance_with_error(self, p, q):
-        return self.distance(p, q), 0.0
-
     def sigma_at(self, p):
         if self.is_apex(p):
             return SigmaDesc(self.circle_length)
@@ -238,6 +240,7 @@ class CapSpace(_SphereBase):
     variant = "cap"
     kappa = 1.0
     has_boundary = True
+    boundary_period = TWO_PI  # azimuth range of boundary_point, not boundary_length()
 
     def __init__(self, radius: float):
         if not (0.0 < radius <= math.pi / 2 + 1e-12):
@@ -263,6 +266,10 @@ class CapSpace(_SphereBase):
     def boundary_dist(self, p):
         return self.radius - p[0]
 
+    def boundary_point(self, s):
+        """Boundary point at azimuth s (not wrapped; s is not an arclength)."""
+        return (self.radius, s)
+
     def random_point(self, rng):
         u = rng.random()
         r = math.acos(1.0 - u * (1.0 - math.cos(self.radius)))
@@ -283,9 +290,6 @@ class CapSpace(_SphereBase):
         p, q = self.validate_point(p), self.validate_point(q)
         a = min(self._azimuth_sep(p, q))
         return self._loc(p[0], q[0], a)
-
-    def distance_with_error(self, p, q):
-        return self.distance(p, q), 0.0
 
     def sigma_at(self, p):
         if self.on_boundary(p):

@@ -27,9 +27,6 @@ class TangentVec:
     angle: float
     sigma: SigmaDesc
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm <= tol
-
     def scaled(self, factor: float) -> "TangentVec":
         return TangentVec(self.norm * factor, self.angle, self.sigma)
 

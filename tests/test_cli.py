@@ -12,6 +12,15 @@ from alexgeo.cli import main
 from alexgeo.spaces import regular_tetrahedron
 
 
+def _child_env():
+    """os.environ with the absolute package root first on PYTHONPATH."""
+    env = dict(os.environ)
+    root = str(Path(alexgeo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture
 def cone_file(tmp_path):
     p = tmp_path / "cone.json"
@@ -139,15 +148,62 @@ class TestCommands:
     def test_entry_point_runs(self, cone_file, tmp_path):
         # The child runs in tmp_path (the command writes alexgeo-out.json to
         # its working directory), so a relative PYTHONPATH inherited from the
-        # parent would point nowhere; put the absolute package root first.
-        env = dict(os.environ)
-        root = str(Path(alexgeo.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [root, env.get("PYTHONPATH")]))
+        # parent would point nowhere.
         proc = subprocess.run(
             [sys.executable, "-m", "alexgeo.cli", "distance", "--space",
              cone_file, "--p", "1,0", "--q", "1,pi"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[0] == "1.414214"
+
+
+BAD_INPUT = {
+    "boundary_subset_on_cone": (
+        ["verify-extremal", "--space", "{cone}", "--subset", "boundary"], "cone"),
+    "dist_without_q": (
+        ["gradient", "--space", "{cone}", "--p", "2,1", "--function", '{{"op":"dist"}}'],
+        "'q'"),
+    "sum_without_terms": (
+        ["gradient", "--space", "{cone}", "--p", "2,1", "--function", '{{"op":"sum"}}'],
+        "'terms'"),
+    "missing_function_file": (
+        ["gradient", "--space", "{cone}", "--p", "2,1", "--function", "{tmp}/none.json"],
+        "none.json"),
+    "geodesic_one_sample": (
+        ["geodesic", "--space", "{cone}", "--p", "1,0", "--q", "1,1", "--samples", "1"],
+        "--samples"),
+    "geodesic_no_samples": (
+        ["geodesic", "--space", "{cone}", "--p", "1,0", "--q", "1,1", "--samples", "0"],
+        "--samples"),
+}
+
+# A negative eps can make the search run forever, so these run in a child
+# process that a timeout stops.
+BAD_EPS = ["0", "-1"]
+
+
+class TestBadInput:
+    """Bad input exits 2 with one `error:` line and no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_exits_2(self, case, cone_file, tmp_path, capsys):
+        argv, fragment = BAD_INPUT[case]
+        argv = [a.format(cone=cone_file, tmp=tmp_path) for a in argv]
+        rc = main(argv + ["--prefix", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_inf_conv_eps_exits_2(self, eps, cone_file, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "alexgeo.cli", "inf-conv", "--space", cone_file,
+             "--p", "1.2,0.4", "--eps", eps,
+             "--function", '{"op":"dist_sq","q":"1,0"}'],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+            timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "eps" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -138,10 +138,19 @@ def _jittered_hull(rng, pts):
     while True:
         moved = pts * (0.95 + 0.1 * rng.random((len(pts), 1)))
         try:
-            mesh = MeshSpace(faces, coords=moved)
+            return _embedded(faces, moved)
         except SpaceError:
             continue
-        return mesh, lambda p: sum(b * moved[v] for b, v in zip(p.bary, mesh.faces[p.face]))
+
+
+def _embedded(faces, coords):
+    """Mesh with the given faces and 3-D vertices, and its embedding."""
+    mesh = MeshSpace(faces, coords=coords)
+    return mesh, lambda p: sum(b * coords[v] for b, v in zip(p.bary, mesh.faces[p.face]))
+
+
+def _tetrahedron(rng):
+    return _embedded(list(itertools.combinations(range(4), 3)), rng.normal(size=(4, 3)))
 
 
 def _octahedron(rng):
@@ -166,7 +175,8 @@ class TestDeeperMeshes:
     """The unfolding search on meshes where the depth cutoff can bind."""
 
     @pytest.mark.parametrize("build, seed", [(_octahedron, 11), (_icosahedron, 12),
-                                             (_doubled_heptagon, 13)])
+                                             (_doubled_heptagon, 13), (_tetrahedron, 15),
+                                             (_tetrahedron, 16), (_tetrahedron, 17)])
     def test_distances_against_oracles_and_walks(self, build, seed):
         rng = np.random.default_rng(seed)
         mesh, position = build(rng)
@@ -178,6 +188,8 @@ class TestDeeperMeshes:
             for q, (d_many, err_many) in zip(qs, many):
                 d, err = mesh.distance_with_error(p, q)
                 assert abs(d_many - d) <= max(err, err_many) + 1e-9
+                if build is _tetrahedron:  # the search is exhaustive on 4 faces
+                    assert err == err_many == 0.0
                 assert np.linalg.norm(position(p) - position(q)) <= d + 1e-9
                 assert d <= mesh.graph_upper_bound(p, q) + 1e-9
                 dirs = mesh.directions_to(p, q)

@@ -7,6 +7,8 @@ from alexgeo import model_plane as mp
 from alexgeo.spaces import (
     CapSpace,
     ConeSpace,
+    DoubledCap,
+    DoubledPolygon,
     PolygonSpace,
     SpindleSpace,
     SpaceError,
@@ -302,3 +304,59 @@ class TestPointParsing:
         p = parse_point(t, "F3:0.2,0.3")
         assert p.face == 3
         assert p.bary == pytest.approx((0.2, 0.3, 0.5))
+
+
+INTERFACE_SPACES = {
+    "cone": lambda: ConeSpace(1.5 * math.pi),
+    "spindle": lambda: SpindleSpace(4.0),
+    "cap": lambda: CapSpace(0.8),
+    "square": lambda: PolygonSpace(SQUARE),
+    "doubled_cap": lambda: DoubledCap(CapSpace(math.pi / 2)),
+    "tetrahedron": regular_tetrahedron,
+    "doubled_square": lambda: DoubledPolygon(PolygonSpace(SQUARE)),
+}
+
+
+class TestSpaceInterface:
+    """Queries every space answers, so that callers need not ask its variant."""
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_distances_from_matches_one_to_one(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            p = space.random_point(rng)
+            qs = [space.random_point(rng) for _ in range(6)] + [p]
+            many = space.distances_from(p, qs)
+            one = [space.distance_with_error(p, q) for q in qs]
+            if space.variant == "mesh":
+                for (d, err), (d1, err1) in zip(many, one):
+                    assert abs(d - d1) <= max(err, err1) + 1e-9
+            else:
+                assert many == one
+                assert all(err == 0.0 for _, err in many)
+
+    @pytest.mark.parametrize("name", ["cone", "spindle", "cap", "doubled_cap"])
+    def test_polar_pos2(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            r, phi = space.random_point(rng)
+            assert space.pos2((r, phi)) == (r * math.cos(phi), r * math.sin(phi))
+
+    def test_polygon_pos2(self):
+        xy = PolygonSpace(SQUARE).pos2((np.float64(0.25), 0.5))
+        assert xy == (0.25, 0.5) and all(type(c) is float for c in xy)
+
+    @pytest.mark.parametrize("name", ["cap", "square"])
+    def test_boundary_parametrization(self, name):
+        space = INTERFACE_SPACES[name]()
+        for s in np.linspace(-0.3, 1.3, 33) * space.boundary_period:
+            assert space.boundary_dist(space.boundary_point(s)) == 0.0
+        ends = space.boundary_point(0.0), space.boundary_point(space.boundary_period)
+        assert math.dist(*map(space.pos2, ends)) <= 1e-12
+
+    def test_square_perimeter(self):
+        sq = PolygonSpace(SQUARE)
+        assert sq.boundary_period == 4.0
+        assert sq.boundary_point(1.5) == (1.0, 0.5)
