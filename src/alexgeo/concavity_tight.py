@@ -23,7 +23,7 @@ from .functions import (
 )
 from .flow import gradient
 from .spaces.base import SpaceError
-from .tangent import GradientError
+from .tangent import GradientError, combine_min, directional_sup
 
 
 class ConstructionError(RuntimeError):
@@ -116,8 +116,14 @@ class TightReport:
                 f"{self.n_samples} samples; {self.n_critical} critical points")
 
 
-def tight_check(space, funcs, region, n_samples=200, grid=180, seed=0) -> TightReport:
-    """Sample sup over i != j of d_x f_i evaluated on the gradient of f_j."""
+def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
+    """Sample sup over i != j of d_x f_i evaluated on the gradient of f_j.
+
+    A sample is regular when the exact sup over directions of
+    min_i d_x f_i is positive.
+    """
+    if n_samples < 1:
+        raise ValueError(f"tight check needs at least 1 sample, not {n_samples}")
     center, radius = region
     rng = np.random.default_rng(seed)
     sup = -math.inf
@@ -140,12 +146,7 @@ def tight_check(space, funcs, region, n_samples=200, grid=180, seed=0) -> TightR
                 if val > sup:
                     sup = val
                     worst_pair = (i, j, x)
-        sig = space.sigma_at(x)
-        best = -math.inf
-        for k in range(grid):
-            a = sig.length * k / grid
-            best = max(best, min(d(a) for d in diffs))
-        if best > 0.0:
+        if directional_sup(combine_min(space.sigma_at(x), diffs))[0] > 0.0:
             n_reg += 1
         else:
             n_crit += 1

@@ -49,15 +49,16 @@ class CurveRecord:
         return "\n".join(lines) + "\n"
 
 
-def gradient(expr, space, p, grid=720):
+def gradient(expr, space, p):
     """Gradient of a semiconcave expression at p (zero past critical points)."""
-    d = differential(expr, space, p)
-    return gradient_from_directional(d, grid=grid)
+    return gradient_from_directional(differential(expr, space, p))
 
 
-def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL, grid=720,
+def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL,
                    check_certificate=False, provenance="gradient-curve"):
     """Integrate the gradient curve from p for parameter time T at step h."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"gradient curve needs a finite step h > 0, not {h}")
     p = space.validate_point(p)
     if check_certificate:
         ensure_certificate(expr, space, p, max(4.0 * h, 0.1))
@@ -77,7 +78,7 @@ def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL, grid=720,
             rights.append(zero_vector(space.sigma_at(cur)))
             lefts.append(None)
             continue
-        g = gradient(expr, space, cur, grid=grid)
+        g = gradient(expr, space, cur)
         if g.norm < tol_stop:
             events.append((t0, "stop", None))
             stopped = True
@@ -87,7 +88,7 @@ def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL, grid=720,
             lefts.append(None)
             continue
         rights.append(g)
-        cur, back = _advance(expr, space, cur, g, h, events, t0, grid, tol_stop)
+        cur, back = _advance(expr, space, cur, g, h, events, t0, tol_stop)
         ts.append(t0 + h)
         points.append(cur)
         lefts.append(back)
@@ -95,7 +96,7 @@ def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL, grid=720,
     return CurveRecord(ts, points, rights, lefts, events, h, provenance)
 
 
-def _advance(expr, space, cur, g, h, events, t0, grid, tol_stop):
+def _advance(expr, space, cur, g, h, events, t0, tol_stop):
     """One parameter step of size h, splitting at vertex events."""
     remaining = h
     vec = g
@@ -112,7 +113,7 @@ def _advance(expr, space, cur, g, h, events, t0, grid, tol_stop):
         events.append((t0 + (h - remaining), w.event, w.event_ref))
         if remaining <= 1e-15:
             return cur, back
-        vec = gradient(expr, space, cur, grid=grid)
+        vec = gradient(expr, space, cur)
         if vec.norm < tol_stop:
             events.append((t0 + (h - remaining), "stop", None))
             return cur, back
@@ -139,8 +140,7 @@ class EstimateReport:
                 f"(ii) {min(self.margins_ii):.3e} (iii) {min(self.margins_iii):.3e}")
 
 
-def verify_distance_estimates(expr, space, pairs, t_grid, h, lam,
-                              grid=720) -> EstimateReport:
+def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateReport:
     """Both sides of the gradient-curve distance estimates on point pairs.
 
     (i)   |a(t) b(t)|  <=  e^{lam t} |pq|
@@ -150,12 +150,12 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam,
     T = max(t_grid)
     m_i, m_ii, m_iii = [], [], []
     for p, q in pairs:
-        alpha = gradient_curve(expr, space, p, T, h, grid=grid)
-        beta = gradient_curve(expr, space, q, T, h, grid=grid)
+        alpha = gradient_curve(expr, space, p, T, h)
+        beta = gradient_curve(expr, space, q, T, h)
         d0 = space.distance(p, q)
         fp = evaluate(expr, space, p)
         fq = evaluate(expr, space, q)
-        gp = gradient(expr, space, p, grid=grid).norm
+        gp = gradient(expr, space, p).norm
         drop = 2.0 * fp - 2.0 * fq + lam * d0 * d0
 
         def at(rec, t):
@@ -190,8 +190,7 @@ class LengthElementReport:
         return self.worst >= -tol
 
 
-def length_element_check(expr, space, gamma0_points, tau, h, lam,
-                         grid=720) -> LengthElementReport:
+def length_element_check(expr, space, gamma0_points, tau, h, lam) -> LengthElementReport:
     """Flow a curve by a variable time and compare the new length element
     against e^{2 lam tau} [ds^2 + 2 d(f o gamma) dtau + |grad f|^2 dtau^2].
 
@@ -202,7 +201,7 @@ def length_element_check(expr, space, gamma0_points, tau, h, lam,
     ds = space.distance(pts[0], pts[1])
     taus = [tau(i * ds) for i in range(n)]
     imgs = [
-        gradient_curve(expr, space, x, tv, h, grid=grid).end() if tv > 0 else x
+        gradient_curve(expr, space, x, tv, h).end() if tv > 0 else x
         for x, tv in zip(pts, taus)
     ]
     margins = []
@@ -211,7 +210,7 @@ def length_element_check(expr, space, gamma0_points, tau, h, lam,
         dsig = space.distance(imgs[i], imgs[i + 1])
         dtau = taus[i + 1] - taus[i]
         df = evaluate(expr, space, pts[i + 1]) - evaluate(expr, space, pts[i])
-        gn = gradient(expr, space, pts[i], grid=grid).norm
+        gn = gradient(expr, space, pts[i]).norm
         rhs = math.exp(2.0 * lam * min(taus[i], taus[i + 1])) * (
             dsl * dsl + 2.0 * df * dtau + gn * gn * dtau * dtau
         )

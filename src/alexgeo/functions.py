@@ -24,6 +24,7 @@ from .tangent import (
     combine_min,
     cos_tail_directional,
     constant_directional,
+    mean_cos_tail_directional,
 )
 
 
@@ -259,13 +260,6 @@ def _boundary_diff(space, p, sigma):
     raise ExprError("boundary differential needs a polygon or cap")
 
 
-def supporting_check(expr, space, p, s_vec, grid=720, tol=1e-9):
-    """Verify d_p f(x) <= -<s, x> on a direction grid; (ok, worst margin)."""
-    from .tangent import supporting_check as _core
-
-    return _core(differential(expr, space, p), s_vec, grid=grid, tol=tol)
-
-
 # -- concavity checking -----------------------------------------------------
 @dataclass
 class ConcavityReport:
@@ -289,6 +283,8 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
     With `lam_fn` the bound becomes pointwise, (f o gamma)'' <= lam_fn(f),
     which covers the value-coupled concavity notions.
     """
+    if n_geodesics < 1:
+        raise ValueError(f"concavity check needs at least 1 geodesic, not {n_geodesics}")
     center, radius = region
     rng = np.random.default_rng(seed)
     worst = -math.inf
@@ -498,16 +494,7 @@ class SmoothedDistance:
                     continue
                 dirs.append(self.space.directions_to(y, x)[0])
             arr = np.asarray(dirs)
-
-        def fn(angle, _arr=arr, _sig=sigma):
-            if _sig.is_arc:
-                d = np.abs(_arr - angle)
-            else:
-                d = np.abs(np.mod(_arr - angle, _sig.length))
-                d = np.minimum(d, _sig.length - d)
-            return float(np.mean(-np.cos(np.minimum(d, math.pi))))
-
-        return DirectionalFn(sigma, fn, kinks=[])
+        return mean_cos_tail_directional(sigma, arr)
 
 
 def planar_smoothed_distance_oracle(p, eps, y):

@@ -263,6 +263,8 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
     grid steps of a cone point; the one-sided Lipschitz bound and the
     distance-based tests are unaffected.
     """
+    if n_probes < 1:
+        raise ValueError(f"quasigeodesic check needs at least 1 probe, not {n_probes}")
     rng = np.random.default_rng(seed)
     kappa = space.kappa
     ts = curve.ts

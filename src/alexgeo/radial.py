@@ -48,12 +48,11 @@ class RadialStepper:
     """
 
     def __init__(self, space, p, xi_angle, kappa=0, tol_stop=1e-8,
-                 check_every=None, grid=720, stop_at_vertex=False):
+                 check_every=None, stop_at_vertex=False):
         self.space = space
         self.p = space.validate_point(p)
         self.kappa = kappa
         self.tol_stop = tol_stop
-        self.grid = grid
         if check_every is None:
             check_every = 5 if space.variant == "mesh" else 1
         self.check_every = check_every
@@ -83,7 +82,7 @@ class RadialStepper:
             return zero_vector(self.space.sigma_at(self.cur))
         if self.regime == "geo":
             return TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
-        g = gradient(self._dist_expr, self.space, self.cur, grid=self.grid)
+        g = gradient(self._dist_expr, self.space, self.cur)
         if g.norm < self.tol_stop:
             return zero_vector(g.sigma)
         r = self.space.distance(self.p, self.cur)
@@ -186,7 +185,7 @@ class RadialStepper:
             vec = self._grad_step_cone(dt)
             if vec is not None:
                 return vec
-        g = gradient(self._dist_expr, self.space, self.cur, grid=self.grid)
+        g = gradient(self._dist_expr, self.space, self.cur)
         if g.norm < self.tol_stop:
             self.stopped = True
             self.events.append((self.t, "stop", None))
@@ -213,7 +212,7 @@ class RadialStepper:
                 self.at_vertex = True
                 self.vertex_back_angle = w.back_angle
                 break
-            g = gradient(self._dist_expr, self.space, self.cur, grid=self.grid)
+            g = gradient(self._dist_expr, self.space, self.cur)
             if g.norm < self.tol_stop:
                 self.stopped = True
                 self.events.append((self.t, "stop", None))
@@ -224,14 +223,15 @@ class RadialStepper:
         return vec
 
 
-def radial_curve(space, p, xi_angle, kappa, T, h, tol_stop=1e-8,
-                 grid=720) -> CurveRecord:
+def radial_curve(space, p, xi_angle, kappa, T, h, tol_stop=1e-8) -> CurveRecord:
     """Radial curve record from p in direction xi over [0, T] at step h."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"radial curve needs a finite step h > 0, not {h}")
     if kappa == 1 and T > math.pi / 2.0 + 1e-12:
         raise RadialDomainError("spherical radial curves live on [0, pi/2]")
     if kappa not in (-1, 0, 1):
         raise RadialDomainError(f"kappa must be -1, 0 or 1, not {kappa}")
-    stepper = RadialStepper(space, p, xi_angle, kappa, tol_stop, grid=grid)
+    stepper = RadialStepper(space, p, xi_angle, kappa, tol_stop)
     ts = [0.0]
     points = [stepper.cur]
     rights = []
@@ -249,13 +249,15 @@ def radial_curve(space, p, xi_angle, kappa, T, h, tol_stop=1e-8,
     return CurveRecord(ts, points, rights, lefts, list(stepper.events), h, "radial")
 
 
-def gexp_map(space, p, v: TangentVec, kappa, h, grid=720):
+def gexp_map(space, p, v: TangentVec, kappa, h):
     """Endpoint of the radial curve at parameter |v| in the direction of v."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"gexp needs a finite step h > 0, not {h}")
     if v.norm == 0.0:
         return space.validate_point(p)
     if kappa == 1 and v.norm > math.pi / 2.0 + 1e-12:
         raise RadialDomainError("gexp(1; v) needs |v| <= pi/2")
-    stepper = RadialStepper(space, p, v.angle, kappa, grid=grid)
+    stepper = RadialStepper(space, p, v.angle, kappa)
     T = v.norm
     t = 0.0
     chunk_cap = 0.25
@@ -331,7 +333,7 @@ class RadialComparisonReport:
 
 
 def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
-                             expr=None, lam=0.0, grid=720) -> RadialComparisonReport:
+                             expr=None, lam=0.0) -> RadialComparisonReport:
     """Monotonicity of the comparison angle along a radial curve.
 
     Checks t -> angle_k(t, |alpha(t) q|, |pq|) non-increasing; with
@@ -343,7 +345,7 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
     dpq = space.distance(p, q)
     if kappa == 1 and dpq > math.pi / 2.0 + 1e-12:
         raise RadialDomainError("kappa = 1 comparison needs |pq| <= pi/2")
-    rec = radial_curve(space, p, xi_angle, kappa, T, h, grid=grid)
+    rec = radial_curve(space, p, xi_angle, kappa, T, h)
 
     # snap each requested time to the record grid and use the snapped
     # parameter in the comparison triangle: the sides must be consistent
@@ -391,8 +393,8 @@ class InverseCheckReport:
         return self.worst_decrease <= tol and self.min_separation > 0.0
 
 
-def gexp_inverse_check(space, p, geodesic_points, probe_angles, kappa, h,
-                       grid=720) -> InverseCheckReport:
+def gexp_inverse_check(space, p, geodesic_points, probe_angles, kappa,
+                       h) -> InverseCheckReport:
     """Radial curves in other directions never re-enter an open geodesic.
 
     Along each probe radial curve the comparison angle at the geodesic
@@ -408,7 +410,7 @@ def gexp_inverse_check(space, p, geodesic_points, probe_angles, kappa, h,
     worst_dec = 0.0
     min_sep = math.inf
     for ang in probe_angles:
-        rec = radial_curve(space, p, ang, kappa, T, h, grid=grid)
+        rec = radial_curve(space, p, ang, kappa, T, h)
         prev = None
         for i in range(1, len(rec.points), max(1, len(rec.points) // 40)):
             x = rec.points[i]

@@ -97,5 +97,14 @@ def wrap_angle(a: float, period: float) -> float:
     return x + period if x < 0.0 else x
 
 
+def azimuth_gap(a: float, b: float, period: float) -> float:
+    """Angle between two azimuths in [0, period], at most period / 2.
+
+    Computed from |a - b|, so swapping a and b gives the same bits.
+    """
+    d = abs(a - b)
+    return min(d, period - d)
+
+
 def angle_of(vx: float, vy: float) -> float:
     return wrap_angle(math.atan2(vy, vx), TWO_PI)

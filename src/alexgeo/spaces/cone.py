@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, wrap_angle, angle_of
+from .base import (ExactMetric, SigmaDesc, SpaceError, WalkResult, angle_of, azimuth_gap,
+                   wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -64,7 +65,7 @@ class ConeSpace(ExactMetric):
         p, q = self.validate_point(p), self.validate_point(q)
         if self.is_apex(p) or self.is_apex(q):
             return p[0] + q[0]
-        a = min(self._wraps(p, q))  # at most theta/2 <= pi: theta is clamped to 2*pi
+        a = azimuth_gap(p[1], q[1], self.total_angle)  # <= theta/2 <= pi: theta <= 2*pi
         return math.sqrt(max(0.0, p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(a)))
 
     def sigma_at(self, p) -> SigmaDesc:

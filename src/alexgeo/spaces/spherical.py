@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, wrap_angle
+from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, azimuth_gap, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -192,7 +192,7 @@ class SpindleSpace(_SphereBase):
 
     def distance(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
-        a = min(self._azimuth_sep(p, q))
+        a = azimuth_gap(p[1], q[1], self.wrap_length)
         return self._loc(p[0], q[0], a)
 
     def sigma_at(self, p):
@@ -288,7 +288,7 @@ class CapSpace(_SphereBase):
 
     def distance(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
-        a = min(self._azimuth_sep(p, q))
+        a = azimuth_gap(p[1], q[1], self.wrap_length)
         return self._loc(p[0], q[0], a)
 
     def sigma_at(self, p):

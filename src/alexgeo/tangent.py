@@ -1,18 +1,25 @@
 """Tangent-cone arithmetic: differentials, gradients, polar vectors.
 
-The space of directions at every point of the supported spaces is a
-circle or an arc, so direction arithmetic is angular and the gradient is
-a global 1-D maximization of the differential over that circle or arc.
+The space of directions at every point is a circle or an arc of length
+L, and every differential is a min or an affine combination of cos-tails
+s * -cos(min(angdist(xi, u), pi)): a piecewise sinusoid.  `DirectionalFn`
+stores breakpoints 0 = b_0 <= ... <= b_n = L and, on [b_i, b_{i+1}], a
+piece (R, psi, C) of value R cos(xi - psi) + C.  A piece with one
+non-constant term keeps its phase form (psi is then a lifted source).
+Maxima and the gradient and supporting inequalities are exact sweeps
+over the breakpoints and the interior stationary points.
 """
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .spaces.base import SigmaDesc
 
 TWO_PI = 2.0 * math.pi
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class GradientError(RuntimeError):
@@ -45,56 +52,112 @@ def scalar_product(u: TangentVec, v: TangentVec) -> float:
     return u.norm * v.norm * math.cos(ang)
 
 
+def _value(piece, angle):
+    R, psi, C = piece
+    return R * math.cos(angle - psi) + C
+
+
 @dataclass
 class DirectionalFn:
-    """Function on the direction space, with its non-smooth angles listed.
+    """Piecewise sinusoid on the direction space (see the module docstring).
 
-    `single` is set when the function is s * min over sources of
-    -cos(angdist(xi, source)); this unlocks closed-form maximization.
+    `single` is (scale, sources) when the function is one cos-tail
+    scale * min over sources of -cos(angdist(xi, source)).  It is
+    metadata only and selects no code path.
     """
 
     sigma: SigmaDesc
-    fn: object
-    kinks: list = field(default_factory=list)
-    single: tuple | None = None  # (scale, [source angles])
+    breaks: list
+    pieces: list
+    single: tuple | None = None
+
+    def piece_at(self, angle: float):
+        """The piece on whose interval the (wrapped) angle lies."""
+        i = bisect.bisect_right(self.breaks, angle, 1, len(self.breaks) - 1)
+        return self.pieces[i - 1]
 
     def __call__(self, angle: float) -> float:
-        return self.fn(angle)
+        if not self.sigma.is_arc:
+            angle = self.sigma.wrap(angle)
+        return _value(self.piece_at(angle), angle)
 
     def homogeneous(self, v: TangentVec) -> float:
         """Positively homogeneous extension to the tangent cone."""
         if v.norm == 0.0:
             return 0.0
-        return v.norm * self.fn(v.angle)
+        return v.norm * self(v.angle)
+
+
+def _breaks(sigma: SigmaDesc, cuts):
+    L = sigma.length
+    return [0.0] + sorted({c for c in cuts if 0.0 < c < L}) + [L]
 
 
 def constant_directional(sigma: SigmaDesc, value: float) -> DirectionalFn:
-    return DirectionalFn(sigma, lambda a, _v=value: _v, kinks=[], single=None)
+    return DirectionalFn(sigma, [0.0, sigma.length], [(0.0, 0.0, value)])
 
 
 def cos_tail_directional(sigma: SigmaDesc, scale: float, sources) -> DirectionalFn:
-    """scale * min over sources of -cos(angle distance)."""
+    """scale * min over sources of -cos(min(angle distance, pi)).
+
+    One piece per Voronoi cell of the sources, split at the coordinate
+    ends; on a circle longer than 2 pi a cell's part beyond pi is constant.
+    """
     srcs = sorted(sources)
-
-    def fn(angle, _s=scale, _srcs=srcs, _sig=sigma):
-        d = min(_sig.dist(angle, u) for u in _srcs)
-        return _s * (-math.cos(min(d, math.pi)))
-
-    kinks = _gap_midpoints(sigma, srcs)
-    return DirectionalFn(sigma, fn, kinks=kinks, single=(scale, srcs))
-
-
-def _gap_midpoints(sigma: SigmaDesc, srcs):
-    """Angles where the distance-to-source-set function has a maximum kink."""
-    if not srcs:
-        return []
+    L = sigma.length
     if sigma.is_arc:
-        return [0.0, sigma.length]
-    s = sorted(sigma.wrap(a) for a in srcs)
-    mids = []
-    for a, b in zip(s, s[1:] + [s[0] + sigma.length]):
-        mids.append(sigma.wrap(0.5 * (a + b)))
-    return mids
+        cuts = [0.5 * (a + b) for a, b in zip(srcs, srcs[1:])]
+    else:
+        s = sorted(sigma.wrap(a) for a in srcs)
+        cuts = [sigma.wrap(0.5 * (a + b)) for a, b in zip(s, s[1:] + [s[0] + L])]
+        if L > TWO_PI:
+            cuts += [sigma.wrap(u + t) for u in s for t in (math.pi, -math.pi)]
+    breaks = _breaks(sigma, cuts)
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
+        m = 0.5 * (a + b)
+        u = min(srcs, key=lambda x: sigma.dist(m, x))
+        if sigma.dist(m, u) >= math.pi:
+            pieces.append((0.0, 0.0, scale))
+            continue
+        if not sigma.is_arc:
+            u += L * round((m - u) / L)
+        pieces.append((-scale, u, 0.0))
+    return DirectionalFn(sigma, breaks, pieces, single=(scale, srcs))
+
+
+def mean_cos_tail_directional(sigma: SigmaDesc, sources) -> DirectionalFn:
+    """Mean over the sources of -cos(angle distance), for L <= 2 pi.
+
+    The term of a source lifted to l is -cos(xi - l) = Re(z e^{-i xi})
+    with z = -e^{i l}.  On an arc or a 2 pi circle the lift never
+    matters, so the mean is one sinusoid.  On a shorter circle the
+    nearest lift moves by L at the source's antipode, and a cumulative
+    sum over the sorted antipodes gives the pieces.
+    """
+    u = np.asarray(sources, dtype=float)
+    L, n = sigma.length, len(u)
+    cuts = np.empty(0)
+    if not sigma.is_arc and L != TWO_PI:
+        u = np.mod(u, L)
+        u = np.sort(np.where(u <= 0.5 * L, u, u - L))  # the lifts nearest to 0
+        cuts = u + 0.5 * L
+    z = -np.exp(1j * u)
+    jumps = z[:len(cuts)] * (np.exp(1j * L) - 1.0)
+    acc = (z.sum() + np.concatenate([[0.0], np.cumsum(jumps)])) / n
+    pieces = [(abs(w), math.atan2(w.imag, w.real), 0.0) for w in acc.tolist()]
+    return DirectionalFn(sigma, [0.0] + cuts.tolist() + [L], pieces)
+
+
+def _sum_pieces(terms):
+    """sum of w * piece; a single non-constant term keeps its phase form."""
+    C = sum(w * c for w, (_, _, c) in terms)
+    live = [(w * R, psi) for w, (R, psi, _) in terms if R != 0.0]
+    if len(live) == 1:
+        return live[0] + (C,)
+    a = sum(R * math.cos(psi) for R, psi in live)
+    b = sum(R * math.sin(psi) for R, psi in live)
+    return (math.hypot(a, b), math.atan2(b, a), C)
 
 
 def combine_affine(sigma: SigmaDesc, parts) -> DirectionalFn:
@@ -102,201 +165,131 @@ def combine_affine(sigma: SigmaDesc, parts) -> DirectionalFn:
     parts = [(w, d) for w, d in parts if w != 0.0]
     if not parts:
         return constant_directional(sigma, 0.0)
-    if len(parts) == 1:
-        w, d = parts[0]
-        if d.single is not None:
-            return cos_tail_directional(sigma, w * d.single[0], d.single[1])
-        return DirectionalFn(sigma, lambda a, _w=w, _d=d: _w * _d(a), kinks=list(d.kinks))
+    breaks = _breaks(sigma, [b for _, d in parts for b in d.breaks])
+    pieces = [_sum_pieces([(w, d.piece_at(0.5 * (a + b))) for w, d in parts])
+              for a, b in zip(breaks, breaks[1:])]
+    single = None
+    if len(parts) == 1 and parts[0][1].single is not None:
+        s, srcs = parts[0][1].single
+        single = (parts[0][0] * s, srcs)
+    return DirectionalFn(sigma, breaks, pieces, single)
 
-    def fn(angle, _parts=parts):
-        return sum(w * d(angle) for w, d in _parts)
 
-    kinks = sorted({k for _, d in parts for k in d.kinks})
-    return DirectionalFn(sigma, fn, kinks=kinks)
+def _lifts(x, lo, hi):
+    """The angles x + 2 pi k inside the open interval (lo, hi)."""
+    x += TWO_PI * math.ceil((lo - x) / TWO_PI)
+    out = []
+    while x < hi:
+        if x > lo:
+            out.append(x)
+        x += TWO_PI
+    return out
+
+
+def _crossings(p, q, lo, hi):
+    """Angles in (lo, hi) where the pieces p and q take equal values."""
+    (r1, s1, c1), (r2, s2, c2) = p, q
+    x = r1 * math.cos(s1) - r2 * math.cos(s2)
+    y = r1 * math.sin(s1) - r2 * math.sin(s2)
+    r = math.hypot(x, y)
+    if r == 0.0 or abs(c2 - c1) > r:
+        return []
+    psi, t = math.atan2(y, x), math.acos((c2 - c1) / r)
+    return _lifts(psi + t, lo, hi) + _lifts(psi - t, lo, hi)
 
 
 def combine_min(sigma: SigmaDesc, ds) -> DirectionalFn:
+    """Lower envelope: pieces are split where two candidates cross."""
     ds = list(ds)
     if len(ds) == 1:
         return ds[0]
-
-    def fn(angle, _ds=ds):
-        return min(d(angle) for d in _ds)
-
-    kinks = sorted({k for d in ds for k in d.kinks})
-    return DirectionalFn(sigma, fn, kinks=kinks)
-
-
-def _scan_maximize(d: DirectionalFn, grid: int, tol: float):
-    """Global max over the circle/arc: kink-aware scan + golden refinement."""
-    sig = d.sigma
-    L = sig.length
-    if sig.is_arc:
-        base = [L * i / grid for i in range(grid + 1)]
-    else:
-        base = [L * i / grid for i in range(grid)]
-    pts = sorted(set(base) | {sig.wrap(k) if not sig.is_arc else min(max(k, 0.0), L)
-                              for k in d.kinks})
-    vals = [d(a) for a in pts]
-    vmax = max(vals)
-    # refine every local bracket whose peak is within resolution of the max
-    n = len(pts)
-    cands = []
-    for i, v in enumerate(vals):
-        if v < vmax - 0.2:
-            continue
-        if sig.is_arc:
-            lo = pts[i - 1] if i > 0 else pts[0]
-            hi = pts[i + 1] if i < n - 1 else pts[-1]
-        else:
-            lo = pts[i - 1] if i > 0 else pts[-1] - L
-            hi = pts[i + 1] if i < n - 1 else pts[0] + L
-        a, b = lo, hi
-        fa_c = d(sig.wrap(a) if not sig.is_arc else a)
-        x1 = b - _GOLD * (b - a)
-        x2 = a + _GOLD * (b - a)
-        f1 = d(sig.wrap(x1) if not sig.is_arc else min(max(x1, 0.0), L))
-        f2 = d(sig.wrap(x2) if not sig.is_arc else min(max(x2, 0.0), L))
-        while b - a > tol:
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLD * (b - a)
-                f2 = d(sig.wrap(x2) if not sig.is_arc else min(max(x2, 0.0), L))
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLD * (b - a)
-                f1 = d(sig.wrap(x1) if not sig.is_arc else min(max(x1, 0.0), L))
-        xm = 0.5 * (a + b)
-        xm = sig.wrap(xm) if not sig.is_arc else min(max(xm, 0.0), L)
-        xm = _polish_max(d, xm, tol)
-        cands.append((d(xm), xm))
-    cands.sort(reverse=True)
-    return cands
+    base = _breaks(sigma, [b for d in ds for b in d.breaks])
+    breaks, pieces = [0.0], []
+    for a, b in zip(base, base[1:]):
+        cands = [d.piece_at(0.5 * (a + b)) for d in ds]
+        cuts = sorted({x for i, p in enumerate(cands) for q in cands[i + 1:]
+                       for x in _crossings(p, q, a, b)})
+        for lo, hi in zip([a] + cuts, cuts + [b]):
+            m = 0.5 * (lo + hi)
+            pieces.append(min(cands, key=lambda p: _value(p, m)))
+            breaks.append(hi)
+    return DirectionalFn(sigma, breaks, pieces)
 
 
-def _polish_max(d: DirectionalFn, x: float, tol: float, step: float = 1e-6):
-    """Newton polish of a smooth interior maximum.
+def _candidates(d: DirectionalFn):
+    """(value, angle) at every breakpoint and interior stationary maximum.
 
-    Value comparisons locate a flat top only to sqrt(machine eps); the
-    finite-difference derivative recovers the extra digits.  Kinked or
-    boundary maxima are left where the scan put them.
+    A breakpoint takes the smaller of its one-sided values, so the lifted
+    phases of its two pieces cannot round it above either side.
+    """
+    sig, br, pc = d.sigma, d.breaks, d.pieces
+    n = len(pc)
+    out = []
+    for j in range(n + 1 if sig.is_arc else n):
+        sides = [_value(pc[j], br[j])] if j < n else []
+        if j > 0:
+            sides.append(_value(pc[j - 1], br[j]))
+        elif not sig.is_arc:
+            sides.append(_value(pc[-1], br[-1]))
+        out.append((min(sides), br[j]))
+    for (R, psi, C), a, b in zip(pc, br, br[1:]):
+        if R != 0.0:
+            out += [(abs(R) + C, x) for x in _lifts(psi if R > 0.0 else psi + math.pi, a, b)]
+    return out
+
+
+def directional_sup(d: DirectionalFn):
+    """(sup value, an angle attaining it), with no test for ties."""
+    return max(_candidates(d))
+
+
+def maximize_directional(d: DirectionalFn, ambiguity_angle: float = 1e-4):
+    """(max value, argmax angle); raises GradientError on separated ties.
+
+    A positive maximum attained within 1e-10 at candidates more than
+    `ambiguity_angle` apart, or on a flat piece longer than that, is
+    ambiguous.  Among candidates within 1e-12 the smallest angle wins.
     """
     sig = d.sigma
-
-    def clamp(a):
-        return min(max(a, 0.0), sig.length) if sig.is_arc else sig.wrap(a)
-
-    for _ in range(3):
-        f0 = d(clamp(x))
-        fp = d(clamp(x + step))
-        fm = d(clamp(x - step))
-        g = (fp - fm) / (2.0 * step)
-        h = (fp - 2.0 * f0 + fm) / (step * step)
-        if h >= -1e-12:
-            return x
-        delta = -g / h
-        if abs(delta) > 4.0 * step:
-            return x
-        x2 = clamp(x + delta)
-        if d(x2) + 1e-15 < f0:
-            return x
-        x = x2
-        if abs(delta) < max(tol, 1e-13):
-            break
-    return x
-
-
-def maximize_directional(d: DirectionalFn, grid: int = 720, tol: float = 1e-10,
-                         ambiguity_angle: float = 1e-4):
-    """(max value, argmax angle); raises GradientError on separated ties."""
-    sig = d.sigma
-    if d.single is not None:
-        s, srcs = d.single
-        if s == 0.0:
-            return 0.0, 0.0
-        if s < 0.0:
-            # max of |s| * max cos(angdist): attained at a source
-            spread = max(sig.dist(srcs[0], u) for u in srcs)
-            if spread > ambiguity_angle:
+    cands = _candidates(d)
+    best_v, top = max(cands)
+    if best_v > 0.0:
+        for (R, _, C), a, b in zip(d.pieces, d.breaks, d.breaks[1:]):
+            if R == 0.0 and C >= best_v - 1e-10 and b - a > ambiguity_angle:
                 raise GradientError(
-                    f"ambiguous maximizer: sources spread over {spread:.2e} rad"
+                    f"ambiguous maximizer: flat maximum {C:.3e} on [{a:.6f}, {b:.6f}]"
                 )
-            return -s, min(sig.wrap(u) if not sig.is_arc else u for u in srcs)
-        # s > 0: farthest point from the source set
-        best_v, best_a = -math.inf, 0.0
-        seconds = []
-        cand = _gap_midpoints(sig, srcs)
-        if sig.is_arc:
-            cand = [0.0, sig.length]
-        for a in cand:
-            dd = min(sig.dist(a, u) for u in srcs)
-            v = s * (-math.cos(min(dd, math.pi)))
-            seconds.append((v, a))
-            if v > best_v or (abs(v - best_v) <= 1e-15 and a < best_a):
-                best_v, best_a = v, a
-        ties = [a for v, a in seconds
-                if v >= best_v - 1e-12 and sig.dist(a, best_a) > ambiguity_angle]
-        if ties and best_v > 0.0:
-            # distinct positive maxima: the gradient is genuinely ambiguous
-            ties_sorted = sorted([best_a] + ties)
-            raise GradientError(f"ambiguous maximizer at angles {ties_sorted}")
-        return best_v, best_a
-    cands = _scan_maximize(d, grid, tol)
-    if not cands:
-        return 0.0, 0.0
-    best_v, best_a = cands[0]
-    for v, a in cands[1:]:
-        if best_v > 0.0 and v >= best_v - 1e-10 and \
-                d.sigma.dist(a, best_a) > ambiguity_angle:
-            raise GradientError(
-                f"ambiguous maximizer: {best_a:.6f} and {a:.6f} both attain {best_v:.3e}"
-            )
-    # deterministic tie-break: smallest angular coordinate
-    for v, a in cands[1:]:
-        if v >= best_v - 1e-12 and a < best_a:
-            best_a = a
-    return best_v, best_a
+        for v, a in cands:
+            if v >= best_v - 1e-10 and sig.dist(a, top) > ambiguity_angle:
+                raise GradientError(
+                    f"ambiguous maximizer: {top:.6f} and {a:.6f} both attain {best_v:.3e}"
+                )
+    return best_v, min(a for v, a in cands if v >= best_v - 1e-12)
 
 
-def gradient_from_directional(d: DirectionalFn, grid: int = 720,
-                              verify: bool = True, tol: float = 1e-8) -> TangentVec:
+def gradient_from_directional(d: DirectionalFn, tol: float = 1e-8) -> TangentVec:
     """Gradient from a differential: zero when the max is nonpositive.
 
-    Verifies d(x) <= <g, x> on a uniform grid before returning.
+    Checks sup over x of d(x) - <g, x> <= tol exactly before returning.
     """
-    vmax, amax = maximize_directional(d, grid=grid)
+    vmax, amax = maximize_directional(d)
     sig = d.sigma
     if vmax <= 0.0:
         return zero_vector(sig)
-    g = TangentVec(vmax, amax, sig)
-    # single scaled distance tails satisfy the gradient inequality exactly;
-    # the grid check is for generic (possibly mis-certified) expressions
-    if verify and d.single is None:
-        L = sig.length
-        npts = grid + 1 if sig.is_arc else grid
-        for i in range(npts):
-            a = L * i / grid if sig.is_arc else L * i / grid
-            lhs = d(a)
-            rhs = vmax * math.cos(min(sig.dist(a, amax), math.pi))
-            if lhs > rhs + tol:
-                raise GradientError(
-                    f"gradient inequality fails at angle {a:.6f}: "
-                    f"d={lhs:.3e} > <g,x>={rhs:.3e} (bad concavity certificate?)"
-                )
-    return g
+    minus_g = cos_tail_directional(sig, vmax, [amax])  # x -> -<g, x>
+    excess, at = directional_sup(combine_affine(sig, [(1.0, d), (1.0, minus_g)]))
+    if excess > tol:
+        raise GradientError(
+            f"gradient inequality fails at angle {at:.6f}: "
+            f"d - <g,x> = {excess:.3e} (bad concavity certificate?)"
+        )
+    return TangentVec(vmax, amax, sig)
 
 
-def supporting_check(d: DirectionalFn, s_vec: TangentVec, grid: int = 720,
-                     tol: float = 1e-9):
-    """Check d(x) <= -<s, x> on a grid; returns (ok, worst margin)."""
-    sig = d.sigma
-    worst = -math.inf
-    npts = grid + 1 if sig.is_arc else grid
-    for i in range(npts):
-        a = sig.length * i / grid
-        lhs = d(a)
-        rhs = -s_vec.norm * math.cos(min(sig.dist(a, s_vec.angle), math.pi))
-        worst = max(worst, lhs - rhs)
+def supporting_check(d: DirectionalFn, s_vec: TangentVec, tol: float = 1e-9):
+    """Check d(x) <= -<s, x> exactly; returns (ok, worst margin)."""
+    minus_s = cos_tail_directional(d.sigma, s_vec.norm, [s_vec.angle])
+    worst = directional_sup(combine_affine(d.sigma, [(1.0, d), (-1.0, minus_s)]))[0]
     return worst <= tol, worst
 
 

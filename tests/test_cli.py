@@ -176,6 +176,20 @@ BAD_INPUT = {
     "geodesic_no_samples": (
         ["geodesic", "--space", "{cone}", "--p", "1,0", "--q", "1,1", "--samples", "0"],
         "--samples"),
+    "flow_zero_step": (
+        ["flow", "--space", "{cone}", "--p", "1,0", "--time", "0.5", "--step", "0",
+         "--function", '{{"op":"dist","q":"0.5,1"}}'], "step"),
+    "check_qg_no_probes": (
+        ["check-qg", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+         "--length", "1", "--probes", "0"], "probe"),
+    "check_concavity_no_samples": (
+        ["check-concavity", "--space", "{cone}", "--p", "1,0", "--radius", "0.3",
+         "--lam", "0", "--function", '{{"op":"dist","q":"0.5,1"}}', "--samples", "0"],
+        "geodesic"),
+    "tight_check_no_samples": (
+        ["tight-check", "--space", "{cone}", "--p", "1.2,0.4",
+         "--function", '{{"op":"dist","q":"1,0"}}',
+         "--function", '{{"op":"dist","q":"1,2"}}', "--samples", "0"], "sample"),
 }
 
 # A negative eps can make the search run forever, so these run in a child
@@ -206,4 +220,16 @@ class TestBadInput:
             timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "eps" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_gexp_zero_step_exits_2(self, cone_file, tmp_path):
+        # with step 0 the radial curve never advances once it enters the
+        # gradient regime, so this runs in a child process with a timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "alexgeo.cli", "gexp", "--space", cone_file,
+             "--p", "0.3,0", "--dir", "3.1415926", "--norm", "1", "--step", "0"],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+            timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "step" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1

@@ -62,6 +62,14 @@ class TestRadialCurve:
         with pytest.raises(RadialDomainError):
             radial_curve(PLANE, (1.0, 0.0), 0.3, 0.5, 1.0, 1e-2)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.inf])
+    def test_step_validation(self, h):
+        # a step of 0 would never advance the parameter
+        with pytest.raises(ValueError, match="step"):
+            radial_curve(CONE, (0.3, 0.0), math.pi, 0, 1.0, h)
+        with pytest.raises(ValueError, match="step"):
+            gexp_map(CONE, (0.3, 0.0), TangentVec(1.0, math.pi, FULL), 0, h)
+
     def test_gexp_log_identity(self):
         # points joined to p by minimizing geodesics come back via gexp o log
         rng = np.random.default_rng(3)

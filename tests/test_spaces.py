@@ -255,6 +255,18 @@ class TestMetricAxiomsAndComparison:
             assert dac <= dab + dbc + 1e-9
             assert abs(space.distance(b, a) - dab) < 1e-9
 
+    @pytest.mark.parametrize("space", [
+        ConeSpace(math.pi / 2), ConeSpace(math.pi), ConeSpace(1.5 * math.pi),
+        ConeSpace(2 * math.pi), SpindleSpace(4.0), CapSpace(0.8),
+        DoubledCap(CapSpace(math.pi / 2)),
+    ], ids=["cone-pi/2", "cone-pi", "cone-3pi/2", "plane", "spindle-4", "cap-0.8",
+            "doubled-cap"])
+    def test_closed_form_distance_is_symmetric_to_the_bit(self, space):
+        rng = np.random.default_rng(2024)
+        for _ in range(20000):
+            a, b = space.random_point(rng), space.random_point(rng)
+            assert space.distance(a, b) == space.distance(b, a)
+
     @pytest.mark.parametrize("idx", [0, 1, 2, 3, 5, 7])
     def test_toponogov_hinge(self, idx):
         space = all_spaces()[idx]

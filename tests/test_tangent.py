@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo.spaces import ConeSpace, PolygonSpace
+from alexgeo.spaces import ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.spaces.base import SigmaDesc
 from alexgeo.functions import Dist, DistSq, PhiRC, differential, evaluate, scale, sum_of
 from alexgeo.flow import gradient
 from alexgeo.tangent import (
     GradientError,
     TangentVec,
+    combine_affine,
+    combine_min,
+    constant_directional,
+    cos_tail_directional,
+    gradient_from_directional,
+    maximize_directional,
     polar_vector,
     scalar_product,
     supporting_check,
@@ -134,14 +140,104 @@ class TestGradient:
         assert g.norm == 0.0
 
     def test_phi_sum_gradient_generic_path(self):
-        # multi-leaf expression exercises the scanning maximizer
+        # two leaves: the differential is a sum of two cos-tails, whose
+        # maximum is found in closed form over its pieces
         f = sum_of(PhiRC(r=0.5, c=10.0, q=(0.5, 0.0)),
                    PhiRC(r=0.5, c=10.0, q=(0.5, math.pi)))
         g = gradient(f, PLANE, (0.2, 1.2))
         d = differential(f, PLANE, (0.2, 1.2))
         grid = [d(2 * math.pi * k / 1440) for k in range(1440)]
-        # the polished maximizer beats the grid; never below it
+        # the exact maximum is never below the grid
         assert max(grid) - 1e-12 <= g.norm <= max(grid) + 1e-4
+
+    # inputs on which a scanned argmax missed the maximum by enough to fail
+    # the 1e-8 gradient inequality: (space, q1, q2, p)
+    PHI_SUMS = [
+        (ConeSpace(2 * math.pi), (1.2385804670351828, 3.2037142903841205),
+         (1.8213101150855584, 4.691927539986089), (1.8630134907811928, 3.0981126525121)),
+        (ConeSpace(1.5 * math.pi), (1.4990793424377375, 1.8833355723973322),
+         (1.565770726386771, 0.9266405866133786), (1.7346162899837847, 2.671820287693838)),
+        (SpindleSpace(4.0), (1.124533173191231, 2.5941888283193),
+         (1.9740705331757014, 1.1708829960499485), (1.1557879960565607, 1.2559440081373472)),
+    ]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_steep_phi_sum_gradient_inequality(self, case):
+        space, q1, q2, p = self.PHI_SUMS[case]
+        leaves = [PhiRC(r=0.5, c=10.0, q=q) for q in (q1, q2)]
+        g = gradient(sum_of(*leaves), space, p)
+        sig = space.sigma_at(p)
+        xs = np.linspace(0.0, sig.length, 20001, endpoint=False)
+        # the differential from its definition: sum of phi' * -cos(angle to q)
+        d = sum(leaf.dphi(space.distance(leaf.q, p))
+                * -np.cos(np.min([_angdist(sig, xs, u)
+                                  for u in space.directions_to(p, leaf.q)], axis=0))
+                for leaf in leaves)
+        inner = g.norm * np.cos(_angdist(sig, xs, g.angle))
+        assert g.norm > 10.0
+        assert float(np.max(d - inner)) <= 1e-10
+
+
+def _angdist(sig, xs, u):
+    """Angle distance from u, capped at pi, straight from the definition."""
+    if sig.is_arc:
+        d = np.abs(xs - u)
+    else:
+        d = np.mod(xs - u, sig.length)
+        d = np.minimum(d, sig.length - d)
+    return np.minimum(d, math.pi)
+
+
+SIGMAS = [SigmaDesc(L) for L in (math.pi / 2, math.pi, 4.0, 1.5 * math.pi, 2 * math.pi)] + [
+    SigmaDesc(L, is_arc=True) for L in (math.pi / 2, math.pi)]
+
+
+class TestPiecewiseSinusoid:
+    @pytest.mark.parametrize("sig", SIGMAS, ids=lambda s: f"{'arc' if s.is_arc else 'circle'}"
+                             f"-{s.length:.4f}")
+    def test_maximum_against_dense_grid(self, sig):
+        rng = np.random.default_rng(int(sig.length * 1000) + sig.is_arc)
+        xs = np.linspace(0.0, sig.length, 100001, endpoint=sig.is_arc)
+        for k in range(1, 5):
+            for op in ("sum", "min"):
+                tails = [(rng.uniform(-2.0, 2.0), rng.uniform(0.0, sig.length))
+                         for _ in range(k)]
+                ds = [cos_tail_directional(sig, s, [u]) for s, u in tails]
+
+                def ref(x):
+                    vals = [s * -np.cos(_angdist(sig, x, u)) for s, u in tails]
+                    return np.sum(vals, axis=0) if op == "sum" else np.min(vals, axis=0)
+
+                d = (combine_affine(sig, [(1.0, x) for x in ds]) if op == "sum"
+                     else combine_min(sig, ds))
+                vmax, amax = maximize_directional(d)
+                grid_max = float(np.max(ref(np.append(xs, amax))))
+                assert grid_max - 1e-13 <= vmax <= grid_max + 1e-9
+                # the claimed maximum is attained at the returned angle
+                assert abs(float(ref(np.array([amax]))[0]) - vmax) <= 1e-12
+
+    def test_min_of_crossing_sinusoids(self):
+        a = cos_tail_directional(FULL, 1.0, [0.3])
+        b = cos_tail_directional(FULL, -0.7, [1.1])
+        m = combine_min(FULL, [a, b])
+        # both inputs break only at 0.3 + pi, so the crossings split pieces
+        assert len(m.pieces) > 2
+        for x in np.linspace(0.0, 2 * math.pi, 1000):
+            assert abs(m(x) - min(a(x), b(x))) <= 1e-15
+
+    def test_flat_positive_piece_is_ambiguous(self):
+        plateau = combine_min(FULL, [cos_tail_directional(FULL, 1.0, [0.0]),
+                                     constant_directional(FULL, 0.3)])
+        with pytest.raises(GradientError, match="flat"):
+            maximize_directional(plateau)
+
+    def test_non_concave_differential_fails_gradient_check(self):
+        sig = SigmaDesc(1.5 * math.pi)
+        d = combine_affine(sig, [(1.0, cos_tail_directional(sig, -1.0, [0.0])),
+                                 (1.0, cos_tail_directional(sig, -0.5, [math.pi]))])
+        assert maximize_directional(d)[0] > 1.0  # one maximizer, no tie
+        with pytest.raises(GradientError, match="gradient inequality fails"):
+            gradient_from_directional(d)
 
 
 class TestSupportingPolar:
