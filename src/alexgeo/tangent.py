@@ -20,6 +20,11 @@ import numpy as np
 from .spaces.base import SigmaDesc
 
 TWO_PI = 2.0 * math.pi
+_AMBIGUITY_ANGLE = 1e-4  # maximizers farther apart than this are distinct
+_TIE = 1e-10  # distinct maxima this close in value make the gradient ambiguous
+_EXACT_TIE = 1e-12  # maxima this close in value tie; the smallest angle wins
+_PEAK_STEP = 1e-6  # a breakpoint no piece exceeds this far from it is a peak
+_GRADIENT_TOL = 1e-8  # allowed excess of d over <g, .> in the gradient check
 
 
 class GradientError(RuntimeError):
@@ -83,14 +88,11 @@ class DirectionalFn:
 
     def homogeneous(self, v: TangentVec) -> float:
         """Positively homogeneous extension to the tangent cone."""
-        if v.norm == 0.0:
-            return 0.0
-        return v.norm * self(v.angle)
+        return v.norm * self(v.angle) if v.norm != 0.0 else 0.0
 
 
 def _breaks(sigma: SigmaDesc, cuts):
-    L = sigma.length
-    return [0.0] + sorted({c for c in cuts if 0.0 < c < L}) + [L]
+    return [0.0] + sorted({c for c in cuts if 0.0 < c < sigma.length}) + [sigma.length]
 
 
 def constant_directional(sigma: SigmaDesc, value: float) -> DirectionalFn:
@@ -217,60 +219,64 @@ def combine_min(sigma: SigmaDesc, ds) -> DirectionalFn:
 
 
 def _candidates(d: DirectionalFn):
-    """(value, angle) at every breakpoint and interior stationary maximum.
+    """(value, angle, peak) at every breakpoint and interior stationary maximum.
 
     A breakpoint takes the smaller of its one-sided values, so the lifted
-    phases of its two pieces cannot round it above either side.
+    phases of its two pieces cannot round it above either side.  It is a
+    peak (a local maximum) when neither piece is higher _PEAK_STEP away.
     """
     sig, br, pc = d.sigma, d.breaks, d.pieces
     n = len(pc)
     out = []
     for j in range(n + 1 if sig.is_arc else n):
-        sides = [_value(pc[j], br[j])] if j < n else []
+        x, h = br[j], _PEAK_STEP
+        sides = [(pc[j], x, x + h)] if j < n else []
         if j > 0:
-            sides.append(_value(pc[j - 1], br[j]))
+            sides.append((pc[j - 1], x, x - h))
         elif not sig.is_arc:
-            sides.append(_value(pc[-1], br[-1]))
-        out.append((min(sides), br[j]))
+            sides.append((pc[-1], br[-1], br[-1] - h))
+        out.append((min(_value(p, y) for p, y, _ in sides), x,
+                    all(_value(p, y) >= _value(p, z) for p, y, z in sides)))
     for (R, psi, C), a, b in zip(pc, br, br[1:]):
         if R != 0.0:
-            out += [(abs(R) + C, x) for x in _lifts(psi if R > 0.0 else psi + math.pi, a, b)]
+            out += [(abs(R) + C, x, True)
+                    for x in _lifts(psi if R > 0.0 else psi + math.pi, a, b)]
     return out
 
 
 def directional_sup(d: DirectionalFn):
     """(sup value, an angle attaining it), with no test for ties."""
-    return max(_candidates(d))
+    return max(_candidates(d))[:2]
 
 
-def maximize_directional(d: DirectionalFn, ambiguity_angle: float = 1e-4):
+def maximize_directional(d: DirectionalFn):
     """(max value, argmax angle); raises GradientError on separated ties.
 
-    A positive maximum attained within 1e-10 at candidates more than
-    `ambiguity_angle` apart, or on a flat piece longer than that, is
-    ambiguous.  Among candidates within 1e-12 the smallest angle wins.
+    A positive maximum attained within _TIE at peaks more than
+    _AMBIGUITY_ANGLE apart, or on a flat piece longer than that, is
+    ambiguous.  Among peaks within _EXACT_TIE the smallest angle wins.
+    Breakpoints that are no local maxima never tie: near a critical
+    point the whole differential lies within _TIE of its maximum.
     """
-    sig = d.sigma
     cands = _candidates(d)
-    best_v, top = max(cands)
+    best_v, top, _ = max(cands)
+    peaks = [(v, a) for v, a, peak in cands if peak] + [(best_v, top)]
     if best_v > 0.0:
         for (R, _, C), a, b in zip(d.pieces, d.breaks, d.breaks[1:]):
-            if R == 0.0 and C >= best_v - 1e-10 and b - a > ambiguity_angle:
-                raise GradientError(
-                    f"ambiguous maximizer: flat maximum {C:.3e} on [{a:.6f}, {b:.6f}]"
-                )
-        for v, a in cands:
-            if v >= best_v - 1e-10 and sig.dist(a, top) > ambiguity_angle:
-                raise GradientError(
-                    f"ambiguous maximizer: {top:.6f} and {a:.6f} both attain {best_v:.3e}"
-                )
-    return best_v, min(a for v, a in cands if v >= best_v - 1e-12)
+            if R == 0.0 and C >= best_v - _TIE and b - a > _AMBIGUITY_ANGLE:
+                raise GradientError(f"ambiguous maximizer: flat maximum {C:.3e} "
+                                    f"on [{a:.6f}, {b:.6f}]")
+        for v, a in peaks:
+            if v >= best_v - _TIE and d.sigma.dist(a, top) > _AMBIGUITY_ANGLE:
+                raise GradientError(f"ambiguous maximizer: {top:.6f} and {a:.6f} "
+                                    f"both attain {best_v:.3e}")
+    return best_v, min(a for v, a in peaks if v >= best_v - _EXACT_TIE)
 
 
-def gradient_from_directional(d: DirectionalFn, tol: float = 1e-8) -> TangentVec:
+def gradient_from_directional(d: DirectionalFn) -> TangentVec:
     """Gradient from a differential: zero when the max is nonpositive.
 
-    Checks sup over x of d(x) - <g, x> <= tol exactly before returning.
+    Checks sup over x of d(x) - <g, x> <= _GRADIENT_TOL exactly.
     """
     vmax, amax = maximize_directional(d)
     sig = d.sigma
@@ -278,7 +284,7 @@ def gradient_from_directional(d: DirectionalFn, tol: float = 1e-8) -> TangentVec
         return zero_vector(sig)
     minus_g = cos_tail_directional(sig, vmax, [amax])  # x -> -<g, x>
     excess, at = directional_sup(combine_affine(sig, [(1.0, d), (1.0, minus_g)]))
-    if excess > tol:
+    if excess > _GRADIENT_TOL:
         raise GradientError(
             f"gradient inequality fails at angle {at:.6f}: "
             f"d - <g,x> = {excess:.3e} (bad concavity certificate?)"
@@ -304,14 +310,10 @@ def polar_vector(sigma: SigmaDesc, v: TangentVec, grid: int = 720,
     if v.norm == 0.0:
         return zero_vector(sigma)
     if sigma.is_arc:
-        pos = v.angle + math.pi
         period = 2.0 * sigma.length
-        pos = math.fmod(pos, period)
-        if pos < 0.0:
-            pos += period
-        if pos > sigma.length:
-            pos = period - pos  # reflect
-        star = pos
+        star = (v.angle + math.pi) % period
+        if star > sigma.length:
+            star = period - star  # reflect
     else:
         star = sigma.wrap(v.angle + math.pi)
     out = TangentVec(v.norm, star, sigma)
@@ -321,7 +323,5 @@ def polar_vector(sigma: SigmaDesc, v: TangentVec, grid: int = 720,
         x = TangentVec(1.0, a, sigma)
         val = scalar_product(v, x) + scalar_product(out, x)
         if val < -tol * max(1.0, v.norm):
-            raise RuntimeError(
-                f"polar verification failed at angle {a:.6f}: {val:.3e} < 0"
-            )
+            raise RuntimeError(f"polar verification failed at angle {a:.6f}: {val:.3e} < 0")
     return out

@@ -6,7 +6,7 @@ import pytest
 from alexgeo.spaces import ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.spaces.base import SigmaDesc
 from alexgeo.functions import Dist, DistSq, PhiRC, differential, evaluate, scale, sum_of
-from alexgeo.flow import gradient
+from alexgeo.flow import gradient, gradient_curve
 from alexgeo.tangent import (
     GradientError,
     TangentVec,
@@ -112,6 +112,29 @@ class TestGradient:
         q = (1.0, 0.75 * math.pi)
         with pytest.raises(GradientError):
             gradient(scale(-1.0, DistSq(q=q)), c, (1.0, 0.0))
+
+    @pytest.mark.parametrize("d", [1e-8, 1e-9])
+    @pytest.mark.parametrize("a", [0.1, -0.1])
+    def test_small_gradient_is_no_tie(self, d, a):
+        # the gradient of dist^2/2 near q has norm d and points away from q
+        # at chart angle a; the chart origin is a breakpoint of the
+        # differential within 1e-10 of its maximum, but no local maximum
+        p = (0.01, 0.0)
+        x, y = 0.01 - d * math.cos(a), -d * math.sin(a)
+        q = (math.hypot(x, y), math.atan2(y, x))
+        g = gradient(scale(0.5, DistSq(q=q)), PLANE, p)
+        assert g.norm == pytest.approx(PLANE.distance(p, q), rel=1e-12)
+        assert FULL.dist(g.angle, a) < 1e-6
+
+    @pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
+    def test_phi_flow_stops_on_its_critical_circle(self, b):
+        # phi_{r,c}(dist_q) is critical on the circle dist_q = r + r/(2c);
+        # the flow's last gradients are small and point near chart angle 0
+        f = PhiRC(r=0.5, c=1.0, q=(1.0, 0.0))
+        x, y = 1.0 + 0.6 * math.cos(b), 0.6 * math.sin(b)
+        curve = gradient_curve(f, PLANE, (math.hypot(x, y), math.atan2(y, x)), T=8.0, h=0.05)
+        assert curve.events[-1][1] == "stop"
+        assert PLANE.distance(curve.points[-1], f.q) == pytest.approx(0.75, abs=1e-8)
 
     def test_gradient_inequality_lemma(self):
         # <dir to q, grad f> >= (f(q) - f(p) - lam/2 l^2)/l
@@ -231,6 +254,20 @@ class TestPiecewiseSinusoid:
                                      constant_directional(FULL, 0.3)])
         with pytest.raises(GradientError, match="flat"):
             maximize_directional(plateau)
+
+    @pytest.mark.parametrize("s", [1e-9, -1e-9, 1e-11, -1e-11])
+    @pytest.mark.parametrize("L", [4.0, 1.5 * math.pi, 2 * math.pi])
+    def test_tiny_cos_tail_has_one_maximizer(self, s, L):
+        # the whole function lies within 1e-10 of its maximum; only local
+        # maxima may tie, not the chart origin or the smooth minimum at a
+        # breakpoint
+        sig = SigmaDesc(L)
+        vmax, amax = maximize_directional(cos_tail_directional(sig, s, [1.0]))
+        if s < 0.0:
+            assert (vmax, amax) == (-s, 1.0)
+        else:
+            assert vmax == pytest.approx(-s * math.cos(min(0.5 * L, math.pi)), rel=1e-12)
+            assert sig.dist(amax, 1.0 + 0.5 * L) < 1e-12
 
     def test_non_concave_differential_fails_gradient_check(self):
         sig = SigmaDesc(1.5 * math.pi)
