@@ -219,34 +219,39 @@ def combine_min(sigma: SigmaDesc, ds) -> DirectionalFn:
 
 
 def _candidates(d: DirectionalFn):
-    """(value, angle, peak) at every breakpoint and interior stationary maximum.
+    """(value, angle) at every breakpoint and interior stationary maximum.
 
     A breakpoint takes the smaller of its one-sided values, so the lifted
-    phases of its two pieces cannot round it above either side.  It is a
-    peak (a local maximum) when neither piece is higher _PEAK_STEP away.
+    phases of its two pieces cannot round it above either side.
     """
     sig, br, pc = d.sigma, d.breaks, d.pieces
     n = len(pc)
     out = []
     for j in range(n + 1 if sig.is_arc else n):
-        x, h = br[j], _PEAK_STEP
-        sides = [(pc[j], x, x + h)] if j < n else []
+        sides = [_value(pc[j], br[j])] if j < n else []
         if j > 0:
-            sides.append((pc[j - 1], x, x - h))
+            sides.append(_value(pc[j - 1], br[j]))
         elif not sig.is_arc:
-            sides.append((pc[-1], br[-1], br[-1] - h))
-        out.append((min(_value(p, y) for p, y, _ in sides), x,
-                    all(_value(p, y) >= _value(p, z) for p, y, z in sides)))
+            sides.append(_value(pc[-1], br[-1]))
+        out.append((min(sides), br[j]))
     for (R, psi, C), a, b in zip(pc, br, br[1:]):
         if R != 0.0:
-            out += [(abs(R) + C, x, True)
-                    for x in _lifts(psi if R > 0.0 else psi + math.pi, a, b)]
+            out += [(abs(R) + C, x) for x in _lifts(psi if R > 0.0 else psi + math.pi, a, b)]
     return out
 
 
 def directional_sup(d: DirectionalFn):
     """(sup value, an angle attaining it), with no test for ties."""
-    return max(_candidates(d))[:2]
+    return max(_candidates(d))
+
+
+def _is_peak(d: DirectionalFn, value, angle):
+    """A local maximum: d is no higher _PEAK_STEP to either side."""
+    sig = d.sigma
+    near = [angle - _PEAK_STEP, angle + _PEAK_STEP]
+    if sig.is_arc:
+        near = [min(max(x, 0.0), sig.length) for x in near]
+    return all(d(x) <= value for x in near)
 
 
 def maximize_directional(d: DirectionalFn):
@@ -259,18 +264,18 @@ def maximize_directional(d: DirectionalFn):
     point the whole differential lies within _TIE of its maximum.
     """
     cands = _candidates(d)
-    best_v, top, _ = max(cands)
-    peaks = [(v, a) for v, a, peak in cands if peak] + [(best_v, top)]
+    best_v, top = max(cands)
+    near = [(v, a) for v, a in cands if v >= best_v - _TIE and _is_peak(d, v, a)]
     if best_v > 0.0:
         for (R, _, C), a, b in zip(d.pieces, d.breaks, d.breaks[1:]):
             if R == 0.0 and C >= best_v - _TIE and b - a > _AMBIGUITY_ANGLE:
                 raise GradientError(f"ambiguous maximizer: flat maximum {C:.3e} "
                                     f"on [{a:.6f}, {b:.6f}]")
-        for v, a in peaks:
-            if v >= best_v - _TIE and d.sigma.dist(a, top) > _AMBIGUITY_ANGLE:
+        for v, a in near:
+            if d.sigma.dist(a, top) > _AMBIGUITY_ANGLE:
                 raise GradientError(f"ambiguous maximizer: {top:.6f} and {a:.6f} "
                                     f"both attain {best_v:.3e}")
-    return best_v, min(a for v, a in peaks if v >= best_v - _EXACT_TIE)
+    return best_v, min(a for v, a in near + [(best_v, top)] if v >= best_v - _EXACT_TIE)
 
 
 def gradient_from_directional(d: DirectionalFn) -> TangentVec:

@@ -255,6 +255,13 @@ class TestPiecewiseSinusoid:
         with pytest.raises(GradientError, match="flat"):
             maximize_directional(plateau)
 
+    def test_maxima_at_both_arc_ends_are_ambiguous(self):
+        arc = SigmaDesc(math.pi, is_arc=True)
+        d = combine_affine(arc, [(1.0, cos_tail_directional(arc, 1.0, [0.5 * math.pi])),
+                                 (1.0, constant_directional(arc, 1.0))])  # 1 - sin
+        with pytest.raises(GradientError, match="both attain"):
+            maximize_directional(d)
+
     @pytest.mark.parametrize("s", [1e-9, -1e-9, 1e-11, -1e-11])
     @pytest.mark.parametrize("L", [4.0, 1.5 * math.pi, 2 * math.pi])
     def test_tiny_cos_tail_has_one_maximizer(self, s, L):
