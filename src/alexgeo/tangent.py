@@ -23,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 _AMBIGUITY_ANGLE = 1e-4  # maximizers farther apart than this are distinct
 _TIE = 1e-10  # distinct maxima this close in value make the gradient ambiguous
 _EXACT_TIE = 1e-12  # maxima this close in value tie; the smallest angle wins
-_PEAK_STEP = 1e-6  # a breakpoint no piece exceeds this far from it is a peak
+_PEAK_STEP = 1e-6  # a candidate d does not exceed this far to either side is a peak
 _GRADIENT_TOL = 1e-8  # allowed excess of d over <g, .> in the gradient check
 
 
