@@ -352,6 +352,10 @@ def run_criterion(number, quick=False) -> CriterionResult:
 
 
 def run_suite(quick=False, numbers=None):
+    unknown = set(numbers or ()) - {num for num, _, _ in _CRITERIA}
+    if unknown:
+        raise ValueError(f"no criterion numbered {sorted(unknown)}; "
+                         f"the criteria are 1-{len(_CRITERIA)}")
     results = []
     for num, name, fn in _CRITERIA:
         if numbers and num not in numbers:

@@ -15,14 +15,14 @@ import numpy as np
 
 from .functions import (
     Affine,
-    Dist,
+    MinExpr,
     PhiRC,
     check_concavity,
     differential,
     evaluate,
+    scale,
 )
 from .flow import gradient
-from .spaces.base import SpaceError
 from .tangent import GradientError, combine_min, directional_sup
 
 
@@ -154,67 +154,6 @@ def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
 
 
 # -- image study ----------------------------------------------------------------
-def _compile_planar(space, funcs):
-    """Vectorizable closures for affine phi/dist expressions on flat charts.
-
-    Returns None when a function is not of the supported shape; callers
-    fall back to the generic evaluator.
-    """
-    from .functions import Affine, PhiRC
-
-    if space.variant not in ("polygon", "cone"):
-        return None
-    if space.variant == "cone" and abs(space.total_angle - 2 * math.pi) > 1e-12:
-        return None
-    compiled = []
-    for f in funcs:
-        terms = []
-
-        def flatten(node, weight):
-            if isinstance(node, Affine):
-                for w, t in zip(node.weights, node.terms):
-                    if not flatten(t, weight * w):
-                        return False
-                return True
-            if isinstance(node, PhiRC):
-                terms.append((weight, node.r, node.c, space.pos2(node.q)))
-                return True
-            return False
-
-        const = [0.0]
-
-        def collect_const(node, weight):
-            if isinstance(node, Affine):
-                const[0] += weight * node.constant
-                for w, t in zip(node.weights, node.terms):
-                    collect_const(t, weight * w)
-
-        if not flatten(f, 1.0):
-            return None
-        collect_const(f, 1.0)
-        qs = np.array([q for _, _, _, q in terms])
-        ws = np.array([w for w, _, _, _ in terms])
-        rs = np.array([r for _, r, _, _ in terms])
-        cs = np.array([c for _, _, c, _ in terms])
-        c0 = const[0]
-
-        def ev(xy, _qs=qs, _ws=ws, _rs=rs, _cs=cs, _c0=c0):
-            d = np.hypot(_qs[:, 0] - xy[0], _qs[:, 1] - xy[1])
-            u = d - _rs
-            return float(np.sum(_ws * (u - _cs * u * u / _rs))) + _c0
-
-        def grad(xy, _qs=qs, _ws=ws, _rs=rs, _cs=cs):
-            dx = xy[0] - _qs[:, 0]
-            dy = xy[1] - _qs[:, 1]
-            d = np.hypot(dx, dy)
-            d = np.maximum(d, 1e-300)
-            fac = _ws * (1.0 - 2.0 * _cs * (d - _rs) / _rs) / d
-            return np.array([float(np.sum(fac * dx)), float(np.sum(fac * dy))])
-
-        compiled.append((ev, grad))
-    return compiled
-
-
 @dataclass
 class TightImageReport:
     support_failures: int
@@ -230,132 +169,61 @@ class TightImageReport:
                 f"bi-Lipschitz ratios in [{self.bilip_low:.3f}, {self.bilip_high:.3f}]")
 
 
-def _argmax_min_planar(space, compiled, ys, region, grid_pts, grid_vals):
-    """Max-min ascent with analytic gradients on a flat chart.
+def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
+    """argmax of min_i (f_i - y_i): best grid point, then gradient ascent.
 
-    The ascent direction equalizes the active function gradients (the
-    ridge direction of a min of concave functions); a golden line search
-    along it avoids the stalls a direction fan suffers on thin ridges.
+    The exact gradient of the min is the ridge direction of the active
+    coordinates; a golden line search along it avoids the stalls a
+    direction fan suffers on thin ridges.
     """
-    def obj(xy):
-        if not space.contains(xy):
-            return -math.inf
-        return min(ev(xy) - y for (ev, _), y in zip(compiled, ys))
+    target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
 
-    pts_xy = [space.pos2(p) for p in grid_pts]
-    if grid_vals is not None:
-        best_i = max(range(len(pts_xy)),
-                     key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
-        x = np.asarray(pts_xy[best_i], dtype=float)
-    else:
-        x = np.asarray(max(pts_xy, key=obj), dtype=float)
-    best_v = obj(x)
-    scale = region[1]
+    def obj(x, angle, t):
+        return evaluate(target, space, space.walk(x, angle, t).end)
+
+    best = max(range(len(grid_pts)),
+               key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
+    x = grid_pts[best]
+    best_v = evaluate(target, space, x)
+    step = region[1]
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    g = gradient(target, space, x)
     for _ in range(120):
-        vals = [ev(x) - y for (ev, _), y in zip(compiled, ys)]
-        vmin = min(vals)
-        spread = max(vals) - vmin
-        delta = max(1e-9, 1e-3 * spread)
-        active = [k for k, v in enumerate(vals) if v <= vmin + delta]
-        gs = [compiled[k][1](x) for k in active]
-        if len(gs) == 1:
-            d = gs[0]
-        elif len(gs) == 2:
-            g1, g2 = gs
-            diff = g1 - g2
-            denom = float(diff @ diff)
-            lam = float((g2 @ g2 - g1 @ g2) / denom) if denom > 1e-300 else 0.5
-            lam = min(max(lam, 0.0), 1.0)
-            d = lam * g1 + (1.0 - lam) * g2
-        else:
-            # least-norm point of the gradient hull approximated pairwise
-            d = sum(gs) / len(gs)
-            for g1 in gs:
-                for g2 in gs:
-                    diff = g1 - g2
-                    denom = float(diff @ diff)
-                    if denom > 1e-300:
-                        lam = min(max(float((g2 @ g2 - g1 @ g2) / denom), 0.0), 1.0)
-                        cand = lam * g1 + (1.0 - lam) * g2
-                        if float(cand @ cand) < float(d @ d):
-                            d = cand
-        dn = float(np.hypot(*d))
-        if dn < 1e-11:
+        if g.norm < 1e-11:
             break
-        d = d / dn
-        # golden line search along d
-        lo, hi = 0.0, scale
-        while obj(x + hi * d) > obj(x + 0.62 * hi * d) and hi < 4 * region[1]:
+        hi = step
+        while obj(x, g.angle, hi) > obj(x, g.angle, 0.62 * hi) and hi < 4 * region[1]:
             hi *= 1.6
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        x1t, x2t = b - g * (b - a), a + g * (b - a)
-        f1, f2 = obj(x + x1t * d), obj(x + x2t * d)
+        a, b = 0.0, hi
+        t1, t2 = b - gold * (b - a), a + gold * (b - a)
+        f1, f2 = obj(x, g.angle, t1), obj(x, g.angle, t2)
         for _ in range(60):
             if b - a < 1e-12:
                 break
             if f1 < f2:
-                a, x1t, f1 = x1t, x2t, f2
-                x2t = a + g * (b - a)
-                f2 = obj(x + x2t * d)
+                a, t1, f1 = t1, t2, f2
+                t2 = a + gold * (b - a)
+                f2 = obj(x, g.angle, t2)
             else:
-                b, x2t, f2 = x2t, x1t, f1
-                x1t = b - g * (b - a)
-                f1 = obj(x + x1t * d)
+                b, t2, f2 = t2, t1, f1
+                t1 = b - gold * (b - a)
+                f1 = obj(x, g.angle, t1)
         t = 0.5 * (a + b)
-        nv = obj(x + t * d)
+        nv = obj(x, g.angle, t)
         if nv <= best_v + 1e-15 or t < 1e-13:
-            scale *= 0.35
-            if scale < 1e-11:
+            step *= 0.35
+            if step < 1e-11:
                 break
             continue
-        x = x + t * d
+        x = space.walk(x, g.angle, t).end
         best_v = nv
-        scale = max(t * 2.0, 1e-10)
-    return (float(x[0]), float(x[1])), best_v
-
-
-def _argmax_min(space, funcs, ys, region, grid_pts, refine=60, compiled=None,
-                grid_vals=None):
-    """argmax of min_i (f_i - y_i): coarse grid then a rotating-fan ascent.
-
-    The objective is strictly concave but kinked, so the fan is rotated
-    at each shrink to avoid stalling against a kink between directions.
-    """
-    if compiled is not None:
-        return _argmax_min_planar(space, compiled, ys, region, grid_pts, grid_vals)
-
-    best_x, best_v = None, -math.inf
-    for x in grid_pts:
-        v = min(evaluate(f, space, x) - y for f, y in zip(funcs, ys))
-        if v > best_v:
-            best_x, best_v = x, v
-    step = region[1] / 4.0
-    x = best_x
-    shrink = 0
-    while step > 1e-8 and shrink < refine:
-        improved = False
-        sig = space.sigma_at(x)
-        offset = 0.37 * shrink
-        for k in range(16):
-            ang = sig.wrap(sig.length * k / 16.0 + offset) if not sig.is_arc \
-                else min(max(sig.length * k / 16.0, 0.0), sig.length)
-            try:
-                w = space.walk(x, ang, step)
-            except SpaceError:
-                continue
-            v = min(evaluate(f, space, w.end) - y for f, y in zip(funcs, ys))
-            if v > best_v + 1e-15:
-                x, best_v = w.end, v
-                improved = True
-        if not improved:
-            step *= 0.6
-            shrink += 1
+        step = max(t * 2.0, 1e-10)
+        g = gradient(target, space, x)
     return x, best_v
 
 
 def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
-                      n_gf=200, seed=0, tol=1e-6) -> TightImageReport:
+                      n_gf=200, seed=0) -> TightImageReport:
     """Convexity of the downward-closed image and the critical locator.
 
     The image of the region under x -> (f_0(x), ..., f_l(x)) plus the
@@ -364,6 +232,9 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
     checked to be the identity on critical samples, and bi-Lipschitz
     ratios of the map are measured.
     """
+    if n_support < 1 or n_gf < 1:
+        raise ValueError(f"image study needs at least 1 support test and 1 G o F "
+                         f"sample, not {n_support} and {n_gf}")
     center, radius = region
     rng = np.random.default_rng(seed)
     for f in funcs:
@@ -375,7 +246,6 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
             )
     grid_pts = [space.random_point_near(center, radius, rng)
                 for _ in range(grid_n * grid_n)]
-    compiled = _compile_planar(space, funcs)
     F = lambda x: tuple(evaluate(f, space, x) for f in funcs)
     values = [F(x) for x in grid_pts]
 
@@ -384,23 +254,16 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
         i, j = rng.integers(0, len(values), size=2)
         t = rng.random()
         m = tuple(t * a + (1.0 - t) * b for a, b in zip(values[i], values[j]))
-        _, v = _argmax_min(space, funcs, m, region, grid_pts,
-                           compiled=compiled, grid_vals=values)
+        _, v = _argmax_min(space, funcs, m, region, grid_pts, values)
         if v < -1e-7:
             failures += 1
 
     gf_worst = 0.0
-    used = 0
-    while used < n_gf:
-        i = int(rng.integers(0, len(values)))
-        y = values[i]
-        xc, v = _argmax_min(space, funcs, y, region, grid_pts,
-                            compiled=compiled, grid_vals=values)
-        yc = F(xc)
-        x2, _ = _argmax_min(space, funcs, yc, region, grid_pts,
-                            compiled=compiled, grid_vals=values)
+    for _ in range(n_gf):
+        y = values[int(rng.integers(0, len(values)))]
+        xc, _ = _argmax_min(space, funcs, y, region, grid_pts, values)
+        x2, _ = _argmax_min(space, funcs, F(xc), region, grid_pts, values)
         gf_worst = max(gf_worst, space.distance(xc, x2))
-        used += 1
 
     lo, hi = math.inf, -math.inf
     for _ in range(300):
@@ -411,4 +274,4 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
         dv = math.sqrt(sum((a - b) ** 2 for a, b in zip(values[i], values[j])))
         lo = min(lo, dv / d)
         hi = max(hi, dv / d)
-    return TightImageReport(failures, n_support, gf_worst, lo, hi, used)
+    return TightImageReport(failures, n_support, gf_worst, lo, hi, n_gf)

@@ -66,7 +66,8 @@ class ConeSpace(ExactMetric):
         if self.is_apex(p) or self.is_apex(q):
             return p[0] + q[0]
         a = azimuth_gap(p[1], q[1], self.total_angle)  # <= theta/2 <= pi: theta <= 2*pi
-        return math.sqrt(max(0.0, p[0] ** 2 + q[0] ** 2 - 2.0 * p[0] * q[0] * math.cos(a)))
+        # the law of cosines in a form that does not cancel at short range
+        return math.hypot(p[0] - q[0], 2.0 * math.sqrt(p[0] * q[0]) * math.sin(0.5 * a))
 
     def sigma_at(self, p) -> SigmaDesc:
         if self.is_apex(p):

@@ -230,8 +230,9 @@ class MeshSpace:
                 continue
             start = None
             for fi, c in corners:
-                # CW predecessor of the corner wedge is across edge (c+2)%3
-                if self.nbr[fi][(c + 2) % 3] is None:
+                # the wedge at corner c runs CCW from edge c (v to c+1) to
+                # edge c+2 (c+2 to v); a fan starts at a boundary edge c
+                if self.nbr[fi][c] is None:
                     start = (fi, c)
             boundary = start is not None
             if start is None:
@@ -239,11 +240,11 @@ class MeshSpace:
             order = [start]
             while True:
                 fi, c = order[-1]
-                nb = self.nbr[fi][c]  # CCW successor: across edge (c, c+1)
+                nb = self.nbr[fi][(c + 2) % 3]  # CCW successor: across edge c+2
                 if nb is None:
                     break
                 gj, ge = nb
-                nxt = (gj, (ge + 1) % 3)  # v sits at local index ge+1 in g
+                nxt = (gj, ge)  # the shared edge runs v to c+2 in g: v is at ge
                 if nxt == start:
                     break
                 order.append(nxt)

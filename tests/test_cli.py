@@ -190,6 +190,10 @@ BAD_INPUT = {
         ["tight-check", "--space", "{cone}", "--p", "1.2,0.4",
          "--function", '{{"op":"dist","q":"1,0"}}',
          "--function", '{{"op":"dist","q":"1,2"}}', "--samples", "0"], "sample"),
+    "tight_image_no_samples": (
+        ["tight-image", "--space", "{cone}", "--p", "1.2,0.4",
+         "--function", '{{"op":"dist","q":"1,0"}}', "--samples", "0"], "support test"),
+    "suite_unknown_criterion": (["suite", "--quick", "--only", "99"], "criterion"),
 }
 
 # A negative eps can make the search run forever, so these run in a child

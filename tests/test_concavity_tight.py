@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo.spaces import ConeSpace, PolygonSpace
+from alexgeo.spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.concavity_tight import (
     ConstructionError,
     build_strictly_concave,
@@ -98,6 +98,21 @@ class TestImageStudy:
         assert rep.support_failures == 0
         assert rep.gf_worst < 1e-4
         assert 0.0 < rep.bilip_low <= rep.bilip_high < math.inf
+
+    @pytest.mark.parametrize("space, center", [
+        (ConeSpace(1.5 * math.pi), (0.6, 0.5)),
+        (SpindleSpace(4.0), (0.8, 1.0)),
+        (CapSpace(1.2), (0.5, 1.0)),
+    ], ids=["cone-3pi/2", "spindle-4", "cap-1.2"])
+    def test_off_the_square(self, space, center):
+        funcs = [build_strictly_concave(space, (center[0] + 0.08 * math.cos(a),
+                                                center[1] + 0.08 * math.sin(a)),
+                                        r=0.35, c=60.0, n_points=6, seed=114)[0]
+                 for a in (0.4, 0.4 + 2 * math.pi / 3, 0.4 + 4 * math.pi / 3)]
+        rep = tight_image_study(space, funcs, (center, 0.1), grid_n=6,
+                                n_support=20, n_gf=8, seed=115)
+        assert rep.support_failures == 0
+        assert rep.gf_worst < 1e-4
 
     def test_non_concave_coordinates_abort(self):
         with pytest.raises(ConstructionError):

@@ -171,12 +171,32 @@ def _doubled_heptagon(rng):
     return mesh, lambda p: np.array(mesh.project(p))
 
 
+def _open_pyramid(rng):
+    # four sides over a square with no base: the corners are boundary vertices
+    coords = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0],
+                       [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+    coords += 0.1 * rng.random(coords.shape)
+    return _embedded([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)], coords)
+
+
+def _total_angle(mesh, v):
+    """Sum of the face angles at vertex v, from the face charts."""
+    total = 0.0
+    for f, ch in zip(mesh.faces, mesh.charts):
+        if v in f:
+            c = f.index(v)
+            u, w = ch[(c + 1) % 3] - ch[c], ch[(c + 2) % 3] - ch[c]
+            total += math.acos(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+    return total
+
+
 class TestDeeperMeshes:
     """The unfolding search on meshes where the depth cutoff can bind."""
 
     @pytest.mark.parametrize("build, seed", [(_octahedron, 11), (_icosahedron, 12),
                                              (_doubled_heptagon, 13), (_tetrahedron, 15),
-                                             (_tetrahedron, 16), (_tetrahedron, 17)])
+                                             (_tetrahedron, 16), (_tetrahedron, 17),
+                                             (_open_pyramid, 18)])
     def test_distances_against_oracles_and_walks(self, build, seed):
         rng = np.random.default_rng(seed)
         mesh, position = build(rng)
@@ -196,6 +216,22 @@ class TestDeeperMeshes:
                 assert dirs
                 for ang in dirs:
                     assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
+        # from each vertex the walks reach their targets, and short walks
+        # end as far apart as in a Euclidean cone with the vertex's angle
+        s = 1e-3 * min(mesh.edge_lengths.values())
+        for v in range(mesh.nv):
+            p = mesh.point_at_vertex(v)
+            q = mesh.random_point(rng)
+            d = mesh.distance(p, q)
+            for ang in mesh.directions_to(p, q):
+                assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
+            sig = mesh.sigma_at(p)
+            assert sig.length == pytest.approx(_total_angle(mesh, v), abs=1e-9)
+            for a, b in itertools.combinations(rng.random(4) * sig.length, 2):
+                gap = min(sig.dist(a, b), math.pi)
+                ends = mesh.walk(p, a, s).end, mesh.walk(p, b, s).end
+                assert mesh.distance(*ends) == pytest.approx(2 * s * math.sin(gap / 2),
+                                                             abs=1e-9)
 
     def test_walks_from_tetrahedron_vertices(self):
         t = regular_tetrahedron()

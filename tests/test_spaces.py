@@ -98,6 +98,20 @@ class TestConeMetric:
         c = ConeSpace(1.5 * math.pi)
         assert c.distance((0, 0), (2.5, 1.0)) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("h", [1e-9, 3e-9, 1e-8])
+    def test_short_distances_keep_relative_accuracy(self, h):
+        c = ConeSpace(1.5 * math.pi)
+        p = (0.3, 0.2)
+        # radial and angular neighbours, with the separations as stored
+        q = (0.3 + h, 0.2)
+        assert c.distance(p, q) == pytest.approx(q[0] - p[0], rel=1e-12)
+        q = (0.3, 0.2 + h / 0.3)
+        exact = 2.0 * 0.3 * math.sin(0.5 * (q[1] - p[1]))
+        assert c.distance(p, q) == pytest.approx(exact, rel=1e-12)
+        # walks in assorted directions, up to the rounding of their end points
+        for ang in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
+            assert c.distance(p, c.walk(p, ang, h).end) == pytest.approx(h, rel=1e-6)
+
     def test_two_minimizers_near_full_angle(self):
         c = ConeSpace(2 * math.pi - 1e-6)
         p, q = (1.0, 0.0), (1.0, (2 * math.pi - 1e-6) / 2.0)
