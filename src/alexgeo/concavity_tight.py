@@ -187,8 +187,16 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     best_v = evaluate(target, space, x)
     step = region[1]
     gold = (math.sqrt(5.0) - 1.0) / 2.0
-    g = gradient(target, space, x)
+    g = None
     for _ in range(120):
+        if g is None:
+            try:
+                g = gradient(target, space, x)
+            except GradientError:
+                # the coordinates are strictly concave, so two separated
+                # maximizers of the differential are a numerical tie at
+                # a vanishing slope: x is the top
+                break
         if g.norm < 1e-11:
             break
         hi = step
@@ -218,7 +226,7 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
         x = space.walk(x, g.angle, t).end
         best_v = nv
         step = max(t * 2.0, 1e-10)
-        g = gradient(target, space, x)
+        g = None
     return x, best_v
 
 

@@ -114,6 +114,20 @@ class TestImageStudy:
         assert rep.support_failures == 0
         assert rep.gf_worst < 1e-4
 
+    def test_tie_at_the_top_ends_the_ascent(self):
+        # one locator call reaches a point whose differential has two
+        # separated maxima of 2.7e-12; the ascent stops there
+        centers = [(0.5744582606061575, 0.47074307898111045),
+                   (0.48810810653579456, 0.5791112057159793),
+                   (0.43743363285804804, 0.4501457153029103)]
+        funcs = [build_strictly_concave(SQUARE, c, r=0.35, c=60.0, n_points=6,
+                                        n_geodesics=8, seed=402870709)[0]
+                 for c in centers]
+        rep = tight_image_study(SQUARE, funcs, ((0.5, 0.5), 0.05), grid_n=4,
+                                n_support=6, n_gf=2, seed=402870709)
+        assert rep.support_failures == 0
+        assert rep.gf_worst < 1e-4
+
     def test_non_concave_coordinates_abort(self):
         with pytest.raises(ConstructionError):
             tight_image_study(SQUARE, [Dist(q=(0.2, 0.2)), Dist(q=(0.8, 0.8))],
