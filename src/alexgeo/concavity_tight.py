@@ -173,8 +173,8 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     """argmax of min_i (f_i - y_i): best grid point, then gradient ascent.
 
     The exact gradient of the min is the ridge direction of the active
-    coordinates; a golden line search along it avoids the stalls a
-    direction fan suffers on thin ridges.
+    coordinates; a golden line search along it stops where another
+    coordinate becomes active, so the ascent can follow thin ridges.
     """
     target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
 

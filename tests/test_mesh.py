@@ -216,15 +216,18 @@ class TestDeeperMeshes:
                 assert dirs
                 for ang in dirs:
                     assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
-        # from each vertex the walks reach their targets, and short walks
-        # end as far apart as in a Euclidean cone with the vertex's angle
+        # from each vertex the walks reach a random point and every other
+        # vertex, and short walks end as far apart as in a Euclidean cone
+        # with the vertex's angle
         s = 1e-3 * min(mesh.edge_lengths.values())
         for v in range(mesh.nv):
             p = mesh.point_at_vertex(v)
-            q = mesh.random_point(rng)
-            d = mesh.distance(p, q)
-            for ang in mesh.directions_to(p, q):
-                assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
+            targets = [mesh.random_point(rng)]
+            targets += [mesh.point_at_vertex(w) for w in range(mesh.nv) if w != v]
+            for q in targets:
+                d = mesh.distance(p, q)
+                for ang in mesh.directions_to(p, q):
+                    assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
             sig = mesh.sigma_at(p)
             assert sig.length == pytest.approx(_total_angle(mesh, v), abs=1e-9)
             for a, b in itertools.combinations(rng.random(4) * sig.length, 2):
