@@ -1,19 +1,30 @@
 """Triangulated polyhedral surface with exact unfolded distances.
 
 Points are (face index, barycentric triple).  Each face carries a flat
-2-D chart; crossing an edge composes a cached rigid motion between the
-two charts.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
+chart whose corners are Python complex numbers; crossing an edge is a
+cached rigid motion z -> rot * z + shift between the two charts, a
+(unit complex, shift) pair, and a chain of crossings composes these
+pairs.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
 unfolded edge sequences from a source; each accepted candidate is a
 realizable straight path, and pruning keeps the result exact up to the
 depth cutoff, whose lower bound the engine reports.  Distances (`_bnb`)
 and minimizing directions (`_funnel_directions`) are thin callers that
-only choose targets, pruning and what a hit records.  Distances combine
-the engine with a Dijkstra pass over vertex-routed legs.  A subdivision
-graph Dijkstra provides an independent upper-bound certificate on
-demand.
+only choose targets, pruning and what a hit records.
+
+The engine finds vertex-avoiding paths.  A shortest path leaves each
+point of its interior in two directions pi apart in Sigma_p, so on these
+surfaces of curvature >= 0 it can pass only through a vertex whose
+Sigma_p is a full 2*pi circle (a flat interior vertex) or an arc of
+length >= pi (a straight or reflex boundary vertex), never through a
+cone point.  The load collects these pass-through vertices, and
+distances combine the engine with a Dijkstra pass over legs routed
+through them alone; a surface without any, such as a closed convex
+polyhedron, needs no vertex search at all.  A subdivision graph
+Dijkstra provides an independent upper-bound certificate on demand.
 """
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -26,6 +37,11 @@ TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
 
 
+def _cross(u, v):
+    """Planar cross product of two chart vectors given as complex numbers."""
+    return u.real * v.imag - u.imag * v.real
+
+
 @dataclass(frozen=True)
 class MeshPoint:
     face: int
@@ -34,27 +50,6 @@ class MeshPoint:
     def __iter__(self):
         yield self.face
         yield self.bary
-
-
-def _rot(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-@dataclass
-class _Rigid:
-    R: np.ndarray
-    t: np.ndarray
-
-    def apply(self, p):
-        return self.R @ p + self.t
-
-    def apply_dir(self, d):
-        return self.R @ d
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        return _Rigid(self.R @ other.R, self.R @ other.t + self.t)
 
 
 class MeshSpace:
@@ -88,6 +83,12 @@ class MeshSpace:
         self._build_adjacency()
         self._build_vertex_fans()
         self._validate_curvature()
+        # the only vertices a shortest path can pass through (module docstring)
+        self.pass_through = [
+            v for v in sorted(self.fans)
+            if self.cone_angle_at_vertex(v)
+            >= (math.pi if self.vertex_boundary[v] else TWO_PI) - 1e-9
+        ]
         self._vv_cache = None
         self._pv_cache = {}
         self._dist_cache = {}
@@ -143,8 +144,7 @@ class MeshSpace:
             y2 = lik * lik - x * x
             if y2 <= 0.0:
                 raise SpaceError(f"face ({i},{j},{k}) is degenerate")
-            self.charts.append(np.array([[0.0, 0.0], [lij, 0.0], [x, math.sqrt(y2)]]))
-        self.scale = max(self.edge_lengths.values())
+            self.charts.append((0j, complex(lij, 0.0), complex(x, math.sqrt(y2))))
 
     def _build_adjacency(self):
         # local edge e of face (i,j,k): e0=(i,j), e1=(j,k), e2=(k,i)
@@ -166,25 +166,23 @@ class MeshSpace:
             if self.nbr[fi][e] is None
         ]
         self.has_boundary = bool(self.boundary_edges)
-        self._cross = {}
-        # edge ids for the crossed-once rule of shortest-path enumeration
-        self.edge_ids = {}
-        for fi, (i, j, k) in enumerate(self.faces):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = frozenset((a, b))
-                if key not in self.edge_ids:
-                    self.edge_ids[key] = len(self.edge_ids)
-
-    def _edge_bit(self, fi, e):
-        f = self.faces[fi]
-        key = frozenset((f[e], f[(e + 1) % 3]))
-        return 1 << self.edge_ids[key]
+        self._crossings = {}
+        # one bit per edge, for the crossed-once rule of shortest-path enumeration
+        edge_ids = {}
+        self.edge_bits = [
+            [1 << edge_ids.setdefault(frozenset((f[e], f[(e + 1) % 3])), len(edge_ids))
+             for e in range(3)]
+            for f in self.faces
+        ]
 
     def crossing(self, fi, e):
-        """Rigid motion chart_fi -> chart_g across local edge e of face fi."""
+        """Rigid motion chart_fi -> chart_g across local edge e of face fi.
+
+        A (rot, shift) pair of complex numbers acting as z -> rot * z + shift.
+        """
         key = (fi, e)
-        if key in self._cross:
-            return self._cross[key]
+        if key in self._crossings:
+            return self._crossings[key]
         nb = self.nbr[fi][e]
         if nb is None:
             raise SpaceError("crossing a boundary edge")
@@ -193,23 +191,20 @@ class MeshSpace:
         b_f = self.charts[fi][(e + 1) % 3]
         a_g = self.charts[gj][(ge + 1) % 3]  # shared edge appears reversed in g
         b_g = self.charts[gj][ge]
-        va = b_f - a_f
-        vb = b_g - a_g
-        ang = math.atan2(vb[1], vb[0]) - math.atan2(va[1], va[0])
-        R = _rot(ang)
-        M = _Rigid(R, a_g - R @ a_f)
-        self._cross[key] = M
+        rot = (b_g - a_g) * (b_f - a_f).conjugate()
+        rot /= abs(rot)
+        M = (rot, a_g - rot * a_f)
+        self._crossings[key] = M
         return M
 
     def _g_to_f(self, fi, e):
         """Inverse crossing: chart of the neighbor across e back into chart_fi."""
         key = ("inv", fi, e)
-        if key in self._cross:
-            return self._cross[key]
-        M = self.crossing(fi, e)
-        Rinv = M.R.T
-        inv = _Rigid(Rinv, -(Rinv @ M.t))
-        self._cross[key] = inv
+        if key in self._crossings:
+            return self._crossings[key]
+        rot, shift = self.crossing(fi, e)
+        inv = (rot.conjugate(), -(rot.conjugate() * shift))
+        self._crossings[key] = inv
         return inv
 
     def _build_vertex_fans(self):
@@ -220,7 +215,7 @@ class MeshSpace:
             for c in range(3):
                 u = ch[(c + 1) % 3] - ch[c]
                 w = ch[(c + 2) % 3] - ch[c]
-                cosang = float(np.dot(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w))
+                cosang = (u.real * w.real + u.imag * w.imag) / (abs(u) * abs(w))
                 corner_angle[(fi, c)] = math.acos(max(-1.0, min(1.0, cosang)))
                 at_vertex[f[c]].append((fi, c))
         self.fans = {}
@@ -279,16 +274,24 @@ class MeshSpace:
             raise SpaceError(f"invalid barycentric triple {p.bary}")
         return p
 
+    def _pos(self, p):
+        """Chart position of a validated point, as a complex number."""
+        a, b, c = self.charts[p.face]
+        return a * p.bary[0] + b * p.bary[1] + c * p.bary[2]
+
     def pos2(self, p):
-        p = self.validate_point(p)
-        return self.charts[p.face].T @ np.asarray(p.bary)
+        z = self._pos(self.validate_point(p))
+        return np.array([z.real, z.imag])
+
+    def _bary(self, face, z):
+        a, b, c = self.charts[face]
+        u, v, r = a - c, b - c, z - c
+        det = _cross(u, v)
+        l0, l1 = _cross(r, v) / det, _cross(u, r) / det
+        return MeshPoint(face, (l0, l1, 1.0 - l0 - l1))
 
     def bary(self, face, xy):
-        ch = self.charts[face]
-        T = np.array([ch[0] - ch[2], ch[1] - ch[2]]).T
-        l12 = np.linalg.solve(T, np.asarray(xy) - ch[2])
-        return MeshPoint(face, (float(l12[0]), float(l12[1]),
-                                float(1.0 - l12[0] - l12[1])))
+        return self._bary(face, complex(float(xy[0]), float(xy[1])))
 
     def point_at_vertex(self, v):
         fi, c = self.fans[v][0][0]
@@ -314,11 +317,7 @@ class MeshSpace:
         return ("interior", p.face)
 
     def random_point(self, rng):
-        areas = np.array([
-            abs((ch[1][0] - ch[0][0]) * (ch[2][1] - ch[0][1])
-                - (ch[1][1] - ch[0][1]) * (ch[2][0] - ch[0][0])) / 2.0
-            for ch in self.charts
-        ])
+        areas = np.array([abs(_cross(b - a, c - a)) / 2.0 for a, b, c in self.charts])
         f = int(rng.choice(len(self.faces), p=areas / areas.sum()))
         a, b = rng.random(), rng.random()
         if a + b > 1.0:
@@ -359,36 +358,34 @@ class MeshSpace:
         return SigmaDesc(TWO_PI)
 
     def _edge_chart_ref(self, fi, e):
-        a = self.charts[fi][e]
-        b = self.charts[fi][(e + 1) % 3]
-        d = b - a
-        return math.atan2(d[1], d[0])
+        ch = self.charts[fi]
+        return cmath.phase(ch[(e + 1) % 3] - ch[e])
 
     def chart_angle_of_dir(self, p, face, d):
         """Sigma coordinate at p of the chart direction d given in `face`."""
+        return self._chart_angle(p, face, complex(float(d[0]), float(d[1])))
+
+    def _chart_angle(self, p, face, d):
+        """chart_angle_of_dir with the direction d as a complex number."""
         kind = self.classify(p)
         if kind[0] == "interior":
             if face != kind[1]:
                 raise SpaceError("direction face mismatch")
-            return wrap_angle(math.atan2(d[1], d[0]), TWO_PI)
+            return wrap_angle(cmath.phase(d), TWO_PI)
         if kind[0] == "edge":
             fi, e = kind[1], kind[2]
             if face != fi:
                 nb = self.nbr[fi][e]
                 if nb is None or face != nb[0]:
                     raise SpaceError("direction face mismatch")
-                d = self._g_to_f(fi, e).apply_dir(np.asarray(d))
+                d = self._g_to_f(fi, e)[0] * d
             ref = self._edge_chart_ref(fi, e)
-            return wrap_angle(math.atan2(d[1], d[0]) - ref, TWO_PI)
+            return wrap_angle(cmath.phase(d) - ref, TWO_PI)
         v = kind[1]
         order, offsets = self.fans[v]
         for (fi, c), off in zip(order, offsets):
             if fi == face:
-                ch = self.charts[fi]
-                ref = ch[(c + 1) % 3] - ch[c]
-                rel = wrap_angle(
-                    math.atan2(d[1], d[0]) - math.atan2(ref[1], ref[0]), TWO_PI
-                )
+                rel = wrap_angle(cmath.phase(d) - self._edge_chart_ref(fi, c), TWO_PI)
                 if rel > math.pi:  # direction numerically below the wedge start
                     rel -= TWO_PI
                 L = self.cone_angle_at_vertex(v)
@@ -398,17 +395,21 @@ class MeshSpace:
 
     def dir_of_chart_angle(self, p, angle):
         """Inverse of chart_angle_of_dir: (face, unit chart vector)."""
+        face, d = self._chart_dir(p, angle)
+        return face, np.array([d.real, d.imag])
+
+    def _chart_dir(self, p, angle):
+        """dir_of_chart_angle with the unit vector as a complex number."""
         kind = self.classify(p)
         if kind[0] == "interior":
-            return kind[1], np.array([math.cos(angle), math.sin(angle)])
+            return kind[1], cmath.rect(1.0, angle)
         if kind[0] == "edge":
             fi, e = kind[1], kind[2]
-            ref = self._edge_chart_ref(fi, e)
             a = wrap_angle(angle, TWO_PI)
-            d = np.array([math.cos(a + ref), math.sin(a + ref)])
+            d = cmath.rect(1.0, a + self._edge_chart_ref(fi, e))
             if a <= math.pi or self.nbr[fi][e] is None:
                 return fi, d
-            return self.nbr[fi][e][0], self.crossing(fi, e).apply_dir(d)
+            return self.nbr[fi][e][0], self.crossing(fi, e)[0] * d
         v = kind[1]
         order, offsets = self.fans[v]
         L = self.cone_angle_at_vertex(v)
@@ -416,103 +417,99 @@ class MeshSpace:
         a = min(max(a, 0.0), L)
         for (fi, c), off, off2 in zip(order, offsets, offsets[1:]):
             if a <= off2 + 1e-12:
-                ch = self.charts[fi]
-                ref = ch[(c + 1) % 3] - ch[c]
-                t = math.atan2(ref[1], ref[0]) + (a - off)
-                return fi, np.array([math.cos(t), math.sin(t)])
+                return fi, cmath.rect(1.0, self._edge_chart_ref(fi, c) + (a - off))
         fi, c = order[-1]
-        ch = self.charts[fi]
-        ref = ch[(c + 1) % 3] - ch[c]
-        t = math.atan2(ref[1], ref[0]) + (a - offsets[-2])
-        return fi, np.array([math.cos(t), math.sin(t)])
+        return fi, cmath.rect(1.0, self._edge_chart_ref(fi, c) + (a - offsets[-2]))
 
     # -- walking ------------------------------------------------------------
     def walk(self, p, angle, length, max_crossings=100000):
         p = self.validate_point(p)
         if length < 0.0:
             raise SpaceError("negative walk length")
-        face, d = self.dir_of_chart_angle(p, angle)
+        face, d = self._chart_dir(p, angle)
         kind = self.classify(p)
         if kind[0] == "vertex":
-            pos = self.charts[face][self.faces[face].index(kind[1])].copy()
+            pos = self.charts[face][self.faces[face].index(kind[1])]
         elif kind[0] == "edge" and face != p.face:
-            pos = self.crossing(p.face, kind[2]).apply(self.pos2(p))
+            rot, shift = self.crossing(p.face, kind[2])
+            pos = rot * self._pos(p) + shift
         else:
-            pos = self.pos2(p)
+            pos = self._pos(p)
         remaining = float(length)
         traveled = 0.0
         for _ in range(max_crossings):
             hit = self._face_exit(face, pos, d)
             if hit is None:
                 raise SpaceError("walk failed to find an exit edge")
-            t_exit, e_exit, _ = hit
+            t_exit, e_exit = hit
             if remaining <= t_exit:
-                end_pos = pos + remaining * d
-                end = self.bary(face, end_pos)
+                end = self._bary(face, pos + remaining * d)
                 v_hit = self.vertex_of_point(end)
                 if v_hit is not None:
                     end = self.point_at_vertex(v_hit)
-                    back = self.chart_angle_of_dir(end, face, -d)
+                    back = self._chart_angle(end, face, -d)
                     return WalkResult(end, traveled + remaining, back,
                                       self.sigma_at(end), event="vertex",
                                       event_ref=v_hit)
-                back = self.chart_angle_of_dir(end, face, -d)
+                back = self._chart_angle(end, face, -d)
                 return WalkResult(end, traveled + remaining, back, self.sigma_at(end))
             cross_pos = pos + t_exit * d
             a = self.charts[face][e_exit]
             b = self.charts[face][(e_exit + 1) % 3]
-            elen = float(np.linalg.norm(b - a))
+            snap = _VERTEX_SNAP * max(1.0, abs(b - a))
             for corner, cpos in ((e_exit, a), ((e_exit + 1) % 3, b)):
-                if np.linalg.norm(cross_pos - cpos) <= _VERTEX_SNAP * max(1.0, elen):
+                if abs(cross_pos - cpos) <= snap:
                     v = self.faces[face][corner]
-                    tv = float(np.linalg.norm(cpos - pos))
                     end = self.point_at_vertex(v)
-                    back = self.chart_angle_of_dir(end, face, -d)
-                    return WalkResult(end, traveled + tv, back, self.sigma_at(end),
-                                      event="vertex", event_ref=v)
+                    back = self._chart_angle(end, face, -d)
+                    return WalkResult(end, traveled + abs(cpos - pos), back,
+                                      self.sigma_at(end), event="vertex", event_ref=v)
             nb = self.nbr[face][e_exit]
             if nb is None:
-                end = self.bary(face, cross_pos)
-                back = self.chart_angle_of_dir(end, face, -d)
+                end = self._bary(face, cross_pos)
+                back = self._chart_angle(end, face, -d)
                 return WalkResult(end, traveled + t_exit, back, self.sigma_at(end),
                                   event="boundary")
-            M = self.crossing(face, e_exit)
-            pos = M.apply(cross_pos)
-            d = M.apply_dir(d)
+            rot, shift = self.crossing(face, e_exit)
+            pos = rot * cross_pos + shift
+            d = rot * d
             face = nb[0]
             remaining -= t_exit
             traveled += t_exit
         raise SpaceError("walk exceeded the crossing budget")
 
     def _face_exit(self, face, pos, d):
+        """(distance, local edge) of the first exit of the ray pos + t*d."""
         best = None
         ch = self.charts[face]
         for e in range(3):
-            a, b = ch[e], ch[(e + 1) % 3]
-            ex, ey = b[0] - a[0], b[1] - a[1]
-            denom = d[0] * ey - d[1] * ex
+            a = ch[e]
+            ed = ch[(e + 1) % 3] - a
+            denom = _cross(d, ed)
             if abs(denom) < 1e-16:
                 continue
-            t = ((a[0] - pos[0]) * ey - (a[1] - pos[1]) * ex) / denom
+            ap = a - pos
+            t = _cross(ap, ed) / denom
             if t <= 1e-12:
                 continue
-            s = (d[1] * (a[0] - pos[0]) - d[0] * (a[1] - pos[1])) / denom
+            s = _cross(ap, d) / denom
             if -1e-9 <= s <= 1.0 + 1e-9:
                 if best is None or t < best[0]:
-                    best = (t, e, min(max(s, 0.0), 1.0))
+                    best = (t, e)
         return best
 
     # -- distance machinery ----------------------------------------------
     def _face_images(self, q):
         """q in its own face chart, plus its image across the edge it lies on."""
         q = self.validate_point(q)
-        pos = self.pos2(q)
+        pos = self._pos(q)
         images = [(q.face, pos)]
         kind = self.classify(q)
         if kind[0] == "edge":
             nb = self.nbr[q.face][kind[2]]
             if nb is not None:
-                images.append((nb[0], self.crossing(q.face, kind[2]).apply(pos)))
+                rot, shift = self.crossing(q.face, kind[2])
+                images.append((nb[0], rot * pos + shift))
         return images
 
     def _anchors(self, p):
@@ -525,26 +522,24 @@ class MeshSpace:
     @staticmethod
     def _seg_dist(p, a, b):
         ab = b - a
-        L2 = float(ab @ ab)
+        L2 = ab.real * ab.real + ab.imag * ab.imag
         if L2 <= 1e-300:
-            return float(np.linalg.norm(p - a))
-        t = min(max(float((p - a) @ ab) / L2, 0.0), 1.0)
-        return float(np.linalg.norm(p - (a + t * ab)))
+            return abs(p - a)
+        ap = p - a
+        t = min(max((ap.real * ab.real + ap.imag * ab.imag) / L2, 0.0), 1.0)
+        return abs(p - (a + t * ab))
 
     @staticmethod
     def _clip_to_wedge(src, w0, w1, a, b):
         """Clip segment [a, b] to the closed wedge from src through [w0, w1]."""
-        e0 = w0 - src
-        e1 = w1 - src
-        n0 = np.array([-e0[1], e0[0]])
-        n1 = np.array([-e1[1], e1[0]])
-        s0 = float(e1 @ n0)  # which side of ray(src,w0) the wedge lies on
-        s1 = float(e0 @ n1)
+        e0, e1, da, db = w0 - src, w1 - src, a - src, b - src
+        # each side ray of the wedge, with the sign of the side the wedge
+        # lies on (the cross products are inlined: this is the hot loop)
+        s = e0.real * e1.imag - e0.imag * e1.real
         lo, hi = 0.0, 1.0
-        for n, s in ((n0, s0), (n1, s1)):
-            sign = 1.0 if s >= 0.0 else -1.0
-            fa = sign * float((a - src) @ n)
-            fb = sign * float((b - src) @ n)
+        for e, sign in ((e0, 1.0 if s >= 0.0 else -1.0), (e1, -1.0 if s > 0.0 else 1.0)):
+            fa = sign * (e.real * da.imag - e.imag * da.real)
+            fb = sign * (e.real * db.imag - e.imag * db.real)
             if fa < -1e-12 and fb < -1e-12:
                 return None
             if abs(fb - fa) > 1e-300:
@@ -555,12 +550,13 @@ class MeshSpace:
                     hi = min(hi, t)
         if lo > hi + 1e-12:
             return None
-        return a + lo * (b - a), a + hi * (b - a)
+        ab = b - a
+        return a + lo * ab, a + hi * ab
 
     def _chain_ok(self, src, tp, window, parent, parents):
         """Validate that src->tp crosses every ancestor window in order."""
         seg = tp - src
-        if float(seg @ seg) <= 1e-300:
+        if seg.real * seg.real + seg.imag * seg.imag <= 1e-300:
             return True
         chain = [(None, window[0], window[1])]
         pid = parent
@@ -573,14 +569,15 @@ class MeshSpace:
         t_prev = 1.0 + 1e-9
         for _, w0, w1 in chain:
             e = w1 - w0
-            denom = seg[0] * e[1] - seg[1] * e[0]
+            denom = _cross(seg, e)
             if abs(denom) < 1e-14:
                 # degenerate or parallel window: require src->tp to pass near it
                 if self._seg_dist(0.5 * (w0 + w1), src, tp) > 1e-7:
                     return False
                 continue
-            t = ((w0[0] - src[0]) * e[1] - (w0[1] - src[1]) * e[0]) / denom
-            s = (seg[1] * (w0[0] - src[0]) - seg[0] * (w0[1] - src[1])) / denom
+            d0 = w0 - src
+            t = _cross(d0, e) / denom
+            s = _cross(d0, seg) / denom
             if s < -1e-7 or s > 1.0 + 1e-7:
                 return False
             if t < -1e-9 or t > t_prev + 1e-7:
@@ -603,10 +600,10 @@ class MeshSpace:
         d)` runs first and cheaply on the straight length d, and only
         then does the engine check that the segment crosses every
         ancestor window; a segment that passes both is reported as
-        `hit(key, d, face, seg)`, with seg the anchor-chart vector in
-        `face`.  The caller prunes: the loop stops at the first popped
-        state with `not keep(lb)`, and children failing `keep` are never
-        pushed.
+        `hit(key, d, face, seg)`, with seg the anchor-chart vector (a
+        complex number) in `face`.  The caller prunes: the loop stops at
+        the first popped state with `not keep(lb)`, and children failing
+        `keep` are never pushed.
 
         Returns `unresolved`: the smallest lower bound among states cut
         at depth `max_depth` (inf when none was cut).  Every straight
@@ -616,7 +613,7 @@ class MeshSpace:
         anchors, src_vertex = self._anchors(p)
         for fi, src in anchors:
             for key, tp in targets.get(fi, ()):
-                d = float(np.linalg.norm(tp - src))
+                d = abs(tp - src)
                 if want(key, d):
                     hit(key, d, fi, tp - src)
         if src_vertex is None:
@@ -629,47 +626,48 @@ class MeshSpace:
             nb = self.nbr[fi][e]
             if nb is not None:
                 w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
+                rot, shift = self._g_to_f(fi, e)
                 heap.append((self._seg_dist(src, w0, w1), len(heap), fi, nb[0],
-                             self._g_to_f(fi, e), w0, w1, src, 1, None,
-                             self._edge_bit(fi, e)))
+                             rot, shift, w0, w1, src, 1, None, self.edge_bits[fi][e]))
         heapq.heapify(heap)
         counter = len(heap)
         unresolved = math.inf
         parents = {}
         while heap:
-            lb, cid, af, fi, M, w0, w1, src, depth, parent, crossed = heapq.heappop(heap)
+            (lb, cid, af, fi, rot, shift, w0, w1, src, depth, parent,
+             crossed) = heapq.heappop(heap)
             if not keep(lb):
                 break
             for key, tp_chart in targets.get(fi, ()):
-                tp = M.apply(tp_chart)
-                d = float(np.linalg.norm(tp - src))
+                tp = rot * tp_chart + shift
+                d = abs(tp - src)
                 if want(key, d) and self._chain_ok(src, tp, (w0, w1), parent, parents):
                     hit(key, d, af, tp - src)
             if depth >= self.max_depth:
                 unresolved = min(unresolved, lb)
                 continue
             parents[cid] = (parent, w0, w1)
+            corners = [rot * z + shift for z in self.charts[fi]]
             for e in range(3):
                 nb = self.nbr[fi][e]
                 if nb is None:
                     continue
-                bit = self._edge_bit(fi, e)
+                bit = self.edge_bits[fi][e]
                 if crossed & bit:
                     # shortest vertex-avoiding paths cross an edge at most
                     # once on these nonnegatively curved surfaces
                     continue
-                a2 = M.apply(self.charts[fi][e])
-                b2 = M.apply(self.charts[fi][(e + 1) % 3])
-                clipped = self._clip_to_wedge(src, w0, w1, a2, b2)
+                clipped = self._clip_to_wedge(src, w0, w1, corners[e], corners[(e + 1) % 3])
                 if clipped is None:
                     continue
-                if float(np.linalg.norm(clipped[1] - clipped[0])) < 1e-12:
+                if abs(clipped[1] - clipped[0]) < 1e-12:
                     continue  # window pinched at a vertex: vertex routing covers it
                 lb2 = self._seg_dist(src, clipped[0], clipped[1])
                 if keep(lb2):
+                    r2, s2 = self._g_to_f(fi, e)
                     heapq.heappush(
                         heap,
-                        (lb2, counter, af, nb[0], M.compose(self._g_to_f(fi, e)),
+                        (lb2, counter, af, nb[0], rot * r2, rot * s2 + shift,
                          clipped[0], clipped[1], src, depth + 1, cid, crossed | bit),
                     )
                     counter += 1
@@ -685,10 +683,14 @@ class MeshSpace:
         """
         target_points = [self.validate_point(q) for q in target_points]
         target_vertices = list(target_vertices)
+        n_keys = len(target_points) + len(target_vertices)
+        if not n_keys:
+            # nothing to find: an unpruned search would run to the cutoff
+            return {}, math.inf
         src_vertex = self.vertex_of_point(p)
         targets = {}
         for i, q in enumerate(target_points):
-            for fi, pos in self._face_images(q):
+            for fi, pos in self._anchors(q)[0]:
                 targets.setdefault(fi, []).append((("pt", i), pos))
         for v in target_vertices:
             if v != src_vertex:
@@ -697,18 +699,26 @@ class MeshSpace:
         best = {}
         if src_vertex in target_vertices:
             best[("vx", src_vertex)] = 0.0
+        limit = math.inf
+
+        def set_limit():
+            # prune at the worst target once every target has a path
+            nonlocal limit
+            worst = max(best.values()) if len(best) == n_keys else math.inf
+            limit = min(worst, upper_cap) - 1e-12
 
         def keep(lb):
-            vals = [best.get(("pt", i), math.inf) for i in range(len(target_points))]
-            vals += [best.get(("vx", v), math.inf) for v in target_vertices]
-            return lb < min(max(vals) if vals else math.inf, upper_cap) - 1e-12
+            return lb < limit
 
         def want(key, d):
             return d < best.get(key, math.inf)
 
         def hit(key, d, face, seg):
             best[key] = d
+            if len(best) == n_keys:
+                set_limit()
 
+        set_limit()
         return best, self._unfold(p, targets, keep, want, hit)
 
     def _point_key(self, p):
@@ -716,13 +726,13 @@ class MeshSpace:
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
 
     def point_vertex_dists(self, p):
-        """Cached vertex-avoiding distances from p to every vertex."""
+        """Cached vertex-avoiding distances from p to every pass-through vertex."""
         key = self._point_key(p)
         hit = self._pv_cache.get(key)
         if hit is not None:
             return hit
-        best, un = self._bnb(p, target_vertices=list(range(self.nv)))
-        out = ({v: best.get(("vx", v), math.inf) for v in range(self.nv)}, un)
+        best, un = self._bnb(p, target_vertices=self.pass_through)
+        out = ({v: best.get(("vx", v), math.inf) for v in self.pass_through}, un)
         if len(self._pv_cache) > 4096:
             self._pv_cache.clear()
         self._pv_cache[key] = out
@@ -739,11 +749,10 @@ class MeshSpace:
             return
         self._vv_cache = {}
         direct = {}
-        for v in range(self.nv):
-            if v not in self.fans:
-                continue
-            dv, _ = self.point_vertex_dists(self.point_at_vertex(v))
-            for w, d in dv.items():
+        every = sorted(self.fans)
+        for v in every:
+            best, _ = self._bnb(self.point_at_vertex(v), target_vertices=every)
+            for (_, w), d in best.items():
                 if w != v:
                     key = (min(v, w), max(v, w))
                     direct[key] = min(direct.get(key, math.inf), d)
@@ -789,12 +798,12 @@ class MeshSpace:
         direct = best.get(("pt", 0), math.inf)
         dp_map, un_p2 = self.point_vertex_dists(p)
         # vertex routing can only matter when some vertex is nearer than q
-        if direct <= min(dp_map.values()) + 1e-15:
+        if direct <= min(dp_map.values(), default=math.inf) + 1e-15:
             d, un = direct, min(un_p, un_p2)
         else:
-            dq_best, un_q = self._bnb(q, target_vertices=list(range(self.nv)),
+            dq_best, un_q = self._bnb(q, target_vertices=self.pass_through,
                                       upper_cap=direct)
-            dq_map = {v: dq_best.get(("vx", v), math.inf) for v in range(self.nv)}
+            dq_map = {v: dq_best.get(("vx", v), math.inf) for v in self.pass_through}
             d = min(direct, self._routed(dp_map, dq_map))
             un = min(un_p, un_p2, un_q)
         err = max(0.0, d - un) if un < d else 0.0
@@ -810,9 +819,9 @@ class MeshSpace:
         """One-to-many distances sharing a single unfolding pass from p."""
         targets = [self.validate_point(q) for q in targets]
         best, un_p = self._bnb(p, target_points=targets,
-                               target_vertices=list(range(self.nv)))
-        dp_map = {v: best.get(("vx", v), math.inf) for v in range(self.nv)}
-        near_v = min(dp_map.values())
+                               target_vertices=self.pass_through)
+        dp_map = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
+        near_v = min(dp_map.values(), default=math.inf)
         out = []
         for i, q in enumerate(targets):
             direct = best.get(("pt", i), math.inf)
@@ -832,19 +841,15 @@ class MeshSpace:
         d0, _ = self.distance_with_error(p, q)
         dirs = self._funnel_directions(p, q, d0, tol)
         dp_map, _ = self.point_vertex_dists(p)
-        if d0 + tol >= min(dp_map.values()):
+        if d0 + tol >= min(dp_map.values(), default=math.inf):
             dq_map, _ = self.point_vertex_dists(q)
             self._ensure_vv()
-            for v in range(self.nv):
-                if v not in self.fans:
-                    continue
-                dp = dp_map.get(v, math.inf)
+            for v, dp in dp_map.items():
                 if dp <= 1e-12:
                     continue
-                for w in range(self.nv):
+                for w, dq in dq_map.items():
                     leg = 0.0 if v == w else self._vv_cache.get(
                         (min(v, w), max(v, w)), math.inf)
-                    dq = dq_map.get(w, math.inf)
                     if dp + leg + dq <= d0 + tol:
                         dirs.extend(
                             self._funnel_directions(p, self.point_at_vertex(v), dp, tol)
@@ -854,6 +859,9 @@ class MeshSpace:
         for a in sorted(dirs):
             if not out or abs(a - out[-1]) > 1e-6:
                 out.append(a)
+        sigma = self.sigma_at(p)
+        if len(out) > 1 and sigma.dist(out[0], out[-1]) <= 1e-6:
+            out.pop()  # the same direction on either side of the circle's seam
         return out
 
     def _funnel_directions(self, p, q, dmax, tol):
@@ -866,7 +874,7 @@ class MeshSpace:
             return d <= dmax + tol and d > 1e-15
 
         def hit(key, d, face, seg):
-            dirs.append(self.chart_angle_of_dir(p, face, seg / d))
+            dirs.append(self._chart_angle(p, face, seg / d))
 
         self._unfold(p, targets, lambda lb: lb <= dmax + tol, want, hit)
         return dirs
@@ -899,61 +907,37 @@ class MeshSpace:
     def graph_upper_bound(self, p, q, per_edge=3):
         """Dijkstra over a face-complete subdivision graph: an upper bound."""
         p, q = self.validate_point(p), self.validate_point(q)
-        nodes = []
         node_ids = {}
+        # per face, node id -> its position in that face's chart
+        per_face = [{} for _ in self.faces]
 
-        def add(face, xy, key):
-            if key in node_ids:
-                return node_ids[key]
-            node_ids[key] = len(nodes)
-            nodes.append(np.asarray(xy, dtype=float))
-            return node_ids[key]
+        def add(fi, key, z):
+            per_face[fi][node_ids.setdefault(key, len(node_ids))] = z
 
-        per_face = [[] for _ in self.faces]
         for fi, f in enumerate(self.faces):
             ch = self.charts[fi]
             for c in range(3):
-                per_face[fi].append(add(fi, ch[c], ("v", f[c])))
+                add(fi, ("v", f[c]), ch[c])
             for e in range(3):
                 a, b = ch[e], ch[(e + 1) % 3]
                 va, vb = f[e], f[(e + 1) % 3]
                 for k in range(1, per_edge + 1):
-                    t = k / (per_edge + 1)
                     canon = k if va < vb else per_edge + 1 - k
-                    per_face[fi].append(
-                        add(fi, a + t * (b - a), ("e", frozenset((va, vb)), canon))
-                    )
-        # node positions differ per face chart; store per-face coordinates
-        coords = [dict() for _ in self.faces]
-        for fi, f in enumerate(self.faces):
-            ch = self.charts[fi]
-            for c in range(3):
-                coords[fi][node_ids[("v", f[c])]] = ch[c]
-            for e in range(3):
-                a, b = ch[e], ch[(e + 1) % 3]
-                va, vb = f[e], f[(e + 1) % 3]
-                for k in range(1, per_edge + 1):
-                    t = k / (per_edge + 1)
-                    canon = k if va < vb else per_edge + 1 - k
-                    coords[fi][node_ids[("e", frozenset((va, vb)), canon)]] = a + t * (b - a)
-        pid = add(p.face, self.pos2(p), ("p",))
-        coords[p.face][pid] = self.pos2(p)
-        per_face[p.face].append(pid)
-        qid = add(q.face, self.pos2(q), ("q",))
-        coords[q.face][qid] = self.pos2(q)
-        per_face[q.face].append(qid)
+                    add(fi, ("e", frozenset((va, vb)), canon),
+                        a + k / (per_edge + 1) * (b - a))
+        add(p.face, ("p",), self._pos(p))
+        add(q.face, ("q",), self._pos(q))
+        pid, qid = node_ids[("p",)], node_ids[("q",)]
 
-        adj = [[] for _ in nodes]
-        for fi in range(len(self.faces)):
-            ids = per_face[fi]
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    a = coords[fi][ids[i]]
-                    b = coords[fi][ids[j]]
-                    w = float(np.linalg.norm(a - b))
-                    adj[ids[i]].append((ids[j], w))
-                    adj[ids[j]].append((ids[i], w))
-        dist = [math.inf] * len(nodes)
+        adj = [[] for _ in node_ids]
+        for nodes in per_face:
+            items = list(nodes.items())
+            for i, (x, a) in enumerate(items):
+                for y, b in items[i + 1:]:
+                    w = abs(a - b)
+                    adj[x].append((y, w))
+                    adj[y].append((x, w))
+        dist = [math.inf] * len(node_ids)
         dist[pid] = 0.0
         pq = [(0.0, pid)]
         while pq:

@@ -35,10 +35,15 @@ class _SphereBase(ExactMetric):
         return (r * math.cos(phi), r * math.sin(phi))
 
     def _loc(self, r1, r2, a):
-        """Spherical law of cosines with azimuth separation a (capped at pi)."""
+        """Haversine distance with azimuth separation a (capped at pi).
+
+        Unlike the spherical law of cosines it keeps its relative
+        accuracy at short range.
+        """
         a = min(a, math.pi)
-        cd = math.cos(r1) * math.cos(r2) + math.sin(r1) * math.sin(r2) * math.cos(a)
-        return math.acos(_clamp1(cd))
+        h = (math.sin(0.5 * abs(r1 - r2)) ** 2
+             + math.sin(r1) * math.sin(r2) * math.sin(0.5 * a) ** 2)
+        return 2.0 * math.asin(min(1.0, math.sqrt(h)))
 
     def _azimuth_sep(self, p, q):
         d = wrap_angle(q[1] - p[1], self.wrap_length)

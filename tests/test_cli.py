@@ -194,6 +194,9 @@ BAD_INPUT = {
         ["tight-image", "--space", "{cone}", "--p", "1.2,0.4",
          "--function", '{{"op":"dist","q":"1,0"}}', "--samples", "0"], "support test"),
     "suite_unknown_criterion": (["suite", "--quick", "--only", "99"], "criterion"),
+    "develop_zero_length": (
+        ["develop", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+         "--length", "0", "--p", "0.5,0.3"], "samples"),
 }
 
 # A negative eps can make the search run forever, so these run in a child
@@ -237,3 +240,16 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "step" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_detect_extremal_on_a_branched_edge_exits_2(self, tmp_path, capsys):
+        # three triangles share the edge 0-1, so the surface is not a manifold
+        p = tmp_path / "fin.json"
+        p.write_text(json.dumps({
+            "type": "mesh", "triangles": [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+            "coords": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]]}))
+        rc = main(["detect-extremal", "--space", str(p),
+                   "--prefix", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "more than two faces" in err
+        assert len(err.strip().splitlines()) == 1

@@ -79,7 +79,7 @@ class TestWalks:
         import numpy as np
 
         src = t.pos2(p)
-        tgt = t.charts[0][0]
+        tgt = np.array([t.charts[0][0].real, t.charts[0][0].imag])
         d = float(np.linalg.norm(tgt - src))
         u = (tgt - src) / d
         ang = t.chart_angle_of_dir(p, 0, u)
@@ -186,7 +186,7 @@ def _total_angle(mesh, v):
         if v in f:
             c = f.index(v)
             u, w = ch[(c + 1) % 3] - ch[c], ch[(c + 2) % 3] - ch[c]
-            total += math.acos(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+            total += math.acos((u.conjugate() * w).real / (abs(u) * abs(w)))
     return total
 
 
@@ -247,3 +247,79 @@ class TestDeeperMeshes:
                 assert dirs
                 for ang in dirs:
                     assert t.distance(t.walk(p, ang, d).end, q) <= 1e-7
+
+
+def _planar(faces, xy):
+    """Flat mesh of the given faces over 2-D vertices, and a point locator."""
+    xy = np.asarray(xy, dtype=float)
+    mesh = MeshSpace(faces, coords=np.column_stack([xy, np.zeros(len(xy))]))
+
+    def locate(x, y):
+        # barycentrics in the face order the mesh keeps after orienting
+        for fi, f in enumerate(mesh.faces):
+            a, b, c = xy[list(f)]
+            T = np.column_stack([a - c, b - c])
+            l0, l1 = np.linalg.solve(T, np.array([x, y]) - c)
+            bary = (float(l0), float(l1), float(1.0 - l0 - l1))
+            if min(bary) >= -1e-12:
+                return MeshPoint(fi, tuple(max(t, 0.0) for t in bary))
+        raise AssertionError(f"({x}, {y}) lies in no face")
+
+    return mesh, locate
+
+
+# a unit square fanned from its centre, vertex 4
+_FAN_SQUARE = ([(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0)],
+               [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
+# a unit square with vertex 4 at the midpoint of its bottom edge
+_SPLIT_SQUARE = ([(0, 4, 3), (4, 2, 3), (4, 1, 2)],
+                 [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0)])
+# [0,2]x[0,1] and [0,1]x[1,2]: vertex 4 is the reflex corner (angle 3pi/2)
+_L_SHAPE = ([(0, 1, 4), (0, 4, 7), (1, 2, 3), (1, 3, 4), (7, 4, 5), (7, 5, 6)],
+            [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)])
+
+
+class TestPassThroughRouting:
+    """Shortest paths through flat, straight-boundary and reflex vertices."""
+
+    @pytest.mark.parametrize("shape, pass_through, p, q, exact", [
+        # along the diagonal, on the fan edges through the centre
+        (_FAN_SQUARE, [4], (0.1, 0.1), (0.8, 0.8), 0.7 * math.sqrt(2.0)),
+        # across the centre from one face to the opposite one
+        (_FAN_SQUARE, [4], (0.2, 0.4), (0.8, 0.6), math.sqrt(0.4)),
+        # along the bottom edge, over its midpoint
+        (_SPLIT_SQUARE, [4], (0.2, 0.0), (0.9, 0.0), 0.7),
+        # around the reflex corner (1, 1); vertices 1 and 7 are straight
+        (_L_SHAPE, [1, 4, 7], (1.8, 0.5), (0.5, 1.8), 2.0 * math.sqrt(0.89)),
+    ])
+    def test_distance_through_a_vertex(self, shape, pass_through, p, q, exact):
+        mesh, locate = _planar(*shape)
+        assert mesh.pass_through == pass_through
+        p, q = locate(*p), locate(*q)
+        assert mesh.distance_with_error(p, q) == (pytest.approx(exact, abs=1e-12), 0.0)
+        assert mesh.distance_with_error(q, p)[0] == pytest.approx(exact, abs=1e-12)
+        (d, err), = mesh.distances_from(p, [q])
+        assert d == pytest.approx(exact, abs=1e-12) and err == 0.0
+
+    @pytest.mark.parametrize("build, seed", [(_octahedron, 21), (_icosahedron, 22),
+                                             (_tetrahedron, 23), (_tetrahedron, 24)])
+    def test_cone_points_route_nothing(self, build, seed):
+        rng = np.random.default_rng(seed)
+        mesh, _ = build(rng)
+        assert mesh.pass_through == []
+        for _ in range(2):
+            p = mesh.random_point(rng)
+            qs = [mesh.random_point(rng) for _ in range(5)]
+            qs += [mesh.point_at_vertex(v) for v in range(mesh.nv)]
+            for q, many in zip(qs, mesh.distances_from(p, qs)):
+                # equal up to the rounding of the unfolded chain that wins
+                assert many == pytest.approx(mesh.distance_with_error(p, q), abs=1e-12)
+
+    def test_regular_tetrahedron_routes_nothing(self):
+        t = regular_tetrahedron()
+        assert t.pass_through == []
+        rng = np.random.default_rng(25)
+        p = t.random_point(rng)
+        qs = [t.random_point(rng) for _ in range(5)] + [t.point_at_vertex(v) for v in range(4)]
+        for q, many in zip(qs, t.distances_from(p, qs)):
+            assert many == pytest.approx(t.distance_with_error(p, q), abs=1e-12)

@@ -142,6 +142,22 @@ class TestSpindleCap:
         back = s.walk(w.end, w.back_angle, 0.9)
         assert s.distance(back.end, p) < 1e-9
 
+    @pytest.mark.parametrize("h", [1e-9, 3e-9, 1e-8])
+    @pytest.mark.parametrize("space", [SpindleSpace(4.0), CapSpace(1.2)],
+                             ids=["spindle", "cap"])
+    def test_short_distances_keep_relative_accuracy(self, space, h):
+        p = (0.8, 1.0)
+        # radial and angular neighbours, with the separations as stored
+        q = (0.8 + h, 1.0)
+        assert space.distance(p, q) == pytest.approx(q[0] - p[0], rel=1e-12)
+        q = (0.8, 1.0 + h / math.sin(0.8))
+        exact = 2.0 * math.asin(math.sin(0.8) * math.sin(0.5 * (q[1] - p[1])))
+        assert space.distance(p, q) == pytest.approx(exact, rel=1e-12)
+        # walks in assorted directions, up to the rounding of their end points
+        for ang in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
+            end = space.walk(p, ang, h).end
+            assert space.distance(p, end) == pytest.approx(h, rel=1e-6)
+
     def test_cap_boundary_arc(self):
         c = CapSpace(0.8)
         assert c.sigma_at((0.8, 0.3)).is_arc
