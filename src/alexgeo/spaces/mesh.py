@@ -887,9 +887,12 @@ class MeshSpace:
         dirs = self.directions_to(p, q)
         if not dirs:
             raise SpaceError("no geodesic direction found")
+        # a direction within the length tolerance of a minimizer can run into
+        # a vertex, where walks stop: take one whose walk covers all of d
+        ang = next((a for a in dirs if self.walk(p, a, d).traveled >= d - 1e-9), dirs[0])
         pts = [p]
         for i in range(1, n):
-            w = self.walk(p, dirs[0], d * i / (n - 1))
+            w = self.walk(p, ang, d * i / (n - 1))
             pts.append(w.end)
         return pts
 

@@ -301,6 +301,16 @@ class TestPassThroughRouting:
         (d, err), = mesh.distances_from(p, [q])
         assert d == pytest.approx(exact, abs=1e-12) and err == 0.0
 
+    @pytest.mark.parametrize("offset", [3e-5, -3e-5])
+    def test_geodesic_passing_near_a_flat_vertex(self, offset):
+        # the bent route through the centre is within the 1e-7 length
+        # tolerance of the straight path, so directions_to returns both
+        mesh, locate = _planar(*_FAN_SQUARE)
+        p, q = locate(0.2, 0.4), locate(0.8, 0.6 + 2.0 * offset)
+        assert len(mesh.directions_to(p, q)) == 2
+        end = mesh.geodesic_points(p, q, 5)[-1]
+        assert mesh.distance(end, q) < 1e-9
+
     @pytest.mark.parametrize("build, seed", [(_octahedron, 21), (_icosahedron, 22),
                                              (_tetrahedron, 23), (_tetrahedron, 24)])
     def test_cone_points_route_nothing(self, build, seed):
