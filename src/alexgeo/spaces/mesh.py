@@ -699,13 +699,13 @@ class MeshSpace:
         best = {}
         if src_vertex in target_vertices:
             best[("vx", src_vertex)] = 0.0
-        limit = math.inf
+        limit = upper_cap - 1e-12
 
         def set_limit():
             # prune at the worst target once every target has a path
             nonlocal limit
-            worst = max(best.values()) if len(best) == n_keys else math.inf
-            limit = min(worst, upper_cap) - 1e-12
+            if len(best) == n_keys:
+                limit = min(max(best.values()), upper_cap) - 1e-12
 
         def keep(lb):
             return lb < limit
@@ -715,8 +715,7 @@ class MeshSpace:
 
         def hit(key, d, face, seg):
             best[key] = d
-            if len(best) == n_keys:
-                set_limit()
+            set_limit()
 
         set_limit()
         return best, self._unfold(p, targets, keep, want, hit)
