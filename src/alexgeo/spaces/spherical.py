@@ -40,10 +40,10 @@ class _SphereBase(ExactMetric):
         Unlike the spherical law of cosines it keeps its relative
         accuracy at short range.
         """
-        a = min(a, math.pi)
-        h = (math.sin(0.5 * abs(r1 - r2)) ** 2
-             + math.sin(r1) * math.sin(r2) * math.sin(0.5 * a) ** 2)
-        return 2.0 * math.asin(min(1.0, math.sqrt(h)))
+        s = math.sin(0.5 * (r1 - r2))
+        t = math.sin(0.5 * min(a, math.pi))
+        h = s * s + math.sin(r1) * math.sin(r2) * t * t
+        return 2.0 * math.asin(math.sqrt(h)) if h < 1.0 else math.pi
 
     def _azimuth_sep(self, p, q):
         d = wrap_angle(q[1] - p[1], self.wrap_length)
