@@ -312,7 +312,8 @@ class TestPassThroughRouting:
         assert mesh.distance(end, q) < 1e-9
 
     @pytest.mark.parametrize("build, seed", [(_octahedron, 21), (_icosahedron, 22),
-                                             (_tetrahedron, 23), (_tetrahedron, 24)])
+                                             (_tetrahedron, 23), (_tetrahedron, 24),
+                                             (lambda rng: (regular_tetrahedron(), None), 25)])
     def test_cone_points_route_nothing(self, build, seed):
         rng = np.random.default_rng(seed)
         mesh, _ = build(rng)
@@ -324,12 +325,3 @@ class TestPassThroughRouting:
             for q, many in zip(qs, mesh.distances_from(p, qs)):
                 # equal up to the rounding of the unfolded chain that wins
                 assert many == pytest.approx(mesh.distance_with_error(p, q), abs=1e-12)
-
-    def test_regular_tetrahedron_routes_nothing(self):
-        t = regular_tetrahedron()
-        assert t.pass_through == []
-        rng = np.random.default_rng(25)
-        p = t.random_point(rng)
-        qs = [t.random_point(rng) for _ in range(5)] + [t.point_at_vertex(v) for v in range(4)]
-        for q, many in zip(qs, t.distances_from(p, qs)):
-            assert many == pytest.approx(t.distance_with_error(p, q), abs=1e-12)
