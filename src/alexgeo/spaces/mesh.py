@@ -19,8 +19,12 @@ length >= pi (a straight or reflex boundary vertex), never through a
 cone point.  The load collects these pass-through vertices, and
 distances combine the engine with a Dijkstra pass over legs routed
 through them alone; a surface without any, such as a closed convex
-polyhedron, needs no vertex search at all.  A subdivision graph
-Dijkstra provides an independent upper-bound certificate on demand.
+polyhedron, needs no vertex search at all.  This is exact only while the
+depth cutoff hides no path shorter than the result: where it may, the
+distance falls back to routes through every vertex, which are never
+shortest but realizable, so the result stays finite with a nonzero
+certified error.  A subdivision graph Dijkstra provides an independent
+upper-bound certificate on demand.
 """
 from __future__ import annotations
 
@@ -89,6 +93,7 @@ class MeshSpace:
             if self.cone_angle_at_vertex(v)
             >= (math.pi if self.vertex_boundary[v] else TWO_PI) - 1e-9
         ]
+        self._every_vertex = sorted(self.fans)
         self._vv_cache = None
         self._pv_cache = {}
         self._dist_cache = {}
@@ -283,15 +288,13 @@ class MeshSpace:
         z = self._pos(self.validate_point(p))
         return np.array([z.real, z.imag])
 
-    def _bary(self, face, z):
+    def bary(self, face, z):
+        """The point of `face` at chart position z, a complex number."""
         a, b, c = self.charts[face]
         u, v, r = a - c, b - c, z - c
         det = _cross(u, v)
         l0, l1 = _cross(r, v) / det, _cross(u, r) / det
         return MeshPoint(face, (l0, l1, 1.0 - l0 - l1))
-
-    def bary(self, face, xy):
-        return self._bary(face, complex(float(xy[0]), float(xy[1])))
 
     def point_at_vertex(self, v):
         fi, c = self.fans[v][0][0]
@@ -362,11 +365,7 @@ class MeshSpace:
         return cmath.phase(ch[(e + 1) % 3] - ch[e])
 
     def chart_angle_of_dir(self, p, face, d):
-        """Sigma coordinate at p of the chart direction d given in `face`."""
-        return self._chart_angle(p, face, complex(float(d[0]), float(d[1])))
-
-    def _chart_angle(self, p, face, d):
-        """chart_angle_of_dir with the direction d as a complex number."""
+        """Sigma coordinate at p of the chart direction d (complex) in `face`."""
         kind = self.classify(p)
         if kind[0] == "interior":
             if face != kind[1]:
@@ -393,13 +392,8 @@ class MeshSpace:
                 return out if self.vertex_boundary[v] else wrap_angle(out, L)
         raise SpaceError("direction face not incident to vertex")
 
-    def dir_of_chart_angle(self, p, angle):
-        """Inverse of chart_angle_of_dir: (face, unit chart vector)."""
-        face, d = self._chart_dir(p, angle)
-        return face, np.array([d.real, d.imag])
-
     def _chart_dir(self, p, angle):
-        """dir_of_chart_angle with the unit vector as a complex number."""
+        """Inverse of chart_angle_of_dir: (face, unit chart vector as complex)."""
         kind = self.classify(p)
         if kind[0] == "interior":
             return kind[1], cmath.rect(1.0, angle)
@@ -443,15 +437,15 @@ class MeshSpace:
                 raise SpaceError("walk failed to find an exit edge")
             t_exit, e_exit = hit
             if remaining <= t_exit:
-                end = self._bary(face, pos + remaining * d)
+                end = self.bary(face, pos + remaining * d)
                 v_hit = self.vertex_of_point(end)
                 if v_hit is not None:
                     end = self.point_at_vertex(v_hit)
-                    back = self._chart_angle(end, face, -d)
+                    back = self.chart_angle_of_dir(end, face, -d)
                     return WalkResult(end, traveled + remaining, back,
                                       self.sigma_at(end), event="vertex",
                                       event_ref=v_hit)
-                back = self._chart_angle(end, face, -d)
+                back = self.chart_angle_of_dir(end, face, -d)
                 return WalkResult(end, traveled + remaining, back, self.sigma_at(end))
             cross_pos = pos + t_exit * d
             a = self.charts[face][e_exit]
@@ -461,13 +455,13 @@ class MeshSpace:
                 if abs(cross_pos - cpos) <= snap:
                     v = self.faces[face][corner]
                     end = self.point_at_vertex(v)
-                    back = self._chart_angle(end, face, -d)
+                    back = self.chart_angle_of_dir(end, face, -d)
                     return WalkResult(end, traveled + abs(cpos - pos), back,
                                       self.sigma_at(end), event="vertex", event_ref=v)
             nb = self.nbr[face][e_exit]
             if nb is None:
-                end = self._bary(face, cross_pos)
-                back = self._chart_angle(end, face, -d)
+                end = self.bary(face, cross_pos)
+                back = self.chart_angle_of_dir(end, face, -d)
                 return WalkResult(end, traveled + t_exit, back, self.sigma_at(end),
                                   event="boundary")
             rot, shift = self.crossing(face, e_exit)
@@ -661,7 +655,9 @@ class MeshSpace:
                 if clipped is None:
                     continue
                 if abs(clipped[1] - clipped[0]) < 1e-12:
-                    continue  # window pinched at a vertex: vertex routing covers it
+                    # window pinched at a vertex: routing covers a pass-through
+                    # vertex, and no shortest path crosses a cone vertex
+                    continue
                 lb2 = self._seg_dist(src, clipped[0], clipped[1])
                 if keep(lb2):
                     r2, s2 = self._g_to_f(fi, e)
@@ -724,14 +720,19 @@ class MeshSpace:
         p = self.validate_point(p)
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
 
-    def point_vertex_dists(self, p):
-        """Cached vertex-avoiding distances from p to every pass-through vertex."""
-        key = self._point_key(p)
+    def point_vertex_dists(self, p, every=False):
+        """Cached vertex-avoiding distances from p to every pass-through vertex.
+
+        With `every`, to every vertex: the fallback routing when the depth
+        cutoff binds.  Returns ({vertex: distance}, unresolved).
+        """
+        key = (self._point_key(p), every)
         hit = self._pv_cache.get(key)
         if hit is not None:
             return hit
-        best, un = self._bnb(p, target_vertices=self.pass_through)
-        out = ({v: best.get(("vx", v), math.inf) for v in self.pass_through}, un)
+        vertices = self._every_vertex if every else self.pass_through
+        best, un = self._bnb(p, target_vertices=vertices)
+        out = ({v: best.get(("vx", v), math.inf) for v in vertices}, un)
         if len(self._pv_cache) > 4096:
             self._pv_cache.clear()
         self._pv_cache[key] = out
@@ -748,9 +749,8 @@ class MeshSpace:
             return
         self._vv_cache = {}
         direct = {}
-        every = sorted(self.fans)
-        for v in every:
-            best, _ = self._bnb(self.point_at_vertex(v), target_vertices=every)
+        for v in self._every_vertex:
+            best, _ = self._bnb(self.point_at_vertex(v), target_vertices=self._every_vertex)
             for (_, w), d in best.items():
                 if w != v:
                     key = (min(v, w), max(v, w))
@@ -787,7 +787,32 @@ class MeshSpace:
                 routed = min(routed, dp + leg + dq)
         return routed
 
-    def distance_with_error(self, p, q):
+    def _via_vertices(self, direct, un, dp, dq):
+        """(length, unresolved) of the better of a direct path and vertex routes.
+
+        `dp` is p's (vertex distances, unresolved) and `dq()` gives q's; it
+        is called only when some vertex is nearer to p than q is, since
+        vertex routing cannot matter otherwise.
+        """
+        dp_map, un_p = dp
+        un = min(un, un_p)
+        if direct <= min(dp_map.values(), default=math.inf) + 1e-15:
+            return direct, un
+        dq_map, un_q = dq()
+        return min(direct, self._routed(dp_map, dq_map)), min(un, un_q)
+
+    @staticmethod
+    def _cut(d, un):
+        """Whether the depth cutoff may hide a shorter path than d.
+
+        Pass-through routing is exact only when the search is: a path that
+        the cutoff hid may be the shortest one, and then routes through cone
+        vertices, never shortest but realizable, still bound the distance.
+        """
+        return un < d or d == math.inf
+
+    def _distance(self, p, q):
+        """(length, certified error, whether the routes run through every vertex)."""
         p, q = self.validate_point(p), self.validate_point(q)
         key = (self._point_key(p), self._point_key(q))
         hit = self._dist_cache.get(key)
@@ -795,20 +820,24 @@ class MeshSpace:
             return hit
         best, un_p = self._bnb(p, target_points=[q])
         direct = best.get(("pt", 0), math.inf)
-        dp_map, un_p2 = self.point_vertex_dists(p)
-        # vertex routing can only matter when some vertex is nearer than q
-        if direct <= min(dp_map.values(), default=math.inf) + 1e-15:
-            d, un = direct, min(un_p, un_p2)
-        else:
-            dq_best, un_q = self._bnb(q, target_vertices=self.pass_through,
-                                      upper_cap=direct)
-            dq_map = {v: dq_best.get(("vx", v), math.inf) for v in self.pass_through}
-            d = min(direct, self._routed(dp_map, dq_map))
-            un = min(un_p, un_p2, un_q)
+        for every in (False, True):
+            vertices = self._every_vertex if every else self.pass_through
+
+            def dq():
+                dq_best, un_q = self._bnb(q, target_vertices=vertices, upper_cap=direct)
+                return {v: dq_best.get(("vx", v), math.inf) for v in vertices}, un_q
+
+            d, un = self._via_vertices(direct, un_p, self.point_vertex_dists(p, every), dq)
+            if not self._cut(d, un):
+                break
         err = max(0.0, d - un) if un < d else 0.0
         if len(self._dist_cache) > 16384:
             self._dist_cache.clear()
-        self._dist_cache[key] = (d, err)
+        self._dist_cache[key] = (d, err, every)
+        return d, err, every
+
+    def distance_with_error(self, p, q):
+        d, err, _ = self._distance(p, q)
         return d, err
 
     def distance(self, p, q):
@@ -819,17 +848,16 @@ class MeshSpace:
         targets = [self.validate_point(q) for q in targets]
         best, un_p = self._bnb(p, target_points=targets,
                                target_vertices=self.pass_through)
-        dp_map = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
-        near_v = min(dp_map.values(), default=math.inf)
+        dp = ({v: best.get(("vx", v), math.inf) for v in self.pass_through}, un_p)
         out = []
         for i, q in enumerate(targets):
             direct = best.get(("pt", i), math.inf)
-            if direct <= near_v + 1e-15:
-                d, un = direct, un_p
-            else:
-                dq_map, un_q = self.point_vertex_dists(q)
-                d = min(direct, self._routed(dp_map, dq_map))
-                un = min(un_p, un_q)
+            d, un = self._via_vertices(direct, un_p, dp,
+                                       lambda: self.point_vertex_dists(q))
+            if self._cut(d, un):
+                d, un = self._via_vertices(
+                    direct, un_p, self.point_vertex_dists(p, every=True),
+                    lambda: self.point_vertex_dists(q, every=True))
             out.append((d, max(0.0, d - un) if un < d else 0.0))
         return out
 
@@ -837,11 +865,11 @@ class MeshSpace:
     def directions_to(self, p, q, tol=1e-7):
         """Sigma chart angles at p of minimizing first segments toward q."""
         p, q = self.validate_point(p), self.validate_point(q)
-        d0, _ = self.distance_with_error(p, q)
+        d0, _, every = self._distance(p, q)
         dirs = self._funnel_directions(p, q, d0, tol)
-        dp_map, _ = self.point_vertex_dists(p)
+        dp_map, _ = self.point_vertex_dists(p, every)
         if d0 + tol >= min(dp_map.values(), default=math.inf):
-            dq_map, _ = self.point_vertex_dists(q)
+            dq_map, _ = self.point_vertex_dists(q, every)
             self._ensure_vv()
             for v, dp in dp_map.items():
                 if dp <= 1e-12:
@@ -873,7 +901,7 @@ class MeshSpace:
             return d <= dmax + tol and d > 1e-15
 
         def hit(key, d, face, seg):
-            dirs.append(self._chart_angle(p, face, seg / d))
+            dirs.append(self.chart_angle_of_dir(p, face, seg / d))
 
         self._unfold(p, targets, lambda lb: lb <= dmax + tol, want, hit)
         return dirs

@@ -76,13 +76,9 @@ class TestWalks:
     def test_endpoint_vertex_snap(self):
         t = regular_tetrahedron()
         p = t.validate_point((0, (0.4, 0.35, 0.25)))
-        import numpy as np
-
-        src = t.pos2(p)
-        tgt = np.array([t.charts[0][0].real, t.charts[0][0].imag])
-        d = float(np.linalg.norm(tgt - src))
-        u = (tgt - src) / d
-        ang = t.chart_angle_of_dir(p, 0, u)
+        u = t.charts[0][0] - complex(*t.pos2(p))
+        d = abs(u)
+        ang = t.chart_angle_of_dir(p, 0, u / d)
         w = t.walk(p, ang, d)
         assert w.event == "vertex" and w.event_ref == 0
 
@@ -119,8 +115,7 @@ class TestIntrinsicConstruction:
     def test_point_roundtrip(self):
         t = regular_tetrahedron()
         p = t.validate_point((2, (0.25, 0.3, 0.45)))
-        xy = t.pos2(p)
-        back = t.bary(2, xy)
+        back = t.bary(2, complex(*t.pos2(p)))
         assert back.bary == pytest.approx(p.bary)
 
 
@@ -325,3 +320,31 @@ class TestPassThroughRouting:
             for q, many in zip(qs, mesh.distances_from(p, qs)):
                 # equal up to the rounding of the unfolded chain that wins
                 assert many == pytest.approx(mesh.distance_with_error(p, q), abs=1e-12)
+
+
+class TestDepthCutoff:
+    """Distances stay finite and certified where the cutoff hides every straight path."""
+
+    @pytest.mark.parametrize("max_depth", [1, 2])
+    def test_opposite_faces_of_an_octahedron(self, max_depth):
+        # the faces are one vertex from each antipodal pair, so face 7 - i is
+        # opposite face i, and no vertex of the octahedron is pass-through
+        coords = np.array([s * e for e in np.eye(3) for s in (1.0, -1.0)])
+        faces = list(itertools.product((0, 1), (2, 3), (4, 5)))
+        cut = MeshSpace(faces, coords=coords, max_depth=max_depth)
+        full = MeshSpace(faces, coords=coords)
+        assert cut.pass_through == []
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            p = cut.random_point(rng)
+            q = MeshPoint(7 - p.face, cut.random_point(rng).bary)
+            exact, exact_err = full.distance_with_error(p, q)
+            assert exact_err == 0.0
+            # routes through cone vertices bound the distance from above
+            d, err = cut.distance_with_error(p, q)
+            assert math.isfinite(d) and err > 0.0
+            assert d - err <= exact + 1e-12 and exact <= d + 1e-12
+            (d_many, err_many), = cut.distances_from(p, [q])
+            assert d_many == pytest.approx(d, abs=1e-12) and err_many > 0.0
+            assert cut.directions_to(p, q)
+            assert len(cut.geodesic_points(p, q, 5)) == 5

@@ -26,11 +26,8 @@ PLANE = ConeSpace(2 * math.pi)
 
 def aim_at_vertex(mesh, p, vertex):
     p = mesh.validate_point(p)
-    src = mesh.pos2(p)
-    z = mesh.charts[p.face][mesh.faces[p.face].index(vertex)]
-    u = np.array([z.real, z.imag]) - src
-    u = u / np.linalg.norm(u)
-    return mesh.chart_angle_of_dir(p, p.face, u)
+    u = mesh.charts[p.face][mesh.faces[p.face].index(vertex)] - complex(*mesh.pos2(p))
+    return mesh.chart_angle_of_dir(p, p.face, u / abs(u))
 
 
 class TestTracer:
