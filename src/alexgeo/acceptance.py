@@ -311,20 +311,25 @@ def _c10_tight_maps(quick):
 
 
 def _c11_entropy_decay(quick):
-    cone = ConeSpace(1.5 * math.pi)
-    totals = []
-    for eps in (0.1, 0.05, 0.025):
-        _, ent = build_prequasigeodesic(cone, (1.0, 0.0), math.pi, eps, 2.5)
-        totals.append(abs(ent.total))
+    # on the 1.5pi cone the ledger is empty at every eps; aimed 0.05 rad
+    # past the apex of the 0.8pi cone, it has atoms at the coarsest eps
+    configs = [("cone 1.5pi", ConeSpace(1.5 * math.pi), math.pi, (0.1, 0.05, 0.025)),
+               ("cone 0.8pi", ConeSpace(0.8 * math.pi), math.pi - 0.05, (0.2, 0.1, 0.05))]
     floor = 1e-9
-    non_increasing = totals[0] >= totals[1] - floor and totals[1] >= totals[2] - floor
-    ratio_ok = (totals[1] <= 0.7 * totals[0] + floor
-                and totals[2] <= 0.7 * totals[1] + floor)
-    vanishes = totals[2] <= floor
-    ok = non_increasing and ratio_ok and vanishes
-    return ok, (f"|entropy| across eps {[f'{t:.2e}' for t in totals]}: non-increasing "
-                f"{non_increasing}, ratio<0.7 (with 1e-9 floor) {ratio_ok}, "
-                f"extrapolates to 0: {vanishes}")
+    ok, parts = True, []
+    for name, cone, xi, epss in configs:
+        ents = [build_prequasigeodesic(cone, (1.0, 0.0), xi, eps, 2.5)[1] for eps in epss]
+        totals = [abs(e.total) for e in ents]
+        pairs = list(zip(totals, totals[1:]))
+        non_increasing = all(b >= c - floor for b, c in pairs)
+        ratio_ok = all(c <= 0.7 * b + floor for b, c in pairs)
+        vanishes = totals[-1] <= floor
+        ok = ok and non_increasing and ratio_ok and vanishes
+        parts.append(f"{name} |entropy| across eps {list(epss)} "
+                     f"{[f'{t:.2e}' for t in totals]} ({[len(e.atoms) for e in ents]} "
+                     f"atoms): non-increasing {non_increasing}, ratio<0.7 (with 1e-9 "
+                     f"floor) {ratio_ok}, extrapolates to 0: {vanishes}")
+    return ok, "; ".join(parts)
 
 
 _CRITERIA = [

@@ -170,8 +170,6 @@ def cmd_distance(args):
     q = parse_point(space, args.q)
     d, err = space.distance_with_error(p, q)
     print(f"{d:.6f}")
-    if err > 0:
-        print(f"certified error bound: {err:.3e}", file=sys.stderr)
     _emit(args, {"distance": d, "error_bound": err})
     return 0
 
@@ -424,7 +422,7 @@ def build_parser():
             p.add_argument("--dir", required=True,
                            help="direction angle (accepts api/b literals)")
 
-    p = sub.add_parser("distance", help="distance with certified error bound")
+    p = sub.add_parser("distance", help="distance between two points")
     common(p, point_q=True)
     p.add_argument("--p", required=True)
     p.set_defaults(fn=cmd_distance)

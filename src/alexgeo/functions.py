@@ -143,37 +143,26 @@ def expr_leaves(expr):
 
 # -- evaluation ----------------------------------------------------------
 def evaluate(expr, space, p):
-    return evaluate_with_error(expr, space, p)[0]
-
-
-def evaluate_with_error(expr, space, p):
-    """Value plus a conservative bound from certified distance errors."""
     if isinstance(expr, Dist):
-        return space.distance_with_error(expr.q, p)
+        return space.distance(expr.q, p)
     if isinstance(expr, DistSq):
-        d, e = space.distance_with_error(expr.q, p)
-        return d * d, e * (2.0 * d + e)
+        d = space.distance(expr.q, p)
+        return d * d
     if isinstance(expr, RhoDist):
-        d, e = space.distance_with_error(expr.q, p)
-        return model_plane.rho(expr.kappa, d), e * abs(model_plane.sigma(expr.kappa, d)) + e * e
+        return model_plane.rho(expr.kappa, space.distance(expr.q, p))
     if isinstance(expr, PhiRC):
-        d, e = space.distance_with_error(expr.q, p)
-        return expr.phi(d), e * (abs(expr.dphi(d)) + e * expr.c / expr.r)
+        return expr.phi(space.distance(expr.q, p))
     if isinstance(expr, Affine):
-        v, err = expr.constant, 0.0
+        v = expr.constant
         for w, t in zip(expr.weights, expr.terms):
-            tv, te = evaluate_with_error(t, space, p)
-            v += w * tv
-            err += abs(w) * te
-        return v, err
+            v += w * evaluate(t, space, p)
+        return v
     if isinstance(expr, MinExpr):
-        pairs = [evaluate_with_error(t, space, p) for t in expr.terms]
-        v = min(v for v, _ in pairs)
-        return v, max(e for _, e in pairs)
+        return min(evaluate(t, space, p) for t in expr.terms)
     if isinstance(expr, BoundaryDist):
-        return _boundary_dist(space, p), 0.0
+        return _boundary_dist(space, p)
     if callable(expr):
-        return float(expr(space, p)), 0.0
+        return float(expr(space, p))
     raise ExprError(f"cannot evaluate {expr!r}")
 
 

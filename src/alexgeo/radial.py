@@ -48,14 +48,11 @@ class RadialStepper:
     """
 
     def __init__(self, space, p, xi_angle, kappa=0, tol_stop=1e-8,
-                 check_every=None, stop_at_vertex=False):
+                 stop_at_vertex=False):
         self.space = space
         self.p = space.validate_point(p)
         self.kappa = kappa
         self.tol_stop = tol_stop
-        if check_every is None:
-            check_every = 5 if space.variant == "mesh" else 1
-        self.check_every = check_every
         self.stop_at_vertex = stop_at_vertex
         self.at_vertex = False
         self.t = 0.0
@@ -64,16 +61,14 @@ class RadialStepper:
         self.regime = "geo"
         self.stopped = False
         self.events = []
-        self._steps_since_check = 0
         self._dist_expr = Dist(q=self.p)
 
     def snapshot(self):
         return (self.t, self.cur, self.fwd, self.regime, self.stopped,
-                self.at_vertex, len(self.events), self._steps_since_check)
+                self.at_vertex, len(self.events))
 
     def restore(self, snap):
-        (self.t, self.cur, self.fwd, self.regime, self.stopped,
-         self.at_vertex, n_events, self._steps_since_check) = snap
+        self.t, self.cur, self.fwd, self.regime, self.stopped, self.at_vertex, n_events = snap
         del self.events[n_events:]
 
     def launch_vector(self):
@@ -132,10 +127,7 @@ class RadialStepper:
         self.cur = w.end
         self.fwd = w.sigma.forward_of_back(w.back_angle)
         self.t += dt
-        self._steps_since_check += 1
-        if self._steps_since_check >= self.check_every:
-            self._steps_since_check = 0
-            self._switch_check()
+        self._switch_check()
         return vec
 
     def _grad_step_cone(self, dt):

@@ -6,7 +6,8 @@ the same queries, so callers need not ask which variant they hold:
 - `validate_point(p)`, `random_point(rng)`, `random_point_near(p, r, rng)`;
 - `distance(p, q)`, `distance_with_error(p, q)` and
   `distances_from(p, targets)`, the last two as `(d, certified error)`
-  pairs (the error is 0 on the closed forms);
+  pairs (the error is 0 on every space: the closed forms and the mesh
+  search are exact);
 - `sigma_at(p)`, `directions_to(p, q)`, `walk(p, angle, length)` and
   `geodesic_points(p, q, n)`;
 - `pos2(p)`, a planar position for plots and flat charts;

@@ -60,15 +60,15 @@ def load_space(description):
         return CapSpace(parse_angle(field("radius")))
     if kind == "mesh":
         tris = field("triangles")
+        # older files may carry a search-depth field: the search is
+        # exhaustive now, and other fields are ignored
         if "coords" in description:
-            return MeshSpace(tris, coords=description["coords"],
-                             max_depth=description.get("max_depth", 12))
+            return MeshSpace(tris, coords=description["coords"])
         lengths = {
             frozenset((int(i), int(j))): float(L)
             for i, j, L in field("edge_lengths")
         }
-        return MeshSpace(tris, edge_lengths=lengths,
-                         max_depth=description.get("max_depth", 12))
+        return MeshSpace(tris, edge_lengths=lengths)
     raise SpaceError(f"unknown space type {kind!r}")
 
 

@@ -6,25 +6,23 @@ cached rigid motion z -> rot * z + shift between the two charts, a
 (unit complex, shift) pair, and a chain of crossings composes these
 pairs.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
 unfolded edge sequences from a source; each accepted candidate is a
-realizable straight path, and pruning keeps the result exact up to the
-depth cutoff, whose lower bound the engine reports.  Distances (`_bnb`)
-and minimizing directions (`_funnel_directions`) are thin callers that
-only choose targets, pruning and what a hit records.
+realizable straight path, and pruning keeps the result exact.  On these
+surfaces of curvature >= 0 a shortest path crosses each edge at most
+once, so the engine never extends a sequence through an edge it already
+crossed, and the enumeration ends without any depth cutoff.  Distances
+(`_bnb`) and minimizing directions (`_funnel_directions`) are thin
+callers that only choose targets, pruning and what a hit records.
 
 The engine finds vertex-avoiding paths.  A shortest path leaves each
-point of its interior in two directions pi apart in Sigma_p, so on these
-surfaces of curvature >= 0 it can pass only through a vertex whose
-Sigma_p is a full 2*pi circle (a flat interior vertex) or an arc of
-length >= pi (a straight or reflex boundary vertex), never through a
-cone point.  The load collects these pass-through vertices, and
-distances combine the engine with a Dijkstra pass over legs routed
-through them alone; a surface without any, such as a closed convex
-polyhedron, needs no vertex search at all.  This is exact only while the
-depth cutoff hides no path shorter than the result: where it may, the
-distance falls back to routes through every vertex, which are never
-shortest but realizable, so the result stays finite with a nonzero
-certified error.  A subdivision graph Dijkstra provides an independent
-upper-bound certificate on demand.
+point of its interior in two directions pi apart in Sigma_p, so it can
+pass only through a vertex whose Sigma_p is a full 2*pi circle (a flat
+interior vertex) or an arc of length >= pi (a straight or reflex
+boundary vertex), never through a cone point.  The load collects these
+pass-through vertices, and distances combine the engine with a Dijkstra
+pass over legs routed through them alone; a surface without any, such
+as a closed convex polyhedron, needs no vertex search at all.  Every
+distance is exact, so its certified error is 0.  A subdivision graph
+Dijkstra provides an independent upper-bound certificate on demand.
 """
 from __future__ import annotations
 
@@ -60,7 +58,7 @@ class MeshSpace:
     variant = "mesh"
     kappa = 0.0
 
-    def __init__(self, triangles, edge_lengths=None, coords=None, max_depth=12):
+    def __init__(self, triangles, edge_lengths=None, coords=None):
         """Build from triangles plus either 3-D coords or intrinsic lengths.
 
         `edge_lengths` maps frozenset({i, j}) -> length.  Interior vertex
@@ -68,7 +66,6 @@ class MeshSpace:
         checked at load).
         """
         self.faces = [tuple(int(i) for i in t) for t in triangles]
-        self.max_depth = max_depth
         nv = max(max(f) for f in self.faces) + 1
         self.nv = nv
         if coords is not None:
@@ -93,7 +90,6 @@ class MeshSpace:
             if self.cone_angle_at_vertex(v)
             >= (math.pi if self.vertex_boundary[v] else TWO_PI) - 1e-9
         ]
-        self._every_vertex = sorted(self.fans)
         self._vv_cache = None
         self._pv_cache = {}
         self._dist_cache = {}
@@ -597,12 +593,9 @@ class MeshSpace:
         `hit(key, d, face, seg)`, with seg the anchor-chart vector (a
         complex number) in `face`.  The caller prunes: the loop stops at
         the first popped state with `not keep(lb)`, and children failing
-        `keep` are never pushed.
-
-        Returns `unresolved`: the smallest lower bound among states cut
-        at depth `max_depth` (inf when none was cut).  Every straight
-        path that the cutoff hid is at least that long, so a result
-        below it misses nothing but what `keep` pruned.
+        `keep` are never pushed.  No edge is crossed twice, so the loop
+        ends after at most one crossing of every edge, and a result
+        misses nothing but what `keep` pruned.
         """
         anchors, src_vertex = self._anchors(p)
         for fi, src in anchors:
@@ -622,14 +615,12 @@ class MeshSpace:
                 w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
                 rot, shift = self._g_to_f(fi, e)
                 heap.append((self._seg_dist(src, w0, w1), len(heap), fi, nb[0],
-                             rot, shift, w0, w1, src, 1, None, self.edge_bits[fi][e]))
+                             rot, shift, w0, w1, src, None, self.edge_bits[fi][e]))
         heapq.heapify(heap)
         counter = len(heap)
-        unresolved = math.inf
         parents = {}
         while heap:
-            (lb, cid, af, fi, rot, shift, w0, w1, src, depth, parent,
-             crossed) = heapq.heappop(heap)
+            lb, cid, af, fi, rot, shift, w0, w1, src, parent, crossed = heapq.heappop(heap)
             if not keep(lb):
                 break
             for key, tp_chart in targets.get(fi, ()):
@@ -637,9 +628,6 @@ class MeshSpace:
                 d = abs(tp - src)
                 if want(key, d) and self._chain_ok(src, tp, (w0, w1), parent, parents):
                     hit(key, d, af, tp - src)
-            if depth >= self.max_depth:
-                unresolved = min(unresolved, lb)
-                continue
             parents[cid] = (parent, w0, w1)
             corners = [rot * z + shift for z in self.charts[fi]]
             for e in range(3):
@@ -664,25 +652,23 @@ class MeshSpace:
                     heapq.heappush(
                         heap,
                         (lb2, counter, af, nb[0], rot * r2, rot * s2 + shift,
-                         clipped[0], clipped[1], src, depth + 1, cid, crossed | bit),
+                         clipped[0], clipped[1], src, cid, crossed | bit),
                     )
                     counter += 1
-        return unresolved
 
     def _bnb(self, p, target_points=(), target_vertices=(), upper_cap=math.inf):
         """Vertex-avoiding path lengths from p, by `_unfold`.
 
-        Returns (best, unresolved) where best maps ("pt", i) / ("vx", v)
-        to path lengths and `unresolved` is the engine's depth-cutoff
-        bound.  Branches at least as long as the worst current target,
-        or as `upper_cap`, are certified irrelevant and pruned.
+        Returns a map from ("pt", i) / ("vx", v) to path lengths.  Branches
+        at least as long as the worst current target, or as `upper_cap`,
+        are certified irrelevant and pruned.
         """
         target_points = [self.validate_point(q) for q in target_points]
         target_vertices = list(target_vertices)
         n_keys = len(target_points) + len(target_vertices)
         if not n_keys:
-            # nothing to find: an unpruned search would run to the cutoff
-            return {}, math.inf
+            # nothing to find: an unpruned search would enumerate every sequence
+            return {}
         src_vertex = self.vertex_of_point(p)
         targets = {}
         for i, q in enumerate(target_points):
@@ -714,25 +700,21 @@ class MeshSpace:
             set_limit()
 
         set_limit()
-        return best, self._unfold(p, targets, keep, want, hit)
+        self._unfold(p, targets, keep, want, hit)
+        return best
 
     def _point_key(self, p):
         p = self.validate_point(p)
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
 
-    def point_vertex_dists(self, p, every=False):
-        """Cached vertex-avoiding distances from p to every pass-through vertex.
-
-        With `every`, to every vertex: the fallback routing when the depth
-        cutoff binds.  Returns ({vertex: distance}, unresolved).
-        """
-        key = (self._point_key(p), every)
+    def point_vertex_dists(self, p):
+        """Cached vertex-avoiding distances from p to every pass-through vertex."""
+        key = self._point_key(p)
         hit = self._pv_cache.get(key)
         if hit is not None:
             return hit
-        vertices = self._every_vertex if every else self.pass_through
-        best, un = self._bnb(p, target_vertices=vertices)
-        out = ({v: best.get(("vx", v), math.inf) for v in vertices}, un)
+        best = self._bnb(p, target_vertices=self.pass_through)
+        out = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
         if len(self._pv_cache) > 4096:
             self._pv_cache.clear()
         self._pv_cache[key] = out
@@ -749,8 +731,9 @@ class MeshSpace:
             return
         self._vv_cache = {}
         direct = {}
-        for v in self._every_vertex:
-            best, _ = self._bnb(self.point_at_vertex(v), target_vertices=self._every_vertex)
+        vertices = sorted(self.fans)
+        for v in vertices:
+            best = self._bnb(self.point_at_vertex(v), target_vertices=vertices)
             for (_, w), d in best.items():
                 if w != v:
                     key = (min(v, w), max(v, w))
@@ -774,114 +757,65 @@ class MeshSpace:
                     key = (min(v, w), max(v, w))
                     self._vv_cache[key] = min(self._vv_cache.get(key, math.inf), d)
 
-    def _routed(self, dp_map, dq_map):
-        self._ensure_vv()
-        routed = math.inf
-        for v, dp in dp_map.items():
-            if not math.isfinite(dp):
-                continue
-            for w, dq in dq_map.items():
-                if not math.isfinite(dq):
-                    continue
-                leg = 0.0 if v == w else self._vv_cache.get((min(v, w), max(v, w)), math.inf)
-                routed = min(routed, dp + leg + dq)
-        return routed
+    def _via_vertices(self, direct, dp_map, dq):
+        """Length of the better of a direct path and pass-through vertex routes.
 
-    def _via_vertices(self, direct, un, dp, dq):
-        """(length, unresolved) of the better of a direct path and vertex routes.
-
-        `dp` is p's (vertex distances, unresolved) and `dq()` gives q's; it
-        is called only when some vertex is nearer to p than q is, since
-        vertex routing cannot matter otherwise.
+        `dp_map` holds p's vertex distances and `dq()` gives q's; it is
+        called only when some vertex is nearer to p than q is, since vertex
+        routing cannot matter otherwise.
         """
-        dp_map, un_p = dp
-        un = min(un, un_p)
         if direct <= min(dp_map.values(), default=math.inf) + 1e-15:
-            return direct, un
-        dq_map, un_q = dq()
-        return min(direct, self._routed(dp_map, dq_map)), min(un, un_q)
+            return direct
+        dq_map = dq()
+        return min([direct] + [dp + self.vertex_distance(v, w) + dq_map[w]
+                               for v, dp in dp_map.items() for w in dq_map])
 
-    @staticmethod
-    def _cut(d, un):
-        """Whether the depth cutoff may hide a shorter path than d.
-
-        Pass-through routing is exact only when the search is: a path that
-        the cutoff hid may be the shortest one, and then routes through cone
-        vertices, never shortest but realizable, still bound the distance.
-        """
-        return un < d or d == math.inf
-
-    def _distance(self, p, q):
-        """(length, certified error, whether the routes run through every vertex)."""
+    def distance(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
         key = (self._point_key(p), self._point_key(q))
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit
-        best, un_p = self._bnb(p, target_points=[q])
-        direct = best.get(("pt", 0), math.inf)
-        for every in (False, True):
-            vertices = self._every_vertex if every else self.pass_through
+        direct = self._bnb(p, target_points=[q]).get(("pt", 0), math.inf)
 
-            def dq():
-                dq_best, un_q = self._bnb(q, target_vertices=vertices, upper_cap=direct)
-                return {v: dq_best.get(("vx", v), math.inf) for v in vertices}, un_q
+        def dq():
+            best = self._bnb(q, target_vertices=self.pass_through, upper_cap=direct)
+            return {v: best.get(("vx", v), math.inf) for v in self.pass_through}
 
-            d, un = self._via_vertices(direct, un_p, self.point_vertex_dists(p, every), dq)
-            if not self._cut(d, un):
-                break
-        err = max(0.0, d - un) if un < d else 0.0
+        d = self._via_vertices(direct, self.point_vertex_dists(p), dq)
         if len(self._dist_cache) > 16384:
             self._dist_cache.clear()
-        self._dist_cache[key] = (d, err, every)
-        return d, err, every
+        self._dist_cache[key] = d
+        return d
 
     def distance_with_error(self, p, q):
-        d, err, _ = self._distance(p, q)
-        return d, err
-
-    def distance(self, p, q):
-        return self.distance_with_error(p, q)[0]
+        return self.distance(p, q), 0.0
 
     def distances_from(self, p, targets):
         """One-to-many distances sharing a single unfolding pass from p."""
         targets = [self.validate_point(q) for q in targets]
-        best, un_p = self._bnb(p, target_points=targets,
-                               target_vertices=self.pass_through)
-        dp = ({v: best.get(("vx", v), math.inf) for v in self.pass_through}, un_p)
+        best = self._bnb(p, target_points=targets, target_vertices=self.pass_through)
+        dp_map = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
         out = []
         for i, q in enumerate(targets):
-            direct = best.get(("pt", i), math.inf)
-            d, un = self._via_vertices(direct, un_p, dp,
-                                       lambda: self.point_vertex_dists(q))
-            if self._cut(d, un):
-                d, un = self._via_vertices(
-                    direct, un_p, self.point_vertex_dists(p, every=True),
-                    lambda: self.point_vertex_dists(q, every=True))
-            out.append((d, max(0.0, d - un) if un < d else 0.0))
+            d = self._via_vertices(best.get(("pt", i), math.inf), dp_map,
+                                   lambda: self.point_vertex_dists(q))
+            out.append((d, 0.0))
         return out
 
     # -- directions and geodesics ------------------------------------------
     def directions_to(self, p, q, tol=1e-7):
         """Sigma chart angles at p of minimizing first segments toward q."""
         p, q = self.validate_point(p), self.validate_point(q)
-        d0, _, every = self._distance(p, q)
+        d0 = self.distance(p, q)
         dirs = self._funnel_directions(p, q, d0, tol)
-        dp_map, _ = self.point_vertex_dists(p, every)
+        dp_map = self.point_vertex_dists(p)
         if d0 + tol >= min(dp_map.values(), default=math.inf):
-            dq_map, _ = self.point_vertex_dists(q, every)
-            self._ensure_vv()
+            dq_map = self.point_vertex_dists(q)
             for v, dp in dp_map.items():
-                if dp <= 1e-12:
-                    continue
-                for w, dq in dq_map.items():
-                    leg = 0.0 if v == w else self._vv_cache.get(
-                        (min(v, w), max(v, w)), math.inf)
-                    if dp + leg + dq <= d0 + tol:
-                        dirs.extend(
-                            self._funnel_directions(p, self.point_at_vertex(v), dp, tol)
-                        )
-                        break
+                if dp > 1e-12 and any(dp + self.vertex_distance(v, w) + dq <= d0 + tol
+                                      for w, dq in dq_map.items()):
+                    dirs.extend(self._funnel_directions(p, self.point_at_vertex(v), dp, tol))
         out = []
         for a in sorted(dirs):
             if not out or abs(a - out[-1]) > 1e-6:
@@ -906,21 +840,50 @@ class MeshSpace:
         self._unfold(p, targets, lambda lb: lb <= dmax + tol, want, hit)
         return dirs
 
+    def _geodesic_legs(self, p, q, d):
+        """(offset, start, angle) legs of a shortest path from p to q of length d.
+
+        Walks stop at every vertex, so a path through pass-through vertices
+        is followed in pieces: when no direction's walk covers the rest, the
+        next leg starts at a vertex where a walk stopped on a shortest route.
+        """
+        legs = []
+        start, off = p, 0.0
+        for _ in range(self.nv + 1):
+            rest = d - off
+            dirs = self.directions_to(start, q)
+            if not dirs:
+                raise SpaceError("no geodesic direction found")
+            walks = []
+            # a direction within the length tolerance of a minimizer can run
+            # into a vertex: take one whose walk covers the rest if any does
+            for a in dirs:
+                w = self.walk(start, a, rest)
+                if w.traveled >= rest - 1e-9:
+                    legs.append((off, start, a))
+                    return legs
+                walks.append((a, w))
+            via = next(((a, w) for a, w in walks
+                        if w.event == "vertex" and w.traveled > 1e-12
+                        and w.traveled + self.distance(w.end, q) <= rest + 1e-7), None)
+            if via is None:
+                legs.append((off, start, dirs[0]))
+                return legs
+            legs.append((off, start, via[0]))
+            start, off = via[1].end, off + via[1].traveled
+        raise SpaceError("geodesic visits more vertices than the mesh has")
+
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
-        d, _ = self.distance_with_error(p, q)
+        d = self.distance(p, q)
         if d < 1e-14:
             return [p] * n
-        dirs = self.directions_to(p, q)
-        if not dirs:
-            raise SpaceError("no geodesic direction found")
-        # a direction within the length tolerance of a minimizer can run into
-        # a vertex, where walks stop: take one whose walk covers all of d
-        ang = next((a for a in dirs if self.walk(p, a, d).traveled >= d - 1e-9), dirs[0])
+        legs = self._geodesic_legs(p, q, d)
         pts = [p]
         for i in range(1, n):
-            w = self.walk(p, ang, d * i / (n - 1))
-            pts.append(w.end)
+            s = d * i / (n - 1)
+            off, start, ang = next(leg for leg in reversed(legs) if leg[0] <= s)
+            pts.append(self.walk(start, ang, s - off).end)
         return pts
 
     def cone_points(self):

@@ -8,6 +8,7 @@ from alexgeo.spaces import (
     MeshPoint,
     SpaceError,
     build_doubling,
+    load_space,
     random_convex_polygon,
     random_tetrahedron,
     regular_tetrahedron,
@@ -186,7 +187,7 @@ def _total_angle(mesh, v):
 
 
 class TestDeeperMeshes:
-    """The unfolding search on meshes where the depth cutoff can bind."""
+    """The unfolding search against chord, graph-bound and walk oracles."""
 
     @pytest.mark.parametrize("build, seed", [(_octahedron, 11), (_icosahedron, 12),
                                              (_doubled_heptagon, 13), (_tetrahedron, 15),
@@ -202,9 +203,8 @@ class TestDeeperMeshes:
             many = mesh.distances_from(p, qs)
             for q, (d_many, err_many) in zip(qs, many):
                 d, err = mesh.distance_with_error(p, q)
-                assert abs(d_many - d) <= max(err, err_many) + 1e-9
-                if build is _tetrahedron:  # the search is exhaustive on 4 faces
-                    assert err == err_many == 0.0
+                assert abs(d_many - d) <= 1e-9
+                assert err == err_many == 0.0
                 assert np.linalg.norm(position(p) - position(q)) <= d + 1e-9
                 assert d <= mesh.graph_upper_bound(p, q) + 1e-9
                 dirs = mesh.directions_to(p, q)
@@ -295,6 +295,13 @@ class TestPassThroughRouting:
         assert mesh.distance_with_error(q, p)[0] == pytest.approx(exact, abs=1e-12)
         (d, err), = mesh.distances_from(p, [q])
         assert d == pytest.approx(exact, abs=1e-12) and err == 0.0
+        # walks stop at the vertex, so the samples follow the path in pieces
+        geo = mesh.geodesic_points(p, q, 5)
+        assert mesh.distance(geo[-1], q) <= 1e-9
+        xy = np.asarray(shape[1], dtype=float)
+        pts = [xy[list(mesh.faces[x.face])].T @ np.array(x.bary) for x in geo]
+        for a, b in zip(pts, pts[1:]):
+            assert np.linalg.norm(b - a) <= d / 4 + 1e-9
 
     @pytest.mark.parametrize("offset", [3e-5, -3e-5])
     def test_geodesic_passing_near_a_flat_vertex(self, offset):
@@ -322,29 +329,73 @@ class TestPassThroughRouting:
                 assert many == pytest.approx(mesh.distance_with_error(p, q), abs=1e-12)
 
 
-class TestDepthCutoff:
-    """Distances stay finite and certified where the cutoff hides every straight path."""
+def _geodesic_sphere(rng, levels):
+    """An icosahedron subdivided `levels` times onto the unit sphere, its
+    vertices then moved radially by up to 0.2%, and its embedding."""
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    pts = []
+    for a, b in itertools.product((1.0, -1.0), repeat=2):
+        pts += [(0.0, a, b * g), (a, b * g, 0.0), (b * g, 0.0, a)]
+    pts = [np.array(x) / np.linalg.norm(x) for x in pts]
+    edge = min(np.linalg.norm(a - b) for a, b in itertools.combinations(pts, 2))
+    faces = [t for t in itertools.combinations(range(12), 3)
+             if all(abs(np.linalg.norm(pts[i] - pts[j]) - edge) < 1e-9
+                    for i, j in itertools.combinations(t, 2))]
+    for _ in range(levels):
+        mids = {}
 
-    @pytest.mark.parametrize("max_depth", [1, 2])
-    def test_opposite_faces_of_an_octahedron(self, max_depth):
-        # the faces are one vertex from each antipodal pair, so face 7 - i is
-        # opposite face i, and no vertex of the octahedron is pass-through
-        coords = np.array([s * e for e in np.eye(3) for s in (1.0, -1.0)])
-        faces = list(itertools.product((0, 1), (2, 3), (4, 5)))
-        cut = MeshSpace(faces, coords=coords, max_depth=max_depth)
-        full = MeshSpace(faces, coords=coords)
-        assert cut.pass_through == []
-        rng = np.random.default_rng(31)
+        def mid(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in mids:
+                x = pts[i] + pts[j]
+                pts.append(x / np.linalg.norm(x))
+                mids[key] = len(pts) - 1
+            return mids[key]
+
+        finer = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            finer += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = finer
+    while True:
+        moved = np.array(pts) * (1.0 + 0.002 * (2.0 * rng.random((len(pts), 1)) - 1.0))
+        try:
+            return _embedded(faces, moved)
+        except SpaceError:
+            continue
+
+
+class TestExactSearch:
+    """The unfolding search is exhaustive: every distance is exact."""
+
+    @pytest.mark.parametrize("levels, seed", [(1, 41), (2, 42)])
+    def test_jittered_geodesic_spheres(self, levels, seed):
+        # 80 and 320 faces: shortest paths cross up to a dozen edges
+        rng = np.random.default_rng(seed)
+        mesh, position = _geodesic_sphere(rng, levels)
+        assert len(mesh.faces) == 20 * 4 ** levels and mesh.pass_through == []
         for _ in range(4):
-            p = cut.random_point(rng)
-            q = MeshPoint(7 - p.face, cut.random_point(rng).bary)
-            exact, exact_err = full.distance_with_error(p, q)
-            assert exact_err == 0.0
-            # routes through cone vertices bound the distance from above
-            d, err = cut.distance_with_error(p, q)
-            assert math.isfinite(d) and err > 0.0
-            assert d - err <= exact + 1e-12 and exact <= d + 1e-12
-            (d_many, err_many), = cut.distances_from(p, [q])
-            assert d_many == pytest.approx(d, abs=1e-12) and err_many > 0.0
-            assert cut.directions_to(p, q)
-            assert len(cut.geodesic_points(p, q, 5)) == 5
+            p = mesh.random_point(rng)
+            qs = [mesh.random_point(rng) for _ in range(4)]
+            for q, many in zip(qs, mesh.distances_from(p, qs)):
+                d, err = mesh.distance_with_error(p, q)
+                assert err == 0.0 and many == (d, err)
+                assert np.linalg.norm(position(p) - position(q)) <= d + 1e-9
+                assert d <= mesh.graph_upper_bound(p, q) + 1e-9
+                dirs = mesh.directions_to(p, q)
+                assert dirs
+                for ang in dirs:
+                    assert mesh.distance(mesh.walk(p, ang, d).end, q) <= 1e-7
+
+    def test_a_search_depth_field_is_ignored(self):
+        # the faces are one vertex from each antipodal pair, so face 7 - i is
+        # opposite face i; a path between them crosses three edges
+        coords = [list(s * e) for e in np.eye(3) for s in (1.0, -1.0)]
+        faces = [list(f) for f in itertools.product((0, 1), (2, 3), (4, 5))]
+        mesh = load_space({"type": "mesh", "triangles": faces, "coords": coords,
+                           "max_depth": 1})
+        centre = (1 / 3, 1 / 3, 1 / 3)
+        for i in range(8):
+            # a strip of four faces: sqrt(1.5**2 + 1/12) times the edge sqrt(2)
+            d = mesh.distance_with_error(MeshPoint(i, centre), MeshPoint(7 - i, centre))
+            assert d == (pytest.approx(math.sqrt(14 / 3), abs=1e-12), 0.0)
