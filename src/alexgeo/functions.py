@@ -51,15 +51,36 @@ class Expr:
     def leaves(self):
         return []
 
+    def _lower(self, space):
+        """A closure that evaluates this node at a validated point of space."""
+        raise ExprError(f"cannot evaluate {self!r}")
+
+    def __getstate__(self):
+        # the compiled closure (see `_compile`) is a cache, not part of the value
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
 
 @dataclass(frozen=True)
 class Dist(Expr):
     q: object = None
 
+    def _lower(self, space):
+        dist, q = space._distance, space.validate_point(self.q)
+        return lambda p: dist(q, p)
+
 
 @dataclass(frozen=True)
 class DistSq(Expr):
     q: object = None
+
+    def _lower(self, space):
+        dist, q = space._distance, space.validate_point(self.q)
+
+        def value(p):
+            d = dist(q, p)
+            return d * d
+
+        return value
 
 
 @dataclass(frozen=True)
@@ -68,6 +89,11 @@ class RhoDist(Expr):
 
     kappa: float = 0.0
     q: object = None
+
+    def _lower(self, space):
+        dist, q = space._distance, space.validate_point(self.q)
+        rho, kappa = model_plane.rho, self.kappa
+        return lambda p: rho(kappa, dist(q, p))
 
 
 @dataclass(frozen=True)
@@ -87,6 +113,11 @@ class PhiRC(Expr):
     def dphi(self, x):
         return 1.0 - 2.0 * self.c * (x - self.r) / self.r
 
+    def _lower(self, space):
+        dist, q = space._distance, space.validate_point(self.q)
+        phi = self.phi
+        return lambda p: phi(dist(q, p))
+
 
 @dataclass(frozen=True)
 class Affine(Expr):
@@ -94,10 +125,26 @@ class Affine(Expr):
     constant: float = 0.0
     terms: tuple = ()
 
+    def _lower(self, space):
+        parts = tuple(zip(self.weights, [_compile(t, space) for t in self.terms]))
+        constant = self.constant
+
+        def value(p):
+            v = constant
+            for w, term in parts:
+                v += w * term(p)
+            return v
+
+        return value
+
 
 @dataclass(frozen=True)
 class MinExpr(Expr):
     terms: tuple = ()
+
+    def _lower(self, space):
+        terms = [_compile(t, space) for t in self.terms]
+        return lambda p: min([term(p) for term in terms])
 
 
 @dataclass(frozen=True)
@@ -105,6 +152,9 @@ class BoundaryDist(Expr):
     """Distance to the boundary; for doubles, pulled back by the projection."""
 
     pullback: bool = False
+
+    def _lower(self, space):
+        return _boundary_dist(space)
 
 
 def sum_of(*terms):
@@ -142,35 +192,42 @@ def expr_leaves(expr):
 
 
 # -- evaluation ----------------------------------------------------------
+def _compile(expr, space):
+    """expr as a closure of one validated point of space, built once per space.
+
+    Each node lowers to one closure that calls its children's closures,
+    so a tree is walked once, not on every evaluation.  The closure is
+    kept on the node for the last space it was built for; it is not a
+    dataclass field, so equality, hash and repr do not see it.
+    """
+    if not isinstance(expr, Expr):
+        raise ExprError(f"cannot evaluate {expr!r}")
+    memo = expr.__dict__.get("_compiled")
+    if memo is None or memo[0] is not space:
+        memo = (space, expr._lower(space))
+        object.__setattr__(expr, "_compiled", memo)
+    return memo[1]
+
+
 def evaluate(expr, space, p):
-    if isinstance(expr, Dist):
-        return space.distance(expr.q, p)
-    if isinstance(expr, DistSq):
-        d = space.distance(expr.q, p)
-        return d * d
-    if isinstance(expr, RhoDist):
-        return model_plane.rho(expr.kappa, space.distance(expr.q, p))
-    if isinstance(expr, PhiRC):
-        return expr.phi(space.distance(expr.q, p))
-    if isinstance(expr, Affine):
-        v = expr.constant
-        for w, t in zip(expr.weights, expr.terms):
-            v += w * evaluate(t, space, p)
-        return v
-    if isinstance(expr, MinExpr):
-        return min(evaluate(t, space, p) for t in expr.terms)
-    if isinstance(expr, BoundaryDist):
-        return _boundary_dist(space, p)
+    """Value at p of an expression tree, or of a callable (space, p) -> value.
+
+    p is validated once per call; the leaves of a tree take it as it is.
+    """
+    if isinstance(expr, Expr):
+        return _compile(expr, space)(space.validate_point(p))
     if callable(expr):
         return float(expr(space, p))
     raise ExprError(f"cannot evaluate {expr!r}")
 
 
-def _boundary_dist(space, p):
+def _boundary_dist(space):
+    """The boundary distance of space as a function of a validated point."""
     if hasattr(space, "boundary_dist"):
-        return space.boundary_dist(p)
+        return space.boundary_dist
     if hasattr(space, "project") and hasattr(space, "base"):
-        return _boundary_dist(space.base, space.project(p))
+        base, project = _boundary_dist(space.base), space.project
+        return lambda p: base(project(p))
     raise ExprError(f"{space.variant} has no boundary-distance support")
 
 
@@ -345,11 +402,14 @@ class InfConvolution:
         self.refine_rounds = refine_rounds
 
     def _obj(self, x, y):
-        return evaluate(self.expr, self.space, x) + \
-            self.space.distance(x, y) ** 2 / self.eps
+        """f(x) + d(x, y)^2 / eps at a validated y."""
+        space = self.space
+        return evaluate(self.expr, space, x) + \
+            space._distance(space.validate_point(x), y) ** 2 / self.eps
 
     def query(self, y) -> InfConvResult:
         space = self.space
+        y = space.validate_point(y)
         best_x, best_v = y, self._obj(y, y)
         center, radius = y, self.search_radius
         expanded = False

@@ -16,6 +16,18 @@ the same queries, so callers need not ask which variant they hold:
 Spaces with a boundary parametrization (polygon and cap) add
 `boundary_dist(p)`, `boundary_point(s)` and `boundary_period`, the range
 of the parameter s.
+
+Validation contract: the public metric queries `distance`,
+`distance_with_error`, `distances_from`, `directions_to`, `walk` and
+`geodesic_points` validate each point argument once, with
+`validate_point`, and raise `SpaceError` for a point outside the space.
+`_distance(p, q)`, the kernel behind `distance`, and the other
+underscore kernels take points that `validate_point` returned and check
+nothing, so a caller that measures from one point many times validates
+it once.  The end point of a walk is a point of the space by
+construction.  The point helpers (`sigma_at`, `pos2`, `boundary_dist`
+and the like) read their point as given.  The mesh kernels still
+validate their points again.
 """
 from __future__ import annotations
 
@@ -36,7 +48,8 @@ class ExactMetric:
         return self.distance(p, q), 0.0
 
     def distances_from(self, p, targets):
-        return [(self.distance(p, q), 0.0) for q in targets]
+        p = self.validate_point(p)
+        return [(self._distance(p, self.validate_point(q)), 0.0) for q in targets]
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,10 @@ class ConeSpace(ExactMetric):
         return d, self.total_angle - d
 
     def distance(self, p, q) -> float:
-        p, q = self.validate_point(p), self.validate_point(q)
-        if self.is_apex(p) or self.is_apex(q):
+        return self._distance(self.validate_point(p), self.validate_point(q))
+
+    def _distance(self, p, q) -> float:
+        if p[0] <= _APEX_EPS or q[0] <= _APEX_EPS:
             return p[0] + q[0]
         a = azimuth_gap(p[1], q[1], self.total_angle)  # <= theta/2 <= pi: theta <= 2*pi
         # the law of cosines in a form that does not cancel at short range

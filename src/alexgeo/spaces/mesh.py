@@ -771,7 +771,9 @@ class MeshSpace:
                                for v, dp in dp_map.items() for w in dq_map])
 
     def distance(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
+        return self._distance(self.validate_point(p), self.validate_point(q))
+
+    def _distance(self, p, q):
         key = (self._point_key(p), self._point_key(q))
         hit = self._dist_cache.get(key)
         if hit is not None:
@@ -807,7 +809,7 @@ class MeshSpace:
     def directions_to(self, p, q, tol=1e-7):
         """Sigma chart angles at p of minimizing first segments toward q."""
         p, q = self.validate_point(p), self.validate_point(q)
-        d0 = self.distance(p, q)
+        d0 = self._distance(p, q)
         dirs = self._funnel_directions(p, q, d0, tol)
         dp_map = self.point_vertex_dists(p)
         if d0 + tol >= min(dp_map.values(), default=math.inf):

@@ -17,6 +17,8 @@ from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, angle_of, wrap
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
+_CIRCLE = SigmaDesc(TWO_PI)
+_HALF_CIRCLE = SigmaDesc(math.pi, is_arc=True)
 
 
 class PolygonSpace(ExactMetric):
@@ -36,18 +38,26 @@ class PolygonSpace(ExactMetric):
                 raise SpaceError("vertices must be strictly convex and CCW")
         self.vertices = v
         self.n = n
-        self.edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
+        # the kernels read Python floats: arithmetic on numpy scalars costs
+        # a boxed object per operation
+        self._corners = [tuple(c) for c in v.tolist()]
+        self.edges = [(self._corners[i], self._corners[(i + 1) % n]) for i in range(n)]
         self.edge_dirs = []
         self.edge_lens = []
         for a, b in self.edges:
-            d = b - a
-            L = float(np.hypot(*d))
-            self.edge_dirs.append(d / L)
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            L = float(np.hypot(dx, dy))
+            self.edge_dirs.append((dx / L, dy / L))
             self.edge_lens.append(L)
         # inward normals
-        self.normals = [np.array([-d[1], d[0]]) for d in self.edge_dirs]
+        self.normals = [(-dy, dx) for dx, dy in self.edge_dirs]
+        # per edge: start point and inward normal, flat for the loops
+        self._planes = [(a[0], a[1], nx, ny) for (a, _), (nx, ny) in zip(self.edges, self.normals)]
         self.boundary_period = sum(self.edge_lens)  # perimeter
         self.scale = float(np.max(np.ptp(v, axis=0)))
+        self._unit = max(self.scale, 1.0)
+        self._edge_angles = [angle_of(dx, dy) for dx, dy in self.edge_dirs]
+        self._corner_sigmas = [SigmaDesc(self.corner_angle(i), is_arc=True) for i in range(n)]
 
     def describe(self):
         return {"type": "polygon", "vertices": self.vertices.tolist()}
@@ -66,8 +76,9 @@ class PolygonSpace(ExactMetric):
 
     def contains(self, p, tol=1e-9):
         x, y = p
-        for (a, _), nrm in zip(self.edges, self.normals):
-            if (x - a[0]) * nrm[0] + (y - a[1]) * nrm[1] < -tol * max(self.scale, 1.0):
+        lim = -tol * self._unit
+        for ax, ay, nx, ny in self._planes:
+            if (x - ax) * nx + (y - ay) * ny < lim:
                 return False
         return True
 
@@ -82,49 +93,46 @@ class PolygonSpace(ExactMetric):
     def classify(self, p, tol=_BTOL):
         """Return ('interior',), ('edge', i, s) or ('corner', i)."""
         x, y = p
-        t = tol * max(self.scale, 1.0)
-        for i in range(self.n):
-            if math.hypot(x - self.vertices[i][0], y - self.vertices[i][1]) <= t:
+        t = tol * self._unit
+        for i, (cx, cy) in enumerate(self._corners):
+            if math.hypot(x - cx, y - cy) <= t:
                 return ("corner", i)
-        for i, ((a, _), nrm) in enumerate(zip(self.edges, self.normals)):
-            d = (x - a[0]) * nrm[0] + (y - a[1]) * nrm[1]
-            if abs(d) <= t:
-                s = (x - a[0]) * self.edge_dirs[i][0] + (y - a[1]) * self.edge_dirs[i][1]
+        for i, (ax, ay, nx, ny) in enumerate(self._planes):
+            if abs((x - ax) * nx + (y - ay) * ny) <= t:
+                dx, dy = self.edge_dirs[i]
+                s = (x - ax) * dx + (y - ay) * dy
                 if -t <= s <= self.edge_lens[i] + t:
                     return ("edge", i, min(max(s, 0.0), self.edge_lens[i]))
         return ("interior",)
 
+    def _sigma_of(self, kind):
+        if kind[0] == "interior":
+            return _CIRCLE
+        if kind[0] == "edge":
+            return _HALF_CIRCLE
+        return self._corner_sigmas[kind[1]]
+
+    def _chart_zero(self, kind):
+        """Planar angle of the chart's zero direction at a point of this kind."""
+        if kind[0] == "interior":
+            return 0.0
+        return self._edge_angles[kind[1]]  # the edge, or a corner's outgoing edge
+
     # -- metric ---------------------------------------------------------
     def distance(self, p, q):
+        return self._distance(self.validate_point(p), self.validate_point(q))
+
+    def _distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
 
     def sigma_at(self, p):
-        kind = self.classify(p)
-        if kind[0] == "interior":
-            return SigmaDesc(TWO_PI)
-        if kind[0] == "edge":
-            return SigmaDesc(math.pi, is_arc=True)
-        return SigmaDesc(self.corner_angle(kind[1]), is_arc=True)
-
-    def _chart_reference(self, p):
-        """Planar angle of the chart's zero direction at p."""
-        kind = self.classify(p)
-        if kind[0] == "interior":
-            return 0.0
-        d = self.edge_dirs[kind[1]]  # the edge, or a corner's outgoing edge
-        return angle_of(d[0], d[1])
-
-    def to_chart(self, p, planar_angle):
-        # on an arc the valid range is checked by callers
-        return wrap_angle(planar_angle - self._chart_reference(p), TWO_PI)
-
-    def from_chart(self, p, chart_angle):
-        return wrap_angle(chart_angle + self._chart_reference(p), TWO_PI)
+        return self._sigma_of(self.classify(p))
 
     def directions_to(self, p, q, tol=1e-9):
         p, q = self.validate_point(p), self.validate_point(q)
         ang = angle_of(q[0] - p[0], q[1] - p[1])
-        return [self.to_chart(p, ang)]
+        # on an arc the valid range is checked by callers
+        return [wrap_angle(ang - self._chart_zero(self.classify(p)), TWO_PI)]
 
     def diameter_hint(self):
         d = 0.0
@@ -189,43 +197,45 @@ class PolygonSpace(ExactMetric):
         p = self.validate_point(p)
         if length < 0.0:
             raise SpaceError("negative walk length")
-        sig = self.sigma_at(p)
         kind = self.classify(p)
         if kind[0] != "interior":
+            sig = self._sigma_of(kind)
             if not sig.valid(angle):
                 raise SpaceError(f"direction {angle} outside the arc at {p!r}")
             if angle <= 1e-12 or sig.length - angle <= 1e-12:
-                return self._walk_boundary(p, kind, angle, length)
-        planar = self.from_chart(p, angle)
+                return self._walk_boundary(kind, angle, length)
+        planar = wrap_angle(angle + self._chart_zero(kind), TWO_PI)
         return self._walk_straight(p, planar, length)
 
+    def _arrival(self, end, kind, traveled, back, event=None, ref=None):
+        """The walk result at `end`, of the given kind, arriving from planar angle `back`."""
+        return WalkResult(end, traveled, wrap_angle(back - self._chart_zero(kind), TWO_PI),
+                          self._sigma_of(kind), event=event, event_ref=ref)
+
     def _walk_straight(self, p, planar_angle, length):
+        px, py = p
         ux, uy = math.cos(planar_angle), math.sin(planar_angle)
         # first exit through an edge
-        t_exit, i_exit = math.inf, None
-        for i, ((a, _), nrm) in enumerate(zip(self.edges, self.normals)):
-            denom = ux * nrm[0] + uy * nrm[1]
+        t_exit = math.inf
+        for ax, ay, nx, ny in self._planes:
+            denom = ux * nx + uy * ny
             if denom >= -1e-15:
                 continue
-            t = ((a[0] - p[0]) * nrm[0] + (a[1] - p[1]) * nrm[1]) / denom
+            t = ((ax - px) * nx + (ay - py) * ny) / denom
             if 1e-12 < t < t_exit:
-                t_exit, i_exit = t, i
-        if length < t_exit - 1e-12:
-            end = (p[0] + length * ux, p[1] + length * uy)
-            back = wrap_angle(planar_angle + math.pi, TWO_PI)
-            return WalkResult(end, length, self.to_chart(end, back), self.sigma_at(end))
-        hit = (p[0] + t_exit * ux, p[1] + t_exit * uy)
+                t_exit = t
         back = wrap_angle(planar_angle + math.pi, TWO_PI)
+        if length < t_exit - 1e-12:
+            end = (px + length * ux, py + length * uy)
+            return self._arrival(end, self.classify(end), length, back)
+        hit = (px + t_exit * ux, py + t_exit * uy)
         kind = self.classify(hit)
-        event = "corner" if kind[0] == "corner" else "boundary"
-        ref = kind[1] if kind[0] == "corner" else None
         if kind[0] == "corner":
-            hit = tuple(self.vertices[kind[1]])
-        return WalkResult(hit, t_exit, self.to_chart(hit, back), self.sigma_at(hit),
-                          event=event, event_ref=ref)
+            return self._arrival(self._corners[kind[1]], kind, t_exit, back,
+                                 event="corner", ref=kind[1])
+        return self._arrival(hit, kind, t_exit, back, event="boundary")
 
-    def _walk_boundary(self, p, kind, chart_angle, length):
-        sig = self.sigma_at(p)
+    def _walk_boundary(self, kind, chart_angle, length):
         forward = chart_angle <= 1e-12  # 0 points along the CCW boundary
         if kind[0] == "corner":
             i = kind[1] if forward else (kind[1] - 1) % self.n
@@ -241,10 +251,9 @@ class PolygonSpace(ExactMetric):
             back = math.pi if forward else 0.0
             return WalkResult(end, length, back, self.sigma_at(end))
         corner = (i + 1) % self.n if forward else i
-        end = tuple(self.vertices[corner])
         # arc chart at corner: 0 along outgoing edge, max along incoming
         back = self.corner_angle(corner) if forward else 0.0
-        return WalkResult(end, room, back, self.sigma_at(end),
+        return WalkResult(self._corners[corner], room, back, self._corner_sigmas[corner],
                           event="corner", event_ref=corner)
 
     def geodesic_points(self, p, q, n: int = 33):

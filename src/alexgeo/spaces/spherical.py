@@ -45,6 +45,9 @@ class _SphereBase(ExactMetric):
         h = s * s + math.sin(r1) * math.sin(r2) * t * t
         return 2.0 * math.asin(math.sqrt(h)) if h < 1.0 else math.pi
 
+    def _distance(self, p, q):
+        return self._loc(p[0], q[0], azimuth_gap(p[1], q[1], self.wrap_length))
+
     def _azimuth_sep(self, p, q):
         d = wrap_angle(q[1] - p[1], self.wrap_length)
         return d, self.wrap_length - d
@@ -196,9 +199,7 @@ class SpindleSpace(_SphereBase):
         return math.pi
 
     def distance(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
-        a = azimuth_gap(p[1], q[1], self.wrap_length)
-        return self._loc(p[0], q[0], a)
+        return self._distance(self.validate_point(p), self.validate_point(q))
 
     def sigma_at(self, p):
         if self.is_apex(p):
@@ -225,7 +226,7 @@ class SpindleSpace(_SphereBase):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
-        d = self.distance(p, q)
+        d = self._distance(p, q)
         if d < 1e-14:
             return [p] * n
         dirs = self.directions_to(p, q)
@@ -292,9 +293,7 @@ class CapSpace(_SphereBase):
         return 2.0 * self.radius
 
     def distance(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
-        a = azimuth_gap(p[1], q[1], self.wrap_length)
-        return self._loc(p[0], q[0], a)
+        return self._distance(self.validate_point(p), self.validate_point(q))
 
     def sigma_at(self, p):
         if self.on_boundary(p):
@@ -387,7 +386,7 @@ class CapSpace(_SphereBase):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
-        d = self.distance(p, q)
+        d = self._distance(p, q)
         if d < 1e-14:
             return [p] * n
         if p[0] <= _POLE_EPS:

@@ -1,9 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from alexgeo.spaces import CapSpace, ConeSpace, PolygonSpace
+from alexgeo import model_plane
+from alexgeo.spaces import (CapSpace, ConeSpace, DoubledPolygon, PolygonSpace, SpaceError,
+                            SpindleSpace, regular_tetrahedron)
 from alexgeo.functions import (
     Affine,
     BoundaryDist,
@@ -26,6 +29,81 @@ from alexgeo.functions import (
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def interpret(expr, space, p):
+    """Tree-walking evaluation, the reference for the compiled `evaluate`."""
+    if isinstance(expr, Dist):
+        return space.distance(expr.q, p)
+    if isinstance(expr, DistSq):
+        d = space.distance(expr.q, p)
+        return d * d
+    if isinstance(expr, RhoDist):
+        return model_plane.rho(expr.kappa, space.distance(expr.q, p))
+    if isinstance(expr, PhiRC):
+        return expr.phi(space.distance(expr.q, p))
+    if isinstance(expr, Affine):
+        v = expr.constant
+        for w, t in zip(expr.weights, expr.terms):
+            v += w * interpret(t, space, p)
+        return v
+    if isinstance(expr, MinExpr):
+        return min(interpret(t, space, p) for t in expr.terms)
+    if isinstance(expr, BoundaryDist):
+        return _interpret_boundary_dist(space, p)
+    if callable(expr):
+        return float(expr(space, p))
+    raise ExprError(f"cannot evaluate {expr!r}")
+
+
+def _interpret_boundary_dist(space, p):
+    if hasattr(space, "boundary_dist"):
+        return space.boundary_dist(p)
+    if hasattr(space, "project") and hasattr(space, "base"):
+        return _interpret_boundary_dist(space.base, space.project(p))
+    raise ExprError(f"{space.variant} has no boundary-distance support")
+
+
+def mixed_tree(space, q1, q2, q3, boundary):
+    """A tree with every node kind: the boundary leaf only where there is one."""
+    leaves = (Dist(q=q1), DistSq(q=q2), RhoDist(kappa=space.kappa, q=q3),
+              PhiRC(r=0.3, c=2.0, q=q1))
+    body = Affine(weights=(1.0, -0.5, 2.0, 0.7), constant=0.25, terms=leaves)
+    terms = (body, scale(-1.0, DistSq(q=q3), 3.0))
+    if boundary:
+        terms += (sum_of(BoundaryDist(pullback=True), Dist(q=q2)),)
+    return MinExpr(terms=terms)
+
+
+def nodes(expr):
+    yield expr
+    for t in getattr(expr, "terms", ()):
+        yield from nodes(t)
+
+
+def evaluation_cases():
+    """(space, tree, points): apexes, boundary points, corners and mesh points."""
+    cone, spindle, cap = ConeSpace(1.5 * math.pi), SpindleSpace(4.0), CapSpace(0.8)
+    double = DoubledPolygon(SQUARE)
+    tetra = regular_tetrahedron()
+    return {
+        "cone": (cone, mixed_tree(cone, (1.0, 0.3), (0.7, 4.0), (0.0, 0.0), False),
+                 [(0.0, 0.0), (0.5, 1.0), (1.2, 4.5), (2.0, 4.6)]),
+        "spindle": (spindle, mixed_tree(spindle, (1.0, 0.3), (2.5, 3.9), (0.0, 0.0), False),
+                    [(0.0, 0.0), (math.pi, 1.0), (0.7, 2.0), (2.9, 3.5)]),
+        "cap": (cap, mixed_tree(cap, (0.5, 0.3), (0.8, 2.0), (0.0, 0.0), True),
+                [(0.0, 0.0), (0.8, 1.0), (0.3, 5.0), (0.79, 3.0)]),
+        "square": (SQUARE, mixed_tree(SQUARE, (0.2, 0.3), (0.9, 0.1), (0.5, 0.5), True),
+                   [(0.3, 0.4), (0.5, 0.0), (1.0, 1.0), (0.0, 0.7)]),
+        "doubled_square": (double, mixed_tree(double, double.lift((0.2, 0.3), 0),
+                                              double.lift((0.7, 0.6), 1),
+                                              double.lift((0.5, 0.1), 0), True),
+                           [double.lift((0.3, 0.4), 0), double.lift((0.8, 0.7), 1),
+                            double.lift((0.5, 0.0), 0), double.lift((0.1, 0.6), 1)]),
+        "tetrahedron": (tetra, mixed_tree(tetra, (0, (0.2, 0.3, 0.5)), (1, (1.0, 0.0, 0.0)),
+                                          (3, (0.1, 0.1, 0.8)), False),
+                        [(0, (0.6, 0.2, 0.2)), (2, (0.0, 0.5, 0.5)), (3, (0.0, 0.0, 1.0))]),
+    }
 
 
 class TestEval:
@@ -72,6 +150,51 @@ class TestEval:
         bad = Affine(weights=(-1.0,), terms=(DistSq(q=(0, 0)),))
         assert not validate_simple(bad)
         assert not validate_simple(Dist(q=(0, 0)))
+
+
+class TestCompiledEvaluation:
+    @pytest.mark.parametrize("name", list(evaluation_cases()))
+    def test_bit_identical_to_the_interpreter(self, name):
+        space, tree, points = evaluation_cases()[name]
+        for node in nodes(tree):
+            for p in points:
+                assert evaluate(node, space, p) == interpret(node, space, p)
+
+    def test_cases_cover_every_node_kind(self):
+        kinds = {type(n) for _, tree, _ in evaluation_cases().values() for n in nodes(tree)}
+        assert kinds == {Dist, DistSq, RhoDist, PhiRC, Affine, MinExpr, BoundaryDist}
+
+    def test_equality_hash_and_copies_survive_evaluation(self):
+        space, tree, points = evaluation_cases()["square"]
+        twin = evaluation_cases()["square"][1]
+        before = (hash(tree), repr(tree))
+        values = [evaluate(tree, space, p) for p in points]
+        assert tree == twin and (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))
+        certified = tree.with_certificate(0.0, (0.5, 0.5), 0.1)
+        assert [evaluate(certified, space, p) for p in points] == values
+        restored = pickle.loads(pickle.dumps(tree))
+        assert restored == tree and [evaluate(restored, space, p) for p in points] == values
+
+    def test_one_tree_on_two_spaces(self):
+        f, p = Dist(q=(1.0, 0.3)), (1.5, 2.5)
+        cone = ConeSpace(1.5 * math.pi)
+        for space in (PLANE, cone, PLANE):
+            assert evaluate(f, space, p) == space.distance((1.0, 0.3), p)
+
+    def test_unknown_nodes_raise(self):
+        with pytest.raises(ExprError):
+            evaluate(scale(1.0, "not an expression"), PLANE, (1.0, 0.0))
+
+
+class TestPointValidation:
+    def test_points_outside_the_polygon_are_rejected(self):
+        f = scale(-0.5, DistSq(q=(0.5, 0.5)))
+        with pytest.raises(SpaceError):
+            InfConvolution(f, SQUARE, 0.5).query((3.0, 3.0))
+        with pytest.raises(SpaceError):
+            evaluate(f, SQUARE, (3.0, 3.0))
+        with pytest.raises(SpaceError):
+            SQUARE.distance((3.0, 3.0), (0.5, 0.5))
 
 
 class TestCheckConcavity:

@@ -22,6 +22,7 @@ from alexgeo.spaces import (
 )
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
 
 
 def all_spaces():
@@ -205,6 +206,62 @@ class TestPolygon:
         assert w.end == pytest.approx((0.8, 0.0))
         w = p.walk((0.5, 0.0), 0.0, 0.8)
         assert w.event == "corner" and w.event_ref == 1
+
+    # walks from an interior point, an edge point and a corner of an
+    # irregular pentagon: start, chart angle, length, then the end,
+    # traveled, back angle, sigma length and arc flag, event and event_ref
+    # that the numpy-scalar kernel gave, which the float kernel must match
+    # to the bit
+    WALKS = [
+        ((1.0, 0.8), 0.4, 0.5,
+         (1.4605304970014426, 0.9947091711543253), 0.5, 3.541592653589793,
+         6.283185307179586, False, None, None),
+        ((1.0, 0.8), 4.0, 5.0,
+         (0.3090470764395067, 1.1102230246251565e-16), 1.057078967048722, 0.8584073464102069,
+         3.141592653589793, True, 'boundary', None),
+        ((1.0, 0.8), 0.26060239174734096, 5.0,
+         (2.5, 1.2), 1.5524174696260025, 0.8486049952949082,
+         1.7640078106427026, True, 'corner', 2),
+        ((0.7, 0.0), 1.5707963267948966, 0.3,
+         (0.7, 0.3), 0.3, 4.71238898038469,
+         6.283185307179586, False, None, None),
+        ((0.7, 0.0), 2.0, 10.0,
+         (0.06136079867060307, 1.395452113146231), 1.53464869907055, 1.2913737278723296,
+         3.141592653589793, True, 'boundary', None),
+        ((0.7, 0.0), 0.0, 5.0,
+         (2.0, 0.0), 1.3, 1.965587446494658,
+         1.965587446494658, True, 'corner', 1),
+        ((0.7, 0.0), 3.141592653589793, 0.2,
+         (0.49999999999999994, 0.0), 0.2, 0.0,
+         3.141592653589793, True, None, None),
+        ((0.7, 0.0), 3.141592653589793, 5.0,
+         (0.0, 0.0), 0.7, 0.0,
+         1.9513027039072615, True, 'corner', 0),
+        ((2.5, 1.2), 1.0, 0.3,
+         (2.2251031560940664, 1.0798678843499505), 0.3, 0.41199739645243305,
+         6.283185307179586, False, None, None),
+        ((2.5, 1.2), 0.6568590928486118, 10.0,
+         (-0.4, 1.0), 2.906888370749725, 1.259146438983576,
+         1.898916221810202, True, 'corner', 4),
+        ((2.5, 1.2), 0.0, 10.0,
+         (1.0, 2.2), 1.8027756377319948, 1.8449637779145551,
+         1.8449637779145551, True, 'corner', 3),
+        ((2.5, 1.2), 1.7640078106427026, 0.5,
+         (2.3076923076923075, 0.7384615384615385), 0.5, 0.0,
+         3.141592653589793, True, None, None),
+    ]
+
+    @pytest.mark.parametrize("case", WALKS, ids=[
+        "inner-inside", "inner-edge", "inner-corner-snap", "edge-inside", "edge-exit",
+        "edge-slide-past-corner", "edge-slide-back", "edge-slide-back-past-corner",
+        "corner-inside", "corner-to-corner", "corner-slide-out", "corner-slide-in"])
+    def test_walk_kernel(self, case):
+        p, angle, length, end, traveled, back, sig_len, is_arc, event, ref = case
+        w = PENTAGON.walk(p, angle, length)
+        assert tuple(w.end) == end
+        assert (w.traveled, w.back_angle) == (traveled, back)
+        assert (w.sigma.length, w.sigma.is_arc) == (sig_len, is_arc)
+        assert (w.event, w.event_ref) == (event, ref)
 
     def test_random_polygons_are_valid(self):
         rng = np.random.default_rng(5)
