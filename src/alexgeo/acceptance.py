@@ -17,14 +17,13 @@ from .concavity_tight import build_strictly_concave, tight_check, tight_image_st
 from .extremal import (
     SubsetDescriptor,
     cap_boundary_concavity,
-    detect_extremal,
     lieberman_check,
     polygon_boundary_concavity,
     verify_extremal,
 )
 from .flow import gradient_curve
 from .functions import BoundaryDist, Dist, DistSq, InfConvolution, check_concavity, scale
-from .quasigeodesic import build_prequasigeodesic, check_quasigeodesic, entropy, trace_quasigeodesic
+from .quasigeodesic import build_prequasigeodesic, check_quasigeodesic, trace_quasigeodesic
 from .radial import gexp_map, tangent_cone_metric, verify_radial_comparison
 from .spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace, random_convex_polygon, random_tetrahedron, regular_tetrahedron
 from .spaces.base import SigmaDesc

@@ -35,11 +35,10 @@ from .functions import (
     PhiRC,
     RhoDist,
     check_concavity,
-    evaluate,
 )
 from .quasigeodesic import TraceError, check_quasigeodesic, trace_quasigeodesic
 from .radial import gexp_map
-from .spaces import SpaceError, format_point, load_space, parse_angle, parse_point
+from .spaces import SpaceError, load_space, parse_angle
 from .tangent import GradientError, TangentVec
 
 SCHEMA = "alexgeo/1"
@@ -84,15 +83,15 @@ def _parse_node(space, node):
         return node[name]
 
     if op == "dist":
-        return Dist(q=parse_point(space, field("q")))
+        return Dist(q=space.parse_point(field("q")))
     if op == "dist_sq":
-        return DistSq(q=parse_point(space, field("q")))
+        return DistSq(q=space.parse_point(field("q")))
     if op == "rho_dist":
         return RhoDist(kappa=float(node.get("kappa", space.kappa)),
-                       q=parse_point(space, field("q")))
+                       q=space.parse_point(field("q")))
     if op == "phi_rc":
         return PhiRC(r=float(field("r")), c=float(field("c")),
-                     q=parse_point(space, field("q")))
+                     q=space.parse_point(field("q")))
     if op == "boundary_dist":
         return BoundaryDist()
     if op in ("sum", "affine"):
@@ -166,8 +165,8 @@ def _curve_svg(space, curve, width=1000):
 
 def cmd_distance(args):
     space = _load_space_arg(args.space)
-    p = parse_point(space, args.p)
-    q = parse_point(space, args.q)
+    p = space.parse_point(args.p)
+    q = space.parse_point(args.q)
     d, err = space.distance_with_error(p, q)
     print(f"{d:.6f}")
     _emit(args, {"distance": d, "error_bound": err})
@@ -178,8 +177,8 @@ def cmd_geodesic(args):
     if args.samples < 2:
         raise CliError(f"--samples must be at least 2, not {args.samples}")
     space = _load_space_arg(args.space)
-    p = parse_point(space, args.p)
-    q = parse_point(space, args.q)
+    p = space.parse_point(args.p)
+    q = space.parse_point(args.q)
     pts = space.geodesic_points(p, q, args.samples)
     d = space.distance(p, q)
     curve = CurveRecord(
@@ -188,7 +187,7 @@ def cmd_geodesic(args):
         "geodesic")
     print(f"length {d:.9g} in {args.samples} samples")
     _emit(args, {"length": d,
-                 "points": [format_point(space, x) for x in pts]},
+                 "points": [space.format_point(x) for x in pts]},
           curve=curve, space=space)
     return 0
 
@@ -196,7 +195,7 @@ def cmd_geodesic(args):
 def cmd_gradient(args):
     space = _load_space_arg(args.space)
     f = parse_function(space, args.function)
-    p = parse_point(space, args.p)
+    p = space.parse_point(args.p)
     g = gradient(f, space, p)
     print(f"|grad| = {g.norm:.9g} at angle {g.angle:.9g} "
           f"(sigma length {g.sigma.length:.9g})")
@@ -208,12 +207,12 @@ def cmd_gradient(args):
 def cmd_flow(args):
     space = _load_space_arg(args.space)
     f = parse_function(space, args.function)
-    p = parse_point(space, args.p)
+    p = space.parse_point(args.p)
     rec = gradient_curve(f, space, p, args.time, args.step)
     end = rec.end()
-    print(f"flowed to {format_point(space, end)} with "
+    print(f"flowed to {space.format_point(end)} with "
           f"{len(rec.events)} events")
-    _emit(args, {"end": format_point(space, end),
+    _emit(args, {"end": space.format_point(end),
                  "events": [[t, k, str(r)] for t, k, r in rec.events]},
           curve=rec, space=space)
     return 0
@@ -221,20 +220,20 @@ def cmd_flow(args):
 
 def cmd_gexp(args):
     space = _load_space_arg(args.space)
-    p = parse_point(space, args.p)
+    p = space.parse_point(args.p)
     v = TangentVec(args.norm, parse_angle(args.dir), space.sigma_at(p))
     out = gexp_map(space, p, v, args.kappa, args.step)
-    print(format_point(space, out))
-    _emit(args, {"point": format_point(space, out)})
+    print(space.format_point(out))
+    _emit(args, {"point": space.format_point(out)})
     return 0
 
 
 def cmd_trace_qg(args):
     space = _load_space_arg(args.space)
-    p = parse_point(space, getattr(args, "from"))
+    p = space.parse_point(getattr(args, "from"))
     rec = trace_quasigeodesic(space, p, parse_angle(args.dir), args.length)
     payload = {
-        "end": format_point(space, rec.end()),
+        "end": space.format_point(rec.end()),
         "events": [[t, k, str(r)] for t, k, r in rec.events],
     }
     status = 0
@@ -252,7 +251,7 @@ def cmd_trace_qg(args):
         print(rep.summary())
         if not rep.passed(args.tol):
             status = 1
-    print(f"traced to {format_point(space, rec.end())}; "
+    print(f"traced to {space.format_point(rec.end())}; "
           f"events: {[(round(t, 6), k) for t, k, _ in rec.events]}")
     _emit(args, payload, curve=rec, space=space)
     return status
@@ -260,7 +259,7 @@ def cmd_trace_qg(args):
 
 def cmd_check_qg(args):
     space = _load_space_arg(args.space)
-    p = parse_point(space, getattr(args, "from"))
+    p = space.parse_point(getattr(args, "from"))
     rec = trace_quasigeodesic(space, p, parse_angle(args.dir), args.length)
     rep = check_quasigeodesic(space, rec, n_probes=args.probes, tol=args.tol,
                               seed=args.seed)
@@ -271,8 +270,8 @@ def cmd_check_qg(args):
 
 def cmd_develop(args):
     space = _load_space_arg(args.space)
-    p = parse_point(space, args.p)
-    rec = trace_quasigeodesic(space, parse_point(space, getattr(args, "from")),
+    p = space.parse_point(args.p)
+    rec = trace_quasigeodesic(space, space.parse_point(getattr(args, "from")),
                               parse_angle(args.dir), args.length)
     rs = [d for d, _ in space.distances_from(p, rec.points)]
     dev = model_plane.develop_curve(space.kappa, list(zip(rec.ts, rs)),
@@ -286,7 +285,7 @@ def cmd_develop(args):
 def cmd_check_concavity(args):
     space = _load_space_arg(args.space)
     f = parse_function(space, args.function)
-    center = parse_point(space, args.p)
+    center = space.parse_point(args.p)
     rep = check_concavity(f, space, args.lam, (center, args.radius),
                           n_geodesics=args.samples, seed=args.seed,
                           tol=args.tol)
@@ -300,11 +299,11 @@ def cmd_inf_conv(args):
     space = _load_space_arg(args.space)
     f = parse_function(space, args.function)
     ic = InfConvolution(f, space, args.eps, lip_hint=args.lip)
-    res = ic.query(parse_point(space, args.p))
-    print(f"{res.value:.9g} (argmin {format_point(space, res.argmin)}, "
+    res = ic.query(space.parse_point(args.p))
+    print(f"{res.value:.9g} (argmin {space.format_point(res.argmin)}, "
           f"in_domain={res.in_domain})")
     _emit(args, {"value": res.value,
-                 "argmin": format_point(space, res.argmin),
+                 "argmin": space.format_point(res.argmin),
                  "in_domain": res.in_domain})
     return 0
 
@@ -315,7 +314,7 @@ def cmd_detect_extremal(args):
     for desc, ev in detect_extremal(space, seed=args.seed):
         item = {"kind": desc.kind, "label": desc.label}
         if desc.point is not None:
-            item["point"] = format_point(space, desc.point)
+            item["point"] = space.format_point(desc.point)
         if ev is not None:
             item["evidence"] = {
                 "criterion_worst": ev.criterion_worst,
@@ -333,12 +332,12 @@ def cmd_detect_extremal(args):
 def cmd_verify_extremal(args):
     space = _load_space_arg(args.space)
     if args.subset == "boundary":
-        if not hasattr(space, "boundary_point"):
+        if space.boundary_period is None:
             raise CliError(f"--subset boundary needs a polygon or cap space, "
                            f"not {space.variant}")
         desc = SubsetDescriptor("boundary", label="boundary")
     else:
-        desc = SubsetDescriptor("point", parse_point(space, args.subset),
+        desc = SubsetDescriptor("point", space.parse_point(args.subset),
                                 label="point")
     ev = verify_extremal(space, desc, seed=args.seed)
     ok = ev.passed(args.tol)
@@ -352,7 +351,7 @@ def cmd_verify_extremal(args):
 def cmd_tight_check(args):
     space = _load_space_arg(args.space)
     funcs = [parse_function(space, f) for f in args.function]
-    rep = tight_check(space, funcs, (parse_point(space, args.p), args.radius),
+    rep = tight_check(space, funcs, (space.parse_point(args.p), args.radius),
                       n_samples=args.samples, seed=args.seed)
     print(rep.summary())
     _emit(args, {"sup": rep.sup_cross, "tight": rep.tight,
@@ -362,7 +361,7 @@ def cmd_tight_check(args):
 
 def cmd_tight_image(args):
     space = _load_space_arg(args.space)
-    center = parse_point(space, args.p)
+    center = space.parse_point(args.p)
     funcs = []
     for spec in args.function:
         funcs.append(parse_function(space, spec))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import gradient, gradient_curve
-from .functions import Dist, DistSq
+from .functions import BoundaryDist, Dist, DistSq
 from .quasigeodesic import check_quasigeodesic
 from .flow import CurveRecord
 from .tangent import TangentVec
@@ -67,16 +67,11 @@ def detect_extremal(space, seed=0, verify=True, n_funcs=6, n_steps=40):
         if angle <= math.pi + 1e-9:
             cands.append(SubsetDescriptor("point", pt,
                                           f"cone point (angle {angle:.6f})"))
-    if space.variant == "polygon":
-        cands.append(SubsetDescriptor("boundary", label="polygon boundary"))
-        for i in range(space.n):
-            ang = space.corner_angle(i)
-            if ang <= math.pi / 2.0 + 1e-9:
-                cands.append(SubsetDescriptor(
-                    "point", tuple(space.vertices[i]),
-                    f"corner {i} (angle {ang:.6f})"))
-    if space.variant == "cap":
-        cands.append(SubsetDescriptor("boundary", label="cap boundary"))
+    if space.boundary_period is not None:
+        cands.append(SubsetDescriptor("boundary", label=f"{space.variant} boundary"))
+    for i, (pt, ang) in enumerate(space.corners()):
+        if ang <= math.pi / 2.0 + 1e-9:
+            cands.append(SubsetDescriptor("point", pt, f"corner {i} (angle {ang:.6f})"))
     for c in cands:
         evidence = None
         if verify and c.kind in ("point", "boundary"):
@@ -166,16 +161,8 @@ def distance_regularity(space, subset: SubsetDescriptor, band=(1e-3, 0.2),
         if not (band[0] < d < band[1]):
             continue
         used += 1
-        if subset.kind == "point":
-            g = gradient(Dist(q=subset.point), space, x)
-            floor = min(floor, g.norm)
-        else:
-            from .functions import BoundaryDist, differential
-            from .tangent import gradient_from_directional
-
-            g = gradient_from_directional(
-                differential(BoundaryDist(), space, x))
-            floor = min(floor, g.norm)
+        f = Dist(q=subset.point) if subset.kind == "point" else BoundaryDist()
+        floor = min(floor, gradient(f, space, x).norm)
     return RegularityReport(floor, band, used)
 
 

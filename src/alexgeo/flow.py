@@ -39,12 +39,10 @@ class CurveRecord:
         return self.points[-1]
 
     def to_csv(self, space=None) -> str:
-        from .spaces.io import format_point
-
         lines = ["t,point,speed"]
         for t, p, rt in zip(self.ts, self.points, self.right_tangents):
             s = rt.norm if rt is not None else 0.0
-            pt = format_point(space, p) if space is not None else repr(p)
+            pt = space.format_point(p) if space is not None else repr(p)
             lines.append(f"{t!r},\"{pt}\",{s!r}")
         return "\n".join(lines) + "\n"
 

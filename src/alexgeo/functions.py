@@ -151,10 +151,10 @@ class MinExpr(Expr):
 class BoundaryDist(Expr):
     """Distance to the boundary; for doubles, pulled back by the projection."""
 
-    pullback: bool = False
-
     def _lower(self, space):
-        return _boundary_dist(space)
+        if space.boundary_dist is None:
+            raise ExprError(f"{space.variant} has no boundary-distance support")
+        return space.boundary_dist
 
 
 def sum_of(*terms):
@@ -221,16 +221,6 @@ def evaluate(expr, space, p):
     raise ExprError(f"cannot evaluate {expr!r}")
 
 
-def _boundary_dist(space):
-    """The boundary distance of space as a function of a validated point."""
-    if hasattr(space, "boundary_dist"):
-        return space.boundary_dist
-    if hasattr(space, "project") and hasattr(space, "base"):
-        base, project = _boundary_dist(space.base), space.project
-        return lambda p: base(project(p))
-    raise ExprError(f"{space.variant} has no boundary-distance support")
-
-
 # -- differentials --------------------------------------------------------
 def differential(expr, space, p) -> DirectionalFn:
     """Directional derivative on the direction space at p, by chain rule.
@@ -283,27 +273,14 @@ def _diff(expr, space, p, sigma) -> DirectionalFn:
 
 
 def _boundary_diff(space, p, sigma):
-    if space.variant == "polygon":
-        d, feet = space.boundary_feet(p)
-        if d <= 1e-12:
-            # on the boundary arc the rate is min over adjacent edges of
-            # sin(angle from that edge) = min of cos(angdist to its normal)
-            parts = [
-                cos_tail_directional(sigma, -1.0, [math.pi / 2.0]),
-                cos_tail_directional(sigma, -1.0, [sigma.length - math.pi / 2.0]),
-            ]
-            return combine_min(sigma, parts)
-        parts = [
-            cos_tail_directional(sigma, 1.0, space.directions_to(p, f)) for f in feet
-        ]
-        return combine_min(sigma, parts)
-    if space.variant == "cap":
-        # r0 - r: the derivative of -dist to the pole
-        if p[0] <= 1e-12:
-            return constant_directional(sigma, -1.0)
-        dirs = space.directions_to(p, (0.0, 0.0))
-        return combine_affine(sigma, [(-1.0, cos_tail_directional(sigma, 1.0, dirs))])
-    raise ExprError("boundary differential needs a polygon or cap")
+    """The min of the cos-tails the space gives; sources None is a constant."""
+    if space.boundary_tails is None:
+        raise ExprError(f"{space.variant} has no boundary differential")
+    return combine_min(sigma, [
+        constant_directional(sigma, s) if sources is None
+        else cos_tail_directional(sigma, s, sources)
+        for s, sources in space.boundary_tails(p)
+    ])
 
 
 # -- concavity checking -----------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model_plane
 from .flow import CurveRecord
-from .functions import Dist, DistSq, differential, evaluate, scale
+from .functions import DistSq, differential, evaluate, scale
 from .radial import RadialStepper
 from .tangent import TangentVec, polar_vector
 
@@ -30,7 +30,7 @@ def trace_quasigeodesic(space, p, xi_angle, length, rule="equal-split",
     """Unit-speed trace through cone points with the equal-split rule."""
     if rule != "equal-split":
         raise TraceError(f"unknown continuation rule {rule!r}")
-    if space.variant not in ("mesh", "cone", "polygon", "spindle"):
+    if not space.supports_tracing:
         raise TraceError(f"tracing is not supported on {space.variant}")
     p = space.validate_point(p)
     if record_step is None:

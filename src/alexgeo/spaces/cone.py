@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .base import (ExactMetric, SigmaDesc, SpaceError, WalkResult, angle_of, azimuth_gap,
-                   wrap_angle)
+from .base import (SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
+                   minimizing_angles, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
 
 
-class ConeSpace(ExactMetric):
+class ConeSpace(Space):
     variant = "cone"
     kappa = 0.0
-    has_boundary = False
 
     def __init__(self, total_angle: float):
         if not (0.0 < total_angle <= TWO_PI + 1e-12):
@@ -37,21 +36,11 @@ class ConeSpace(ExactMetric):
             raise SpaceError(f"invalid cone point {p!r}")
         return (float(r), wrap_angle(float(phi), self.total_angle))
 
-    def pos2(self, p):
-        """Planar position (r cos phi, r sin phi), with phi as given."""
-        r, phi = p
-        return (r * math.cos(phi), r * math.sin(phi))
-
     def is_apex(self, p) -> bool:
         return p[0] <= _APEX_EPS
 
     def random_point(self, rng, rmax: float = 2.0):
         return (rmax * math.sqrt(rng.random()), rng.random() * self.total_angle)
-
-    def random_point_near(self, p, radius, rng):
-        w = self.walk(p, rng.random() * self.sigma_at(p).length,
-                      radius * math.sqrt(rng.random()))
-        return w.end
 
     def diameter_hint(self) -> float:
         return 4.0
@@ -91,13 +80,7 @@ class ConeSpace(ExactMetric):
                 ex = q[0] * math.cos(a) - p[0]
                 ey = sign * q[0] * math.sin(a)
                 cands.append((math.hypot(ex, ey), angle_of(ex, ey)))
-        best = min(d for d, _ in cands)
-        dirs = sorted(ang for d, ang in cands if d <= best + tol)
-        out = [dirs[0]]
-        for a in dirs[1:]:
-            if abs(a - out[-1]) > 1e-12:
-                out.append(a)
-        return out
+        return minimizing_angles(cands, tol)
 
     def walk(self, p, angle, length) -> WalkResult:
         p = self.validate_point(p)

@@ -4,7 +4,8 @@ The double of a convex polygon is a closed flat mesh: each sheet is the
 centroid fan triangulation, glued along the polygon edges, so the
 polygon corners become cone points of twice the interior angle.  The
 double of a hemispherical cap is the round sphere.  Both carry the
-canonical two-to-one projection onto the base space.
+canonical two-to-one projection onto the base space, and answer the
+base space's `boundary_dist` pulled back by it.
 """
 from __future__ import annotations
 
@@ -87,6 +88,10 @@ class DoubledPolygon(MeshSpace):
                 return MeshPoint(n + i, (b[0], b[2], b[1]))
         raise SpaceError(f"point {xy!r} not inside the base polygon")
 
+    def boundary_dist(self, p):
+        """The base polygon's boundary distance, pulled back by the projection."""
+        return self.base.boundary_dist(self.project(p))
+
 
 class DoubledCap(SpindleSpace):
     """Round sphere as the double of a hemispherical cap."""
@@ -109,6 +114,10 @@ class DoubledCap(SpindleSpace):
     def lift(self, p, sheet: int = 0):
         r, phi = self.base.validate_point(p)
         return (r, phi) if sheet == 0 else (math.pi - r, phi)
+
+    def boundary_dist(self, p):
+        """The base cap's boundary distance, pulled back by the projection."""
+        return self.base.boundary_dist(self.project(p))
 
 
 def build_doubling(space):

@@ -29,11 +29,12 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SigmaDesc, SpaceError, WalkResult, wrap_angle
+from .base import SigmaDesc, Space, SpaceError, WalkResult, parse_angle, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
@@ -54,7 +55,7 @@ class MeshPoint:
         yield self.bary
 
 
-class MeshSpace:
+class MeshSpace(Space):
     variant = "mesh"
     kappa = 0.0
 
@@ -275,6 +276,17 @@ class MeshSpace:
             raise SpaceError(f"invalid barycentric triple {p.bary}")
         return p
 
+    def _point_of_literal(self, text):
+        m = re.match(r"^F(\d+):([^,]+),([^,]+)$", text)
+        if not m:
+            raise SpaceError(f"mesh point literal {text!r} must be F<face>:<b0>,<b1>")
+        b0, b1 = parse_angle(m.group(2)), parse_angle(m.group(3))
+        return MeshPoint(int(m.group(1)), (b0, b1, 1.0 - b0 - b1))
+
+    def format_point(self, p):
+        face, bary = p
+        return f"F{face}:{bary[0]:.9g},{bary[1]:.9g}"
+
     def _pos(self, p):
         """Chart position of a validated point, as a complex number."""
         a, b, c = self.charts[p.face]
@@ -299,14 +311,12 @@ class MeshSpace:
         return MeshPoint(fi, tuple(b))
 
     def vertex_of_point(self, p, tol=_VERTEX_SNAP):
-        p = self.validate_point(p)
         for c in range(3):
             if p.bary[c] >= 1.0 - tol:
                 return self.faces[p.face][c]
         return None
 
     def classify(self, p, tol=1e-9):
-        p = self.validate_point(p)
         v = self.vertex_of_point(p, tol)
         if v is not None:
             return ("vertex", v)
@@ -324,6 +334,7 @@ class MeshSpace:
         return MeshPoint(f, (float(a), float(b), float(1.0 - a - b)))
 
     def random_point_near(self, p, radius, rng):
+        p = self.validate_point(p)
         for _ in range(64):
             ang = rng.random() * self.sigma_at(p).length
             try:
@@ -491,7 +502,6 @@ class MeshSpace:
     # -- distance machinery ----------------------------------------------
     def _face_images(self, q):
         """q in its own face chart, plus its image across the edge it lies on."""
-        q = self.validate_point(q)
         pos = self._pos(q)
         images = [(q.face, pos)]
         kind = self.classify(q)
@@ -659,11 +669,11 @@ class MeshSpace:
     def _bnb(self, p, target_points=(), target_vertices=(), upper_cap=math.inf):
         """Vertex-avoiding path lengths from p, by `_unfold`.
 
-        Returns a map from ("pt", i) / ("vx", v) to path lengths.  Branches
-        at least as long as the worst current target, or as `upper_cap`,
-        are certified irrelevant and pruned.
+        p and the target points are validated.  Returns a map from
+        ("pt", i) / ("vx", v) to path lengths.  Branches at least as long as
+        the worst current target, or as `upper_cap`, are certified
+        irrelevant and pruned.
         """
-        target_points = [self.validate_point(q) for q in target_points]
         target_vertices = list(target_vertices)
         n_keys = len(target_points) + len(target_vertices)
         if not n_keys:
@@ -704,11 +714,11 @@ class MeshSpace:
         return best
 
     def _point_key(self, p):
-        p = self.validate_point(p)
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
 
     def point_vertex_dists(self, p):
         """Cached vertex-avoiding distances from p to every pass-through vertex."""
+        p = self.validate_point(p)
         key = self._point_key(p)
         hit = self._pv_cache.get(key)
         if hit is not None:
@@ -795,6 +805,7 @@ class MeshSpace:
 
     def distances_from(self, p, targets):
         """One-to-many distances sharing a single unfolding pass from p."""
+        p = self.validate_point(p)
         targets = [self.validate_point(q) for q in targets]
         best = self._bnb(p, target_points=targets, target_vertices=self.pass_through)
         dp_map = {v: best.get(("vx", v), math.inf) for v in self.pass_through}

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, angle_of, wrap_angle
+from .base import SigmaDesc, Space, SpaceError, WalkResult, angle_of, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
@@ -21,7 +21,7 @@ _CIRCLE = SigmaDesc(TWO_PI)
 _HALF_CIRCLE = SigmaDesc(math.pi, is_arc=True)
 
 
-class PolygonSpace(ExactMetric):
+class PolygonSpace(Space):
     variant = "polygon"
     kappa = 0.0
     has_boundary = True
@@ -173,11 +173,23 @@ class PolygonSpace(ExactMetric):
         x, y = p
         d = self.boundary_dist(p)
         feet = []
-        for i, ((a, _), nrm) in enumerate(zip(self.edges, self.normals)):
+        for (a, _), nrm in zip(self.edges, self.normals):
             di = (x - a[0]) * nrm[0] + (y - a[1]) * nrm[1]
             if di <= d + tol:
                 feet.append((x - di * nrm[0], y - di * nrm[1]))
         return d, feet
+
+    def boundary_tails(self, p):
+        """The differential of `boundary_dist` at p: min of cos-tails (scale, sources).
+
+        Off the boundary: the unit tail toward each nearest foot.  On the
+        boundary arc: min over the adjacent edges of cos(angle to the normal).
+        """
+        d, feet = self.boundary_feet(p)
+        if d <= 1e-12:
+            arc = self.sigma_at(p).length
+            return [(-1.0, [math.pi / 2.0]), (-1.0, [arc - math.pi / 2.0])]
+        return [(1.0, self.directions_to(p, f)) for f in feet]
 
     def boundary_point(self, s):
         """Point at perimeter arclength s from vertex 0, CCW."""

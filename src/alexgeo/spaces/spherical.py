@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .base import ExactMetric, SigmaDesc, SpaceError, WalkResult, azimuth_gap, wrap_angle
+from .base import (SigmaDesc, Space, SpaceError, WalkResult, azimuth_gap, minimizing_angles,
+                   wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -24,15 +25,10 @@ def _clamp1(x):
     return 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
 
 
-class _SphereBase(ExactMetric):
+class _SphereBase(Space):
     """Common trig for (r, phi) points on a unit-curvature suspension."""
 
     wrap_length = TWO_PI  # azimuth period
-
-    def pos2(self, p):
-        """Planar position (r cos phi, r sin phi), with phi as given."""
-        r, phi = p
-        return (r * math.cos(phi), r * math.sin(phi))
 
     def _loc(self, r1, r2, a):
         """Haversine distance with azimuth separation a (capped at pi).
@@ -154,19 +150,12 @@ class _SphereBase(ExactMetric):
                 A = math.acos(_clamp1(cosA))
                 psi = math.pi - A if sign > 0 else math.pi + A
                 cands.append((d, wrap_angle(psi, TWO_PI)))
-        best = min(d for d, _ in cands)
-        dirs = sorted(ang for d, ang in cands if d <= best + tol)
-        out = [dirs[0]]
-        for a in dirs[1:]:
-            if abs(a - out[-1]) > 1e-12:
-                out.append(a)
-        return out
+        return minimizing_angles(cands, tol)
 
 
 class SpindleSpace(_SphereBase):
     variant = "spindle"
     kappa = 1.0
-    has_boundary = False
 
     def __init__(self, circle_length: float):
         if not (0.0 < circle_length <= TWO_PI + 1e-12):
@@ -189,11 +178,6 @@ class SpindleSpace(_SphereBase):
     def random_point(self, rng):
         # area measure sin(r) dr dphi
         return (math.acos(1.0 - 2.0 * rng.random()), rng.random() * self.circle_length)
-
-    def random_point_near(self, p, radius, rng):
-        w = self.walk(p, rng.random() * self.sigma_at(p).length,
-                      radius * math.sqrt(rng.random()))
-        return w.end
 
     def diameter_hint(self):
         return math.pi
@@ -220,8 +204,6 @@ class SpindleSpace(_SphereBase):
         p = self.validate_point(p)
         if length < 0.0:
             raise SpaceError("negative walk length")
-        if self.is_apex(p):
-            return self._meridian_from_apex(angle, length, p[0] <= _POLE_EPS, p)
         return self._walk_sphere(p, angle, length)
 
     def geodesic_points(self, p, q, n: int = 33):
@@ -232,8 +214,7 @@ class SpindleSpace(_SphereBase):
         dirs = self.directions_to(p, q)
         pts = [p]
         for i in range(1, n):
-            w = self.walk(p, dirs[0], d * i / (n - 1))
-            pts.append(w.end)
+            pts.append(self._walk_sphere(p, dirs[0], d * i / (n - 1)).end)
         return pts
 
     def cone_points(self):
@@ -246,13 +227,13 @@ class CapSpace(_SphereBase):
     variant = "cap"
     kappa = 1.0
     has_boundary = True
+    supports_tracing = False
     boundary_period = TWO_PI  # azimuth range of boundary_point, not boundary_length()
 
     def __init__(self, radius: float):
         if not (0.0 < radius <= math.pi / 2 + 1e-12):
             raise SpaceError(f"cap radius {radius} outside (0, pi/2]")
         self.radius = min(float(radius), math.pi / 2)
-        self.wrap_length = TWO_PI
 
     def describe(self):
         return {"type": "cap", "radius": self.radius}
@@ -271,6 +252,15 @@ class CapSpace(_SphereBase):
 
     def boundary_dist(self, p):
         return self.radius - p[0]
+
+    def boundary_tails(self, p):
+        """As in `PolygonSpace`: r0 - r falls as the distance to the pole grows.
+
+        At the pole itself the rate is the constant -1 (sources None).
+        """
+        if p[0] <= _POLE_EPS:
+            return [(-1.0, None)]
+        return [(-1.0, self.directions_to(p, (0.0, 0.0)))]
 
     def boundary_point(self, s):
         """Boundary point at azimuth s (not wrapped; s is not an arclength)."""
@@ -306,9 +296,6 @@ class CapSpace(_SphereBase):
         # arc chart: 0 along +phi boundary direction, pi/2 inward (= toward pole)
         return wrap_angle(psi - math.pi / 2.0, TWO_PI)
 
-    def _arc_to_interior_chart(self, p, zeta):
-        return wrap_angle(zeta + math.pi / 2.0, TWO_PI)
-
     def directions_to(self, p, q, tol=1e-9):
         p, q = self.validate_point(p), self.validate_point(q)
         if p[0] <= _POLE_EPS:
@@ -338,7 +325,7 @@ class CapSpace(_SphereBase):
                 raise SpaceError(f"direction {z} outside the boundary arc")
             if z <= 1e-12 or math.pi - z <= 1e-12:
                 return self._walk_along_boundary(p, z, length)
-            psi = self._arc_to_interior_chart(p, z)
+            psi = wrap_angle(z + math.pi / 2.0, TWO_PI)  # the regular chart angle of z
         elif p[0] <= _POLE_EPS:
             return self._cap_clip(self._meridian_from_apex(angle, length, True, p))
         else:
@@ -390,9 +377,7 @@ class CapSpace(_SphereBase):
         if d < 1e-14:
             return [p] * n
         if p[0] <= _POLE_EPS:
-            psi = q[1]
-            pts = [(min(d * i / (n - 1), self.radius), q[1]) for i in range(n)]
-            return pts
+            return [(min(d * i / (n - 1), self.radius), q[1]) for i in range(n)]
         dirs = self._dirs_regular(p, q)
         pts = [p]
         for i in range(1, n):

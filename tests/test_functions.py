@@ -50,18 +50,10 @@ def interpret(expr, space, p):
     if isinstance(expr, MinExpr):
         return min(interpret(t, space, p) for t in expr.terms)
     if isinstance(expr, BoundaryDist):
-        return _interpret_boundary_dist(space, p)
+        return space.boundary_dist(p)
     if callable(expr):
         return float(expr(space, p))
     raise ExprError(f"cannot evaluate {expr!r}")
-
-
-def _interpret_boundary_dist(space, p):
-    if hasattr(space, "boundary_dist"):
-        return space.boundary_dist(p)
-    if hasattr(space, "project") and hasattr(space, "base"):
-        return _interpret_boundary_dist(space.base, space.project(p))
-    raise ExprError(f"{space.variant} has no boundary-distance support")
 
 
 def mixed_tree(space, q1, q2, q3, boundary):
@@ -71,7 +63,7 @@ def mixed_tree(space, q1, q2, q3, boundary):
     body = Affine(weights=(1.0, -0.5, 2.0, 0.7), constant=0.25, terms=leaves)
     terms = (body, scale(-1.0, DistSq(q=q3), 3.0))
     if boundary:
-        terms += (sum_of(BoundaryDist(pullback=True), Dist(q=q2)),)
+        terms += (sum_of(BoundaryDist(), Dist(q=q2)),)
     return MinExpr(terms=terms)
 
 

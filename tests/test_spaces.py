@@ -1,4 +1,7 @@
+import collections
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from alexgeo.spaces import (
     ConeSpace,
     DoubledCap,
     DoubledPolygon,
+    MeshPoint,
     PolygonSpace,
     SpindleSpace,
     SpaceError,
@@ -16,10 +20,10 @@ from alexgeo.spaces import (
     load_space,
     log_map,
     parse_angle,
-    parse_point,
     random_convex_polygon,
     regular_tetrahedron,
 )
+from alexgeo.spaces.base import SigmaDesc
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -312,7 +316,7 @@ class TestDoubling:
         base = PolygonSpace(SQUARE)
         d = build_doubling(base)
         rng = np.random.default_rng(8)
-        f = BoundaryDist(pullback=True)
+        f = BoundaryDist()
         worst = -math.inf
         for _ in range(200):
             a = base.random_point(rng)
@@ -394,13 +398,26 @@ class TestMetricAxiomsAndComparison:
 
 
 class TestPointParsing:
+    @pytest.mark.parametrize("space, period", [
+        (ConeSpace(1.5 * math.pi), 1.5 * math.pi), (SpindleSpace(4.0), 4.0),
+        (CapSpace(0.8), 2 * math.pi)], ids=["cone", "spindle", "cap"])
+    def test_tiny_negative_azimuth_wraps_into_the_period(self, space, period):
+        for phi in (-1e-17, -1e-300, -0.0, -period, period, -2 * period - 1e-16):
+            p = space.validate_point((0.5, phi))
+            assert 0.0 <= p[1] < period
+            assert space.validate_point(p) == p
+
+    def test_sigma_wrap_stays_below_the_length(self):
+        assert SigmaDesc(2 * math.pi).wrap(-1e-17) == 0.0
+        assert SigmaDesc(4.0).wrap(-1e-17) == 0.0
+
     def test_cone_point(self):
         c = ConeSpace(1.5 * math.pi)
-        assert parse_point(c, "1,5pi/4") == pytest.approx((1.0, 5 * math.pi / 4))
+        assert c.parse_point("1,5pi/4") == pytest.approx((1.0, 5 * math.pi / 4))
 
     def test_mesh_point(self):
         t = regular_tetrahedron()
-        p = parse_point(t, "F3:0.2,0.3")
+        p = t.parse_point("F3:0.2,0.3")
         assert p.face == 3
         assert p.bary == pytest.approx((0.2, 0.3, 0.5))
 
@@ -459,3 +476,96 @@ class TestSpaceInterface:
         sq = PolygonSpace(SQUARE)
         assert sq.boundary_period == 4.0
         assert sq.boundary_point(1.5) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_point_literal_round_trip(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            p = space.random_point(rng)
+            q = space.parse_point(space.format_point(p))
+            assert space.format_point(q) == space.format_point(p)
+            assert space.distance(p, q) <= 1e-8
+
+    # name: (boundary_period, corner angles, supports_tracing, boundary distance)
+    CAPABILITIES = {
+        "cone": (None, [], True, False),
+        "spindle": (None, [], True, False),
+        "cap": (2 * math.pi, [], False, True),
+        "square": (4.0, [math.pi / 2] * 4, True, True),
+        "doubled_cap": (None, [], True, True),
+        "tetrahedron": (None, [], True, False),
+        "doubled_square": (None, [], True, True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_capabilities(self, name):
+        space = INTERFACE_SPACES[name]()
+        period, angles, tracing, boundary = self.CAPABILITIES[name]
+        assert space.boundary_period == period
+        assert [a for _, a in space.corners()] == pytest.approx(angles)
+        assert space.supports_tracing is tracing
+        assert (space.boundary_dist is not None) is boundary
+        # the differential of the boundary distance is there where the
+        # boundary is parametrized: the doubles have none
+        assert (space.boundary_tails is not None) is (period is not None)
+
+    def test_square_corners(self):
+        corners = [pt for pt, _ in PolygonSpace(SQUARE).corners()]
+        assert corners == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+MESH_ENTRIES = {
+    "distance": lambda m, bad, good: [m.distance(bad, good), m.distance(good, bad)],
+    "distance_with_error": lambda m, bad, good: [m.distance_with_error(bad, good),
+                                                 m.distance_with_error(good, bad)],
+    "directions_to": lambda m, bad, good: [m.directions_to(bad, good),
+                                           m.directions_to(good, bad)],
+    "walk": lambda m, bad, good: m.walk(bad, 0.3, 0.1),
+    "geodesic_points": lambda m, bad, good: [m.geodesic_points(bad, good, 5),
+                                             m.geodesic_points(good, bad, 5)],
+    "point_vertex_dists": lambda m, bad, good: m.point_vertex_dists(bad),
+    "graph_upper_bound": lambda m, bad, good: [m.graph_upper_bound(bad, good),
+                                               m.graph_upper_bound(good, bad)],
+    "distances_from_source": lambda m, bad, good: m.distances_from(bad, [good]),
+    "distances_from_target": lambda m, bad, good: m.distances_from(good, [good, bad]),
+}
+
+
+class TestMeshValidation:
+    """Every public mesh entry validates its points: the kernels do not."""
+
+    @pytest.mark.parametrize("mesh_name", ["tetrahedron", "doubled_square"])
+    @pytest.mark.parametrize("entry", sorted(MESH_ENTRIES))
+    @pytest.mark.parametrize("bad", [MeshPoint(99, (0.2, 0.3, 0.5)),
+                                     MeshPoint(0, (0.5, 0.6, -0.1)),
+                                     (0, (0.2, 0.2, 0.2))],
+                             ids=["face", "negative_bary", "bary_sum"])
+    def test_bad_points_raise(self, mesh_name, entry, bad):
+        mesh = INTERFACE_SPACES[mesh_name]()
+        good = MeshPoint(1, (0.2, 0.3, 0.5))
+        with pytest.raises(SpaceError):
+            MESH_ENTRIES[entry](mesh, bad, good)
+
+
+# the planar fast paths of `SmoothedDistance` and `RadialStepper`, by file
+DISPATCH_RE = re.compile(r"\.variant (==|in|not in)|hasattr\(")
+PLANAR_FAST_PATHS = collections.Counter({
+    ("functions.py", 'self._planar = space.variant == "polygon" or ('): 1,
+    ("functions.py",
+     'space.variant == "cone" and abs(space.total_angle - 2.0 * math.pi) < 1e-12'): 1,
+    ("functions.py", 'if space.variant == "polygon":'): 1,
+    ("functions.py", 'if self.space.variant == "cone":'): 1,
+    ("radial.py", 'if self.space.variant == "cone":'): 1,
+})
+
+
+def test_no_code_outside_the_planar_fast_paths_asks_a_space_its_variant():
+    src = Path(__file__).resolve().parent.parent / "src" / "alexgeo"
+    found = collections.Counter(
+        (path.name, line.strip())
+        for path in sorted(src.rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if DISPATCH_RE.search(line)
+    )
+    assert found == PLANAR_FAST_PATHS
