@@ -44,6 +44,10 @@ class TestDetect:
         kinds = [c.kind for c, _ in cands]
         assert kinds.count("boundary") == 1
         assert kinds.count("point") == 4  # right-angle corners
+        assert [c.label for c, _ in cands] == (
+            ["whole space", "empty set", "polygon boundary"]
+            + [f"corner {i} (angle {math.pi / 2:.6f})" for i in range(4)])
+        assert [c.point for c, _ in cands[3:]] == [(0, 0), (1, 0), (1, 1), (0, 1)]
 
     def test_tetrahedron_vertices(self):
         cands = detect_extremal(regular_tetrahedron(), verify=False)
@@ -51,7 +55,8 @@ class TestDetect:
 
     def test_cap_boundary(self):
         cands = detect_extremal(CapSpace(0.8), verify=False)
-        assert any(c.kind == "boundary" for c, _ in cands)
+        assert [(c.kind, c.label) for c, _ in cands] == [
+            ("whole", "whole space"), ("empty", "empty set"), ("boundary", "cap boundary")]
 
 
 class TestVerify:

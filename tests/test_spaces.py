@@ -510,10 +510,6 @@ class TestSpaceInterface:
         # boundary is parametrized: the doubles have none
         assert (space.boundary_tails is not None) is (period is not None)
 
-    def test_square_corners(self):
-        corners = [pt for pt, _ in PolygonSpace(SQUARE).corners()]
-        assert corners == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-
 
 MESH_ENTRIES = {
     "distance": lambda m, bad, good: [m.distance(bad, good), m.distance(good, bad)],
