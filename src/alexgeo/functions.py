@@ -227,7 +227,9 @@ def differential(expr, space, p) -> DirectionalFn:
 
     A distance leaf contributes min over its minimizing directions of
     -cos; a leaf based exactly at p contributes the unit-rate constant.
+    p is validated once here; the leaves take it as it is.
     """
+    p = space.validate_point(p)
     sigma = space.sigma_at(p)
     return _diff(expr, space, p, sigma)
 

@@ -22,6 +22,7 @@ def log_map(space, p, q):
     """Distance together with one minimizing direction (smallest chart angle)."""
     from ..tangent import TangentVec
 
+    p = space.validate_point(p)
     d = space.distance(p, q)
     dirs = space.directions_to(p, q)
     return TangentVec(d, dirs[0], space.sigma_at(p))

@@ -124,12 +124,7 @@ class SigmaDesc:
     def wrap(self, angle: float) -> float:
         if self.is_arc:
             return angle
-        # `wrap_angle` inlined: this is the hot loop of the directional scans
-        a = math.fmod(angle, self.length)
-        if a < 0.0:
-            a += self.length
-            return a if a < self.length else 0.0
-        return a
+        return wrap_angle(angle, self.length)
 
     def dist(self, a: float, b: float) -> float:
         """Angle metric between two directions (capped at pi by construction)."""

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from alexgeo import model_plane
-from alexgeo.spaces import (CapSpace, ConeSpace, DoubledPolygon, PolygonSpace, SpaceError,
-                            SpindleSpace, regular_tetrahedron)
+from alexgeo.spaces import (CapSpace, ConeSpace, DoubledCap, DoubledPolygon, PolygonSpace,
+                            SpaceError, SpindleSpace, build_doubling, regular_tetrahedron)
 from alexgeo.functions import (
     Affine,
     BoundaryDist,
@@ -50,6 +50,10 @@ def interpret(expr, space, p):
     if isinstance(expr, MinExpr):
         return min(interpret(t, space, p) for t in expr.terms)
     if isinstance(expr, BoundaryDist):
+        # a double's boundary distance is pulled back here on its own, not
+        # read from the space's answer that the compiled leaf calls
+        if isinstance(space, (DoubledPolygon, DoubledCap)):
+            return space.base.boundary_dist(space.project(p))
         return space.boundary_dist(p)
     if callable(expr):
         return float(expr(space, p))
@@ -132,6 +136,19 @@ class TestEval:
 
     def test_boundary_dist(self):
         assert evaluate(BoundaryDist(), SQUARE, (0.3, 0.5)) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("base, points, expected", [
+        (SQUARE, [(0.3, 0.5), (0.9, 0.2), (0.5, 0.0), (1.0, 1.0)], [0.3, 0.1, 0.0, 0.0]),
+        (CapSpace(math.pi / 2), [(0.0, 0.0), (0.4, 1.0), (1.2, 5.0), (math.pi / 2, 2.0)],
+         [math.pi / 2, math.pi / 2 - 0.4, math.pi / 2 - 1.2, 0.0]),
+    ], ids=["square", "hemisphere"])
+    def test_boundary_dist_pulled_back_on_both_sheets(self, base, points, expected):
+        double = build_doubling(base)
+        for x, want in zip(points, expected):
+            assert base.boundary_dist(base.validate_point(x)) == pytest.approx(want, abs=1e-15)
+            for sheet in (0, 1):
+                got = evaluate(BoundaryDist(), double, double.lift(x, sheet))
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_theta_grammar(self):
         ok = MinExpr(terms=(

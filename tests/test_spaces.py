@@ -543,6 +543,19 @@ class TestMeshValidation:
         with pytest.raises(SpaceError):
             MESH_ENTRIES[entry](mesh, bad, good)
 
+    def test_entries_above_the_space_take_the_tuple_form(self):
+        # gradient, differential and log_map validate p before reading it
+        from alexgeo.flow import gradient
+        from alexgeo.functions import Dist, differential
+
+        mesh = regular_tetrahedron()
+        expr = Dist(q=(1, (1.0, 0.0, 0.0)))
+        raw, point = (0, (0.2, 0.3, 0.5)), MeshPoint(0, (0.2, 0.3, 0.5))
+        assert gradient(expr, mesh, raw) == gradient(expr, mesh, point)
+        assert differential(expr, mesh, raw)(0.7) == differential(expr, mesh, point)(0.7)
+        assert log_map(mesh, raw, (2, (0.1, 0.1, 0.8))) == \
+            log_map(mesh, point, MeshPoint(2, (0.1, 0.1, 0.8)))
+
 
 # the planar fast paths of `SmoothedDistance` and `RadialStepper`, by file
 DISPATCH_RE = re.compile(r"\.variant (==|in|not in)|hasattr\(")
