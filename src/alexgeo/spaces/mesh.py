@@ -8,21 +8,24 @@ pairs.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
 unfolded edge sequences from a source; each accepted candidate is a
 realizable straight path, and pruning keeps the result exact.  On these
 surfaces of curvature >= 0 a shortest path crosses each edge at most
-once, so the engine never extends a sequence through an edge it already
-crossed, and the enumeration ends without any depth cutoff.  Distances
-(`_bnb`) and minimizing directions (`_funnel_directions`) are thin
+once between two bends, so the engine never extends a sequence through
+an edge it already crossed, and the enumeration ends without any depth
+cutoff.  Distances, minimizing directions and geodesic legs are thin
 callers that only choose targets, pruning and what a hit records.
 
-The engine finds vertex-avoiding paths.  A shortest path leaves each
-point of its interior in two directions pi apart in Sigma_p, so it can
-pass only through a vertex whose Sigma_p is a full 2*pi circle (a flat
-interior vertex) or an arc of length >= pi (a straight or reflex
-boundary vertex), never through a cone point.  The load collects these
-pass-through vertices, and distances combine the engine with a Dijkstra
-pass over legs routed through them alone; a surface without any, such
-as a closed convex polyhedron, needs no vertex search at all.  Every
-distance is exact, so its certified error is 0.  A subdivision graph
-Dijkstra provides an independent upper-bound certificate on demand.
+A shortest path leaves each point of its interior in two directions pi
+apart in Sigma_p, so it never passes through a cone point.  It can pass
+through a flat interior vertex, and it can bend at a boundary vertex of
+angle >= pi.  A straight path through a flat vertex lies on the closed
+windows on either side of it, so the engine needs nothing for those.
+Boundary vertices of angle >= pi are pseudo-sources (Mitchell, Mount
+and Papadimitriou 1987; Chen and Han 1990): when the search first
+reaches one, it opens there a new root of the same search, offset by
+its distance, and each root keeps a link to the root it was reached
+from.  A surface without such vertices, such as a closed polyhedron, has
+one root.  Every distance is exact, so its certified error is 0.  A
+subdivision graph Dijkstra provides an independent upper-bound
+certificate on demand.
 """
 from __future__ import annotations
 
@@ -91,8 +94,11 @@ class MeshSpace(Space):
             if self.cone_angle_at_vertex(v)
             >= (math.pi if self.vertex_boundary[v] else TWO_PI) - 1e-9
         ]
-        self._vv_cache = None
-        self._pv_cache = {}
+        # per face, the boundary pass-through vertices at its corners: the
+        # pseudo-sources of `_unfold`, as (vertex, chart position) pairs
+        self._pseudo = [[(v, self.charts[fi][c]) for c, v in enumerate(f)
+                         if v in self.pass_through and self.vertex_boundary[v]]
+                        for fi, f in enumerate(self.faces)]
         self._dist_cache = {}
         self._diam = None
 
@@ -347,11 +353,9 @@ class MeshSpace(Space):
 
     def diameter_hint(self):
         if self._diam is None:
-            d = max(self.edge_lengths.values())
-            for v in range(self.nv):
-                for w in range(v + 1, self.nv):
-                    d = max(d, self.vertex_distance(v, w))
-            self._diam = d
+            ends = [self.point_at_vertex(v) for v in sorted(self.fans)]
+            self._diam = max([max(self.edge_lengths.values())]
+                             + [d for p in ends for d, _ in self.distances_from(p, ends)])
         return self._diam
 
     # -- sigma charts ------------------------------------------------------
@@ -586,58 +590,102 @@ class MeshSpace(Space):
         return True
 
     def _unfold(self, p, targets, keep, want, hit):
-        """Branch-and-bound over unfolded edge sequences from p.
+        """Branch-and-bound over unfolded edge sequences from p and its pseudo-sources.
 
-        The one window loop behind both distances and directions.  A
-        state is a face unfolded into the chart of an anchor of p,
+        The one window loop behind distances, directions and geodesics.
+        A state is a face unfolded into the chart of an anchor of a root,
         together with the window (in anchor coordinates) through which
         straight segments from the anchor enter it.  States pop in order
-        of their lower bound, the distance from the anchor to the window.
+        of their lower bound: the root's offset plus the distance from
+        the anchor to the window.
+
+        Root 0 is p, at offset 0.  Every boundary vertex of angle >= pi
+        that the search reaches, straight from an anchor or from a
+        popped state, is queued at its path length; when that length
+        pops and is still the shortest found, the vertex opens as a new
+        root at that offset, with its own crossed-once mask.
 
         `targets` maps a face to (key, chart position) pairs.  Each
         target is tried straight from every anchor in its face and from
         every popped state in its face.  The caller filters: `want(key,
-        d)` runs first and cheaply on the straight length d, and only
-        then does the engine check that the segment crosses every
+        d)` runs first and cheaply on the path length d, and only then
+        does the engine check that the last segment crosses every
         ancestor window; a segment that passes both is reported as
-        `hit(key, d, face, seg)`, with seg the anchor-chart vector (a
-        complex number) in `face`.  The caller prunes: the loop stops at
-        the first popped state with `not keep(lb)`, and children failing
-        `keep` are never pushed.  No edge is crossed twice, so the loop
-        ends after at most one crossing of every edge, and a result
-        misses nothing but what `keep` pruned.
+        `hit(key, d, face, seg, root)`, with seg the anchor-chart vector
+        (a complex number) in `face` of the segment from the root.  The
+        caller prunes: the loop stops at the first popped state with
+        `not keep(lb)`, and children failing `keep` are never pushed.
+        Each root crosses every edge at most once, so the loop ends, and
+        a result misses nothing but what `keep` pruned.
+
+        Returns the roots, each a (vertex, offset, parent root, face,
+        seg) link: the segment seg in `face` runs from the parent root
+        to the vertex.  Root 0 is (None, 0.0, None, None, None).
         """
-        anchors, src_vertex = self._anchors(p)
-        for fi, src in anchors:
-            for key, tp in targets.get(fi, ()):
-                d = abs(tp - src)
-                if want(key, d):
-                    hit(key, d, fi, tp - src)
-        if src_vertex is None:
-            first = [(fi, src, e) for fi, src in anchors for e in range(3)]
-        else:  # from a vertex only the edge opposite its corner leaves the face
-            first = [(fi, self.charts[fi][c], (c + 1) % 3)
-                     for fi, c in self.fans[src_vertex][0]]
-        heap = []
-        for fi, src, e in first:
-            nb = self.nbr[fi][e]
-            if nb is not None:
-                w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
-                rot, shift = self._g_to_f(fi, e)
-                heap.append((self._seg_dist(src, w0, w1), len(heap), fi, nb[0],
-                             rot, shift, w0, w1, src, None, self.edge_bits[fi][e]))
-        heapq.heapify(heap)
-        counter = len(heap)
-        parents = {}
+        roots = [(None, 0.0, None, None, None)]
+        v0 = self.vertex_of_point(p)
+        reached = {} if v0 is None else {v0: 0.0}
+        heap, parents = [], {}
+        counter = 0
+
+        def reach(v, d, r, face, seg):
+            nonlocal counter
+            if d < reached.get(v, math.inf) and keep(d):
+                reached[v] = d
+                heapq.heappush(heap, (d, counter, None, (v, r, face, seg)))
+                counter += 1
+
+        def open_root(r, point):
+            nonlocal counter
+            off = roots[r][1]
+            anchors, src_vertex = self._anchors(point)
+            for fi, src in anchors:
+                for key, tp in targets.get(fi, ()):
+                    d = off + abs(tp - src)
+                    if want(key, d):
+                        hit(key, d, fi, tp - src, r)
+                for v, tp in self._pseudo[fi]:
+                    reach(v, off + abs(tp - src), r, fi, tp - src)
+            if src_vertex is None:
+                first = [(fi, src, e) for fi, src in anchors for e in range(3)]
+            else:  # from a vertex only the edge opposite its corner leaves the face
+                first = [(fi, self.charts[fi][c], (c + 1) % 3)
+                         for fi, c in self.fans[src_vertex][0]]
+            for fi, src, e in first:
+                nb = self.nbr[fi][e]
+                if nb is not None:
+                    w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
+                    lb = off + self._seg_dist(src, w0, w1)
+                    if keep(lb):
+                        rot, shift = self._g_to_f(fi, e)
+                        heapq.heappush(heap, (lb, counter, fi, nb[0], rot, shift, w0, w1,
+                                              src, None, self.edge_bits[fi][e], r))
+                        counter += 1
+
+        open_root(0, p)
         while heap:
-            lb, cid, af, fi, rot, shift, w0, w1, src, parent, crossed = heapq.heappop(heap)
-            if not keep(lb):
+            item = heapq.heappop(heap)
+            if not keep(item[0]):
                 break
+            if item[2] is None:  # a pseudo-source, at its path length
+                v, r, face, seg = item[3]
+                if reached[v] == item[0]:
+                    roots.append((v, item[0], r, face, seg))
+                    open_root(len(roots) - 1, self.point_at_vertex(v))
+                continue
+            lb, cid, af, fi, rot, shift, w0, w1, src, parent, crossed, r = item
+            off = roots[r][1]
             for key, tp_chart in targets.get(fi, ()):
                 tp = rot * tp_chart + shift
-                d = abs(tp - src)
+                d = off + abs(tp - src)
                 if want(key, d) and self._chain_ok(src, tp, (w0, w1), parent, parents):
-                    hit(key, d, af, tp - src)
+                    hit(key, d, af, tp - src, r)
+            for v, tp_chart in self._pseudo[fi]:
+                tp = rot * tp_chart + shift
+                d = off + abs(tp - src)
+                if d < reached.get(v, math.inf) and self._chain_ok(src, tp, (w0, w1),
+                                                                    parent, parents):
+                    reach(v, d, r, af, tp - src)
             parents[cid] = (parent, w0, w1)
             corners = [rot * z + shift for z in self.charts[fi]]
             for e in range(3):
@@ -646,58 +694,47 @@ class MeshSpace(Space):
                     continue
                 bit = self.edge_bits[fi][e]
                 if crossed & bit:
-                    # shortest vertex-avoiding paths cross an edge at most
-                    # once on these nonnegatively curved surfaces
+                    # shortest paths cross an edge at most once between two
+                    # bends on these nonnegatively curved surfaces
                     continue
                 clipped = self._clip_to_wedge(src, w0, w1, corners[e], corners[(e + 1) % 3])
                 if clipped is None:
                     continue
                 if abs(clipped[1] - clipped[0]) < 1e-12:
-                    # window pinched at a vertex: routing covers a pass-through
-                    # vertex, and no shortest path crosses a cone vertex
+                    # window pinched at a vertex: a straight path through a flat
+                    # vertex lies on the closed windows on either side, a
+                    # boundary vertex of angle >= pi is a pseudo-source, and no
+                    # shortest path passes through a cone vertex
                     continue
-                lb2 = self._seg_dist(src, clipped[0], clipped[1])
+                lb2 = off + self._seg_dist(src, clipped[0], clipped[1])
                 if keep(lb2):
                     r2, s2 = self._g_to_f(fi, e)
                     heapq.heappush(
                         heap,
                         (lb2, counter, af, nb[0], rot * r2, rot * s2 + shift,
-                         clipped[0], clipped[1], src, cid, crossed | bit),
+                         clipped[0], clipped[1], src, cid, crossed | bit, r),
                     )
                     counter += 1
+        return roots
 
-    def _bnb(self, p, target_points=(), target_vertices=(), upper_cap=math.inf):
-        """Vertex-avoiding path lengths from p, by `_unfold`.
+    def _bnb(self, p, target_points):
+        """Shortest paths from p to the target points, by `_unfold`.
 
-        p and the target points are validated.  Returns a map from
-        ("pt", i) / ("vx", v) to path lengths.  Branches at least as long as
-        the worst current target, or as `upper_cap`, are certified
-        irrelevant and pruned.
+        p and the target points are validated.  Returns a map from each
+        reached target's index to its length, a map from the index to
+        the (face, seg, root) of its shortest hit, and the roots of the
+        search.  Branches at least as long as the worst current target
+        are certified irrelevant and pruned.
         """
-        target_vertices = list(target_vertices)
-        n_keys = len(target_points) + len(target_vertices)
-        if not n_keys:
+        if not target_points:
             # nothing to find: an unpruned search would enumerate every sequence
-            return {}
-        src_vertex = self.vertex_of_point(p)
+            return {}, {}, []
         targets = {}
         for i, q in enumerate(target_points):
             for fi, pos in self._anchors(q)[0]:
-                targets.setdefault(fi, []).append((("pt", i), pos))
-        for v in target_vertices:
-            if v != src_vertex:
-                for fi, c in self.fans[v][0]:
-                    targets.setdefault(fi, []).append((("vx", v), self.charts[fi][c]))
-        best = {}
-        if src_vertex in target_vertices:
-            best[("vx", src_vertex)] = 0.0
-        limit = upper_cap - 1e-12
-
-        def set_limit():
-            # prune at the worst target once every target has a path
-            nonlocal limit
-            if len(best) == n_keys:
-                limit = min(max(best.values()), upper_cap) - 1e-12
+                targets.setdefault(fi, []).append((i, pos))
+        best, paths = {}, {}
+        limit = math.inf
 
         def keep(lb):
             return lb < limit
@@ -705,80 +742,24 @@ class MeshSpace(Space):
         def want(key, d):
             return d < best.get(key, math.inf)
 
-        def hit(key, d, face, seg):
+        def hit(key, d, face, seg, root):
+            # prune at the worst target once every target has a path
+            nonlocal limit
             best[key] = d
-            set_limit()
+            paths[key] = (face, seg, root)
+            if len(best) == len(target_points):
+                limit = max(best.values()) - 1e-12
 
-        set_limit()
-        self._unfold(p, targets, keep, want, hit)
-        return best
+        roots = self._unfold(p, targets, keep, want, hit)
+        return best, paths, roots
 
     def _point_key(self, p):
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
 
     def point_vertex_dists(self, p):
-        """Cached vertex-avoiding distances from p to every pass-through vertex."""
-        p = self.validate_point(p)
-        key = self._point_key(p)
-        hit = self._pv_cache.get(key)
-        if hit is not None:
-            return hit
-        best = self._bnb(p, target_vertices=self.pass_through)
-        out = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
-        if len(self._pv_cache) > 4096:
-            self._pv_cache.clear()
-        self._pv_cache[key] = out
-        return out
-
-    def vertex_distance(self, v, w):
-        self._ensure_vv()
-        if v == w:
-            return 0.0
-        return self._vv_cache.get((min(v, w), max(v, w)), math.inf)
-
-    def _ensure_vv(self):
-        if self._vv_cache is not None:
-            return
-        self._vv_cache = {}
-        direct = {}
-        vertices = sorted(self.fans)
-        for v in vertices:
-            best = self._bnb(self.point_at_vertex(v), target_vertices=vertices)
-            for (_, w), d in best.items():
-                if w != v:
-                    key = (min(v, w), max(v, w))
-                    direct[key] = min(direct.get(key, math.inf), d)
-        for v in range(self.nv):
-            dist = {v: 0.0}
-            pq = [(0.0, v)]
-            while pq:
-                d, x = heapq.heappop(pq)
-                if d > dist.get(x, math.inf):
-                    continue
-                for w in range(self.nv):
-                    if w == x:
-                        continue
-                    nd = d + direct.get((min(x, w), max(x, w)), math.inf)
-                    if nd < dist.get(w, math.inf) - 1e-15:
-                        dist[w] = nd
-                        heapq.heappush(pq, (nd, w))
-            for w, d in dist.items():
-                if w != v:
-                    key = (min(v, w), max(v, w))
-                    self._vv_cache[key] = min(self._vv_cache.get(key, math.inf), d)
-
-    def _via_vertices(self, direct, dp_map, dq):
-        """Length of the better of a direct path and pass-through vertex routes.
-
-        `dp_map` holds p's vertex distances and `dq()` gives q's; it is
-        called only when some vertex is nearer to p than q is, since vertex
-        routing cannot matter otherwise.
-        """
-        if direct <= min(dp_map.values(), default=math.inf) + 1e-15:
-            return direct
-        dq_map = dq()
-        return min([direct] + [dp + self.vertex_distance(v, w) + dq_map[w]
-                               for v, dp in dp_map.items() for w in dq_map])
+        """Distances from p to every pass-through vertex."""
+        ends = [self.point_at_vertex(v) for v in self.pass_through]
+        return {v: d for v, (d, _) in zip(self.pass_through, self.distances_from(p, ends))}
 
     def distance(self, p, q):
         return self._distance(self.validate_point(p), self.validate_point(q))
@@ -788,13 +769,7 @@ class MeshSpace(Space):
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit
-        direct = self._bnb(p, target_points=[q]).get(("pt", 0), math.inf)
-
-        def dq():
-            best = self._bnb(q, target_vertices=self.pass_through, upper_cap=direct)
-            return {v: best.get(("vx", v), math.inf) for v in self.pass_through}
-
-        d = self._via_vertices(direct, self.point_vertex_dists(p), dq)
+        d = self._bnb(p, [q])[0].get(0, math.inf)
         if len(self._dist_cache) > 16384:
             self._dist_cache.clear()
         self._dist_cache[key] = d
@@ -807,28 +782,23 @@ class MeshSpace(Space):
         """One-to-many distances sharing a single unfolding pass from p."""
         p = self.validate_point(p)
         targets = [self.validate_point(q) for q in targets]
-        best = self._bnb(p, target_points=targets, target_vertices=self.pass_through)
-        dp_map = {v: best.get(("vx", v), math.inf) for v in self.pass_through}
-        out = []
-        for i, q in enumerate(targets):
-            d = self._via_vertices(best.get(("pt", i), math.inf), dp_map,
-                                   lambda: self.point_vertex_dists(q))
-            out.append((d, 0.0))
-        return out
+        best = self._bnb(p, targets)[0]
+        return [(best.get(i, math.inf), 0.0) for i in range(len(targets))]
 
     # -- directions and geodesics ------------------------------------------
     def directions_to(self, p, q, tol=1e-7):
         """Sigma chart angles at p of minimizing first segments toward q."""
         p, q = self.validate_point(p), self.validate_point(q)
-        d0 = self._distance(p, q)
-        dirs = self._funnel_directions(p, q, d0, tol)
-        dp_map = self.point_vertex_dists(p)
-        if d0 + tol >= min(dp_map.values(), default=math.inf):
-            dq_map = self.point_vertex_dists(q)
-            for v, dp in dp_map.items():
-                if dp > 1e-12 and any(dp + self.vertex_distance(v, w) + dq <= d0 + tol
-                                      for w, dq in dq_map.items()):
-                    dirs.extend(self._funnel_directions(p, self.point_at_vertex(v), dp, tol))
+        dmax = self._distance(p, q) + tol
+        found = []
+        roots = self._unfold(p, {fi: [(None, pos)] for fi, pos in self._anchors(q)[0]},
+                             lambda lb: lb <= dmax, lambda key, d: 1e-15 < d <= dmax,
+                             lambda key, d, face, seg, root: found.append((face, seg, root)))
+        dirs = []
+        for face, seg, r in found:
+            while r:  # back along the root chain to the leg that leaves p
+                _, _, r, face, seg = roots[r]
+            dirs.append(self.chart_angle_of_dir(p, face, seg / abs(seg)))
         out = []
         for a in sorted(dirs):
             if not out or abs(a - out[-1]) > 1e-6:
@@ -838,65 +808,32 @@ class MeshSpace(Space):
             out.pop()  # the same direction on either side of the circle's seam
         return out
 
-    def _funnel_directions(self, p, q, dmax, tol):
-        """Chart angles of straight unfolded segments p->q of length <= dmax+tol."""
-        images, _ = self._anchors(q)
-        targets = {fi: [(None, pos)] for fi, pos in images}
-        dirs = []
-
-        def want(key, d):
-            return d <= dmax + tol and d > 1e-15
-
-        def hit(key, d, face, seg):
-            dirs.append(self.chart_angle_of_dir(p, face, seg / d))
-
-        self._unfold(p, targets, lambda lb: lb <= dmax + tol, want, hit)
-        return dirs
-
-    def _geodesic_legs(self, p, q, d):
-        """(offset, start, angle) legs of a shortest path from p to q of length d.
-
-        Walks stop at every vertex, so a path through pass-through vertices
-        is followed in pieces: when no direction's walk covers the rest, the
-        next leg starts at a vertex where a walk stopped on a shortest route.
-        """
-        legs = []
-        start, off = p, 0.0
-        for _ in range(self.nv + 1):
-            rest = d - off
-            dirs = self.directions_to(start, q)
-            if not dirs:
-                raise SpaceError("no geodesic direction found")
-            walks = []
-            # a direction within the length tolerance of a minimizer can run
-            # into a vertex: take one whose walk covers the rest if any does
-            for a in dirs:
-                w = self.walk(start, a, rest)
-                if w.traveled >= rest - 1e-9:
-                    legs.append((off, start, a))
-                    return legs
-                walks.append((a, w))
-            via = next(((a, w) for a, w in walks
-                        if w.event == "vertex" and w.traveled > 1e-12
-                        and w.traveled + self.distance(w.end, q) <= rest + 1e-7), None)
-            if via is None:
-                legs.append((off, start, dirs[0]))
-                return legs
-            legs.append((off, start, via[0]))
-            start, off = via[1].end, off + via[1].traveled
-        raise SpaceError("geodesic visits more vertices than the mesh has")
-
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
         d = self.distance(p, q)
         if d < 1e-14:
             return [p] * n
-        legs = self._geodesic_legs(p, q, d)
+        _, paths, roots = self._bnb(p, [q])
+        # the legs of the shortest hit, last first, as (offset, start, angle)
+        (face, seg, r), legs = paths[0], []
+        while r is not None:
+            v, off, parent, face_in, seg_in = roots[r]
+            start = p if v is None else self.point_at_vertex(v)
+            legs.append((off, start, self.chart_angle_of_dir(start, face, seg / abs(seg))))
+            r, face, seg = parent, face_in, seg_in
         pts = [p]
         for i in range(1, n):
             s = d * i / (n - 1)
-            off, start, ang = next(leg for leg in reversed(legs) if leg[0] <= s)
-            pts.append(self.walk(start, ang, s - off).end)
+            off, start, ang = next(leg for leg in legs if leg[0] <= s)
+            length = s - off
+            for _ in range(self.nv + 1):
+                # walks stop at every vertex: go straight on through a flat one
+                w = self.walk(start, ang, length)
+                length -= w.traveled
+                if w.event != "vertex" or length <= 1e-9:
+                    break
+                start, ang = w.end, w.sigma.forward_of_back(w.back_angle)
+            pts.append(w.end)
         return pts
 
     def cone_points(self):

@@ -26,7 +26,8 @@ class TestRegularTetrahedron:
         t = regular_tetrahedron(edge=1.0)
         for v in range(4):
             for w in range(v + 1, 4):
-                assert t.vertex_distance(v, w) == pytest.approx(1.0)
+                d = t.distance(t.point_at_vertex(v), t.point_at_vertex(w))
+                assert d == pytest.approx(1.0)
 
     def test_vertex_to_opposite_face_center(self):
         # unfolding two faces flat: sqrt(1 + 1/3) = 2/sqrt(3)
@@ -305,11 +306,13 @@ class TestPassThroughRouting:
 
     @pytest.mark.parametrize("offset", [3e-5, -3e-5])
     def test_geodesic_passing_near_a_flat_vertex(self, offset):
-        # the bent route through the centre is within the 1e-7 length
-        # tolerance of the straight path, so directions_to returns both
+        # the path runs 1e-5 from the flat centre; a route bent there is
+        # within 1e-7 of its length but is no geodesic, so it is no direction
         mesh, locate = _planar(*_FAN_SQUARE)
         p, q = locate(0.2, 0.4), locate(0.8, 0.6 + 2.0 * offset)
-        assert len(mesh.directions_to(p, q)) == 2
+        d = mesh.distance(p, q)
+        (ang,) = mesh.directions_to(p, q)
+        assert mesh.distance(mesh.walk(p, ang, d).end, q) < 1e-9
         end = mesh.geodesic_points(p, q, 5)[-1]
         assert mesh.distance(end, q) < 1e-9
 
@@ -327,6 +330,131 @@ class TestPassThroughRouting:
             for q, many in zip(qs, mesh.distances_from(p, qs)):
                 # equal up to the rounding of the unfolded chain that wins
                 assert many == pytest.approx(mesh.distance_with_error(p, q), abs=1e-12)
+
+
+def _subdivided_tetrahedron(k):
+    """`regular_tetrahedron()` with each face cut into k*k flat triangles, and a
+    map of its points onto the uncut tetrahedron through their 3-D positions."""
+    uncut = regular_tetrahedron()
+    c = 1.0 / (2.0 * math.sqrt(2.0))
+    corners = np.array([(c, c, c), (c, -c, -c), (-c, c, -c), (-c, -c, c)])
+    ids, pts, faces = {}, [], []
+
+    def vid(x):
+        key = tuple(np.round(x, 12))
+        if key not in ids:
+            ids[key] = len(pts)
+            pts.append(x)
+        return ids[key]
+
+    for f in uncut.faces:
+        a, b, cc = corners[list(f)]
+        grid = {(i, j): vid(a + (i * (b - a) + j * (cc - a)) / k)
+                for i in range(k + 1) for j in range(k + 1 - i)}
+        for i in range(k):
+            for j in range(k - i):
+                faces.append((grid[i, j], grid[i + 1, j], grid[i, j + 1]))
+                if i + j < k - 1:
+                    faces.append((grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1]))
+    mesh, position = _embedded(faces, np.array(pts))
+
+    def to_uncut(p):
+        x = position(p)
+        for fi, f in enumerate(uncut.faces):
+            a, b, cc = corners[list(f)]
+            (l0, l1), *_ = np.linalg.lstsq(np.column_stack([a - cc, b - cc]), x - cc,
+                                           rcond=None)
+            bary = (float(l0), float(l1), float(1.0 - l0 - l1))
+            if min(bary) >= -1e-12 and np.linalg.norm(
+                    l0 * a + l1 * b + (1.0 - l0 - l1) * cc - x) < 1e-12:
+                return MeshPoint(fi, tuple(max(t, 0.0) for t in bary))
+        raise AssertionError(f"{x} lies on no face of the tetrahedron")
+
+    return mesh, position, uncut, to_uncut
+
+
+class TestPseudoSourceOracles:
+    """The one unfolding search against closed forms through pass-through vertices."""
+
+    @pytest.mark.parametrize("k, seed", [(2, 51), (3, 52)])
+    def test_subdivided_tetrahedron_is_the_tetrahedron(self, k, seed):
+        # every vertex the cuts add is flat: no root, the closed windows cover it
+        rng = np.random.default_rng(seed)
+        mesh, position, uncut, to_uncut = _subdivided_tetrahedron(k)
+        flat = mesh.pass_through
+        assert len(mesh.faces) == 4 * k * k and len(flat) == mesh.nv - 4
+        assert not mesh.has_boundary
+        pairs = [(mesh.random_point(rng), mesh.random_point(rng)) for _ in range(12)]
+        for v in flat:
+            # on one straight line through the flat vertex, either side of it
+            ang = rng.random() * 2.0 * math.pi
+            ends = [mesh.walk(mesh.point_at_vertex(v), a, 0.05 + 0.2 * rng.random()).end
+                    for a in (ang, ang + math.pi)]
+            pairs.append(tuple(ends))
+        for p, q in pairs:
+            d = mesh.distance(p, q)
+            assert d == pytest.approx(uncut.distance(to_uncut(p), to_uncut(q)), abs=1e-12)
+            assert np.linalg.norm(position(p) - position(q)) <= d + 1e-12
+            assert d <= mesh.graph_upper_bound(p, q) + 1e-9
+            assert mesh.distance(mesh.geodesic_points(p, q, 5)[-1], q) <= 1e-9
+            if d < 0.1:
+                continue
+            # first variation: the derivative of d along theta is -cos of the
+            # angle to the nearest minimizing direction, up to O(t / d)
+            dirs, sigma, t = mesh.directions_to(p, q), mesh.sigma_at(p), 1e-6
+            for theta in rng.random(3) * sigma.length:
+                slope = (mesh.distance(mesh.walk(p, theta, t).end, q) - d) / t
+                assert slope == pytest.approx(
+                    -max(math.cos(sigma.dist(theta, a)) for a in dirs), abs=1e-4)
+
+    def test_one_search_per_query(self, monkeypatch):
+        # on a cold cache: no vertex table and no second search from q
+        mesh, locate = _planar(*_L_SHAPE)
+        calls, unfold = [], MeshSpace._unfold
+        monkeypatch.setattr(MeshSpace, "_unfold",
+                            lambda self, *args: calls.append(1) or unfold(self, *args))
+        p, q = locate(1.8, 0.5), locate(0.5, 1.8)
+        assert mesh.distance(p, q) == pytest.approx(2.0 * math.sqrt(0.89), abs=1e-12)
+        assert len(calls) == 1
+        mesh.distances_from(p, [q, locate(0.2, 0.2)])
+        assert len(calls) == 2
+
+    def test_reflex_corner(self):
+        # the path bends at the corner c = (1, 1) exactly when the segment
+        # crosses the open notch (1, 2) x (1, 2) of the L
+        mesh, locate = _planar(*_L_SHAPE)
+        rng = np.random.default_rng(53)
+        c = np.array([1.0, 1.0])
+
+        def crosses_notch(a, b):
+            lo, hi = 0.0, 1.0
+            for x0, x1 in zip(a, b):
+                if x0 == x1:
+                    if not 1.0 < x0 < 2.0:
+                        return False
+                    continue
+                t0, t1 = sorted(((1.0 - x0) / (x1 - x0), (2.0 - x0) / (x1 - x0)))
+                lo, hi = max(lo, t0), min(hi, t1)
+            return hi - lo > 1e-12
+
+        def sample():
+            while True:
+                x = 2.0 * rng.random(2)
+                if min(x) <= 1.0:
+                    return x
+
+        bent = 0
+        for _ in range(200):
+            a, b = sample(), sample()
+            if crosses_notch(a, b):
+                bent += 1
+                exact = np.linalg.norm(a - c) + np.linalg.norm(c - b)
+            else:
+                exact = np.linalg.norm(a - b)
+            p, q = locate(*a), locate(*b)
+            assert mesh.distance(p, q) == pytest.approx(exact, abs=1e-12)
+            assert mesh.distance(mesh.geodesic_points(p, q, 5)[-1], q) <= 1e-9
+        assert bent >= 10
 
 
 def _geodesic_sphere(rng, levels):
