@@ -180,10 +180,10 @@ def wrap_angle(a: float, period: float) -> float:
     return x
 
 
-def minimizing_angles(cands, tol):
-    """Sorted distinct angles of the (length, angle) candidates within tol of the shortest."""
+def minimizing_angles(cands):
+    """Sorted distinct angles of the (length, angle) candidates within 1e-9 of the shortest."""
     best = min(d for d, _ in cands)
-    dirs = sorted(ang for d, ang in cands if d <= best + tol)
+    dirs = sorted(ang for d, ang in cands if d <= best + 1e-9)
     out = [dirs[0]]
     for a in dirs[1:]:
         if abs(a - out[-1]) > 1e-12:

@@ -65,7 +65,7 @@ class ConeSpace(Space):
             return SigmaDesc(self.total_angle)
         return SigmaDesc(TWO_PI)
 
-    def directions_to(self, p, q, tol: float = 1e-9):
+    def directions_to(self, p, q):
         """Angles in the sigma chart of p of every minimizing direction to q."""
         p, q = self.validate_point(p), self.validate_point(q)
         if self.is_apex(p):
@@ -80,7 +80,7 @@ class ConeSpace(Space):
                 ex = q[0] * math.cos(a) - p[0]
                 ey = sign * q[0] * math.sin(a)
                 cands.append((math.hypot(ex, ey), angle_of(ex, ey)))
-        return minimizing_angles(cands, tol)
+        return minimizing_angles(cands)
 
     def walk(self, p, angle, length) -> WalkResult:
         p = self.validate_point(p)

@@ -10,8 +10,10 @@ realizable straight path, and pruning keeps the result exact.  On these
 surfaces of curvature >= 0 a shortest path crosses each edge at most
 once between two bends, so the engine never extends a sequence through
 an edge it already crossed, and the enumeration ends without any depth
-cutoff.  Distances, minimizing directions and geodesic legs are thin
-callers that only choose targets, pruning and what a hit records.
+cutoff.  One search from p to q answers the distance, every minimizing
+direction and the legs of a shortest path at once: it keeps every hit
+within `_TIE` of the shortest, and the three queries read one cached
+result per ordered pair.
 
 A shortest path leaves each point of its interior in two directions pi
 apart in Sigma_p, so it never passes through a cone point.  It can pass
@@ -41,6 +43,7 @@ from .base import SigmaDesc, Space, SpaceError, WalkResult, parse_angle, wrap_an
 
 TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
+_TIE = 1e-7  # paths within this of the shortest count as minimizing
 
 
 def _cross(u, v):
@@ -99,7 +102,7 @@ class MeshSpace(Space):
         self._pseudo = [[(v, self.charts[fi][c]) for c, v in enumerate(f)
                          if v in self.pass_through and self.vertex_boundary[v]]
                         for fi, f in enumerate(self.faces)]
-        self._dist_cache = {}
+        self._path_cache = {}
         self._diam = None
 
     # ------------------------------------------------------------------
@@ -589,7 +592,7 @@ class MeshSpace(Space):
             t_prev = t
         return True
 
-    def _unfold(self, p, targets, keep, want, hit):
+    def _unfold(self, p, target_points):
         """Branch-and-bound over unfolded edge sequences from p and its pseudo-sources.
 
         The one window loop behind distances, directions and geodesics.
@@ -605,32 +608,53 @@ class MeshSpace(Space):
         pops and is still the shortest found, the vertex opens as a new
         root at that offset, with its own crossed-once mask.
 
-        `targets` maps a face to (key, chart position) pairs.  Each
-        target is tried straight from every anchor in its face and from
-        every popped state in its face.  The caller filters: `want(key,
-        d)` runs first and cheaply on the path length d, and only then
-        does the engine check that the last segment crosses every
-        ancestor window; a segment that passes both is reported as
-        `hit(key, d, face, seg, root)`, with seg the anchor-chart vector
-        (a complex number) in `face` of the segment from the root.  The
-        caller prunes: the loop stops at the first popped state with
-        `not keep(lb)`, and children failing `keep` are never pushed.
-        Each root crosses every edge at most once, so the loop ends, and
-        a result misses nothing but what `keep` pruned.
+        p and the target points are validated.  Each target is tried
+        straight from every anchor in its face and from every popped
+        state in its face.  A path counts as a hit when its length is
+        within `_TIE` of the target's shortest so far, checked first,
+        and its last segment crosses every ancestor window.  Once every
+        target has a hit, states longer than the worst target's shortest
+        length plus `_TIE` are pruned.  Each root crosses every edge at
+        most once, so the loop ends, and it misses no path within `_TIE`
+        of a shortest one.
 
-        Returns the roots, each a (vertex, offset, parent root, face,
-        seg) link: the segment seg in `face` runs from the parent root
-        to the vertex.  Root 0 is (None, 0.0, None, None, None).
+        Returns, per target, its hits (d, face, seg, root) within `_TIE`
+        of its shortest length, with seg the anchor-chart vector (a
+        complex number) in `face` of the segment from the root; and the
+        roots, each a (vertex, offset, parent root, face, seg) link: the
+        segment seg in `face` runs from the parent root to the vertex.
+        Root 0 is (None, 0.0, None, None, None).
         """
+        if not target_points:
+            # nothing to find: an unpruned search would enumerate every sequence
+            return [], []
+        targets = {}
+        for i, q in enumerate(target_points):
+            for fi, pos in self._anchors(q)[0]:
+                targets.setdefault(fi, []).append((i, pos))
+        best = [math.inf] * len(target_points)
+        hits = [[] for _ in target_points]
+        missing, limit = len(target_points), math.inf
         roots = [(None, 0.0, None, None, None)]
         v0 = self.vertex_of_point(p)
         reached = {} if v0 is None else {v0: 0.0}
         heap, parents = [], {}
         counter = 0
 
+        def hit(i, d, face, seg, r):
+            nonlocal missing, limit
+            hits[i].append((d, face, seg, r))
+            if d < best[i]:
+                if best[i] == math.inf:
+                    missing -= 1
+                best[i] = d
+                if not missing:
+                    # prune at the worst target once every target has a hit
+                    limit = max(best) + _TIE
+
         def reach(v, d, r, face, seg):
             nonlocal counter
-            if d < reached.get(v, math.inf) and keep(d):
+            if d < reached.get(v, math.inf) and d <= limit:
                 reached[v] = d
                 heapq.heappush(heap, (d, counter, None, (v, r, face, seg)))
                 counter += 1
@@ -640,10 +664,10 @@ class MeshSpace(Space):
             off = roots[r][1]
             anchors, src_vertex = self._anchors(point)
             for fi, src in anchors:
-                for key, tp in targets.get(fi, ()):
+                for i, tp in targets.get(fi, ()):
                     d = off + abs(tp - src)
-                    if want(key, d):
-                        hit(key, d, fi, tp - src, r)
+                    if d <= best[i] + _TIE:
+                        hit(i, d, fi, tp - src, r)
                 for v, tp in self._pseudo[fi]:
                     reach(v, off + abs(tp - src), r, fi, tp - src)
             if src_vertex is None:
@@ -656,7 +680,7 @@ class MeshSpace(Space):
                 if nb is not None:
                     w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
                     lb = off + self._seg_dist(src, w0, w1)
-                    if keep(lb):
+                    if lb <= limit:
                         rot, shift = self._g_to_f(fi, e)
                         heapq.heappush(heap, (lb, counter, fi, nb[0], rot, shift, w0, w1,
                                               src, None, self.edge_bits[fi][e], r))
@@ -665,7 +689,7 @@ class MeshSpace(Space):
         open_root(0, p)
         while heap:
             item = heapq.heappop(heap)
-            if not keep(item[0]):
+            if item[0] > limit:
                 break
             if item[2] is None:  # a pseudo-source, at its path length
                 v, r, face, seg = item[3]
@@ -675,11 +699,11 @@ class MeshSpace(Space):
                 continue
             lb, cid, af, fi, rot, shift, w0, w1, src, parent, crossed, r = item
             off = roots[r][1]
-            for key, tp_chart in targets.get(fi, ()):
+            for i, tp_chart in targets.get(fi, ()):
                 tp = rot * tp_chart + shift
                 d = off + abs(tp - src)
-                if want(key, d) and self._chain_ok(src, tp, (w0, w1), parent, parents):
-                    hit(key, d, af, tp - src, r)
+                if d <= best[i] + _TIE and self._chain_ok(src, tp, (w0, w1), parent, parents):
+                    hit(i, d, af, tp - src, r)
             for v, tp_chart in self._pseudo[fi]:
                 tp = rot * tp_chart + shift
                 d = off + abs(tp - src)
@@ -707,7 +731,7 @@ class MeshSpace(Space):
                     # shortest path passes through a cone vertex
                     continue
                 lb2 = off + self._seg_dist(src, clipped[0], clipped[1])
-                if keep(lb2):
+                if lb2 <= limit:
                     r2, s2 = self._g_to_f(fi, e)
                     heapq.heappush(
                         heap,
@@ -715,46 +739,22 @@ class MeshSpace(Space):
                          clipped[0], clipped[1], src, cid, crossed | bit, r),
                     )
                     counter += 1
-        return roots
-
-    def _bnb(self, p, target_points):
-        """Shortest paths from p to the target points, by `_unfold`.
-
-        p and the target points are validated.  Returns a map from each
-        reached target's index to its length, a map from the index to
-        the (face, seg, root) of its shortest hit, and the roots of the
-        search.  Branches at least as long as the worst current target
-        are certified irrelevant and pruned.
-        """
-        if not target_points:
-            # nothing to find: an unpruned search would enumerate every sequence
-            return {}, {}, []
-        targets = {}
-        for i, q in enumerate(target_points):
-            for fi, pos in self._anchors(q)[0]:
-                targets.setdefault(fi, []).append((i, pos))
-        best, paths = {}, {}
-        limit = math.inf
-
-        def keep(lb):
-            return lb < limit
-
-        def want(key, d):
-            return d < best.get(key, math.inf)
-
-        def hit(key, d, face, seg, root):
-            # prune at the worst target once every target has a path
-            nonlocal limit
-            best[key] = d
-            paths[key] = (face, seg, root)
-            if len(best) == len(target_points):
-                limit = max(best.values()) - 1e-12
-
-        roots = self._unfold(p, targets, keep, want, hit)
-        return best, paths, roots
+        return [[h for h in hs if h[0] <= b + _TIE] for hs, b in zip(hits, best)], roots
 
     def _point_key(self, p):
         return (p.face, round(p.bary[0], 12), round(p.bary[1], 12))
+
+    def _paths(self, p, q):
+        """(distance, hits, roots) of the one search from p to q, cached per pair."""
+        key = (self._point_key(p), self._point_key(q))
+        out = self._path_cache.get(key)
+        if out is None:
+            (hits,), roots = self._unfold(p, [q])
+            out = (min((h[0] for h in hits), default=math.inf), hits, roots)
+            if len(self._path_cache) > 16384:
+                self._path_cache.clear()
+            self._path_cache[key] = out
+        return out
 
     def point_vertex_dists(self, p):
         """Distances from p to every pass-through vertex."""
@@ -765,15 +765,7 @@ class MeshSpace(Space):
         return self._distance(self.validate_point(p), self.validate_point(q))
 
     def _distance(self, p, q):
-        key = (self._point_key(p), self._point_key(q))
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit
-        d = self._bnb(p, [q])[0].get(0, math.inf)
-        if len(self._dist_cache) > 16384:
-            self._dist_cache.clear()
-        self._dist_cache[key] = d
-        return d
+        return self._paths(p, q)[0]
 
     def distance_with_error(self, p, q):
         return self.distance(p, q), 0.0
@@ -781,21 +773,18 @@ class MeshSpace(Space):
     def distances_from(self, p, targets):
         """One-to-many distances sharing a single unfolding pass from p."""
         p = self.validate_point(p)
-        targets = [self.validate_point(q) for q in targets]
-        best = self._bnb(p, targets)[0]
-        return [(best.get(i, math.inf), 0.0) for i in range(len(targets))]
+        hits, _ = self._unfold(p, [self.validate_point(q) for q in targets])
+        return [(min((h[0] for h in hs), default=math.inf), 0.0) for hs in hits]
 
     # -- directions and geodesics ------------------------------------------
-    def directions_to(self, p, q, tol=1e-7):
+    def directions_to(self, p, q):
         """Sigma chart angles at p of minimizing first segments toward q."""
         p, q = self.validate_point(p), self.validate_point(q)
-        dmax = self._distance(p, q) + tol
-        found = []
-        roots = self._unfold(p, {fi: [(None, pos)] for fi, pos in self._anchors(q)[0]},
-                             lambda lb: lb <= dmax, lambda key, d: 1e-15 < d <= dmax,
-                             lambda key, d, face, seg, root: found.append((face, seg, root)))
+        d, hits, roots = self._paths(p, q)
+        if d <= 1e-15:
+            return [0.0]
         dirs = []
-        for face, seg, r in found:
+        for _, face, seg, r in hits:
             while r:  # back along the root chain to the leg that leaves p
                 _, _, r, face, seg = roots[r]
             dirs.append(self.chart_angle_of_dir(p, face, seg / abs(seg)))
@@ -810,12 +799,11 @@ class MeshSpace(Space):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
-        d = self.distance(p, q)
+        d, hits, roots = self._paths(p, q)
         if d < 1e-14:
             return [p] * n
-        _, paths, roots = self._bnb(p, [q])
         # the legs of the shortest hit, last first, as (offset, start, angle)
-        (face, seg, r), legs = paths[0], []
+        (_, face, seg, r), legs = min(hits, key=lambda h: h[0]), []
         while r is not None:
             v, off, parent, face_in, seg_in = roots[r]
             start = p if v is None else self.point_at_vertex(v)

@@ -128,7 +128,7 @@ class PolygonSpace(Space):
     def sigma_at(self, p):
         return self._sigma_of(self.classify(p))
 
-    def directions_to(self, p, q, tol=1e-9):
+    def directions_to(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
         ang = angle_of(q[0] - p[0], q[1] - p[1])
         # on an arc the valid range is checked by callers

@@ -134,7 +134,7 @@ class _SphereBase(Space):
             )
         return WalkResult(end, length, back, SigmaDesc(TWO_PI))
 
-    def _dirs_regular(self, p, q, tol=1e-9):
+    def _dirs_regular(self, p, q):
         """Chart angles at regular p of minimizing directions to regular q."""
         ccw, cw = self._azimuth_sep(p, q)
         cands = []
@@ -150,7 +150,7 @@ class _SphereBase(Space):
                 A = math.acos(_clamp1(cosA))
                 psi = math.pi - A if sign > 0 else math.pi + A
                 cands.append((d, wrap_angle(psi, TWO_PI)))
-        return minimizing_angles(cands, tol)
+        return minimizing_angles(cands)
 
 
 class SpindleSpace(_SphereBase):
@@ -190,7 +190,7 @@ class SpindleSpace(_SphereBase):
             return SigmaDesc(self.circle_length)
         return SigmaDesc(TWO_PI)
 
-    def directions_to(self, p, q, tol=1e-9):
+    def directions_to(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
         if self.is_apex(p):
             if p[0] <= _POLE_EPS:
@@ -198,7 +198,7 @@ class SpindleSpace(_SphereBase):
             return [q[1]]
         if self.is_apex(q):
             return [math.pi] if q[0] <= _POLE_EPS else [0.0]
-        return self._dirs_regular(p, q, tol)
+        return self._dirs_regular(p, q)
 
     def walk(self, p, angle, length):
         p = self.validate_point(p)
@@ -296,14 +296,14 @@ class CapSpace(_SphereBase):
         # arc chart: 0 along +phi boundary direction, pi/2 inward (= toward pole)
         return wrap_angle(psi - math.pi / 2.0, TWO_PI)
 
-    def directions_to(self, p, q, tol=1e-9):
+    def directions_to(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
         if p[0] <= _POLE_EPS:
             return [q[1]]
         if q[0] <= _POLE_EPS:
             dirs = [math.pi]
         else:
-            dirs = self._dirs_regular(p, q, tol)
+            dirs = self._dirs_regular(p, q)
         if self.on_boundary(p):
             out = []
             for d in dirs:

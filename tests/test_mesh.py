@@ -415,9 +415,42 @@ class TestPseudoSourceOracles:
                             lambda self, *args: calls.append(1) or unfold(self, *args))
         p, q = locate(1.8, 0.5), locate(0.5, 1.8)
         assert mesh.distance(p, q) == pytest.approx(2.0 * math.sqrt(0.89), abs=1e-12)
+        # directions and the geodesic of the same pair read that one search
+        dirs, geo = mesh.directions_to(p, q), mesh.geodesic_points(p, q, 5)
         assert len(calls) == 1
         mesh.distances_from(p, [q, locate(0.2, 0.2)])
         assert len(calls) == 2
+        assert len(dirs) == 1 and mesh.distance(geo[-1], q) <= 1e-9
+
+    def test_call_order_does_not_matter(self):
+        # from the midpoint of edge (0, 1) of the regular tetrahedron to the
+        # midpoint of the opposite edge (2, 3): d = 1 over each of the four faces
+        c = 1.0 / (2.0 * math.sqrt(2.0))
+        corners = np.array([(c, c, c), (c, -c, -c), (-c, c, -c), (-c, -c, c)])
+
+        def midpoint(mesh, a, b):
+            fi, f = next((fi, f) for fi, f in enumerate(mesh.faces) if {a, b} <= set(f))
+            return MeshPoint(fi, tuple(0.5 if v in (a, b) else 0.0 for v in f))
+
+        def position(mesh, x):
+            return sum(w * corners[v] for w, v in zip(x.bary, mesh.faces[x.face]))
+
+        queries = {"distance": lambda m, p, q: m.distance(p, q),
+                   "directions_to": lambda m, p, q: m.directions_to(p, q),
+                   "geodesic_points": lambda m, p, q: m.geodesic_points(p, q, 9)}
+        first = None
+        for order in itertools.permutations(queries):
+            mesh = regular_tetrahedron()
+            p, q = midpoint(mesh, 0, 1), midpoint(mesh, 2, 3)
+            out = {name: queries[name](mesh, p, q) for name in order}
+            d, dirs = out["distance"], out["directions_to"]
+            assert d == pytest.approx(1.0, abs=1e-12)
+            assert dirs == pytest.approx([k * math.pi / 3 for k in (1, 2, 4, 5)], abs=1e-6)
+            for ang in dirs:
+                end = mesh.walk(p, ang, d).end
+                assert np.linalg.norm(position(mesh, end) - position(mesh, q)) <= 1e-9
+            first = first or out
+            assert out == first
 
     def test_reflex_corner(self):
         # the path bends at the corner c = (1, 1) exactly when the segment

@@ -510,6 +510,17 @@ class TestSpaceInterface:
         # boundary is parametrized: the doubles have none
         assert (space.boundary_tails is not None) is (period is not None)
 
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_direction_to_itself(self, name):
+        # the zero vector of log_map still reads a chart angle from dirs[0]
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(24)
+        points = [space.random_point(rng) for _ in range(3)]
+        points += [p for p, _ in space.cone_points() + space.corners()]
+        for p in points:
+            assert space.directions_to(p, p)
+            assert log_map(space, p, p).norm == 0.0
+
 
 MESH_ENTRIES = {
     "distance": lambda m, bad, good: [m.distance(bad, good), m.distance(good, bad)],
