@@ -82,7 +82,7 @@ def detect_extremal(space, seed=0, verify=True, n_funcs=6, n_steps=40):
 
 
 def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
-                    h=5e-3, seed=0, tol=1e-8) -> ExtremalEvidence:
+                    h=5e-3, seed=0) -> ExtremalEvidence:
     """Criterion and invariance tests for a subset descriptor.
 
     Criterion: for q off the subset and p a local minimum of dist_q on

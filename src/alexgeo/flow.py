@@ -52,8 +52,7 @@ def gradient(expr, space, p):
     return gradient_from_directional(differential(expr, space, p))
 
 
-def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL,
-                   check_certificate=False, provenance="gradient-curve"):
+def gradient_curve(expr, space, p, T, h, check_certificate=False):
     """Integrate the gradient curve from p for parameter time T at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"gradient curve needs a finite step h > 0, not {h}")
@@ -77,7 +76,7 @@ def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL,
             lefts.append(None)
             continue
         g = gradient(expr, space, cur)
-        if g.norm < tol_stop:
+        if g.norm < STOP_TOL:
             events.append((t0, "stop", None))
             stopped = True
             rights.append(zero_vector(g.sigma))
@@ -86,15 +85,15 @@ def gradient_curve(expr, space, p, T, h, tol_stop=STOP_TOL,
             lefts.append(None)
             continue
         rights.append(g)
-        cur, back = _advance(expr, space, cur, g, h, events, t0, tol_stop)
+        cur, back = _advance(expr, space, cur, g, h, events, t0)
         ts.append(t0 + h)
         points.append(cur)
         lefts.append(back)
     rights.append(None)
-    return CurveRecord(ts, points, rights, lefts, events, h, provenance)
+    return CurveRecord(ts, points, rights, lefts, events, h, "gradient-curve")
 
 
-def _advance(expr, space, cur, g, h, events, t0, tol_stop):
+def _advance(expr, space, cur, g, h, events, t0):
     """One parameter step of size h, splitting at vertex events."""
     remaining = h
     vec = g
@@ -112,15 +111,15 @@ def _advance(expr, space, cur, g, h, events, t0, tol_stop):
         if remaining <= 1e-15:
             return cur, back
         vec = gradient(expr, space, cur)
-        if vec.norm < tol_stop:
+        if vec.norm < STOP_TOL:
             events.append((t0 + (h - remaining), "stop", None))
             return cur, back
     return cur, back
 
 
-def flow_map(expr, space, points, t, h, **kw):
+def flow_map(expr, space, points, t, h):
     """Apply the time-t gradient flow to a list of points."""
-    return [gradient_curve(expr, space, p, t, h, **kw).end() for p in points]
+    return [gradient_curve(expr, space, p, t, h).end() for p in points]
 
 
 @dataclass

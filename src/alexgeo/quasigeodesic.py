@@ -131,7 +131,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
                 events.append((t, "stall", None))
                 stall = True
                 break
-            if getattr(stepper, "at_vertex", False):
+            if stepper.at_vertex:
                 # the speed control forbids the cone-point drop: the piece
                 # ends at the vertex and the polar extension takes over
                 stall = True
@@ -144,7 +144,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
         if stall and stepper.stopped:
             break
         cur = stepper.cur
-        if getattr(stepper, "at_vertex", False) and speed_control:
+        if stepper.at_vertex and speed_control:
             sig = space.sigma_at(cur)
             incoming = TangentVec(run_speed, stepper.vertex_back_angle, sig)
             star = polar_vector(sig, incoming)

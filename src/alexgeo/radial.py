@@ -5,20 +5,26 @@ stays minimizing (there the defining speed factor is exactly one) and
 afterwards integrates  alpha' = m_kappa(|p alpha|, t) * grad dist_p
 with m_0 = r/t, m_{-1} = tanh r / tanh t, m_1 = tan r / tan t.  The
 geodesic regime removes the t -> 0 singularity of the factor.
+
+The gradient regime reads grad dist_p from the first variation formula
+d_x dist_p(xi) = -cos angle(xi, up_x^p): where the directions at x form a
+full circle of length 2 pi and exactly one direction up points to p, the
+gradient is the unit vector opposite up.  At a cone point, on a boundary
+arc or where two directions point to p, it is the exact gradient of
+`flow.gradient`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .flow import CurveRecord, gradient
+from .flow import STOP_TOL, CurveRecord, gradient
 from .functions import Dist, evaluate
 from .model_plane import comparison_angle
-from .spaces.base import SigmaDesc
+from .spaces.base import TWO_PI
 from .tangent import TangentVec, zero_vector
 
 _SWITCH_TOL = 1e-9
-_SIGMA_FULL = SigmaDesc(2.0 * math.pi)
 
 
 class RadialDomainError(ValueError):
@@ -47,14 +53,13 @@ class RadialStepper:
     constructions can drive it piecewise.
     """
 
-    def __init__(self, space, p, xi_angle, kappa=0, tol_stop=1e-8,
-                 stop_at_vertex=False):
+    def __init__(self, space, p, xi_angle, kappa=0, stop_at_vertex=False):
         self.space = space
         self.p = space.validate_point(p)
         self.kappa = kappa
-        self.tol_stop = tol_stop
         self.stop_at_vertex = stop_at_vertex
         self.at_vertex = False
+        self.vertex_back_angle = None
         self.t = 0.0
         self.cur = self.p
         self.fwd = xi_angle
@@ -77,12 +82,26 @@ class RadialStepper:
             return zero_vector(self.space.sigma_at(self.cur))
         if self.regime == "geo":
             return TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
-        g = gradient(self._dist_expr, self.space, self.cur)
-        if g.norm < self.tol_stop:
-            return zero_vector(g.sigma)
-        r = self.space.distance(self.p, self.cur)
-        m = speed_factor(self.kappa, r, self.t)
-        return TangentVec(m * g.norm, g.angle, g.sigma)
+        vec = self._velocity(self.t)
+        return vec if vec is not None else zero_vector(self.space.sigma_at(self.cur))
+
+    def _velocity(self, t):
+        """Motion vector m_kappa(r, t) * grad dist_p at the current point.
+
+        None past a critical point of dist_p, where the curve stops.
+        """
+        space, cur = self.space, self.cur
+        r = space._distance(cur, self.p)
+        sigma = space.sigma_at(cur)
+        if not sigma.is_arc and sigma.length == TWO_PI and r > 1e-12:
+            dirs = space.directions_to(cur, self.p)
+            if len(dirs) == 1:
+                return TangentVec(speed_factor(self.kappa, r, t),
+                                  sigma.wrap(dirs[0] + math.pi), sigma)
+        g = gradient(self._dist_expr, space, cur)
+        if g.norm < STOP_TOL:
+            return None
+        return TangentVec(speed_factor(self.kappa, r, t) * g.norm, g.angle, g.sigma)
 
     def step(self, dt):
         """Advance the parameter by dt; returns the motion vector used."""
@@ -130,62 +149,13 @@ class RadialStepper:
         self._switch_check()
         return vec
 
-    def _grad_step_cone(self, dt):
-        """Inline gradient step on a cone: closed-form distance, single
-        minimizing direction, planar walk.  Falls back to the generic step
-        at apexes, ridge ties and through-apex configurations."""
-        space = self.space
-        theta = space.total_angle
-        r_p, phi_p = self.p
-        r_c, phi_c = self.cur
-        if r_c <= 1e-12 or r_p <= 1e-12:
-            return None
-        delta = math.fmod(phi_p - phi_c, theta)
-        if delta < 0.0:
-            delta += theta
-        ccw, cw = delta, theta - delta
-        if abs(ccw - cw) < 1e-9:
-            return None  # equidistance ridge: two minimizers
-        if ccw <= cw:
-            a, sign = ccw, 1.0
-        else:
-            a, sign = cw, -1.0
-        if a > math.pi:
-            return None
-        ex = r_p * math.cos(a) - r_c
-        ey = sign * r_p * math.sin(a)
-        dist = math.hypot(ex, ey)
-        if dist <= 1e-12:
-            return None
-        ang = math.atan2(-ey, -ex)  # away from p, chart angle at cur
-        m = speed_factor(self.kappa, min(dist, self.t), max(self.t, dt))
-        arc = dt * m
-        ex2 = r_c + arc * math.cos(ang)
-        ey2 = arc * math.sin(ang)
-        r2 = math.hypot(ex2, ey2)
-        if r2 <= 1e-12:
-            return None
-        phi2 = math.fmod(phi_c + math.atan2(ey2, ex2), theta)
-        if phi2 < 0.0:
-            phi2 += theta
-        self.cur = (r2, phi2)
-        self.t += dt
-        return TangentVec(m, ang, _SIGMA_FULL)
-
     def _grad_step(self, dt):
-        if self.space.variant == "cone":
-            vec = self._grad_step_cone(dt)
-            if vec is not None:
-                return vec
-        g = gradient(self._dist_expr, self.space, self.cur)
-        if g.norm < self.tol_stop:
+        vec = self._velocity(max(self.t, dt))
+        if vec is None:
             self.stopped = True
             self.events.append((self.t, "stop", None))
             self.t += dt
-            return zero_vector(g.sigma)
-        r = self.space.distance(self.p, self.cur)
-        m = speed_factor(self.kappa, r, max(self.t, dt))
-        vec = TangentVec(m * g.norm, g.angle, g.sigma)
+            return zero_vector(self.space.sigma_at(self.cur))
         remaining = dt
         for _ in range(64):
             arc = remaining * vec.norm
@@ -204,18 +174,16 @@ class RadialStepper:
                 self.at_vertex = True
                 self.vertex_back_angle = w.back_angle
                 break
-            g = gradient(self._dist_expr, self.space, self.cur)
-            if g.norm < self.tol_stop:
+            nxt = self._velocity(self.t)
+            if nxt is None:
                 self.stopped = True
                 self.events.append((self.t, "stop", None))
                 break
-            r = self.space.distance(self.p, self.cur)
-            m = speed_factor(self.kappa, r, self.t)
-            vec = TangentVec(m * g.norm, g.angle, g.sigma)
+            vec = nxt
         return vec
 
 
-def radial_curve(space, p, xi_angle, kappa, T, h, tol_stop=1e-8) -> CurveRecord:
+def radial_curve(space, p, xi_angle, kappa, T, h) -> CurveRecord:
     """Radial curve record from p in direction xi over [0, T] at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"radial curve needs a finite step h > 0, not {h}")
@@ -223,7 +191,7 @@ def radial_curve(space, p, xi_angle, kappa, T, h, tol_stop=1e-8) -> CurveRecord:
         raise RadialDomainError("spherical radial curves live on [0, pi/2]")
     if kappa not in (-1, 0, 1):
         raise RadialDomainError(f"kappa must be -1, 0 or 1, not {kappa}")
-    stepper = RadialStepper(space, p, xi_angle, kappa, tol_stop)
+    stepper = RadialStepper(space, p, xi_angle, kappa)
     ts = [0.0]
     points = [stepper.cur]
     rights = []

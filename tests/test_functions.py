@@ -26,6 +26,7 @@ from alexgeo.functions import (
     sum_of,
     validate_simple,
 )
+from alexgeo.tangent import maximize_directional
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -301,3 +302,30 @@ class TestSmoothedDistance:
         s1 = 2 * np.mean(vals * np.sin(xs))
         fit = c1 * np.cos(xs) + s1 * np.sin(xs)
         assert float(np.max(np.abs(vals - fit))) < 3.0 / math.sqrt(n_mc)
+
+    def test_generic_sampler_on_a_cone(self):
+        # a 1.5 pi cone takes the generic path: ball samples by `walk`,
+        # values by `distance` and differentials by `directions_to`.  The
+        # ball around p misses the apex, so it unfolds isometrically into
+        # the plane by (r, phi) -> pos2, where the disc oracle applies.
+        cone = ConeSpace(1.5 * math.pi)
+        p, eps, n_mc = (1.0, 0.2), 0.1, 50000
+        sd = SmoothedDistance(cone, p, eps, n_mc=n_mc, seed=4)
+        assert sd.samples is not None
+        # Monte Carlo sigma of the mean: dist_x(y) ~ d - <x - p, e> has
+        # standard deviation eps / 2 over the disc
+        sigma = eps / (2.0 * math.sqrt(n_mc))
+        px = cone.pos2(p)
+        for y in [(1.6, 0.3), (1.0, 0.9), (0.6, 0.1)]:
+            yx = cone.pos2(y)
+            d = math.hypot(yx[0] - px[0], yx[1] - px[1])
+            # the oracle's O(eps^4 / d^3) remainder has coefficient about 1/192
+            assert sd.value(y) == pytest.approx(
+                planar_smoothed_distance_oracle(px, eps, yx),
+                abs=4.0 * sigma + eps ** 4 / (100.0 * d ** 3))
+            # the disc is symmetric about the line through y and p: the mean
+            # direction points away from p, up to the sampled sideways offset
+            _, top = maximize_directional(sd.differential(y))
+            sig = cone.sigma_at(y)
+            away = sig.wrap(cone.directions_to(y, p)[0] + math.pi)
+            assert sig.dist(top, away) <= 4.0 * sigma / d

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo.spaces import CapSpace, ConeSpace, SpindleSpace, regular_tetrahedron
+from alexgeo.spaces import (CapSpace, ConeSpace, PolygonSpace, SpindleSpace,
+                            regular_tetrahedron)
 from alexgeo.spaces.base import SigmaDesc
 from alexgeo.functions import Dist, DistSq, differential, evaluate, scale
-from alexgeo.flow import gradient_curve
+from alexgeo.flow import STOP_TOL, gradient, gradient_curve
 from alexgeo.radial import (
     RadialDomainError,
+    RadialStepper,
     gexp_inverse_check,
     gexp_map,
     radial_curve,
+    speed_factor,
     tangent_cone_metric,
     verify_radial_comparison,
 )
@@ -85,6 +88,76 @@ class TestRadialCurve:
                 out = gexp_map(space, p, TangentVec(d, dirs[0], space.sigma_at(p)),
                                kappa, 1e-3)
                 assert space.distance(out, q) < 1e-6
+
+
+def _velocity_at(space, p, x, t):
+    """The stepper's motion vector at x for a radial curve from p, at parameter t."""
+    stepper = RadialStepper(space, p, 0.0, int(space.kappa))
+    stepper.cur = space.validate_point(x)
+    return stepper._velocity(t)
+
+
+def _parameter(r):
+    # past the geodesic regime (t > r), inside [0, pi/2) when kappa = 1
+    return min(r + 0.3, 1.5)
+
+
+def _tetra_edge_point(mesh, rng):
+    a = 0.05 + 0.9 * rng.random()
+    return mesh.validate_point((int(rng.integers(4)), (a, 1.0 - a, 0.0)))
+
+
+FIRST_VARIATION_CASES = {
+    "cone": (CONE, lambda s, rng: s.random_point(rng)),
+    "plane": (PLANE, lambda s, rng: s.random_point(rng)),
+    "spindle": (SpindleSpace(4.0), lambda s, rng: s.random_point(rng)),
+    "cap": (CapSpace(1.2), lambda s, rng: s.random_point(rng)),
+    "square": (PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]]),
+               lambda s, rng: s.random_point(rng)),
+    "tetra_interior": (regular_tetrahedron(), lambda s, rng: s.random_point(rng)),
+    "tetra_edge": (regular_tetrahedron(), _tetra_edge_point),
+}
+
+
+class TestFirstVariationStep:
+    """The gradient regime's motion vector m_kappa(r, t) * grad dist_p."""
+
+    @pytest.mark.parametrize("name", sorted(FIRST_VARIATION_CASES))
+    def test_one_direction_gives_the_exact_gradient(self, name):
+        space, draw = FIRST_VARIATION_CASES[name]
+        rng = np.random.default_rng(15)
+        checked = 0
+        for _ in range(40):
+            p, x = space.random_point(rng), draw(space, rng)
+            r = space.distance(x, p)
+            sigma = space.sigma_at(x)
+            if (sigma.is_arc or r < 1e-3 or (space.kappa == 1 and r > 1.2)
+                    or len(space.directions_to(x, p)) != 1):
+                continue
+            t = _parameter(r)
+            vec = _velocity_at(space, p, x, t)
+            g = gradient(Dist(q=p), space, x)
+            assert g.norm == pytest.approx(1.0, abs=1e-12)
+            assert sigma.dist(vec.angle, g.angle) <= 1e-12
+            assert vec.norm == speed_factor(int(space.kappa), r, t) * 1.0
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("space, p, x, n_dirs", [
+        (CONE, (1.0, 0.4), (0.0, 0.0), 1),  # apex: the circle has length 1.5 pi
+        (regular_tetrahedron(), (0, (0.2, 0.3, 0.5)), (1, (1.0, 0.0, 0.0)), 1),  # vertex
+        (PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]]), (0.3, 0.6), (0.5, 0.0), 1),  # arc
+        (CONE, (1.0, 0.0), (0.8, 0.75 * math.pi), 2),  # the ridge opposite p
+    ], ids=["cone_apex", "tetra_vertex", "square_edge", "cone_ridge"])
+    def test_elsewhere_the_exact_gradient(self, space, p, x, n_dirs):
+        p, x = space.validate_point(p), space.validate_point(x)
+        assert len(space.directions_to(x, p)) == n_dirs
+        r = space.distance(x, p)
+        t = _parameter(r)
+        g = gradient(Dist(q=p), space, x)
+        want = (None if g.norm < STOP_TOL
+                else TangentVec(speed_factor(0, r, t) * g.norm, g.angle, g.sigma))
+        assert _velocity_at(space, p, x, t) == want
 
 
 class TestTangentConeMetric:

@@ -568,7 +568,7 @@ class TestMeshValidation:
             log_map(mesh, point, MeshPoint(2, (0.1, 0.1, 0.8)))
 
 
-# the planar fast paths of `SmoothedDistance` and `RadialStepper`, by file
+# the one planar fast path left, `SmoothedDistance._planar`, by file
 DISPATCH_RE = re.compile(r"\.variant (==|in|not in)|hasattr\(")
 PLANAR_FAST_PATHS = collections.Counter({
     ("functions.py", 'self._planar = space.variant == "polygon" or ('): 1,
@@ -576,7 +576,6 @@ PLANAR_FAST_PATHS = collections.Counter({
      'space.variant == "cone" and abs(space.total_angle - 2.0 * math.pi) < 1e-12'): 1,
     ("functions.py", 'if space.variant == "polygon":'): 1,
     ("functions.py", 'if self.space.variant == "cone":'): 1,
-    ("radial.py", 'if self.space.variant == "cone":'): 1,
 })
 
 
