@@ -102,19 +102,23 @@ def _parameter(r):
     return min(r + 0.3, 1.5)
 
 
+def _random_point(space, rng):
+    return space.random_point(rng)
+
+
 def _tetra_edge_point(mesh, rng):
     a = 0.05 + 0.9 * rng.random()
     return mesh.validate_point((int(rng.integers(4)), (a, 1.0 - a, 0.0)))
 
 
+SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
 FIRST_VARIATION_CASES = {
-    "cone": (CONE, lambda s, rng: s.random_point(rng)),
-    "plane": (PLANE, lambda s, rng: s.random_point(rng)),
-    "spindle": (SpindleSpace(4.0), lambda s, rng: s.random_point(rng)),
-    "cap": (CapSpace(1.2), lambda s, rng: s.random_point(rng)),
-    "square": (PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]]),
-               lambda s, rng: s.random_point(rng)),
-    "tetra_interior": (regular_tetrahedron(), lambda s, rng: s.random_point(rng)),
+    "cone": (CONE, _random_point),
+    "plane": (PLANE, _random_point),
+    "spindle": (SpindleSpace(4.0), _random_point),
+    "cap": (CapSpace(1.2), _random_point),
+    "square": (SQUARE, _random_point),
+    "tetra_interior": (regular_tetrahedron(), _random_point),
     "tetra_edge": (regular_tetrahedron(), _tetra_edge_point),
 }
 
@@ -139,14 +143,14 @@ class TestFirstVariationStep:
             g = gradient(Dist(q=p), space, x)
             assert g.norm == pytest.approx(1.0, abs=1e-12)
             assert sigma.dist(vec.angle, g.angle) <= 1e-12
-            assert vec.norm == speed_factor(int(space.kappa), r, t) * 1.0
+            assert vec.norm == speed_factor(int(space.kappa), r, t)
             checked += 1
         assert checked >= 10
 
     @pytest.mark.parametrize("space, p, x, n_dirs", [
         (CONE, (1.0, 0.4), (0.0, 0.0), 1),  # apex: the circle has length 1.5 pi
         (regular_tetrahedron(), (0, (0.2, 0.3, 0.5)), (1, (1.0, 0.0, 0.0)), 1),  # vertex
-        (PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]]), (0.3, 0.6), (0.5, 0.0), 1),  # arc
+        (SQUARE, (0.3, 0.6), (0.5, 0.0), 1),  # a boundary arc
         (CONE, (1.0, 0.0), (0.8, 0.75 * math.pi), 2),  # the ridge opposite p
     ], ids=["cone_apex", "tetra_vertex", "square_edge", "cone_ridge"])
     def test_elsewhere_the_exact_gradient(self, space, p, x, n_dirs):
