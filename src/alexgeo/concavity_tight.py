@@ -42,12 +42,13 @@ class ConcaveBumpReport:
         return -self.margin
 
 
-def build_strictly_concave(space, p, r, c, n_points, normalize=True,
-                           region_fraction=0.25, n_geodesics=60, seed=0):
-    """Sum of phi_{r,c} o dist_{q_i} over equally spaced q_i at radius r.
+def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
+    """Sum of phi_{r,c} o dist_{q_i} over equally spaced q_i at radius r,
+    shifted to vanish at p.
 
     Returns (expr, report); raises ConstructionError with a suggested
-    larger c when the measured concavity margin is not strictly negative.
+    larger c when the measured concavity margin is not strictly negative
+    on the ball of radius r / 4 about p.
     """
     p = space.validate_point(p)
     sig = space.sigma_at(p)
@@ -62,19 +63,17 @@ def build_strictly_concave(space, p, r, c, n_points, normalize=True,
         qs.append(w.end)
     terms = tuple(PhiRC(r=r, c=c, q=q) for q in qs)
     expr = Affine(weights=tuple(1.0 for _ in terms), terms=terms)
-    if normalize:
-        expr = Affine(weights=(1.0,), terms=(expr,),
-                      constant=-evaluate(expr, space, p))
-    region = (p, region_fraction * r)
+    expr = Affine(weights=(1.0,), terms=(expr,), constant=-evaluate(expr, space, p))
+    region = (p, 0.25 * r)
     rep = check_concavity(expr, space, 0.0, region, n_geodesics=n_geodesics,
                           n_samples=17, seed=seed, tol=0.0)
-    report = ConcaveBumpReport(rep.worst_margin, region_fraction * r, c, n_points)
+    report = ConcaveBumpReport(rep.worst_margin, 0.25 * r, c, n_points)
     if rep.worst_margin >= 0.0:
         raise ConstructionError(
             f"not strictly concave (margin {rep.worst_margin:.3e}); retry with "
             f"c > {2.0 * c:g}"
         )
-    expr = expr.with_certificate(0.0, p, region_fraction * r, verified=True)
+    expr = expr.with_certificate(0.0, p, 0.25 * r, verified=True)
     return expr, report
 
 

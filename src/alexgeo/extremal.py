@@ -117,7 +117,7 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
     return ExtremalEvidence(crit_worst, inv_worst, n_crit, n_flows)
 
 
-def _argmin_on_subset(space, subset, q, rng, n_scan=256):
+def _argmin_on_subset(space, subset, q, rng):
     if subset.kind == "point":
         return subset.point
     if subset.kind != "boundary":
@@ -125,6 +125,7 @@ def _argmin_on_subset(space, subset, q, rng, n_scan=256):
     total = space.boundary_period
     param = space.boundary_point
     best_s, best_d = 0.0, math.inf
+    n_scan = 256
     for i in range(n_scan):
         s = total * i / n_scan
         d = space.distance(param(s), q)

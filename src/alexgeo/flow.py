@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .functions import differential, ensure_certificate, evaluate
+from .functions import differential, evaluate
 from .model_plane import theta
 from .tangent import TangentVec, gradient_from_directional, zero_vector
 
@@ -52,13 +52,11 @@ def gradient(expr, space, p):
     return gradient_from_directional(differential(expr, space, p))
 
 
-def gradient_curve(expr, space, p, T, h, check_certificate=False):
+def gradient_curve(expr, space, p, T, h):
     """Integrate the gradient curve from p for parameter time T at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"gradient curve needs a finite step h > 0, not {h}")
     p = space.validate_point(p)
-    if check_certificate:
-        ensure_certificate(expr, space, p, max(4.0 * h, 0.1))
     n = max(1, int(round(T / h)))
     ts = [0.0]
     points = [p]

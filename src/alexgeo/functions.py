@@ -5,6 +5,14 @@ semiconcave composition, plus the numerical operators on them:
 concavity checking along sampled geodesics, inf-convolution and
 smoothing of distance functions by averaging over a small ball.
 
+Node protocol: each `Expr` node answers two questions about itself.
+`_lower(space)` gives its value, as a closure of one validated point
+(see `_compile`); `_differential(space, p, sigma)` gives its chain rule,
+the differential at a validated point p from its children's.  The leaves
+phi o dist_q (`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share one rule, the
+first variation formula d_p(phi o dist_q)(xi) = -phi'(|pq|) cos angle(xi,
+up_p^q); each gives only its slope `dphi`.
+
 Concavity certificates attached to expressions are hints, never trusted:
 operators that require a concavity constant run `check_concavity` before
 using one.
@@ -48,21 +56,44 @@ class Expr:
         cert = Certificate(lam, center, radius, verified)
         return replace(self, certificates=self.certificates + (cert,))
 
-    def leaves(self):
-        return []
-
     def _lower(self, space):
         """A closure that evaluates this node at a validated point of space."""
         raise ExprError(f"cannot evaluate {self!r}")
+
+    def _differential(self, space, p, sigma) -> DirectionalFn:
+        """This node's differential at a validated point p with directions sigma."""
+        raise ExprError(f"cannot differentiate {self!r}")
 
     def __getstate__(self):
         # the compiled closure (see `_compile`) is a cache, not part of the value
         return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
 
+class _DistanceLeaf(Expr):
+    """phi o dist_q; a subclass gives the slope phi' as `dphi`.
+
+    It adds methods only, so its subclasses keep their fields, repr,
+    equality and hash.
+    """
+
+    def _differential(self, space, p, sigma):
+        """-phi'(|pq|) cos angle(xi, up_p^q), min over the directions to q.
+
+        Within 1e-12 of q it is the constant phi'(0).
+        """
+        q = space.validate_point(self.q)
+        d = space._distance(q, p)
+        if d <= 1e-12:
+            return constant_directional(sigma, self.dphi(0.0))
+        return cos_tail_directional(sigma, self.dphi(d), space.directions_to(p, q))
+
+
 @dataclass(frozen=True)
-class Dist(Expr):
+class Dist(_DistanceLeaf):
     q: object = None
+
+    def dphi(self, x):
+        return 1.0
 
     def _lower(self, space):
         dist, q = space._distance, space.validate_point(self.q)
@@ -70,8 +101,11 @@ class Dist(Expr):
 
 
 @dataclass(frozen=True)
-class DistSq(Expr):
+class DistSq(_DistanceLeaf):
     q: object = None
+
+    def dphi(self, x):
+        return 2.0 * x
 
     def _lower(self, space):
         dist, q = space._distance, space.validate_point(self.q)
@@ -84,11 +118,14 @@ class DistSq(Expr):
 
 
 @dataclass(frozen=True)
-class RhoDist(Expr):
+class RhoDist(_DistanceLeaf):
     """rho_kappa composed with the distance from q."""
 
     kappa: float = 0.0
     q: object = None
+
+    def dphi(self, x):
+        return model_plane.sigma(self.kappa, x)
 
     def _lower(self, space):
         dist, q = space._distance, space.validate_point(self.q)
@@ -97,7 +134,7 @@ class RhoDist(Expr):
 
 
 @dataclass(frozen=True)
-class PhiRC(Expr):
+class PhiRC(_DistanceLeaf):
     """phi_{r,c}(x) = (x - r) - c (x - r)^2 / r applied to dist_q.
 
     phi(r) = 0, phi'(r) = 1, phi''(r) = -2c/r.
@@ -137,6 +174,10 @@ class Affine(Expr):
 
         return value
 
+    def _differential(self, space, p, sigma):
+        return combine_affine(sigma, [(w, _chain_rule(t, space, p, sigma))
+                                      for w, t in zip(self.weights, self.terms)])
+
 
 @dataclass(frozen=True)
 class MinExpr(Expr):
@@ -145,6 +186,13 @@ class MinExpr(Expr):
     def _lower(self, space):
         terms = [_compile(t, space) for t in self.terms]
         return lambda p: min([term(p) for term in terms])
+
+    def _differential(self, space, p, sigma):
+        """The lower envelope of the terms within 1e-9 of the least value."""
+        vals = [_compile(t, space)(p) for t in self.terms]
+        vmin = min(vals)
+        return combine_min(sigma, [_chain_rule(t, space, p, sigma)
+                                   for t, v in zip(self.terms, vals) if v <= vmin + 1e-9])
 
 
 @dataclass(frozen=True)
@@ -155,6 +203,16 @@ class BoundaryDist(Expr):
         if space.boundary_dist is None:
             raise ExprError(f"{space.variant} has no boundary-distance support")
         return space.boundary_dist
+
+    def _differential(self, space, p, sigma):
+        """The min of the cos-tails the space gives; sources None is a constant."""
+        if space.boundary_tails is None:
+            raise ExprError(f"{space.variant} has no boundary differential")
+        return combine_min(sigma, [
+            constant_directional(sigma, s) if sources is None
+            else cos_tail_directional(sigma, s, sources)
+            for s, sources in space.boundary_tails(p)
+        ])
 
 
 def sum_of(*terms):
@@ -177,18 +235,6 @@ def validate_simple(expr) -> bool:
     if isinstance(expr, MinExpr):
         return all(validate_simple(t) for t in expr.terms)
     return False
-
-
-def expr_leaves(expr):
-    if isinstance(expr, (Dist, DistSq, RhoDist, PhiRC)):
-        return [expr]
-    if isinstance(expr, Affine):
-        return [l for t in expr.terms for l in expr_leaves(t)]
-    if isinstance(expr, MinExpr):
-        return [l for t in expr.terms for l in expr_leaves(t)]
-    if isinstance(expr, BoundaryDist):
-        return [expr]
-    raise ExprError(f"unknown expression node {expr!r}")
 
 
 # -- evaluation ----------------------------------------------------------
@@ -225,64 +271,16 @@ def evaluate(expr, space, p):
 def differential(expr, space, p) -> DirectionalFn:
     """Directional derivative on the direction space at p, by chain rule.
 
-    A distance leaf contributes min over its minimizing directions of
-    -cos; a leaf based exactly at p contributes the unit-rate constant.
-    p is validated once here; the leaves take it as it is.
+    p is validated once here; each node's `_differential` takes it as it is.
     """
     p = space.validate_point(p)
-    sigma = space.sigma_at(p)
-    return _diff(expr, space, p, sigma)
+    return _chain_rule(expr, space, p, space.sigma_at(p))
 
 
-def _dist_leaf(space, p, q, sigma):
-    d = space.distance(q, p)
-    if d <= 1e-12:
-        return d, constant_directional(sigma, 1.0)
-    dirs = space.directions_to(p, q)
-    return d, cos_tail_directional(sigma, 1.0, dirs)
-
-
-def _diff(expr, space, p, sigma) -> DirectionalFn:
-    if isinstance(expr, Dist):
-        _, base = _dist_leaf(space, p, expr.q, sigma)
-        return base
-    if isinstance(expr, DistSq):
-        d, base = _dist_leaf(space, p, expr.q, sigma)
-        if d <= 1e-12:
-            return constant_directional(sigma, 0.0)
-        return combine_affine(sigma, [(2.0 * d, base)])
-    if isinstance(expr, RhoDist):
-        d, base = _dist_leaf(space, p, expr.q, sigma)
-        return combine_affine(sigma, [(model_plane.sigma(expr.kappa, d), base)])
-    if isinstance(expr, PhiRC):
-        d, base = _dist_leaf(space, p, expr.q, sigma)
-        return combine_affine(sigma, [(expr.dphi(d), base)])
-    if isinstance(expr, Affine):
-        parts = [(w, _diff(t, space, p, sigma)) for w, t in zip(expr.weights, expr.terms)]
-        return combine_affine(sigma, parts)
-    if isinstance(expr, MinExpr):
-        vals = [evaluate(t, space, p) for t in expr.terms]
-        vmin = min(vals)
-        active = [
-            _diff(t, space, p, sigma)
-            for t, v in zip(expr.terms, vals)
-            if v <= vmin + 1e-9
-        ]
-        return combine_min(sigma, active)
-    if isinstance(expr, BoundaryDist):
-        return _boundary_diff(space, p, sigma)
-    raise ExprError(f"cannot differentiate {expr!r}")
-
-
-def _boundary_diff(space, p, sigma):
-    """The min of the cos-tails the space gives; sources None is a constant."""
-    if space.boundary_tails is None:
-        raise ExprError(f"{space.variant} has no boundary differential")
-    return combine_min(sigma, [
-        constant_directional(sigma, s) if sources is None
-        else cos_tail_directional(sigma, s, sources)
-        for s, sources in space.boundary_tails(p)
-    ])
+def _chain_rule(expr, space, p, sigma):
+    if not isinstance(expr, Expr):
+        raise ExprError(f"cannot differentiate {expr!r}")
+    return expr._differential(space, p, sigma)
 
 
 # -- concavity checking -----------------------------------------------------
@@ -302,12 +300,8 @@ class ConcavityReport:
 
 
 def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
-                    seed=0, tol=1e-7, lam_fn=None) -> ConcavityReport:
-    """Sample geodesics in a ball and test discrete second differences.
-
-    With `lam_fn` the bound becomes pointwise, (f o gamma)'' <= lam_fn(f),
-    which covers the value-coupled concavity notions.
-    """
+                    seed=0, tol=1e-7) -> ConcavityReport:
+    """Sample geodesics in a ball and test discrete second differences."""
     if n_geodesics < 1:
         raise ValueError(f"concavity check needs at least 1 geodesic, not {n_geodesics}")
     center, radius = region
@@ -325,8 +319,7 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
         dt = d / (n_samples - 1)
         for i in range(1, n_samples - 1):
             d2 = (vals[i - 1] - 2.0 * vals[i] + vals[i + 1]) / (dt * dt)
-            bound = lam_fn(vals[i]) if lam_fn is not None else lam
-            margin = d2 - bound
+            margin = d2 - lam
             if margin > worst:
                 worst = margin
                 worst_chord = (a, b)
@@ -368,17 +361,13 @@ class InfConvResult:
 class InfConvolution:
     """f_eps(y) = min_x f(x) + d(x, y)^2 / eps by sampled local minimization."""
 
-    def __init__(self, expr, space, eps, lip_hint=2.0, n_angles=16, n_radii=8,
-                 refine_rounds=3):
+    def __init__(self, expr, space, eps, lip_hint=2.0):
         if not 0.0 < eps < math.inf:
             raise ExprError(f"inf-convolution needs a finite eps > 0, not {eps}")
         self.expr = expr
         self.space = space
         self.eps = eps
         self.search_radius = 1.5 * lip_hint * eps
-        self.n_angles = n_angles
-        self.n_radii = n_radii
-        self.refine_rounds = refine_rounds
 
     def _obj(self, x, y):
         """f(x) + d(x, y)^2 / eps at a validated y."""
@@ -392,13 +381,14 @@ class InfConvolution:
         best_x, best_v = y, self._obj(y, y)
         center, radius = y, self.search_radius
         expanded = False
-        for _ in range(self.refine_rounds + 1):
+        n_angles, n_radii = 16, 8
+        for _ in range(4):  # a scan, then three on a radius n_radii times smaller
             sig = space.sigma_at(center)
             hit_rim = False
-            for i in range(self.n_angles):
-                ang = sig.length * (i + 0.5) / self.n_angles
-                for k in range(1, self.n_radii + 1):
-                    r = radius * k / self.n_radii
+            for i in range(n_angles):
+                ang = sig.length * (i + 0.5) / n_angles
+                for k in range(1, n_radii + 1):
+                    r = radius * k / n_radii
                     try:
                         w = space.walk(center, ang, r)
                     except SpaceError:
@@ -406,7 +396,7 @@ class InfConvolution:
                     v = self._obj(w.end, y)
                     if v < best_v - 1e-15:
                         best_v, best_x = v, w.end
-                        hit_rim = k == self.n_radii
+                        hit_rim = k == n_radii
                     if w.event is not None:
                         break
             if hit_rim and not expanded:
@@ -414,7 +404,7 @@ class InfConvolution:
                 expanded = True
                 continue
             center = best_x
-            radius /= float(self.n_radii)
+            radius /= float(n_radii)
         # compass polish to pin the minimizer below discretization error
         step = max(radius, 1e-6)
         while step > 1e-9:
@@ -498,30 +488,30 @@ class SmoothedDistance:
         if self._planar:
             c = self.space.pos2(y)
             return float(np.mean(np.hypot(self._xy[:, 0] - c[0], self._xy[:, 1] - c[1])))
+        space = self.space
+        dist, y = space._distance, space.validate_point(y)
         total = 0.0
-        for x in self.samples:
-            total += self.space.distance(x, y)
+        for x in self.samples:  # walk end points: points of the space
+            total += dist(x, y)
         return total / len(self.samples)
 
     def __call__(self, space, y):
         return self.value(y)
 
     def differential(self, y) -> DirectionalFn:
-        sigma = self.space.sigma_at(y)
+        space = self.space
+        sigma = space.sigma_at(y)
         if self._planar:
-            c = self.space.pos2(y)
+            c = space.pos2(y)
             planar = np.arctan2(self._xy[:, 1] - c[1], self._xy[:, 0] - c[0])
             if self.space.variant == "cone":
                 # chart zero points radially away from the cone apex
                 planar = planar - math.atan2(c[1], c[0])
             arr = np.mod(planar, 2.0 * math.pi)
         else:
-            dirs = []
-            for x in self.samples:
-                if self.space.distance(x, y) <= 1e-12:
-                    continue
-                dirs.append(self.space.directions_to(y, x)[0])
-            arr = np.asarray(dirs)
+            dist, y = space._distance, space.validate_point(y)
+            arr = np.asarray([space.directions_to(y, x)[0] for x in self.samples
+                              if dist(x, y) > 1e-12])
         return mean_cos_tail_directional(sigma, arr)
 
 

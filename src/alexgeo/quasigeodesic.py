@@ -189,7 +189,7 @@ class EntropyRecord:
     resolution: float
 
 
-def entropy(curve: CurveRecord, min_jump: float = 0.0) -> EntropyRecord:
+def entropy(curve: CurveRecord) -> EntropyRecord:
     atoms = []
     total = 0.0
     prev_norm = None
@@ -200,7 +200,7 @@ def entropy(curve: CurveRecord, min_jump: float = 0.0) -> EntropyRecord:
             break
         if prev_norm is not None and prev_norm > 0.0:
             jump = math.log(rt.norm) - math.log(prev_norm)
-            if abs(jump) > min_jump and abs(jump) > 0.0:
+            if abs(jump) > 0.0:
                 atoms.append((t, jump))
                 total += jump
         prev_norm = rt.norm
@@ -249,7 +249,7 @@ class CheckReport:
 
 
 def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
-                        seed=0, stencil=1) -> CheckReport:
+                        seed=0) -> CheckReport:
     """Run the four characterization tests against random probe points.
 
     For each probe p:  h = rho_kappa(dist_p(gamma(t))) satisfies
@@ -313,12 +313,12 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
             continue
         used += 1
         hvals = [model_plane.rho(kappa, r) for r in rs]
-        for i in range(stencil, len(ts) - stencil):
-            dt1 = ts[i] - ts[i - stencil]
-            dt2 = ts[i + stencil] - ts[i]
+        for i in range(1, len(ts) - 1):
+            dt1 = ts[i] - ts[i - 1]
+            dt2 = ts[i + 1] - ts[i]
             if dt1 <= 1e-15 or dt2 <= 1e-15 or abs(dt1 - dt2) > 1e-12:
                 continue
-            d2 = (hvals[i - stencil] - 2.0 * hvals[i] + hvals[i + stencil]) / (dt1 * dt2)
+            d2 = (hvals[i - 1] - 2.0 * hvals[i] + hvals[i + 1]) / (dt1 * dt2)
             barrier_worst = max(barrier_worst, d2 - (1.0 - kappa * hvals[i]))
         prev = None
         for i in range(1, len(ts)):

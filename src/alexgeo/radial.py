@@ -7,11 +7,12 @@ with m_0 = r/t, m_{-1} = tanh r / tanh t, m_1 = tan r / tan t.  The
 geodesic regime removes the t -> 0 singularity of the factor.
 
 The gradient regime reads grad dist_p from the first variation formula
-d_x dist_p(xi) = -cos angle(xi, up_x^p): where the directions at x form a
-full circle of length 2 pi and exactly one direction up points to p, the
-gradient is the unit vector opposite up.  At a cone point, on a boundary
-arc or where two directions point to p, it is the exact gradient of
-`flow.gradient`.
+d_x dist_p(xi) = -min over the directions up to p of cos angle(xi, up):
+where the directions at x form a full circle of length 2 pi, the
+gradient bisects the largest gap g between the directions to p and has
+norm -cos(g / 2) (one direction is the gap g = 2 pi: the unit vector
+opposite it).  At a cone point or on a boundary arc it is the exact
+gradient of `flow.gradient`.
 """
 from __future__ import annotations
 
@@ -94,10 +95,17 @@ class RadialStepper:
         r = space._distance(cur, self.p)
         sigma = space.sigma_at(cur)
         if not sigma.is_arc and sigma.length == TWO_PI and r > 1e-12:
-            dirs = space.directions_to(cur, self.p)
-            if len(dirs) == 1:
-                return TangentVec(speed_factor(self.kappa, r, t),
-                                  sigma.wrap(dirs[0] + math.pi), sigma)
+            dirs = sorted(map(sigma.wrap, space.directions_to(cur, self.p)))
+            # the gap across the seam first: with one direction it is 2 pi exactly
+            start, gap = dirs[-1], (dirs[0] - dirs[-1]) % TWO_PI or TWO_PI
+            for a, b in zip(dirs, dirs[1:]):
+                if b - a > gap:
+                    start, gap = a, b - a
+            norm = -math.cos(0.5 * gap)
+            if norm < STOP_TOL:
+                return None
+            return TangentVec(speed_factor(self.kappa, r, t) * norm,
+                              sigma.wrap(start + 0.5 * gap), sigma)
         g = gradient(self._dist_expr, space, cur)
         if g.norm < STOP_TOL:
             return None

@@ -39,8 +39,9 @@ class ConeSpace(Space):
     def is_apex(self, p) -> bool:
         return p[0] <= _APEX_EPS
 
-    def random_point(self, rng, rmax: float = 2.0):
-        return (rmax * math.sqrt(rng.random()), rng.random() * self.total_angle)
+    def random_point(self, rng):
+        """Uniform in the disc of radius 2 about the apex."""
+        return (2.0 * math.sqrt(rng.random()), rng.random() * self.total_angle)
 
     def diameter_hint(self) -> float:
         return 4.0

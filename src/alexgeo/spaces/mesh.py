@@ -430,7 +430,7 @@ class MeshSpace(Space):
         return fi, cmath.rect(1.0, self._edge_chart_ref(fi, c) + (a - offsets[-2]))
 
     # -- walking ------------------------------------------------------------
-    def walk(self, p, angle, length, max_crossings=100000):
+    def walk(self, p, angle, length):
         p = self.validate_point(p)
         if length < 0.0:
             raise SpaceError("negative walk length")
@@ -445,7 +445,7 @@ class MeshSpace(Space):
             pos = self._pos(p)
         remaining = float(length)
         traveled = 0.0
-        for _ in range(max_crossings):
+        for _ in range(100000):  # edge crossings
             hit = self._face_exit(face, pos, d)
             if hit is None:
                 raise SpaceError("walk failed to find an exit edge")
@@ -835,9 +835,10 @@ class MeshSpace(Space):
         return out
 
     # -- subdivision-graph certificate -------------------------------------
-    def graph_upper_bound(self, p, q, per_edge=3):
+    def graph_upper_bound(self, p, q):
         """Dijkstra over a face-complete subdivision graph: an upper bound."""
         p, q = self.validate_point(p), self.validate_point(q)
+        per_edge = 3  # nodes inside each edge
         node_ids = {}
         # per face, node id -> its position in that face's chart
         per_face = [{} for _ in self.faces]

@@ -83,7 +83,7 @@ class _SphereBase(Space):
         psi2 = math.atan2(comp_p, comp_r)
         return r2, dphi, wrap_angle(psi2, TWO_PI)
 
-    def _walk_sphere(self, p, angle, length, max_sub=0.5):
+    def _walk_sphere(self, p, angle, length):
         """Walk with winding-aware azimuth accumulation; pole hits are events."""
         r, phi = p
         psi = wrap_angle(angle, TWO_PI)
@@ -104,7 +104,7 @@ class _SphereBase(Space):
                 )
         traveled = 0.0
         while traveled < length - 1e-15:
-            s = min(max_sub, length - traveled)
+            s = min(0.5, length - traveled)  # substeps of at most 0.5
             r2, dphi, psi2 = self._step(r, psi, s)
             if psi2 is None:
                 # numerically landed on a pole

@@ -19,6 +19,7 @@ from alexgeo.functions import (
     RhoDist,
     SmoothedDistance,
     check_concavity,
+    differential,
     ensure_certificate,
     evaluate,
     planar_smoothed_distance_oracle,
@@ -26,7 +27,9 @@ from alexgeo.functions import (
     sum_of,
     validate_simple,
 )
-from alexgeo.tangent import maximize_directional
+from alexgeo.flow import gradient
+from alexgeo.tangent import (GradientError, combine_affine, combine_min, constant_directional,
+                             cos_tail_directional, maximize_directional)
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -59,6 +62,56 @@ def interpret(expr, space, p):
     if callable(expr):
         return float(expr(space, p))
     raise ExprError(f"cannot evaluate {expr!r}")
+
+
+def reference_differential(expr, space, p):
+    """Tree-walking chain rule, the reference for `differential`.
+
+    One branch per node kind; each distance leaf scales the unit-rate
+    cos-tail of dist_q by its outer slope.
+    """
+    p = space.validate_point(p)
+    return _reference_diff(expr, space, p, space.sigma_at(p))
+
+
+def _reference_dist_leaf(space, p, q, sigma):
+    d = space.distance(q, p)
+    if d <= 1e-12:
+        return d, constant_directional(sigma, 1.0)
+    return d, cos_tail_directional(sigma, 1.0, space.directions_to(p, q))
+
+
+def _reference_diff(expr, space, p, sigma):
+    if isinstance(expr, Dist):
+        return _reference_dist_leaf(space, p, expr.q, sigma)[1]
+    if isinstance(expr, DistSq):
+        d, base = _reference_dist_leaf(space, p, expr.q, sigma)
+        if d <= 1e-12:
+            return constant_directional(sigma, 0.0)
+        return combine_affine(sigma, [(2.0 * d, base)])
+    if isinstance(expr, RhoDist):
+        d, base = _reference_dist_leaf(space, p, expr.q, sigma)
+        return combine_affine(sigma, [(model_plane.sigma(expr.kappa, d), base)])
+    if isinstance(expr, PhiRC):
+        d, base = _reference_dist_leaf(space, p, expr.q, sigma)
+        return combine_affine(sigma, [(expr.dphi(d), base)])
+    if isinstance(expr, Affine):
+        return combine_affine(sigma, [(w, _reference_diff(t, space, p, sigma))
+                                      for w, t in zip(expr.weights, expr.terms)])
+    if isinstance(expr, MinExpr):
+        vals = [evaluate(t, space, p) for t in expr.terms]
+        vmin = min(vals)
+        return combine_min(sigma, [_reference_diff(t, space, p, sigma)
+                                   for t, v in zip(expr.terms, vals) if v <= vmin + 1e-9])
+    if isinstance(expr, BoundaryDist):
+        if space.boundary_tails is None:
+            raise ExprError(f"{space.variant} has no boundary differential")
+        return combine_min(sigma, [
+            constant_directional(sigma, s) if sources is None
+            else cos_tail_directional(sigma, s, sources)
+            for s, sources in space.boundary_tails(p)
+        ])
+    raise ExprError(f"cannot differentiate {expr!r}")
 
 
 def mixed_tree(space, q1, q2, q3, boundary):
@@ -194,6 +247,50 @@ class TestCompiledEvaluation:
     def test_unknown_nodes_raise(self):
         with pytest.raises(ExprError):
             evaluate(scale(1.0, "not an expression"), PLANE, (1.0, 0.0))
+
+
+class TestChainRule:
+    @pytest.mark.parametrize("name", list(evaluation_cases()))
+    def test_equal_to_the_reference_chain_rule(self, name):
+        space, tree, points = evaluation_cases()[name]
+        rng = np.random.default_rng(16)
+        points = points + [space.random_point(rng) for _ in range(40)]
+        raised = 0
+        for node in nodes(tree):
+            for p in points:
+                try:
+                    want = reference_differential(node, space, p)
+                except ExprError:
+                    with pytest.raises(ExprError):
+                        differential(node, space, p)
+                    raised += 1
+                    continue
+                got = differential(node, space, p)
+                assert (got.breaks, got.pieces) == (want.breaks, want.pieces), (node, p)
+        # only the boundary leaf on a double has no differential
+        assert (raised > 0) == (name == "doubled_square")
+
+    def test_unknown_nodes_raise(self):
+        for expr in ("not an expression", scale(1.0, "not an expression"),
+                     MinExpr(terms=(Dist(q=(1.0, 0.0)), "not an expression"))):
+            with pytest.raises(ExprError):
+                differential(expr, PLANE, (1.0, 0.5))
+
+    @pytest.mark.parametrize("space", [PLANE, ConeSpace(1.5 * math.pi), SpindleSpace(4.0)],
+                             ids=["plane", "cone", "spindle"])
+    def test_at_and_next_to_the_base_point(self, space):
+        # within 1e-12 of q a leaf's differential is the constant phi'(0): zero
+        # for dist^2 and rho_kappa o dist, so their gradient is zero; 1 for
+        # dist and 1 + 2c for phi_{r,c}, a flat maximum with no gradient
+        q = space.validate_point((1.0, 0.3))
+        near = space.walk(q, 2.0, 5e-13).end
+        assert 0.0 < space.distance(q, near) <= 1e-12
+        for p in (q, near):
+            for leaf in (DistSq(q=q), RhoDist(kappa=space.kappa, q=q)):
+                assert gradient(leaf, space, p).norm == 0.0
+            for leaf in (Dist(q=q), PhiRC(r=0.3, c=2.0, q=q)):
+                with pytest.raises(GradientError):
+                    gradient(leaf, space, p)
 
 
 class TestPointValidation:

@@ -164,6 +164,44 @@ class TestFirstVariationStep:
         assert _velocity_at(space, p, x, t) == want
 
 
+def _ridge_pair(cone, rng):
+    """p and a point x on the ridge opposite p, where two directions point to p."""
+    p = cone.validate_point((0.3 + 1.5 * rng.random(), rng.random() * cone.total_angle))
+    x = cone.validate_point((0.05 + 1.5 * rng.random(), p[1] + 0.5 * cone.total_angle))
+    return p, x
+
+
+class TestGapRule:
+    """On a full circle grad dist_p bisects the largest gap g between the
+    directions to p and has norm -cos(g / 2); the stepper stops where that
+    is below STOP_TOL."""
+
+    @pytest.mark.parametrize("theta", [1.5 * math.pi, 0.7 * math.pi], ids=["1.5pi", "0.7pi"])
+    def test_ridge_points_match_the_exact_gradient(self, theta):
+        cone = ConeSpace(theta)
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            p, x = _ridge_pair(cone, rng)
+            assert len(cone.directions_to(x, p)) == 2
+            r = cone.distance(x, p)
+            t = _parameter(r)
+            vec = _velocity_at(cone, p, x, t)
+            g = gradient(Dist(q=p), cone, x)
+            assert g.norm > STOP_TOL
+            assert vec.norm == pytest.approx(speed_factor(0, r, t) * g.norm, rel=1e-12)
+            assert g.sigma.dist(vec.angle, g.angle) <= 1e-12
+
+    def test_three_directions_at_a_critical_point(self):
+        # the centre of the face opposite a vertex of the regular tetrahedron:
+        # three directions to the vertex, 2 pi / 3 apart
+        mesh = regular_tetrahedron()
+        face = next(i for i, f in enumerate(mesh.faces) if 0 not in f)
+        p, x = mesh.point_at_vertex(0), mesh.validate_point((face, (1 / 3, 1 / 3, 1 / 3)))
+        assert len(mesh.directions_to(x, p)) == 3
+        assert gradient(Dist(q=p), mesh, x).norm < STOP_TOL
+        assert _velocity_at(mesh, p, x, 1.5) is None
+
+
 class TestTangentConeMetric:
     def test_hyperbolic_hinge_additive(self):
         u = TangentVec(0.7, 0.0, FULL)
