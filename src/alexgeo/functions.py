@@ -208,10 +208,14 @@ class BoundaryDist(Expr):
         """The min of the cos-tails the space gives; sources None is a constant."""
         if space.boundary_tails is None:
             raise ExprError(f"{space.variant} has no boundary differential")
+        try:
+            tails = space.boundary_tails(p)
+        except SpaceError as exc:  # no differential at p, as on a double's seam
+            raise ExprError(str(exc)) from exc
         return combine_min(sigma, [
             constant_directional(sigma, s) if sources is None
             else cos_tail_directional(sigma, s, sources)
-            for s, sources in space.boundary_tails(p)
+            for s, sources in tails
         ])
 
 
@@ -370,10 +374,11 @@ class InfConvolution:
         self.search_radius = 1.5 * lip_hint * eps
 
     def _obj(self, x, y):
-        """f(x) + d(x, y)^2 / eps at a validated y."""
-        space = self.space
-        return evaluate(self.expr, space, x) + \
-            space._distance(space.validate_point(x), y) ** 2 / self.eps
+        """f(x) + d(x, y)^2 / eps at a validated y; x is validated once here."""
+        space, expr = self.space, self.expr
+        x = space.validate_point(x)
+        fx = _compile(expr, space)(x) if isinstance(expr, Expr) else evaluate(expr, space, x)
+        return fx + space._distance(x, y) ** 2 / self.eps
 
     def query(self, y) -> InfConvResult:
         space = self.space
@@ -431,63 +436,48 @@ class InfConvolution:
 
 # -- smoothed distance ----------------------------------------------------------
 class SmoothedDistance:
-    """Average of dist_x over a ball around p, sampled once per seed.
+    """Average of dist_x over the ball of radius eps around p, sampled once per seed.
 
-    The same fixed sample set serves every query, so values and
-    differentials are deterministic and consistent.  Flat full-plane
-    spaces get vectorized sampling and evaluation.
+    The samples are uniform on the part of the ball inside the space.
+    Each of the n_mc draws walks from p in a uniform direction, over a
+    radius drawn with the area density of the model plane, and is kept
+    only if the walk ends without an event: a walk cut short by the
+    boundary, a corner or a vertex is dropped.  The same fixed sample
+    set serves every query, so values and differentials are
+    deterministic and consistent.
     """
 
     def __init__(self, space, p, eps, n_mc=20000, seed=0):
         self.space = space
-        self.p = p
+        self.p = space.validate_point(p)
         self.eps = eps
-        rng = np.random.default_rng(seed)
-        self._planar = space.variant == "polygon" or (
-            space.variant == "cone" and abs(space.total_angle - 2.0 * math.pi) < 1e-12
-        )
-        if self._planar:
-            self._xy = self._sample_planar(space, p, eps, n_mc, rng)
-            self.samples = None
-        else:
-            self.samples = self._sample_ball(space, p, eps, n_mc, rng)
-
-    def _sample_planar(self, space, p, eps, n, rng):
-        c = space.pos2(p)
-        rr = eps * np.sqrt(rng.random(n))
-        aa = rng.random(n) * 2.0 * math.pi
-        xy = np.column_stack([c[0] + rr * np.cos(aa), c[1] + rr * np.sin(aa)])
-        if space.variant == "polygon":
-            keep = np.array([space.contains(q) for q in xy])
-            xy = xy[keep]
-        return xy
+        self.samples = self._sample_ball(space, self.p, eps, n_mc, _uniforms(seed))
 
     @staticmethod
-    def _sample_ball(space, p, eps, n, rng):
+    def _sample_ball(space, p, eps, n, draws):
+        """The kept walk end points of n draws from the validated p."""
         pts = []
         sig = space.sigma_at(p)
         kappa = space.kappa
         for _ in range(n):
-            ang = rng.random() * sig.length
+            ang = next(draws) * sig.length
             # area-correct radius: density proportional to sn_kappa(r)
             while True:
-                r = eps * math.sqrt(rng.random())
+                r = eps * math.sqrt(next(draws))
                 if kappa == 0.0:
                     break
                 accept = model_plane.sigma(kappa, r) / max(r, 1e-300)
-                if rng.random() <= accept:
+                if next(draws) <= accept:
                     break
             try:
                 w = space.walk(p, ang, r)
             except SpaceError:
                 continue
-            pts.append(w.end)
+            if w.event is None:
+                pts.append(w.end)
         return pts
 
     def value(self, y):
-        if self._planar:
-            c = self.space.pos2(y)
-            return float(np.mean(np.hypot(self._xy[:, 0] - c[0], self._xy[:, 1] - c[1])))
         space = self.space
         dist, y = space._distance, space.validate_point(y)
         total = 0.0
@@ -500,19 +490,21 @@ class SmoothedDistance:
 
     def differential(self, y) -> DirectionalFn:
         space = self.space
-        sigma = space.sigma_at(y)
-        if self._planar:
-            c = space.pos2(y)
-            planar = np.arctan2(self._xy[:, 1] - c[1], self._xy[:, 0] - c[0])
-            if self.space.variant == "cone":
-                # chart zero points radially away from the cone apex
-                planar = planar - math.atan2(c[1], c[0])
-            arr = np.mod(planar, 2.0 * math.pi)
-        else:
-            dist, y = space._distance, space.validate_point(y)
-            arr = np.asarray([space.directions_to(y, x)[0] for x in self.samples
-                              if dist(x, y) > 1e-12])
-        return mean_cos_tail_directional(sigma, arr)
+        dist, y = space._distance, space.validate_point(y)
+        arr = np.asarray([space.directions_to(y, x)[0] for x in self.samples
+                          if dist(x, y) > 1e-12])
+        return mean_cos_tail_directional(space.sigma_at(y), arr)
+
+
+def _uniforms(seed):
+    """The values of successive `default_rng(seed).random()` calls.
+
+    numpy draws them 4096 at a time, the same stream at a fraction of
+    the cost of one call per value.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        yield from rng.random(4096).tolist()
 
 
 def planar_smoothed_distance_oracle(p, eps, y):

@@ -25,11 +25,8 @@ class TraceError(RuntimeError):
     pass
 
 
-def trace_quasigeodesic(space, p, xi_angle, length, rule="equal-split",
-                        record_step=None) -> CurveRecord:
+def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRecord:
     """Unit-speed trace through cone points with the equal-split rule."""
-    if rule != "equal-split":
-        raise TraceError(f"unknown continuation rule {rule!r}")
     if not space.supports_tracing:
         raise TraceError(f"tracing is not supported on {space.variant}")
     p = space.validate_point(p)

@@ -11,13 +11,18 @@ variant they hold:
   `distances_from(p, targets)`, the last two as `(d, certified error)`
   pairs (the error is 0 on every space: every metric is exact);
 - `sigma_at(p)`, `directions_to(p, q)`, `walk(p, angle, length)` and
-  `geodesic_points(p, q, n)`;
+  `geodesic_points(p, q, n)`.  Direction spaces are shared immutable
+  values: `sigma_at` and every `WalkResult.sigma` return this module's
+  `CIRCLE` or `HALF_ARC`, or the direction space of a special point (a
+  cone apex, a spindle pole, a mesh vertex, a polygon corner), which the
+  space builds once, at construction;
 - `pos2(p)`, a planar position for plots and flat charts;
 - `cone_points()`, the interior cone points with their total angles, and
   `corners()`, the polygon's corners with their angles (else empty);
 - `boundary_dist(p)` on polygon, cap and their doubles (pulled back by
   the projection), else None; `boundary_tails(p)`, its differential as
-  cos-tails, on polygon and cap, else None;
+  cos-tails, on the same spaces (on a double only off the seam), else
+  None;
 - `boundary_period`, the range of s in `boundary_point(s)` on polygon
   and cap, else None;
 - `supports_tracing`, false only on the cap.
@@ -147,6 +152,10 @@ class SigmaDesc:
         if self.is_arc:
             return min(max(self.length - back, 0.0), self.length)
         return self.wrap(back + math.pi)
+
+
+CIRCLE = SigmaDesc(TWO_PI)  # a regular point
+HALF_ARC = SigmaDesc(math.pi, is_arc=True)  # a smooth boundary point
 
 
 @dataclass

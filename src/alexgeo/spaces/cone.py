@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .base import (SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
+from .base import (CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
                    minimizing_angles, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
@@ -25,6 +25,7 @@ class ConeSpace(Space):
         if not (0.0 < total_angle <= TWO_PI + 1e-12):
             raise SpaceError(f"cone total angle {total_angle} outside (0, 2*pi]")
         self.total_angle = min(float(total_angle), TWO_PI)
+        self._apex_sigma = SigmaDesc(self.total_angle)
 
     def describe(self):
         return {"type": "cone", "total_angle": self.total_angle}
@@ -63,8 +64,8 @@ class ConeSpace(Space):
 
     def sigma_at(self, p) -> SigmaDesc:
         if self.is_apex(p):
-            return SigmaDesc(self.total_angle)
-        return SigmaDesc(TWO_PI)
+            return self._apex_sigma
+        return CIRCLE
 
     def directions_to(self, p, q):
         """Angles in the sigma chart of p of every minimizing direction to q."""
@@ -90,13 +91,13 @@ class ConeSpace(Space):
             raise SpaceError("negative walk length")
         if self.is_apex(p):
             end = (length, sig.wrap(angle))
-            return WalkResult(end, length, math.pi, SigmaDesc(TWO_PI))
+            return WalkResult(end, length, math.pi, CIRCLE)
         ang = wrap_angle(angle, TWO_PI)
         # straight line through the apex
         if abs(math.sin(ang)) < 1e-14 and math.cos(ang) < 0.0 and length >= p[0] - _APEX_EPS:
             apex = (0.0, 0.0)
             return WalkResult(
-                apex, p[0], p[1], SigmaDesc(self.total_angle),
+                apex, p[0], p[1], self._apex_sigma,
                 event="vertex", event_ref="apex",
             )
         ex = p[0] + length * math.cos(ang)
@@ -105,7 +106,7 @@ class ConeSpace(Space):
         dphi = math.atan2(ey, ex)
         end = (r, wrap_angle(p[1] + dphi, self.total_angle))
         back = angle_of(p[0] - ex, -ey) - angle_of(ex, ey)
-        return WalkResult(end, length, wrap_angle(back, TWO_PI), SigmaDesc(TWO_PI))
+        return WalkResult(end, length, wrap_angle(back, TWO_PI), CIRCLE)
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)

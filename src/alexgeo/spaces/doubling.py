@@ -5,7 +5,11 @@ centroid fan triangulation, glued along the polygon edges, so the
 polygon corners become cone points of twice the interior angle.  The
 double of a hemispherical cap is the round sphere.  Both carry the
 canonical two-to-one projection onto the base space, and answer the
-base space's `boundary_dist` pulled back by it.
+base space's `boundary_dist` pulled back by it.  Off the seam the
+projection is an isometry near p, so `boundary_tails` reads the base
+space's rule on the double; on the seam the pulled-back distance has a
+convex kink, which no min of cos-tails represents, and `boundary_tails`
+raises `SpaceError`.
 """
 from __future__ import annotations
 
@@ -17,6 +21,11 @@ from .base import SpaceError
 from .mesh import MeshPoint, MeshSpace
 from .polygon import PolygonSpace
 from .spherical import CapSpace, SpindleSpace
+
+
+def _seam_error(p):
+    return SpaceError(f"no boundary differential at {p!r} on the seam: "
+                      "the pulled-back boundary distance has a kink there")
 
 
 class DoubledPolygon(MeshSpace):
@@ -92,6 +101,16 @@ class DoubledPolygon(MeshSpace):
         """The base polygon's boundary distance, pulled back by the projection."""
         return self.base.boundary_dist(self.project(p))
 
+    def boundary_tails(self, p):
+        """The unit tail toward each nearest foot of the base.
+
+        A foot lies on the seam, where both sheets' lifts are one point.
+        """
+        d, feet = self.base.boundary_feet(self.project(p))
+        if d <= 1e-12:
+            raise _seam_error(p)
+        return [(1.0, self.directions_to(p, self.lift(f))) for f in feet]
+
 
 class DoubledCap(SpindleSpace):
     """Round sphere as the double of a hemispherical cap."""
@@ -118,6 +137,15 @@ class DoubledCap(SpindleSpace):
     def boundary_dist(self, p):
         """The base cap's boundary distance, pulled back by the projection."""
         return self.base.boundary_dist(self.project(p))
+
+    def boundary_tails(self, p):
+        """-1 toward the pole of p's sheet; at that pole, the constant -1."""
+        if self.boundary_dist(p) <= 1e-12:
+            raise _seam_error(p)
+        if self.is_apex(p):
+            return [(-1.0, None)]
+        return [(-1.0, self.directions_to(p, (0.0, 0.0) if self.sheet_of(p) == 0
+                                          else (math.pi, 0.0)))]
 
 
 def build_doubling(space):

@@ -2,8 +2,8 @@
 
 Points are (face index, barycentric triple).  Each face carries a flat
 chart whose corners are Python complex numbers; crossing an edge is a
-cached rigid motion z -> rot * z + shift between the two charts, a
-(unit complex, shift) pair, and a chain of crossings composes these
+rigid motion z -> rot * z + shift between the two charts, built once
+as a (unit complex, shift) pair, and a chain of crossings composes these
 pairs.  One branch-and-bound engine, `MeshSpace._unfold`, enumerates
 unfolded edge sequences from a source; each accepted candidate is a
 realizable straight path, and pruning keeps the result exact.  On these
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SigmaDesc, Space, SpaceError, WalkResult, parse_angle, wrap_angle
+from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, parse_angle,
+                   wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
@@ -177,7 +178,23 @@ class MeshSpace(Space):
             if self.nbr[fi][e] is None
         ]
         self.has_boundary = bool(self.boundary_edges)
-        self._crossings = {}
+        # per face and local edge, the rigid motions from the face's chart to
+        # its neighbour's across the edge and back; None on a boundary edge
+        self.crossings = [[None] * 3 for _ in self.faces]
+        self.crossings_back = [[None] * 3 for _ in self.faces]
+        for fi, nbrs in enumerate(self.nbr):
+            for e, nb in enumerate(nbrs):
+                if nb is None:
+                    continue
+                gj, ge = nb
+                a_f, b_f = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
+                # the shared edge appears reversed in g
+                a_g, b_g = self.charts[gj][(ge + 1) % 3], self.charts[gj][ge]
+                rot = (b_g - a_g) * (b_f - a_f).conjugate()
+                rot /= abs(rot)
+                shift = a_g - rot * a_f
+                self.crossings[fi][e] = (rot, shift)
+                self.crossings_back[fi][e] = (rot.conjugate(), -(rot.conjugate() * shift))
         # one bit per edge, for the crossed-once rule of shortest-path enumeration
         edge_ids = {}
         self.edge_bits = [
@@ -185,38 +202,6 @@ class MeshSpace(Space):
              for e in range(3)]
             for f in self.faces
         ]
-
-    def crossing(self, fi, e):
-        """Rigid motion chart_fi -> chart_g across local edge e of face fi.
-
-        A (rot, shift) pair of complex numbers acting as z -> rot * z + shift.
-        """
-        key = (fi, e)
-        if key in self._crossings:
-            return self._crossings[key]
-        nb = self.nbr[fi][e]
-        if nb is None:
-            raise SpaceError("crossing a boundary edge")
-        gj, ge = nb
-        a_f = self.charts[fi][e]
-        b_f = self.charts[fi][(e + 1) % 3]
-        a_g = self.charts[gj][(ge + 1) % 3]  # shared edge appears reversed in g
-        b_g = self.charts[gj][ge]
-        rot = (b_g - a_g) * (b_f - a_f).conjugate()
-        rot /= abs(rot)
-        M = (rot, a_g - rot * a_f)
-        self._crossings[key] = M
-        return M
-
-    def _g_to_f(self, fi, e):
-        """Inverse crossing: chart of the neighbor across e back into chart_fi."""
-        key = ("inv", fi, e)
-        if key in self._crossings:
-            return self._crossings[key]
-        rot, shift = self.crossing(fi, e)
-        inv = (rot.conjugate(), -(rot.conjugate() * shift))
-        self._crossings[key] = inv
-        return inv
 
     def _build_vertex_fans(self):
         corner_angle = {}
@@ -231,6 +216,7 @@ class MeshSpace(Space):
                 at_vertex[f[c]].append((fi, c))
         self.fans = {}
         self.vertex_boundary = {}
+        self.vertex_sigmas = {}
         for v, corners in at_vertex.items():
             if not corners:
                 continue
@@ -261,6 +247,7 @@ class MeshSpace(Space):
                 offsets.append(offsets[-1] + corner_angle[(fi, c)])
             self.fans[v] = (order, offsets)
             self.vertex_boundary[v] = boundary
+            self.vertex_sigmas[v] = SigmaDesc(offsets[-1], is_arc=boundary)
 
     def cone_angle_at_vertex(self, v):
         return self.fans[v][1][-1]
@@ -365,14 +352,10 @@ class MeshSpace(Space):
     def sigma_at(self, p):
         kind = self.classify(p)
         if kind[0] == "vertex":
-            v = kind[1]
-            return SigmaDesc(self.cone_angle_at_vertex(v), is_arc=self.vertex_boundary[v])
-        if kind[0] == "edge":
-            fi, e = kind[1], kind[2]
-            if self.nbr[fi][e] is None:
-                return SigmaDesc(math.pi, is_arc=True)
-            return SigmaDesc(TWO_PI)
-        return SigmaDesc(TWO_PI)
+            return self.vertex_sigmas[kind[1]]
+        if kind[0] == "edge" and self.nbr[kind[1]][kind[2]] is None:
+            return HALF_ARC
+        return CIRCLE
 
     def _edge_chart_ref(self, fi, e):
         ch = self.charts[fi]
@@ -391,7 +374,7 @@ class MeshSpace(Space):
                 nb = self.nbr[fi][e]
                 if nb is None or face != nb[0]:
                     raise SpaceError("direction face mismatch")
-                d = self._g_to_f(fi, e)[0] * d
+                d = self.crossings_back[fi][e][0] * d
             ref = self._edge_chart_ref(fi, e)
             return wrap_angle(cmath.phase(d) - ref, TWO_PI)
         v = kind[1]
@@ -417,7 +400,7 @@ class MeshSpace(Space):
             d = cmath.rect(1.0, a + self._edge_chart_ref(fi, e))
             if a <= math.pi or self.nbr[fi][e] is None:
                 return fi, d
-            return self.nbr[fi][e][0], self.crossing(fi, e)[0] * d
+            return self.nbr[fi][e][0], self.crossings[fi][e][0] * d
         v = kind[1]
         order, offsets = self.fans[v]
         L = self.cone_angle_at_vertex(v)
@@ -439,7 +422,7 @@ class MeshSpace(Space):
         if kind[0] == "vertex":
             pos = self.charts[face][self.faces[face].index(kind[1])]
         elif kind[0] == "edge" and face != p.face:
-            rot, shift = self.crossing(p.face, kind[2])
+            rot, shift = self.crossings[p.face][kind[2]]
             pos = rot * self._pos(p) + shift
         else:
             pos = self._pos(p)
@@ -478,7 +461,7 @@ class MeshSpace(Space):
                 back = self.chart_angle_of_dir(end, face, -d)
                 return WalkResult(end, traveled + t_exit, back, self.sigma_at(end),
                                   event="boundary")
-            rot, shift = self.crossing(face, e_exit)
+            rot, shift = self.crossings[face][e_exit]
             pos = rot * cross_pos + shift
             d = rot * d
             face = nb[0]
@@ -515,7 +498,7 @@ class MeshSpace(Space):
         if kind[0] == "edge":
             nb = self.nbr[q.face][kind[2]]
             if nb is not None:
-                rot, shift = self.crossing(q.face, kind[2])
+                rot, shift = self.crossings[q.face][kind[2]]
                 images.append((nb[0], rot * pos + shift))
         return images
 
@@ -681,7 +664,7 @@ class MeshSpace(Space):
                     w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
                     lb = off + self._seg_dist(src, w0, w1)
                     if lb <= limit:
-                        rot, shift = self._g_to_f(fi, e)
+                        rot, shift = self.crossings_back[fi][e]
                         heapq.heappush(heap, (lb, counter, fi, nb[0], rot, shift, w0, w1,
                                               src, None, self.edge_bits[fi][e], r))
                         counter += 1
@@ -732,7 +715,7 @@ class MeshSpace(Space):
                     continue
                 lb2 = off + self._seg_dist(src, clipped[0], clipped[1])
                 if lb2 <= limit:
-                    r2, s2 = self._g_to_f(fi, e)
+                    r2, s2 = self.crossings_back[fi][e]
                     heapq.heappush(
                         heap,
                         (lb2, counter, af, nb[0], rot * r2, rot * s2 + shift,

@@ -13,12 +13,11 @@ import math
 
 import numpy as np
 
-from .base import SigmaDesc, Space, SpaceError, WalkResult, angle_of, wrap_angle
+from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
+                   wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
-_CIRCLE = SigmaDesc(TWO_PI)
-_HALF_CIRCLE = SigmaDesc(math.pi, is_arc=True)
 
 
 class PolygonSpace(Space):
@@ -107,9 +106,9 @@ class PolygonSpace(Space):
 
     def _sigma_of(self, kind):
         if kind[0] == "interior":
-            return _CIRCLE
+            return CIRCLE
         if kind[0] == "edge":
-            return _HALF_CIRCLE
+            return HALF_ARC
         return self._corner_sigmas[kind[1]]
 
     def _chart_zero(self, kind):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .base import (SigmaDesc, Space, SpaceError, WalkResult, azimuth_gap, minimizing_angles,
-                   wrap_angle)
+from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, azimuth_gap,
+                   minimizing_angles, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -29,6 +29,7 @@ class _SphereBase(Space):
     """Common trig for (r, phi) points on a unit-curvature suspension."""
 
     wrap_length = TWO_PI  # azimuth period
+    _pole_sigma = CIRCLE  # the direction space at a pole: the azimuth circle
 
     def _loc(self, r1, r2, a):
         """Haversine distance with azimuth separation a (capped at pi).
@@ -99,7 +100,7 @@ class _SphereBase(Space):
                 back = phi
                 return WalkResult(
                     (pole_r, phi), dist_to_pole, wrap_angle(back, self.wrap_length),
-                    SigmaDesc(self.wrap_length), event="vertex",
+                    self._pole_sigma, event="vertex",
                     event_ref="north" if toward_north else "south",
                 )
         traveled = 0.0
@@ -111,13 +112,13 @@ class _SphereBase(Space):
                 back = phi
                 return WalkResult(
                     (r2 if r2 < 1.0 else math.pi, phi), traveled + s,
-                    wrap_angle(back, self.wrap_length), SigmaDesc(self.wrap_length),
+                    wrap_angle(back, self.wrap_length), self._pole_sigma,
                     event="vertex", event_ref="north" if r2 < 1.0 else "south",
                 )
             r, phi, psi = r2, wrap_angle(phi + dphi, self.wrap_length), psi2
             traveled += s
         back = wrap_angle(psi + math.pi, TWO_PI)
-        return WalkResult((r, phi), length, back, SigmaDesc(TWO_PI))
+        return WalkResult((r, phi), length, back, CIRCLE)
 
     def _meridian_from_apex(self, azimuth, length, from_north, p):
         az = wrap_angle(azimuth, self.wrap_length)
@@ -129,10 +130,10 @@ class _SphereBase(Space):
             back = 0.0
         if length >= math.pi - _POLE_EPS:
             return WalkResult(
-                end, math.pi, az, SigmaDesc(self.wrap_length), event="vertex",
+                end, math.pi, az, self._pole_sigma, event="vertex",
                 event_ref="south" if from_north else "north",
             )
-        return WalkResult(end, length, back, SigmaDesc(TWO_PI))
+        return WalkResult(end, length, back, CIRCLE)
 
     def _dirs_regular(self, p, q):
         """Chart angles at regular p of minimizing directions to regular q."""
@@ -162,6 +163,7 @@ class SpindleSpace(_SphereBase):
             raise SpaceError(f"spindle circle length {circle_length} outside (0, 2*pi]")
         self.circle_length = min(float(circle_length), TWO_PI)
         self.wrap_length = self.circle_length
+        self._pole_sigma = SigmaDesc(self.circle_length)
 
     def describe(self):
         return {"type": "spindle", "circle_length": self.circle_length}
@@ -187,8 +189,8 @@ class SpindleSpace(_SphereBase):
 
     def sigma_at(self, p):
         if self.is_apex(p):
-            return SigmaDesc(self.circle_length)
-        return SigmaDesc(TWO_PI)
+            return self._pole_sigma
+        return CIRCLE
 
     def directions_to(self, p, q):
         p, q = self.validate_point(p), self.validate_point(q)
@@ -287,8 +289,8 @@ class CapSpace(_SphereBase):
 
     def sigma_at(self, p):
         if self.on_boundary(p):
-            return SigmaDesc(math.pi, is_arc=True)
-        return SigmaDesc(TWO_PI)
+            return HALF_ARC
+        return CIRCLE
 
     def _interior_chart_to_arc(self, p, psi):
         """Convert the regular chart angle at a boundary point to arc coords."""
@@ -320,8 +322,7 @@ class CapSpace(_SphereBase):
             raise SpaceError("negative walk length")
         if self.on_boundary(p):
             z = angle
-            sig = SigmaDesc(math.pi, is_arc=True)
-            if not sig.valid(z):
+            if not HALF_ARC.valid(z):
                 raise SpaceError(f"direction {z} outside the boundary arc")
             if z <= 1e-12 or math.pi - z <= 1e-12:
                 return self._walk_along_boundary(p, z, length)
@@ -337,7 +338,7 @@ class CapSpace(_SphereBase):
         dphi = sgn * length / math.sin(self.radius)
         end = (self.radius, wrap_angle(p[1] + dphi, TWO_PI))
         back = math.pi if sgn > 0 else 0.0
-        return WalkResult(end, length, back, SigmaDesc(math.pi, is_arc=True))
+        return WalkResult(end, length, back, HALF_ARC)
 
     def _cap_clip_walk(self, p, psi, length):
         # crossing colatitude r0: z(s) = cos(r)cos(s) - sin(r)cos(psi)sin(s)
@@ -363,7 +364,7 @@ class CapSpace(_SphereBase):
         back_reg = w.back_angle
         zeta = self._interior_chart_to_arc(end, wrap_angle(back_reg, TWO_PI))
         zeta = min(max(zeta, 0.0), math.pi)
-        return WalkResult(end, s_hit, zeta, SigmaDesc(math.pi, is_arc=True),
+        return WalkResult(end, s_hit, zeta, HALF_ARC,
                           event="boundary")
 
     def _cap_clip(self, w):

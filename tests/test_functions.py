@@ -106,10 +106,14 @@ def _reference_diff(expr, space, p, sigma):
     if isinstance(expr, BoundaryDist):
         if space.boundary_tails is None:
             raise ExprError(f"{space.variant} has no boundary differential")
+        try:
+            tails = space.boundary_tails(p)
+        except SpaceError as exc:
+            raise ExprError(str(exc)) from exc
         return combine_min(sigma, [
             constant_directional(sigma, s) if sources is None
             else cos_tail_directional(sigma, s, sources)
-            for s, sources in space.boundary_tails(p)
+            for s, sources in tails
         ])
     raise ExprError(f"cannot differentiate {expr!r}")
 
@@ -267,7 +271,7 @@ class TestChainRule:
                     continue
                 got = differential(node, space, p)
                 assert (got.breaks, got.pieces) == (want.breaks, want.pieces), (node, p)
-        # only the boundary leaf on a double has no differential
+        # only the boundary leaf on a double's seam has no differential
         assert (raised > 0) == (name == "doubled_square")
 
     def test_unknown_nodes_raise(self):
@@ -291,6 +295,59 @@ class TestChainRule:
             for leaf in (Dist(q=q), PhiRC(r=0.3, c=2.0, q=q)):
                 with pytest.raises(GradientError):
                     gradient(leaf, space, p)
+
+
+class TestBoundaryDifferentialOnDoubles:
+    DOUBLES = {"doubled_square": lambda: DoubledPolygon(SQUARE),
+               "doubled_hemisphere": lambda: DoubledCap(CapSpace(math.pi / 2))}
+
+    @pytest.mark.parametrize("name", sorted(DOUBLES))
+    def test_one_sided_finite_differences_off_the_seam(self, name):
+        # step h: the pulled-back distance is piecewise linear on the square
+        # and has |f''| <= cot(0.1) < 10 on the sphere at least 0.1 from
+        # the poles, so the one-sided difference is within 5h of the
+        # differential, plus rounding of order 1e-16 / h.  (0.2, 0.2) has
+        # two nearest feet on the square, where the differential is a min
+        double, h = self.DOUBLES[name](), 1e-6
+        rng = np.random.default_rng(17)
+        points = [double.lift((0.2, 0.2), sheet) for sheet in (0, 1)]
+        while len(points) < 14:
+            p = double.random_point(rng)
+            if 0.1 <= double.boundary_dist(p) <= math.pi / 2 - 0.1:
+                points.append(p)
+        f = BoundaryDist()
+        for p in points:
+            d = differential(f, double, p)
+            f0, length = evaluate(f, double, p), double.sigma_at(p).length
+            for k in range(8):
+                ang = length * (k + 0.3) / 8.0
+                fd = (evaluate(f, double, double.walk(p, ang, h).end) - f0) / h
+                assert d(ang) == pytest.approx(fd, abs=5.0 * h + 1e-9), (p, ang)
+
+    def test_constant_rate_at_the_poles(self):
+        double = DoubledCap(CapSpace(math.pi / 2))
+        for pole in ((0.0, 0.0), (math.pi, 0.0)):
+            d = differential(BoundaryDist(), double, pole)
+            assert [d(a) for a in (0.0, 1.0, 4.0)] == [-1.0, -1.0, -1.0]
+
+    def test_gradient_on_the_doubled_square(self):
+        # the nearest edge of (0.3, 0.5) is x = 0: the gradient leads away
+        # from it with unit speed on either sheet
+        double = DoubledPolygon(SQUARE)
+        for sheet in (0, 1):
+            p = double.lift((0.3, 0.5), sheet)
+            g = gradient(BoundaryDist(), double, p)
+            assert g.norm == pytest.approx(1.0, abs=1e-12)
+            end = double.walk(p, g.angle, 0.1).end
+            assert double.sheet_of(end) == sheet
+            assert double.project(end) == pytest.approx((0.4, 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("name, seam", [("doubled_square", (0.5, 0.0)),
+                                            ("doubled_hemisphere", (math.pi / 2, 1.0))])
+    def test_seam_points_raise(self, name, seam):
+        double = self.DOUBLES[name]()
+        with pytest.raises(ExprError, match="seam"):
+            differential(BoundaryDist(), double, double.lift(seam, 0))
 
 
 class TestPointValidation:
@@ -400,11 +457,31 @@ class TestSmoothedDistance:
         fit = c1 * np.cos(xs) + s1 * np.sin(xs)
         assert float(np.max(np.abs(vals - fit))) < 3.0 / math.sqrt(n_mc)
 
+    def test_no_samples_on_the_cap_boundary(self):
+        # a walk cut short by the boundary is dropped, not kept on the rim
+        cap, p, eps = CapSpace(0.8), (0.75, 0.0), 0.1
+        sd = SmoothedDistance(cap, p, eps, n_mc=4000, seed=1)
+        assert sd.samples
+        assert not any(cap.on_boundary(x) for x in sd.samples)
+        assert max(cap.distance(x, p) for x in sd.samples) <= eps + 1e-12
+
+    def test_uniform_on_the_square_near_its_edge(self):
+        # the samples fill the disc of radius R cut by the edge y = 0 at
+        # depth h below its centre: their mean y is that region's centroid
+        R, h = 0.1, 0.02
+        sd = SmoothedDistance(SQUARE, (0.5, h), R, n_mc=20000, seed=2)
+        ys = np.array([y for _, y in sd.samples])
+        a = math.sqrt(R * R - h * h)
+        area = math.pi * R * R - R * R * math.acos(h / R) + h * a
+        centroid = h + (2.0 / 3.0) * a ** 3 / area
+        assert centroid == pytest.approx(0.05186, abs=1e-5)
+        assert ys.mean() == pytest.approx(centroid, abs=4.0 * ys.std() / math.sqrt(len(ys)))
+
     def test_generic_sampler_on_a_cone(self):
-        # a 1.5 pi cone takes the generic path: ball samples by `walk`,
-        # values by `distance` and differentials by `directions_to`.  The
-        # ball around p misses the apex, so it unfolds isometrically into
-        # the plane by (r, phi) -> pos2, where the disc oracle applies.
+        # off the plane, as on every space: ball samples by `walk`, values
+        # by `_distance` and differentials by `directions_to`.  The ball
+        # around p misses the apex, so it unfolds isometrically into the
+        # plane by (r, phi) -> pos2, where the disc oracle applies.
         cone = ConeSpace(1.5 * math.pi)
         p, eps, n_mc = (1.0, 0.2), 0.1, 50000
         sd = SmoothedDistance(cone, p, eps, n_mc=n_mc, seed=4)

@@ -7,7 +7,6 @@ from alexgeo.spaces import ConeSpace, PolygonSpace, regular_tetrahedron
 from alexgeo.flow import CurveRecord
 from alexgeo.functions import Dist, DistSq, evaluate, scale
 from alexgeo.quasigeodesic import (
-    TraceError,
     build_convex_curve,
     build_prequasigeodesic,
     check_quasigeodesic,
@@ -58,10 +57,6 @@ class TestTracer:
         back = rec.lefts_angle if False else rec.left_tangents[i].angle
         out = rec.right_tangents[i].angle
         assert sig.dist(back, out) == pytest.approx(math.pi / 2)
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(TraceError):
-            trace_quasigeodesic(CONE, (1.0, 0.0), 0.0, 1.0, rule="left-split")
 
     def test_polygon_boundary_stop(self):
         sq = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])

@@ -506,9 +506,23 @@ class TestSpaceInterface:
         assert [a for _, a in space.corners()] == pytest.approx(angles)
         assert space.supports_tracing is tracing
         assert (space.boundary_dist is not None) is boundary
-        # the differential of the boundary distance is there where the
-        # boundary is parametrized: the doubles have none
-        assert (space.boundary_tails is not None) is (period is not None)
+        # the boundary distance has a differential wherever it has a value
+        # (on a double, off the seam only)
+        assert (space.boundary_tails is not None) is boundary
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_direction_spaces_are_shared(self, name):
+        # sigma_at and walks hand out the direction spaces the space built
+        # once, at cone points and corners too, never a new one per call
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(29)
+        points = [p for p, _ in space.cone_points() + space.corners()]
+        points += [space.random_point(rng) for _ in range(10)]
+        for p in points:
+            sig = space.sigma_at(p)
+            assert space.sigma_at(p) is sig
+            w = space.walk(p, rng.random() * sig.length, 0.3)
+            assert w.sigma is space.sigma_at(w.end)
 
     @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
     def test_direction_to_itself(self, name):
@@ -568,15 +582,10 @@ class TestMeshValidation:
             log_map(mesh, point, MeshPoint(2, (0.1, 0.1, 0.8)))
 
 
-# the one planar fast path left, `SmoothedDistance._planar`, by file
+# lines that ask a space its variant, by file: none, every space answers
+# the same queries
 DISPATCH_RE = re.compile(r"\.variant (==|in|not in)|hasattr\(")
-PLANAR_FAST_PATHS = collections.Counter({
-    ("functions.py", 'self._planar = space.variant == "polygon" or ('): 1,
-    ("functions.py",
-     'space.variant == "cone" and abs(space.total_angle - 2.0 * math.pi) < 1e-12'): 1,
-    ("functions.py", 'if space.variant == "polygon":'): 1,
-    ("functions.py", 'if self.space.variant == "cone":'): 1,
-})
+PLANAR_FAST_PATHS = collections.Counter()
 
 
 def test_no_code_outside_the_planar_fast_paths_asks_a_space_its_variant():
