@@ -274,8 +274,9 @@ def cmd_develop(args):
     rec = trace_quasigeodesic(space, space.parse_point(getattr(args, "from")),
                               parse_angle(args.dir), args.length)
     rs = [d for d, _ in space.distances_from(p, rec.points)]
+    chords = [space.distance(a, b) for a, b in zip(rec.points, rec.points[1:])]
     dev = model_plane.develop_curve(space.kappa, list(zip(rec.ts, rs)),
-                                    tolerance=args.tol)
+                                    tolerance=args.tol, chords=chords)
     print(f"development: convex={dev.convex} min_turn={dev.min_turn():.3e}")
     _emit(args, {"convex": dev.convex, "min_turn": dev.min_turn()},
           development=dev)

@@ -17,6 +17,7 @@ from .functions import (
     Affine,
     MinExpr,
     PhiRC,
+    _compile,
     check_concavity,
     differential,
     evaluate,
@@ -176,14 +177,15 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     coordinate becomes active, so the ascent can follow thin ridges.
     """
     target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
+    value = _compile(target, space)
 
-    def obj(x, angle, t):
-        return evaluate(target, space, space.walk(x, angle, t).end)
+    def obj(x, angle, t):  # x is a grid point or a walk end: validated
+        return value(space._walk(x, angle, t).end)
 
     best = max(range(len(grid_pts)),
                key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
     x = grid_pts[best]
-    best_v = evaluate(target, space, x)
+    best_v = value(x)
     step = region[1]
     gold = (math.sqrt(5.0) - 1.0) / 2.0
     g = None
@@ -222,7 +224,7 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
             if step < 1e-11:
                 break
             continue
-        x = space.walk(x, g.angle, t).end
+        x = space._walk(x, g.angle, t).end
         best_v = nv
         step = max(t * 2.0, 1e-10)
         g = None

@@ -56,6 +56,8 @@ def gradient_curve(expr, space, p, T, h):
     """Integrate the gradient curve from p for parameter time T at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"gradient curve needs a finite step h > 0, not {h}")
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"gradient curve needs a finite time T >= 0, not {T}")
     p = space.validate_point(p)
     n = max(1, int(round(T / h)))
     ts = [0.0]
@@ -98,7 +100,7 @@ def _advance(expr, space, cur, g, h, events, t0):
     back = None
     for _ in range(64):
         arc = remaining * vec.norm
-        w = space.walk(cur, vec.angle, arc)
+        w = space._walk(cur, vec.angle, arc)
         cur = w.end
         back = TangentVec(vec.norm, w.back_angle, w.sigma)
         if w.event is None:

@@ -85,7 +85,7 @@ class _DistanceLeaf(Expr):
         d = space._distance(q, p)
         if d <= 1e-12:
             return constant_directional(sigma, self.dphi(0.0))
-        return cos_tail_directional(sigma, self.dphi(d), space.directions_to(p, q))
+        return cos_tail_directional(sigma, self.dphi(d), space._directions_to(p, q))
 
 
 @dataclass(frozen=True)
@@ -368,15 +368,16 @@ class InfConvolution:
     def __init__(self, expr, space, eps, lip_hint=2.0):
         if not 0.0 < eps < math.inf:
             raise ExprError(f"inf-convolution needs a finite eps > 0, not {eps}")
+        if not 0.0 < lip_hint < math.inf:
+            raise ExprError(f"inf-convolution needs a finite lip_hint > 0, not {lip_hint}")
         self.expr = expr
         self.space = space
         self.eps = eps
         self.search_radius = 1.5 * lip_hint * eps
 
     def _obj(self, x, y):
-        """f(x) + d(x, y)^2 / eps at a validated y; x is validated once here."""
+        """f(x) + d(x, y)^2 / eps at points of the space: y validated, x = y or a walk end."""
         space, expr = self.space, self.expr
-        x = space.validate_point(x)
         fx = _compile(expr, space)(x) if isinstance(expr, Expr) else evaluate(expr, space, x)
         return fx + space._distance(x, y) ** 2 / self.eps
 
@@ -395,7 +396,7 @@ class InfConvolution:
                 for k in range(1, n_radii + 1):
                     r = radius * k / n_radii
                     try:
-                        w = space.walk(center, ang, r)
+                        w = space._walk(center, ang, r)
                     except SpaceError:
                         break
                     v = self._obj(w.end, y)
@@ -418,7 +419,7 @@ class InfConvolution:
             for k in range(8):
                 ang = sig.length * k / 8.0
                 try:
-                    w = space.walk(best_x, ang, step)
+                    w = space._walk(best_x, ang, step)
                 except SpaceError:
                     continue
                 v = self._obj(w.end, y)
@@ -448,6 +449,8 @@ class SmoothedDistance:
     """
 
     def __init__(self, space, p, eps, n_mc=20000, seed=0):
+        if not 0.0 < eps < math.inf:
+            raise ExprError(f"smoothing needs a finite eps > 0, not {eps}")
         self.space = space
         self.p = space.validate_point(p)
         self.eps = eps
@@ -470,7 +473,7 @@ class SmoothedDistance:
                 if next(draws) <= accept:
                     break
             try:
-                w = space.walk(p, ang, r)
+                w = space._walk(p, ang, r)
             except SpaceError:
                 continue
             if w.event is None:
@@ -491,7 +494,7 @@ class SmoothedDistance:
     def differential(self, y) -> DirectionalFn:
         space = self.space
         dist, y = space._distance, space.validate_point(y)
-        arr = np.asarray([space.directions_to(y, x)[0] for x in self.samples
+        arr = np.asarray([space._directions_to(y, x)[0] for x in self.samples
                           if dist(x, y) > 1e-12])
         return mean_cos_tail_directional(space.sigma_at(y), arr)
 

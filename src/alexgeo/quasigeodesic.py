@@ -30,8 +30,12 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
     if not space.supports_tracing:
         raise TraceError(f"tracing is not supported on {space.variant}")
     p = space.validate_point(p)
+    if not 0.0 <= length < math.inf:
+        raise TraceError(f"trace needs a finite length >= 0, not {length}")
     if record_step is None:
         record_step = max(length / 512.0, 1e-6)
+    if not 0.0 < record_step < math.inf:
+        raise TraceError(f"trace needs a finite record_step > 0, not {record_step}")
     ts = [0.0]
     points = [p]
     rights = []
@@ -45,7 +49,7 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
         if guard > 100000:
             raise TraceError("trace exceeded the step budget")
         seg = min(record_step, length - t)
-        w = space.walk(cur, fwd, seg)
+        w = space._walk(cur, fwd, seg)
         sig_cur = space.sigma_at(cur)
         rights.append(TangentVec(1.0, fwd, sig_cur))
         cur = w.end
@@ -393,7 +397,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
         tbar = ts[j]
         if tbar - t0 > eps:
             break
-        dirs = space.directions_to(x0, rec.points[j])
+        dirs = space._directions_to(x0, rec.points[j])
         sig = space.sigma_at(x0)
         theta = min(sig.dist(dir0.angle, a) for a in dirs)
         if abs(mu_run) < eps * (theta + (tbar - t0)) and theta < eps:
@@ -415,7 +419,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
     if tspan > 1e-9 and rt[i0] is not None and rt[i0].norm > 1e-9:
         d = differential(f, space, x0)
         xi_unit = rt[i0].angle
-        nus = space.directions_to(x0, rec.points[j])
+        nus = space._directions_to(x0, rec.points[j])
         nu = nus[0]
         if d(nu) >= 0.0:
             lemma_applicable = True

@@ -95,7 +95,7 @@ class RadialStepper:
         r = space._distance(cur, self.p)
         sigma = space.sigma_at(cur)
         if not sigma.is_arc and sigma.length == TWO_PI and r > 1e-12:
-            dirs = sorted(map(sigma.wrap, space.directions_to(cur, self.p)))
+            dirs = sorted(map(sigma.wrap, space._directions_to(cur, self.p)))
             # the gap across the seam first: with one direction it is 2 pi exactly
             start, gap = dirs[-1], (dirs[0] - dirs[-1]) % TWO_PI or TWO_PI
             for a, b in zip(dirs, dirs[1:]):
@@ -123,14 +123,14 @@ class RadialStepper:
         return self._grad_step(dt)
 
     def _switch_check(self):
-        r = self.space.distance(self.p, self.cur)
+        r = self.space._distance(self.p, self.cur)
         if r < self.t - max(_SWITCH_TOL, 1e-6 * self.t):
             self.regime = "grad"
             self.events.append((self.t, "regime", "gradient"))
 
     def _geo_step(self, dt):
         vec = TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
-        w = self.space.walk(self.cur, self.fwd, dt)
+        w = self.space._walk(self.cur, self.fwd, dt)
         if w.event == "vertex":
             # a straight line cannot continue through a cone point
             self.cur = w.end
@@ -167,7 +167,7 @@ class RadialStepper:
         remaining = dt
         for _ in range(64):
             arc = remaining * vec.norm
-            w = self.space.walk(self.cur, vec.angle, arc)
+            w = self.space._walk(self.cur, vec.angle, arc)
             self.cur = w.end
             used = w.traveled / max(vec.norm, 1e-300)
             self.t += used
@@ -195,6 +195,8 @@ def radial_curve(space, p, xi_angle, kappa, T, h) -> CurveRecord:
     """Radial curve record from p in direction xi over [0, T] at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"radial curve needs a finite step h > 0, not {h}")
+    if not 0.0 <= T < math.inf:
+        raise RadialDomainError(f"radial curve needs a finite time T >= 0, not {T}")
     if kappa == 1 and T > math.pi / 2.0 + 1e-12:
         raise RadialDomainError("spherical radial curves live on [0, pi/2]")
     if kappa not in (-1, 0, 1):
@@ -221,6 +223,8 @@ def gexp_map(space, p, v: TangentVec, kappa, h):
     """Endpoint of the radial curve at parameter |v| in the direction of v."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"gexp needs a finite step h > 0, not {h}")
+    if not 0.0 <= v.norm < math.inf:
+        raise RadialDomainError(f"gexp needs a finite |v| >= 0, not {v.norm}")
     if v.norm == 0.0:
         return space.validate_point(p)
     if kappa == 1 and v.norm > math.pi / 2.0 + 1e-12:

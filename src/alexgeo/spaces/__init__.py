@@ -22,7 +22,7 @@ def log_map(space, p, q):
     """Distance together with one minimizing direction (smallest chart angle)."""
     from ..tangent import TangentVec
 
-    p = space.validate_point(p)
-    d = space.distance(p, q)
-    dirs = space.directions_to(p, q)
+    p, q = space.validate_point(p), space.validate_point(q)
+    d = space._distance(p, q)
+    dirs = space._directions_to(p, q)
     return TangentVec(d, dirs[0], space.sigma_at(p))

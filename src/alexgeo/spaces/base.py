@@ -4,7 +4,8 @@ Every space (cone, spindle, cap, polygon, mesh and the doubles) derives
 from `Space` and answers the same queries, so callers need not ask which
 variant they hold:
 
-- `validate_point(p)`, `random_point(rng)`, `random_point_near(p, r, rng)`;
+- `validate_point(p)`, `random_point(rng)` and `random_point_near(p, r,
+  rng)`, one sampler on every space, defined here;
 - `parse_point(text)` and `format_point(p)`: 'r,phi' on cone, spindle and
   cap, 'x,y' on the polygon, 'F<face>:<b0>,<b1>' on a mesh;
 - `distance(p, q)`, `distance_with_error(p, q)` and
@@ -31,14 +32,16 @@ Validation contract: the public metric queries `distance`,
 `distance_with_error`, `distances_from`, `directions_to`, `walk` and
 `geodesic_points` (and on a mesh `point_vertex_dists` and
 `graph_upper_bound`) validate each point argument once, with
-`validate_point`, and raise `SpaceError` for a point outside the space.
-`_distance(p, q)`, the kernel behind `distance`, and the other
-underscore kernels take points that `validate_point` returned and check
-nothing, so a caller that measures from one point many times validates
-it once.  The end point of a walk is a point of the space by
-construction.  The point helpers (`sigma_at`, `pos2`, `boundary_dist`,
-the mesh's `classify` and `vertex_of_point` and the like) read their
-point as given.
+`validate_point`, and raise `SpaceError` for a point outside the space
+(`walk` also for a length that is not finite and >= 0).  The kernels
+`_distance(p, q)`, `_directions_to(p, q)` and `_walk(p, angle, length)`
+take points that `validate_point` returned and check neither them nor
+the length, so a caller that holds validated points (its validated
+input, or a walk end, a point of the space by construction) calls the
+kernels and validates no point twice.  A walk from a boundary point
+still raises `SpaceError` for a direction outside its arc.  The point
+helpers (`sigma_at`, `pos2`, `boundary_dist`, the mesh's `classify` and
+`vertex_of_point` and the like) read their point as given.
 """
 from __future__ import annotations
 
@@ -51,6 +54,13 @@ TWO_PI = 2.0 * math.pi
 
 class SpaceError(ValueError):
     """Malformed space description or invalid point."""
+
+
+def walk_length(length):
+    """The length of a public walk, once checked: finite and >= 0."""
+    if not 0.0 <= length < math.inf:
+        raise SpaceError(f"walk length must be finite and >= 0, not {length}")
+    return length
 
 
 _PI_RE = re.compile(r"^\s*(-?[\d.]*)\s*pi\s*(?:/\s*([\d.]+))?\s*$")
@@ -84,15 +94,32 @@ class Space:
     def corners(self):
         return []
 
+    def cone_points(self):
+        return []
+
     def pos2(self, p):
         """Planar position (r cos phi, r sin phi), with phi as given."""
         r, phi = p
         return (r * math.cos(phi), r * math.sin(phi))
 
     def random_point_near(self, p, radius, rng):
-        w = self.walk(p, rng.random() * self.sigma_at(p).length,
-                      radius * math.sqrt(rng.random()))
-        return w.end
+        """A point near p: the end of the first of up to 64 walks from p, each in
+        a uniform direction of sigma_at(p) over radius * sqrt(u), that ends
+        without an event, or p if none does.  A walk that raises
+        `SpaceError`, as a mesh walk can, is a failed draw."""
+        p = self.validate_point(p)
+        if not 0.0 <= radius < math.inf:
+            raise SpaceError(f"sampling radius must be finite and >= 0, not {radius}")
+        sig = self.sigma_at(p)
+        for _ in range(64):
+            angle = rng.random() * sig.length
+            try:
+                w = self._walk(p, angle, radius * math.sqrt(rng.random()))
+            except SpaceError:
+                continue
+            if w.event is None:
+                return w.end
+        return p
 
     # -- point literals ----------------------------------------------------
     def parse_point(self, text):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .base import (CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
-                   minimizing_angles, wrap_angle)
+                   minimizing_angles, walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -68,8 +68,10 @@ class ConeSpace(Space):
         return CIRCLE
 
     def directions_to(self, p, q):
+        return self._directions_to(self.validate_point(p), self.validate_point(q))
+
+    def _directions_to(self, p, q):
         """Angles in the sigma chart of p of every minimizing direction to q."""
-        p, q = self.validate_point(p), self.validate_point(q)
         if self.is_apex(p):
             return [q[1]]
         if self.is_apex(q):
@@ -85,12 +87,11 @@ class ConeSpace(Space):
         return minimizing_angles(cands)
 
     def walk(self, p, angle, length) -> WalkResult:
-        p = self.validate_point(p)
-        sig = self.sigma_at(p)
-        if length < 0.0:
-            raise SpaceError("negative walk length")
+        return self._walk(self.validate_point(p), angle, walk_length(length))
+
+    def _walk(self, p, angle, length) -> WalkResult:
         if self.is_apex(p):
-            end = (length, sig.wrap(angle))
+            end = (length, self._apex_sigma.wrap(angle))
             return WalkResult(end, length, math.pi, CIRCLE)
         ang = wrap_angle(angle, TWO_PI)
         # straight line through the apex

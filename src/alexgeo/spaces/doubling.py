@@ -109,7 +109,7 @@ class DoubledPolygon(MeshSpace):
         d, feet = self.base.boundary_feet(self.project(p))
         if d <= 1e-12:
             raise _seam_error(p)
-        return [(1.0, self.directions_to(p, self.lift(f))) for f in feet]
+        return [(1.0, self._directions_to(p, self.lift(f))) for f in feet]
 
 
 class DoubledCap(SpindleSpace):
@@ -144,8 +144,8 @@ class DoubledCap(SpindleSpace):
             raise _seam_error(p)
         if self.is_apex(p):
             return [(-1.0, None)]
-        return [(-1.0, self.directions_to(p, (0.0, 0.0) if self.sheet_of(p) == 0
-                                          else (math.pi, 0.0)))]
+        return [(-1.0, self._directions_to(p, (0.0, 0.0) if self.sheet_of(p) == 0
+                                           else (math.pi, 0.0)))]
 
 
 def build_doubling(space):

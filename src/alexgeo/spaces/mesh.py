@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, parse_angle,
-                   wrap_angle)
+                   walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
@@ -329,18 +329,6 @@ class MeshSpace(Space):
             a, b = 1.0 - a, 1.0 - b
         return MeshPoint(f, (float(a), float(b), float(1.0 - a - b)))
 
-    def random_point_near(self, p, radius, rng):
-        p = self.validate_point(p)
-        for _ in range(64):
-            ang = rng.random() * self.sigma_at(p).length
-            try:
-                w = self.walk(p, ang, radius * math.sqrt(rng.random()))
-            except SpaceError:
-                continue
-            if w.event is None:
-                return w.end
-        return p
-
     def diameter_hint(self):
         if self._diam is None:
             ends = [self.point_at_vertex(v) for v in sorted(self.fans)]
@@ -414,9 +402,9 @@ class MeshSpace(Space):
 
     # -- walking ------------------------------------------------------------
     def walk(self, p, angle, length):
-        p = self.validate_point(p)
-        if length < 0.0:
-            raise SpaceError("negative walk length")
+        return self._walk(self.validate_point(p), angle, walk_length(length))
+
+    def _walk(self, p, angle, length):
         face, d = self._chart_dir(p, angle)
         kind = self.classify(p)
         if kind[0] == "vertex":
@@ -761,8 +749,10 @@ class MeshSpace(Space):
 
     # -- directions and geodesics ------------------------------------------
     def directions_to(self, p, q):
+        return self._directions_to(self.validate_point(p), self.validate_point(q))
+
+    def _directions_to(self, p, q):
         """Sigma chart angles at p of minimizing first segments toward q."""
-        p, q = self.validate_point(p), self.validate_point(q)
         d, hits, roots = self._paths(p, q)
         if d <= 1e-15:
             return [0.0]
@@ -799,7 +789,7 @@ class MeshSpace(Space):
             length = s - off
             for _ in range(self.nv + 1):
                 # walks stop at every vertex: go straight on through a flat one
-                w = self.walk(start, ang, length)
+                w = self._walk(start, ang, length)
                 length -= w.traveled
                 if w.event != "vertex" or length <= 1e-9:
                     break

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
-                   wrap_angle)
+                   walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
@@ -128,7 +128,9 @@ class PolygonSpace(Space):
         return self._sigma_of(self.classify(p))
 
     def directions_to(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
+        return self._directions_to(self.validate_point(p), self.validate_point(q))
+
+    def _directions_to(self, p, q):
         ang = angle_of(q[0] - p[0], q[1] - p[1])
         # on an arc the valid range is checked by callers
         return [wrap_angle(ang - self._chart_zero(self.classify(p)), TWO_PI)]
@@ -149,15 +151,6 @@ class PolygonSpace(Space):
             if self.contains(p, tol=-1e-9):
                 return p
         raise SpaceError("rejection sampling failed")
-
-    def random_point_near(self, p, radius, rng):
-        for _ in range(1000):
-            a = rng.random() * TWO_PI
-            r = radius * math.sqrt(rng.random())
-            q = (p[0] + r * math.cos(a), p[1] + r * math.sin(a))
-            if self.contains(q, tol=-1e-9):
-                return q
-        return p
 
     # -- boundary helpers ------------------------------------------------
     def boundary_dist(self, p):
@@ -188,7 +181,7 @@ class PolygonSpace(Space):
         if d <= 1e-12:
             arc = self.sigma_at(p).length
             return [(-1.0, [math.pi / 2.0]), (-1.0, [arc - math.pi / 2.0])]
-        return [(1.0, self.directions_to(p, f)) for f in feet]
+        return [(1.0, self._directions_to(p, f)) for f in feet]
 
     def boundary_point(self, s):
         """Point at perimeter arclength s from vertex 0, CCW."""
@@ -205,9 +198,9 @@ class PolygonSpace(Space):
 
     # -- walks ------------------------------------------------------------
     def walk(self, p, angle, length):
-        p = self.validate_point(p)
-        if length < 0.0:
-            raise SpaceError("negative walk length")
+        return self._walk(self.validate_point(p), angle, walk_length(length))
+
+    def _walk(self, p, angle, length):
         kind = self.classify(p)
         if kind[0] != "interior":
             sig = self._sigma_of(kind)
@@ -273,11 +266,6 @@ class PolygonSpace(Space):
             (p[0] + (q[0] - p[0]) * i / (n - 1), p[1] + (q[1] - p[1]) * i / (n - 1))
             for i in range(n)
         ]
-
-    def cone_points(self):
-        # corners are boundary vertices, not interior cone points; their
-        # direction spaces are arcs handled by the extremal criteria directly
-        return []
 
     def corners(self):
         return [(tuple(self.vertices[i]), self.corner_angle(i)) for i in range(self.n)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, azimuth_gap,
-                   minimizing_angles, wrap_angle)
+                   minimizing_angles, walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -84,7 +84,7 @@ class _SphereBase(Space):
         psi2 = math.atan2(comp_p, comp_r)
         return r2, dphi, wrap_angle(psi2, TWO_PI)
 
-    def _walk_sphere(self, p, angle, length):
+    def _walk(self, p, angle, length):
         """Walk with winding-aware azimuth accumulation; pole hits are events."""
         r, phi = p
         psi = wrap_angle(angle, TWO_PI)
@@ -193,7 +193,9 @@ class SpindleSpace(_SphereBase):
         return CIRCLE
 
     def directions_to(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
+        return self._directions_to(self.validate_point(p), self.validate_point(q))
+
+    def _directions_to(self, p, q):
         if self.is_apex(p):
             if p[0] <= _POLE_EPS:
                 return [q[1]] if not self.is_apex(q) else [0.0]
@@ -203,20 +205,17 @@ class SpindleSpace(_SphereBase):
         return self._dirs_regular(p, q)
 
     def walk(self, p, angle, length):
-        p = self.validate_point(p)
-        if length < 0.0:
-            raise SpaceError("negative walk length")
-        return self._walk_sphere(p, angle, length)
+        return self._walk(self.validate_point(p), angle, walk_length(length))
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
         d = self._distance(p, q)
         if d < 1e-14:
             return [p] * n
-        dirs = self.directions_to(p, q)
+        dirs = self._directions_to(p, q)
         pts = [p]
         for i in range(1, n):
-            pts.append(self._walk_sphere(p, dirs[0], d * i / (n - 1)).end)
+            pts.append(self._walk(p, dirs[0], d * i / (n - 1)).end)
         return pts
 
     def cone_points(self):
@@ -262,7 +261,7 @@ class CapSpace(_SphereBase):
         """
         if p[0] <= _POLE_EPS:
             return [(-1.0, None)]
-        return [(-1.0, self.directions_to(p, (0.0, 0.0)))]
+        return [(-1.0, self._directions_to(p, (0.0, 0.0)))]
 
     def boundary_point(self, s):
         """Boundary point at azimuth s (not wrapped; s is not an arclength)."""
@@ -272,14 +271,6 @@ class CapSpace(_SphereBase):
         u = rng.random()
         r = math.acos(1.0 - u * (1.0 - math.cos(self.radius)))
         return (r, rng.random() * TWO_PI)
-
-    def random_point_near(self, p, radius, rng):
-        for _ in range(64):
-            w = self.walk(p, rng.random() * self.sigma_at(p).length,
-                          radius * math.sqrt(rng.random()))
-            if w.event is None:
-                return w.end
-        return w.end
 
     def diameter_hint(self):
         return 2.0 * self.radius
@@ -299,7 +290,9 @@ class CapSpace(_SphereBase):
         return wrap_angle(psi - math.pi / 2.0, TWO_PI)
 
     def directions_to(self, p, q):
-        p, q = self.validate_point(p), self.validate_point(q)
+        return self._directions_to(self.validate_point(p), self.validate_point(q))
+
+    def _directions_to(self, p, q):
         if p[0] <= _POLE_EPS:
             return [q[1]]
         if q[0] <= _POLE_EPS:
@@ -317,9 +310,9 @@ class CapSpace(_SphereBase):
         return dirs
 
     def walk(self, p, angle, length):
-        p = self.validate_point(p)
-        if length < 0.0:
-            raise SpaceError("negative walk length")
+        return self._walk(self.validate_point(p), angle, walk_length(length))
+
+    def _walk(self, p, angle, length):
         if self.on_boundary(p):
             z = angle
             if not HALF_ARC.valid(z):
@@ -357,8 +350,8 @@ class CapSpace(_SphereBase):
                 if c <= length + 1e-15:
                     s_hit = c if s_hit is None else min(s_hit, c)
         if s_hit is None or s_hit > length + 1e-12:
-            return self._cap_clip(self._walk_sphere(p, psi, length))
-        w = self._walk_sphere(p, psi, s_hit)
+            return self._cap_clip(super()._walk(p, psi, length))
+        w = super()._walk(p, psi, s_hit)
         end = (self.radius, w.end[1])
         # arrival direction at the boundary in arc coordinates
         back_reg = w.back_angle
@@ -382,9 +375,6 @@ class CapSpace(_SphereBase):
         dirs = self._dirs_regular(p, q)
         pts = [p]
         for i in range(1, n):
-            w = self._walk_sphere(p, dirs[0], d * i / (n - 1))
+            w = super()._walk(p, dirs[0], d * i / (n - 1))
             pts.append((min(w.end[0], self.radius), w.end[1]))
         return pts
-
-    def cone_points(self):
-        return []

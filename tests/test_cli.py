@@ -129,6 +129,16 @@ class TestCommands:
         kinds = [c["kind"] for c in report["candidates"]]
         assert "boundary" in kinds
 
+    def test_develop_reads_chords_as_the_checker_does(self, tmp_path, capsys):
+        # an equal-split trace through the apex of a 1.2 pi cone develops
+        # convex with the true chords; the unit-speed rule read it as bent
+        path = tmp_path / "cone12.json"
+        path.write_text(json.dumps({"type": "cone", "total_angle": "1.2pi"}))
+        rc = main(["develop", "--space", str(path), "--from", "1.0,0", "--dir", "pi",
+                   "--length", "2.5", "--p", "0.3,0.3", "--prefix", str(tmp_path / "dv")])
+        assert "convex=True" in capsys.readouterr().out
+        assert rc == 0
+
     def test_inf_conv(self, cone_file, tmp_path, capsys):
         rc = main(["inf-conv", "--space", cone_file, "--p", "1.2,0.4",
                    "--eps", "0.5", "--lip", "4",
@@ -194,6 +204,20 @@ BAD_INPUT = {
         ["tight-image", "--space", "{cone}", "--p", "1.2,0.4",
          "--function", '{{"op":"dist","q":"1,0"}}', "--samples", "0"], "support test"),
     "suite_unknown_criterion": (["suite", "--quick", "--only", "99"], "criterion"),
+    "flow_negative_time": (
+        ["flow", "--space", "{cone}", "--p", "1,0", "--time", "-1",
+         "--function", '{{"op":"dist","q":"0.5,1"}}'], "T >= 0"),
+    "gexp_negative_norm": (
+        ["gexp", "--space", "{cone}", "--p", "1,0", "--dir", "1.0", "--norm", "-1"], "|v|"),
+    "trace_qg_negative_length": (
+        ["trace-qg", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+         "--length", "-1"], "length"),
+    "inf_conv_negative_lip": (
+        ["inf-conv", "--space", "{cone}", "--p", "1.2,0.4", "--eps", "0.5", "--lip", "-1",
+         "--function", '{{"op":"dist_sq","q":"1,0"}}'], "lip_hint"),
+    "check_concavity_negative_radius": (
+        ["check-concavity", "--space", "{cone}", "--p", "1,0", "--radius", "-0.3",
+         "--lam", "0", "--function", '{{"op":"dist","q":"0.5,1"}}'], "radius"),
     "develop_zero_length": (
         ["develop", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
          "--length", "0", "--p", "0.5,0.3"], "samples"),

@@ -19,6 +19,11 @@ QUAD = scale(-0.5, DistSq(q=(0.0, 0.0)))  # -|x|^2/2, gradient flow x e^{-t}
 
 
 class TestGradientCurve:
+    @pytest.mark.parametrize("T", [-1.0, math.nan])
+    def test_negative_time_rejected(self, T):
+        with pytest.raises(ValueError, match="T >= 0"):
+            gradient_curve(QUAD, PLANE, (2.0, 0.7), T, 1e-3)
+
     def test_quadratic_flow_matches_exponential(self):
         p = (2.0, 0.7)
         rec = gradient_curve(QUAD, PLANE, p, 1.0, 1e-3)

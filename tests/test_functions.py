@@ -1,5 +1,6 @@
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +360,40 @@ class TestPointValidation:
             evaluate(f, SQUARE, (3.0, 3.0))
         with pytest.raises(SpaceError):
             SQUARE.distance((3.0, 3.0), (0.5, 0.5))
+
+
+class TestValidatedOnce:
+    """A query validates its own point once: walk ends and samples are points
+    of the space already, and the library measures them with the kernels."""
+
+    def test_inf_convolution_query(self):
+        plane, y = ConeSpace(2 * math.pi), (1.4, 0.8)
+        ic = InfConvolution(scale(-0.5, DistSq(q=(1, 0))), plane, 0.5, lip_hint=4.0)
+        first = ic.query(y)  # lowers the tree, which validates q once
+        with mock.patch.object(plane, "validate_point", wraps=plane.validate_point) as v:
+            assert ic.query(y) == first
+        assert v.call_count == 1
+
+    def test_smoothed_distance(self):
+        plane, y = ConeSpace(2 * math.pi), (1.4, 0.8)
+        sd = SmoothedDistance(plane, (1, 0), 0.1, n_mc=2000, seed=1)
+        with mock.patch.object(plane, "validate_point", wraps=plane.validate_point) as v:
+            sd.value(y)
+            assert v.call_count == 1
+            sd.differential(y)
+            assert v.call_count == 2
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("lip", [0.0, -1.0, math.nan])
+    def test_inf_convolution_lip_hint(self, lip):
+        with pytest.raises(ExprError, match="lip_hint"):
+            InfConvolution(DistSq(q=(1, 0)), PLANE, 0.5, lip_hint=lip)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf])
+    def test_smoothed_distance_eps(self, eps):
+        with pytest.raises(ExprError, match="eps"):
+            SmoothedDistance(PLANE, (1, 0), eps, n_mc=10)
 
 
 class TestCheckConcavity:

@@ -12,6 +12,7 @@ from alexgeo.quasigeodesic import (
     check_quasigeodesic,
     chop_extend_demo,
     entropy,
+    TraceError,
     entropy_from_tangents,
     monotone_report,
     trace_quasigeodesic,
@@ -30,6 +31,11 @@ def aim_at_vertex(mesh, p, vertex):
 
 
 class TestTracer:
+    @pytest.mark.parametrize("length, record_step", [(-1.0, None), (1.0, -0.1), (1.0, 0.0)])
+    def test_bad_length_or_record_step_rejected(self, length, record_step):
+        with pytest.raises(TraceError, match="length|record_step"):
+            trace_quasigeodesic(CONE, (1.0, 0.0), 0.3, length, record_step=record_step)
+
     def test_no_vertex_hit_is_geodesic(self):
         rec = trace_quasigeodesic(CONE, (1.0, 0.0), 0.3, 1.0)
         w = CONE.walk((1.0, 0.0), 0.3, 1.0)

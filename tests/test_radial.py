@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,19 @@ FULL = SigmaDesc(2 * math.pi)
 
 
 class TestRadialCurve:
+    def test_validates_its_point_once(self):
+        # the steps walk from walk ends and measure them with the kernels
+        plane = ConeSpace(2 * math.pi)
+        with mock.patch.object(plane, "validate_point", wraps=plane.validate_point) as v:
+            radial_curve(plane, (1, 0), 0.9 * math.pi, 0, 2.0, 0.01)
+        assert v.call_count == 1
+
+    def test_negative_time_and_norm_rejected(self):
+        with pytest.raises(RadialDomainError, match="T >= 0"):
+            radial_curve(PLANE, (1, 0), 0.3, 0, -1.0, 0.01)
+        with pytest.raises(RadialDomainError, match="v"):
+            gexp_map(PLANE, (1, 0), TangentVec(-1.0, 0.3, FULL), 0, 1e-3)
+
     def test_geodesic_regime_is_the_geodesic(self):
         rec = radial_curve(CONE, (1.0, 0.0), 0.5, 0, 2.0, 1e-3)
         w = CONE.walk((1.0, 0.0), 0.5, 2.0)

@@ -582,6 +582,102 @@ class TestMeshValidation:
             log_map(mesh, point, MeshPoint(2, (0.1, 0.1, 0.8)))
 
 
+MESH_BAD_POINTS = [MeshPoint(99, (0.2, 0.3, 0.5)), MeshPoint(0, (0.5, 0.6, -0.1)),
+                   (0, (0.2, 0.2, 0.2))]
+BAD_POINTS = {
+    "cone": [(-1.0, 0.0), (1.0, math.nan)],
+    "spindle": [(4.0, 0.0)],
+    "cap": [(1.0, 0.0)],
+    "square": [(5.0, 5.0), (math.nan, 0.5)],
+    "doubled_cap": [(4.0, 0.0)],
+    "tetrahedron": MESH_BAD_POINTS,
+    "doubled_square": MESH_BAD_POINTS,
+}
+BAD_CASES = [(name, bad) for name in sorted(BAD_POINTS) for bad in BAD_POINTS[name]]
+# one call per entry and argument, so each argument is checked on its own
+SPACE_ENTRIES = {
+    "distance_p": lambda s, bad, good: s.distance(bad, good),
+    "distance_q": lambda s, bad, good: s.distance(good, bad),
+    "directions_to_p": lambda s, bad, good: s.directions_to(bad, good),
+    "directions_to_q": lambda s, bad, good: s.directions_to(good, bad),
+    "walk": lambda s, bad, good: s.walk(bad, 0.3, 0.1),
+    "geodesic_points_p": lambda s, bad, good: s.geodesic_points(bad, good, 5),
+    "geodesic_points_q": lambda s, bad, good: s.geodesic_points(good, bad, 5),
+    "distances_from_source": lambda s, bad, good: s.distances_from(bad, [good]),
+    "distances_from_target": lambda s, bad, good: s.distances_from(good, [good, bad]),
+    "random_point_near": lambda s, bad, good: s.random_point_near(
+        bad, 0.1, np.random.default_rng(0)),
+}
+
+
+class TestValidationOnEverySpace:
+    """Every public query on every space validates its points: the kernels do not."""
+
+    @pytest.mark.parametrize("entry", sorted(SPACE_ENTRIES))
+    @pytest.mark.parametrize("name, bad", BAD_CASES,
+                             ids=[f"{n}-{i}" for n in sorted(BAD_POINTS)
+                                  for i in range(len(BAD_POINTS[n]))])
+    def test_bad_points_raise(self, name, bad, entry):
+        space = INTERFACE_SPACES[name]()
+        good = space.random_point(np.random.default_rng(30))
+        with pytest.raises(SpaceError):
+            SPACE_ENTRIES[entry](space, bad, good)
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_bad_lengths_and_radii_raise(self, name, value):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(31)
+        p = space.random_point(rng)
+        with pytest.raises(SpaceError):
+            space.walk(p, 0.3, value)
+        with pytest.raises(SpaceError):
+            space.random_point_near(p, value, rng)
+
+    @pytest.mark.parametrize("name, p", [("square", (0.5, 0.0)), ("square", (1.0, 1.0)),
+                                         ("cap", (0.8, 1.0))],
+                             ids=["square-edge-midpoint", "square-corner", "cap-boundary"])
+    def test_samples_near_the_boundary(self, name, p):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(32)
+        xs = [space.random_point_near(p, 0.1, rng) for _ in range(200)]
+        assert len(set(xs)) == len(xs)
+        for x in xs:
+            assert space.validate_point(x) == x
+            assert space.distance(p, x) <= 0.1 + 1e-12
+
+
+class TestKernels:
+    """`_walk` and `_directions_to` on validated points answer as `walk` and
+    `directions_to` do."""
+
+    @staticmethod
+    def _points(space, rng):
+        points = [space.random_point(rng) for _ in range(20)]
+        return points + [p for p, _ in space.cone_points() + space.corners()]
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_walk(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(33)
+        for p in self._points(space, rng):
+            for _ in range(5):
+                a, length = rng.random() * space.sigma_at(p).length, 1.5 * rng.random()
+                assert space._walk(space.validate_point(p), a, length) == \
+                    space.walk(p, a, length)
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_directions_to(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(34)
+        points = self._points(space, rng)
+        for p in points:
+            for q in points[:8] + points[20:]:
+                assert space._directions_to(space.validate_point(p),
+                                            space.validate_point(q)) == \
+                    space.directions_to(p, q)
+
+
 # lines that ask a space its variant, by file: none, every space answers
 # the same queries
 DISPATCH_RE = re.compile(r"\.variant (==|in|not in)|hasattr\(")
