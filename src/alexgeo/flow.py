@@ -1,10 +1,16 @@
 """Gradient curves and the gradient flow, with the distance estimates
 that control them exposed as verifiers.
 
-A gradient curve advances by broken geodesic steps: at each grid time
-the gradient is evaluated and the curve walks straight in its direction
-for arclength (step * speed).  A step that reaches a cone point splits
-there and the gradient is re-evaluated on the vertex direction space.
+Gradient curves and radial curves are integrated by one broken-geodesic
+stepper, `FlowStepper`.  A step of parameter dt walks |V| dt straight
+along the motion vector V read at its start.  A walk that meets an
+event (a cone point, the boundary) splits the step there: the event is
+recorded and, unless the curve's event rule ends the step, V is read
+again at the event point.  A vanishing V is one `stop` event, after
+which the curve stays put while the parameter runs on.  On a gradient
+curve V is the gradient and the curve goes on after every event.
+`record_curve` samples a stepper on the grid 0, h, 2h, ... that ends
+at T.
 """
 from __future__ import annotations
 
@@ -16,15 +22,20 @@ from .model_plane import theta
 from .tangent import TangentVec, gradient_from_directional, zero_vector
 
 STOP_TOL = 1e-8
+# a grid remainder below _GRID_TOL * T is rounding left by summing the steps
+_GRID_TOL = 1e-12
 
 
 @dataclass
 class CurveRecord:
     """Sampled curve with one-sided tangents and an event ledger.
 
-    `right_tangents[i]` is the motion vector launched at ts[i] (None past
-    a stop); `left_tangents[i]` points backward along the incoming step,
-    carrying the incoming speed as its norm.
+    `ts` runs 0, h, 2h, ... and ends at T, the last step shorter where T
+    is not a multiple of h; T = 0 records the start point alone.
+    `right_tangents[i]` is the motion vector launched at ts[i] (zero past
+    a stop, None at the end); `left_tangents[i]` points backward along the
+    last straight piece of the incoming step, carrying its speed as the
+    norm (None where the curve did not move).
     """
 
     ts: list
@@ -52,69 +63,97 @@ def gradient(expr, space, p):
     return gradient_from_directional(differential(expr, space, p))
 
 
+class FlowStepper:
+    """Broken-geodesic integrator of one curve, here the gradient curve of expr.
+
+    Holds the current point `cur`, the parameter `t`, the `events`,
+    `stopped` and the back tangent `back`.  Subclasses replace the motion
+    vector `_motion` and the event rule `_ends_step`.
+    """
+
+    def __init__(self, expr, space, p):
+        self.expr = expr
+        self.space = space
+        self.cur = p
+        self.t = 0.0
+        self.events = []
+        self.stopped = False
+        self._last = None  # (speed, walk) of the last piece: gexp never reads `back`
+
+    @property
+    def back(self):
+        """Tangent at `cur` pointing back along the last straight piece, with
+        its speed as the norm; None after a step spent at rest."""
+        if self._last is None:
+            return None
+        speed, w = self._last
+        return TangentVec(speed, w.back_angle, w.sigma)
+
+    def _motion(self, rest):
+        """Motion vector at `cur`, None where it vanishes; `rest` is what is left of the step."""
+        g = gradient(self.expr, self.space, self.cur)
+        return g if g.norm >= STOP_TOL else None
+
+    def _ends_step(self, w):
+        """Event rule after the walk w: True ends the step where w ended."""
+        return w.event is None
+
+    def launch_vector(self):
+        """Motion vector at the current point (zero past a stop)."""
+        vec = None if self.stopped else self._motion(0.0)
+        return vec if vec is not None else zero_vector(self.space.sigma_at(self.cur))
+
+    def step(self, dt):
+        """Advance the parameter by dt; returns the motion vector launched."""
+        t_end = self.t + dt
+        self._last = None
+        vec = None if self.stopped else self._motion(dt)
+        v, rest = vec, dt
+        for _ in range(64):
+            if v is None:
+                if not self.stopped:
+                    self.events.append((self.t, "stop", None))
+                    self.stopped = True
+                break
+            w = self.space._walk(self.cur, v.angle, rest * v.norm)
+            self.cur = w.end
+            self._last = (v.norm, w)
+            used = w.traveled / max(v.norm, 1e-300)
+            self.t += used
+            rest -= used
+            if w.event is not None:
+                self.events.append((self.t, w.event, w.event_ref))
+            if self._ends_step(w) or rest <= 1e-15:
+                break
+            v = self._motion(rest)
+        if self.stopped:
+            self.t = t_end
+        return vec if vec is not None else zero_vector(self.space.sigma_at(self.cur))
+
+
+def record_curve(stepper, T, h, provenance) -> CurveRecord:
+    """Sample the stepper's curve on the grid 0, h, 2h, ... that ends at T."""
+    ts, points, rights, lefts = [0.0], [stepper.cur], [], [None]
+    t = 0.0
+    while T - t > _GRID_TOL * T:
+        dt = min(h, T - t)
+        rights.append(stepper.step(dt))
+        t = T if T - (t + dt) <= _GRID_TOL * T else t + dt
+        ts.append(t)
+        points.append(stepper.cur)
+        lefts.append(stepper.back)
+    rights.append(None)
+    return CurveRecord(ts, points, rights, lefts, stepper.events, h, provenance)
+
+
 def gradient_curve(expr, space, p, T, h):
     """Integrate the gradient curve from p for parameter time T at step h."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"gradient curve needs a finite step h > 0, not {h}")
     if not 0.0 <= T < math.inf:
         raise ValueError(f"gradient curve needs a finite time T >= 0, not {T}")
-    p = space.validate_point(p)
-    n = max(1, int(round(T / h)))
-    ts = [0.0]
-    points = [p]
-    rights = []
-    lefts = [None]
-    events = []
-    cur = p
-    stopped = False
-    for i in range(n):
-        t0 = i * h
-        if stopped:
-            ts.append(t0 + h)
-            points.append(cur)
-            rights.append(zero_vector(space.sigma_at(cur)))
-            lefts.append(None)
-            continue
-        g = gradient(expr, space, cur)
-        if g.norm < STOP_TOL:
-            events.append((t0, "stop", None))
-            stopped = True
-            rights.append(zero_vector(g.sigma))
-            ts.append(t0 + h)
-            points.append(cur)
-            lefts.append(None)
-            continue
-        rights.append(g)
-        cur, back = _advance(expr, space, cur, g, h, events, t0)
-        ts.append(t0 + h)
-        points.append(cur)
-        lefts.append(back)
-    rights.append(None)
-    return CurveRecord(ts, points, rights, lefts, events, h, "gradient-curve")
-
-
-def _advance(expr, space, cur, g, h, events, t0):
-    """One parameter step of size h, splitting at vertex events."""
-    remaining = h
-    vec = g
-    back = None
-    for _ in range(64):
-        arc = remaining * vec.norm
-        w = space._walk(cur, vec.angle, arc)
-        cur = w.end
-        back = TangentVec(vec.norm, w.back_angle, w.sigma)
-        if w.event is None:
-            return cur, back
-        used = w.traveled / max(vec.norm, 1e-300)
-        remaining -= used
-        events.append((t0 + (h - remaining), w.event, w.event_ref))
-        if remaining <= 1e-15:
-            return cur, back
-        vec = gradient(expr, space, cur)
-        if vec.norm < STOP_TOL:
-            events.append((t0 + (h - remaining), "stop", None))
-            return cur, back
-    return cur, back
+    stepper = FlowStepper(expr, space, space.validate_point(p))
+    return record_curve(stepper, T, h, "gradient-curve")
 
 
 def flow_map(expr, space, points, t, h):

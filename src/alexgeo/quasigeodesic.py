@@ -126,7 +126,8 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
             t += dt_inner / sigma_speed
             ts.append(t)
             points.append(stepper.cur)
-            lefts.append(TangentVec(speed, 0.0, space.sigma_at(stepper.cur)))
+            back = stepper.back
+            lefts.append(None if back is None else back.scaled(sigma_speed))
             run_speed = speed if speed > 0.0 else run_speed
             if stepper.stopped:
                 events.append((t, "stall", None))
@@ -147,7 +148,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
         cur = stepper.cur
         if stepper.at_vertex and speed_control:
             sig = space.sigma_at(cur)
-            incoming = TangentVec(run_speed, stepper.vertex_back_angle, sig)
+            incoming = TangentVec(run_speed, stepper.back.angle, sig)
             star = polar_vector(sig, incoming)
             dir_angle = star.angle
             sigma_speed = run_speed

@@ -13,17 +13,22 @@ gradient bisects the largest gap g between the directions to p and has
 norm -cos(g / 2) (one direction is the gap g = 2 pi: the unit vector
 opposite it).  At a cone point or on a boundary arc it is the exact
 gradient of `flow.gradient`.
+
+`RadialStepper` is a `flow.FlowStepper`: the geodesic regime is the
+velocity (1, fwd), a cone point switches to the gradient regime and a
+boundary or corner stops the curve.  `radial_curve` samples it on the
+grid of `flow.record_curve`, which ends at T.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .flow import STOP_TOL, CurveRecord, gradient
+from .flow import STOP_TOL, CurveRecord, FlowStepper, gradient, record_curve
 from .functions import Dist, evaluate
 from .model_plane import comparison_angle
 from .spaces.base import TWO_PI
-from .tangent import TangentVec, zero_vector
+from .tangent import TangentVec
 
 _SWITCH_TOL = 1e-9
 
@@ -47,27 +52,24 @@ def speed_factor(kappa, r, t):
     raise RadialDomainError(f"kappa must be -1, 0 or 1, not {kappa}")
 
 
-class RadialStepper:
-    """Incremental integrator for one radial curve.
+class RadialStepper(FlowStepper):
+    """Radial curve from p as a flow, so joint constructions can drive it.
 
-    Exposes the current point, parameter and launch vector so joint
-    constructions can drive it piecewise.
+    The geodesic regime moves at the velocity (1, fwd).  A cone point, or
+    the geodesic ceasing to minimize, switches to the gradient regime
+    m_kappa(r, t) grad dist_p.  A boundary or corner stops the curve; with
+    `stop_at_vertex` a step ends at a cone point.
     """
 
     def __init__(self, space, p, xi_angle, kappa=0, stop_at_vertex=False):
-        self.space = space
-        self.p = space.validate_point(p)
+        p = space.validate_point(p)
+        super().__init__(Dist(q=p), space, p)
+        self.p = p
         self.kappa = kappa
         self.stop_at_vertex = stop_at_vertex
         self.at_vertex = False
-        self.vertex_back_angle = None
-        self.t = 0.0
-        self.cur = self.p
         self.fwd = xi_angle
         self.regime = "geo"
-        self.stopped = False
-        self.events = []
-        self._dist_expr = Dist(q=self.p)
 
     def snapshot(self):
         return (self.t, self.cur, self.fwd, self.regime, self.stopped,
@@ -76,15 +78,6 @@ class RadialStepper:
     def restore(self, snap):
         self.t, self.cur, self.fwd, self.regime, self.stopped, self.at_vertex, n_events = snap
         del self.events[n_events:]
-
-    def launch_vector(self):
-        """Current motion vector (speed and direction) at the current point."""
-        if self.stopped:
-            return zero_vector(self.space.sigma_at(self.cur))
-        if self.regime == "geo":
-            return TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
-        vec = self._velocity(self.t)
-        return vec if vec is not None else zero_vector(self.space.sigma_at(self.cur))
 
     def _velocity(self, t):
         """Motion vector m_kappa(r, t) * grad dist_p at the current point.
@@ -106,89 +99,41 @@ class RadialStepper:
                 return None
             return TangentVec(speed_factor(self.kappa, r, t) * norm,
                               sigma.wrap(start + 0.5 * gap), sigma)
-        g = gradient(self._dist_expr, space, cur)
+        g = gradient(self.expr, space, cur)
         if g.norm < STOP_TOL:
             return None
         return TangentVec(speed_factor(self.kappa, r, t) * g.norm, g.angle, g.sigma)
 
+    def _motion(self, rest):
+        if self.regime == "geo":
+            return TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
+        # the speed factor is read no earlier than `rest`, which keeps it
+        # bounded on a step that starts near t = 0
+        return self._velocity(max(self.t, rest))
+
+    def _ends_step(self, w):
+        if w.event is None:
+            if self.regime == "geo":
+                self.fwd = w.sigma.forward_of_back(w.back_angle)
+                r = self.space._distance(self.p, self.cur)
+                if r < self.t - max(_SWITCH_TOL, 1e-6 * self.t):
+                    # the geodesic has stopped minimizing
+                    self.regime = "grad"
+                    self.events.append((self.t, "regime", "gradient"))
+            return True
+        if w.event != "vertex":
+            self.stopped = True
+            return True
+        # a straight line cannot continue through a cone point
+        self.regime = "grad"
+        self.at_vertex = self.stop_at_vertex
+        return self.at_vertex
+
     def step(self, dt):
-        """Advance the parameter by dt; returns the motion vector used."""
+        """Advance the parameter by dt; returns the motion vector launched."""
         if self.kappa == 1 and self.t + dt > math.pi / 2.0 + 1e-12:
             raise RadialDomainError("spherical radial curves live on [0, pi/2]")
-        if self.stopped:
-            self.t += dt
-            return zero_vector(self.space.sigma_at(self.cur))
-        if self.regime == "geo":
-            return self._geo_step(dt)
-        return self._grad_step(dt)
-
-    def _switch_check(self):
-        r = self.space._distance(self.p, self.cur)
-        if r < self.t - max(_SWITCH_TOL, 1e-6 * self.t):
-            self.regime = "grad"
-            self.events.append((self.t, "regime", "gradient"))
-
-    def _geo_step(self, dt):
-        vec = TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
-        w = self.space._walk(self.cur, self.fwd, dt)
-        if w.event == "vertex":
-            # a straight line cannot continue through a cone point
-            self.cur = w.end
-            self.t += w.traveled
-            self.events.append((self.t, "vertex", w.event_ref))
-            self.regime = "grad"
-            if self.stop_at_vertex:
-                self.at_vertex = True
-                self.vertex_back_angle = w.back_angle
-                return vec
-            rem = dt - w.traveled
-            if rem > 1e-15:
-                self._grad_step(rem)
-            return vec
-        if w.event is not None:
-            self.cur = w.end
-            self.t += w.traveled
-            self.events.append((self.t, w.event, w.event_ref))
-            self.stopped = True
-            return vec
-        self.cur = w.end
-        self.fwd = w.sigma.forward_of_back(w.back_angle)
-        self.t += dt
-        self._switch_check()
-        return vec
-
-    def _grad_step(self, dt):
-        vec = self._velocity(max(self.t, dt))
-        if vec is None:
-            self.stopped = True
-            self.events.append((self.t, "stop", None))
-            self.t += dt
-            return zero_vector(self.space.sigma_at(self.cur))
-        remaining = dt
-        for _ in range(64):
-            arc = remaining * vec.norm
-            w = self.space._walk(self.cur, vec.angle, arc)
-            self.cur = w.end
-            used = w.traveled / max(vec.norm, 1e-300)
-            self.t += used
-            remaining -= used
-            if w.event is None or remaining <= 1e-15:
-                break
-            self.events.append((self.t, w.event, w.event_ref))
-            if w.event != "vertex":
-                self.stopped = True
-                break
-            if self.stop_at_vertex:
-                self.at_vertex = True
-                self.vertex_back_angle = w.back_angle
-                break
-            nxt = self._velocity(self.t)
-            if nxt is None:
-                self.stopped = True
-                self.events.append((self.t, "stop", None))
-                break
-            vec = nxt
-        return vec
+        return super().step(dt)
 
 
 def radial_curve(space, p, xi_angle, kappa, T, h) -> CurveRecord:
@@ -201,22 +146,7 @@ def radial_curve(space, p, xi_angle, kappa, T, h) -> CurveRecord:
         raise RadialDomainError("spherical radial curves live on [0, pi/2]")
     if kappa not in (-1, 0, 1):
         raise RadialDomainError(f"kappa must be -1, 0 or 1, not {kappa}")
-    stepper = RadialStepper(space, p, xi_angle, kappa)
-    ts = [0.0]
-    points = [stepper.cur]
-    rights = []
-    lefts = [None]
-    t = 0.0
-    while t < T - 1e-15:
-        dt = min(h, T - t)
-        vec = stepper.step(dt)
-        rights.append(vec)
-        t += dt
-        ts.append(t)
-        points.append(stepper.cur)
-        lefts.append(TangentVec(vec.norm, 0.0, stepper.space.sigma_at(stepper.cur)))
-    rights.append(stepper.launch_vector())
-    return CurveRecord(ts, points, rights, lefts, list(stepper.events), h, "radial")
+    return record_curve(RadialStepper(space, p, xi_angle, kappa), T, h, "radial")
 
 
 def gexp_map(space, p, v: TangentVec, kappa, h):

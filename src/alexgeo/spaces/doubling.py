@@ -9,7 +9,9 @@ base space's `boundary_dist` pulled back by it.  Off the seam the
 projection is an isometry near p, so `boundary_tails` reads the base
 space's rule on the double; on the seam the pulled-back distance has a
 convex kink, which no min of cos-tails represents, and `boundary_tails`
-raises `SpaceError`.
+raises `SpaceError`.  `project`, `sheet_of` and `lift` validate their
+point; the boundary queries read validated points through the kernels
+`_project`, `_sheet_of` and `_lift`.
 """
 from __future__ import annotations
 
@@ -54,12 +56,16 @@ class DoubledPolygon(MeshSpace):
         self._centroid = centroid
 
     def sheet_of(self, p) -> int:
-        p = self.validate_point(p)
+        return self._sheet_of(self.validate_point(p))
+
+    def _sheet_of(self, p):
         return 0 if p.face < self._n_corners else 1
 
     def project(self, p):
         """Canonical projection onto the base polygon (planar coordinates)."""
-        p = self.validate_point(p)
+        return self._project(self.validate_point(p))
+
+    def _project(self, p):
         n = self._n_corners
         if p.face < n:
             i = p.face
@@ -76,7 +82,9 @@ class DoubledPolygon(MeshSpace):
 
     def lift(self, xy, sheet: int = 0):
         """A preimage of a base point on the requested sheet."""
-        xy = self.base.validate_point(xy)
+        return self._lift(self.base.validate_point(xy), sheet)
+
+    def _lift(self, xy, sheet=0):
         n = self._n_corners
         cx, cy = self._centroid
         for i in range(n):
@@ -99,17 +107,17 @@ class DoubledPolygon(MeshSpace):
 
     def boundary_dist(self, p):
         """The base polygon's boundary distance, pulled back by the projection."""
-        return self.base.boundary_dist(self.project(p))
+        return self.base.boundary_dist(self._project(p))
 
     def boundary_tails(self, p):
         """The unit tail toward each nearest foot of the base.
 
         A foot lies on the seam, where both sheets' lifts are one point.
         """
-        d, feet = self.base.boundary_feet(self.project(p))
+        d, feet = self.base.boundary_feet(self._project(p))
         if d <= 1e-12:
             raise _seam_error(p)
-        return [(1.0, self._directions_to(p, self.lift(f))) for f in feet]
+        return [(1.0, self._directions_to(p, self._lift(f))) for f in feet]
 
 
 class DoubledCap(SpindleSpace):
@@ -124,10 +132,16 @@ class DoubledCap(SpindleSpace):
         self.base = cap
 
     def sheet_of(self, p) -> int:
+        return self._sheet_of(self.validate_point(p))
+
+    def _sheet_of(self, p):
         return 0 if p[0] <= math.pi / 2.0 else 1
 
     def project(self, p):
-        r, phi = self.validate_point(p)
+        return self._project(self.validate_point(p))
+
+    def _project(self, p):
+        r, phi = p
         return (min(r, math.pi - r), phi)
 
     def lift(self, p, sheet: int = 0):
@@ -136,7 +150,7 @@ class DoubledCap(SpindleSpace):
 
     def boundary_dist(self, p):
         """The base cap's boundary distance, pulled back by the projection."""
-        return self.base.boundary_dist(self.project(p))
+        return self.base.boundary_dist(self._project(p))
 
     def boundary_tails(self, p):
         """-1 toward the pole of p's sheet; at that pole, the constant -1."""
@@ -144,7 +158,7 @@ class DoubledCap(SpindleSpace):
             raise _seam_error(p)
         if self.is_apex(p):
             return [(-1.0, None)]
-        return [(-1.0, self._directions_to(p, (0.0, 0.0) if self.sheet_of(p) == 0
+        return [(-1.0, self._directions_to(p, (0.0, 0.0) if self._sheet_of(p) == 0
                                            else (math.pi, 0.0)))]
 
 

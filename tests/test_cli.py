@@ -9,7 +9,7 @@ import pytest
 
 import alexgeo
 from alexgeo.cli import main
-from alexgeo.spaces import regular_tetrahedron
+from alexgeo.spaces import ConeSpace, regular_tetrahedron
 
 
 def _child_env():
@@ -108,6 +108,15 @@ class TestCommands:
                    "--prefix", str(tmp_path / "g")])
         assert rc == 0
         assert "|grad| = 1" in capsys.readouterr().out
+
+    def test_flow_for_time_zero_prints_the_start_point(self, cone_file, tmp_path, capsys):
+        rc = main(["flow", "--space", cone_file, "--p", "1,0.5", "--time", "0",
+                   "--function", '{"op":"dist","q":"0.5,1"}',
+                   "--prefix", str(tmp_path / "f")])
+        assert rc == 0
+        cone = ConeSpace(1.5 * math.pi)
+        start = cone.format_point(cone.validate_point((1.0, 0.5)))
+        assert capsys.readouterr().out.splitlines()[0] == f"flowed to {start} with 0 events"
 
     def test_check_concavity_pass_and_fail(self, square_file, tmp_path):
         rc = main(["check-concavity", "--space", square_file, "--p", "0.5,0.5",

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from alexgeo.flow import (
     length_element_check,
     verify_distance_estimates,
 )
+from alexgeo.quasigeodesic import build_prequasigeodesic
+from alexgeo.radial import radial_curve
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -81,6 +84,57 @@ class TestGradientCurve:
         e1 = cone.distance(ends[0], ends[2])
         e2 = cone.distance(ends[1], ends[2])
         assert e2 <= 0.75 * e1 + 1e-12
+
+
+CONE = ConeSpace(1.5 * math.pi)
+
+
+class TestGrid:
+    """Gradient and radial records share one grid, 0, h, 2h, ..., that ends at T."""
+
+    def test_zero_time_records_the_start_point(self):
+        rec = gradient_curve(QUAD, PLANE, (2.0, 0.7), 0.0, 1e-3)
+        assert (rec.ts, rec.points, rec.events) == ([0.0], [(2.0, 0.7)], [])
+
+    @pytest.mark.parametrize("T, n_points", [(0.0105, 12), (1.2, 1201)])
+    def test_grid_ends_at_T(self, T, n_points):
+        # 0.0105 is no multiple of h; summing 1200 steps of 1e-3 falls
+        # short of 1.2 by a rounding remainder, which is no step
+        for rec in (gradient_curve(QUAD, PLANE, (2.0, 0.7), T, 1e-3),
+                    radial_curve(PLANE, (2.0, 0.7), 0.3, 0, T, 1e-3)):
+            assert rec.ts[-1] == T
+            assert len(rec.ts) == len(rec.points) == n_points
+
+    def test_a_stop_after_a_vertex_is_recorded_once(self):
+        # the flow of -dist to the apex reaches it inside a step and stays
+        rec = gradient_curve(scale(-1.0, Dist(q=(0.0, 0.0))), CONE, (0.105, 0.3), 0.5, 0.01)
+        assert [kind for _, kind, _ in rec.events] == ["vertex", "stop"]
+        assert rec.points[-1] == (0.0, 0.0)
+
+
+RECORDS = {
+    "gradient": lambda: (PLANE, gradient_curve(QUAD, PLANE, (2.0, 0.7), 0.5, 1e-2)),
+    "radial": lambda: (CONE, radial_curve(CONE, (1.0, 0.0), 0.9 * math.pi, 0, 2.0, 0.05)),
+    "prequasigeodesic": lambda: (
+        CONE, build_prequasigeodesic(CONE, (1.0, 0.0), math.pi - 0.3, 0.1, 1.5)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_left_tangents_point_back_along_the_incoming_step(name):
+    space, rec = RECORDS[name]()
+    for i in range(1, len(rec.points)):
+        left = rec.left_tangents[i]
+        chord = space.distance(rec.points[i], rec.points[i - 1])
+        back = space.walk(rec.points[i], left.angle, chord).end
+        assert space.distance(back, rec.points[i - 1]) < 1e-9
+        assert left.norm == pytest.approx(rec.right_tangents[i - 1].norm, rel=1e-12)
+
+
+def test_one_step_loop_walks_for_gradient_and_radial_curves():
+    src = Path(__file__).resolve().parent.parent / "src" / "alexgeo"
+    assert sum((src / name).read_text(encoding="utf-8").count("_walk(")
+               for name in ("flow.py", "radial.py")) == 1
 
 
 class TestDistanceEstimates:

@@ -383,6 +383,22 @@ class TestValidatedOnce:
             sd.differential(y)
             assert v.call_count == 2
 
+    @pytest.mark.parametrize("make, base_point", [
+        (lambda: DoubledPolygon(SQUARE), (0.3, 0.2)),
+        (lambda: DoubledCap(CapSpace(math.pi / 2)), (0.6, 1.0)),
+    ], ids=["doubled_square", "doubled_hemisphere"])
+    def test_boundary_dist_on_a_double(self, make, base_point):
+        # the projection, the sheet and the lifted feet read p through kernels
+        double = make()
+        p = double.lift(base_point, 1)
+        for query in (evaluate, differential):
+            with mock.patch.object(double, "validate_point",
+                                   wraps=double.validate_point) as v, \
+                 mock.patch.object(double.base, "validate_point",
+                                   wraps=double.base.validate_point) as vb:
+                query(BoundaryDist(), double, p)
+            assert (v.call_count, vb.call_count) == (1, 0)
+
 
 class TestEntryChecks:
     @pytest.mark.parametrize("lip", [0.0, -1.0, math.nan])

@@ -87,6 +87,14 @@ class TestRadialCurve:
         with pytest.raises(ValueError, match="step"):
             gexp_map(CONE, (0.3, 0.0), TangentVec(1.0, math.pi, FULL), 0, h)
 
+    def test_parameter_runs_to_the_grid_time_after_a_stop(self):
+        # the second step meets the edge x = 1 at t = 0.5 and stops there
+        stepper = RadialStepper(SQUARE, (0.5, 0.5), 0.0)
+        stepper.step(0.3)
+        stepper.step(0.3)
+        assert stepper.stopped and stepper.cur == pytest.approx((1.0, 0.5))
+        assert stepper.t == pytest.approx(0.6, abs=1e-15)
+
     def test_gexp_log_identity(self):
         # points joined to p by minimizing geodesics come back via gexp o log
         rng = np.random.default_rng(3)
