@@ -1,9 +1,13 @@
 """Command-line front end: metric queries, flows, tracing, checking,
 report emission and the acceptance-suite runner.
 
+Each subcommand defines only the options its command function reads.
+Every command writes a JSON report with schema "alexgeo/1"; the curve
+commands (geodesic, flow, trace-qg, develop) add CSV and SVG files as
+--out selects.  CSV output is deterministic per (inputs, seed).
+
 Exit codes: 0 success, 1 invariant-breach report, 2 parse/validation
-error.  JSON reports carry schema "alexgeo/1"; CSV output is
-deterministic per (inputs, seed).
+error.
 """
 from __future__ import annotations
 
@@ -113,54 +117,26 @@ def _json_scalar(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-def _emit(args, payload, curve=None, space=None, development=None):
-    out = getattr(args, "out", None) or "json"
-    base = getattr(args, "prefix", None) or "alexgeo-out"
-    wrote = []
-    if out in ("json", "all"):
-        path = f"{base}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, indent=2,
-                      sort_keys=True, default=_json_scalar)
-        wrote.append(path)
-    if curve is not None and out in ("csv", "all"):
-        path = f"{base}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(curve.to_csv(space))
-        wrote.append(path)
-    if development is not None and out in ("csv", "all"):
-        path = f"{base}-development.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(development.to_csv())
-        wrote.append(path)
-    if development is not None and out in ("svg", "all"):
-        path = f"{base}.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(development.to_svg())
-        wrote.append(path)
-    if curve is not None and out in ("svg", "all") and development is None:
-        path = f"{base}.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_curve_svg(space, curve))
-        wrote.append(path)
-    for path in wrote:
-        print(f"wrote {path}")
+def _emit(args, payload, files=()):
+    """Write the JSON report and the command's (suffix, text) files.
+
+    A command with --out writes the kinds it selects; any other command
+    writes its JSON report alone.
+    """
+    out = getattr(args, "out", "json")
+    report = json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True,
+                        default=_json_scalar)
+    for suffix, text in [(".json", report), *files]:
+        if out in ("all", suffix.rpartition(".")[2]):
+            path = args.prefix + suffix
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"wrote {path}")
 
 
-def _curve_svg(space, curve, width=1000):
+def _curve_files(space, curve):
     pts = [tuple(map(float, space.pos2(p))) for p in curve.points]
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    pad = 0.05 * span
-    scale = width / (span + 2 * pad)
-    h = int((max(ys) - min(ys) + 2 * pad) * scale) + 1
-    ox, oy = min(xs) - pad, min(ys) - pad
-    poly = " ".join(f"{(x - ox) * scale:.2f},{h - (y - oy) * scale:.2f}"
-                    for x, y in pts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{h}">'
-            f'<polyline points="{poly}" fill="none" stroke="black"'
-            ' stroke-width="1.5"/></svg>')
+    return [(".csv", curve.to_csv(space)), (".svg", model_plane.svg_polyline(pts))]
 
 
 def cmd_distance(args):
@@ -188,7 +164,7 @@ def cmd_geodesic(args):
     print(f"length {d:.9g} in {args.samples} samples")
     _emit(args, {"length": d,
                  "points": [space.format_point(x) for x in pts]},
-          curve=curve, space=space)
+          _curve_files(space, curve))
     return 0
 
 
@@ -214,7 +190,7 @@ def cmd_flow(args):
           f"{len(rec.events)} events")
     _emit(args, {"end": space.format_point(end),
                  "events": [[t, k, str(r)] for t, k, r in rec.events]},
-          curve=rec, space=space)
+          _curve_files(space, rec))
     return 0
 
 
@@ -253,19 +229,8 @@ def cmd_trace_qg(args):
             status = 1
     print(f"traced to {space.format_point(rec.end())}; "
           f"events: {[(round(t, 6), k) for t, k, _ in rec.events]}")
-    _emit(args, payload, curve=rec, space=space)
+    _emit(args, payload, _curve_files(space, rec))
     return status
-
-
-def cmd_check_qg(args):
-    space = _load_space_arg(args.space)
-    p = space.parse_point(getattr(args, "from"))
-    rec = trace_quasigeodesic(space, p, parse_angle(args.dir), args.length)
-    rep = check_quasigeodesic(space, rec, n_probes=args.probes, tol=args.tol,
-                              seed=args.seed)
-    print(rep.summary())
-    _emit(args, {"passed": rep.passed(args.tol), "summary": rep.summary()})
-    return 0 if rep.passed(args.tol) else 1
 
 
 def cmd_develop(args):
@@ -279,7 +244,7 @@ def cmd_develop(args):
                                     tolerance=args.tol, chords=chords)
     print(f"development: convex={dev.convex} min_turn={dev.min_turn():.3e}")
     _emit(args, {"convex": dev.convex, "min_turn": dev.min_turn()},
-          development=dev)
+          [("-development.csv", dev.to_csv()), (".svg", dev.to_svg())])
     return 0 if dev.convex else 1
 
 
@@ -363,13 +328,10 @@ def cmd_tight_check(args):
 def cmd_tight_image(args):
     space = _load_space_arg(args.space)
     center = space.parse_point(args.p)
-    funcs = []
-    for spec in args.function:
-        funcs.append(parse_function(space, spec))
+    funcs = [parse_function(space, f) for f in args.function]
     if not funcs:
         for k in range(3):
-            ang = 0.4 + 2 * math.pi * k / 3
-            c = (center[0] + 0.08 * math.cos(ang), center[1] + 0.08 * math.sin(ang))
+            c = space.walk(center, 0.4 + 2 * math.pi * k / 3, 0.08).end
             funcs.append(build_strictly_concave(space, c, r=0.35, c=60.0,
                                                 n_points=6, seed=args.seed)[0])
     rep = tight_image_study(space, funcs, (center, args.radius),
@@ -399,6 +361,23 @@ def cmd_suite(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+# specs of the options that several commands read; `command` adds those it names
+_OPTIONS = {
+    "space": dict(required=True, help="space file (JSON)"),
+    "out": dict(choices=["json", "csv", "svg", "all"], default="json"),
+    "prefix": dict(default="alexgeo-out", help="output file prefix"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-6),
+    "function": dict(required=True, help="function file or inline JSON"),
+    "p": dict(required=True),
+    "q": dict(required=True),
+    "dir": dict(required=True, help="direction angle (accepts api/b literals)"),
+    "from": dict(required=True),
+    "length": dict(type=float, required=True),
+    "step": dict(type=float, default=1e-3),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="alexgeo",
@@ -406,122 +385,76 @@ def build_parser():
                     "curvature-bounded spaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, function=False, point_q=False, direction=False):
-        p.add_argument("--space", required=True, help="space file (JSON)")
-        p.add_argument("--out", choices=["json", "csv", "svg", "all"],
-                       default=None)
-        p.add_argument("--prefix", default=None, help="output file prefix")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
-        if function:
-            p.add_argument("--function", required=True,
-                           help="function file or inline JSON")
-        if point_q:
-            p.add_argument("--q", required=True)
-        if direction:
-            p.add_argument("--dir", required=True,
-                           help="direction angle (accepts api/b literals)")
+    def command(name, fn, help, options):
+        p = sub.add_parser(name, help=help)
+        for opt in options.split():
+            p.add_argument(f"--{opt}", **_OPTIONS[opt])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("distance", help="distance between two points")
-    common(p, point_q=True)
-    p.add_argument("--p", required=True)
-    p.set_defaults(fn=cmd_distance)
+    command("distance", cmd_distance, "distance between two points",
+            "space prefix p q")
 
-    p = sub.add_parser("geodesic", help="sample a minimizing geodesic")
-    common(p, point_q=True)
-    p.add_argument("--p", required=True)
+    p = command("geodesic", cmd_geodesic, "sample a minimizing geodesic",
+                "space out prefix p q")
     p.add_argument("--samples", type=int, default=65)
-    p.set_defaults(fn=cmd_geodesic)
 
-    p = sub.add_parser("gradient", help="gradient of a semiconcave expression")
-    common(p, function=True)
-    p.add_argument("--p", required=True)
-    p.set_defaults(fn=cmd_gradient)
+    command("gradient", cmd_gradient, "gradient of a semiconcave expression",
+            "space prefix function p")
 
-    p = sub.add_parser("flow", help="gradient curve from a point")
-    common(p, function=True)
-    p.add_argument("--p", required=True)
+    p = command("flow", cmd_flow, "gradient curve from a point",
+                "space out prefix function p step")
     p.add_argument("--time", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("gexp", help="gradient exponential of a tangent vector")
-    common(p, direction=True)
-    p.add_argument("--p", required=True)
+    p = command("gexp", cmd_gexp, "gradient exponential of a tangent vector",
+                "space prefix dir p step")
     p.add_argument("--norm", type=float, required=True)
     p.add_argument("--kappa", type=int, default=0, choices=[-1, 0, 1])
-    p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_gexp)
 
-    p = sub.add_parser("trace-qg", help="equal-split quasigeodesic trace")
-    common(p, direction=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--check", action="store_true")
+    p = command("trace-qg", cmd_trace_qg, "equal-split quasigeodesic trace",
+                "space out prefix dir from length seed tol")
+    p.add_argument("--check", action="store_true",
+                   help="run the quasigeodesic checker; exit 1 if it fails")
     p.add_argument("--probes", type=int, default=12)
-    p.set_defaults(fn=cmd_trace_qg)
 
-    p = sub.add_parser("check-qg", help="trace and run the full checker")
-    common(p, direction=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--probes", type=int, default=20)
-    p.set_defaults(fn=cmd_check_qg)
-
-    p = sub.add_parser("develop", help="development of a trace about a point")
-    common(p, direction=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--length", type=float, required=True)
+    p = command("develop", cmd_develop, "development of a trace about a point",
+                "space out prefix dir from length tol")
     p.add_argument("--p", required=True, help="base point of the development")
-    p.set_defaults(fn=cmd_develop)
 
-    p = sub.add_parser("check-concavity", help="sampled concavity test")
-    common(p, function=True)
-    p.add_argument("--p", required=True)
+    p = command("check-concavity", cmd_check_concavity, "sampled concavity test",
+                "space prefix function p seed tol")
     p.add_argument("--radius", type=float, default=0.3)
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(fn=cmd_check_concavity)
 
-    p = sub.add_parser("inf-conv", help="inf-convolution value at a point")
-    common(p, function=True)
-    p.add_argument("--p", required=True)
+    p = command("inf-conv", cmd_inf_conv, "inf-convolution value at a point",
+                "space prefix function p")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lip", type=float, default=2.0)
-    p.set_defaults(fn=cmd_inf_conv)
 
-    p = sub.add_parser("detect-extremal", help="extremal subset candidates")
-    common(p)
-    p.set_defaults(fn=cmd_detect_extremal)
+    command("detect-extremal", cmd_detect_extremal, "extremal subset candidates",
+            "space prefix seed tol")
 
-    p = sub.add_parser("verify-extremal", help="criterion and invariance tests")
-    common(p)
-    p.add_argument("--subset", required=True,
-                   help="'boundary' or a point literal")
-    p.set_defaults(fn=cmd_verify_extremal)
+    p = command("verify-extremal", cmd_verify_extremal,
+                "criterion and invariance tests", "space prefix seed tol")
+    p.add_argument("--subset", required=True, help="'boundary' or a point literal")
 
-    p = sub.add_parser("tight-check", help="pairwise tightness of functions")
-    common(p)
+    p = command("tight-check", cmd_tight_check, "pairwise tightness of functions",
+                "space prefix p seed")
     p.add_argument("--function", action="append", required=True)
-    p.add_argument("--p", required=True)
     p.add_argument("--radius", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(fn=cmd_tight_check)
 
-    p = sub.add_parser("tight-image", help="image geometry of concave charts")
-    common(p)
-    p.add_argument("--function", action="append", default=[])
-    p.add_argument("--p", required=True)
+    p = command("tight-image", cmd_tight_image, "image geometry of concave charts",
+                "space prefix p seed")
+    p.add_argument("--function", action="append", default=[],
+                   help="a coordinate; three default ones when none is given")
     p.add_argument("--radius", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(fn=cmd_tight_image)
 
-    p = sub.add_parser("suite", help="run the acceptance criteria")
+    p = command("suite", cmd_suite, "run the acceptance criteria", "prefix")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--only", default=None, help="comma-separated numbers")
-    p.add_argument("--out", choices=["json", "csv", "svg", "all"], default=None)
-    p.add_argument("--prefix", default=None)
-    p.set_defaults(fn=cmd_suite)
     return ap
 
 

@@ -24,7 +24,12 @@ from .functions import (
     scale,
 )
 from .flow import gradient
-from .tangent import GradientError, combine_min, directional_sup
+from .tangent import (
+    GradientError,
+    combine_min,
+    directional_sup,
+    gradient_from_directional,
+)
 
 
 class ConstructionError(RuntimeError):
@@ -132,10 +137,8 @@ def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
     for _ in range(n_samples):
         x = space.random_point_near(center, radius, rng)
         diffs = [differential(f, space, x) for f in funcs]
-        grads = []
         try:
-            for f in funcs:
-                grads.append(gradient(f, space, x))
+            grads = [gradient_from_directional(d) for d in diffs]
         except GradientError:
             continue
         for i, di in enumerate(diffs):

@@ -193,26 +193,27 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateRep
         fq = evaluate(expr, space, q)
         gp = gradient(expr, space, p).norm
         drop = 2.0 * fp - 2.0 * fq + lam * d0 * d0
-
-        def at(rec, t):
-            i = min(int(round(t / h)), len(rec.points) - 1)
-            return rec.points[i]
-
-        for t in t_grid:
-            a_t, b_t = at(alpha, t), at(beta, t)
+        # both records share one grid; each requested time snaps to the
+        # nearest recorded time, at which the bounds are evaluated
+        ts = alpha.ts
+        idx = [min(range(len(ts)), key=lambda i: abs(ts[i] - t)) for t in t_grid]
+        for i in idx:
+            t = ts[i]
+            a_t, b_t = alpha.points[i], beta.points[i]
             m_i.append(math.exp(lam * t) * d0 - space.distance(a_t, b_t))
             th = theta(lam, t)
             rhs = d0 * d0 + drop * th + gp * gp * th * th
             m_ii.append(rhs - space.distance(a_t, q) ** 2)
-        for tq in t_grid:
-            for tp in t_grid:
-                if tp < tq:
+        for iq in idx:
+            for ip in idx:
+                if ip < iq:
                     continue
+                tq, tp = ts[iq], ts[ip]
                 th = theta(lam, tp - tq)
                 rhs = math.exp(2.0 * lam * tq) * (
                     d0 * d0 + drop * th + gp * gp * th * th
                 )
-                m_iii.append(rhs - space.distance(at(alpha, tp), at(beta, tq)) ** 2)
+                m_iii.append(rhs - space.distance(alpha.points[ip], beta.points[iq]) ** 2)
     worst = min(min(m_i), min(m_ii), min(m_iii))
     return EstimateReport(m_i, m_ii, m_iii, worst)
 

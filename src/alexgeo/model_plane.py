@@ -62,17 +62,6 @@ def theta(lam: float, t: float) -> float:
     return math.expm1(lam * t) / lam
 
 
-def model_scalars(kind: str, kappa_or_lambda: float, x: float) -> float:
-    """Dispatch by name; `kind` is one of 'rho', 'sigma', 'theta'."""
-    if kind == "rho":
-        return rho(kappa_or_lambda, x)
-    if kind == "sigma":
-        return sigma(kappa_or_lambda, x)
-    if kind == "theta":
-        return theta(kappa_or_lambda, x)
-    raise ModelDomainError(f"unknown scalar kind {kind!r}")
-
-
 def _clamp1(x: float) -> float:
     return 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
 
@@ -185,23 +174,34 @@ class DevelopmentRecord:
 
     def to_svg(self, width: int = 1000) -> str:
         pts = [(r * math.cos(p), r * math.sin(p)) for _, r, p in self.samples]
-        xs = [x for x, _ in pts] + [0.0]
-        ys = [y for _, y in pts] + [0.0]
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        pad = 0.05 * span
-        scale = width / (span + 2 * pad)
-        ox, oy = min(xs) - pad, min(ys) - pad
-        h = int((max(ys) - min(ys) + 2 * pad) * scale) + 1
-        poly = " ".join(
-            f"{(x - ox) * scale:.2f},{h - (y - oy) * scale:.2f}" for x, y in pts
-        )
-        bx, by = (0.0 - ox) * scale, h - (0.0 - oy) * scale
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{h}">'
-            f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="4" fill="red"/>'
-            f'<polyline points="{poly}" fill="none" stroke="black" stroke-width="1.5"/>'
-            "</svg>"
-        )
+        return svg_polyline(pts, marks=[(0.0, 0.0)], width=width)
+
+
+def svg_polyline(pts, marks=(), width: int = 1000) -> str:
+    """SVG of a planar polyline with a red dot at each mark, y pointing up.
+
+    The picture is `width` wide and fits the polyline and the marks with
+    a 5% margin.
+    """
+    xs = [x for x, _ in pts] + [x for x, _ in marks]
+    ys = [y for _, y in pts] + [y for _, y in marks]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    pad = 0.05 * span
+    scale = width / (span + 2 * pad)
+    ox, oy = min(xs) - pad, min(ys) - pad
+    h = int((max(ys) - min(ys) + 2 * pad) * scale) + 1
+
+    def at(x, y):
+        return (x - ox) * scale, h - (y - oy) * scale
+
+    dots = "".join(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="red"/>'
+                   for cx, cy in (at(x, y) for x, y in marks))
+    poly = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in (at(x, y) for x, y in pts))
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{h}">'
+        f'{dots}<polyline points="{poly}" fill="none" stroke="black" stroke-width="1.5"/>'
+        "</svg>"
+    )
 
 
 def develop_curve(kappa, r_samples, tolerance: float = 1e-6,

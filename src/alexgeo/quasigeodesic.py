@@ -146,25 +146,20 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
         if stall and stepper.stopped:
             break
         cur = stepper.cur
-        if stepper.at_vertex and speed_control:
-            sig = space.sigma_at(cur)
-            incoming = TangentVec(run_speed, stepper.back.angle, sig)
-            star = polar_vector(sig, incoming)
-            dir_angle = star.angle
-            sigma_speed = run_speed
-            events.append((t, "joint-polar", None))
-            continue
-        nxt = stepper.launch_vector()
-        if nxt.norm <= 1e-12:
-            events.append((t, "stall", None))
-            break
+        if not stepper.at_vertex:
+            nxt = stepper.launch_vector()
+            if nxt.norm <= 1e-12:
+                events.append((t, "stall", None))
+                break
         if stall and speed_control:
-            # renormalize with the polar of the incoming vector (equal norm)
+            # renormalize with the polar of the incoming vector (equal norm);
+            # a piece ends at a cone point only under the speed control
             sig = space.sigma_at(cur)
-            incoming = TangentVec(run_speed, sig.wrap(nxt.angle + math.pi)
-                                  if not sig.is_arc else nxt.angle, sig)
-            star = polar_vector(sig, incoming)
-            dir_angle = star.angle
+            if stepper.at_vertex:
+                back = stepper.back.angle
+            else:
+                back = nxt.angle if sig.is_arc else sig.wrap(nxt.angle + math.pi)
+            dir_angle = polar_vector(sig, TangentVec(run_speed, back, sig)).angle
             sigma_speed = run_speed
             events.append((t, "joint-polar", None))
         else:

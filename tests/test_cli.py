@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import math
 import os
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import alexgeo
-from alexgeo.cli import main
+from alexgeo import cli, concavity_tight
+from alexgeo.cli import build_parser, main
 from alexgeo.spaces import ConeSpace, regular_tetrahedron
 
 
@@ -164,6 +167,17 @@ class TestCommands:
         assert all(r["passed"] for r in report["results"])
         assert {r["number"] for r in report["results"]} == {1, 7}
 
+    def test_tight_image_places_default_coordinates_on_a_mesh(
+            self, tetra_file, tmp_path, capsys, monkeypatch):
+        # the default coordinates are under test: the G o F check that
+        # follows is cut to 2 samples to keep the run short
+        monkeypatch.setattr(cli, "tight_image_study", functools.partial(
+            concavity_tight.tight_image_study, n_gf=2))
+        rc = main(["tight-image", "--space", tetra_file, "--p", "F0:0.3,0.3",
+                   "--samples", "2", "--prefix", str(tmp_path / "ti")])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((tmp_path / "ti.json").read_text())["n_support"] == 2
+
     def test_entry_point_runs(self, cone_file, tmp_path):
         # The child runs in tmp_path (the command writes alexgeo-out.json to
         # its working directory), so a relative PYTHONPATH inherited from the
@@ -175,6 +189,62 @@ class TestCommands:
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[0] == "1.414214"
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        object.__setattr__(self, "reads", set())
+        super().__init__()
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+DIST = '{{"op":"dist","q":"1,1"}}'
+# one small run of each command; trace-qg runs its checker
+OPTION_CASES = {
+    "distance": ["--space", "{cone}", "--p", "1,0", "--q", "1,1"],
+    "geodesic": ["--space", "{cone}", "--p", "1,0", "--q", "1,1", "--samples", "3"],
+    "gradient": ["--space", "{cone}", "--p", "2,1", "--function", DIST],
+    "flow": ["--space", "{cone}", "--p", "2,1", "--time", "0.01", "--function", DIST],
+    "gexp": ["--space", "{cone}", "--p", "1,0", "--dir", "1.0", "--norm", "0.1"],
+    "trace-qg": ["--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+                 "--length", "0.5", "--check", "--probes", "2"],
+    "develop": ["--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+                "--length", "0.5", "--p", "0.5,0.3"],
+    "check-concavity": ["--space", "{square}", "--p", "0.5,0.5", "--radius", "0.4",
+                        "--function", '{{"op":"boundary_dist"}}', "--samples", "4"],
+    "inf-conv": ["--space", "{cone}", "--p", "1.2,0.4", "--eps", "0.5",
+                 "--function", '{{"op":"dist_sq","q":"1,0"}}'],
+    "detect-extremal": ["--space", "{square}"],
+    "verify-extremal": ["--space", "{square}", "--subset", "boundary"],
+    "tight-check": ["--space", "{cone}", "--p", "0,0", "--samples", "3",
+                    "--function", '{{"op":"dist","q":"1,0"}}',
+                    "--function", '{{"op":"dist","q":"1,2pi/3"}}'],
+    "tight-image": ["--space", "{square}", "--p", "0.5,0.5", "--samples", "2"],
+    "suite": ["--quick", "--only", "1"],
+}
+
+
+def test_every_option_is_read(cone_file, square_file, tmp_path):
+    ap = build_parser()
+    commands = next(a for a in ap._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = {}
+    for name, argv in OPTION_CASES.items():
+        argv = [a.format(cone=cone_file, square=square_file) for a in argv]
+        args = ap.parse_args([name, *argv, "--prefix", str(tmp_path / name)],
+                             namespace=ReadRecorder())
+        args.reads.clear()
+        assert args.fn(args) == 0, name
+        dests = {a.dest for a in commands[name]._actions if a.option_strings} - {"help"}
+        if dests - args.reads:
+            unread[name] = sorted(dests - args.reads)
+    assert unread == {}
+    assert set(OPTION_CASES) == set(commands)
 
 
 BAD_INPUT = {
@@ -199,8 +269,8 @@ BAD_INPUT = {
         ["flow", "--space", "{cone}", "--p", "1,0", "--time", "0.5", "--step", "0",
          "--function", '{{"op":"dist","q":"0.5,1"}}'], "step"),
     "check_qg_no_probes": (
-        ["check-qg", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
-         "--length", "1", "--probes", "0"], "probe"),
+        ["trace-qg", "--space", "{cone}", "--from", "1,0", "--dir", "1.0",
+         "--length", "1", "--check", "--probes", "0"], "probe"),
     "check_concavity_no_samples": (
         ["check-concavity", "--space", "{cone}", "--p", "1,0", "--radius", "0.3",
          "--lam", "0", "--function", '{{"op":"dist","q":"0.5,1"}}', "--samples", "0"],

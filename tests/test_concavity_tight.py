@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alexgeo import concavity_tight, flow
 from alexgeo.spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.concavity_tight import (
     ConstructionError,
@@ -78,6 +79,17 @@ class TestTightCheck:
         # dropping one function leaves all samples regular
         rep2 = tight_check(SQUARE, funcs[:2], (c, 0.04), n_samples=150, seed=8)
         assert rep2.n_critical == 0
+
+    def test_one_differential_per_function_per_sample(self, monkeypatch):
+        calls = []
+        for module in (concavity_tight, flow):
+            def counted(expr, space, x, real=module.differential):
+                calls.append(expr)
+                return real(expr, space, x)
+            monkeypatch.setattr(module, "differential", counted)
+        funcs = [Dist(q=(1.0, 0.0)), Dist(q=(1.0, 2 * math.pi / 3))]
+        tight_check(PLANE, funcs, ((0.0, 0.0), 0.05), n_samples=20, seed=6)
+        assert len(calls) == 2 * 20
 
 
 class TestImageStudy:

@@ -149,6 +149,13 @@ class TestDistanceEstimates:
         b = gradient_curve(QUAD, PLANE, q, 1.0, 1e-3).end()
         assert PLANE.distance(a, b) == pytest.approx(math.exp(-1.0) * d0, abs=3e-3)
 
+    def test_an_off_grid_time_is_read_at_that_time(self):
+        # the grid at h = 1e-3 ends at T = 0.0105; reading the curves at
+        # the grid point 0.010 instead gave margin (i) = -1.06e-3
+        rep = verify_distance_estimates(QUAD, PLANE, [((2.0, 0.7), (1.5, 2.0))],
+                                        [0.0105], 1e-3, -1.0)
+        assert min(rep.margins_i) >= -1e-9
+
     def test_boundary_distance_flow_non_expanding(self):
         f = BoundaryDist()
         rng = np.random.default_rng(12)

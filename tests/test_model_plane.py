@@ -24,11 +24,6 @@ class TestScalars:
         # (e^{lam t} - 1)/lam at lam=-1, t=ln 2
         assert mp.theta(-1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
 
-    def test_model_scalars_dispatch(self):
-        assert mp.model_scalars("rho", 0.0, 2.0) == 2.0
-        assert mp.model_scalars("sigma", 0.0, 5.0) == 5.0
-        assert mp.model_scalars("theta", 0.0, 3.0) == 3.0
-
     def test_sigma_is_rho_derivative(self):
         for kappa in (-1.0, -0.3, 0.0, 0.4, 1.0):
             for x in (0.1, 0.7, 1.3):
