@@ -14,6 +14,7 @@ at T.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -176,6 +177,14 @@ class EstimateReport:
                 f"(ii) {min(self.margins_ii):.3e} (iii) {min(self.margins_iii):.3e}")
 
 
+def nearest_index(ts, t: float) -> int:
+    """Index of the recorded time nearest t; the earlier one on a tie."""
+    i = bisect.bisect_left(ts, t)
+    if i == len(ts) or (i > 0 and t - ts[i - 1] <= ts[i] - t):
+        return max(i - 1, 0)
+    return i
+
+
 def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateReport:
     """Both sides of the gradient-curve distance estimates on point pairs.
 
@@ -196,7 +205,7 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateRep
         # both records share one grid; each requested time snaps to the
         # nearest recorded time, at which the bounds are evaluated
         ts = alpha.ts
-        idx = [min(range(len(ts)), key=lambda i: abs(ts[i] - t)) for t in t_grid]
+        idx = [nearest_index(ts, t) for t in t_grid]
         for i in idx:
             t = ts[i]
             a_t, b_t = alpha.points[i], beta.points[i]

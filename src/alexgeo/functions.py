@@ -509,14 +509,3 @@ def _uniforms(seed):
     while True:
         yield from rng.random(4096).tolist()
 
-
-def planar_smoothed_distance_oracle(p, eps, y):
-    """Disc average of dist_x(y) in the plane for |py| >> eps.
-
-    Polar-coordinate integral: the first-order term -r cos(theta)
-    averages out and the second-order term r^2 sin^2(theta) / (2 d)
-    contributes (1/(pi eps^2)) * (eps^4/4) * pi / (2 d), so the
-    expansion is |py| + eps^2 / (8 |py|) + O(eps^4).
-    """
-    d = math.hypot(y[0] - p[0], y[1] - p[1])
-    return d + eps * eps / (8.0 * d)

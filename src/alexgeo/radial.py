@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .flow import STOP_TOL, CurveRecord, FlowStepper, gradient, record_curve
+from .flow import STOP_TOL, CurveRecord, FlowStepper, gradient, nearest_index, record_curve
 from .functions import Dist, evaluate
 from .model_plane import comparison_angle
 from .spaces.base import TWO_PI
@@ -249,15 +249,13 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
         raise RadialDomainError("kappa = 1 comparison needs |pq| <= pi/2")
     rec = radial_curve(space, p, xi_angle, kappa, T, h)
 
-    # snap each requested time to the record grid and use the snapped
-    # parameter in the comparison triangle: the sides must be consistent
-    idxs = sorted({min(int(round(t / h)), len(rec.points) - 1) for t in t_grid
-                   if t > 0.0})
+    # snap each requested time to the nearest recorded time and use it in
+    # the comparison triangle: the sides must be consistent
+    idxs = sorted({nearest_index(rec.ts, t) for t in t_grid if t > 0.0})
     t_used = [rec.ts[i] for i in idxs]
     pts = [rec.points[i] for i in idxs]
     dists = [d for d, _ in space.distances_from(q, pts)]
     angles = []
-    t_grid = t_used
     for t, dq in zip(t_used, dists):
         angles.append(comparison_angle(kappa, t, dq, dpq))
     worst = max(

@@ -304,13 +304,37 @@ def supporting_check(d: DirectionalFn, s_vec: TangentVec, tol: float = 1e-9):
     return worst <= tol, worst
 
 
+def _cos_gaps(sigma: SigmaDesc, a: float, xs: np.ndarray) -> np.ndarray:
+    """cos(min(angle distance from a, pi)) at the angles xs in [0, L].
+
+    The same operations as `SigmaDesc.dist` and `scalar_product`, one
+    array at a time, so every entry equals the scalar form bit for bit.
+    """
+    if sigma.is_arc:
+        d = np.abs(xs - a)
+    else:
+        d = np.abs(xs - sigma.wrap(a))
+        d = np.minimum(d, sigma.length - d)
+    return np.cos(np.minimum(d, math.pi))
+
+
+def polar_grid_sums(sigma: SigmaDesc, v: TangentVec, star: TangentVec, grid: int = 720):
+    """(xs, <v,x> + <star,x>) at the unit vectors of angles xs = L k / grid.
+
+    k runs over range(grid), and on an arc also takes the endpoint k = grid.
+    """
+    n = grid + 1 if sigma.is_arc else grid
+    xs = sigma.length * np.arange(n) / grid
+    return xs, v.norm * _cos_gaps(sigma, v.angle, xs) + star.norm * _cos_gaps(sigma, star.angle, xs)
+
+
 def polar_vector(sigma: SigmaDesc, v: TangentVec, grid: int = 720,
                  tol: float = 1e-9) -> TangentVec:
     """Equal-norm polar partner reached by traveling pi along the directions.
 
     On a circle the travel wraps; on an arc it reflects at the endpoints.
-    The defining inequality <v,x> + <v*,x> >= 0 is verified on a grid
-    before returning.
+    The defining inequality <v,x> + <v*,x> >= 0 is verified on a grid,
+    evaluated as one array by `polar_grid_sums`, before returning.
     """
     if v.norm == 0.0:
         return zero_vector(sigma)
@@ -322,11 +346,9 @@ def polar_vector(sigma: SigmaDesc, v: TangentVec, grid: int = 720,
     else:
         star = sigma.wrap(v.angle + math.pi)
     out = TangentVec(v.norm, star, sigma)
-    npts = grid + 1 if sigma.is_arc else grid
-    for i in range(npts):
-        a = sigma.length * i / grid
-        x = TangentVec(1.0, a, sigma)
-        val = scalar_product(v, x) + scalar_product(out, x)
-        if val < -tol * max(1.0, v.norm):
-            raise RuntimeError(f"polar verification failed at angle {a:.6f}: {val:.3e} < 0")
+    xs, vals = polar_grid_sums(sigma, v, out, grid)
+    bad = np.flatnonzero(vals < -tol * max(1.0, v.norm))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(f"polar verification failed at angle {xs[i]:.6f}: {vals[i]:.3e} < 0")
     return out

@@ -308,6 +308,13 @@ class TestComparison:
         d = differential(f, CONE, p)
         assert rep.theta0 == pytest.approx(d(xi))
 
+    def test_an_off_grid_end_is_checked_at_that_time(self):
+        # at h = 1e-3 the record ends at T = 0.0105; snapping by round(t / h)
+        # checked the grid point 0.010 instead
+        rep = verify_radial_comparison(ConeSpace(1.5 * math.pi), (1.0, 0.3), 2.0,
+                                       (0.8, 1.5), 0, [0.0105], 1e-3)
+        assert rep.ts == [0.0105]
+
     def test_spindle_kappa_one(self):
         s = SpindleSpace(4.0)
         rng = np.random.default_rng(8)

@@ -7,6 +7,7 @@ from alexgeo.spaces import ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.spaces.base import SigmaDesc
 from alexgeo.functions import Dist, DistSq, PhiRC, differential, evaluate, scale, sum_of
 from alexgeo.flow import gradient, gradient_curve
+from alexgeo import tangent
 from alexgeo.tangent import (
     GradientError,
     TangentVec,
@@ -16,6 +17,7 @@ from alexgeo.tangent import (
     cos_tail_directional,
     gradient_from_directional,
     maximize_directional,
+    polar_grid_sums,
     polar_vector,
     scalar_product,
     supporting_check,
@@ -337,6 +339,53 @@ class TestSupportingPolar:
                 v = TangentVec(1.0, rng.random() * L, sig)
                 star = polar_vector(sig, v)  # raises on verification failure
                 assert star.norm == v.norm
+
+
+def _loop_sums(sigma, v, star, grid):
+    """<v,x> + <star,x> at the grid unit vectors, one scalar_product pair each."""
+    out = []
+    for i in range(grid + 1 if sigma.is_arc else grid):
+        x = TangentVec(1.0, sigma.length * i / grid, sigma)
+        out.append(scalar_product(v, x) + scalar_product(star, x))
+    return out
+
+
+POLAR_SIGMAS = [SigmaDesc(L) for L in (math.pi / 2, math.pi, 4.0, 1.5 * math.pi, 2 * math.pi)]
+POLAR_SIGMAS.append(SigmaDesc(math.pi, is_arc=True))
+
+
+class TestPolarGrid:
+    @pytest.mark.parametrize("sig", POLAR_SIGMAS, ids=lambda s: f"{s.length:.4f}{'arc' if s.is_arc else ''}")
+    def test_array_equals_scalar_loop(self, sig):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            v = TangentVec(0.1 + 3.0 * rng.random(), rng.random() * sig.length, sig)
+            star = polar_vector(sig, v)
+            xs, vals = polar_grid_sums(sig, v, star, 720)
+            loop = _loop_sums(sig, v, star, 720)
+            assert vals.tolist() == loop
+            assert min(vals.tolist()) == min(loop)
+            assert xs.tolist() == [sig.length * i / 720 for i in range(len(loop))]
+        # the arc's grid takes its endpoint, index grid
+        assert len(xs) == (721 if sig.is_arc else 720)
+
+    def test_wrong_partner_raises(self, monkeypatch):
+        # v in place of its polar on the 2 pi circle: 2 <v,x> < 0 opposite v
+        v = TangentVec(1.0, 0.3, FULL)
+        real = tangent.polar_grid_sums
+        monkeypatch.setattr(tangent, "polar_grid_sums",
+                            lambda sigma, u, star, grid: real(sigma, u, u, grid))
+        with pytest.raises(RuntimeError, match="polar verification failed"):
+            polar_vector(FULL, v)
+
+    def test_no_scalar_product_calls(self, monkeypatch):
+        calls = []
+        real = tangent.scalar_product
+        monkeypatch.setattr(tangent, "scalar_product",
+                            lambda u, v: calls.append(1) or real(u, v))
+        for sig in POLAR_SIGMAS:
+            polar_vector(sig, TangentVec(1.0, 0.4, sig))
+        assert calls == []
 
 
 class TestLowerSemicontinuity:
