@@ -364,7 +364,6 @@ class TestPolarGrid:
             xs, vals = polar_grid_sums(sig, v, star, 720)
             loop = _loop_sums(sig, v, star, 720)
             assert vals.tolist() == loop
-            assert min(vals.tolist()) == min(loop)
             assert xs.tolist() == [sig.length * i / 720 for i in range(len(loop))]
         # the arc's grid takes its endpoint, index grid
         assert len(xs) == (721 if sig.is_arc else 720)
