@@ -164,7 +164,7 @@ def _c05_quasigeodesic_suite(quick):
     worst_barrier = -math.inf
     worst_speed = 0.0
     worst_entropy = 0.0
-    built = 0
+    built = probed = probes_run = 0
     attempts = 0
     while built < n_tetra:
         attempts += 1
@@ -185,9 +185,13 @@ def _c05_quasigeodesic_suite(quick):
         worst_barrier = max(worst_barrier, rep.barrier_worst)
         worst_speed = max(worst_speed, rep.unit_speed_dev)
         worst_entropy = max(worst_entropy, abs(rep.entropy_total))
+        probed += rep.n_probes > 0
+        probes_run += rep.n_probes
     ok = (worst_turn >= -1e-6 and worst_barrier <= 1e-6
           and worst_speed <= 1e-9 and worst_entropy < 1e-9)
-    return ok, (f"{built} traces (>= 2 vertex hits each): min turn {worst_turn:.2e} (>= -1e-6), "
+    return ok, (f"{built} traces (>= 2 vertex hits each), {probed} with a probe, "
+                f"{probes_run} of {built * n_probes} probes run: "
+                f"min turn {worst_turn:.2e} (>= -1e-6), "
                 f"barrier {worst_barrier:.2e} (<= 1e-6), speed dev {worst_speed:.2e} (<= 1e-9), "
                 f"entropy {worst_entropy:.2e} (< 1e-9)")
 
@@ -230,22 +234,21 @@ def _c07_milka_polarity(quick):
 def _c08_extremal_invariance(quick):
     square = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
     h = 5e-3
-    drift = 0.0
-    for desc in (SubsetDescriptor("boundary"),
-                 SubsetDescriptor("point", (0.0, 0.0))):
-        ev = verify_extremal(square, desc, n_funcs=4 if quick else 8,
-                             n_steps=20 if quick else 40, h=h, seed=108)
-        drift = max(drift, ev.invariance_worst / (max(1, 40) * h))
-        drift = max(drift, ev.criterion_worst)
-    cone = ConeSpace(math.pi * 0.9)
-    ev = verify_extremal(cone, SubsetDescriptor("point", (0.0, 0.0)),
-                         n_funcs=4, n_steps=20, h=h, seed=109)
-    drift = max(drift, ev.invariance_worst)
+    n_steps = 20 if quick else 40
+    flows = [(square, desc, 4 if quick else 8, n_steps, 108)
+             for desc in (SubsetDescriptor("boundary"), SubsetDescriptor("point", (0.0, 0.0)))]
+    flows.append((ConeSpace(math.pi * 0.9), SubsetDescriptor("point", (0.0, 0.0)), 4, 20, 109))
+    crit = drift = 0.0
+    for space, desc, n_funcs, steps, seed in flows:
+        ev = verify_extremal(space, desc, n_funcs=n_funcs, n_steps=steps, h=h, seed=seed)
+        crit = max(crit, ev.criterion_worst)
+        drift = max(drift, ev.invariance_worst / (steps * h))
     lieb = lieberman_check(square, start_s=0.3, n_probes=6 if quick else 12,
                            tol=1e-6, seed=110)
-    ok = drift < 1e-6 and lieb.passed(1e-6)
-    return ok, (f"extremal flow drift {drift:.2e} per unit time (< 1e-6); boundary "
-                f"geodesic checker: {lieb.summary()}")
+    ok = crit < 1e-6 and drift < 1e-6 and lieb.passed(1e-6)
+    return ok, (f"criterion |grad dist_q| {crit:.2e} (< 1e-6); extremal flow drift "
+                f"{drift:.2e} per unit time (< 1e-6); boundary geodesic checker: "
+                f"{lieb.summary()}")
 
 
 def _c09_inf_convolution(quick):

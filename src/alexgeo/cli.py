@@ -335,7 +335,7 @@ def cmd_tight_image(args):
             funcs.append(build_strictly_concave(space, c, r=0.35, c=60.0,
                                                 n_points=6, seed=args.seed)[0])
     rep = tight_image_study(space, funcs, (center, args.radius),
-                            n_support=args.samples, seed=args.seed)
+                            n_support=args.samples, n_gf=args.samples, seed=args.seed)
     print(rep.summary())
     _emit(args, {"support_failures": rep.support_failures,
                  "n_support": rep.n_support, "gf_worst": rep.gf_worst,
@@ -450,7 +450,8 @@ def build_parser():
     p.add_argument("--function", action="append", default=[],
                    help="a coordinate; three default ones when none is given")
     p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=200,
+                   help="support tests, and as many G o F samples")
 
     p = command("suite", cmd_suite, "run the acceptance criteria", "prefix")
     p.add_argument("--quick", action="store_true")

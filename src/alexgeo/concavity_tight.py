@@ -83,8 +83,7 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     return expr, report
 
 
-def superlevel_convexity(space, expr, p, level, n_pairs=100, n_samples=21,
-                         radius=0.5, seed=0):
+def superlevel_convexity(space, expr, p, level, n_pairs=100, radius=0.5, seed=0):
     """Chord test of {f >= level}: geodesics between member points stay in.
 
     Returns the worst violation of the level along sampled chords.
@@ -98,7 +97,7 @@ def superlevel_convexity(space, expr, p, level, n_pairs=100, n_samples=21,
     worst = 0.0
     for i in range(n_pairs):
         a, b = members[2 * i], members[2 * i + 1]
-        for x in space.geodesic_points(a, b, n_samples):
+        for x in space.geodesic_points(a, b, 21):
             worst = max(worst, level - evaluate(expr, space, x))
     return worst
 

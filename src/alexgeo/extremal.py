@@ -58,7 +58,7 @@ class ExtremalEvidence:
         return self.criterion_worst <= tol and self.invariance_worst <= tol
 
 
-def detect_extremal(space, seed=0, verify=True, n_funcs=6, n_steps=40):
+def detect_extremal(space, seed=0, verify=True):
     """Enumerate extremal-subset candidates with verification evidence."""
     out = []
     cands = [SubsetDescriptor("whole", label="whole space"),
@@ -75,8 +75,7 @@ def detect_extremal(space, seed=0, verify=True, n_funcs=6, n_steps=40):
     for c in cands:
         evidence = None
         if verify and c.kind in ("point", "boundary"):
-            evidence = verify_extremal(space, c, n_funcs=n_funcs,
-                                       n_steps=n_steps, seed=seed)
+            evidence = verify_extremal(space, c, n_funcs=6, n_steps=40, seed=seed)
         out.append((c, evidence))
     return out
 
@@ -168,12 +167,13 @@ def distance_regularity(space, subset: SubsetDescriptor, band=(1e-3, 0.2),
 
 
 # -- Lieberman instance -------------------------------------------------------
-def boundary_edge_path(space, start_s, length, n_samples=200) -> CurveRecord:
+def boundary_edge_path(space, start_s, length) -> CurveRecord:
     """Arclength path along a polygon boundary, passing corners.
 
     Corner crossings are inserted as samples so vertex events sit on the
     grid of the record.
     """
+    n_samples = 200
     step = length / n_samples
     params = [k * step for k in range(n_samples + 1)]
     corner_ts = []
@@ -209,13 +209,10 @@ def boundary_edge_path(space, start_s, length, n_samples=200) -> CurveRecord:
     return CurveRecord(ts, pts, rights, lefts, events, step, "geodesic")
 
 
-def lieberman_check(space, start_s=0.1, length=None, n_probes=10, tol=1e-6,
-                    seed=0):
+def lieberman_check(space, start_s=0.1, n_probes=10, tol=1e-6, seed=0):
     """Intrinsic boundary geodesics are ambient quasigeodesics."""
-    if length is None:
-        # under half the perimeter: intrinsically minimizing
-        length = 0.45 * space.boundary_period
-    rec = boundary_edge_path(space, start_s, length)
+    # under half the perimeter: intrinsically minimizing
+    rec = boundary_edge_path(space, start_s, 0.45 * space.boundary_period)
     return check_quasigeodesic(space, rec, n_probes=n_probes, tol=tol, seed=seed)
 
 
@@ -229,10 +226,11 @@ class BoundaryConcavityReport:
         return self.worst <= tol
 
 
-def polygon_boundary_concavity(space, n_chords=200, n_samples=33, seed=0):
+def polygon_boundary_concavity(space, n_chords=200, seed=0):
     """Second differences of dist_boundary along random interior chords."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
+    n_samples = 33
     for _ in range(n_chords):
         a = space.random_point(rng)
         b = space.random_point(rng)

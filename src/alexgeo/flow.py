@@ -50,12 +50,11 @@ class CurveRecord:
     def end(self):
         return self.points[-1]
 
-    def to_csv(self, space=None) -> str:
+    def to_csv(self, space) -> str:
         lines = ["t,point,speed"]
         for t, p, rt in zip(self.ts, self.points, self.right_tangents):
             s = rt.norm if rt is not None else 0.0
-            pt = space.format_point(p) if space is not None else repr(p)
-            lines.append(f"{t!r},\"{pt}\",{s!r}")
+            lines.append(f"{t!r},\"{space.format_point(p)}\",{s!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -14,8 +14,8 @@ first variation formula d_p(phi o dist_q)(xi) = -phi'(|pq|) cos angle(xi,
 up_p^q); each gives only its slope `dphi`.
 
 Concavity certificates attached to expressions are hints, never trusted:
-operators that require a concavity constant run `check_concavity` before
-using one.
+`ensure_certificate` runs `check_concavity` on one before returning its
+constant.
 """
 from __future__ import annotations
 
@@ -333,20 +333,17 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
                            worst_chord, n_geodesics)
 
 
-def ensure_certificate(expr, space, center, radius, lam=None, seed=0):
+def ensure_certificate(expr, space, center, radius):
     """Find or verify a concavity constant near a point; returns lambda."""
-    for cert in getattr(expr, "certificates", ()):
+    certs = getattr(expr, "certificates", ())
+    for cert in certs:
         if cert.verified:
             return cert.lam
-    cand = lam
-    if cand is None:
-        certs = getattr(expr, "certificates", ())
-        if certs:
-            cand = certs[0].lam
-        else:
-            raise ExprError("no concavity certificate supplied")
+    if not certs:
+        raise ExprError("no concavity certificate supplied")
+    cand = certs[0].lam
     rep = check_concavity(expr, space, cand, (center, radius),
-                          n_geodesics=24, n_samples=9, seed=seed, tol=1e-5)
+                          n_geodesics=24, n_samples=9, seed=0, tol=1e-5)
     if not rep.passed:
         raise ExprError(
             f"concavity certificate lambda={cand} fails: {rep.summary()}"
@@ -370,6 +367,8 @@ class InfConvolution:
             raise ExprError(f"inf-convolution needs a finite eps > 0, not {eps}")
         if not 0.0 < lip_hint < math.inf:
             raise ExprError(f"inf-convolution needs a finite lip_hint > 0, not {lip_hint}")
+        if not isinstance(expr, Expr):
+            raise ExprError(f"inf-convolution needs an expression tree, not {expr!r}")
         self.expr = expr
         self.space = space
         self.eps = eps
@@ -377,9 +376,8 @@ class InfConvolution:
 
     def _obj(self, x, y):
         """f(x) + d(x, y)^2 / eps at points of the space: y validated, x = y or a walk end."""
-        space, expr = self.space, self.expr
-        fx = _compile(expr, space)(x) if isinstance(expr, Expr) else evaluate(expr, space, x)
-        return fx + space._distance(x, y) ** 2 / self.eps
+        space = self.space
+        return _compile(self.expr, space)(x) + space._distance(x, y) ** 2 / self.eps
 
     def query(self, y) -> InfConvResult:
         space = self.space

@@ -153,14 +153,6 @@ class DevelopmentRecord:
     tolerance: float
     events: list = field(default_factory=list)
 
-    def chord_speeds(self):
-        """Model-plane chord length per parameter step; ~1 for unit-speed input."""
-        out = []
-        for (t0, r0, p0), (t1, r1, p1) in zip(self.samples, self.samples[1:]):
-            chord = model_side(self.kappa, r0, r1, p1 - p0)
-            out.append(chord / (t1 - t0))
-        return out
-
     def min_turn(self) -> float:
         return min(self.turns) if self.turns else 0.0
 
@@ -172,17 +164,18 @@ class DevelopmentRecord:
             buf.write(f"{t!r},{r!r},{p!r},{turn!r}\n" if turn != "" else f"{t!r},{r!r},{p!r},\n")
         return buf.getvalue()
 
-    def to_svg(self, width: int = 1000) -> str:
+    def to_svg(self) -> str:
         pts = [(r * math.cos(p), r * math.sin(p)) for _, r, p in self.samples]
-        return svg_polyline(pts, marks=[(0.0, 0.0)], width=width)
+        return svg_polyline(pts, marks=[(0.0, 0.0)])
 
 
-def svg_polyline(pts, marks=(), width: int = 1000) -> str:
+def svg_polyline(pts, marks=()) -> str:
     """SVG of a planar polyline with a red dot at each mark, y pointing up.
 
-    The picture is `width` wide and fits the polyline and the marks with
-    a 5% margin.
+    The picture is 1000 wide and fits the polyline and the marks with a
+    5% margin.
     """
+    width = 1000
     xs = [x for x, _ in pts] + [x for x, _ in marks]
     ys = [y for _, y in pts] + [y for _, y in marks]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
@@ -204,20 +197,17 @@ def svg_polyline(pts, marks=(), width: int = 1000) -> str:
     )
 
 
-def develop_curve(kappa, r_samples, tolerance: float = 1e-6,
-                  chords=None) -> DevelopmentRecord:
+def develop_curve(kappa, r_samples, chords, tolerance: float = 1e-6) -> DevelopmentRecord:
     """Develop a radius profile t -> r(t) into the model plane.
 
-    Without `chords` the angular coordinate is integrated by the
-    trapezoid rule so the development is unit speed:
-    dphi/dt = sqrt(max(0, 1 - rdot^2)) / sn(r).  With `chords` (the true
-    space distances between consecutive samples) the development is the
-    isometric development of the inscribed polyline: each step applies
-    the model triangle with sides (r_i, chord_i, r_{i+1}), which makes
-    the turn angles exact for piecewise-geodesic curves.  The profile
-    must be 1-Lipschitz within `tolerance` and strictly increasing in t;
-    a radius reaching zero truncates the development (apex event) rather
-    than continuing through the base point.
+    `chords` are the true space distances between consecutive samples.
+    The development is the isometric development of the inscribed
+    polyline: each step applies the model triangle with sides
+    (r_i, chord_i, r_{i+1}), which makes the turn angles exact for
+    piecewise-geodesic curves.  The profile must be 1-Lipschitz within
+    `tolerance` and strictly increasing in t; a radius reaching zero
+    truncates the development (apex event) rather than continuing through
+    the base point.
     """
     _require_finite(kappa)
     samples = [(float(t), float(r)) for t, r in r_samples]
@@ -243,39 +233,19 @@ def develop_curve(kappa, r_samples, tolerance: float = 1e-6,
         clean.append((t1, r1))
 
     n = len(clean)
-    if chords is not None:
-        steps = [min(float(chords[i]), clean[i + 1][0] - clean[i][0])
-                 for i in range(n - 1)]
-    else:
-        steps = None
+    steps = [min(float(chords[i]), clean[i + 1][0] - clean[i][0]) for i in range(n - 1)]
 
     phis = [0.0]
-    for i in range(n - 1):
-        (t0, r0), (t1, r1) = clean[i], clean[i + 1]
-        if steps is not None:
-            # angle at the base point of the model triangle (r0, chord, r1)
-            phis.append(phis[-1] + comparison_angle(kappa, r0, steps[i], r1))
-            continue
-        dt = t1 - t0
-        slope = (r1 - r0) / dt
-        tang = math.sqrt(max(0.0, 1.0 - slope * slope))
-        g0 = tang / sigma(kappa, r0)
-        g1 = tang / sigma(kappa, r1)
-        phis.append(phis[-1] + 0.5 * (g0 + g1) * dt)
+    for (_, r0), (_, r1), chord in zip(clean, clean[1:], steps):
+        # angle at the base point of the model triangle (r0, chord, r1)
+        phis.append(phis[-1] + comparison_angle(kappa, r0, chord, r1))
 
     triples = [(t, r, phi) for (t, r), phi in zip(clean, phis)]
     turns = []
     for i in range(1, n - 1):
-        _, r_prev, p_prev = triples[i - 1]
-        _, r_mid, p_mid = triples[i]
-        _, r_next, p_next = triples[i + 1]
-        if steps is not None:
-            chord_in, chord_out = steps[i - 1], steps[i]
-        else:
-            chord_in = model_side(kappa, r_prev, r_mid, p_mid - p_prev)
-            chord_out = model_side(kappa, r_mid, r_next, p_next - p_mid)
-        ang_in = comparison_angle(kappa, chord_in, r_prev, r_mid)
-        ang_out = comparison_angle(kappa, chord_out, r_next, r_mid)
+        r_prev, r_mid, r_next = clean[i - 1][1], clean[i][1], clean[i + 1][1]
+        ang_in = comparison_angle(kappa, steps[i - 1], r_prev, r_mid)
+        ang_out = comparison_angle(kappa, steps[i], r_next, r_mid)
         turns.append(math.pi - (ang_in + ang_out))
 
     convex = all(t >= -tolerance for t in turns)

@@ -27,8 +27,6 @@ class TraceError(RuntimeError):
 
 def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRecord:
     """Unit-speed trace through cone points with the equal-split rule."""
-    if not space.supports_tracing:
-        raise TraceError(f"tracing is not supported on {space.variant}")
     p = space.validate_point(p)
     if not 0.0 <= length < math.inf:
         raise TraceError(f"trace needs a finite length >= 0, not {length}")
@@ -76,13 +74,12 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
 
 
 # -- appendix construction ladder ------------------------------------------
-def build_convex_curve(space, p, xi_angle, eps, T, h=None, kappa=0) -> CurveRecord:
+def build_convex_curve(space, p, xi_angle, eps, T) -> CurveRecord:
     """Joint of radial curves restarted every eps of the parameter."""
-    return _build_joint_curve(space, p, xi_angle, eps, T, h=h, kappa=kappa,
-                              speed_control=False)
+    return _build_joint_curve(space, p, xi_angle, eps, T, speed_control=False)
 
 
-def build_prequasigeodesic(space, p, xi_angle, eps, T, h=None, kappa=0):
+def build_prequasigeodesic(space, p, xi_angle, eps, T):
     """Speed-controlled joints with polar renormalization.
 
     Pieces restart after parameter eps or when the speed decays below
@@ -90,14 +87,13 @@ def build_prequasigeodesic(space, p, xi_angle, eps, T, h=None, kappa=0):
     vector is the polar partner of the incoming one.  Returns the curve
     and its entropy record.
     """
-    rec = _build_joint_curve(space, p, xi_angle, eps, T, h=h, kappa=kappa,
-                             speed_control=True)
+    rec = _build_joint_curve(space, p, xi_angle, eps, T, speed_control=True)
     return rec, entropy(rec)
 
 
-def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
-    if h is None:
-        h = eps / 16.0
+def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
+    """Radial pieces of flat comparison (kappa = 0) at step eps / 16."""
+    h = eps / 16.0
     p = space.validate_point(p)
     ts = [0.0]
     points = [p]
@@ -110,8 +106,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, h, kappa, speed_control):
     sigma_speed = 1.0  # launch speed of the current piece
     run_speed = 1.0    # current speed along the curve
     while t < T - 1e-12 and sigma_speed > 1e-10:
-        stepper = RadialStepper(space, cur, dir_angle, kappa=kappa,
-                                stop_at_vertex=speed_control)
+        stepper = RadialStepper(space, cur, dir_angle, stop_at_vertex=speed_control)
         piece_t = 0.0
         piece_budget = min(eps, T - t)
         stall = False
@@ -230,8 +225,11 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def passed(self, tol):
+        """Every test within tol, and at least one probe run: with no probe
+        the probe tests read 0.0 and show nothing."""
         return (
-            self.unit_speed_dev <= tol
+            self.n_probes > 0
+            and self.unit_speed_dev <= tol
             and self.barrier_worst <= tol
             and self.monotone_worst <= tol
             and self.development_min_turn >= -tol
@@ -241,7 +239,8 @@ class CheckReport:
         return (
             f"unit-speed dev {self.unit_speed_dev:.2e}; barrier {self.barrier_worst:.2e}; "
             f"angle-monotonicity {self.monotone_worst:.2e}; min turn "
-            f"{self.development_min_turn:.2e}; entropy {self.entropy_total:.2e}"
+            f"{self.development_min_turn:.2e}; entropy {self.entropy_total:.2e}; "
+            f"{self.n_probes} probes"
         )
 
 
@@ -360,8 +359,7 @@ class ChopExtendReport:
         return ok
 
 
-def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
-                     q_far=None) -> ChopExtendReport:
+def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendReport:
     """One extend-then-chop cycle on a built pre-quasigeodesic.
 
     Verifies the extension joint carries no entropy atom, finds t_bar
@@ -370,7 +368,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
     """
     if T is None:
         T = 8.0 * eps
-    rec, ent = build_prequasigeodesic(space, p, xi_angle, eps, T, kappa=kappa)
+    rec, ent = build_prequasigeodesic(space, p, xi_angle, eps, T)
     ts = rec.ts
     i0 = len(ts) // 3
     t0 = ts[i0]
@@ -404,8 +402,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
 
     # convex-curve inequality for f = dist_q^2 / 2 (1-concave when curv >= 0)
     if q_far is None:
-        rng = np.random.default_rng(seed)
-        q_far = space.random_point(rng)
+        q_far = space.random_point(np.random.default_rng(0))
     f = scale(0.5, DistSq(q=q_far))
     lam = 1.0
     j = min(len(ts) - 1, i0 + max(2, int(eps / rec.h)))
@@ -430,14 +427,14 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, kappa=0, seed=0,
                             lemma_applicable)
 
 
-def monotone_report(space, curve: CurveRecord, expr, lam, t0_index=0):
-    """Worst increase of (f(c(t0+t)) - f(c(t0)) - lam t^2/2)/t over the grid."""
+def monotone_report(space, curve: CurveRecord, expr, lam):
+    """Worst increase of (f(c(t)) - f(c(0)) - lam t^2/2)/t over the grid."""
     ts = curve.ts
     pts = curve.points
-    base_t = ts[t0_index]
-    base_v = evaluate(expr, space, pts[t0_index])
+    base_t = ts[0]
+    base_v = evaluate(expr, space, pts[0])
     vals = []
-    for t, x in zip(ts[t0_index + 1:], pts[t0_index + 1:]):
+    for t, x in zip(ts[1:], pts[1:]):
         dt = t - base_t
         vals.append((evaluate(expr, space, x) - base_v - 0.5 * lam * dt * dt) / dt)
     worst = max((vals[i + 1] - vals[i] for i in range(len(vals) - 1)), default=0.0)

@@ -25,8 +25,7 @@ variant they hold:
   cos-tails, on the same spaces (on a double only off the seam), else
   None;
 - `boundary_period`, the range of s in `boundary_point(s)` on polygon
-  and cap, else None;
-- `supports_tracing`, false only on the cap.
+  and cap, else None.
 
 Validation contract: the public metric queries `distance`,
 `distance_with_error`, `distances_from`, `directions_to`, `walk` and
@@ -89,7 +88,6 @@ class Space:
     boundary_dist = None
     boundary_tails = None
     boundary_period = None
-    supports_tracing = True
 
     def corners(self):
         return []
@@ -165,9 +163,9 @@ class SigmaDesc:
         d = abs(self.wrap(a) - self.wrap(b))
         return min(d, self.length - d)
 
-    def valid(self, angle: float, tol: float = 1e-9) -> bool:
+    def valid(self, angle: float) -> bool:
         if self.is_arc:
-            return -tol <= angle <= self.length + tol
+            return -1e-9 <= angle <= self.length + 1e-9
         return True
 
     def forward_of_back(self, back: float) -> float:

@@ -306,18 +306,18 @@ class MeshSpace(Space):
         b[c] = 1.0
         return MeshPoint(fi, tuple(b))
 
-    def vertex_of_point(self, p, tol=_VERTEX_SNAP):
+    def vertex_of_point(self, p):
         for c in range(3):
-            if p.bary[c] >= 1.0 - tol:
+            if p.bary[c] >= 1.0 - _VERTEX_SNAP:
                 return self.faces[p.face][c]
         return None
 
-    def classify(self, p, tol=1e-9):
-        v = self.vertex_of_point(p, tol)
+    def classify(self, p):
+        v = self.vertex_of_point(p)
         if v is not None:
             return ("vertex", v)
         for c in range(3):
-            if p.bary[c] <= tol:
+            if p.bary[c] <= _VERTEX_SNAP:
                 return ("edge", p.face, (c + 1) % 3)  # on the local edge opposite c
         return ("interior", p.face)
 
@@ -863,8 +863,8 @@ def regular_tetrahedron(edge: float = 1.0) -> MeshSpace:
     return MeshSpace(faces, coords=coords)
 
 
-def random_tetrahedron(rng, min_angle: float = 0.35) -> MeshSpace:
-    """Boundary of a random nondegenerate simplex, conditioned on fat faces."""
+def random_tetrahedron(rng) -> MeshSpace:
+    """Boundary of a random nondegenerate simplex, its face angles at least 0.35."""
     for _ in range(500):
         pts = rng.normal(size=(4, 3))
         pts /= np.max(np.abs(pts))
@@ -875,7 +875,7 @@ def random_tetrahedron(rng, min_angle: float = 0.35) -> MeshSpace:
                 u = pts[b] - pts[a]
                 w = pts[c] - pts[a]
                 cosang = float(np.dot(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w))
-                if math.acos(max(-1.0, min(1.0, cosang))) < min_angle:
+                if math.acos(max(-1.0, min(1.0, cosang))) < 0.35:
                     ok = False
         if not ok:
             continue

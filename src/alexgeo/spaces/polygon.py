@@ -89,10 +89,10 @@ class PolygonSpace(Space):
             d_in[0] * d_out[0] + d_in[1] * d_out[1],
         )
 
-    def classify(self, p, tol=_BTOL):
+    def classify(self, p):
         """Return ('interior',), ('edge', i, s) or ('corner', i)."""
         x, y = p
-        t = tol * self._unit
+        t = _BTOL * self._unit
         for i, (cx, cy) in enumerate(self._corners):
             if math.hypot(x - cx, y - cy) <= t:
                 return ("corner", i)
@@ -160,14 +160,14 @@ class PolygonSpace(Space):
             for (a, _), nrm in zip(self.edges, self.normals)
         )
 
-    def boundary_feet(self, p, tol=1e-9):
+    def boundary_feet(self, p):
         """Nearest boundary points of an interior point (ties included)."""
         x, y = p
         d = self.boundary_dist(p)
         feet = []
         for (a, _), nrm in zip(self.edges, self.normals):
             di = (x - a[0]) * nrm[0] + (y - a[1]) * nrm[1]
-            if di <= d + tol:
+            if di <= d + 1e-9:
                 feet.append((x - di * nrm[0], y - di * nrm[1]))
         return d, feet
 
@@ -271,14 +271,14 @@ class PolygonSpace(Space):
         return [(tuple(self.vertices[i]), self.corner_angle(i)) for i in range(self.n)]
 
 
-def random_convex_polygon(rng, n_min=5, n_max=8, radius=1.0):
-    """Strictly convex polygon from jittered points on a circle."""
+def random_convex_polygon(rng, n_min=5, n_max=8):
+    """Strictly convex polygon from jittered points on the unit circle."""
     for _ in range(200):
         n = int(rng.integers(n_min, n_max + 1))
         angs = sorted(rng.random() * TWO_PI for _ in range(n))
         pts = []
         for a in angs:
-            r = radius * (0.6 + 0.4 * rng.random())
+            r = 0.6 + 0.4 * rng.random()
             pts.append((r * math.cos(a), r * math.sin(a)))
         try:
             return PolygonSpace(pts)

@@ -228,7 +228,6 @@ class CapSpace(_SphereBase):
     variant = "cap"
     kappa = 1.0
     has_boundary = True
-    supports_tracing = False
     boundary_period = TWO_PI  # azimuth range of boundary_point, not boundary_length()
 
     def __init__(self, radius: float):
@@ -245,8 +244,8 @@ class CapSpace(_SphereBase):
             raise SpaceError(f"invalid cap point {p!r}")
         return (min(float(r), self.radius), wrap_angle(float(phi), TWO_PI))
 
-    def on_boundary(self, p, tol=1e-9):
-        return self.radius - p[0] <= tol
+    def on_boundary(self, p):
+        return self.radius - p[0] <= 1e-9
 
     def boundary_length(self):
         return TWO_PI * math.sin(self.radius)

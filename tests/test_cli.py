@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import math
 import os
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import alexgeo
-from alexgeo import cli, concavity_tight
+from alexgeo import concavity_tight
 from alexgeo.cli import build_parser, main
 from alexgeo.spaces import ConeSpace, regular_tetrahedron
 
@@ -78,11 +77,23 @@ class TestCommands:
         assert err.startswith("error:") and "'radius'" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_unsupported_space_exits_2(self, tmp_path, capsys):
-        rc, err = self._trace_qg_on({"type": "cap", "radius": "1"}, tmp_path, capsys)
-        assert rc == 2
-        assert err.startswith("error:") and "cap" in err
-        assert len(err.strip().splitlines()) == 1
+    def test_trace_qg_on_a_cap_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"type": "cap", "radius": 0.8}))
+        rc = main(["trace-qg", "--space", str(path), "--from", "0.3,0.5", "--dir", "1.0",
+                   "--length", "1.5", "--check", "--prefix", str(tmp_path / "t")])
+        assert rc == 0
+        report = json.loads((tmp_path / "t.json").read_text())
+        assert report["check"]["passed"] is True
+
+    def test_trace_qg_check_without_a_probe_exits_1(self, tetra_file, tmp_path, capsys):
+        # every probe lies within 20 h of a trace this long, so none qualifies
+        rc = main(["trace-qg", "--space", tetra_file, "--from", "F0:0.3,0.3",
+                   "--dir", "0.7", "--length", "60", "--check",
+                   "--prefix", str(tmp_path / "t")])
+        assert rc == 1
+        assert "; 0 probes" in capsys.readouterr().out
+        assert json.loads((tmp_path / "t.json").read_text())["check"]["passed"] is False
 
     def test_trace_qg_artifacts(self, tetra_file, tmp_path, capsys):
         prefix = str(tmp_path / "tq")
@@ -168,15 +179,23 @@ class TestCommands:
         assert {r["number"] for r in report["results"]} == {1, 7}
 
     def test_tight_image_places_default_coordinates_on_a_mesh(
-            self, tetra_file, tmp_path, capsys, monkeypatch):
-        # the default coordinates are under test: the G o F check that
-        # follows is cut to 2 samples to keep the run short
-        monkeypatch.setattr(cli, "tight_image_study", functools.partial(
-            concavity_tight.tight_image_study, n_gf=2))
+            self, tetra_file, tmp_path, capsys):
         rc = main(["tight-image", "--space", tetra_file, "--p", "F0:0.3,0.3",
                    "--samples", "2", "--prefix", str(tmp_path / "ti")])
         assert rc == 0, capsys.readouterr().err
         assert json.loads((tmp_path / "ti.json").read_text())["n_support"] == 2
+
+    def test_tight_image_samples_set_the_g_of_f_samples(
+            self, square_file, tmp_path, monkeypatch):
+        # one locator call per support test, two per G o F sample
+        calls = []
+        locate = concavity_tight._argmax_min
+        monkeypatch.setattr(concavity_tight, "_argmax_min",
+                            lambda *a, **k: calls.append(1) or locate(*a, **k))
+        rc = main(["tight-image", "--space", square_file, "--p", "0.5,0.5",
+                   "--samples", "2", "--prefix", str(tmp_path / "ti")])
+        assert rc == 0
+        assert len(calls) == 2 + 2 * 2
 
     def test_entry_point_runs(self, cone_file, tmp_path):
         # The child runs in tmp_path (the command writes alexgeo-out.json to

@@ -417,6 +417,10 @@ class TestEntryChecks:
         with pytest.raises(ExprError, match="lip_hint"):
             InfConvolution(DistSq(q=(1, 0)), PLANE, 0.5, lip_hint=lip)
 
+    def test_inf_convolution_needs_an_expression_tree(self):
+        with pytest.raises(ExprError, match="expression tree"):
+            InfConvolution(lambda space, p: 0.0, PLANE, 0.5)
+
     @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf])
     def test_smoothed_distance_eps(self, eps):
         with pytest.raises(ExprError, match="eps"):

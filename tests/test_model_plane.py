@@ -104,31 +104,29 @@ class TestModelSide:
             assert worst < 1e-9
 
 
+def _circle_chords(samples, R):
+    """Chords between consecutive unit-speed samples of a circle of radius R."""
+    return [2.0 * R * math.sin((t1 - t0) / (2.0 * R))
+            for (t0, _), (t1, _) in zip(samples, samples[1:])]
+
+
 class TestDevelopment:
     def test_circle_about_base(self):
         R = 0.8
         samples = [(0.01 * k, R) for k in range(200)]
-        rec = mp.develop_curve(0.0, samples)
+        rec = mp.develop_curve(0.0, samples, _circle_chords(samples, R))
         assert rec.convex
         # dphi/dt = 1/R for a circle
         total = rec.samples[-1][2]
         assert total == pytest.approx((rec.samples[-1][0]) / R, rel=1e-9)
-        assert max(abs(s - 1.0) for s in rec.chord_speeds()) < 1e-4
-
-    def test_planar_segment_straight(self):
-        # line y = 1 in the plane, base point at the origin
-        ts = np.linspace(-1.2, 1.3, 1200)
-        samples = [(t, math.hypot(t, 1.0)) for t in ts]
-        rec = mp.develop_curve(0.0, samples)
-        assert rec.convex
-        assert max(abs(x) for x in rec.turns) < 1e-6
-        assert max(abs(s - 1.0) for s in rec.chord_speeds()) < 1e-6
 
     def test_planar_segment_with_chords_is_exact(self):
+        # line y = 1 in the plane, base point at the origin
         ts = np.linspace(-1.2, 1.3, 220)
         samples = [(float(t), math.hypot(t, 1.0)) for t in ts]
         chords = [samples[i + 1][0] - samples[i][0] for i in range(len(ts) - 1)]
         rec = mp.develop_curve(0.0, samples, chords=chords)
+        assert rec.convex
         assert max(abs(x) for x in rec.turns) < 1e-10
 
     def test_corner_toward_base_is_non_convex(self):
@@ -144,22 +142,24 @@ class TestDevelopment:
         for i in range(1, 60):
             pts.append(corner + d2 * (i * 0.02))
         samples = [(0.02 * i, float(np.hypot(*p))) for i, p in enumerate(pts)]
-        rec = mp.develop_curve(0.0, samples)
+        chords = [float(np.hypot(*(b - a))) for a, b in zip(pts, pts[1:])]
+        rec = mp.develop_curve(0.0, samples, chords)
         assert not rec.convex
         assert rec.min_turn() < -0.1
 
     def test_lipschitz_rejection(self):
         with pytest.raises(mp.ModelDomainError):
-            mp.develop_curve(0.0, [(0.0, 1.0), (0.1, 1.5)])
+            mp.develop_curve(0.0, [(0.0, 1.0), (0.1, 1.5)], [0.1])
 
     def test_apex_truncation(self):
-        rec = mp.develop_curve(0.0, [(0.0, 0.2), (0.1, 0.1), (0.2, 0.0), (0.3, 0.1)])
+        rec = mp.develop_curve(0.0, [(0.0, 0.2), (0.1, 0.1), (0.2, 0.0), (0.3, 0.1)],
+                               [0.1, 0.1, 0.1])
         assert rec.events and rec.events[0][1] == "apex"
         assert rec.samples[-1][1] > 0.0
 
     def test_csv_and_svg(self):
         samples = [(0.1 * k, 1.0) for k in range(30)]
-        rec = mp.develop_curve(0.0, samples)
+        rec = mp.develop_curve(0.0, samples, _circle_chords(samples, 1.0))
         csv = rec.to_csv()
         assert csv.splitlines()[0] == "t,r,phi,turn"
         assert len(csv.splitlines()) == 31

@@ -487,24 +487,23 @@ class TestSpaceInterface:
             assert space.format_point(q) == space.format_point(p)
             assert space.distance(p, q) <= 1e-8
 
-    # name: (boundary_period, corner angles, supports_tracing, boundary distance)
+    # name: (boundary_period, corner angles, boundary distance)
     CAPABILITIES = {
-        "cone": (None, [], True, False),
-        "spindle": (None, [], True, False),
-        "cap": (2 * math.pi, [], False, True),
-        "square": (4.0, [math.pi / 2] * 4, True, True),
-        "doubled_cap": (None, [], True, True),
-        "tetrahedron": (None, [], True, False),
-        "doubled_square": (None, [], True, True),
+        "cone": (None, [], False),
+        "spindle": (None, [], False),
+        "cap": (2 * math.pi, [], True),
+        "square": (4.0, [math.pi / 2] * 4, True),
+        "doubled_cap": (None, [], True),
+        "tetrahedron": (None, [], False),
+        "doubled_square": (None, [], True),
     }
 
     @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
     def test_capabilities(self, name):
         space = INTERFACE_SPACES[name]()
-        period, angles, tracing, boundary = self.CAPABILITIES[name]
+        period, angles, boundary = self.CAPABILITIES[name]
         assert space.boundary_period == period
         assert [a for _, a in space.corners()] == pytest.approx(angles)
-        assert space.supports_tracing is tracing
         assert (space.boundary_dist is not None) is boundary
         # the boundary distance has a differential wherever it has a value
         # (on a double, off the seam only)
