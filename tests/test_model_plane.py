@@ -120,6 +120,20 @@ class TestDevelopment:
         total = rec.samples[-1][2]
         assert total == pytest.approx((rec.samples[-1][0]) / R, rel=1e-9)
 
+    def test_planar_segment_straight(self):
+        # line y = 1 in the plane, base point at the origin, densely sampled
+        ts = np.linspace(-1.2, 1.3, 1200)
+        samples = [(float(t), math.hypot(t, 1.0)) for t in ts]
+        chords = [t1 - t0 for (t0, _), (t1, _) in zip(samples, samples[1:])]
+        rec = mp.develop_curve(0.0, samples, chords)
+        assert rec.convex
+        assert max(abs(x) for x in rec.turns) < 1e-6
+        # the developed polyline moves at unit speed
+        pts = [(r * math.cos(p), r * math.sin(p)) for _, r, p in rec.samples]
+        speeds = [math.dist(a, b) / (s1[0] - s0[0])
+                  for a, b, s0, s1 in zip(pts, pts[1:], rec.samples, rec.samples[1:])]
+        assert max(abs(s - 1.0) for s in speeds) < 1e-6
+
     def test_planar_segment_with_chords_is_exact(self):
         # line y = 1 in the plane, base point at the origin
         ts = np.linspace(-1.2, 1.3, 220)
