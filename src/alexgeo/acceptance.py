@@ -171,7 +171,7 @@ def _c05_quasigeodesic_suite(quick):
         if attempts > 20 * n_tetra:
             return False, f"could not engineer two-vertex traces ({built}/{n_tetra})"
         tet = random_tetrahedron(rng)
-        L = 5.0 * tet.diameter_hint()
+        L = 1.5 * tet.diameter_hint()
         rec = _aimed_two_vertex_trace(tet, rng, L)
         if rec is None:
             continue
@@ -187,7 +187,7 @@ def _c05_quasigeodesic_suite(quick):
         worst_entropy = max(worst_entropy, abs(rep.entropy_total))
         probed += rep.n_probes > 0
         probes_run += rep.n_probes
-    ok = (worst_turn >= -1e-6 and worst_barrier <= 1e-6
+    ok = (probed == built and worst_turn >= -1e-6 and worst_barrier <= 1e-6
           and worst_speed <= 1e-9 and worst_entropy < 1e-9)
     return ok, (f"{built} traces (>= 2 vertex hits each), {probed} with a probe, "
                 f"{probes_run} of {built * n_probes} probes run: "

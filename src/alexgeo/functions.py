@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model_plane
-from .spaces.base import SpaceError
+from .spaces.base import REFUSED, SpaceError
 from .tangent import (
     DirectionalFn,
     combine_affine,
@@ -360,7 +360,18 @@ class InfConvResult:
 
 
 class InfConvolution:
-    """f_eps(y) = min_x f(x) + d(x, y)^2 / eps by sampled local minimization."""
+    """f_eps(y) = min_x f(x) + d(x, y)^2 / eps by sampled local minimization.
+
+    A query scans four stencils of 16 rays by 8 radii, the first about y
+    and each later one about the best point so far on a radius 8 times
+    smaller; the first time a scan's best point lies on its rim, the
+    next scan keeps the centre and doubles the radius instead.  Each stencil is one batched `_walks` call from its centre
+    and one `_distances` call to y; f is evaluated by its compiled
+    closure at the walk ends in stencil order, and each ray stops at its
+    first event or refused walk, so f runs only where a walk-by-walk
+    scan would run it.  A sequential compass polish of scalar walks then
+    pins the minimizer below the stencil's spacing.
+    """
 
     def __init__(self, expr, space, eps, lip_hint=2.0):
         if not 0.0 < eps < math.inf:
@@ -381,27 +392,29 @@ class InfConvolution:
 
     def query(self, y) -> InfConvResult:
         space = self.space
+        f = _compile(self.expr, space)
         y = space.validate_point(y)
         best_x, best_v = y, self._obj(y, y)
         center, radius = y, self.search_radius
         expanded = False
         n_angles, n_radii = 16, 8
+        rays = np.arange(n_angles) + 0.5
+        steps = np.arange(1, n_radii + 1)
         for _ in range(4):  # a scan, then three on a radius n_radii times smaller
-            sig = space.sigma_at(center)
+            angles = space.sigma_at(center).length * rays / n_angles
+            ends, events = space._walks(center, np.repeat(angles, n_radii),
+                                        np.tile(radius * steps / n_radii, n_angles))
+            penalty = (space._distances(ends, y) ** 2 / self.eps).tolist()
             hit_rim = False
-            for i in range(n_angles):
-                ang = sig.length * (i + 0.5) / n_angles
-                for k in range(1, n_radii + 1):
-                    r = radius * k / n_radii
-                    try:
-                        w = space._walk(center, ang, r)
-                    except SpaceError:
+            for j0 in range(0, n_angles * n_radii, n_radii):  # one ray, outward
+                for j in range(j0, j0 + n_radii):
+                    if events[j] == REFUSED:
                         break
-                    v = self._obj(w.end, y)
+                    v = f(ends[j]) + penalty[j]
                     if v < best_v - 1e-15:
-                        best_v, best_x = v, w.end
-                        hit_rim = k == n_radii
-                    if w.event is not None:
+                        best_v, best_x = v, ends[j]
+                        hit_rim = j == j0 + n_radii - 1
+                    if events[j] is not None:
                         break
             if hit_rim and not expanded:
                 radius *= 2.0

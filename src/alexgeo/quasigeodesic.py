@@ -10,7 +10,7 @@ ledger as its entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,6 @@ class EntropyRecord:
 
     atoms: list
     total: float
-    resolution: float
 
 
 def entropy(curve: CurveRecord) -> EntropyRecord:
@@ -196,7 +195,7 @@ def entropy(curve: CurveRecord) -> EntropyRecord:
                 atoms.append((t, jump))
                 total += jump
         prev_norm = rt.norm
-    return EntropyRecord(atoms, total, curve.h)
+    return EntropyRecord(atoms, total)
 
 
 def entropy_from_tangents(ts, left_norms, right_norms) -> EntropyRecord:
@@ -210,7 +209,7 @@ def entropy_from_tangents(ts, left_norms, right_norms) -> EntropyRecord:
         if jump != 0.0:
             atoms.append((t, jump))
             total += jump
-    return EntropyRecord(atoms, total, 0.0)
+    return EntropyRecord(atoms, total)
 
 
 # -- checker suite ---------------------------------------------------------
@@ -222,7 +221,6 @@ class CheckReport:
     development_min_turn: float
     entropy_total: float
     n_probes: int
-    details: dict = field(default_factory=dict)
 
     def passed(self, tol):
         """Every test within tol, and at least one probe run: with no probe

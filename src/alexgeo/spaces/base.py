@@ -41,6 +41,17 @@ kernels and validates no point twice.  A walk from a boundary point
 still raises `SpaceError` for a direction outside its arc.  The point
 helpers (`sigma_at`, `pos2`, `boundary_dist`, the mesh's `classify` and
 `vertex_of_point` and the like) read their point as given.
+
+Batch kernels, under the same contract (validated points in, nothing
+validated): `_walks(p, angles, lengths)` gives the end and the event of
+each walk from one point, as lists, and a walk that `_walk` refuses with
+`SpaceError` gets the event `REFUSED` and ends at p; `_distances(points,
+q)` gives `_distance(x, q)` for each x of points as a float array.  The
+defaults here loop over the scalar kernels (the mesh and the doubled
+polygon use them); cone, spindle, cap and polygon override them with
+numpy forms that apply the scalar kernels' operations in the same order
+(atan2, hypot, asin and acos from `math`, through `libm`), so that they
+agree with the scalar kernels to the last bit.
 """
 from __future__ import annotations
 
@@ -48,7 +59,10 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+REFUSED = "refused"  # the event `_walks` gives a walk that `_walk` refuses
 
 
 class SpaceError(ValueError):
@@ -143,6 +157,26 @@ class Space:
         p = self.validate_point(p)
         return [(self._distance(p, self.validate_point(q)), 0.0) for q in targets]
 
+    # -- batch kernels: validated points in, nothing validated ----------------
+    def _walks(self, p, angles, lengths):
+        """(ends, events) of `_walk(p, angle, length)` for each angle and length."""
+        ends, events = [], []
+        for angle, length in zip(np.asarray(angles, dtype=float).tolist(),
+                                 np.asarray(lengths, dtype=float).tolist()):
+            try:
+                w = self._walk(p, angle, length)
+            except SpaceError:
+                ends.append(p)
+                events.append(REFUSED)
+                continue
+            ends.append(w.end)
+            events.append(w.event)
+        return ends, events
+
+    def _distances(self, points, q):
+        """`_distance(x, q)` for each x of points, as a float array."""
+        return np.array([self._distance(x, q) for x in points], dtype=float)
+
 
 @dataclass(frozen=True)
 class SigmaDesc:
@@ -212,6 +246,36 @@ def wrap_angle(a: float, period: float) -> float:
         x += period
         return x if x < period else 0.0
     return x
+
+
+def wrap_angles(a, period):
+    """`wrap_angle` on an array, elementwise."""
+    x = np.fmod(a, period)
+    y = x + period
+    return np.where(x < 0.0, np.where(y < period, y, 0.0), x)
+
+
+def libm(fn, *arrays):
+    """A `math` function elementwise over float arrays of one length.
+
+    numpy's own arctan2, hypot, arcsin and arccos may round differently
+    from `math`'s, so the batch kernels take these four from `math`.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
+def event_list(n, marks):
+    """n events, None except where a (mask, event) pair of marks sets one; later pairs win."""
+    events = [None] * n
+    for mask, event in marks:
+        for j in np.flatnonzero(mask).tolist():
+            events[j] = event
+    return events
+
+
+def planar_ends(xs, ys):
+    """The points (x, y) of two float arrays, as a list of tuples of floats."""
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def minimizing_angles(cands):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .base import (CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
-                   minimizing_angles, walk_length, wrap_angle)
+                   event_list, libm, minimizing_angles, planar_ends, walk_length, wrap_angle,
+                   wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -62,6 +65,16 @@ class ConeSpace(Space):
         # the law of cosines in a form that does not cancel at short range
         return math.hypot(p[0] - q[0], 2.0 * math.sqrt(p[0] * q[0]) * math.sin(0.5 * a))
 
+    def _distances(self, points, q):
+        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        r = P[:, 0]
+        if q[0] <= _APEX_EPS:
+            return r + q[0]
+        d = np.abs(P[:, 1] - q[1])
+        a = np.minimum(d, self.total_angle - d)
+        far = libm(math.hypot, r - q[0], 2.0 * np.sqrt(r * q[0]) * np.sin(0.5 * a))
+        return np.where(r <= _APEX_EPS, r + q[0], far)
+
     def sigma_at(self, p) -> SigmaDesc:
         if self.is_apex(p):
             return self._apex_sigma
@@ -108,6 +121,23 @@ class ConeSpace(Space):
         end = (r, wrap_angle(p[1] + dphi, self.total_angle))
         back = angle_of(p[0] - ex, -ey) - angle_of(ex, ey)
         return WalkResult(end, length, wrap_angle(back, TWO_PI), CIRCLE)
+
+    def _walks(self, p, angles, lengths):
+        angles = np.asarray(angles, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if self.is_apex(p):
+            return (planar_ends(lengths, wrap_angles(angles, self.total_angle)),
+                    [None] * len(angles))
+        ang = wrap_angles(angles, TWO_PI)
+        through = ((np.abs(np.sin(ang)) < 1e-14) & (np.cos(ang) < 0.0)
+                   & (lengths >= p[0] - _APEX_EPS))
+        ex = p[0] + lengths * np.cos(ang)
+        ey = lengths * np.sin(ang)
+        ends = planar_ends(libm(math.hypot, ex, ey),
+                           wrap_angles(p[1] + libm(math.atan2, ey, ex), self.total_angle))
+        for j in np.flatnonzero(through).tolist():
+            ends[j] = (0.0, 0.0)
+        return ends, event_list(len(ends), [(through, "vertex")])
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 
-from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, azimuth_gap,
-                   minimizing_angles, walk_length, wrap_angle)
+import numpy as np
+
+from .base import (CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space, SpaceError, WalkResult,
+                   azimuth_gap, event_list, libm, minimizing_angles, planar_ends, walk_length,
+                   wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -44,6 +47,15 @@ class _SphereBase(Space):
 
     def _distance(self, p, q):
         return self._loc(p[0], q[0], azimuth_gap(p[1], q[1], self.wrap_length))
+
+    def _distances(self, points, q):
+        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        d = np.abs(P[:, 1] - q[1])
+        a = np.minimum(d, self.wrap_length - d)
+        s = np.sin(0.5 * (P[:, 0] - q[0]))
+        t = np.sin(0.5 * np.minimum(a, math.pi))
+        h = s * s + np.sin(P[:, 0]) * math.sin(q[0]) * t * t
+        return np.where(h < 1.0, 2.0 * libm(math.asin, np.sqrt(np.minimum(h, 1.0))), math.pi)
 
     def _azimuth_sep(self, p, q):
         d = wrap_angle(q[1] - p[1], self.wrap_length)
@@ -83,6 +95,75 @@ class _SphereBase(Space):
         comp_p = dx * e2p[0] + dy * e2p[1] + dz * e2p[2]
         psi2 = math.atan2(comp_p, comp_r)
         return r2, dphi, wrap_angle(psi2, TWO_PI)
+
+    @staticmethod
+    def _steps(r, psi, s):
+        """`_step` on arrays: (r', dphi, psi_in', landed on a pole)."""
+        cr, sr = np.cos(r), np.sin(r)
+        px, pz = sr, cr
+        ex, ez = cr, -sr
+        ux = np.cos(psi) * ex
+        uy = np.sin(psi)
+        uz = np.cos(psi) * ez
+        cs, ss = np.cos(s), np.sin(s)
+        x = cs * px + ss * ux
+        y = ss * uy
+        z = cs * pz + ss * uz
+        r2 = libm(math.acos, np.clip(z, -1.0, 1.0))
+        dphi = libm(math.atan2, y, x)
+        dx = -ss * px + cs * ux
+        dy = cs * uy
+        dz = -ss * pz + cs * uz
+        sr2 = np.sin(r2)
+        cr2, cd, sd = np.cos(r2), np.cos(dphi), np.sin(dphi)
+        comp_r = dx * (cr2 * cd) + dy * (cr2 * sd) + dz * -sr2
+        comp_p = dx * -sd + dy * cd + dz * 0.0
+        return r2, dphi, wrap_angles(libm(math.atan2, comp_p, comp_r), TWO_PI), sr2 < _POLE_EPS
+
+    def _regular_walks(self, p, psi, lengths):
+        """`_walk` from p off the poles at chart angles psi in [0, 2pi), on arrays.
+
+        Returns the ends' r and phi and the mask of pole hits (event "vertex").
+        """
+        n = len(psi)
+        r, phi, psi = np.full(n, p[0]), np.full(n, p[1]), psi.copy()
+        north = np.cos(psi) < 0.0
+        vertex = ((np.abs(np.sin(psi)) < 1e-13)
+                  & (lengths >= np.where(north, p[0], math.pi - p[0]) - _POLE_EPS))
+        r[vertex] = np.where(north[vertex], 0.0, math.pi)
+        traveled = np.zeros(n)
+        active = ~vertex & (traveled < lengths - 1e-15)
+        while active.any():
+            idx = np.flatnonzero(active)
+            s = np.minimum(0.5, lengths[idx] - traveled[idx])  # substeps of at most 0.5
+            r2, dphi, psi2, landed = self._steps(r[idx], psi[idx], s)
+            land, go = idx[landed], idx[~landed]
+            # numerically landed on a pole: the end keeps the azimuth before the step
+            r[land] = np.where(r2[landed] < 1.0, r2[landed], math.pi)
+            vertex[land] = True
+            active[land] = False
+            r[go], psi[go] = r2[~landed], psi2[~landed]
+            phi[go] = wrap_angles(phi[go] + dphi[~landed], self.wrap_length)
+            traveled[go] += s[~landed]
+            active[go] = traveled[go] < lengths[go] - 1e-15
+        return r, phi, vertex
+
+    def _meridians_from_apex(self, azimuths, lengths, from_north):
+        """`_meridian_from_apex` on arrays: the ends' r and phi and the pole hits."""
+        if from_north:
+            r = np.minimum(lengths, math.pi)
+        else:
+            r = np.maximum(math.pi - lengths, 0.0)
+        return r, wrap_angles(azimuths, self.wrap_length), lengths >= math.pi - _POLE_EPS
+
+    def _walks(self, p, angles, lengths):
+        angles = np.asarray(angles, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if p[0] <= _POLE_EPS or math.pi - p[0] <= _POLE_EPS:
+            r, phi, vertex = self._meridians_from_apex(angles, lengths, p[0] <= _POLE_EPS)
+        else:
+            r, phi, vertex = self._regular_walks(p, wrap_angles(angles, TWO_PI), lengths)
+        return planar_ends(r, phi), event_list(len(r), [(vertex, "vertex")])
 
     def _walk(self, p, angle, length):
         """Walk with winding-aware azimuth accumulation; pole hits are events."""
@@ -324,6 +405,48 @@ class CapSpace(_SphereBase):
         else:
             psi = angle
         return self._cap_clip_walk(p, psi, length)
+
+    def _walks(self, p, angles, lengths):
+        """`_walk` on arrays: the boundary clip, and walks from boundary points."""
+        angles = np.asarray(angles, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        n = len(angles)
+        if p[0] <= _POLE_EPS and not self.on_boundary(p):
+            r, phi, vertex = self._meridians_from_apex(angles, lengths, True)
+            return (planar_ends(np.minimum(r, self.radius), phi),
+                    event_list(n, [(vertex, "vertex")]))
+        refused = along = np.zeros(n, dtype=bool)
+        psi = angles
+        if self.on_boundary(p):
+            refused = ~((-1e-9 <= angles) & (angles <= math.pi + 1e-9))
+            along = ~refused & ((angles <= 1e-12) | (math.pi - angles <= 1e-12))
+            psi = wrap_angles(angles + math.pi / 2.0, TWO_PI)
+        # crossing colatitude r0, as in `_cap_clip_walk`
+        cr, sr = math.cos(p[0]), math.sin(p[0])
+        uz = -sr * np.cos(psi)
+        crs = np.full(n, cr)
+        R = libm(math.hypot, crs, uz)
+        target = math.cos(self.radius)
+        delta = libm(math.atan2, uz, crs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            base = libm(math.acos, np.clip(target / R, -1.0, 1.0))
+        s_hit = np.full(n, math.inf)
+        for c in (delta + base, delta - base):
+            while (low := c <= 1e-12).any():
+                c = np.where(low, c + TWO_PI, c)
+            s_hit = np.where(c <= lengths + 1e-15, np.minimum(s_hit, c), s_hit)
+        inner = ~(along | refused)
+        hit = inner & (R >= target - 1e-15) & (s_hit <= lengths + 1e-12)
+        r, phi, vertex = self._regular_walks(p, wrap_angles(psi, TWO_PI),
+                                             np.where(hit, s_hit, np.where(inner, lengths, 0.0)))
+        r = np.where(hit, self.radius, np.minimum(r, self.radius))
+        # along the boundary, as in `_walk_along_boundary`; a refused walk ends at p
+        sgn = np.where(angles <= 1e-12, 1.0, -1.0)
+        r = np.where(along, self.radius, np.where(refused, p[0], r))
+        phi = np.where(along, wrap_angles(p[1] + sgn * lengths / math.sin(self.radius), TWO_PI),
+                       np.where(refused, p[1], phi))
+        return planar_ends(r, phi), event_list(n, [(vertex & inner & ~hit, "vertex"),
+                                                   (hit, "boundary"), (refused, REFUSED)])
 
     def _walk_along_boundary(self, p, zeta, length):
         sgn = 1.0 if zeta <= 1e-12 else -1.0

@@ -1,9 +1,12 @@
-"""Every defaulted parameter of the library is set by some caller.
+"""Every defaulted parameter and dataclass field of the library is set by some caller.
 
 A parameter that no call in ``src/``, ``tests/`` or ``perfbench/`` ever
 sets is a constant wearing an option's name; the scan below lists them.
 Calls are matched to definitions by callee name (``f(...)`` and
 ``x.f(...)`` both name ``f``), with ``__init__`` named by its class.
+A dataclass field with a default is set by a constructor keyword or
+position (of its class or a subclass), a ``replace`` keyword, or an
+assignment to an attribute of its name.
 """
 import ast
 from pathlib import Path
@@ -95,3 +98,84 @@ def unset_options():
 
 def test_every_library_option_is_set_by_a_caller():
     assert unset_options() == []
+
+
+def _is_dataclass(cls):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in cls.decorator_list
+               if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name))
+
+
+def library_classes():
+    """{class name: (base names, own fields in order, own defaulted fields, file)}."""
+    classes = {}
+    for path, tree in _trees([LIBRARY]):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields, defaulted = [], []
+            if _is_dataclass(cls):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
+                            and "ClassVar" not in ast.unparse(stmt.annotation):
+                        fields.append(stmt.target.id)
+                        if stmt.value is not None:
+                            defaulted.append(stmt.target.id)
+            bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+            classes[cls.name] = (bases, fields, defaulted, path.relative_to(ROOT).as_posix())
+    return classes
+
+
+def assigned_attributes():
+    """Names assigned as attributes (``x.name = ...``) anywhere in the callers."""
+    names = set()
+
+    def targets(t):
+        if isinstance(t, ast.Attribute):
+            names.add(t.attr)
+        elif isinstance(t, (ast.Tuple, ast.List)):
+            for e in t.elts:
+                targets(e)
+
+    for _, tree in _trees(CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    targets(t)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets(node.target)
+    return names
+
+
+def unset_fields():
+    classes = library_classes()
+
+    def all_fields(name):
+        bases, fields, _, _ = classes.get(name, ([], [], [], None))
+        out = [f for b in bases for f in all_fields(b)]
+        return out + [f for f in fields if f not in out]
+
+    def lineage(name):
+        bases = classes.get(name, ([],))[0]
+        return {name}.union(*(lineage(b) for b in bases))
+
+    calls = set_by_calls()
+    replaced = calls.get("replace", (set(), [0], [False]))[0]
+    assigned = assigned_attributes()
+    unset = []
+    for owner, (_, _, defaulted, path) in classes.items():
+        for name in defaulted:
+            if name in replaced or name in assigned:
+                continue
+            if any(owner in lineage(cls) and (
+                    everything[0] or name in keywords
+                    or all_fields(cls).index(name) < n_positional[0])
+                   for cls, (keywords, n_positional, everything) in calls.items()
+                   if cls in classes):
+                continue
+            unset.append(f"{path}::{owner}.{name}")
+    return sorted(unset)
+
+
+def test_every_dataclass_default_is_set_by_a_caller():
+    assert unset_fields() == []

@@ -23,7 +23,7 @@ from alexgeo.spaces import (
     random_convex_polygon,
     regular_tetrahedron,
 )
-from alexgeo.spaces.base import SigmaDesc
+from alexgeo.spaces.base import REFUSED, SigmaDesc
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -675,6 +675,76 @@ class TestKernels:
                 assert space._directions_to(space.validate_point(p),
                                             space.validate_point(q)) == \
                     space.directions_to(p, q)
+
+
+class TestBatchKernels:
+    """`_walks` and `_distances` answer as one `_walk` or `_distance` call each.
+
+    The closed forms compute them with numpy in the scalar kernels' order
+    (atan2, hypot, asin and acos from `math`), the mesh and the doubled
+    square by the default loop, so every space compares with `==`.
+    """
+
+    # the special points of each space beyond its cone points and corners
+    POLES = {"cone": [(0.0, 0.0)], "spindle": [(0.0, 0.0), (math.pi, 0.0)],
+             "cap": [(0.0, 0.0)], "doubled_cap": [(0.0, 0.0), (math.pi, 0.0)]}
+
+    def _starts(self, name, space, rng):
+        points = [space.random_point(rng) for _ in range(6)]
+        points += [p for p, _ in space.cone_points() + space.corners()]
+        points += self.POLES.get(name, [])
+        if space.boundary_period is not None:  # cap boundary, square edges
+            points += [space.boundary_point(s * space.boundary_period)
+                       for s in (0.1, 0.37, 0.6, 0.85)]
+        return [space.validate_point(p) for p in points]
+
+    @staticmethod
+    def _cases(space, p, rng):
+        """Stencil angles, both ends of the chart and angles outside it, with
+        lengths across the 0.5 sphere sub-step and past the boundary."""
+        arc = space.sigma_at(p).length
+        angles = [arc * (i + 0.5) / 16 for i in range(16)] + [0.0, arc, -0.4, arc + 0.3]
+        angles += (rng.random(12) * arc).tolist()
+        lengths = [0.0, 0.3, 0.5, 0.75, 1.2, 2.5]
+        pairs = [(a, length) for a in angles for length in lengths]
+        return np.array([a for a, _ in pairs]), np.array([length for _, length in pairs])
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_walks_match_one_walk_each(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(35)
+        refused = 0
+        for p in self._starts(name, space, rng):
+            angles, lengths = self._cases(space, p, rng)
+            ends, events = space._walks(p, angles, lengths)
+            assert len(ends) == len(events) == len(angles)
+            for a, length, end, event in zip(angles.tolist(), lengths.tolist(), ends, events):
+                try:
+                    w = space._walk(p, a, length)
+                except SpaceError:
+                    assert (end, event) == (p, REFUSED)
+                    refused += 1
+                    continue
+                assert (end, event) == (w.end, w.event)
+            if space.sigma_at(p).is_arc:  # directions outside a boundary arc
+                outside = (angles < -1e-9) | (angles > space.sigma_at(p).length + 1e-9)
+                assert outside.any()
+                assert all(events[j] == REFUSED for j in np.flatnonzero(outside))
+        assert (refused > 0) == (space.boundary_period is not None)
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_distances_match_one_distance_each(self, name):
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(36)
+        starts = self._starts(name, space, rng)
+        for q in starts[::2]:
+            for p in starts[:4]:
+                angles, lengths = self._cases(space, p, rng)
+                ends, events = space._walks(p, angles[::5], lengths[::5])
+                points = ends + starts
+                d = space._distances(points, q)
+                assert isinstance(d, np.ndarray) and d.dtype == float
+                assert d.tolist() == [space._distance(x, q) for x in points]
 
 
 # lines that ask a space its variant, by file: none, every space answers
