@@ -101,9 +101,12 @@ def test_every_library_option_is_set_by_a_caller():
 
 
 def _is_dataclass(cls):
-    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-               for d in cls.decorator_list
-               if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name))
+    """Decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for d in cls.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if isinstance(f, ast.Name) and f.id == "dataclass":
+            return True
+    return False
 
 
 def library_classes():

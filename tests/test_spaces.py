@@ -685,9 +685,9 @@ class TestBatchKernels:
     square by the default loop, so every space compares with `==`.
     """
 
-    # the special points of each space beyond its cone points and corners
-    POLES = {"cone": [(0.0, 0.0)], "spindle": [(0.0, 0.0), (math.pi, 0.0)],
-             "cap": [(0.0, 0.0)], "doubled_cap": [(0.0, 0.0), (math.pi, 0.0)]}
+    # poles that are not cone points (the cone apex and the poles of the
+    # 4.0 spindle come from `cone_points`)
+    POLES = {"cap": [(0.0, 0.0)], "doubled_cap": [(0.0, 0.0), (math.pi, 0.0)]}
 
     def _starts(self, name, space, rng):
         points = [space.random_point(rng) for _ in range(6)]
