@@ -47,11 +47,15 @@ validated): `_walks(p, angles, lengths)` gives the end and the event of
 each walk from one point, as lists, and a walk that `_walk` refuses with
 `SpaceError` gets the event `REFUSED` and ends at p; `_distances(points,
 q)` gives `_distance(x, q)` for each x of points as a float array.  The
-defaults here loop over the scalar kernels (the mesh and the doubled
-polygon use them); cone, spindle, cap and polygon override them with
-numpy forms that apply the scalar kernels' operations in the same order
-(atan2, hypot, asin and acos from `math`, through `libm`), so that they
-agree with the scalar kernels to the last bit.
+defaults here loop over the scalar kernels, and every space but the cone
+and the cap uses them.  The cone and the cap, on which c09 and the
+`closed_verify` benchmark run their inf-convolutions, override them with
+numpy forms that apply the scalar kernels' operations in the same
+order, with atan2, hypot, asin and acos from `math` (through `libm`).
+They agree with the scalar kernels bit for bit where numpy's sin, cos,
+sqrt and fmod round as `math`'s do, as on x86-64 with numpy 2.4; a CPU
+or numpy build whose sin or cos rounds otherwise may move their ends by
+an ulp.
 """
 from __future__ import annotations
 
@@ -258,8 +262,11 @@ def wrap_angles(a, period):
 def libm(fn, *arrays):
     """A `math` function elementwise over float arrays of one length.
 
-    numpy's own arctan2, hypot, arcsin and arccos may round differently
-    from `math`'s, so the batch kernels take these four from `math`.
+    numpy's own arctan2, hypot, arcsin and arccos round differently from
+    `math`'s on some arguments (on x86-64 with numpy 2.4, about 8% of
+    random ones, by an ulp), so the batch kernels take these four from
+    `math`.  They keep numpy's sin, cos, sqrt and fmod, which round as
+    `math`'s there; nothing guarantees that on every CPU or numpy build.
     """
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .base import (CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space, SpaceError, WalkResult,
-                   angle_of, event_list, libm, planar_ends, walk_length, wrap_angle, wrap_angles)
+from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
+                   walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
@@ -124,10 +124,6 @@ class PolygonSpace(Space):
     def _distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
 
-    def _distances(self, points, q):
-        P = np.asarray(points, dtype=float).reshape(-1, 2)
-        return libm(math.hypot, q[0] - P[:, 0], q[1] - P[:, 1])
-
     def sigma_at(self, p):
         return self._sigma_of(self.classify(p))
 
@@ -214,55 +210,6 @@ class PolygonSpace(Space):
                 return self._walk_boundary(kind, angle, length)
         planar = wrap_angle(angle + self._chart_zero(kind), TWO_PI)
         return self._walk_straight(p, planar, length)
-
-    def _walks(self, p, angles, lengths):
-        angles = np.asarray(angles, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
-        n = len(angles)
-        kind = self.classify(p)
-        ends, events = [p] * n, [None] * n
-        straight = np.ones(n, dtype=bool)
-        if kind[0] != "interior":
-            arc = self._sigma_of(kind).length
-            refused = ~((-1e-9 <= angles) & (angles <= arc + 1e-9))
-            along = ~refused & ((angles <= 1e-12) | (arc - angles <= 1e-12))
-            for j in np.flatnonzero(along).tolist():
-                w = self._walk_boundary(kind, float(angles[j]), float(lengths[j]))
-                ends[j], events[j] = w.end, w.event
-            for j in np.flatnonzero(refused).tolist():
-                events[j] = REFUSED
-            straight = ~(refused | along)
-        idx = np.flatnonzero(straight)
-        if len(idx):
-            planar = wrap_angles(angles[idx] + self._chart_zero(kind), TWO_PI)
-            for j, end, event in zip(idx.tolist(), *self._straight_walks(p, planar, lengths[idx])):
-                ends[j], events[j] = end, event
-        return ends, events
-
-    def _straight_walks(self, p, planar, lengths):
-        """`_walk_straight` on arrays: the ends and events."""
-        px, py = p
-        ux, uy = np.cos(planar), np.sin(planar)
-        t_exit = np.full(len(planar), math.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for ax, ay, nx, ny in self._planes:
-                denom = ux * nx + uy * ny
-                t = ((ax - px) * nx + (ay - py) * ny) / denom
-                t_exit = np.where((denom < -1e-15) & (1e-12 < t) & (t < t_exit), t, t_exit)
-        inside = lengths < t_exit - 1e-12
-        t = np.where(inside, lengths, t_exit)
-        xs, ys = px + t * ux, py + t * uy
-        ends = planar_ends(xs, ys)
-        events = event_list(len(ends), [(~inside, "boundary")])
-        # a hit at a corner, as `classify` finds it: the first corner within _BTOL
-        tol = _BTOL * self._unit
-        for j in np.flatnonzero(~inside).tolist():
-            x, y = ends[j]
-            for cx, cy in self._corners:
-                if math.hypot(x - cx, y - cy) <= tol:
-                    ends[j], events[j] = (cx, cy), "corner"
-                    break
-        return ends, events
 
     def _arrival(self, end, kind, traveled, back, event=None, ref=None):
         """The walk result at `end`, of the given kind, arriving from planar angle `back`."""

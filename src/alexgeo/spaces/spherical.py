@@ -48,15 +48,6 @@ class _SphereBase(Space):
     def _distance(self, p, q):
         return self._loc(p[0], q[0], azimuth_gap(p[1], q[1], self.wrap_length))
 
-    def _distances(self, points, q):
-        P = np.asarray(points, dtype=float).reshape(-1, 2)
-        d = np.abs(P[:, 1] - q[1])
-        a = np.minimum(d, self.wrap_length - d)
-        s = np.sin(0.5 * (P[:, 0] - q[0]))
-        t = np.sin(0.5 * np.minimum(a, math.pi))
-        h = s * s + np.sin(P[:, 0]) * math.sin(q[0]) * t * t
-        return np.where(h < 1.0, 2.0 * libm(math.asin, np.sqrt(np.minimum(h, 1.0))), math.pi)
-
     def _azimuth_sep(self, p, q):
         d = wrap_angle(q[1] - p[1], self.wrap_length)
         return d, self.wrap_length - d
@@ -147,23 +138,6 @@ class _SphereBase(Space):
             traveled[go] += s[~landed]
             active[go] = traveled[go] < lengths[go] - 1e-15
         return r, phi, vertex
-
-    def _meridians_from_apex(self, azimuths, lengths, from_north):
-        """`_meridian_from_apex` on arrays: the ends' r and phi and the pole hits."""
-        if from_north:
-            r = np.minimum(lengths, math.pi)
-        else:
-            r = np.maximum(math.pi - lengths, 0.0)
-        return r, wrap_angles(azimuths, self.wrap_length), lengths >= math.pi - _POLE_EPS
-
-    def _walks(self, p, angles, lengths):
-        angles = np.asarray(angles, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
-        if p[0] <= _POLE_EPS or math.pi - p[0] <= _POLE_EPS:
-            r, phi, vertex = self._meridians_from_apex(angles, lengths, p[0] <= _POLE_EPS)
-        else:
-            r, phi, vertex = self._regular_walks(p, wrap_angles(angles, TWO_PI), lengths)
-        return planar_ends(r, phi), event_list(len(r), [(vertex, "vertex")])
 
     def _walk(self, p, angle, length):
         """Walk with winding-aware azimuth accumulation; pole hits are events."""
@@ -406,15 +380,26 @@ class CapSpace(_SphereBase):
             psi = angle
         return self._cap_clip_walk(p, psi, length)
 
+    def _distances(self, points, q):
+        """`_loc` on arrays, as `_distance` calls it."""
+        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        d = np.abs(P[:, 1] - q[1])
+        a = np.minimum(d, self.wrap_length - d)
+        s = np.sin(0.5 * (P[:, 0] - q[0]))
+        t = np.sin(0.5 * np.minimum(a, math.pi))
+        h = s * s + np.sin(P[:, 0]) * math.sin(q[0]) * t * t
+        return np.where(h < 1.0, 2.0 * libm(math.asin, np.sqrt(np.minimum(h, 1.0))), math.pi)
+
     def _walks(self, p, angles, lengths):
         """`_walk` on arrays: the boundary clip, and walks from boundary points."""
         angles = np.asarray(angles, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
         n = len(angles)
         if p[0] <= _POLE_EPS and not self.on_boundary(p):
-            r, phi, vertex = self._meridians_from_apex(angles, lengths, True)
-            return (planar_ends(np.minimum(r, self.radius), phi),
-                    event_list(n, [(vertex, "vertex")]))
+            # down the meridians, as `_meridian_from_apex` and `_cap_clip`
+            r = np.minimum(np.minimum(lengths, math.pi), self.radius)
+            return (planar_ends(r, wrap_angles(angles, self.wrap_length)),
+                    event_list(n, [(lengths >= math.pi - _POLE_EPS, "vertex")]))
         refused = along = np.zeros(n, dtype=bool)
         psi = angles
         if self.on_boundary(p):

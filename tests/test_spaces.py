@@ -23,7 +23,7 @@ from alexgeo.spaces import (
     random_convex_polygon,
     regular_tetrahedron,
 )
-from alexgeo.spaces.base import REFUSED, SigmaDesc
+from alexgeo.spaces.base import REFUSED, SigmaDesc, Space
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -680,10 +680,21 @@ class TestKernels:
 class TestBatchKernels:
     """`_walks` and `_distances` answer as one `_walk` or `_distance` call each.
 
-    The closed forms compute them with numpy in the scalar kernels' order
-    (atan2, hypot, asin and acos from `math`), the mesh and the doubled
-    square by the default loop, so every space compares with `==`.
+    Events and refusals compare with `==` on every space, and so do ends
+    and distances where the default loop serves the space.  The cone's and
+    the cap's numpy forms apply the scalar kernels' operations in the same
+    order, with atan2, hypot, asin and acos from `math`; they agree bit for
+    bit where numpy's sin, cos, sqrt and fmod round as `math`'s do (x86-64,
+    numpy 2.4), which no CPU or numpy build promises, so their ends and
+    distances compare within 1e-15, relative above 1.
     """
+
+    @staticmethod
+    def _agree(exact, got, want):
+        if exact:
+            return got == want
+        return len(got) == len(want) and all(
+            math.isclose(g, w, rel_tol=1e-15, abs_tol=1e-15) for g, w in zip(got, want))
 
     # poles that are not cone points (the cone apex and the poles of the
     # 4.0 spindle come from `cone_points`)
@@ -713,6 +724,7 @@ class TestBatchKernels:
     def test_walks_match_one_walk_each(self, name):
         space = INTERFACE_SPACES[name]()
         rng = np.random.default_rng(35)
+        exact = type(space)._walks is Space._walks
         refused = 0
         for p in self._starts(name, space, rng):
             angles, lengths = self._cases(space, p, rng)
@@ -725,7 +737,8 @@ class TestBatchKernels:
                     assert (end, event) == (p, REFUSED)
                     refused += 1
                     continue
-                assert (end, event) == (w.end, w.event)
+                assert event == w.event
+                assert self._agree(exact, end, w.end)
             if space.sigma_at(p).is_arc:  # directions outside a boundary arc
                 outside = (angles < -1e-9) | (angles > space.sigma_at(p).length + 1e-9)
                 assert outside.any()
@@ -737,6 +750,7 @@ class TestBatchKernels:
         space = INTERFACE_SPACES[name]()
         rng = np.random.default_rng(36)
         starts = self._starts(name, space, rng)
+        exact = type(space)._distances is Space._distances
         for q in starts[::2]:
             for p in starts[:4]:
                 angles, lengths = self._cases(space, p, rng)
@@ -744,7 +758,7 @@ class TestBatchKernels:
                 points = ends + starts
                 d = space._distances(points, q)
                 assert isinstance(d, np.ndarray) and d.dtype == float
-                assert d.tolist() == [space._distance(x, q) for x in points]
+                assert self._agree(exact, d.tolist(), [space._distance(x, q) for x in points])
 
 
 # lines that ask a space its variant, by file: none, every space answers
