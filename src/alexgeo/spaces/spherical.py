@@ -375,7 +375,12 @@ class CapSpace(_SphereBase):
                 return self._walk_along_boundary(p, z, length)
             psi = wrap_angle(z + math.pi / 2.0, TWO_PI)  # the regular chart angle of z
         elif p[0] <= _POLE_EPS:
-            return self._cap_clip(self._meridian_from_apex(angle, length, True, p))
+            # down the meridian of azimuth angle, stopped at the boundary as
+            # `_cap_clip_walk` stops a walk from near the pole
+            if self.radius <= length + 1e-12:
+                return WalkResult((self.radius, wrap_angle(angle, TWO_PI)), self.radius,
+                                  math.pi / 2.0, HALF_ARC, event="boundary")
+            return self._meridian_from_apex(angle, length, True, p)
         else:
             psi = angle
         return self._cap_clip_walk(p, psi, length)
@@ -396,10 +401,10 @@ class CapSpace(_SphereBase):
         lengths = np.asarray(lengths, dtype=float)
         n = len(angles)
         if p[0] <= _POLE_EPS and not self.on_boundary(p):
-            # down the meridians, as `_meridian_from_apex` and `_cap_clip`
-            r = np.minimum(np.minimum(lengths, math.pi), self.radius)
-            return (planar_ends(r, wrap_angles(angles, self.wrap_length)),
-                    event_list(n, [(lengths >= math.pi - _POLE_EPS, "vertex")]))
+            # down the meridians, stopped at the boundary, as in `_walk`
+            hit = self.radius <= lengths + 1e-12
+            return (planar_ends(np.where(hit, self.radius, lengths), wrap_angles(angles, TWO_PI)),
+                    event_list(n, [(hit, "boundary")]))
         refused = along = np.zeros(n, dtype=bool)
         psi = angles
         if self.on_boundary(p):

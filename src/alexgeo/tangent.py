@@ -6,8 +6,13 @@ s * -cos(min(angdist(xi, u), pi)): a piecewise sinusoid.  `DirectionalFn`
 stores breakpoints 0 = b_0 <= ... <= b_n = L and, on [b_i, b_{i+1}], a
 piece (R, psi, C) of value R cos(xi - psi) + C.  A piece with one
 non-constant term keeps its phase form (psi is then a lifted source).
-Maxima and the gradient and supporting inequalities are exact sweeps
-over the breakpoints and the interior stationary points.
+A breakpoint marks only a change of formula: a Voronoi midpoint between
+sources (or between a source's lifts u and u + L on a circle of length
+L != 2 pi), or a cell's +-pi end on a circle longer than 2 pi.  A lift
+seam is not a breakpoint: on a 2 pi circle, the direction space of every
+regular point, cos(xi - u) = cos(xi - u - 2 pi), so one source is one
+piece.  Maxima and the gradient and supporting inequalities are exact
+sweeps over the breakpoints and the interior stationary points.
 """
 from __future__ import annotations
 
@@ -104,9 +109,15 @@ def cos_tail_directional(sigma: SigmaDesc, scale: float, sources) -> Directional
 
     One piece per Voronoi cell of the sources, split at the coordinate
     ends; on a circle longer than 2 pi a cell's part beyond pi is constant.
+    Breakpoints mark changes of formula only.  So one source on the 2 pi
+    circle is one piece, -scale cos(xi - u) for every xi: its antipode is
+    a lift seam (u against u + 2 pi), not a breakpoint.  On any other
+    circle the antipode stays a cut, the midpoint of u and u + L.
     """
     srcs = sorted(sources)
     L = sigma.length
+    if len(srcs) == 1 and not sigma.is_arc and L == TWO_PI:
+        return DirectionalFn(sigma, [0.0, L], [(-scale, srcs[0], 0.0)], single=(scale, srcs))
     if sigma.is_arc:
         cuts = [0.5 * (a + b) for a, b in zip(srcs, srcs[1:])]
     else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from alexgeo import model_plane as mp
+from alexgeo.functions import Affine, DistSq, differential
 from alexgeo.spaces import (
     CapSpace,
     ConeSpace,
@@ -23,7 +24,7 @@ from alexgeo.spaces import (
     random_convex_polygon,
     regular_tetrahedron,
 )
-from alexgeo.spaces.base import REFUSED, SigmaDesc, Space
+from alexgeo.spaces.base import CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -181,6 +182,37 @@ class TestSpindleCap:
         assert w.event == "boundary"
         assert w.end[0] == pytest.approx(0.8)
         assert w.traveled == pytest.approx(0.6)
+
+    def test_cap_walk_from_the_pole_stops_at_the_boundary(self):
+        c = CapSpace(0.8)
+        w = c.walk((0.0, 0.0), 1.0, 2.0)
+        assert (w.end, w.traveled, w.event) == ((0.8, 1.0), 0.8, "boundary")
+        assert (w.back_angle, w.sigma) == (0.5 * math.pi, HALF_ARC)
+        # as a start just off the pole, walking out along the same meridian
+        near = c.walk((1e-6, 1.0), 0.0, 2.0)
+        assert (near.event, near.sigma) == (w.event, w.sigma)
+        assert near.back_angle == pytest.approx(w.back_angle, abs=1e-12)
+        assert near.traveled == pytest.approx(0.8 - 1e-6, abs=1e-12)
+        short = c.walk((0.0, 0.0), 1.0, 0.5)
+        assert (short.end, short.traveled, short.event, short.sigma) == ((0.5, 1.0), 0.5, None,
+                                                                         CIRCLE)
+
+    def test_cap_draws_near_the_pole_stay_inside(self):
+        c = CapSpace(0.8)
+        rng = np.random.default_rng(37)
+        draws = [c.random_point_near((0.0, 0.0), 1.0, rng) for _ in range(1000)]
+        assert sum(c.on_boundary(x) for x in draws) == 0
+        assert max(r for r, _ in draws) < 0.8
+
+    def test_cap_walks_from_the_pole_match_one_walk_each(self):
+        c = CapSpace(0.8)
+        angles = np.repeat(np.linspace(-0.5, 7.0, 9), 6)
+        lengths = np.tile([0.0, 0.3, 0.8 - 1e-13, 0.8, 1.0, 3.5], 9)
+        ends, events = c._walks((0.0, 0.0), angles, lengths)
+        for a, length, end, event in zip(angles.tolist(), lengths.tolist(), ends, events):
+            w = c._walk((0.0, 0.0), a, length)
+            assert (end, event) == (w.end, w.event)
+        assert events.count("boundary") == 4 * 9
 
 
 class TestPolygon:
@@ -486,6 +518,32 @@ class TestSpaceInterface:
             q = space.parse_point(space.format_point(p))
             assert space.format_point(q) == space.format_point(p)
             assert space.distance(p, q) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_regular_point_differential_is_one_sinusoid(self, name):
+        """At a regular point, a sum of distance leaves is one sinusoid.
+
+        The direction space is the 2 pi circle, so the first variation
+        formula makes each d dist_q one sinusoid -cos(xi - u) and their
+        weighted sum another.  The oracle is that formula, pointwise.
+        """
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(38)
+        p = space.random_point(rng)
+        while space.sigma_at(p) != CIRCLE:
+            p = space.random_point(rng)
+        p = space.validate_point(p)
+        qs = [space.validate_point(space.random_point(rng)) for _ in range(3)]
+        weights = (0.7, -1.3, 0.4)
+        d = differential(Affine(weights=weights, terms=tuple(DistSq(q=q) for q in qs)), space, p)
+        assert d.breaks == [0.0, 2 * math.pi] and len(d.pieces) == 1
+        xs = np.arange(720) * (2 * math.pi / 720)
+        oracle = np.zeros(720)
+        for w, q in zip(weights, qs):
+            (u,) = space.directions_to(p, q)
+            gap = np.abs(np.mod(xs - u, 2 * math.pi))
+            oracle -= w * 2.0 * space.distance(p, q) * np.cos(np.minimum(gap, 2 * math.pi - gap))
+        assert max(abs(d(x) - o) for x, o in zip(xs.tolist(), oracle.tolist())) <= 1e-14
 
     # name: (boundary_period, corner angles, boundary distance)
     CAPABILITIES = {

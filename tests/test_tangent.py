@@ -9,6 +9,7 @@ from alexgeo.functions import Dist, DistSq, PhiRC, differential, evaluate, scale
 from alexgeo.flow import gradient, gradient_curve
 from alexgeo import tangent
 from alexgeo.tangent import (
+    DirectionalFn,
     GradientError,
     TangentVec,
     combine_affine,
@@ -245,9 +246,12 @@ class TestPiecewiseSinusoid:
         a = cos_tail_directional(FULL, 1.0, [0.3])
         b = cos_tail_directional(FULL, -0.7, [1.1])
         m = combine_min(FULL, [a, b])
-        # the inputs break only at their antipodes, 0.3 + pi and 1.1 + pi,
-        # so a fourth piece comes from a crossing inside a piece
-        assert len(m.pieces) > 3
+        # on the 2 pi circle each input is one sinusoid, so the min's only
+        # breakpoints are the two crossings, and they split it into 3 pieces
+        assert len(a.pieces) == len(b.pieces) == 1
+        assert len(m.pieces) == 3
+        for x in m.breaks[1:-1]:
+            assert abs(a(x) - b(x)) <= 1e-15
         for x in np.linspace(0.0, 2 * math.pi, 1000):
             assert abs(m(x) - min(a(x), b(x))) <= 1e-15
 
@@ -285,6 +289,91 @@ class TestPiecewiseSinusoid:
         assert maximize_directional(d)[0] > 1.0  # one maximizer, no tie
         with pytest.raises(GradientError, match="gradient inequality fails"):
             gradient_from_directional(d)
+
+
+def _cut_at_antipode(s, u):
+    """s * -cos(angle distance from u) on the 2 pi circle, cut at u's antipode.
+
+    The same function as one cos-tail, written as two pieces whose phases
+    are the lifts of u nearest to each side: the antipode is a lift seam.
+    """
+    a = FULL.wrap(u + math.pi)
+    if a == 0.0:
+        return DirectionalFn(FULL, [0.0, 2 * math.pi], [(-s, u, 0.0)])
+    lifts = (u, u + 2 * math.pi) if u < math.pi else (u - 2 * math.pi, u)
+    return DirectionalFn(FULL, [0.0, a, 2 * math.pi], [(-s, lift, 0.0) for lift in lifts])
+
+
+class TestOneSinusoidOnTheFullCircle:
+    """On a 2 pi circle one source is one piece; other circles keep their cuts."""
+
+    XS = np.arange(720) * (2 * math.pi / 720)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, math.pi, 5.0, 2 * math.pi - 1e-12])
+    @pytest.mark.parametrize("s", [1.7, -0.6])
+    def test_one_source_is_one_piece(self, s, u):
+        d = cos_tail_directional(FULL, s, [u])
+        assert (d.breaks, d.pieces, d.single) == ([0.0, 2 * math.pi], [(-s, u, 0.0)], (s, [u]))
+        # a source at 0 puts the antipode at the circle's midpoint; the tail
+        # is still a sinusoid there, not a constant
+        ref = s * -np.cos(_angdist(FULL, self.XS, u))
+        assert max(abs(d(x) - r) for x, r in zip(self.XS.tolist(), ref.tolist())) <= 1e-15
+
+    @pytest.mark.parametrize("tails", [
+        [(1.0, math.pi)],
+        [(1.0, math.pi), (0.5, math.pi + 0.2)],
+        [(0.8, math.pi - 0.05), (-0.3, 0.02), (1.1, math.pi + 0.01)],
+    ])
+    def test_maximum_on_the_chart_seam_keeps_its_gradient(self, tails):
+        # every source near pi puts the maximum at or next to the seam 0
+        one = combine_affine(FULL, [(1.0, cos_tail_directional(FULL, s, [u])) for s, u in tails])
+        cut = combine_affine(FULL, [(1.0, _cut_at_antipode(s, u)) for s, u in tails])
+        assert len(one.pieces) == 1
+        g, g_cut = gradient_from_directional(one), gradient_from_directional(cut)
+        assert g.norm == pytest.approx(g_cut.norm, abs=1e-15)
+        assert FULL.dist(g.angle, g_cut.angle) <= 1e-15
+        assert FULL.dist(g.angle, 0.0) <= 0.1
+
+    def test_regular_cone_point_gradient_and_source_at_zero(self):
+        # walking away from the apex points straight away from q = (1, 1)
+        cone = ConeSpace(1.5 * math.pi)
+        p, q = (2.0, 1.0), (1.0, 1.0)
+        d = differential(Dist(q=q), cone, p)
+        assert d.pieces == [(-1.0, math.pi, 0.0)]
+        g = gradient(Dist(q=q), cone, p)
+        assert g.norm == pytest.approx(1.0, abs=1e-15) and FULL.dist(g.angle, 0.0) <= 1e-15
+        g = gradient(scale(-1.0, Dist(q=(3.0, 1.0))), cone, p)  # source at 0
+        assert g.norm == pytest.approx(1.0, abs=1e-15) and FULL.dist(g.angle, 0.0) <= 1e-15
+
+    @pytest.mark.parametrize("space, p", [(ConeSpace(1.5 * math.pi), (0.0, 0.0)),
+                                          (SpindleSpace(4.0), (0.0, 0.0)),
+                                          (SpindleSpace(4.0), (math.pi, 0.0))],
+                             ids=["cone_apex", "spindle_north", "spindle_south"])
+    def test_short_circles_keep_the_antipode_cut(self, space, p):
+        q = (1.0, 0.7)
+        sig = space.sigma_at(p)
+        assert sig.length < 2 * math.pi
+        (u,) = space.directions_to(p, q)
+        d = differential(DistSq(q=q), space, p)
+        assert d.breaks == [0.0, sig.wrap(u + 0.5 * sig.length), sig.length]
+        xs = np.linspace(0.0, sig.length, 721)
+        ref = 2.0 * space.distance(p, q) * -np.cos(_angdist(sig, xs, u))
+        assert max(abs(d(x) - r) for x, r in zip(xs.tolist(), ref.tolist())) <= 1e-14
+        gradient(DistSq(q=q), space, p)  # the gradient check passes
+
+    def test_long_circle_keeps_its_cell_ends(self):
+        sig = SigmaDesc(7.0)
+        d = cos_tail_directional(sig, 1.0, [1.0])
+        assert d.breaks == [0.0, 1.0 + math.pi, 4.5, 7.0 + 1.0 - math.pi, 7.0]
+        assert [R for R, _, _ in d.pieces] == [-1.0, 0.0, 0.0, -1.0]
+
+    def test_three_sources_keep_their_voronoi_breaks(self):
+        srcs = [0.2, 2.0, 4.0]
+        d = cos_tail_directional(FULL, 1.0, srcs)
+        assert len(d.pieces) == 4 and (d.breaks[0], d.breaks[-1]) == (0.0, 2 * math.pi)
+        assert d.breaks[1:4] == pytest.approx([1.1, 3.0, 2.1 + math.pi], abs=1e-15)
+        ref = np.min([-np.cos(_angdist(FULL, self.XS, u)) for u in srcs], axis=0)
+        assert max(abs(d(x) - r) for x, r in zip(self.XS.tolist(), ref.tolist())) <= 1e-15
 
 
 class TestSupportingPolar:
