@@ -222,9 +222,6 @@ class BoundaryConcavityReport:
     worst: float
     n_chords: int
 
-    def passed(self, tol):
-        return self.worst <= tol
-
 
 def polygon_boundary_concavity(space, n_chords=200, seed=0):
     """Second differences of dist_boundary along random interior chords."""

@@ -168,13 +168,6 @@ class EstimateReport:
     margins_iii: list
     worst: float
 
-    def passed(self, tol):
-        return self.worst >= -tol
-
-    def summary(self):
-        return (f"contraction margins: (i) {min(self.margins_i):.3e} "
-                f"(ii) {min(self.margins_ii):.3e} (iii) {min(self.margins_iii):.3e}")
-
 
 def nearest_index(ts, t: float) -> int:
     """Index of the recorded time nearest t; the earlier one on a tie."""
@@ -230,9 +223,6 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateRep
 class LengthElementReport:
     margins: list
     worst: float
-
-    def passed(self, tol):
-        return self.worst >= -tol
 
 
 def length_element_check(expr, space, gamma0_points, tau, h, lam) -> LengthElementReport:

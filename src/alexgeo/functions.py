@@ -451,12 +451,12 @@ class SmoothedDistance:
     """Average of dist_x over the ball of radius eps around p, sampled once per seed.
 
     The samples are uniform on the part of the ball inside the space.
-    Each of the n_mc draws walks from p in a uniform direction, over a
-    radius drawn with the area density of the model plane, and is kept
-    only if the walk ends without an event: a walk cut short by the
-    boundary, a corner or a vertex is dropped.  The same fixed sample
-    set serves every query, so values and differentials are
-    deterministic and consistent.
+    Each of the n_mc draws is a uniform direction at p and a radius drawn
+    with the area density of the model plane; one `_walks` call walks
+    them all from p, and a draw is kept only if its walk ends without an
+    event: a walk cut short by the boundary, a corner or a vertex, or
+    refused, is dropped.  The same fixed sample set serves every query,
+    so values and differentials are deterministic and consistent.
     """
 
     def __init__(self, space, p, eps, n_mc=20000, seed=0):
@@ -470,11 +470,11 @@ class SmoothedDistance:
     @staticmethod
     def _sample_ball(space, p, eps, n, draws):
         """The kept walk end points of n draws from the validated p."""
-        pts = []
+        angles, radii = [], []
         sig = space.sigma_at(p)
         kappa = space.kappa
         for _ in range(n):
-            ang = next(draws) * sig.length
+            angles.append(next(draws) * sig.length)
             # area-correct radius: density proportional to sn_kappa(r)
             while True:
                 r = eps * math.sqrt(next(draws))
@@ -483,20 +483,14 @@ class SmoothedDistance:
                 accept = model_plane.sigma(kappa, r) / max(r, 1e-300)
                 if next(draws) <= accept:
                     break
-            try:
-                w = space._walk(p, ang, r)
-            except SpaceError:
-                continue
-            if w.event is None:
-                pts.append(w.end)
-        return pts
+            radii.append(r)
+        ends, events = space._walks(p, angles, radii)
+        return [x for x, event in zip(ends, events) if event is None]
 
     def value(self, y):
-        space = self.space
-        dist, y = space._distance, space.validate_point(y)
         total = 0.0
-        for x in self.samples:  # walk end points: points of the space
-            total += dist(x, y)
+        for d in self.space._distances(self.samples, self.space.validate_point(y)).tolist():
+            total += d  # in sample order
         return total / len(self.samples)
 
     def __call__(self, space, y):

@@ -227,12 +227,6 @@ class RadialComparisonReport:
     theta0: float | None = None
     theta_worst_increase: float | None = None
 
-    def passed(self, tol):
-        ok = self.worst_increase <= tol
-        if self.theta_worst_increase is not None:
-            ok = ok and self.theta_worst_increase <= tol
-        return ok
-
 
 def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
                              expr=None, lam=0.0) -> RadialComparisonReport:
@@ -288,9 +282,6 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
 class InverseCheckReport:
     worst_decrease: float
     min_separation: float
-
-    def passed(self, tol):
-        return self.worst_decrease <= tol and self.min_separation > 0.0
 
 
 def gexp_inverse_check(space, p, geodesic_points, probe_angles, kappa,

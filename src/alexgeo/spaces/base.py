@@ -47,21 +47,23 @@ validated): `_walks(p, angles, lengths)` gives the end and the event of
 each walk from one point, as lists, and a walk that `_walk` refuses with
 `SpaceError` gets the event `REFUSED` and ends at p; `_distances(points,
 q)` gives `_distance(x, q)` for each x of points as a float array.  The
-defaults here loop over the scalar kernels, and every space but the cone
-and the cap uses them.  The cone and the cap, on which c09 and the
-`closed_verify` benchmark run their inf-convolutions, override them with
-numpy forms that apply the scalar kernels' operations in the same
-order, with atan2, hypot, asin and acos from `math` (through `libm`).
-They agree with the scalar kernels bit for bit where numpy's sin, cos,
-sqrt and fmod round as `math`'s do, as on x86-64 with numpy 2.4; a CPU
-or numpy build whose sin or cos rounds otherwise may move their ends by
-an ulp.
+defaults loop over the scalar kernels.  The cone and the cap, whose
+inf-convolutions c09 and the `closed_verify` benchmark run, vectorize
+the regular walk (and the cap's boundary clip) and hand every other walk
+(from the apex or the pole, through the apex, meeting a pole, along or
+out of a boundary arc) to `_walk` by `walk_each`.  The sphere sub-step
+`_step(m, ...)` takes `FLOATS` or `ARRAYS`, whose atan2, hypot and acos
+on arrays come from `math` through `libm`, so the numpy forms agree
+with the scalar kernels bit for bit where numpy's sin, cos, sqrt and
+fmod round as `math`'s do (x86-64, numpy 2.4); elsewhere an end may move
+by an ulp.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
 
@@ -164,17 +166,10 @@ class Space:
     # -- batch kernels: validated points in, nothing validated ----------------
     def _walks(self, p, angles, lengths):
         """(ends, events) of `_walk(p, angle, length)` for each angle and length."""
-        ends, events = [], []
-        for angle, length in zip(np.asarray(angles, dtype=float).tolist(),
-                                 np.asarray(lengths, dtype=float).tolist()):
-            try:
-                w = self._walk(p, angle, length)
-            except SpaceError:
-                ends.append(p)
-                events.append(REFUSED)
-                continue
-            ends.append(w.end)
-            events.append(w.event)
+        angles = np.asarray(angles, dtype=float).tolist()
+        ends, events = [None] * len(angles), [None] * len(angles)
+        walk_each(self, p, angles, np.asarray(lengths, dtype=float).tolist(), ends, events,
+                  range(len(angles)))
         return ends, events
 
     def _distances(self, points, q):
@@ -265,19 +260,36 @@ def libm(fn, *arrays):
     numpy's own arctan2, hypot, arcsin and arccos round differently from
     `math`'s on some arguments (on x86-64 with numpy 2.4, about 8% of
     random ones, by an ulp), so the batch kernels take these four from
-    `math`.  They keep numpy's sin, cos, sqrt and fmod, which round as
-    `math`'s there; nothing guarantees that on every CPU or numpy build.
+    `math`.
     """
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
-def event_list(n, marks):
-    """n events, None except where a (mask, event) pair of marks sets one; later pairs win."""
-    events = [None] * n
-    for mask, event in marks:
-        for j in np.flatnonzero(mask).tolist():
-            events[j] = event
-    return events
+def clamped_acos(x):
+    """acos of x clamped to [-1, 1]."""
+    return math.acos(1.0 if x > 1.0 else (-1.0 if x < -1.0 else x))
+
+
+# the functions of `_SphereBase._step` on floats and on arrays, as module
+# objects, whose attribute reads cost what a read of `math.cos` does
+FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
+FLOATS.__dict__.update(cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
+                       acos=clamped_acos, wrap=wrap_angle)
+ARRAYS.__dict__.update(cos=np.cos, sin=np.sin, atan2=lambda y, x: libm(math.atan2, y, x),
+                       hypot=lambda x, y: libm(math.hypot, x, y),
+                       acos=lambda x: libm(math.acos, np.clip(x, -1.0, 1.0)), wrap=wrap_angles)
+
+
+def walk_each(space, p, angles, lengths, ends, events, where):
+    """Write `_walk(p, angles[j], lengths[j])` (lists of floats) into ends[j]
+    and events[j] for each index j of where; `REFUSED` and p where it raises."""
+    for j in where:
+        try:
+            w = space._walk(p, angles[j], lengths[j])
+        except SpaceError:
+            ends[j], events[j] = p, REFUSED
+            continue
+        ends[j], events[j] = w.end, w.event
 
 
 def planar_ends(xs, ys):

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .base import (CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of, azimuth_gap,
-                   event_list, libm, minimizing_angles, planar_ends, walk_length, wrap_angle,
-                   wrap_angles)
+from .base import (ARRAYS, CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
+                   azimuth_gap, minimizing_angles, planar_ends, walk_each, walk_length,
+                   wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -47,9 +47,6 @@ class ConeSpace(Space):
         """Uniform in the disc of radius 2 about the apex."""
         return (2.0 * math.sqrt(rng.random()), rng.random() * self.total_angle)
 
-    def diameter_hint(self) -> float:
-        return 4.0
-
     # -- metric -------------------------------------------------------
     def _wraps(self, p, q):
         d = wrap_angle(q[1] - p[1], self.total_angle)
@@ -72,7 +69,7 @@ class ConeSpace(Space):
             return r + q[0]
         d = np.abs(P[:, 1] - q[1])
         a = np.minimum(d, self.total_angle - d)
-        far = libm(math.hypot, r - q[0], 2.0 * np.sqrt(r * q[0]) * np.sin(0.5 * a))
+        far = ARRAYS.hypot(r - q[0], 2.0 * np.sqrt(r * q[0]) * np.sin(0.5 * a))
         return np.where(r <= _APEX_EPS, r + q[0], far)
 
     def sigma_at(self, p) -> SigmaDesc:
@@ -123,21 +120,22 @@ class ConeSpace(Space):
         return WalkResult(end, length, wrap_angle(back, TWO_PI), CIRCLE)
 
     def _walks(self, p, angles, lengths):
+        """`_walk` on arrays; a start at the apex or a walk through it goes to `_walk`."""
+        if self.is_apex(p):
+            return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
-        if self.is_apex(p):
-            return (planar_ends(lengths, wrap_angles(angles, self.total_angle)),
-                    [None] * len(angles))
         ang = wrap_angles(angles, TWO_PI)
         through = ((np.abs(np.sin(ang)) < 1e-14) & (np.cos(ang) < 0.0)
                    & (lengths >= p[0] - _APEX_EPS))
         ex = p[0] + lengths * np.cos(ang)
         ey = lengths * np.sin(ang)
-        ends = planar_ends(libm(math.hypot, ex, ey),
-                           wrap_angles(p[1] + libm(math.atan2, ey, ex), self.total_angle))
-        for j in np.flatnonzero(through).tolist():
-            ends[j] = (0.0, 0.0)
-        return ends, event_list(len(ends), [(through, "vertex")])
+        ends = planar_ends(ARRAYS.hypot(ex, ey),
+                           wrap_angles(p[1] + ARRAYS.atan2(ey, ex), self.total_angle))
+        events = [None] * len(ends)
+        walk_each(self, p, angles.tolist(), lengths.tolist(), ends, events,
+                  np.flatnonzero(through).tolist())
+        return ends, events
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)

@@ -135,13 +135,6 @@ class PolygonSpace(Space):
         # on an arc the valid range is checked by callers
         return [wrap_angle(ang - self._chart_zero(self.classify(p)), TWO_PI)]
 
-    def diameter_hint(self):
-        d = 0.0
-        for a in self.vertices:
-            for b in self.vertices:
-                d = max(d, math.hypot(*(a - b)))
-        return d
-
     def random_point(self, rng):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)

@@ -16,16 +16,12 @@ import math
 
 import numpy as np
 
-from .base import (CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space, SpaceError, WalkResult,
-                   azimuth_gap, event_list, libm, minimizing_angles, planar_ends, walk_length,
-                   wrap_angle, wrap_angles)
+from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult,
+                   azimuth_gap, clamped_acos, libm, minimizing_angles, planar_ends, walk_each,
+                   walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
-
-
-def _clamp1(x):
-    return 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
 
 
 class _SphereBase(Space):
@@ -52,92 +48,62 @@ class _SphereBase(Space):
         d = wrap_angle(q[1] - p[1], self.wrap_length)
         return d, self.wrap_length - d
 
-    def _step(self, r, psi, s):
-        """Dead-reckon one geodesic sub-step; returns (r', dphi, psi_in').
-
-        psi is the chart angle of the motion (0 away from the north
-        apex); psi_in' is the chart angle at the endpoint of the
-        continued motion direction.
-        """
-        cr, sr = math.cos(r), math.sin(r)
-        # local frame at (r, 0): point P, e_r away from pole, e_phi
-        px, pz = sr, cr
-        ex, ez = cr, -sr
-        ux = math.cos(psi) * ex
-        uy = math.sin(psi)
-        uz = math.cos(psi) * ez
-        cs, ss = math.cos(s), math.sin(s)
-        x = cs * px + ss * ux
-        y = ss * uy
-        z = cs * pz + ss * uz
-        r2 = math.acos(_clamp1(z))
-        dphi = math.atan2(y, x)
-        # transported direction = derivative of the arc at s
-        dx = -ss * px + cs * ux
-        dy = cs * uy
-        dz = -ss * pz + cs * uz
-        sr2 = math.sin(r2)
-        if sr2 < _POLE_EPS:
-            return r2, dphi, None
-        # frame at endpoint (colatitude r2, azimuth dphi)
-        e2r = (math.cos(r2) * math.cos(dphi), math.cos(r2) * math.sin(dphi), -sr2)
-        e2p = (-math.sin(dphi), math.cos(dphi), 0.0)
-        comp_r = dx * e2r[0] + dy * e2r[1] + dz * e2r[2]
-        comp_p = dx * e2p[0] + dy * e2p[1] + dz * e2p[2]
-        psi2 = math.atan2(comp_p, comp_r)
-        return r2, dphi, wrap_angle(psi2, TWO_PI)
-
     @staticmethod
-    def _steps(r, psi, s):
-        """`_step` on arrays: (r', dphi, psi_in', landed on a pole)."""
-        cr, sr = np.cos(r), np.sin(r)
-        px, pz = sr, cr
-        ex, ez = cr, -sr
-        ux = np.cos(psi) * ex
-        uy = np.sin(psi)
-        uz = np.cos(psi) * ez
-        cs, ss = np.cos(s), np.sin(s)
-        x = cs * px + ss * ux
-        y = ss * uy
-        z = cs * pz + ss * uz
-        r2 = libm(math.acos, np.clip(z, -1.0, 1.0))
-        dphi = libm(math.atan2, y, x)
-        dx = -ss * px + cs * ux
-        dy = cs * uy
-        dz = -ss * pz + cs * uz
-        sr2 = np.sin(r2)
-        cr2, cd, sd = np.cos(r2), np.cos(dphi), np.sin(dphi)
+    def _step(m, r, psi, s):
+        """Dead-reckon one geodesic sub-step on floats (m = FLOATS) or arrays
+        (m = ARRAYS); returns (r', dphi, psi_in', sin r').
+
+        psi is the chart angle of the motion (0 away from the north apex);
+        psi_in' is the chart angle at the endpoint of the continued motion
+        direction, meaningless on a pole (sin r' < _POLE_EPS).
+        """
+        cr, sr = m.cos(r), m.sin(r)
+        cp, sp = m.cos(psi), m.sin(psi)
+        # the point (sr, 0, cr) and the motion cp * e_r + sp * e_phi, with
+        # e_r = (cr, 0, -sr) away from the pole and e_phi = (0, 1, 0)
+        ux, uz = cp * cr, cp * -sr
+        cs, ss = m.cos(s), m.sin(s)
+        x = cs * sr + ss * ux
+        y = ss * sp
+        z = cs * cr + ss * uz
+        r2 = m.acos(z)
+        dphi = m.atan2(y, x)
+        # transported direction = derivative of the arc at s
+        dx = -ss * sr + cs * ux
+        dy = cs * sp
+        dz = -ss * cr + cs * uz
+        # its parts along the frame at the endpoint (colatitude r2, azimuth dphi)
+        sr2, cr2 = m.sin(r2), m.cos(r2)
+        sd, cd = m.sin(dphi), m.cos(dphi)
         comp_r = dx * (cr2 * cd) + dy * (cr2 * sd) + dz * -sr2
         comp_p = dx * -sd + dy * cd + dz * 0.0
-        return r2, dphi, wrap_angles(libm(math.atan2, comp_p, comp_r), TWO_PI), sr2 < _POLE_EPS
+        return r2, dphi, m.wrap(m.atan2(comp_p, comp_r), TWO_PI), sr2
 
     def _regular_walks(self, p, psi, lengths):
         """`_walk` from p off the poles at chart angles psi in [0, 2pi), on arrays.
 
-        Returns the ends' r and phi and the mask of pole hits (event "vertex").
+        Returns the ends' r and phi and the mask of the walks that meet a
+        pole, whose ends mean nothing.
         """
         n = len(psi)
         r, phi, psi = np.full(n, p[0]), np.full(n, p[1]), psi.copy()
-        north = np.cos(psi) < 0.0
-        vertex = ((np.abs(np.sin(psi)) < 1e-13)
-                  & (lengths >= np.where(north, p[0], math.pi - p[0]) - _POLE_EPS))
-        r[vertex] = np.where(north[vertex], 0.0, math.pi)
+        pole = ((np.abs(np.sin(psi)) < 1e-13)
+                & (lengths >= np.where(np.cos(psi) < 0.0, p[0], math.pi - p[0]) - _POLE_EPS))
         traveled = np.zeros(n)
-        active = ~vertex & (traveled < lengths - 1e-15)
+        active = ~pole & (traveled < lengths - 1e-15)
         while active.any():
             idx = np.flatnonzero(active)
             s = np.minimum(0.5, lengths[idx] - traveled[idx])  # substeps of at most 0.5
-            r2, dphi, psi2, landed = self._steps(r[idx], psi[idx], s)
-            land, go = idx[landed], idx[~landed]
-            # numerically landed on a pole: the end keeps the azimuth before the step
-            r[land] = np.where(r2[landed] < 1.0, r2[landed], math.pi)
-            vertex[land] = True
-            active[land] = False
+            r2, dphi, psi2, sr2 = self._step(ARRAYS, r[idx], psi[idx], s)
+            landed = sr2 < _POLE_EPS
+            pole[idx[landed]] = True
+            active[idx[landed]] = False
+            go, s = idx[~landed], s[~landed]
             r[go], psi[go] = r2[~landed], psi2[~landed]
             phi[go] = wrap_angles(phi[go] + dphi[~landed], self.wrap_length)
-            traveled[go] += s[~landed]
+            traveled[go] += s
             active[go] = traveled[go] < lengths[go] - 1e-15
-        return r, phi, vertex
+        return r, phi, pole
 
     def _walk(self, p, angle, length):
         """Walk with winding-aware azimuth accumulation; pole hits are events."""
@@ -161,8 +127,8 @@ class _SphereBase(Space):
         traveled = 0.0
         while traveled < length - 1e-15:
             s = min(0.5, length - traveled)  # substeps of at most 0.5
-            r2, dphi, psi2 = self._step(r, psi, s)
-            if psi2 is None:
+            r2, dphi, psi2, sr2 = self._step(FLOATS, r, psi, s)
+            if sr2 < _POLE_EPS:
                 # numerically landed on a pole
                 back = phi
                 return WalkResult(
@@ -203,7 +169,7 @@ class _SphereBase(Space):
                 cosA = (math.cos(q[0]) - math.cos(p[0]) * math.cos(d)) / (
                     math.sin(p[0]) * math.sin(d)
                 )
-                A = math.acos(_clamp1(cosA))
+                A = clamped_acos(cosA)
                 psi = math.pi - A if sign > 0 else math.pi + A
                 cands.append((d, wrap_angle(psi, TWO_PI)))
         return minimizing_angles(cands)
@@ -235,9 +201,6 @@ class SpindleSpace(_SphereBase):
     def random_point(self, rng):
         # area measure sin(r) dr dphi
         return (math.acos(1.0 - 2.0 * rng.random()), rng.random() * self.circle_length)
-
-    def diameter_hint(self):
-        return math.pi
 
     def distance(self, p, q):
         return self._distance(self.validate_point(p), self.validate_point(q))
@@ -326,9 +289,6 @@ class CapSpace(_SphereBase):
         r = math.acos(1.0 - u * (1.0 - math.cos(self.radius)))
         return (r, rng.random() * TWO_PI)
 
-    def diameter_hint(self):
-        return 2.0 * self.radius
-
     def distance(self, p, q):
         return self._distance(self.validate_point(p), self.validate_point(q))
 
@@ -396,47 +356,40 @@ class CapSpace(_SphereBase):
         return np.where(h < 1.0, 2.0 * libm(math.asin, np.sqrt(np.minimum(h, 1.0))), math.pi)
 
     def _walks(self, p, angles, lengths):
-        """`_walk` on arrays: the boundary clip, and walks from boundary points."""
+        """`_walk` on arrays: the regular walk and its boundary clip.  A start
+        at the pole, a walk that meets a pole and one along or out of the
+        boundary arc go to `_walk`."""
+        if p[0] <= _POLE_EPS:
+            return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
         n = len(angles)
-        if p[0] <= _POLE_EPS and not self.on_boundary(p):
-            # down the meridians, stopped at the boundary, as in `_walk`
-            hit = self.radius <= lengths + 1e-12
-            return (planar_ends(np.where(hit, self.radius, lengths), wrap_angles(angles, TWO_PI)),
-                    event_list(n, [(hit, "boundary")]))
-        refused = along = np.zeros(n, dtype=bool)
-        psi = angles
+        scalar, psi = np.zeros(n, dtype=bool), angles
         if self.on_boundary(p):
-            refused = ~((-1e-9 <= angles) & (angles <= math.pi + 1e-9))
-            along = ~refused & ((angles <= 1e-12) | (math.pi - angles <= 1e-12))
+            scalar = ~((angles > 1e-12) & (math.pi - angles > 1e-12))
             psi = wrap_angles(angles + math.pi / 2.0, TWO_PI)
         # crossing colatitude r0, as in `_cap_clip_walk`
         cr, sr = math.cos(p[0]), math.sin(p[0])
         uz = -sr * np.cos(psi)
         crs = np.full(n, cr)
-        R = libm(math.hypot, crs, uz)
+        R = ARRAYS.hypot(crs, uz)
         target = math.cos(self.radius)
-        delta = libm(math.atan2, uz, crs)
+        delta = ARRAYS.atan2(uz, crs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            base = libm(math.acos, np.clip(target / R, -1.0, 1.0))
+            base = ARRAYS.acos(target / R)
         s_hit = np.full(n, math.inf)
         for c in (delta + base, delta - base):
             while (low := c <= 1e-12).any():
                 c = np.where(low, c + TWO_PI, c)
             s_hit = np.where(c <= lengths + 1e-15, np.minimum(s_hit, c), s_hit)
-        inner = ~(along | refused)
-        hit = inner & (R >= target - 1e-15) & (s_hit <= lengths + 1e-12)
-        r, phi, vertex = self._regular_walks(p, wrap_angles(psi, TWO_PI),
-                                             np.where(hit, s_hit, np.where(inner, lengths, 0.0)))
-        r = np.where(hit, self.radius, np.minimum(r, self.radius))
-        # along the boundary, as in `_walk_along_boundary`; a refused walk ends at p
-        sgn = np.where(angles <= 1e-12, 1.0, -1.0)
-        r = np.where(along, self.radius, np.where(refused, p[0], r))
-        phi = np.where(along, wrap_angles(p[1] + sgn * lengths / math.sin(self.radius), TWO_PI),
-                       np.where(refused, p[1], phi))
-        return planar_ends(r, phi), event_list(n, [(vertex & inner & ~hit, "vertex"),
-                                                   (hit, "boundary"), (refused, REFUSED)])
+        hit = ~scalar & (R >= target - 1e-15) & (s_hit <= lengths + 1e-12)
+        r, phi, pole = self._regular_walks(p, wrap_angles(psi, TWO_PI),
+                                           np.where(hit, s_hit, np.where(scalar, 0.0, lengths)))
+        ends = planar_ends(np.where(hit, self.radius, np.minimum(r, self.radius)), phi)
+        events = ["boundary" if h else None for h in hit.tolist()]
+        walk_each(self, p, angles.tolist(), lengths.tolist(), ends, events,
+                  np.flatnonzero(scalar | pole).tolist())
+        return ends, events
 
     def _walk_along_boundary(self, p, zeta, length):
         sgn = 1.0 if zeta <= 1e-12 else -1.0
@@ -454,7 +407,7 @@ class CapSpace(_SphereBase):
         s_hit = None
         if R >= target - 1e-15:
             delta = math.atan2(uz, cr)
-            base = math.acos(_clamp1(target / R))
+            base = clamped_acos(target / R)
             for cand in (delta + base, delta - base):
                 c = cand
                 while c <= 1e-12:

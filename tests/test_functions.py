@@ -646,6 +646,19 @@ class TestSmoothedDistance:
         assert centroid == pytest.approx(0.05186, abs=1e-5)
         assert ys.mean() == pytest.approx(centroid, abs=4.0 * ys.std() / math.sqrt(len(ys)))
 
+    def test_differential_at_a_cone_apex(self):
+        # on the circle of length 1.5 pi at the apex the direction to a
+        # sample x is its azimuth, and d dist_x(xi) = -cos(angle(xi, x))
+        cone = ConeSpace(1.5 * math.pi)
+        sd = SmoothedDistance(cone, (0.0, 0.0), 0.3, n_mc=400, seed=9)
+        L = cone.sigma_at((0.0, 0.0)).length
+        d = sd.differential((0.0, 0.0))
+        azimuths = np.array([phi for _, phi in sd.samples])
+        for xi in np.linspace(0.0, L, 720, endpoint=False):
+            gap = np.abs(np.mod(xi - azimuths, L))
+            mean = float(np.mean(-np.cos(np.minimum(gap, L - gap))))
+            assert d(xi) == pytest.approx(mean, abs=1e-12)
+
     def test_generic_sampler_on_a_cone(self):
         # off the plane, as on every space: ball samples by `walk`, values
         # by `_distance` and differentials by `directions_to`.  The ball

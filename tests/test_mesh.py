@@ -13,6 +13,7 @@ from alexgeo.spaces import (
     random_tetrahedron,
     regular_tetrahedron,
 )
+from alexgeo.spaces.base import HALF_ARC
 from alexgeo.spaces.mesh import MeshSpace
 
 
@@ -303,6 +304,19 @@ class TestPassThroughRouting:
         pts = [xy[list(mesh.faces[x.face])].T @ np.array(x.bary) for x in geo]
         for a, b in zip(pts, pts[1:]):
             assert np.linalg.norm(b - a) <= d / 4 + 1e-9
+
+    def test_walk_stops_at_an_open_edge(self):
+        # from face (0, 4, 7) across the diagonal 0-4, out through the
+        # open bottom edge 0-1 at (0.9, 0)
+        mesh, locate = _planar(*_L_SHAPE)
+        p, q = locate(0.2, 0.6), locate(0.9, 0.0)
+        (ang,) = mesh.directions_to(p, q)
+        w = mesh.walk(p, ang, 2.0)
+        assert w.event == "boundary" and w.sigma == HALF_ARC
+        assert w.traveled == pytest.approx(math.hypot(0.7, 0.6), abs=1e-12)
+        xy = np.asarray(_L_SHAPE[1], dtype=float)
+        end = xy[list(mesh.faces[w.end.face])].T @ np.array(w.end.bary)
+        assert end == pytest.approx([0.9, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("offset", [3e-5, -3e-5])
     def test_geodesic_passing_near_a_flat_vertex(self, offset):

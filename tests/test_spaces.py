@@ -1,4 +1,6 @@
+import ast
 import collections
+import inspect
 import math
 import re
 from pathlib import Path
@@ -118,6 +120,19 @@ class TestConeMetric:
         for ang in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
             assert c.distance(p, c.walk(p, ang, h).end) == pytest.approx(h, rel=1e-6)
 
+    def test_geodesic_points_with_an_end_at_the_apex(self):
+        # the geodesic runs along the rays of the two ends, in steps of d / 8
+        c = ConeSpace(1.5 * math.pi)
+        for p, q in [((0.0, 0.0), (1.2, 0.7)), ((1.0, 0.4), (0.0, 0.0))]:
+            pts = c.geodesic_points(p, q, 9)
+            d = p[0] + q[0]
+            for i, (r, phi) in enumerate(pts):
+                s = d * i / 8
+                assert r == pytest.approx(abs(s - p[0]), abs=1e-12)
+                assert r <= 1e-12 or phi == (p[1] if s < p[0] else q[1])
+            for a, b in zip(pts, pts[1:]):
+                assert c.distance(a, b) == pytest.approx(d / 8, abs=1e-12)
+
     def test_two_minimizers_near_full_angle(self):
         c = ConeSpace(2 * math.pi - 1e-6)
         p, q = (1.0, 0.0), (1.0, (2 * math.pi - 1e-6) / 2.0)
@@ -140,6 +155,13 @@ class TestSpindleCap:
         s = SpindleSpace(4.0)
         assert s.sigma_at((0.0, 0.0)).length == pytest.approx(4.0)
         assert s.sigma_at((math.pi, 0.0)).length == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("p, ref", [((0.0, 0.0), "south"), ((math.pi, 0.0), "north")])
+    def test_spindle_walk_from_a_pole_meets_the_other(self, p, ref):
+        s = SpindleSpace(4.0)
+        w = s.walk(p, 1.0, math.pi + 0.5)
+        assert (w.event, w.event_ref, w.traveled) == ("vertex", ref, math.pi)
+        assert w.end == (math.pi - p[0], 1.0)
 
     def test_spindle_walk_roundtrip(self):
         s = SpindleSpace(4.0)
@@ -196,6 +218,13 @@ class TestSpindleCap:
         short = c.walk((0.0, 0.0), 1.0, 0.5)
         assert (short.end, short.traveled, short.event, short.sigma) == ((0.5, 1.0), 0.5, None,
                                                                          CIRCLE)
+
+    def test_cap_geodesic_from_the_pole_runs_down_the_meridian(self):
+        c = CapSpace(0.8)
+        q = (0.6, 2.0)
+        pts = c.geodesic_points((0.0, 0.0), q, 7)
+        assert [phi for _, phi in pts] == [q[1]] * 7
+        assert [r for r, _ in pts] == pytest.approx([0.1 * i for i in range(7)], abs=1e-12)
 
     def test_cap_draws_near_the_pole_stay_inside(self):
         c = CapSpace(0.8)
@@ -769,10 +798,12 @@ class TestBatchKernels:
 
     @staticmethod
     def _cases(space, p, rng):
-        """Stencil angles, both ends of the chart and angles outside it, with
-        lengths across the 0.5 sphere sub-step and past the boundary."""
+        """Stencil angles, both ends of the chart, pi and angles outside it,
+        with lengths across the 0.5 sphere sub-step and past the boundary.
+        In the regular chart pi points at the cone apex and the north pole,
+        and the longer lengths pass them."""
         arc = space.sigma_at(p).length
-        angles = [arc * (i + 0.5) / 16 for i in range(16)] + [0.0, arc, -0.4, arc + 0.3]
+        angles = [arc * (i + 0.5) / 16 for i in range(16)] + [0.0, arc, math.pi, -0.4, arc + 0.3]
         angles += (rng.random(12) * arc).tolist()
         lengths = [0.0, 0.3, 0.5, 0.75, 1.2, 2.5]
         pairs = [(a, length) for a in angles for length in lengths]
@@ -834,3 +865,35 @@ def test_no_code_outside_the_planar_fast_paths_asks_a_space_its_variant():
         if DISPATCH_RE.search(line)
     )
     assert found == PLANAR_FAST_PATHS
+
+
+def _reads(name, tree):
+    """(innermost enclosing function or None, read as a comparison operand)
+    of each read of the global name in a module's syntax tree."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            up = parents[node]
+            compared = isinstance(up, ast.Compare)
+            while not isinstance(up, (ast.FunctionDef, ast.Module)):
+                up = parents[up]
+            reads.append((getattr(up, "name", None), compared))
+    return reads
+
+
+def test_each_walk_rule_has_one_copy():
+    # the numpy `_walks` of the cone and the cap hand every special case to
+    # `_walk` by `walk_each`, and the sphere sub-step serves both forms
+    src = Path(__file__).resolve().parent.parent / "src" / "alexgeo"
+    texts = {str(path.relative_to(src)): path.read_text(encoding="utf-8")
+             for path in sorted(src.rglob("*.py"))}
+    assert not [name for name, text in texts.items()
+                if re.search(r"\b(_steps|event_list)\b", text)]
+    reads = {name: _reads("REFUSED", ast.parse(text)) for name, text in texts.items()}
+    assert reads.pop("spaces/base.py") == [("walk_each", False)]
+    consumed = reads.pop("functions.py")
+    assert consumed and all(compared for _, compared in consumed)
+    assert not any(reads.values())
+    for walks in (ConeSpace._walks, CapSpace._walks):
+        assert '"vertex"' not in inspect.getsource(walks)
