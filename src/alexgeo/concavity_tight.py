@@ -171,26 +171,105 @@ class TightImageReport:
                 f"bi-Lipschitz ratios in [{self.bilip_low:.3f}, {self.bilip_high:.3f}]")
 
 
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section of a bracket
+
+
+def _quadratic_roots(k, s, y):
+    """Real roots h of k h^2 + s h + y = 0, by the cancellation-free formula."""
+    disc = s * s - 4.0 * k * y
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (s + math.copysign(math.sqrt(disc), s))
+    if q == 0.0:
+        return ()
+    return (y / q,) if k == 0.0 else (y / q, q / k)
+
+
+def _model_top(a, b, c):
+    """Offset from b of the top of min_i q_i on [a, c], where q_i is the
+    parabola through coordinate i's values at the bracket points a < b < c.
+
+    The top of a min of parabolas is a vertex of one of them or a crossing
+    of two, unless it is an end of the bracket.
+    """
+    (ta, va, _), (tb, vb, _), (tc, vc, _) = a, b, c
+    parabolas = []  # (value, slope, curvature) about b
+    for ya, yb, yc in zip(va, vb, vc):
+        sab = (yb - ya) / (tb - ta)
+        k = ((yc - yb) / (tc - tb) - sab) / (tc - ta)
+        parabolas.append((yb, sab + k * (tb - ta), k))
+    offsets = [ta - tb, tc - tb]
+    offsets += [-s / (2.0 * k) for _, s, k in parabolas if k < 0.0]
+    for i, (y1, s1, k1) in enumerate(parabolas):
+        for y2, s2, k2 in parabolas[i + 1:]:
+            offsets += _quadratic_roots(k1 - k2, s1 - s2, y1 - y2)
+    return max((h for h in offsets if ta - tb <= h <= tc - tb),
+               key=lambda h: min(y + h * (s + k * h) for y, s, k in parabolas))
+
+
+def _ray_top(along, a, b, c):
+    """Top of the min of the coordinates along one ray, from a bracket
+    a < b < c whose middle point is the best; points are (t, coordinate
+    values, walk) and `along(t)` probes one.
+
+    Each round steps to the top of the model of `_model_top`, or by the
+    golden section into the longer side when that step leaves the bracket
+    or fails to halve the last step.
+    """
+    last = c[0] - a[0]
+    for _ in range(60):
+        if c[0] - a[0] < 1e-12:
+            break
+        h = _model_top(a, b, c)
+        if abs(h) < 1e-12:
+            break
+        if not a[0] < b[0] + h < c[0] or abs(h) > 0.5 * last:
+            h = (_GOLD * (c[0] - b[0]) if c[0] - b[0] > b[0] - a[0]
+                 else -_GOLD * (b[0] - a[0]))
+        last = abs(h)
+        u = along(b[0] + h)
+        if min(u[1]) >= min(b[1]):
+            a, b, c = (a, u, b) if h < 0.0 else (b, u, c)
+        elif h < 0.0:
+            a = u
+        else:
+            c = u
+    return b
+
+
 def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     """argmax of min_i (f_i - y_i): best grid point, then gradient ascent.
 
-    The exact gradient of the min is the ridge direction of the active
-    coordinates; a golden line search along it stops where another
-    coordinate becomes active, so the ascent can follow thin ridges.
+    Each round reads the exact gradient of the min, the ridge direction of
+    the active coordinates, and searches the ray along it: a doubling from
+    the last step's length brackets the top, and `_ray_top` fits one
+    parabola per coordinate.  Each coordinate is smooth, but the min
+    usually tops out at a kink where another coordinate becomes active, so
+    the search lands on ridges and the ascent can follow thin ones.
+    Every point probed holds its coordinate values, so the bracket's ends
+    (x itself and the doubling's last probe) are never evaluated again.
+
+    The ascent stops when the gradient vanishes (norm < 1e-11) or is a
+    tie, when no step of at least 1e-11 gains more than 1e-15, and on a
+    ridge top: the new gradient turns back on the last step (within pi/2
+    of its back direction) and that step gained < 1e-13.  Without the
+    last stop an exact ray search zigzags across a ridge top on rounding
+    gains.  Returns the last point and its value.
     """
     target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
-    value = _compile(target, space)
+    terms = [_compile(t, space) for t in target.terms]  # min of these is `target`
 
-    def obj(x, angle, t):  # x is a grid point or a walk end: validated
-        return value(space._walk(x, angle, t).end)
+    def walked(x, angle, t):  # x is a grid point or a walk end: validated
+        w = space._walk(x, angle, t)
+        return t, [term(w.end) for term in terms], w
 
     best = max(range(len(grid_pts)),
                key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
     x = grid_pts[best]
-    best_v = value(x)
+    vals = [term(x) for term in terms]
     step = region[1]
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    g = None
+    g = w = None
+    gain = math.inf  # of the last step
     for _ in range(120):
         if g is None:
             try:
@@ -200,37 +279,40 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
                 # maximizers of the differential are a numerical tie at
                 # a vanishing slope: x is the top
                 break
+            if gain < 1e-13 and w.sigma.dist(g.angle, w.back_angle) < 0.5 * math.pi:
+                # a ridge top: the last step crossed it, and a straight ray
+                # along the ridge would zigzag across it on rounding gains
+                break
         if g.norm < 1e-11:
             break
-        hi = step
-        while obj(x, g.angle, hi) > obj(x, g.angle, 0.62 * hi) and hi < 4 * region[1]:
-            hi *= 1.6
-        a, b = 0.0, hi
-        t1, t2 = b - gold * (b - a), a + gold * (b - a)
-        f1, f2 = obj(x, g.angle, t1), obj(x, g.angle, t2)
-        for _ in range(60):
-            if b - a < 1e-12:
-                break
-            if f1 < f2:
-                a, t1, f1 = t1, t2, f2
-                t2 = a + gold * (b - a)
-                f2 = obj(x, g.angle, t2)
-            else:
-                b, t2, f2 = t2, t1, f1
-                t1 = b - gold * (b - a)
-                f1 = obj(x, g.angle, t1)
-        t = 0.5 * (a + b)
-        nv = obj(x, g.angle, t)
-        if nv <= best_v + 1e-15 or t < 1e-13:
+        def along(t):  # x and g stay fixed while one ray is searched
+            return walked(x, g.angle, t)
+
+        a, b = (0.0, vals, None), along(step)
+        if min(b[1]) > min(a[1]):
+            c = along(b[0] / (1.0 - _GOLD))
+            while min(c[1]) > min(b[1]) and c[0] < 4 * region[1]:
+                a, b, c = b, c, along(c[0] / (1.0 - _GOLD))
+        else:
+            c, b = b, along(_GOLD * b[0])
+            while min(b[1]) <= min(a[1]) and b[0] >= 1e-13:
+                c, b = b, along(_GOLD * b[0])
+        if min(b[1]) <= min(a[1]):
+            top = a  # no step down to 1e-13 gains
+        elif min(b[1]) < min(c[1]):
+            top = c  # still rising at 4 region radii
+        else:
+            top = _ray_top(along, a, b, c)
+        gain = min(top[1]) - min(vals)
+        if gain <= 1e-15 or top[0] < 1e-13:
             step *= 0.35
             if step < 1e-11:
                 break
             continue
-        x = space._walk(x, g.angle, t).end
-        best_v = nv
-        step = max(t * 2.0, 1e-10)
+        x, vals, w = top[2].end, top[1], top[2]
+        step = max(top[0] * 2.0, 1e-10)
         g = None
-    return x, best_v
+    return x, min(vals)
 
 
 def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,

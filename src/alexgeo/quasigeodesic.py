@@ -251,6 +251,15 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
     at the start is non-increasing in t; the development about p is
     convex.  Unit speed is checked on the curve's own grid.
 
+    The barrier compares the centred second difference at step delta with
+    c (1 - kappa h), c = 2 (1 - cos(sqrt(kappa) delta)) / (kappa delta^2):
+    a model solution h = 1/kappa + A cos(sqrt(kappa) t) has exactly that
+    second difference, and c = 1 at kappa = 0.  The comparison angle is
+    read up to a margin of 1e-9 short of t = pi/sqrt(kappa), where the
+    model triangle degenerates; a model triangle with perimeter above
+    2 pi/sqrt(kappa) does not exist for a quasigeodesic, so there the
+    monotonicity test reads pi, the largest increase an angle can make.
+
     Chords between samples flanking a cone point undershoot the
     arclength (the connecting geodesic wraps around the vertex), so the
     chord-equality and polyline-turn tests skip samples within a few
@@ -313,12 +322,20 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
             if dt1 <= 1e-15 or dt2 <= 1e-15 or abs(dt1 - dt2) > 1e-12:
                 continue
             d2 = (hvals[i - 1] - 2.0 * hvals[i] + hvals[i + 1]) / (dt1 * dt2)
-            barrier_worst = max(barrier_worst, d2 - (1.0 - kappa * hvals[i]))
+            c = 1.0
+            if kappa > 0:  # c as (sin(x/2) / (x/2))^2, free of the cancellation in 1 - cos
+                half = 0.5 * math.sqrt(kappa * dt1 * dt2)
+                c = (math.sin(half) / half) ** 2
+            barrier_worst = max(barrier_worst, d2 - c * (1.0 - kappa * hvals[i]))
         prev = None
         for i in range(1, len(ts)):
-            if kappa > 0 and ts[i] >= math.pi / math.sqrt(kappa):
+            if kappa > 0 and ts[i] >= math.pi / math.sqrt(kappa) - 1e-9:
                 break
-            ang = model_plane.comparison_angle(kappa, rs[0], rs[i], ts[i])
+            try:
+                ang = model_plane.comparison_angle(kappa, rs[0], rs[i], ts[i])
+            except model_plane.ModelDomainError:
+                mono_worst = math.pi
+                break
             if prev is not None:
                 mono_worst = max(mono_worst, ang - prev)
             prev = ang

@@ -343,6 +343,12 @@ class CapSpace(_SphereBase):
             return self._meridian_from_apex(angle, length, True, p)
         else:
             psi = angle
+        if abs(math.sin(psi)) < 1e-13 and math.cos(psi) < 0.0 and length > p[0] + _POLE_EPS:
+            # the pole is a regular point of the cap: a meridian walk
+            # through it goes on down the opposite meridian
+            w = self._walk((0.0, 0.0), p[1] + math.pi, length - p[0])
+            w.traveled += p[0]
+            return w
         return self._cap_clip_walk(p, psi, length)
 
     def _distances(self, points, q):

@@ -86,6 +86,17 @@ class TestCommands:
         report = json.loads((tmp_path / "t.json").read_text())
         assert report["check"]["passed"] is True
 
+    def test_trace_qg_on_a_spindle_exits_0(self, tmp_path, capsys):
+        # a geodesic at curvature 1: the barrier compares with the model's
+        # own second difference, not with 1 - kappa h (which read 7.3e-6)
+        path = tmp_path / "spindle.json"
+        path.write_text(json.dumps({"type": "spindle", "circle_length": "3pi/2"}))
+        rc = main(["trace-qg", "--space", str(path), "--from", "1.0,0.3", "--dir", "0.7",
+                   "--length", "5", "--check", "--prefix", str(tmp_path / "t")])
+        assert rc == 0
+        check = json.loads((tmp_path / "t.json").read_text())["check"]
+        assert check["passed"] is True and check["barrier_worst"] < 1e-9
+
     def test_trace_qg_check_without_a_probe_exits_1(self, tetra_file, tmp_path, capsys):
         # every probe lies within 20 h of a trace this long, so none qualifies
         rc = main(["trace-qg", "--space", tetra_file, "--from", "F0:0.3,0.3",

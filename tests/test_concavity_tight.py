@@ -161,3 +161,99 @@ class TestImageStudy:
                 for k, f in enumerate(funcs):
                     chord = (1 - s) * fa[k] + s * fb[k]
                     assert evaluate(f, SQUARE, x) >= chord - 1e-9
+
+
+class TestLocator:
+    """`_argmax_min`: its cost per call and its value against a scan."""
+
+    @staticmethod
+    def _quick_c10_funcs():
+        centers = [(0.5 + 0.08 * math.cos(a), 0.5 + 0.08 * math.sin(a))
+                   for a in (0.4, 0.4 + 2 * math.pi / 3, 0.4 + 4 * math.pi / 3)]
+        return [build_strictly_concave(SQUARE, c, r=0.35, c=60.0, n_points=6,
+                                       seed=114)[0] for c in centers]
+
+    @staticmethod
+    def _count_per_call(monkeypatch, counted):
+        """Patch concavity_tight so that each `_argmax_min` call appends the
+        number of `counted` events it saw; returns the list and the counter."""
+        per_call, seen = [], [0]
+        locate = concavity_tight._argmax_min
+
+        def counting(*args):
+            seen[0] = 0
+            out = locate(*args)
+            per_call.append(seen[0])
+            return out
+        monkeypatch.setattr(concavity_tight, "_argmax_min", counting)
+        if counted == "gradient":
+            def gradient(*args, real=concavity_tight.gradient):
+                seen[0] += 1
+                return real(*args)
+            monkeypatch.setattr(concavity_tight, "gradient", gradient)
+        else:
+            def walk(self, *args, real=PolygonSpace._walk):
+                seen[0] += 1
+                return real(self, *args)
+            monkeypatch.setattr(PolygonSpace, "_walk", walk)
+        return per_call
+
+    def test_ridge_top_ends_the_ascent(self, monkeypatch):
+        # an exact ray search lands on the ridge top of this image study;
+        # without the ridge-top stop one call zigzags across it for 107
+        # gradients on gains of 2e-15
+        per_call = self._count_per_call(monkeypatch, "gradient")
+        centers = [(0.48906059814734126, 0.42075147012653136),
+                   (0.5741009410093232, 0.5301504650301253),
+                   (0.43683846084333555, 0.5490980648433433)]
+        funcs = [build_strictly_concave(SQUARE, c, r=0.35, c=60.0, n_points=6,
+                                        n_geodesics=8, seed=873157000)[0]
+                 for c in centers]
+        rep = tight_image_study(SQUARE, funcs, ((0.5, 0.5), 0.05), grid_n=4,
+                                n_support=6, n_gf=2, seed=873157000)
+        assert rep.support_failures == 0
+        assert len(per_call) == 10
+        assert max(per_call) <= 20
+
+    def test_walk_budget_on_quick_c10(self, monkeypatch):
+        # 230 locator calls; the golden-section search took 124 walks per call
+        per_call = self._count_per_call(monkeypatch, "walk")
+        rep = tight_image_study(SQUARE, self._quick_c10_funcs(), ((0.5, 0.5), 0.05),
+                                grid_n=12, n_support=150, n_gf=40, seed=115)
+        assert rep.support_failures == 0 and rep.gf_worst < 1e-4
+        assert len(per_call) == 230
+        assert sum(per_call) <= 40 * len(per_call)
+
+    def test_value_no_lower_than_a_grid_scan(self):
+        # the scan zooms a 21 x 21 grid 14 times by 5 about its best point,
+        # down to a spacing of 8e-12: its best is a value of min_i (f_i - y_i)
+        # within about 6e-10 of the top, where the slopes are about 70
+        funcs = self._quick_c10_funcs()
+        region = ((0.5, 0.5), 0.05)
+        rng = np.random.default_rng(16)
+        grid_pts = [SQUARE.random_point_near(region[0], region[1], rng)
+                    for _ in range(36)]
+        grid_vals = [tuple(evaluate(f, SQUARE, x) for f in funcs) for x in grid_pts]
+
+        def scan(ys):
+            best, (cx, cy), half = -math.inf, region[0], 2.0 * region[1]
+            for _ in range(14):
+                offsets = np.linspace(-half, half, 21)
+                for x in cx + offsets:
+                    for y in cy + offsets:
+                        v = min(evaluate(f, SQUARE, (x, y)) - yi
+                                for f, yi in zip(funcs, ys))
+                        if v > best:
+                            best, top = v, (x, y)
+                (cx, cy), half = top, half / 5.0
+            return best
+
+        for k in range(4):
+            i, j = rng.integers(0, len(grid_vals), size=2)
+            t = rng.random()
+            ys = tuple(t * a + (1.0 - t) * b for a, b in zip(grid_vals[i], grid_vals[j]))
+            if k == 3:  # the image of a point: a G o F sample
+                ys = grid_vals[i]
+            _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region,
+                                                   grid_pts, grid_vals)
+            assert value >= scan(ys) - 1e-9

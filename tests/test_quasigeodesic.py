@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo.spaces import ConeSpace, PolygonSpace, regular_tetrahedron
+from alexgeo.spaces import (CapSpace, ConeSpace, PolygonSpace, SpindleSpace,
+                            build_doubling, regular_tetrahedron)
 from alexgeo.flow import CurveRecord
 from alexgeo.functions import Dist, DistSq, evaluate, scale
 from alexgeo.quasigeodesic import (
@@ -111,6 +112,88 @@ class TestChecker:
         rep = check_quasigeodesic(PLANE, rec, n_probes=12, tol=1e-6, seed=3)
         assert not rep.passed(1e-6)
         assert rep.development_min_turn < -0.1
+
+
+
+SPINDLE = SpindleSpace(1.5 * math.pi)
+
+
+def _on_sphere(r, phi):
+    """A spindle or cap point (colatitude r, unwrapped azimuth phi) in R^3."""
+    return np.array([math.sin(r) * math.cos(phi), math.sin(r) * math.sin(phi), math.cos(r)])
+
+
+def _bent_meridian(bend, length=2.5, n=512):
+    """The meridian of azimuth 0.3 from r = 1 through the north pole of the
+    1.5 pi spindle, leaving the pole at 0.3 + 0.75 pi + bend: the sides at
+    the pole are 0.75 pi + bend and 0.75 pi - bend."""
+    h = length / n
+    ts = [i * h for i in range(n + 1)]
+    pts = [SPINDLE.validate_point((1.0 - t, 0.3) if t <= 1.0
+                                  else (t - 1.0, 0.3 + 0.75 * math.pi + bend))
+           for t in ts]
+    tangents = [TangentVec(1.0, 0.0, SPINDLE.sigma_at(p)) for p in pts]
+    return CurveRecord(ts, pts, tangents, [None] * len(pts), [], h, "user")
+
+
+class TestCheckerCurvatureOne:
+    def test_spindle_geodesic_is_a_great_circle_and_passes(self):
+        # the 1.5 pi spindle is locally the unit sphere in (colatitude,
+        # azimuth); from (1, 0.3) at chart angle 0.7 (0 along +r, pi/2
+        # along +phi) the geodesic is cos t P0 + sin t T0
+        r0, phi0, psi = 1.0, 0.3, 0.7
+        rec = trace_quasigeodesic(SPINDLE, (r0, phi0), psi, 5.0)
+        assert not rec.events
+        e_r = np.array([math.cos(r0) * math.cos(phi0), math.cos(r0) * math.sin(phi0),
+                        -math.sin(r0)])
+        e_phi = np.array([-math.sin(phi0), math.cos(phi0), 0.0])
+        p0, t0 = _on_sphere(r0, phi0), math.cos(psi) * e_r + math.sin(psi) * e_phi
+        lift, prev = 0.0, phi0
+        for t, (r, phi) in zip(rec.ts, rec.points):
+            jump = phi + lift - prev  # unwrap the azimuth across the seam
+            lift -= round(jump / SPINDLE.circle_length) * SPINDLE.circle_length
+            prev = phi + lift
+            want = math.cos(t) * p0 + math.sin(t) * t0
+            assert np.linalg.norm(_on_sphere(r, prev) - want) < 1e-9
+        rep = check_quasigeodesic(SPINDLE, rec, n_probes=12, tol=1e-6, seed=0)
+        # the barrier read 7.3e-6 when it compared with 1 - kappa h
+        assert rep.barrier_worst < 1e-9
+        assert rep.passed(1e-6)
+
+    def test_meridian_through_the_pole_passes(self):
+        rec = trace_quasigeodesic(SPINDLE, (1.0, 0.3), math.pi, 2.5)
+        assert [k for _, k, _ in rec.events] == ["vertex"]
+        end = rec.points[-1]
+        assert end[0] == pytest.approx(1.5, abs=1e-12)
+        assert end[1] == pytest.approx(0.3 + 0.75 * math.pi, abs=1e-12)
+        rep = check_quasigeodesic(SPINDLE, rec, n_probes=12, tol=1e-6, seed=0)
+        assert rep.passed(1e-6)
+
+    @pytest.mark.parametrize("bend, quasi", [(0.0, True), (0.05, True), (0.7, True),
+                                             (0.9, False), (1.2, False)])
+    def test_bent_meridian_fails_past_pi(self, bend, quasi):
+        # a curve through a cone point is a quasigeodesic exactly when
+        # neither side's angle exceeds pi: 0.75 pi + 0.7 < pi < 0.75 pi + 0.9
+        rep = check_quasigeodesic(SPINDLE, _bent_meridian(bend), n_probes=12,
+                                  tol=1e-6, seed=0)
+        assert rep.passed(1e-6) is quasi
+        if bend == 1.2:
+            # some model triangle has perimeter above 2 pi: no comparison
+            # angle, so the monotonicity test reads pi
+            assert rep.monotone_worst == math.pi
+
+    def test_great_circle_stops_short_of_pi(self):
+        # on the round sphere every trace is a great circle; one of length
+        # 2 pi recorded in 512 steps has a sample at t = pi - 8.4e-15, where
+        # the comparison triangle degenerates and read an increase of 1.08
+        sphere = build_doubling(CapSpace(math.pi / 2))
+        p = (1.8482664081108604, 1.6951199159934145)
+        rec = trace_quasigeodesic(sphere, p, 0.4, 2 * math.pi)
+        assert min(abs(t - math.pi) for t in rec.ts) < 1e-13
+        assert sphere.distance(rec.points[0], rec.points[-1]) < 1e-12
+        rep = check_quasigeodesic(sphere, rec, n_probes=12, tol=1e-6, seed=0)
+        assert rep.monotone_worst < 1e-9
+        assert rep.passed(1e-6)
 
 
 class TestBuilders:

@@ -243,6 +243,27 @@ class TestSpindleCap:
             assert (end, event) == (w.end, w.event)
         assert events.count("boundary") == 4 * 9
 
+    @pytest.mark.parametrize("length", [0.2, 0.5, 1.5])
+    def test_cap_walk_through_the_pole_is_continuous_in_the_angle(self, length):
+        # the pole is a regular point of the cap: a meridian walk through it
+        # goes on down the meridian of azimuth 1 + pi, as do its neighbours
+        c = CapSpace(0.8)
+        walks = [c.walk((0.3, 1.0), math.pi + da, length) for da in (-1e-9, 0.0, 1e-9)]
+        traveled = min(length, 1.1)
+        end = (0.3 - length, 1.0) if length < 0.3 else (traveled - 0.3, 1.0 + math.pi)
+        for w in walks:
+            assert c.distance(w.end, end) < 1e-8
+            assert w.traveled == pytest.approx(traveled, abs=1e-12)
+            assert (w.event, w.sigma) == (walks[1].event, walks[1].sigma)
+            assert w.sigma.dist(w.back_angle, walks[1].back_angle) < 1e-8
+        assert walks[1].event == ("boundary" if length == 1.5 else None)
+        ends, events = c._walks((0.3, 1.0), [math.pi] * 2, [length, length])
+        assert ends == [walks[1].end] * 2 and events == [walks[1].event] * 2
+        # a boundary start walking inward along its meridian crosses the cap
+        across = c.walk((0.8, 1.0), 0.5 * math.pi, 1.6)
+        assert (across.end, across.traveled, across.event) == ((0.8, 1.0 + math.pi), 1.6,
+                                                               "boundary")
+
 
 class TestPolygon:
     def test_strictness(self):
