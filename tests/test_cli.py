@@ -88,7 +88,7 @@ class TestCommands:
 
     def test_trace_qg_on_a_spindle_exits_0(self, tmp_path, capsys):
         # a geodesic at curvature 1: the barrier compares with the model's
-        # own second difference, not with 1 - kappa h (which read 7.3e-6)
+        # own second difference, not with 1 - kappa h (which reads 7.3e-6)
         path = tmp_path / "spindle.json"
         path.write_text(json.dumps({"type": "spindle", "circle_length": "3pi/2"}))
         rc = main(["trace-qg", "--space", str(path), "--from", "1.0,0.3", "--dir", "0.7",

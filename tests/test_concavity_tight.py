@@ -174,35 +174,30 @@ class TestLocator:
                                        seed=114)[0] for c in centers]
 
     @staticmethod
-    def _count_per_call(monkeypatch, counted):
-        """Patch concavity_tight so that each `_argmax_min` call appends the
-        number of `counted` events it saw; returns the list and the counter."""
+    def _count_per_call(monkeypatch, owner, name):
+        """Patch `owner.name` to be counted and return the list of counts
+        that each later `_argmax_min` call appends."""
         per_call, seen = [], [0]
-        locate = concavity_tight._argmax_min
+        locate, real = concavity_tight._argmax_min, getattr(owner, name)
 
         def counting(*args):
             seen[0] = 0
             out = locate(*args)
             per_call.append(seen[0])
             return out
+
+        def counted(*args):
+            seen[0] += 1
+            return real(*args)
         monkeypatch.setattr(concavity_tight, "_argmax_min", counting)
-        if counted == "gradient":
-            def gradient(*args, real=concavity_tight.gradient):
-                seen[0] += 1
-                return real(*args)
-            monkeypatch.setattr(concavity_tight, "gradient", gradient)
-        else:
-            def walk(self, *args, real=PolygonSpace._walk):
-                seen[0] += 1
-                return real(self, *args)
-            monkeypatch.setattr(PolygonSpace, "_walk", walk)
+        monkeypatch.setattr(owner, name, counted)
         return per_call
 
     def test_ridge_top_ends_the_ascent(self, monkeypatch):
         # an exact ray search lands on the ridge top of this image study;
         # without the ridge-top stop one call zigzags across it for 107
         # gradients on gains of 2e-15
-        per_call = self._count_per_call(monkeypatch, "gradient")
+        per_call = self._count_per_call(monkeypatch, concavity_tight, "gradient")
         centers = [(0.48906059814734126, 0.42075147012653136),
                    (0.5741009410093232, 0.5301504650301253),
                    (0.43683846084333555, 0.5490980648433433)]
@@ -216,8 +211,8 @@ class TestLocator:
         assert max(per_call) <= 20
 
     def test_walk_budget_on_quick_c10(self, monkeypatch):
-        # 230 locator calls; the golden-section search took 124 walks per call
-        per_call = self._count_per_call(monkeypatch, "walk")
+        # 230 locator calls; a golden-section ray search takes 124 walks per call
+        per_call = self._count_per_call(monkeypatch, PolygonSpace, "_walk")
         rep = tight_image_study(SQUARE, self._quick_c10_funcs(), ((0.5, 0.5), 0.05),
                                 grid_n=12, n_support=150, n_gf=40, seed=115)
         assert rep.support_failures == 0 and rep.gf_worst < 1e-4
@@ -252,7 +247,7 @@ class TestLocator:
             i, j = rng.integers(0, len(grid_vals), size=2)
             t = rng.random()
             ys = tuple(t * a + (1.0 - t) * b for a, b in zip(grid_vals[i], grid_vals[j]))
-            if k == 3:  # the image of a point: a G o F sample
+            if k == 3:  # the image of a point, as in a G o F sample
                 ys = grid_vals[i]
             _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region,
                                                    grid_pts, grid_vals)

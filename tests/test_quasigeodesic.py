@@ -156,7 +156,7 @@ class TestCheckerCurvatureOne:
             want = math.cos(t) * p0 + math.sin(t) * t0
             assert np.linalg.norm(_on_sphere(r, prev) - want) < 1e-9
         rep = check_quasigeodesic(SPINDLE, rec, n_probes=12, tol=1e-6, seed=0)
-        # the barrier read 7.3e-6 when it compared with 1 - kappa h
+        # compared with 1 - kappa h in place of c (1 - kappa h), it reads 7.3e-6
         assert rep.barrier_worst < 1e-9
         assert rep.passed(1e-6)
 
@@ -185,7 +185,8 @@ class TestCheckerCurvatureOne:
     def test_great_circle_stops_short_of_pi(self):
         # on the round sphere every trace is a great circle; one of length
         # 2 pi recorded in 512 steps has a sample at t = pi - 8.4e-15, where
-        # the comparison triangle degenerates and read an increase of 1.08
+        # the comparison triangle degenerates (read there, it shows an
+        # increase of 1.08)
         sphere = build_doubling(CapSpace(math.pi / 2))
         p = (1.8482664081108604, 1.6951199159934145)
         rec = trace_quasigeodesic(sphere, p, 0.4, 2 * math.pi)
