@@ -21,6 +21,7 @@ from .functions import (
     check_concavity,
     differential,
     evaluate,
+    evaluate_each,
     scale,
 )
 from .flow import gradient
@@ -257,7 +258,7 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     gains.  Returns the last point and its value.
     """
     target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
-    terms = [_compile(t, space) for t in target.terms]  # min of these is `target`
+    terms = [_compile(t, space, False) for t in target.terms]  # min of these is `target`
 
     def walked(x, angle, t):  # x is a grid point or a walk end: validated
         w = space._walk(x, angle, t)
@@ -340,7 +341,7 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
     grid_pts = [space.random_point_near(center, radius, rng)
                 for _ in range(grid_n * grid_n)]
     F = lambda x: tuple(evaluate(f, space, x) for f in funcs)
-    values = [F(x) for x in grid_pts]
+    values = list(zip(*[evaluate_each(f, space, grid_pts) for f in funcs]))
 
     failures = 0
     for _ in range(n_support):

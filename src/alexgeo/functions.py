@@ -6,11 +6,17 @@ concavity checking along sampled geodesics, inf-convolution and
 smoothing of distance functions by averaging over a small ball.
 
 Node protocol: each `Expr` node answers two questions about itself.
-`_lower(space)` gives its value, as a closure of one validated point
-(see `_compile`); `_differential(space, p, sigma)` gives its chain rule,
-the differential at a validated point p from its children's.  The leaves
-phi o dist_q (`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share one rule, the
-first variation formula d_p(phi o dist_q)(xi) = -phi'(|pq|) cos angle(xi,
+`_lower(space, many)` gives its value, as a closure of one validated
+point or, when many, of a sequence of them, whose values it returns as
+a float array (see `_compile`).  The two forms share every line but the
+distance leaves' kernel, `space._distance(q, p)` or `space._distances(
+points, q)`, and `MinExpr`'s `min` or pairwise `np.minimum`.  On many
+points a leaf applies its phi to the array of distances, in a form that
+rounds as the scalar phi does, or maps the scalar phi over them.
+`_differential(space, p, sigma)` gives its chain rule, the differential
+at a validated point p from its children's.  The leaves phi o dist_q
+(`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share one rule, the first
+variation formula d_p(phi o dist_q)(xi) = -phi'(|pq|) cos angle(xi,
 up_p^q); each gives only its slope `dphi`.
 
 Concavity certificates attached to expressions are hints, never trusted:
@@ -19,13 +25,14 @@ constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model_plane
-from .spaces.base import REFUSED, SpaceError
+from .spaces.base import REFUSED, SpaceError, libm
 from .tangent import (
     DirectionalFn,
     combine_affine,
@@ -56,8 +63,9 @@ class Expr:
         cert = Certificate(lam, center, radius, verified)
         return replace(self, certificates=self.certificates + (cert,))
 
-    def _lower(self, space):
-        """A closure that evaluates this node at a validated point of space."""
+    def _lower(self, space, many):
+        """A closure that evaluates this node at a validated point of space,
+        or, when many, at each of a sequence of them, as a float array."""
         raise ExprError(f"cannot evaluate {self!r}")
 
     def _differential(self, space, p, sigma) -> DirectionalFn:
@@ -65,8 +73,8 @@ class Expr:
         raise ExprError(f"cannot differentiate {self!r}")
 
     def __getstate__(self):
-        # the compiled closure (see `_compile`) is a cache, not part of the value
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+        # the compiled closures (see `_compile`) are a cache, not part of the value
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
 
 
 class _DistanceLeaf(Expr):
@@ -95,8 +103,8 @@ class Dist(_DistanceLeaf):
     def dphi(self, x):
         return 1.0
 
-    def _lower(self, space):
-        dist, q = space._distance, space.validate_point(self.q)
+    def _lower(self, space, many):
+        dist, q = _metric(space, many), space.validate_point(self.q)
         return lambda p: dist(q, p)
 
 
@@ -107,8 +115,8 @@ class DistSq(_DistanceLeaf):
     def dphi(self, x):
         return 2.0 * x
 
-    def _lower(self, space):
-        dist, q = space._distance, space.validate_point(self.q)
+    def _lower(self, space, many):
+        dist, q = _metric(space, many), space.validate_point(self.q)
 
         def value(p):
             d = dist(q, p)
@@ -127,9 +135,12 @@ class RhoDist(_DistanceLeaf):
     def dphi(self, x):
         return model_plane.sigma(self.kappa, x)
 
-    def _lower(self, space):
-        dist, q = space._distance, space.validate_point(self.q)
+    def _lower(self, space, many):
+        """rho_kappa is not array-ready: on many points it maps over the distances."""
+        dist, q = _metric(space, many), space.validate_point(self.q)
         rho, kappa = model_plane.rho, self.kappa
+        if many:
+            rho = lambda kappa, d: np.array([model_plane.rho(kappa, x) for x in d.tolist()])
         return lambda p: rho(kappa, dist(q, p))
 
 
@@ -147,12 +158,18 @@ class PhiRC(_DistanceLeaf):
     def phi(self, x):
         return (x - self.r) - self.c * (x - self.r) ** 2 / self.r
 
+    def _phi_each(self, d):
+        """`phi` on a float array, with the scalar's pow (x - r) ** 2 from `math`:
+        numpy squares by x * x, which rounds differently (about 1 value in 1,000)."""
+        u = d - self.r
+        return u - self.c * libm(math.pow, u, np.full(len(u), 2.0)) / self.r
+
     def dphi(self, x):
         return 1.0 - 2.0 * self.c * (x - self.r) / self.r
 
-    def _lower(self, space):
-        dist, q = space._distance, space.validate_point(self.q)
-        phi = self.phi
+    def _lower(self, space, many):
+        dist, q = _metric(space, many), space.validate_point(self.q)
+        phi = self._phi_each if many else self.phi
         return lambda p: phi(dist(q, p))
 
 
@@ -162,8 +179,8 @@ class Affine(Expr):
     constant: float = 0.0
     terms: tuple = ()
 
-    def _lower(self, space):
-        parts = tuple(zip(self.weights, [_compile(t, space) for t in self.terms]))
+    def _lower(self, space, many):
+        parts = tuple(zip(self.weights, [_compile(t, space, many) for t in self.terms]))
         constant = self.constant
 
         def value(p):
@@ -183,13 +200,15 @@ class Affine(Expr):
 class MinExpr(Expr):
     terms: tuple = ()
 
-    def _lower(self, space):
-        terms = [_compile(t, space) for t in self.terms]
-        return lambda p: min([term(p) for term in terms])
+    def _lower(self, space, many):
+        terms = [_compile(t, space, many) for t in self.terms]
+        # np.minimum pairwise, as a term without leaves is a float on many points
+        least = (lambda vals: functools.reduce(np.minimum, vals)) if many else min
+        return lambda p: least([term(p) for term in terms])
 
     def _differential(self, space, p, sigma):
         """The lower envelope of the terms within 1e-9 of the least value."""
-        vals = [_compile(t, space)(p) for t in self.terms]
+        vals = [_compile(t, space, False)(p) for t in self.terms]
         vmin = min(vals)
         return combine_min(sigma, [_chain_rule(t, space, p, sigma)
                                    for t, v in zip(self.terms, vals) if v <= vmin + 1e-9])
@@ -199,10 +218,11 @@ class MinExpr(Expr):
 class BoundaryDist(Expr):
     """Distance to the boundary; for doubles, pulled back by the projection."""
 
-    def _lower(self, space):
+    def _lower(self, space, many):
         if space.boundary_dist is None:
             raise ExprError(f"{space.variant} has no boundary-distance support")
-        return space.boundary_dist
+        bd = space.boundary_dist
+        return (lambda points: np.array([bd(p) for p in points], dtype=float)) if many else bd
 
     def _differential(self, space, p, sigma):
         """The min of the cos-tails the space gives; sources None is a constant."""
@@ -242,20 +262,32 @@ def validate_simple(expr) -> bool:
 
 
 # -- evaluation ----------------------------------------------------------
-def _compile(expr, space):
-    """expr as a closure of one validated point of space, built once per space.
+_MEMOS = ("_compiled", "_compiled_many")  # the node attribute of each form's closure
+
+
+def _metric(space, many):
+    """The distance kernel of the leaves: dist(q, p) of one point, or of many."""
+    if many:
+        return lambda q, points: space._distances(points, q)
+    return space._distance
+
+
+def _compile(expr, space, many):
+    """expr as a closure of one validated point of space, or when many of a
+    sequence of them, built once per space.
 
     Each node lowers to one closure that calls its children's closures,
-    so a tree is walked once, not on every evaluation.  The closure is
-    kept on the node for the last space it was built for; it is not a
-    dataclass field, so equality, hash and repr do not see it.
+    so a tree is walked once, not on every evaluation.  Each form's
+    closure is kept on the node for the last space it was built for; it
+    is not a dataclass field, so equality, hash and repr do not see it.
     """
     if not isinstance(expr, Expr):
         raise ExprError(f"cannot evaluate {expr!r}")
-    memo = expr.__dict__.get("_compiled")
+    key = _MEMOS[many]
+    memo = expr.__dict__.get(key)
     if memo is None or memo[0] is not space:
-        memo = (space, expr._lower(space))
-        object.__setattr__(expr, "_compiled", memo)
+        memo = (space, expr._lower(space, many))
+        object.__setattr__(expr, key, memo)
     return memo[1]
 
 
@@ -265,9 +297,23 @@ def evaluate(expr, space, p):
     p is validated once per call; the leaves of a tree take it as it is.
     """
     if isinstance(expr, Expr):
-        return _compile(expr, space)(space.validate_point(p))
+        return _compile(expr, space, False)(space.validate_point(p))
     if callable(expr):
         return float(expr(space, p))
+    raise ExprError(f"cannot evaluate {expr!r}")
+
+
+def evaluate_each(expr, space, points):
+    """`evaluate(expr, space, p)` for each p of points, as a list of floats.
+
+    A tree validates each point and makes one call of its many-point
+    closure; a callable is called on each point in order.
+    """
+    if isinstance(expr, Expr):
+        points = [space.validate_point(p) for p in points]
+        return np.broadcast_to(_compile(expr, space, True)(points), len(points)).tolist()
+    if callable(expr):
+        return [float(expr(space, p)) for p in points]
     raise ExprError(f"cannot evaluate {expr!r}")
 
 
@@ -305,21 +351,33 @@ class ConcavityReport:
 
 def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
                     seed=0, tol=1e-7) -> ConcavityReport:
-    """Sample geodesics in a ball and test discrete second differences."""
+    """Sample geodesics in a ball and test discrete second differences.
+
+    Every geodesic is drawn first; then f is evaluated at all their
+    samples at once (`evaluate_each`), and the second differences are
+    read geodesic by geodesic, in the order they were drawn.
+    """
     if n_geodesics < 1:
         raise ValueError(f"concavity check needs at least 1 geodesic, not {n_geodesics}")
+    if n_samples < 3:
+        raise ValueError(f"concavity check needs at least 3 samples per geodesic "
+                         f"for a second difference, not {n_samples}")
     center, radius = region
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_chord = None
+    chords, pts = [], []
     for _ in range(n_geodesics):
         a = space.random_point_near(center, radius, rng)
         b = space.random_point_near(center, radius, rng)
         d = space.distance(a, b)
         if d < 1e-6:
             continue
-        pts = space.geodesic_points(a, b, n_samples)
-        vals = [evaluate(expr, space, x) for x in pts]
+        chords.append((a, b, d))
+        pts += space.geodesic_points(a, b, n_samples)
+    values = evaluate_each(expr, space, pts)
+    worst = -math.inf
+    worst_chord = None
+    for k, (a, b, d) in enumerate(chords):
+        vals = values[k * n_samples:(k + 1) * n_samples]
         dt = d / (n_samples - 1)
         for i in range(1, n_samples - 1):
             d2 = (vals[i - 1] - 2.0 * vals[i] + vals[i + 1]) / (dt * dt)
@@ -365,11 +423,12 @@ class InfConvolution:
     A query scans four stencils of 16 rays by 8 radii, the first about y
     and each later one about the best point so far on a radius 8 times
     smaller; the first time a scan's best point lies on its rim, the
-    next scan keeps the centre and doubles the radius instead.  Each stencil is one batched `_walks` call from its centre
-    and one `_distances` call to y; f is evaluated by its compiled
-    closure at the walk ends in stencil order, and each ray stops at its
-    first event or refused walk, so f runs only where a walk-by-walk
-    scan would run it.  A sequential compass polish of scalar walks then
+    next scan keeps the centre and doubles the radius instead.  Each
+    stencil is one batched `_walks` call from its centre.  Each ray
+    stops at its first event or refused walk, and the walk ends that a
+    walk-by-walk scan would read get one call of f's many-point closure
+    and one `_distances` call to y; the scan then reads their values in
+    stencil order.  A sequential compass polish of scalar walks then
     pins the minimizer below the stencil's spacing.
     """
 
@@ -388,11 +447,11 @@ class InfConvolution:
     def _obj(self, x, y):
         """f(x) + d(x, y)^2 / eps at points of the space: y validated, x = y or a walk end."""
         space = self.space
-        return _compile(self.expr, space)(x) + space._distance(x, y) ** 2 / self.eps
+        return _compile(self.expr, space, False)(x) + space._distance(x, y) ** 2 / self.eps
 
     def query(self, y) -> InfConvResult:
         space = self.space
-        f = _compile(self.expr, space)
+        f = _compile(self.expr, space, True)
         y = space.validate_point(y)
         best_x, best_v = y, self._obj(y, y)
         center, radius = y, self.search_radius
@@ -404,18 +463,21 @@ class InfConvolution:
             angles = space.sigma_at(center).length * rays / n_angles
             ends, events = space._walks(center, np.repeat(angles, n_radii),
                                         np.tile(radius * steps / n_radii, n_angles))
-            penalty = (space._distances(ends, y) ** 2 / self.eps).tolist()
-            hit_rim = False
-            for j0 in range(0, n_angles * n_radii, n_radii):  # one ray, outward
+            read = []  # each ray outward, to its first event or refused walk
+            for j0 in range(0, n_angles * n_radii, n_radii):
                 for j in range(j0, j0 + n_radii):
                     if events[j] == REFUSED:
                         break
-                    v = f(ends[j]) + penalty[j]
-                    if v < best_v - 1e-15:
-                        best_v, best_x = v, ends[j]
-                        hit_rim = j == j0 + n_radii - 1
+                    read.append(j)
                     if events[j] is not None:
                         break
+            xs = [ends[j] for j in read]
+            vals = (f(xs) + space._distances(xs, y) ** 2 / self.eps).tolist()
+            hit_rim = False
+            for j, v in zip(read, vals):
+                if v < best_v - 1e-15:
+                    best_v, best_x = v, ends[j]
+                    hit_rim = j % n_radii == n_radii - 1
             if hit_rim and not expanded:
                 radius *= 2.0
                 expanded = True

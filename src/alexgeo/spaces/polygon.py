@@ -90,9 +90,21 @@ class PolygonSpace(Space):
         )
 
     def classify(self, p):
-        """Return ('interior',), ('edge', i, s) or ('corner', i)."""
+        """Return ('interior',), ('edge', i, s) or ('corner', i).
+
+        A corner lies on two edge lines, so a point farther than t from
+        every edge line is near no corner and no edge: one pass over the
+        lines settles it.  The pass tests 2t, so that rounding in the
+        line values cannot hide a corner within t.
+        """
         x, y = p
         t = _BTOL * self._unit
+        near = 2.0 * t
+        for ax, ay, nx, ny in self._planes:
+            if -near <= (x - ax) * nx + (y - ay) * ny <= near:
+                break
+        else:
+            return ("interior",)
         for i, (cx, cy) in enumerate(self._corners):
             if math.hypot(x - cx, y - cy) <= t:
                 return ("corner", i)
@@ -123,6 +135,11 @@ class PolygonSpace(Space):
 
     def _distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])
+
+    def _distances(self, points, q):
+        """`_distance(x, q)` for each x, inlined: the same `math.hypot`, bit for bit."""
+        qx, qy, hypot = q[0], q[1], math.hypot
+        return np.array([hypot(qx - x, qy - y) for x, y in points], dtype=float)
 
     def sigma_at(self, p):
         return self._sigma_of(self.classify(p))

@@ -344,12 +344,16 @@ class CapSpace(_SphereBase):
         else:
             psi = angle
         if abs(math.sin(psi)) < 1e-13 and math.cos(psi) < 0.0 and length > p[0] + _POLE_EPS:
-            # the pole is a regular point of the cap: a meridian walk
-            # through it goes on down the opposite meridian
-            w = self._walk((0.0, 0.0), p[1] + math.pi, length - p[0])
-            w.traveled += p[0]
-            return w
+            return self._through_pole(p, length)
         return self._cap_clip_walk(p, psi, length)
+
+    def _through_pole(self, p, length):
+        """The walk from p off the pole up its meridian, past the pole.  The
+        pole is a regular point of the cap: the walk goes on down the
+        opposite meridian."""
+        w = self._walk((0.0, 0.0), p[1] + math.pi, length - p[0])
+        w.traveled += p[0]
+        return w
 
     def _distances(self, points, q):
         """`_loc` on arrays, as `_distance` calls it."""
@@ -443,9 +447,12 @@ class CapSpace(_SphereBase):
             return [p] * n
         if p[0] <= _POLE_EPS:
             return [(min(d * i / (n - 1), self.radius), q[1]) for i in range(n)]
-        dirs = self._dirs_regular(p, q)
+        psi = self._dirs_regular(p, q)[0]
+        up = abs(math.sin(psi)) < 1e-13 and math.cos(psi) < 0.0  # the meridian to the pole
         pts = [p]
         for i in range(1, n):
-            w = super()._walk(p, dirs[0], d * i / (n - 1))
+            t = d * i / (n - 1)
+            w = (self._through_pole(p, t) if up and t > p[0] + _POLE_EPS
+                 else super()._walk(p, psi, t))
             pts.append((min(w.end[0], self.radius), w.end[1]))
         return pts

@@ -1,5 +1,10 @@
+import ast
+import collections
+import copy
 import math
 import pickle
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +12,8 @@ import pytest
 
 from alexgeo import model_plane
 from alexgeo.spaces import (CapSpace, ConeSpace, DoubledCap, DoubledPolygon, MeshPoint,
-                            PolygonSpace, SpaceError, SpindleSpace, build_doubling,
-                            regular_tetrahedron)
+                            MeshSpace, PolygonSpace, SpaceError, SpindleSpace, build_doubling,
+                            random_tetrahedron, regular_tetrahedron)
 from alexgeo.functions import (
     Affine,
     BoundaryDist,
@@ -22,9 +27,11 @@ from alexgeo.functions import (
     RhoDist,
     SmoothedDistance,
     check_concavity,
+    _compile,
     differential,
     ensure_certificate,
     evaluate,
+    evaluate_each,
     scale,
     sum_of,
     validate_simple,
@@ -319,6 +326,126 @@ class TestCompiledEvaluation:
             evaluate(scale(1.0, "not an expression"), PLANE, (1.0, 0.0))
 
 
+# the spaces of `tests/test_spaces.py::INTERFACE_SPACES`, and one more mesh
+MANY_POINT_SPACES = {
+    "cone": lambda: ConeSpace(1.5 * math.pi),
+    "spindle": lambda: SpindleSpace(4.0),
+    "cap": lambda: CapSpace(0.8),
+    "square": lambda: SQUARE,
+    "doubled_cap": lambda: DoubledCap(CapSpace(math.pi / 2)),
+    "tetrahedron": regular_tetrahedron,
+    "doubled_square": lambda: DoubledPolygon(SQUARE),
+    "random_tetrahedron": lambda: random_tetrahedron(np.random.default_rng(41)),
+}
+
+
+class TestManyPointEvaluation:
+    """The many-point closure of each node gives, at each point, what its
+    one-point closure gives.
+
+    Values compare with `==` where the space's `_distances` is the default
+    loop or the polygon's `math` hypot, and within 1e-15 on the cone's and
+    the cap's numpy forms, as in `TestBatchKernels`.  On a mesh a distance
+    leaf's one-point closure reads d(q, p) and the default `_distances`
+    loop reads d(p, q): the unfolding search from each end rounds on its
+    own, so these compare within 1e-12 (3e-15 is the largest gap seen).
+    """
+
+    @staticmethod
+    def _points(name, space, rng):
+        points = [space.random_point(rng) for _ in range(12)]
+        points += [p for p, _ in space.cone_points() + space.corners()]  # apexes, vertices
+        points += {"cap": [(0.0, 0.0)], "doubled_cap": [(0.0, 0.0), (math.pi, 0.0)]}.get(name, [])
+        if space.boundary_period is not None:
+            points += [space.boundary_point(s * space.boundary_period) for s in (0.1, 0.45, 0.8)]
+        return [space.validate_point(p) for p in points]
+
+    @staticmethod
+    def _nodes(space, qs):
+        leaves = [leaf for q in qs for leaf in (
+            Dist(q=q), DistSq(q=q), RhoDist(kappa=space.kappa, q=q), PhiRC(r=0.3, c=2.0, q=q))]
+        nodes = leaves + [Affine(weights=(1.0, -0.5, 2.0, 0.7), constant=0.25, terms=leaves[:4]),
+                          MinExpr(terms=tuple(leaves[4:8])), scale(-1.0, MinExpr(terms=(
+                              leaves[1], Affine(weights=(1.5,), terms=(leaves[6],)))), 3.0)]
+        # a term without leaves is a constant on every point
+        constant = Affine(weights=(), constant=0.5, terms=())
+        nodes += [constant, MinExpr(terms=(constant, leaves[0], leaves[2]))]
+        if space.boundary_dist is not None:
+            nodes += [BoundaryDist(), MinExpr(terms=(BoundaryDist(), leaves[0]))]
+        return nodes
+
+    @pytest.mark.parametrize("name", sorted(MANY_POINT_SPACES))
+    def test_each_node_matches_one_point_evaluation(self, name):
+        space = MANY_POINT_SPACES[name]()
+        rng = np.random.default_rng(53)
+        points = self._points(name, space, rng)
+        qs = [points[0], points[12]] + points[-2:]  # a random point and special points
+        if isinstance(space, MeshSpace):
+            tol = 1e-12
+        elif type(space)._distances in (ConeSpace._distances, CapSpace._distances):
+            tol = 1e-15
+        else:
+            tol = 0.0
+        kinds = set()
+        for node in self._nodes(space, qs):
+            kinds.add(type(node))
+            got = np.broadcast_to(_compile(node, space, True)(points), len(points))
+            assert got.dtype == float
+            want = [_compile(node, space, False)(p) for p in points]
+            exact = tol == 0.0 or isinstance(node, BoundaryDist)
+            if exact:
+                assert got.tolist() == want
+            else:
+                assert all(math.isclose(g, w, rel_tol=tol, abs_tol=tol)
+                           for g, w in zip(got.tolist(), want))
+            assert evaluate_each(node, space, points) == got.tolist()
+        assert kinds >= {Dist, DistSq, RhoDist, PhiRC, Affine, MinExpr}
+        assert (BoundaryDist in kinds) == (space.boundary_dist is not None)
+
+    def test_evaluate_each_validates_each_point(self):
+        f = DistSq(q=(0.2, 0.3))
+        assert evaluate_each(f, SQUARE, [(0.5, 0.5), [1, 1]]) == [
+            evaluate(f, SQUARE, (0.5, 0.5)), evaluate(f, SQUARE, [1, 1])]
+        with pytest.raises(SpaceError):
+            evaluate_each(f, SQUARE, [(0.5, 0.5), (1.5, 0.5)])
+        with pytest.raises(ExprError):
+            evaluate_each("not an expression", SQUARE, [(0.5, 0.5)])
+
+    def test_copies_survive_many_point_evaluation(self):
+        space, tree, points = evaluation_cases()["square"]
+        twin = evaluation_cases()["square"][1]
+        before = (hash(tree), repr(tree))
+        values = evaluate_each(tree, space, points)
+        assert values == [evaluate(tree, space, p) for p in points]
+        assert "_compiled_many" in tree.__dict__ and "_compiled" in tree.__dict__
+        state = tree.__getstate__()
+        assert "_compiled_many" not in state and "_compiled" not in state
+        assert tree == twin and (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))
+        for restored in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+            assert restored == tree and hash(restored) == hash(tree)
+            assert evaluate_each(restored, space, points) == values
+
+
+def test_each_node_has_one_lowering():
+    # one `_lower(space, many)` per node class serves one point and many;
+    # no second lowering method sits beside it
+    src = Path(__file__).resolve().parent.parent / "src" / "alexgeo"
+    texts = {str(path.relative_to(src)): path.read_text(encoding="utf-8")
+             for path in sorted(src.rglob("*.py"))}
+    assert not [name for name, text in texts.items() if re.search(r"\b_lower_?\w", text)]
+    assert [name for name, text in texts.items() if "def _lower" in text] == ["functions.py"]
+    lowerings = collections.Counter()
+    for cls in ast.walk(ast.parse(texts["functions.py"])):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_lower":
+                    assert [a.arg for a in fn.args.args] == ["self", "space", "many"]
+                    lowerings[cls.name] += 1
+    assert lowerings == collections.Counter(
+        {name: 1 for name in ("Expr", "Dist", "DistSq", "RhoDist", "PhiRC", "Affine", "MinExpr",
+                              "BoundaryDist")})
+
+
 class TestChainRule:
     @pytest.mark.parametrize("name", list(evaluation_cases()))
     def test_equal_to_the_reference_chain_rule(self, name):
@@ -502,6 +629,56 @@ class TestCheckConcavity:
         rep = check_concavity(Dist(q=q), PLANE, 0.0, (q, 0.5), n_geodesics=80,
                               seed=2)
         assert not rep.passed
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_too_few_samples_for_a_second_difference(self, n_samples):
+        # 2 samples have no interior sample to test, 1 no spacing
+        f = DistSq(q=(1.0, 0.0))
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            check_concavity(f, PLANE, 0.0, ((1.5, 0.5), 1.0), n_samples=n_samples)
+
+    @staticmethod
+    def _sample_by_sample(expr, space, lam, region, n_geodesics, n_samples, seed):
+        """(worst margin, worst chord) with one `evaluate` per sample, each
+        geodesic's samples evaluated before the next geodesic is drawn."""
+        center, radius = region
+        rng = np.random.default_rng(seed)
+        worst, worst_chord = -math.inf, None
+        for _ in range(n_geodesics):
+            a = space.random_point_near(center, radius, rng)
+            b = space.random_point_near(center, radius, rng)
+            d = space.distance(a, b)
+            if d < 1e-6:
+                continue
+            vals = [evaluate(expr, space, x) for x in space.geodesic_points(a, b, n_samples)]
+            dt = d / (n_samples - 1)
+            for i in range(1, n_samples - 1):
+                margin = (vals[i - 1] - 2.0 * vals[i] + vals[i + 1]) / (dt * dt) - lam
+                if margin > worst:
+                    worst, worst_chord = margin, (a, b)
+        return (0.0 if worst == -math.inf else worst), worst_chord
+
+    @pytest.mark.parametrize("name", ["square", "spindle"])
+    def test_report_equals_the_sample_by_sample_check(self, name):
+        space, tree, _ = evaluation_cases()[name]
+        center = space.random_point(np.random.default_rng(7))
+        radius = 0.3 if name == "square" else 0.6
+        seen = []
+
+        def recorded(space, p):
+            seen.append(p)
+            return evaluate(tree, space, p)
+
+        for f in (tree, recorded):
+            for seed in range(4):
+                args = (space, -1.0, (center, radius), 12, 9, seed)
+                rep = check_concavity(f, *args[:3], n_geodesics=12, n_samples=9, seed=seed)
+                calls = seen[:]
+                del seen[:]
+                want = self._sample_by_sample(f, *args)
+                assert (rep.worst_margin, rep.worst_chord) == want
+                assert calls == seen  # the callable ran on the same points, in order
+                del seen[:]
 
     def test_certificate_flow(self):
         f = scale(-1.0, DistSq(q=(1.0, 0.0))).with_certificate(-2.0, (1.0, 0.0), 1.0)

@@ -264,6 +264,33 @@ class TestSpindleCap:
         assert (across.end, across.traveled, across.event) == ((0.8, 1.0 + math.pi), 1.6,
                                                                "boundary")
 
+    def test_cap_geodesic_through_the_pole_goes_on_down_the_opposite_meridian(self):
+        # the pole rule of `CapSpace._walk`: past the pole, the points lie on
+        # the meridian of azimuth 1 + pi at colatitude t - 0.3
+        c = CapSpace(0.8)
+        pts = c.geodesic_points((0.3, 1.0), (0.5, 1.0 + math.pi), 5)
+        assert pts[0] == (0.3, 1.0) and pts[1] == pytest.approx((0.1, 1.0), abs=1e-12)
+        for (r, phi), t in zip(pts[2:], (0.4, 0.6, 0.8)):
+            assert r == pytest.approx(t - 0.3, abs=1e-12)
+            assert phi == pytest.approx(1.0 + math.pi, abs=1e-12)
+        # from the boundary, through the pole, to the far boundary
+        across = c.geodesic_points((0.8, 1.0), (0.8, 1.0 + math.pi), 5)
+        assert across[-1] == pytest.approx((0.8, 1.0 + math.pi), abs=1e-12)
+        assert [r for r, _ in across] == pytest.approx([0.8, 0.4, 0.0, 0.4, 0.8], abs=1e-12)
+
+    def test_cap_geodesics_off_the_pole_keep_their_points(self):
+        # the walk of the parent form: the sphere walk, clipped to the cap
+        c = CapSpace(0.8)
+        rng = np.random.default_rng(271)
+        starts = [c.random_point(rng) for _ in range(30)]
+        starts += [c.boundary_point(s) for s in (0.3, 2.0, 4.5)]
+        for p, q in zip(starts, starts[1:] + starts[:1]):
+            p, q = c.validate_point(p), c.validate_point(q)
+            d, psi = c._distance(p, q), c._dirs_regular(p, q)[0]
+            walks = [SpindleSpace._walk(c, p, psi, d * i / 8) for i in range(1, 9)]
+            assert c.geodesic_points(p, q, 9) == [p] + [(min(w.end[0], c.radius), w.end[1])
+                                                        for w in walks]
+
 
 class TestPolygon:
     def test_strictness(self):
@@ -348,6 +375,41 @@ class TestPolygon:
         assert (w.traveled, w.back_angle) == (traveled, back)
         assert (w.sigma.length, w.sigma.is_arc) == (sig_len, is_arc)
         assert (w.event, w.event_ref) == (event, ref)
+
+    @staticmethod
+    def _two_loop_classify(poly, p):
+        """`classify` as two loops, corners first: the reference for the one pass."""
+        x, y = p
+        t = 1e-9 * max(poly.scale, 1.0)
+        for i, (cx, cy) in enumerate(poly._corners):
+            if math.hypot(x - cx, y - cy) <= t:
+                return ("corner", i)
+        for i, (ax, ay, nx, ny) in enumerate(poly._planes):
+            if abs((x - ax) * nx + (y - ay) * ny) <= t:
+                dx, dy = poly.edge_dirs[i]
+                s = (x - ax) * dx + (y - ay) * dy
+                if -t <= s <= poly.edge_lens[i] + t:
+                    return ("edge", i, min(max(s, 0.0), poly.edge_lens[i]))
+        return ("interior",)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classify_in_one_pass_matches_two_loops(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        poly = PolygonSpace(SQUARE) if seed == 0 else random_convex_polygon(rng)
+        base = [poly.random_point(rng) for _ in range(40)]
+        base += [c for c, _ in poly.corners()]
+        base += [poly.boundary_point(s * poly.boundary_period) for s in rng.random(20)]
+        points = list(base)
+        for p in base:
+            for r in (1e-10, 2e-9):
+                for a in rng.random(6) * 2 * math.pi:
+                    points.append((p[0] + r * math.cos(a), p[1] + r * math.sin(a)))
+        kinds = collections.Counter()
+        for p in points:
+            want = self._two_loop_classify(poly, p)
+            assert poly.classify(p) == want
+            kinds[want[0]] += 1
+        assert kinds["interior"] and kinds["edge"] and kinds["corner"]
 
     def test_random_polygons_are_valid(self):
         rng = np.random.default_rng(5)
@@ -789,7 +851,8 @@ class TestBatchKernels:
     """`_walks` and `_distances` answer as one `_walk` or `_distance` call each.
 
     Events and refusals compare with `==` on every space, and so do ends
-    and distances where the default loop serves the space.  The cone's and
+    and distances where the default loop serves the space, and the
+    polygon's distances, whose hypot comes from `math`.  The cone's and
     the cap's numpy forms apply the scalar kernels' operations in the same
     order, with atan2, hypot, asin and acos from `math`; they agree bit for
     bit where numpy's sin, cos, sqrt and fmod round as `math`'s do (x86-64,
@@ -860,7 +923,7 @@ class TestBatchKernels:
         space = INTERFACE_SPACES[name]()
         rng = np.random.default_rng(36)
         starts = self._starts(name, space, rng)
-        exact = type(space)._distances is Space._distances
+        exact = type(space)._distances in (Space._distances, PolygonSpace._distances)
         for q in starts[::2]:
             for p in starts[:4]:
                 angles, lengths = self._cases(space, p, rng)
