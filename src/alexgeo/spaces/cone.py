@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .base import (ARRAYS, CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
-                   azimuth_gap, minimizing_angles, planar_ends, walk_each, walk_length,
-                   wrap_angle, wrap_angles)
+                   azimuth_gap, minimizing_angles, planar_ends, point_array, walk_each,
+                   walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -63,7 +63,7 @@ class ConeSpace(Space):
         return math.hypot(p[0] - q[0], 2.0 * math.sqrt(p[0] * q[0]) * math.sin(0.5 * a))
 
     def _distances(self, points, q):
-        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        P = point_array(points)
         r = P[:, 0]
         if q[0] <= _APEX_EPS:
             return r + q[0]

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult,
-                   azimuth_gap, clamped_acos, libm, minimizing_angles, planar_ends, walk_each,
-                   walk_length, wrap_angle, wrap_angles)
+                   azimuth_gap, clamped_acos, libm, minimizing_angles, planar_ends, point_array,
+                   walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -357,7 +357,7 @@ class CapSpace(_SphereBase):
 
     def _distances(self, points, q):
         """`_loc` on arrays, as `_distance` calls it."""
-        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        P = point_array(points)
         d = np.abs(P[:, 1] - q[1])
         a = np.minimum(d, self.wrap_length - d)
         s = np.sin(0.5 * (P[:, 0] - q[0]))
