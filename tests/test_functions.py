@@ -764,6 +764,26 @@ class TestBatchedScan:
             assert abs(got.value - want.value) <= 1e-15
             assert space.distance(got.argmin, want.argmin) <= 1e-9
 
+    def test_f_runs_where_the_walk_by_walk_scan_runs_it(self):
+        # the square's batch kernels loop over its scalar ones, so a query
+        # evaluates f at the points the scalar scan evaluates, in its order:
+        # one many-point call per stencil on the ends each ray reads
+        rng = np.random.default_rng(38)
+        ys = [SQUARE.random_point(rng) for _ in range(3)] + [(0.02, 0.5), (0.99, 0.97)]
+        for y in ys:
+            seen = {}
+            for name, run in (("query", InfConvolution.query),
+                              ("scan", scalar_inf_convolution_oracle)):
+                space = PolygonSpace(SQUARE.vertices)
+                calls = seen[name] = []
+                plain = space.boundary_dist
+                space.boundary_dist = lambda p, calls=calls, plain=plain: (
+                    calls.append(p), plain(p))[1]
+                seen[name + " result"] = run(InfConvolution(BoundaryDist(), space, 0.1,
+                                                            lip_hint=1.5), y)
+            assert seen["query"] == seen["scan"] and len(seen["scan"]) > 4 * 16
+            assert seen["query result"] == seen["scan result"]
+
     def test_cap_minimizers_lie_on_the_boundary(self):
         # the cap case above tests the boundary walks, not only interior ones
         cap = CapSpace(0.8)
