@@ -44,10 +44,6 @@ class ConcaveBumpReport:
     c: float
     n_points: int
 
-    @property
-    def strict_margin(self):
-        return -self.margin
-
 
 def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     """Sum of phi_{r,c} o dist_{q_i} over equally spaced q_i at radius r,

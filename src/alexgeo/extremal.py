@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import gradient, gradient_curve
-from .functions import BoundaryDist, Dist, DistSq
+from .flow import CurveRecord, gradient, gradient_curve
+from .functions import BoundaryDist, Dist, DistSq, differential, scale
 from .quasigeodesic import check_quasigeodesic
-from .flow import CurveRecord
-from .tangent import TangentVec
+from .tangent import TangentVec, directional_sup
 
 
 @dataclass
@@ -85,7 +84,9 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
     """Criterion and invariance tests for a subset descriptor.
 
     Criterion: for q off the subset and p a local minimum of dist_q on
-    it, the gradient of dist_q at p vanishes.  Invariance: squared
+    it, the gradient of dist_q at p vanishes.  Its norm is read as the
+    exact sup of the differential, with no test for ties: at a foot on
+    a boundary arc both ends of the arc attain it.  Invariance: squared
     distance flows launched on the subset stay on it.
     """
     rng = np.random.default_rng(seed)
@@ -95,11 +96,10 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
         q = space.random_point(rng)
         if subset.contains_distance(space, q) < 1e-3:
             continue
-        p = _argmin_on_subset(space, subset, q, rng)
+        p = _argmin_on_subset(space, subset, q)
         if p is None:
             continue
-        g = gradient(Dist(q=q), space, p)
-        crit_worst = max(crit_worst, g.norm)
+        crit_worst = max(crit_worst, directional_sup(differential(Dist(q=q), space, p))[0])
         n_crit += 1
     inv_worst = 0.0
     n_flows = 0
@@ -116,29 +116,20 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
     return ExtremalEvidence(crit_worst, inv_worst, n_crit, n_flows)
 
 
-def _argmin_on_subset(space, subset, q, rng):
+def _argmin_on_subset(space, subset, q):
+    """The point of the subset nearest to q; None for the whole space and the empty set.
+
+    On a boundary it is the end of one walk from q down the steepest
+    descent of the boundary distance (the exact maximizer of the
+    differential of its negative), as long as that distance.
+    """
     if subset.kind == "point":
         return subset.point
     if subset.kind != "boundary":
         return None
-    total = space.boundary_period
-    param = space.boundary_point
-    best_s, best_d = 0.0, math.inf
-    n_scan = 256
-    for i in range(n_scan):
-        s = total * i / n_scan
-        d = space.distance(param(s), q)
-        if d < best_d:
-            best_s, best_d = s, d
-    lo, hi = best_s - total / n_scan, best_s + total / n_scan
-    for _ in range(60):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if space.distance(param(m1), q) <= space.distance(param(m2), q):
-            hi = m2
-        else:
-            lo = m1
-    return param(0.5 * (lo + hi))
+    q = space.validate_point(q)
+    down = directional_sup(differential(scale(-1.0, BoundaryDist()), space, q))[1]
+    return space._walk(q, down, space.boundary_dist(q)).end
 
 
 # -- regularity of the distance to an extremal subset ------------------------

@@ -156,11 +156,6 @@ def gradient_curve(expr, space, p, T, h):
     return record_curve(stepper, T, h, "gradient-curve")
 
 
-def flow_map(expr, space, points, t, h):
-    """Apply the time-t gradient flow to a list of points."""
-    return [gradient_curve(expr, space, p, t, h).end() for p in points]
-
-
 @dataclass
 class EstimateReport:
     margins_i: list

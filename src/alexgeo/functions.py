@@ -87,10 +87,12 @@ class _DistanceLeaf(Expr):
     def _differential(self, space, p, sigma):
         """-phi'(|pq|) cos angle(xi, up_p^q), min over the directions to q.
 
-        Within 1e-12 of q it is the constant phi'(0).
+        Within 1e-12 of q it is the constant phi'(0).  q is validated once
+        per space, and d is read from p, so that a mesh answers the distance
+        and the directions from one search.
         """
-        q = space.validate_point(self.q)
-        d = space._distance(q, p)
+        q = _memo(self, "_valid_q", space, lambda: space.validate_point(self.q))
+        d = space._distance(p, q)
         if d <= 1e-12:
             return constant_directional(sigma, self.dphi(0.0))
         return cos_tail_directional(sigma, self.dphi(d), space._directions_to(p, q))
@@ -239,10 +241,6 @@ class BoundaryDist(Expr):
         ])
 
 
-def sum_of(*terms):
-    return Affine(weights=tuple(1.0 for _ in terms), terms=tuple(terms))
-
-
 def scale(w, term, constant=0.0):
     return Affine(weights=(float(w),), constant=constant, terms=(term,))
 
@@ -262,7 +260,20 @@ def validate_simple(expr) -> bool:
 
 
 # -- evaluation ----------------------------------------------------------
-_MEMOS = ("_compiled", "_compiled_many")  # the node attribute of each form's closure
+_FORMS = ("_compiled", "_compiled_many")  # the node attribute of each form's closure
+_MEMOS = _FORMS + ("_valid_q",)  # every cache a node keeps, with a leaf's validated q
+
+
+def _memo(node, key, space, build):
+    """build() kept on the node under key for the last space it was built for.
+
+    It is not a dataclass field, so equality, hash and repr do not see it.
+    """
+    memo = node.__dict__.get(key)
+    if memo is None or memo[0] is not space:
+        memo = (space, build())
+        object.__setattr__(node, key, memo)
+    return memo[1]
 
 
 def _metric(space, many):
@@ -278,17 +289,12 @@ def _compile(expr, space, many):
 
     Each node lowers to one closure that calls its children's closures,
     so a tree is walked once, not on every evaluation.  Each form's
-    closure is kept on the node for the last space it was built for; it
-    is not a dataclass field, so equality, hash and repr do not see it.
+    closure is kept on the node for the last space it was built for
+    (`_memo`).
     """
     if not isinstance(expr, Expr):
         raise ExprError(f"cannot evaluate {expr!r}")
-    key = _MEMOS[many]
-    memo = expr.__dict__.get(key)
-    if memo is None or memo[0] is not space:
-        memo = (space, expr._lower(space, many))
-        object.__setattr__(expr, key, memo)
-    return memo[1]
+    return _memo(expr, _FORMS[many], space, lambda: expr._lower(space, many))
 
 
 def evaluate(expr, space, p):
@@ -429,7 +435,11 @@ class InfConvolution:
     walk-by-walk scan would read get one call of f's many-point closure
     and one `_distances` call to y; the scan then reads their values in
     stencil order.  A sequential compass polish of scalar walks then
-    pins the minimizer below the stencil's spacing.
+    pins the minimizer below the stencil's spacing: each round walks 8
+    directions at one step from the best point so far, a round with no
+    gain shrinks the step by 0.35, and three gaining rounds in a row
+    double it, never above the step it started with, so that the polish
+    does not crawl along a valley at a step it shrank too far.
     """
 
     def __init__(self, expr, space, eps, lip_hint=2.0):
@@ -485,7 +495,8 @@ class InfConvolution:
             center = best_x
             radius /= float(n_radii)
         # compass polish to pin the minimizer below discretization error
-        step = max(radius, 1e-6)
+        top = step = max(radius, 1e-6)
+        streak = 0  # rounds in a row that improved
         while step > 1e-9:
             improved = False
             sig = space.sigma_at(best_x)
@@ -499,8 +510,11 @@ class InfConvolution:
                 if v < best_v - 1e-16:
                     best_v, best_x = v, w.end
                     improved = True
+            streak = streak + 1 if improved else 0
             if not improved:
                 step *= 0.35
+            elif streak == 3:
+                step, streak = min(2.0 * step, top), 0
         in_domain = not (expanded and hit_rim)
         return InfConvResult(best_v, best_x, in_domain)
 

@@ -198,20 +198,6 @@ def entropy(curve: CurveRecord) -> EntropyRecord:
     return EntropyRecord(atoms, total)
 
 
-def entropy_from_tangents(ts, left_norms, right_norms) -> EntropyRecord:
-    """Entropy of a user-supplied joint ledger."""
-    atoms = []
-    total = 0.0
-    for t, ln, rn in zip(ts, left_norms, right_norms):
-        if ln is None or rn is None or ln <= 0.0 or rn <= 0.0:
-            continue
-        jump = math.log(rn) - math.log(ln)
-        if jump != 0.0:
-            atoms.append((t, jump))
-            total += jump
-    return EntropyRecord(atoms, total)
-
-
 # -- checker suite ---------------------------------------------------------
 @dataclass
 class CheckReport:
@@ -387,25 +373,20 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendR
     ts = rec.ts
     i0 = len(ts) // 3
     t0 = ts[i0]
-    # extension atom at t0: speed across the joint
-    rt = rec.right_tangents
-    ln = rt[i0 - 1].norm if rt[i0 - 1] is not None else None
-    rn = rt[i0].norm if rt[i0] is not None else None
-    ext_atom = (math.log(rn) - math.log(ln)) if (ln and rn) else 0.0
+    # the extension atom is the ledger's atom at t0, mu the sum of its atoms in (t0, t_bar]
+    ext_atom = sum((a for t, a in ent.atoms if t == t0), 0.0)
 
+    rt = rec.right_tangents
     x0 = rec.points[i0]
     dir0 = rt[i0]
-    mu_run = 0.0
     chop = None
-    prev_norm = rn
     for j in range(i0 + 1, len(ts)):
         if rt[j] is None or rt[j].norm <= 0:
             break
-        mu_run += math.log(rt[j].norm) - math.log(prev_norm)
-        prev_norm = rt[j].norm
         tbar = ts[j]
         if tbar - t0 > eps:
             break
+        mu_run = sum((a for t, a in ent.atoms if t0 < t <= tbar), 0.0)
         dirs = space._directions_to(x0, rec.points[j])
         sig = space.sigma_at(x0)
         theta = min(sig.dist(dir0.angle, a) for a in dirs)

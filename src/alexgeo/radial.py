@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .flow import STOP_TOL, CurveRecord, FlowStepper, gradient, nearest_index, record_curve
-from .functions import Dist, evaluate
+from .functions import Dist
 from .model_plane import comparison_angle
 from .spaces.base import TWO_PI
 from .tangent import TangentVec
@@ -224,18 +224,14 @@ class RadialComparisonReport:
     ts: list
     angles: list
     worst_increase: float
-    theta0: float | None = None
-    theta_worst_increase: float | None = None
 
 
-def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
-                             expr=None, lam=0.0) -> RadialComparisonReport:
+def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h) -> RadialComparisonReport:
     """Monotonicity of the comparison angle along a radial curve.
 
-    Checks t -> angle_k(t, |alpha(t) q|, |pq|) non-increasing; with
-    `expr` also checks the normalized value drop
-    (f(alpha(t)) - f(p) - lam t^2 / 2)/t, whose limit at 0 is the
-    differential in the launch direction.
+    Checks t -> angle_k(t, |alpha(t) q|, |pq|) non-increasing.  The value
+    drop of a lambda-concave f along the same curve is
+    `quasigeodesic.monotone_report` of its record.
     """
     T = max(t_grid)
     dpq = space.distance(p, q)
@@ -256,26 +252,7 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h,
         (angles[i + 1] - angles[i] for i in range(len(angles) - 1)),
         default=0.0,
     )
-    rep = RadialComparisonReport(list(t_used), angles, worst)
-    if expr is not None:
-        fp = evaluate(expr, space, p)
-        thetas = []
-        for t, x in zip(t_used, pts):
-            if t <= 0.0:
-                continue
-            ft = evaluate(expr, space, x)
-            thetas.append((ft - fp - 0.5 * lam * t * t) / t)
-        from .functions import differential
-
-        d0 = differential(expr, space, p)(xi_angle)
-        rep.theta0 = d0
-        inc = max(
-            (thetas[i + 1] - thetas[i] for i in range(len(thetas) - 1)),
-            default=0.0,
-        )
-        inc = max(inc, thetas[0] - d0 if thetas else 0.0)
-        rep.theta_worst_increase = inc
-    return rep
+    return RadialComparisonReport(list(t_used), angles, worst)
 
 
 @dataclass

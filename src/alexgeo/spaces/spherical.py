@@ -166,10 +166,11 @@ class _SphereBase(Space):
                 if d < 1e-14 or d > math.pi - 1e-14:
                     cands.append((d, 0.0))
                     continue
-                cosA = (math.cos(q[0]) - math.cos(p[0]) * math.cos(d)) / (
-                    math.sin(p[0]) * math.sin(d)
-                )
-                A = clamped_acos(cosA)
+                # the bearing of q from north: exact on p's meridian, where
+                # the law of cosines' acos loses half the digits
+                A = math.atan2(math.sin(a) * math.sin(q[0]),
+                               math.sin(p[0]) * math.cos(q[0])
+                               - math.cos(p[0]) * math.sin(q[0]) * math.cos(a))
                 psi = math.pi - A if sign > 0 else math.pi + A
                 cands.append((d, wrap_angle(psi, TWO_PI)))
         return minimizing_angles(cands)

@@ -23,7 +23,7 @@ class TestStrictlyConcave:
         p = (1.0, 0.5)
         expr, rep = build_strictly_concave(PLANE, p, r=0.5, c=50.0, n_points=4,
                                            n_geodesics=100, seed=1)
-        assert rep.strict_margin > 0.0
+        assert -rep.margin > 0.0
         assert evaluate(expr, PLANE, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_margin_grows_with_c(self):
@@ -32,7 +32,7 @@ class TestStrictlyConcave:
         for c in (30.0, 60.0, 120.0):
             _, rep = build_strictly_concave(PLANE, p, r=0.5, c=c, n_points=4,
                                             n_geodesics=60, seed=2)
-            margins.append(rep.strict_margin)
+            margins.append(-rep.margin)
         assert margins[0] < margins[1] < margins[2]
 
     def test_insufficient_c_reports_failure(self):

@@ -12,6 +12,7 @@ from alexgeo.spaces import (
 )
 from alexgeo.extremal import (
     SubsetDescriptor,
+    _argmin_on_subset,
     cap_boundary_concavity,
     detect_extremal,
     distance_regularity,
@@ -20,7 +21,8 @@ from alexgeo.extremal import (
     verify_extremal,
 )
 from alexgeo.flow import gradient
-from alexgeo.functions import Dist
+from alexgeo.functions import Dist, differential
+from alexgeo.tangent import directional_sup
 
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -89,6 +91,32 @@ class TestVerify:
         ev = verify_extremal(c, SubsetDescriptor("point", (0.0, 0.0)),
                              n_funcs=8, n_steps=40, seed=4)
         assert not ev.passed(1e-6)
+
+
+class TestExactFoot:
+    """The boundary point nearest to q is the end of one walk from q, so the
+    criterion at it reads rounding, not a search's tolerance."""
+
+    SPACES = {"square": lambda: SQUARE,
+              "cap_0.8": lambda: CapSpace(0.8),
+              "hemisphere": lambda: CapSpace(math.pi / 2)}
+    SPACES.update({f"polygon_{k}": (lambda k=k: random_convex_polygon(
+        np.random.default_rng(20 + k))) for k in range(3)})
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_criterion_at_the_foot(self, name):
+        space = self.SPACES[name]()
+        ev = verify_extremal(space, SubsetDescriptor("boundary"), n_funcs=8, n_steps=10,
+                             seed=11)
+        assert ev.n_criterion >= 6 and ev.criterion_worst <= 1e-12
+
+    @pytest.mark.parametrize("q", [(0.3, 0.3), (0.8, 0.2), (0.5, 0.5)])
+    def test_tied_feet_on_the_medial_axis(self, q):
+        # two feet (four at the centre) tie; the walk ends on one of them
+        p = _argmin_on_subset(SQUARE, SubsetDescriptor("boundary"), q)
+        assert SQUARE.boundary_dist(p) <= 1e-15
+        assert SQUARE.distance(p, q) == pytest.approx(SQUARE.boundary_dist(q), abs=1e-15)
+        assert directional_sup(differential(Dist(q=q), SQUARE, p))[0] <= 1e-12
 
 
 class TestLiebermanAndRegularity:

@@ -33,7 +33,6 @@ from alexgeo.functions import (
     evaluate,
     evaluate_each,
     scale,
-    sum_of,
     validate_simple,
 )
 from alexgeo.flow import gradient
@@ -89,7 +88,8 @@ def scalar_inf_convolution_oracle(ic, y):
             continue
         center = best_x
         radius /= float(n_radii)
-    step = max(radius, 1e-6)
+    top = step = max(radius, 1e-6)
+    streak = 0
     while step > 1e-9:
         improved = False
         sig = space.sigma_at(best_x)
@@ -103,8 +103,11 @@ def scalar_inf_convolution_oracle(ic, y):
             if v < best_v - 1e-16:
                 best_v, best_x = v, w.end
                 improved = True
+        streak = streak + 1 if improved else 0
         if not improved:
             step *= 0.35
+        elif streak == 3:
+            step, streak = min(2.0 * step, top), 0
     return InfConvResult(best_v, best_x, not (expanded and hit_rim))
 
 
@@ -148,7 +151,7 @@ def reference_differential(expr, space, p):
 
 
 def _reference_dist_leaf(space, p, q, sigma):
-    d = space.distance(q, p)
+    d = space.distance(p, q)  # from p, as the directions: a mesh is symmetric only to rounding
     if d <= 1e-12:
         return d, constant_directional(sigma, 1.0)
     return d, cos_tail_directional(sigma, 1.0, space.directions_to(p, q))
@@ -198,7 +201,7 @@ def mixed_tree(space, q1, q2, q3, boundary):
     body = Affine(weights=(1.0, -0.5, 2.0, 0.7), constant=0.25, terms=leaves)
     terms = (body, scale(-1.0, DistSq(q=q3), 3.0))
     if boundary:
-        terms += (sum_of(BoundaryDist(), Dist(q=q2)),)
+        terms += (Affine(weights=(1.0, 1.0), terms=(BoundaryDist(), Dist(q=q2))),)
     return MinExpr(terms=terms)
 
 
@@ -575,6 +578,28 @@ class TestValidatedOnce:
             sd.differential(y)
             assert v.call_count == 2
 
+    def test_leaf_differential(self):
+        # the leaf keeps its validated q per space, as `_compile` keeps its
+        # closure, and drops it when pickled
+        tetra, p = regular_tetrahedron(), MeshPoint(2, (0.3, 0.3, 0.4))
+        f = Dist(q=MeshPoint(0, (0.2, 0.3, 0.5)))
+        first = differential(f, tetra, p)
+        with mock.patch.object(tetra, "validate_point", wraps=tetra.validate_point) as v:
+            again = differential(f, tetra, p)
+        assert v.call_args_list == [mock.call(p)]
+        assert (again.breaks, again.pieces) == (first.breaks, first.pieces)
+        assert "_valid_q" in f.__dict__ and "_valid_q" not in f.__getstate__()
+        assert "_valid_q" not in pickle.loads(pickle.dumps(f)).__dict__
+
+    def test_leaf_differential_on_a_mesh_runs_one_search(self):
+        # the distance and the directions from p to q come from one unfolding
+        tetra = regular_tetrahedron()
+        with mock.patch.object(MeshSpace, "_unfold", autospec=True,
+                               side_effect=MeshSpace._unfold) as unfold:
+            differential(Dist(q=MeshPoint(0, (0.2, 0.3, 0.5))), tetra,
+                         MeshPoint(2, (0.3, 0.3, 0.4)))
+        assert unfold.call_count == 1
+
     @pytest.mark.parametrize("make, base_point", [
         (lambda: DoubledPolygon(SQUARE), (0.3, 0.2)),
         (lambda: DoubledCap(CapSpace(math.pi / 2)), (0.6, 1.0)),
@@ -716,6 +741,29 @@ class TestInfConvolution:
             assert v <= fy + 1e-9
             assert v >= prev - 1e-9
             prev = v
+
+    def test_polish_does_not_crawl_near_a_vertex(self):
+        # a polish that only shrinks its step walks the valley near vertex 1
+        # at a tiny constant step, past 20,000 walks a query; regrowing the
+        # step after three improving rounds takes about 1,100 to 1,300 here
+        tetra = regular_tetrahedron()
+        ic = InfConvolution(scale(-0.5, DistSq(q=MeshPoint(1, (0.3, 0.3, 0.4)))), tetra, 0.3,
+                            lip_hint=2.0)
+        rng = np.random.default_rng(5)
+        ys = [tetra.random_point_near(tetra.point_at_vertex(1), 0.05, rng) for _ in range(3)]
+        walk, walks = tetra._walk, [0]
+
+        def budgeted(*args):
+            walks[0] += 1
+            if walks[0] > 20000:
+                raise AssertionError("the polish crawls: over 20,000 walks in one query")
+            return walk(*args)
+
+        tetra._walk = budgeted
+        for y in ys:
+            walks[0] = 0
+            res = ic.query(y)
+            assert res.value <= ic._obj(tetra.validate_point(y), tetra.validate_point(y))
 
     def test_square_boundary_infconv_concave(self):
         fe = InfConvolution(BoundaryDist(), SQUARE, 0.1, lip_hint=1.5)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from alexgeo.quasigeodesic import (
     chop_extend_demo,
     entropy,
     TraceError,
-    entropy_from_tangents,
     monotone_report,
     trace_quasigeodesic,
 )
@@ -244,9 +245,10 @@ class TestEntropy:
         assert entropy(rec).total == 0.0
 
     def test_deliberate_half_speed_joint(self):
-        rep = entropy_from_tangents([0.0, 1.0, 2.0],
-                                    [None, 1.0, 0.5],
-                                    [1.0, 0.5, 0.5])
+        sig = CONE.sigma_at((1.0, 0.0))
+        rec = CurveRecord([0.0, 1.0, 2.0], [(1.0, 0.0)] * 3,
+                          [TangentVec(s, 0.0, sig) for s in (1.0, 0.5, 0.5)], [None] * 3)
+        rep = entropy(rec)
         assert rep.total == pytest.approx(math.log(0.5))
         assert rep.atoms[0][0] == 1.0
 
@@ -286,3 +288,14 @@ class TestChopExtend:
                 tilde = mp.comparison_angle(
                     0.0, d0, CONE.distance(rec.points[i], p), rec.ts[i])
                 assert ang >= tilde - 1e-6
+
+
+def test_one_entropy_ledger():
+    # every log-speed drop is read by `entropy`; other readers take its atoms
+    src = Path(__file__).resolve().parent.parent / "src" / "alexgeo" / "quasigeodesic.py"
+    tree = ast.parse(src.read_text(encoding="utf-8"))
+    logs = [(fn.name, node.lineno) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.log"]
+    assert src.read_text(encoding="utf-8").count("math.log(") == len(logs)
+    assert {name for name, _ in logs} == {"entropy"} and len({line for _, line in logs}) == 1

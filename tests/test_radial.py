@@ -9,6 +9,7 @@ from alexgeo.spaces import (CapSpace, ConeSpace, PolygonSpace, SpindleSpace,
 from alexgeo.spaces.base import SigmaDesc
 from alexgeo.functions import Dist, DistSq, differential, evaluate, scale
 from alexgeo.flow import STOP_TOL, gradient, gradient_curve
+from alexgeo.quasigeodesic import monotone_report
 from alexgeo.radial import (
     RadialDomainError,
     RadialStepper,
@@ -301,12 +302,9 @@ class TestComparison:
         f = scale(0.5, DistSq(q=(1.5, 2.0)))
         p = (1.0, 0.0)
         xi = 0.7
-        grid = [0.01 * k for k in range(1, 80)]
-        rep = verify_radial_comparison(CONE, p, xi, (1.5, 2.0), 0, grid, 1e-3,
-                                       expr=f, lam=1.0)
-        assert rep.theta_worst_increase <= 1e-3
-        d = differential(f, CONE, p)
-        assert rep.theta0 == pytest.approx(d(xi))
+        worst, thetas = monotone_report(CONE, radial_curve(CONE, p, xi, 0, 0.79, 1e-3), f, 1.0)
+        assert worst <= 1e-3
+        assert thetas[0] - differential(f, CONE, p)(xi) <= 1e-3
 
     def test_an_off_grid_end_is_checked_at_that_time(self):
         # at h = 1e-3 the record ends at T = 0.0105; snapping by round(t / h)

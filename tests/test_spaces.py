@@ -278,6 +278,52 @@ class TestSpindleCap:
         assert across[-1] == pytest.approx((0.8, 1.0 + math.pi), abs=1e-12)
         assert [r for r, _ in across] == pytest.approx([0.8, 0.4, 0.0, 0.4, 0.8], abs=1e-12)
 
+    SPHERES = {"spindle_4": lambda: SpindleSpace(4.0), "sphere": lambda: SpindleSpace(2 * math.pi),
+               "cap_0.8": lambda: CapSpace(0.8), "hemisphere": lambda: CapSpace(math.pi / 2)}
+
+    @pytest.mark.parametrize("name", sorted(SPHERES))
+    def test_directions_along_a_meridian_are_exact(self, name):
+        # chart angle pi points to the north pole and 0 away from it; pi / 2
+        # is inward on a cap's boundary arc.  An acos of the law of cosines
+        # keeps only half the digits of these angles.
+        space = self.SPHERES[name]()
+        top = getattr(space, "radius", math.pi - 0.01)
+        rng = np.random.default_rng(41)
+        for k in range(400):
+            north, south = sorted(rng.uniform(0.01, top, 2))
+            if k % 4 == 0 and isinstance(space, CapSpace):
+                south = space.radius
+            phi = rng.random() * space.wrap_length
+            p, q = space.validate_point((north, phi)), space.validate_point((south, phi))
+            up = math.pi / 2 if isinstance(space, CapSpace) and space.on_boundary(q) else math.pi
+            [got_up], [got_down] = space._directions_to(q, p), space._directions_to(p, q)
+            assert abs(got_up - up) <= 1e-15 and abs(CIRCLE.dist(got_down, 0.0)) <= 1e-15
+            if space.wrap_length == 2 * math.pi and north + south <= math.pi - 0.5:
+                # over the north pole to the opposite meridian
+                far = space.validate_point((south, math.pi))
+                assert abs(space._directions_to(space.validate_point((north, 0.0)), far)[0]
+                           - math.pi) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(SPHERES))
+    def test_directions_off_the_meridian_match_the_law_of_cosines(self, name):
+        space = self.SPHERES[name]()
+        rng = np.random.default_rng(42)
+        checked = 0
+        for _ in range(400):
+            p, q = space.random_point(rng), space.random_point(rng)
+            ccw, cw = space._azimuth_sep(p, q)
+            if abs(ccw - cw) < 1e-6:
+                continue
+            a, sign = min((ccw, 1.0), (cw, -1.0))
+            d = space._loc(p[0], q[0], a)
+            cos_a = (math.cos(q[0]) - math.cos(p[0]) * math.cos(d)) / (math.sin(p[0]) * math.sin(d))
+            if abs(cos_a) > 1.0 - 1e-6:
+                continue
+            [got] = space._dirs_regular(p, q)
+            assert CIRCLE.dist(got, math.pi - sign * math.acos(cos_a)) <= 1e-9
+            checked += 1
+        assert checked > 300
+
     def test_cap_geodesics_off_the_pole_keep_their_points(self):
         # the walk of the parent form: the sphere walk, clipped to the cap
         c = CapSpace(0.8)

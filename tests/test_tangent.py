@@ -5,7 +5,7 @@ import pytest
 
 from alexgeo.spaces import ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.spaces.base import SigmaDesc
-from alexgeo.functions import Dist, DistSq, PhiRC, differential, evaluate, scale, sum_of
+from alexgeo.functions import Affine, Dist, DistSq, PhiRC, differential, evaluate, scale
 from alexgeo.flow import gradient, gradient_curve
 from alexgeo import tangent
 from alexgeo.tangent import (
@@ -168,8 +168,8 @@ class TestGradient:
     def test_phi_sum_gradient_generic_path(self):
         # two leaves: the differential is a sum of two cos-tails, whose
         # maximum is found in closed form over its pieces
-        f = sum_of(PhiRC(r=0.5, c=10.0, q=(0.5, 0.0)),
-                   PhiRC(r=0.5, c=10.0, q=(0.5, math.pi)))
+        f = Affine(weights=(1.0, 1.0), terms=(PhiRC(r=0.5, c=10.0, q=(0.5, 0.0)),
+                                              PhiRC(r=0.5, c=10.0, q=(0.5, math.pi))))
         g = gradient(f, PLANE, (0.2, 1.2))
         d = differential(f, PLANE, (0.2, 1.2))
         grid = [d(2 * math.pi * k / 1440) for k in range(1440)]
@@ -191,7 +191,7 @@ class TestGradient:
     def test_steep_phi_sum_gradient_inequality(self, case):
         space, q1, q2, p = self.PHI_SUMS[case]
         leaves = [PhiRC(r=0.5, c=10.0, q=q) for q in (q1, q2)]
-        g = gradient(sum_of(*leaves), space, p)
+        g = gradient(Affine(weights=(1.0, 1.0), terms=tuple(leaves)), space, p)
         sig = space.sigma_at(p)
         xs = np.linspace(0.0, sig.length, 20001, endpoint=False)
         # the differential from its definition: sum of phi' * -cos(angle to q)
