@@ -1,18 +1,19 @@
 """Acceptance criteria as runnable checks with one pass/fail line each.
 
 Every criterion is property-based at desk scale with its tolerance fixed
-here.  `run_suite(quick=True)` shrinks sample counts (for smoke runs)
-without touching any tolerance.
+here, and returns its gates as a list of `verdict.Margin`s, so each
+limit is written once.  `run_suite(quick=True)` shrinks sample counts
+(for smoke runs) without touching any tolerance.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model_plane as mp
+from . import model_plane as mp, verdict
 from .concavity_tight import build_strictly_concave, tight_check, tight_image_study
 from .extremal import (
     SubsetDescriptor,
@@ -28,15 +29,23 @@ from .radial import gexp_map, tangent_cone_metric, verify_radial_comparison
 from .spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace, random_convex_polygon, random_tetrahedron, regular_tetrahedron
 from .spaces.base import SigmaDesc
 from .tangent import TangentVec, polar_grid_sums, polar_vector
+from .verdict import Margin
 
 
 @dataclass
 class CriterionResult:
+    """A criterion's margins, or the exception it raised as `crash`: a
+    crashed criterion has no margin, so it fails."""
+
     number: int
     name: str
-    passed: bool
-    detail: str
+    margins: list
     elapsed: float = 0.0
+    crash: str = ""
+
+    passed = property(lambda self: verdict.passed(self.margins))
+    detail = property(lambda self: f"crashed: {self.crash}" if self.crash
+                      else verdict.line(self.margins))
 
     def line(self):
         mark = "PASS" if self.passed else "FAIL"
@@ -53,7 +62,7 @@ def _c01_model_round_trip(quick):
             beta = 0.01 + rng.random() * (math.pi - 0.02)
             b = mp.model_side(kappa, a, c, beta)
             worst = max(worst, abs(mp.comparison_angle(kappa, a, b, c) - beta))
-    return worst < 1e-9, f"max round-trip error {worst:.2e} (< 1e-9)"
+    return [Margin("max round-trip error", worst, 1e-9, "<")]
 
 
 def _c02_flow_contraction(quick):
@@ -66,9 +75,9 @@ def _c02_flow_contraction(quick):
         a = gradient_curve(f, plane, p, 1.0, h).end()
         b = gradient_curve(f, plane, q, 1.0, h).end()
         errs.append(abs(plane.distance(a, b) - math.exp(-1.0) * d0))
-    ok = errs[-1] < 1e-2 and errs[0] / errs[1] > 1.8 and errs[1] / errs[2] > 1.8
-    return ok, (f"|Phi p, Phi q| error {errs[-1]:.2e} at h=1e-3 (< 1e-2); "
-                f"halving ratios {errs[0]/errs[1]:.2f}, {errs[1]/errs[2]:.2f} (> 1.8)")
+    return [Margin("|Phi p, Phi q| error at h=1e-3", errs[-1], 1e-2, "<"),
+            Margin("halving ratio 4e-3/2e-3", errs[0] / errs[1], 1.8, ">"),
+            Margin("halving ratio 2e-3/1e-3", errs[1] / errs[2], 1.8, ">")]
 
 
 def _c03_gexp_shortness(quick):
@@ -97,9 +106,8 @@ def _c03_gexp_shortness(quick):
         du, dv = gexp_map(cone, o, u, 0, 1e-2), gexp_map(cone, o, v, 0, 1e-2)
         apex_worst = max(apex_worst,
                          abs(cone.distance(du, dv) - tangent_cone_metric(0, u, v)))
-    ok = worst <= 1e-3 and apex_worst <= 1e-9
-    return ok, (f"max shortness excess {worst:.2e} (<= 1e-3) at h={h:g}; "
-                f"apex-chart deviation {apex_worst:.2e} (<= 1e-9)")
+    return [Margin(f"max shortness excess at h={h:g}", worst, 1e-3, "<="),
+            Margin("apex-chart deviation", apex_worst, 1e-9, "<=")]
 
 
 def _c04_radial_comparison(quick):
@@ -135,7 +143,7 @@ def _c04_radial_comparison(quick):
                                        1, grid_s, h)
         worst = max(worst, rep.worst_increase)
         done += 1
-    return worst <= tol, f"max comparison-angle increase {worst:.2e} (<= {tol:.2e})"
+    return [Margin("max comparison-angle increase", worst, tol, "<=")]
 
 
 def _aimed_two_vertex_trace(tet, rng, length):
@@ -164,12 +172,12 @@ def _c05_quasigeodesic_suite(quick):
     worst_barrier = -math.inf
     worst_speed = 0.0
     worst_entropy = 0.0
-    built = probed = probes_run = 0
+    built = probed = 0
     attempts = 0
     while built < n_tetra:
         attempts += 1
         if attempts > 20 * n_tetra:
-            return False, f"could not engineer two-vertex traces ({built}/{n_tetra})"
+            return [Margin("two-vertex traces engineered", built, n_tetra, ">=")]
         tet = random_tetrahedron(rng)
         L = 1.5 * tet.diameter_hint()
         rec = _aimed_two_vertex_trace(tet, rng, L)
@@ -186,14 +194,11 @@ def _c05_quasigeodesic_suite(quick):
         worst_speed = max(worst_speed, rep.unit_speed_dev)
         worst_entropy = max(worst_entropy, abs(rep.entropy_total))
         probed += rep.n_probes > 0
-        probes_run += rep.n_probes
-    ok = (probed == built and worst_turn >= -1e-6 and worst_barrier <= 1e-6
-          and worst_speed <= 1e-9 and worst_entropy < 1e-9)
-    return ok, (f"{built} traces (>= 2 vertex hits each), {probed} with a probe, "
-                f"{probes_run} of {built * n_probes} probes run: "
-                f"min turn {worst_turn:.2e} (>= -1e-6), "
-                f"barrier {worst_barrier:.2e} (<= 1e-6), speed dev {worst_speed:.2e} (<= 1e-9), "
-                f"entropy {worst_entropy:.2e} (< 1e-9)")
+    return [Margin("two-vertex traces with a probe", probed, built, ">="),
+            Margin("min turn", worst_turn, -1e-6, ">="),
+            Margin("barrier", worst_barrier, 1e-6, "<="),
+            Margin("speed dev", worst_speed, 1e-9, "<="),
+            Margin("entropy", worst_entropy, 1e-9, "<")]
 
 
 def _c06_boundary_concavity(quick):
@@ -202,20 +207,15 @@ def _c06_boundary_concavity(quick):
     worst_flat = -math.inf
     for _ in range(n_poly):
         poly = random_convex_polygon(rng)
-        rep = polygon_boundary_concavity(poly, n_chords=60 if quick else 200,
-                                         seed=int(rng.integers(1 << 30)))
-        worst_flat = max(worst_flat, rep.worst)
-    cap = CapSpace(0.8)
-    rep_cap = cap_boundary_concavity(cap, n_chords=20 if quick else 100,
-                                     n_samples=2001, seed=11)
-    perimeter_ok = all(
-        CapSpace(r0).boundary_length() <= 2 * math.pi + 1e-12
-        for r0 in (0.3, 0.8, math.pi / 2)
-    )
-    ok = worst_flat <= 1e-9 and rep_cap.worst <= 1e-8 and perimeter_ok
-    return ok, (f"flat dist_boundary second difference {worst_flat:.2e} (<= 1e-9); "
-                f"cap sine test {rep_cap.worst:.2e} (<= 1e-8); perimeter bound "
-                f"{'holds' if perimeter_ok else 'fails'}")
+        worst_flat = max(worst_flat, polygon_boundary_concavity(
+            poly, n_chords=60 if quick else 200, seed=int(rng.integers(1 << 30))))
+    cap_worst = cap_boundary_concavity(CapSpace(0.8), n_chords=20 if quick else 100,
+                                       n_samples=2001, seed=11)
+    excess = max(CapSpace(r0).boundary_length() - 2 * math.pi
+                 for r0 in (0.3, 0.8, math.pi / 2))
+    return [Margin("flat dist_boundary second difference", worst_flat, 1e-9, "<="),
+            Margin("cap sine test", cap_worst, 1e-8, "<="),
+            Margin("perimeter excess over 2pi", excess, 1e-12, "<=")]
 
 
 def _c07_milka_polarity(quick):
@@ -228,7 +228,7 @@ def _c07_milka_polarity(quick):
             v = TangentVec(1.0, rng.random() * L, sig)
             star = polar_vector(sig, v, grid=720, tol=1e-9)
             worst = min(worst, float(polar_grid_sums(sig, v, star, 720)[1].min()))
-    return worst >= -1e-9, f"min of <xi,x>+<xi*,x> = {worst:.2e} (>= -1e-9)"
+    return [Margin("min of <xi,x>+<xi*,x>", worst, -1e-9, ">=")]
 
 
 def _c08_extremal_invariance(quick):
@@ -245,10 +245,9 @@ def _c08_extremal_invariance(quick):
         drift = max(drift, ev.invariance_worst / (steps * h))
     lieb = lieberman_check(square, start_s=0.3, n_probes=6 if quick else 12,
                            tol=1e-6, seed=110)
-    ok = crit < 1e-6 and drift < 1e-6 and lieb.passed(1e-6)
-    return ok, (f"criterion |grad dist_q| {crit:.2e} (< 1e-6); extremal flow drift "
-                f"{drift:.2e} per unit time (< 1e-6); boundary geodesic checker: "
-                f"{lieb.summary()}")
+    return [Margin("criterion |grad dist_q|", crit, 1e-6, "<"),
+            Margin("extremal flow drift per unit time", drift, 1e-6, "<"),
+            *(replace(m, name=f"boundary geodesic {m.name}") for m in lieb.margins(1e-6))]
 
 
 def _c09_inf_convolution(quick):
@@ -283,10 +282,9 @@ def _c09_inf_convolution(quick):
         rep = check_concavity(fe, cap, 0.0, region, n_geodesics=n_geo,
                               n_samples=9, seed=112, tol=math.inf)
         defects.append(max(rep.worst_margin - base, 0.0))
-    mono = defects[0] >= defects[1] - 1e-9 and defects[1] >= defects[2] - 1e-9
-    ok = worst <= 1e-6 and mono
-    return ok, (f"grid error vs closed form {worst:.2e} (<= 1e-6); measured "
-                f"concavity defects {[f'{d:.2e}' for d in defects]} non-increasing: {mono}")
+    rise = max(b - a for a, b in zip(defects, defects[1:]))
+    return [Margin("grid error vs closed form", worst, 1e-6, "<="),
+            Margin("concavity defects' largest rise", rise, 1e-9, "<=")]
 
 
 def _c10_tight_maps(quick):
@@ -304,10 +302,8 @@ def _c10_tight_maps(quick):
                               grid_n=12 if quick else 24,
                               n_support=150 if quick else 1000,
                               n_gf=40 if quick else 200, seed=115)
-    ok = rep.sup_cross < 0.0 and study.support_failures == 0 and study.gf_worst < 1e-4
-    return ok, (f"main-example sup {rep.sup_cross:.3e} (< 0) on {rep.n_samples} samples; "
-                f"Q support tests {study.n_support - study.support_failures}/"
-                f"{study.n_support}; G o F deviation {study.gf_worst:.2e} (< 1e-4)")
+    return [*rep.margins(), *study.margins(),
+            Margin("G o F deviation", study.gf_worst, 1e-4, "<")]
 
 
 def _c11_entropy_decay(quick):
@@ -316,20 +312,18 @@ def _c11_entropy_decay(quick):
     configs = [("cone 1.5pi", ConeSpace(1.5 * math.pi), math.pi, (0.1, 0.05, 0.025)),
                ("cone 0.8pi", ConeSpace(0.8 * math.pi), math.pi - 0.05, (0.2, 0.1, 0.05))]
     floor = 1e-9
-    ok, parts = True, []
+    margins = []
     for name, cone, xi, epss in configs:
-        ents = [build_prequasigeodesic(cone, (1.0, 0.0), xi, eps, 2.5)[1] for eps in epss]
-        totals = [abs(e.total) for e in ents]
+        totals = [abs(build_prequasigeodesic(cone, (1.0, 0.0), xi, eps, 2.5)[1].total)
+                  for eps in epss]
         pairs = list(zip(totals, totals[1:]))
-        non_increasing = all(b >= c - floor for b, c in pairs)
-        ratio_ok = all(c <= 0.7 * b + floor for b, c in pairs)
-        vanishes = totals[-1] <= floor
-        ok = ok and non_increasing and ratio_ok and vanishes
-        parts.append(f"{name} |entropy| across eps {list(epss)} "
-                     f"{[f'{t:.2e}' for t in totals]} ({[len(e.atoms) for e in ents]} "
-                     f"atoms): non-increasing {non_increasing}, ratio<0.7 (with 1e-9 "
-                     f"floor) {ratio_ok}, extrapolates to 0: {vanishes}")
-    return ok, "; ".join(parts)
+        margins += [
+            Margin(f"{name} |entropy| rise", max(c - b for b, c in pairs), floor, "<="),
+            Margin(f"{name} excess over 0.7x previous", max(c - 0.7 * b for b, c in pairs),
+                   floor, "<="),
+            Margin(f"{name} finest |entropy|", totals[-1], floor, "<="),
+        ]
+    return margins
 
 
 _CRITERIA = [
@@ -351,8 +345,7 @@ def run_criterion(number, quick=False) -> CriterionResult:
     for num, name, fn in _CRITERIA:
         if num == number:
             t0 = time.time()
-            passed, detail = fn(quick)
-            return CriterionResult(num, name, passed, detail, time.time() - t0)
+            return CriterionResult(num, name, fn(quick), time.time() - t0)
     raise ValueError(f"no criterion {number}")
 
 
@@ -369,6 +362,6 @@ def run_suite(quick=False, numbers=None):
         try:
             results.append(run_criterion(num, quick))
         except Exception as exc:  # noqa: BLE001 - a crash is a failed criterion
-            results.append(CriterionResult(num, name, False, f"crashed: {exc!r}",
-                                           time.time() - t0))
+            results.append(CriterionResult(num, name, [], time.time() - t0,
+                                           crash=repr(exc)))
     return results

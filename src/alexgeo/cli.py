@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .quasigeodesic import TraceError, check_quasigeodesic, trace_quasigeodesic
 from .radial import gexp_map
 from .spaces import SpaceError, load_space, parse_angle
 from .tangent import GradientError, TangentVec
+from .verdict import line, passed
 
 SCHEMA = "alexgeo/1"
 
@@ -134,6 +136,12 @@ def _emit(args, payload, files=()):
             print(f"wrote {path}")
 
 
+def _verdict(margins):
+    """Print the margins' line; returns the verdict and the margins for the JSON."""
+    print(line(margins))
+    return {"passed": passed(margins), "margins": [asdict(m) for m in margins]}
+
+
 def _curve_files(space, curve):
     pts = [tuple(map(float, space.pos2(p))) for p in curve.points]
     return [(".csv", curve.to_csv(space)), (".svg", model_plane.svg_polyline(pts))]
@@ -157,10 +165,8 @@ def cmd_geodesic(args):
     q = space.parse_point(args.q)
     pts = space.geodesic_points(p, q, args.samples)
     d = space.distance(p, q)
-    curve = CurveRecord(
-        [d * i / (args.samples - 1) for i in range(args.samples)], pts,
-        [None] * args.samples, [None] * args.samples, [], d / (args.samples - 1),
-        "geodesic")
+    curve = CurveRecord([d * i / (args.samples - 1) for i in range(args.samples)], pts,
+                        [None] * args.samples, [], d / (args.samples - 1))
     print(f"length {d:.9g} in {args.samples} samples")
     _emit(args, {"length": d,
                  "points": [space.format_point(x) for x in pts]},
@@ -217,15 +223,14 @@ def cmd_trace_qg(args):
         rep = check_quasigeodesic(space, rec, n_probes=args.probes,
                                   tol=args.tol, seed=args.seed)
         payload["check"] = {
-            "passed": rep.passed(args.tol),
+            **_verdict(rep.margins(args.tol)),
             "unit_speed_dev": rep.unit_speed_dev,
             "barrier_worst": rep.barrier_worst,
             "monotone_worst": rep.monotone_worst,
             "development_min_turn": rep.development_min_turn,
             "entropy_total": rep.entropy_total,
         }
-        print(rep.summary())
-        if not rep.passed(args.tol):
+        if not payload["check"]["passed"]:
             status = 1
     print(f"traced to {space.format_point(rec.end())}; "
           f"events: {[(round(t, 6), k) for t, k, _ in rec.events]}")
@@ -255,10 +260,9 @@ def cmd_check_concavity(args):
     rep = check_concavity(f, space, args.lam, (center, args.radius),
                           n_geodesics=args.samples, seed=args.seed,
                           tol=args.tol)
-    print(rep.summary())
-    _emit(args, {"passed": rep.passed, "worst_margin": rep.worst_margin,
-                 "lambda": args.lam})
-    return 0 if rep.passed else 1
+    verdict = _verdict(rep.margins())
+    _emit(args, {**verdict, "worst_margin": rep.worst_margin, "lambda": args.lam})
+    return 0 if verdict["passed"] else 1
 
 
 def cmd_inf_conv(args):
@@ -285,7 +289,7 @@ def cmd_detect_extremal(args):
             item["evidence"] = {
                 "criterion_worst": ev.criterion_worst,
                 "invariance_worst": ev.invariance_worst,
-                "passed": ev.passed(args.tol),
+                "passed": passed(ev.margins(args.tol)),
             }
         out.append(item)
         print(f"{desc.kind:9s} {desc.label}"
@@ -306,12 +310,10 @@ def cmd_verify_extremal(args):
         desc = SubsetDescriptor("point", space.parse_point(args.subset),
                                 label="point")
     ev = verify_extremal(space, desc, seed=args.seed)
-    ok = ev.passed(args.tol)
-    print(f"criterion worst {ev.criterion_worst:.3e}; "
-          f"flow drift {ev.invariance_worst:.3e}; passed: {ok}")
-    _emit(args, {"criterion_worst": ev.criterion_worst,
-                 "invariance_worst": ev.invariance_worst, "passed": ok})
-    return 0 if ok else 1
+    verdict = _verdict(ev.margins(args.tol))
+    _emit(args, {**verdict, "criterion_worst": ev.criterion_worst,
+                 "invariance_worst": ev.invariance_worst})
+    return 0 if verdict["passed"] else 1
 
 
 def cmd_tight_check(args):
@@ -319,10 +321,10 @@ def cmd_tight_check(args):
     funcs = [parse_function(space, f) for f in args.function]
     rep = tight_check(space, funcs, (space.parse_point(args.p), args.radius),
                       n_samples=args.samples, seed=args.seed)
-    print(rep.summary())
-    _emit(args, {"sup": rep.sup_cross, "tight": rep.tight,
+    verdict = _verdict(rep.margins())
+    _emit(args, {**verdict, "sup": rep.sup_cross, "tight": verdict["passed"],
                  "n_regular": rep.n_regular, "n_critical": rep.n_critical})
-    return 0 if rep.tight else 1
+    return 0 if verdict["passed"] else 1
 
 
 def cmd_tight_image(args):
@@ -336,11 +338,11 @@ def cmd_tight_image(args):
                                                 n_points=6, seed=args.seed)[0])
     rep = tight_image_study(space, funcs, (center, args.radius),
                             n_support=args.samples, n_gf=args.samples, seed=args.seed)
-    print(rep.summary())
-    _emit(args, {"support_failures": rep.support_failures,
+    verdict = _verdict(rep.margins())
+    _emit(args, {**verdict, "support_failures": rep.support_failures,
                  "n_support": rep.n_support, "gf_worst": rep.gf_worst,
                  "bilip": [rep.bilip_low, rep.bilip_high]})
-    return 0 if rep.support_failures == 0 else 1
+    return 0 if verdict["passed"] else 1
 
 
 def cmd_suite(args):
@@ -353,7 +355,8 @@ def cmd_suite(args):
     payload = {
         "results": [
             {"number": r.number, "name": r.name, "passed": r.passed,
-             "detail": r.detail, "elapsed": round(r.elapsed, 2)}
+             "detail": r.detail, "margins": [asdict(m) for m in r.margins],
+             "elapsed": round(r.elapsed, 2)}
             for r in results
         ]
     }

@@ -25,6 +25,7 @@ from .functions import (
     scale,
 )
 from .flow import gradient
+from .verdict import Margin
 from .tangent import (
     GradientError,
     combine_min,
@@ -37,21 +38,13 @@ class ConstructionError(RuntimeError):
     pass
 
 
-@dataclass
-class ConcaveBumpReport:
-    margin: float
-    region_radius: float
-    c: float
-    n_points: int
-
-
 def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     """Sum of phi_{r,c} o dist_{q_i} over equally spaced q_i at radius r,
     shifted to vanish at p.
 
-    Returns (expr, report); raises ConstructionError with a suggested
-    larger c when the measured concavity margin is not strictly negative
-    on the ball of radius r / 4 about p.
+    Returns (expr, margin), the measured concavity margin on the ball of
+    radius r / 4 about p; raises ConstructionError with a suggested
+    larger c when that margin is not strictly negative.
     """
     p = space.validate_point(p)
     sig = space.sigma_at(p)
@@ -70,14 +63,13 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     region = (p, 0.25 * r)
     rep = check_concavity(expr, space, 0.0, region, n_geodesics=n_geodesics,
                           n_samples=17, seed=seed, tol=0.0)
-    report = ConcaveBumpReport(rep.worst_margin, 0.25 * r, c, n_points)
     if rep.worst_margin >= 0.0:
         raise ConstructionError(
             f"not strictly concave (margin {rep.worst_margin:.3e}); retry with "
             f"c > {2.0 * c:g}"
         )
     expr = expr.with_certificate(0.0, p, 0.25 * r, verified=True)
-    return expr, report
+    return expr, rep.worst_margin
 
 
 def superlevel_convexity(space, expr, p, level, n_pairs=100, radius=0.5, seed=0):
@@ -103,18 +95,12 @@ def superlevel_convexity(space, expr, p, level, n_pairs=100, radius=0.5, seed=0)
 @dataclass
 class TightReport:
     sup_cross: float
-    worst_pair: tuple | None
     n_regular: int
     n_critical: int
-    n_samples: int
 
-    @property
-    def tight(self):
-        return self.sup_cross < 0.0
-
-    def summary(self):
-        return (f"sup d_x f_i(grad f_j) = {self.sup_cross:.4e} over "
-                f"{self.n_samples} samples; {self.n_critical} critical points")
+    def margins(self):
+        """Tight: the sampled sup is negative."""
+        return [Margin("sup d_x f_i(grad f_j)", self.sup_cross, 0.0, "<")]
 
 
 def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
@@ -128,7 +114,6 @@ def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
     center, radius = region
     rng = np.random.default_rng(seed)
     sup = -math.inf
-    worst_pair = None
     n_reg = n_crit = 0
     for _ in range(n_samples):
         x = space.random_point_near(center, radius, rng)
@@ -139,17 +124,13 @@ def tight_check(space, funcs, region, n_samples=200, seed=0) -> TightReport:
             continue
         for i, di in enumerate(diffs):
             for j, gj in enumerate(grads):
-                if i == j:
-                    continue
-                val = di.homogeneous(gj)
-                if val > sup:
-                    sup = val
-                    worst_pair = (i, j, x)
+                if i != j:
+                    sup = max(sup, di.homogeneous(gj))
         if directional_sup(combine_min(space.sigma_at(x), diffs))[0] > 0.0:
             n_reg += 1
         else:
             n_crit += 1
-    return TightReport(sup, worst_pair, n_reg, n_crit, n_samples)
+    return TightReport(sup, n_reg, n_crit)
 
 
 # -- image study ----------------------------------------------------------------
@@ -160,12 +141,10 @@ class TightImageReport:
     gf_worst: float
     bilip_low: float
     bilip_high: float
-    critical_samples: int
 
-    def summary(self):
-        return (f"Q support tests: {self.n_support - self.support_failures}/"
-                f"{self.n_support}; G(F(x)) deviation {self.gf_worst:.2e}; "
-                f"bi-Lipschitz ratios in [{self.bilip_low:.3f}, {self.bilip_high:.3f}]")
+    def margins(self):
+        """Every support test certified inside the image."""
+        return [Margin("Q support failures", self.support_failures, 0, "<=")]
 
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section of a bracket
@@ -364,4 +343,4 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
         dv = math.sqrt(sum((a - b) ** 2 for a, b in zip(values[i], values[j])))
         lo = min(lo, dv / d)
         hi = max(hi, dv / d)
-    return TightImageReport(failures, n_support, gf_worst, lo, hi, n_gf)
+    return TightImageReport(failures, n_support, gf_worst, lo, hi)

@@ -17,6 +17,7 @@ from .flow import CurveRecord, gradient, gradient_curve
 from .functions import BoundaryDist, Dist, DistSq, differential, scale
 from .quasigeodesic import check_quasigeodesic
 from .tangent import TangentVec, directional_sup
+from .verdict import Margin
 
 
 @dataclass
@@ -51,10 +52,10 @@ class ExtremalEvidence:
     criterion_worst: float
     invariance_worst: float
     n_criterion: int
-    n_flows: int
 
-    def passed(self, tol):
-        return self.criterion_worst <= tol and self.invariance_worst <= tol
+    def margins(self, tol):
+        return [Margin("criterion worst", self.criterion_worst, tol, "<="),
+                Margin("flow drift", self.invariance_worst, tol, "<=")]
 
 
 def detect_extremal(space, seed=0, verify=True):
@@ -102,7 +103,6 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
         crit_worst = max(crit_worst, directional_sup(differential(Dist(q=q), space, p))[0])
         n_crit += 1
     inv_worst = 0.0
-    n_flows = 0
     starts = subset.sample_points(space, 4, rng)
     for x0 in starts:
         for _ in range(max(1, n_funcs // 2)):
@@ -112,8 +112,7 @@ def verify_extremal(space, subset: SubsetDescriptor, n_funcs=8, n_steps=50,
             drift = max(subset.contains_distance(space, x)
                         for x in rec.points[:: max(1, len(rec.points) // 10)])
             inv_worst = max(inv_worst, drift)
-            n_flows += 1
-    return ExtremalEvidence(crit_worst, inv_worst, n_crit, n_flows)
+    return ExtremalEvidence(crit_worst, inv_worst, n_crit)
 
 
 def _argmin_on_subset(space, subset, q):
@@ -133,15 +132,8 @@ def _argmin_on_subset(space, subset, q):
 
 
 # -- regularity of the distance to an extremal subset ------------------------
-@dataclass
-class RegularityReport:
-    floor: float
-    band: tuple
-    n_samples: int
-
-
 def distance_regularity(space, subset: SubsetDescriptor, band=(1e-3, 0.2),
-                        n_samples=100, seed=0) -> RegularityReport:
+                        n_samples=100, seed=0) -> float:
     """Measured floor of |grad dist_subset| on a thin collar around it."""
     rng = np.random.default_rng(seed)
     floor = math.inf
@@ -154,7 +146,7 @@ def distance_regularity(space, subset: SubsetDescriptor, band=(1e-3, 0.2),
         used += 1
         f = Dist(q=subset.point) if subset.kind == "point" else BoundaryDist()
         floor = min(floor, gradient(f, space, x).norm)
-    return RegularityReport(floor, band, used)
+    return floor
 
 
 # -- Lieberman instance -------------------------------------------------------
@@ -183,7 +175,6 @@ def boundary_edge_path(space, start_s, length) -> CurveRecord:
     ts = []
     pts = []
     rights = []
-    lefts = [None]
     events = []
     for t in params:
         p = space.boundary_point(start_s + t)
@@ -194,10 +185,8 @@ def boundary_edge_path(space, start_s, length) -> CurveRecord:
         pts.append(p)
         sig = space.sigma_at(p)
         rights.append(TangentVec(1.0, 0.0, sig))
-        if len(pts) > 1:
-            lefts.append(TangentVec(1.0, sig.length if sig.is_arc else math.pi, sig))
     rights[-1] = None
-    return CurveRecord(ts, pts, rights, lefts, events, step, "geodesic")
+    return CurveRecord(ts, pts, rights, events, step)
 
 
 def lieberman_check(space, start_s=0.1, n_probes=10, tol=1e-6, seed=0):
@@ -208,14 +197,8 @@ def lieberman_check(space, start_s=0.1, n_probes=10, tol=1e-6, seed=0):
 
 
 # -- boundary concavity (kappa = 0 and kappa = 1) -----------------------------
-@dataclass
-class BoundaryConcavityReport:
-    worst: float
-    n_chords: int
-
-
 def polygon_boundary_concavity(space, n_chords=200, seed=0):
-    """Second differences of dist_boundary along random interior chords."""
+    """Worst second difference of dist_boundary along random interior chords."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     n_samples = 33
@@ -230,11 +213,12 @@ def polygon_boundary_concavity(space, n_chords=200, seed=0):
         dt = d / (n_samples - 1)
         for i in range(1, n_samples - 1):
             worst = max(worst, (vals[i - 1] - 2 * vals[i] + vals[i + 1]) / (dt * dt))
-    return BoundaryConcavityReport(worst, n_chords)
+    return worst
 
 
 def cap_boundary_concavity(space, n_chords=100, n_samples=2001, seed=0):
-    """(-f)-concavity of sin(r0 - r) along great-circle chords of a cap."""
+    """(-f)-concavity of f = sin(r0 - r) along great-circle chords of a cap:
+    the worst f'' + f, which is at most 0 where it holds."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(n_chords):
@@ -249,4 +233,4 @@ def cap_boundary_concavity(space, n_chords=100, n_samples=2001, seed=0):
         for i in range(1, n_samples - 1):
             d2 = (vals[i - 1] - 2 * vals[i] + vals[i + 1]) / (dt * dt)
             worst = max(worst, d2 + vals[i])
-    return BoundaryConcavityReport(worst, n_chords)
+    return worst

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .functions import differential, evaluate
 from .model_plane import theta
-from .tangent import TangentVec, gradient_from_directional, zero_vector
+from .tangent import gradient_from_directional, zero_vector
 
 STOP_TOL = 1e-8
 # a grid remainder below _GRID_TOL * T is rounding left by summing the steps
@@ -29,23 +29,19 @@ _GRID_TOL = 1e-12
 
 @dataclass
 class CurveRecord:
-    """Sampled curve with one-sided tangents and an event ledger.
+    """Sampled curve with right tangents and an event ledger.
 
     `ts` runs 0, h, 2h, ... and ends at T, the last step shorter where T
     is not a multiple of h; T = 0 records the start point alone.
     `right_tangents[i]` is the motion vector launched at ts[i] (zero past
-    a stop, None at the end); `left_tangents[i]` points backward along the
-    last straight piece of the incoming step, carrying its speed as the
-    norm (None where the curve did not move).
+    a stop, None at the end).
     """
 
     ts: list
     points: list
     right_tangents: list
-    left_tangents: list
     events: list = field(default_factory=list)
     h: float = 0.0
-    provenance: str = "user"
 
     def end(self):
         return self.points[-1]
@@ -67,8 +63,9 @@ class FlowStepper:
     """Broken-geodesic integrator of one curve, here the gradient curve of expr.
 
     Holds the current point `cur`, the parameter `t`, the `events`,
-    `stopped` and the back tangent `back`.  Subclasses replace the motion
-    vector `_motion` and the event rule `_ends_step`.
+    `stopped` and `last_walk`, the last walk it made (None before the
+    first).  Subclasses replace the motion vector `_motion` and the event
+    rule `_ends_step`.
     """
 
     def __init__(self, expr, space, p):
@@ -78,16 +75,7 @@ class FlowStepper:
         self.t = 0.0
         self.events = []
         self.stopped = False
-        self._last = None  # (speed, walk) of the last piece: gexp never reads `back`
-
-    @property
-    def back(self):
-        """Tangent at `cur` pointing back along the last straight piece, with
-        its speed as the norm; None after a step spent at rest."""
-        if self._last is None:
-            return None
-        speed, w = self._last
-        return TangentVec(speed, w.back_angle, w.sigma)
+        self.last_walk = None
 
     def _motion(self, rest):
         """Motion vector at `cur`, None where it vanishes; `rest` is what is left of the step."""
@@ -106,7 +94,6 @@ class FlowStepper:
     def step(self, dt):
         """Advance the parameter by dt; returns the motion vector launched."""
         t_end = self.t + dt
-        self._last = None
         vec = None if self.stopped else self._motion(dt)
         v, rest = vec, dt
         for _ in range(64):
@@ -117,7 +104,7 @@ class FlowStepper:
                 break
             w = self.space._walk(self.cur, v.angle, rest * v.norm)
             self.cur = w.end
-            self._last = (v.norm, w)
+            self.last_walk = w
             used = w.traveled / max(v.norm, 1e-300)
             self.t += used
             rest -= used
@@ -131,9 +118,9 @@ class FlowStepper:
         return vec if vec is not None else zero_vector(self.space.sigma_at(self.cur))
 
 
-def record_curve(stepper, T, h, provenance) -> CurveRecord:
+def record_curve(stepper, T, h) -> CurveRecord:
     """Sample the stepper's curve on the grid 0, h, 2h, ... that ends at T."""
-    ts, points, rights, lefts = [0.0], [stepper.cur], [], [None]
+    ts, points, rights = [0.0], [stepper.cur], []
     t = 0.0
     while T - t > _GRID_TOL * T:
         dt = min(h, T - t)
@@ -141,9 +128,8 @@ def record_curve(stepper, T, h, provenance) -> CurveRecord:
         t = T if T - (t + dt) <= _GRID_TOL * T else t + dt
         ts.append(t)
         points.append(stepper.cur)
-        lefts.append(stepper.back)
     rights.append(None)
-    return CurveRecord(ts, points, rights, lefts, stepper.events, h, provenance)
+    return CurveRecord(ts, points, rights, stepper.events, h)
 
 
 def gradient_curve(expr, space, p, T, h):
@@ -153,14 +139,12 @@ def gradient_curve(expr, space, p, T, h):
     if not 0.0 <= T < math.inf:
         raise ValueError(f"gradient curve needs a finite time T >= 0, not {T}")
     stepper = FlowStepper(expr, space, space.validate_point(p))
-    return record_curve(stepper, T, h, "gradient-curve")
+    return record_curve(stepper, T, h)
 
 
 @dataclass
 class EstimateReport:
     margins_i: list
-    margins_ii: list
-    margins_iii: list
     worst: float
 
 
@@ -178,6 +162,9 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateRep
     (i)   |a(t) b(t)|  <=  e^{lam t} |pq|
     (ii)  |a(t) q|^2   <=  |pq|^2 + {2f(p)-2f(q)+lam|pq|^2} th(t) + |grad_p|^2 th(t)^2
     (iii) the two-time combination of (i) and (ii).
+
+    The report keeps the margins of (i), each bound minus the measured
+    side, and the worst margin of all three.
     """
     T = max(t_grid)
     m_i, m_ii, m_iii = [], [], []
@@ -210,21 +197,16 @@ def verify_distance_estimates(expr, space, pairs, t_grid, h, lam) -> EstimateRep
                     d0 * d0 + drop * th + gp * gp * th * th
                 )
                 m_iii.append(rhs - space.distance(alpha.points[ip], beta.points[iq]) ** 2)
-    worst = min(min(m_i), min(m_ii), min(m_iii))
-    return EstimateReport(m_i, m_ii, m_iii, worst)
+    return EstimateReport(m_i, min(min(m_i), min(m_ii), min(m_iii)))
 
 
-@dataclass
-class LengthElementReport:
-    margins: list
-    worst: float
-
-
-def length_element_check(expr, space, gamma0_points, tau, h, lam) -> LengthElementReport:
+def length_element_check(expr, space, gamma0_points, tau, h, lam) -> float:
     """Flow a curve by a variable time and compare the new length element
     against e^{2 lam tau} [ds^2 + 2 d(f o gamma) dtau + |grad f|^2 dtau^2].
 
     `gamma0_points` must be sampled by arclength with uniform spacing.
+    Returns the worst margin, the bound minus the new squared length
+    element, over the curve's steps.
     """
     pts = list(gamma0_points)
     n = len(pts)
@@ -245,4 +227,4 @@ def length_element_check(expr, space, gamma0_points, tau, h, lam) -> LengthEleme
             dsl * dsl + 2.0 * df * dtau + gn * gn * dtau * dtau
         )
         margins.append(rhs - dsig * dsig)
-    return LengthElementReport(margins, min(margins))
+    return min(margins)

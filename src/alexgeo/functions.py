@@ -9,10 +9,11 @@ Node protocol: each `Expr` node answers two questions about itself.
 `_lower(space, many)` gives its value, as a closure of one validated
 point or, when many, of a sequence of them, whose values it returns as
 a float array (see `_compile`).  The two forms share every line but the
-distance leaves' kernel, `space._distance(q, p)` or `space._distances(
-points, q)`, and `MinExpr`'s `min` or pairwise `np.minimum`.  On many
-points a leaf applies its phi to the array of distances, in a form that
-rounds as the scalar phi does, or maps the scalar phi over them.
+distance leaves' kernel, `space._distance(p, q)` or `space._distances(
+points, q)`, each read from the evaluated point, and `MinExpr`'s `min`
+or pairwise `np.minimum`.  On many points a leaf applies its phi to the
+array of distances, in a form that rounds as the scalar phi does, or
+maps the scalar phi over them.
 `_differential(space, p, sigma)` gives its chain rule, the differential
 at a validated point p from its children's.  The leaves phi o dist_q
 (`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share one rule, the first
@@ -41,6 +42,7 @@ from .tangent import (
     constant_directional,
     mean_cos_tail_directional,
 )
+from .verdict import Margin, line, passed
 
 
 class ExprError(ValueError):
@@ -107,7 +109,7 @@ class Dist(_DistanceLeaf):
 
     def _lower(self, space, many):
         dist, q = _metric(space, many), space.validate_point(self.q)
-        return lambda p: dist(q, p)
+        return lambda p: dist(p, q)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class DistSq(_DistanceLeaf):
         dist, q = _metric(space, many), space.validate_point(self.q)
 
         def value(p):
-            d = dist(q, p)
+            d = dist(p, q)
             return d * d
 
         return value
@@ -143,7 +145,7 @@ class RhoDist(_DistanceLeaf):
         rho, kappa = model_plane.rho, self.kappa
         if many:
             rho = lambda kappa, d: np.array([model_plane.rho(kappa, x) for x in d.tolist()])
-        return lambda p: rho(kappa, dist(q, p))
+        return lambda p: rho(kappa, dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class PhiRC(_DistanceLeaf):
     def _lower(self, space, many):
         dist, q = _metric(space, many), space.validate_point(self.q)
         phi = self._phi_each if many else self.phi
-        return lambda p: phi(dist(q, p))
+        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -277,10 +279,10 @@ def _memo(node, key, space, build):
 
 
 def _metric(space, many):
-    """The distance kernel of the leaves: dist(q, p) of one point, or of many."""
-    if many:
-        return lambda q, points: space._distances(points, q)
-    return space._distance
+    """The leaves' distance kernel, dist(p, q) read from the evaluated point p
+    or, when many, from each of them: both forms read from the same end, as
+    a mesh's unfolding search from each end rounds on its own."""
+    return space._distances if many else space._distance
 
 
 def _compile(expr, space, many):
@@ -342,17 +344,13 @@ def _chain_rule(expr, space, p, sigma):
 # -- concavity checking -----------------------------------------------------
 @dataclass
 class ConcavityReport:
-    lam: float
     tol: float
-    passed: bool
     worst_margin: float
     worst_chord: tuple | None
-    n_geodesics: int
 
-    def summary(self):
-        state = "pass" if self.passed else "FAIL"
-        return (f"lambda={self.lam:g} {state}: worst second-difference margin "
-                f"{self.worst_margin:.3e} over {self.n_geodesics} geodesics")
+    def margins(self):
+        """f'' <= lam within tol along every sampled geodesic."""
+        return [Margin("worst second-difference margin", self.worst_margin, self.tol, "<=")]
 
 
 def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
@@ -393,8 +391,7 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
                 worst_chord = (a, b)
     if worst == -math.inf:
         worst = 0.0
-    return ConcavityReport(lam, tol, bool(worst <= tol), float(worst),
-                           worst_chord, n_geodesics)
+    return ConcavityReport(tol, float(worst), worst_chord)
 
 
 def ensure_certificate(expr, space, center, radius):
@@ -408,9 +405,9 @@ def ensure_certificate(expr, space, center, radius):
     cand = certs[0].lam
     rep = check_concavity(expr, space, cand, (center, radius),
                           n_geodesics=24, n_samples=9, seed=0, tol=1e-5)
-    if not rep.passed:
+    if not passed(rep.margins()):
         raise ExprError(
-            f"concavity certificate lambda={cand} fails: {rep.summary()}"
+            f"concavity certificate lambda={cand} fails: {line(rep.margins())}"
         )
     return cand
 

@@ -150,7 +150,6 @@ class DevelopmentRecord:
     samples: list  # of (t, r, phi)
     turns: list  # of float, len == len(samples) - 2
     convex: bool
-    tolerance: float
     events: list = field(default_factory=list)
 
     def min_turn(self) -> float:
@@ -254,6 +253,5 @@ def develop_curve(kappa, r_samples, chords, tolerance: float = 1e-6) -> Developm
         samples=triples,
         turns=turns,
         convex=convex,
-        tolerance=tolerance,
         events=events,
     )

@@ -19,6 +19,7 @@ from .flow import CurveRecord
 from .functions import DistSq, differential, evaluate, scale
 from .radial import RadialStepper
 from .tangent import TangentVec, polar_vector
+from .verdict import Margin
 
 
 class TraceError(RuntimeError):
@@ -37,7 +38,6 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
     ts = [0.0]
     points = [p]
     rights = []
-    lefts = [None]
     events = []
     cur, fwd = p, xi_angle
     t = 0.0
@@ -54,7 +54,6 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
         t += w.traveled
         ts.append(t)
         points.append(cur)
-        lefts.append(TangentVec(1.0, w.back_angle, w.sigma))
         if w.event is None:
             fwd = w.sigma.forward_of_back(w.back_angle)
             continue
@@ -70,7 +69,7 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
         break
     rights.append(TangentVec(1.0, fwd, space.sigma_at(cur)) if t >= length - 1e-12
                   else None)
-    return CurveRecord(ts, points, rights, lefts, events, record_step, "traced-qg")
+    return CurveRecord(ts, points, rights, events, record_step)
 
 
 # -- appendix construction ladder ------------------------------------------
@@ -98,7 +97,6 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
     ts = [0.0]
     points = [p]
     rights = []
-    lefts = [None]
     events = []
     t = 0.0
     cur = p
@@ -121,8 +119,6 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
             t += dt_inner / sigma_speed
             ts.append(t)
             points.append(stepper.cur)
-            back = stepper.back
-            lefts.append(None if back is None else back.scaled(sigma_speed))
             run_speed = speed if speed > 0.0 else run_speed
             if stepper.stopped:
                 events.append((t, "stall", None))
@@ -151,7 +147,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
             # a piece ends at a cone point only under the speed control
             sig = space.sigma_at(cur)
             if stepper.at_vertex:
-                back = stepper.back.angle
+                back = stepper.last_walk.back_angle
             else:
                 back = nxt.angle if sig.is_arc else sig.wrap(nxt.angle + math.pi)
             dir_angle = polar_vector(sig, TangentVec(run_speed, back, sig)).angle
@@ -162,8 +158,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
             sigma_speed = sigma_speed * nxt.norm
             run_speed = sigma_speed
     rights.append(None)
-    return CurveRecord(ts, points, rights, lefts, events, h,
-                       "prequasigeodesic" if speed_control else "convex-curve")
+    return CurveRecord(ts, points, rights, events, h)
 
 
 # -- entropy ------------------------------------------------------------------
@@ -208,24 +203,16 @@ class CheckReport:
     entropy_total: float
     n_probes: int
 
-    def passed(self, tol):
+    def margins(self, tol):
         """Every test within tol, and at least one probe run: with no probe
         the probe tests read 0.0 and show nothing."""
-        return (
-            self.n_probes > 0
-            and self.unit_speed_dev <= tol
-            and self.barrier_worst <= tol
-            and self.monotone_worst <= tol
-            and self.development_min_turn >= -tol
-        )
-
-    def summary(self):
-        return (
-            f"unit-speed dev {self.unit_speed_dev:.2e}; barrier {self.barrier_worst:.2e}; "
-            f"angle-monotonicity {self.monotone_worst:.2e}; min turn "
-            f"{self.development_min_turn:.2e}; entropy {self.entropy_total:.2e}; "
-            f"{self.n_probes} probes"
-        )
+        return [
+            Margin("probes", self.n_probes, 1, ">="),
+            Margin("unit-speed dev", self.unit_speed_dev, tol, "<="),
+            Margin("barrier", self.barrier_worst, tol, "<="),
+            Margin("angle-monotonicity", self.monotone_worst, tol, "<="),
+            Margin("min turn", self.development_min_turn, -tol, ">="),
+        ]
 
 
 def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
@@ -344,20 +331,19 @@ def check_quasigeodesic(space, curve: CurveRecord, n_probes=20, tol=1e-6,
 # -- extend / chop demo -------------------------------------------------------
 @dataclass
 class ChopExtendReport:
-    t: float
-    t_bar: float
-    theta: float
-    mu: float
     chop_ok: bool
     extension_atom: float
     lemma_margin: float
     lemma_applicable: bool
 
-    def passed(self, tol):
-        ok = self.chop_ok and abs(self.extension_atom) <= tol
+    def margins(self, tol):
+        """A chop found, no extension atom, and the convex-curve inequality
+        where it applies."""
+        margins = [Margin("chop found", int(self.chop_ok), 1, ">="),
+                   Margin("|extension atom|", abs(self.extension_atom), tol, "<=")]
         if self.lemma_applicable:
-            ok = ok and self.lemma_margin >= -tol
-        return ok
+            margins.append(Margin("lemma margin", self.lemma_margin, -tol, ">="))
+        return margins
 
 
 def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendReport:
@@ -379,7 +365,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendR
     rt = rec.right_tangents
     x0 = rec.points[i0]
     dir0 = rt[i0]
-    chop = None
+    chop_ok = False
     for j in range(i0 + 1, len(ts)):
         if rt[j] is None or rt[j].norm <= 0:
             break
@@ -391,10 +377,8 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendR
         sig = space.sigma_at(x0)
         theta = min(sig.dist(dir0.angle, a) for a in dirs)
         if abs(mu_run) < eps * (theta + (tbar - t0)) and theta < eps:
-            chop = (tbar, theta, abs(mu_run))
+            chop_ok = True
             break
-    chop_ok = chop is not None
-    tbar, theta, mu = chop if chop else (t0, math.inf, math.inf)
 
     # convex-curve inequality for f = dist_q^2 / 2 (1-concave when curv >= 0)
     if q_far is None:
@@ -419,8 +403,7 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendR
                    evaluate(f, space, rec.points[j - 1])) / (ts[j] - ts[j - 1])
             rhs = fwd - bwd + lam * tspan
             margin = rhs - lhs
-    return ChopExtendReport(t0, tbar, theta, mu, chop_ok, ext_atom, margin,
-                            lemma_applicable)
+    return ChopExtendReport(chop_ok, ext_atom, margin, lemma_applicable)
 
 
 def monotone_report(space, curve: CurveRecord, expr, lam):

@@ -146,7 +146,7 @@ def radial_curve(space, p, xi_angle, kappa, T, h) -> CurveRecord:
         raise RadialDomainError("spherical radial curves live on [0, pi/2]")
     if kappa not in (-1, 0, 1):
         raise RadialDomainError(f"kappa must be -1, 0 or 1, not {kappa}")
-    return record_curve(RadialStepper(space, p, xi_angle, kappa), T, h, "radial")
+    return record_curve(RadialStepper(space, p, xi_angle, kappa), T, h)
 
 
 def gexp_map(space, p, v: TangentVec, kappa, h):
@@ -222,7 +222,6 @@ def tangent_cone_metric(kappa, u: TangentVec, v: TangentVec) -> float:
 @dataclass
 class RadialComparisonReport:
     ts: list
-    angles: list
     worst_increase: float
 
 
@@ -252,7 +251,7 @@ def verify_radial_comparison(space, p, xi_angle, q, kappa, t_grid, h) -> RadialC
         (angles[i + 1] - angles[i] for i in range(len(angles) - 1)),
         default=0.0,
     )
-    return RadialComparisonReport(list(t_used), angles, worst)
+    return RadialComparisonReport(list(t_used), worst)
 
 
 @dataclass

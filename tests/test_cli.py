@@ -103,7 +103,7 @@ class TestCommands:
                    "--dir", "0.7", "--length", "60", "--check",
                    "--prefix", str(tmp_path / "t")])
         assert rc == 1
-        assert "; 0 probes" in capsys.readouterr().out
+        assert "probes 0 (>= 1)" in capsys.readouterr().out
         assert json.loads((tmp_path / "t.json").read_text())["check"]["passed"] is False
 
     def test_trace_qg_artifacts(self, tetra_file, tmp_path, capsys):

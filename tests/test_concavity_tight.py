@@ -13,6 +13,7 @@ from alexgeo.concavity_tight import (
     tight_image_study,
 )
 from alexgeo.functions import Dist, check_concavity, evaluate
+from alexgeo.verdict import passed
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -21,18 +22,18 @@ SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
 class TestStrictlyConcave:
     def test_plane_bump_margin(self):
         p = (1.0, 0.5)
-        expr, rep = build_strictly_concave(PLANE, p, r=0.5, c=50.0, n_points=4,
-                                           n_geodesics=100, seed=1)
-        assert -rep.margin > 0.0
+        expr, margin = build_strictly_concave(PLANE, p, r=0.5, c=50.0, n_points=4,
+                                              n_geodesics=100, seed=1)
+        assert -margin > 0.0
         assert evaluate(expr, PLANE, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_margin_grows_with_c(self):
         p = (1.0, 0.5)
         margins = []
         for c in (30.0, 60.0, 120.0):
-            _, rep = build_strictly_concave(PLANE, p, r=0.5, c=c, n_points=4,
-                                            n_geodesics=60, seed=2)
-            margins.append(-rep.margin)
+            _, margin = build_strictly_concave(PLANE, p, r=0.5, c=c, n_points=4,
+                                               n_geodesics=60, seed=2)
+            margins.append(-margin)
         assert margins[0] < margins[1] < margins[2]
 
     def test_insufficient_c_reports_failure(self):
@@ -58,14 +59,14 @@ class TestTightCheck:
         a1 = (1.0, 2 * math.pi / 3)
         rep = tight_check(PLANE, [Dist(q=a0), Dist(q=a1)], (p, 0.05),
                           n_samples=100, seed=6)
-        assert rep.tight
+        assert passed(rep.margins())
         assert rep.sup_cross < -0.3
 
     def test_equal_functions_not_tight(self):
         q = (1.0, 0.0)
         rep = tight_check(PLANE, [Dist(q=q), Dist(q=q)], ((2.0, 1.0), 0.05),
                           n_samples=50, seed=7)
-        assert not rep.tight
+        assert not passed(rep.margins())
         assert rep.sup_cross >= 0.0
 
     def test_three_points_around_square_center(self):
@@ -74,7 +75,7 @@ class TestTightCheck:
                for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)]
         funcs = [Dist(q=q) for q in pts]
         rep = tight_check(SQUARE, funcs, (c, 0.04), n_samples=150, seed=8)
-        assert rep.tight
+        assert passed(rep.margins())
         # every sampled point is a critical point of the full triple or not;
         # dropping one function leaves all samples regular
         rep2 = tight_check(SQUARE, funcs[:2], (c, 0.04), n_samples=150, seed=8)

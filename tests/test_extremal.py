@@ -23,6 +23,7 @@ from alexgeo.extremal import (
 from alexgeo.flow import gradient
 from alexgeo.functions import Dist, differential
 from alexgeo.tangent import directional_sup
+from alexgeo.verdict import passed
 
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -65,13 +66,13 @@ class TestVerify:
     def test_square_boundary_passes(self):
         ev = verify_extremal(SQUARE, SubsetDescriptor("boundary"), n_funcs=8,
                              n_steps=30, seed=1)
-        assert ev.passed(1e-6)
+        assert passed(ev.margins(1e-6))
 
     def test_narrow_apex_fixed_by_flows(self):
         c = ConeSpace(math.pi / 2)
         ev = verify_extremal(c, SubsetDescriptor("point", (0.0, 0.0)),
                              n_funcs=6, n_steps=30, seed=2)
-        assert ev.passed(1e-9)
+        assert passed(ev.margins(1e-9))
 
     def test_foot_point_gradient_vanishes(self):
         # interior q: the nearest boundary point is a critical point of dist_q
@@ -84,13 +85,13 @@ class TestVerify:
         # a generic interior point is not extremal: flows push it around
         ev = verify_extremal(SQUARE, SubsetDescriptor("point", (0.33, 0.41)),
                              n_funcs=8, n_steps=40, seed=3)
-        assert not ev.passed(1e-6)
+        assert not passed(ev.margins(1e-6))
 
     def test_wide_apex_criterion_fails(self):
         c = ConeSpace(1.5 * math.pi)
         ev = verify_extremal(c, SubsetDescriptor("point", (0.0, 0.0)),
                              n_funcs=8, n_steps=40, seed=4)
-        assert not ev.passed(1e-6)
+        assert not passed(ev.margins(1e-6))
 
 
 class TestExactFoot:
@@ -122,30 +123,27 @@ class TestExactFoot:
 class TestLiebermanAndRegularity:
     def test_square_boundary_geodesics_are_quasigeodesics(self):
         rep = lieberman_check(SQUARE, start_s=0.35, n_probes=10, seed=5)
-        assert rep.passed(1e-6)
+        assert passed(rep.margins(1e-6))
 
     def test_regularity_floor_positive(self):
-        rep = distance_regularity(SQUARE, SubsetDescriptor("boundary"),
-                                  band=(1e-3, 0.2), n_samples=60, seed=6)
-        assert rep.floor > 0.9  # unit gradient off the medial axis
+        floor = distance_regularity(SQUARE, SubsetDescriptor("boundary"),
+                                    band=(1e-3, 0.2), n_samples=60, seed=6)
+        assert floor > 0.9  # unit gradient off the medial axis
 
 
 class TestBoundaryConcavity:
     def test_square(self):
-        rep = polygon_boundary_concavity(SQUARE, n_chords=200, seed=7)
-        assert rep.worst <= 1e-9
+        assert polygon_boundary_concavity(SQUARE, n_chords=200, seed=7) <= 1e-9
 
     def test_random_polygons(self):
         rng = np.random.default_rng(8)
         for _ in range(4):
             poly = random_convex_polygon(rng)
-            rep = polygon_boundary_concavity(poly, n_chords=100, seed=9)
-            assert rep.worst <= 1e-9
+            assert polygon_boundary_concavity(poly, n_chords=100, seed=9) <= 1e-9
 
     def test_cap_sine_distance(self):
         cap = CapSpace(0.8)
-        rep = cap_boundary_concavity(cap, n_chords=25, n_samples=2001, seed=10)
-        assert rep.worst <= 1e-8
+        assert cap_boundary_concavity(cap, n_chords=25, n_samples=2001, seed=10) <= 1e-8
 
     def test_lytchak_perimeter_bound(self):
         for r0 in (0.3, 0.8, math.pi / 2):

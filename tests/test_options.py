@@ -182,3 +182,20 @@ def unset_fields():
 
 def test_every_dataclass_default_is_set_by_a_caller():
     assert unset_fields() == []
+
+
+def read_attributes():
+    """Names read as attributes (``x.name`` in a load) anywhere in the callers."""
+    return {node.attr for _, tree in _trees(CALLERS) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields():
+    read = read_attributes()
+    return sorted(f"{path}::{owner}.{name}"
+                  for owner, (_, fields, _, path) in library_classes().items()
+                  for name in fields if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
