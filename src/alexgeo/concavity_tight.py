@@ -18,6 +18,8 @@ from .functions import (
     MinExpr,
     PhiRC,
     _compile,
+    _draw_chords,
+    _second_differences,
     check_concavity,
     differential,
     evaluate,
@@ -306,9 +308,10 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
                          f"sample, not {n_support} and {n_gf}")
     center, radius = region
     rng = np.random.default_rng(seed)
+    # `check_concavity` of each coordinate on one draw of its chords
+    chords, pts = _draw_chords(space, region, 30, 9, seed)
     for f in funcs:
-        rep = check_concavity(f, space, 0.0, region, n_geodesics=30,
-                              n_samples=9, seed=seed, tol=0.0)
+        rep = _second_differences(evaluate_each(f, space, pts), chords, 9, 0.0, 0.0)
         if rep.worst_margin >= 0.0:
             raise ConstructionError(
                 "image study requires strictly concave coordinates"

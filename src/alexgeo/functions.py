@@ -366,6 +366,13 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
     if n_samples < 3:
         raise ValueError(f"concavity check needs at least 3 samples per geodesic "
                          f"for a second difference, not {n_samples}")
+    chords, pts = _draw_chords(space, region, n_geodesics, n_samples, seed)
+    return _second_differences(evaluate_each(expr, space, pts), chords, n_samples, lam, tol)
+
+
+def _draw_chords(space, region, n_geodesics, n_samples, seed):
+    """The chords (a, b, d) of a concavity check, shorter ones than 1e-6
+    dropped, and the n_samples geodesic points of each, chord by chord."""
     center, radius = region
     rng = np.random.default_rng(seed)
     chords, pts = [], []
@@ -377,7 +384,11 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
             continue
         chords.append((a, b, d))
         pts += space.geodesic_points(a, b, n_samples)
-    values = evaluate_each(expr, space, pts)
+    return chords, pts
+
+
+def _second_differences(values, chords, n_samples, lam, tol):
+    """The worst margin f'' - lam of the values at the samples of chords."""
     worst = -math.inf
     worst_chord = None
     for k, (a, b, d) in enumerate(chords):
@@ -436,7 +447,12 @@ class InfConvolution:
     directions at one step from the best point so far, a round with no
     gain shrinks the step by 0.35, and three gaining rounds in a row
     double it, never above the step it started with, so that the polish
-    does not crawl along a valley at a step it shrank too far.
+    does not crawl along a valley at a step it shrank too far.  The
+    polish reads the objective from one closure per query
+    (`_objective`), which holds f's one-point closure.  On a cap, the
+    stencil's and the polish's walks are nearly all too short to reach
+    the boundary, and those skip the crossing solve (see
+    `CapSpace._walks`).
     """
 
     def __init__(self, expr, space, eps, lip_hint=2.0):
@@ -451,16 +467,18 @@ class InfConvolution:
         self.eps = eps
         self.search_radius = 1.5 * lip_hint * eps
 
-    def _obj(self, x, y):
-        """f(x) + d(x, y)^2 / eps at points of the space: y validated, x = y or a walk end."""
-        space = self.space
-        return _compile(self.expr, space, False)(x) + space._distance(x, y) ** 2 / self.eps
+    def _objective(self, y):
+        """x -> f(x) + d(x, y)^2 / eps at points of the space, for a validated
+        y and x = y or a walk end; f's one-point closure is read once."""
+        f, dist, eps = _compile(self.expr, self.space, False), self.space._distance, self.eps
+        return lambda x: f(x) + dist(x, y) ** 2 / eps
 
     def query(self, y) -> InfConvResult:
         space = self.space
         f = _compile(self.expr, space, True)
         y = space.validate_point(y)
-        best_x, best_v = y, self._obj(y, y)
+        obj = self._objective(y)
+        best_x, best_v = y, obj(y)
         center, radius = y, self.search_radius
         expanded = False
         n_angles, n_radii = 16, 8
@@ -503,7 +521,7 @@ class InfConvolution:
                     w = space._walk(best_x, ang, step)
                 except SpaceError:
                     continue
-                v = self._obj(w.end, y)
+                v = obj(w.end)
                 if v < best_v - 1e-16:
                     best_v, best_x = v, w.end
                     improved = True

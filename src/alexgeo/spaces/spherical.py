@@ -22,6 +22,11 @@ from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceErro
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
+# Colatitude is 1-Lipschitz along a unit-speed geodesic, so a cap walk shorter
+# than r0 - r cannot meet the boundary.  A walk shorter than r0 - r - _REACH
+# skips the crossing solve, whose worst rounding (acos near 1 on a grazing
+# ray) is about 1.5e-8; the solve would find no crossing within its length.
+_REACH = 1e-7
 
 
 class _SphereBase(Space):
@@ -91,6 +96,11 @@ class _SphereBase(Space):
                 & (lengths >= np.where(np.cos(psi) < 0.0, p[0], math.pi - p[0]) - _POLE_EPS))
         traveled = np.zeros(n)
         active = ~pole & (traveled < lengths - 1e-15)
+        if active.all() and n and lengths.max() <= 0.5:
+            # one sub-step each, unless a walk lands on a pole
+            r2, dphi, psi2, sr2 = self._step(ARRAYS, r, psi, lengths)
+            if not (sr2 < _POLE_EPS).any():
+                return r2, wrap_angles(phi + dphi, self.wrap_length), pole
         while active.any():
             idx = np.flatnonzero(active)
             s = np.minimum(0.5, lengths[idx] - traveled[idx])  # substeps of at most 0.5
@@ -369,7 +379,9 @@ class CapSpace(_SphereBase):
     def _walks(self, p, angles, lengths):
         """`_walk` on arrays: the regular walk and its boundary clip.  A start
         at the pole, a walk that meets a pole and one along or out of the
-        boundary arc go to `_walk`."""
+        boundary arc go to `_walk`.  As there, only a walk in reach of the
+        boundary (`_REACH`) solves for its crossing, one `_crossing` call
+        each, so a batch of short walks solves none."""
         if p[0] <= _POLE_EPS:
             return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
@@ -379,21 +391,11 @@ class CapSpace(_SphereBase):
         if self.on_boundary(p):
             scalar = ~((angles > 1e-12) & (math.pi - angles > 1e-12))
             psi = wrap_angles(angles + math.pi / 2.0, TWO_PI)
-        # crossing colatitude r0, as in `_cap_clip_walk`
-        cr, sr = math.cos(p[0]), math.sin(p[0])
-        uz = -sr * np.cos(psi)
-        crs = np.full(n, cr)
-        R = ARRAYS.hypot(crs, uz)
-        target = math.cos(self.radius)
-        delta = ARRAYS.atan2(uz, crs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = ARRAYS.acos(target / R)
         s_hit = np.full(n, math.inf)
-        for c in (delta + base, delta - base):
-            while (low := c <= 1e-12).any():
-                c = np.where(low, c + TWO_PI, c)
-            s_hit = np.where(c <= lengths + 1e-15, np.minimum(s_hit, c), s_hit)
-        hit = ~scalar & (R >= target - 1e-15) & (s_hit <= lengths + 1e-12)
+        reach = ~scalar & (lengths >= self.radius - p[0] - _REACH)
+        for j in np.flatnonzero(reach).tolist():
+            s_hit[j] = self._crossing(p[0], float(psi[j]), float(lengths[j]))
+        hit = s_hit <= lengths + 1e-12
         r, phi, pole = self._regular_walks(p, wrap_angles(psi, TWO_PI),
                                            np.where(hit, s_hit, np.where(scalar, 0.0, lengths)))
         ends = planar_ends(np.where(hit, self.radius, np.minimum(r, self.radius)), phi)
@@ -409,13 +411,16 @@ class CapSpace(_SphereBase):
         back = math.pi if sgn > 0 else 0.0
         return WalkResult(end, length, back, HALF_ARC)
 
-    def _cap_clip_walk(self, p, psi, length):
-        # crossing colatitude r0: z(s) = cos(r)cos(s) - sin(r)cos(psi)sin(s)
-        cr, sr = math.cos(p[0]), math.sin(p[0])
+    def _crossing(self, r, psi, length):
+        """The arclength at which the walk of the given length from colatitude
+        r at chart angle psi first meets the boundary, or inf if it does not:
+        the first root of z(s) = cos(r)cos(s) - sin(r)cos(psi)sin(s) = cos(r0)
+        up to length."""
+        cr, sr = math.cos(r), math.sin(r)
         uz = -sr * math.cos(psi)
         R = math.hypot(cr, uz)
         target = math.cos(self.radius)
-        s_hit = None
+        s_hit = math.inf
         if R >= target - 1e-15:
             delta = math.atan2(uz, cr)
             base = clamped_acos(target / R)
@@ -424,8 +429,16 @@ class CapSpace(_SphereBase):
                 while c <= 1e-12:
                     c += TWO_PI
                 if c <= length + 1e-15:
-                    s_hit = c if s_hit is None else min(s_hit, c)
-        if s_hit is None or s_hit > length + 1e-12:
+                    s_hit = min(s_hit, c)
+        return s_hit
+
+    def _cap_clip_walk(self, p, psi, length):
+        """`_SphereBase._walk` stopped where it first meets the boundary.  Only
+        a walk in reach of the boundary (`_REACH`) solves for the crossing."""
+        s_hit = math.inf
+        if length >= self.radius - p[0] - _REACH:
+            s_hit = self._crossing(p[0], psi, length)
+        if s_hit > length + 1e-12:
             return self._cap_clip(super()._walk(p, psi, length))
         w = super()._walk(p, psi, s_hit)
         end = (self.radius, w.end[1])

@@ -26,7 +26,9 @@ from alexgeo.spaces import (
     random_convex_polygon,
     regular_tetrahedron,
 )
+from alexgeo.spaces import spherical
 from alexgeo.spaces.base import CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space
+from alexgeo.spaces.spherical import _SphereBase
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -978,6 +980,144 @@ class TestBatchKernels:
                 d = space._distances(points, q)
                 assert isinstance(d, np.ndarray) and d.dtype == float
                 assert self._agree(exact, d.tolist(), [space._distance(x, q) for x in points])
+
+
+class TestCapReach:
+    """A cap walk shorter than r0 - r - `_REACH` skips the crossing solve.
+
+    Colatitude is 1-Lipschitz along a unit-speed geodesic, so such a walk
+    cannot reach the boundary.  With `_REACH` set to inf every walk solves,
+    and every walk and batch must end as it does with the reach test, to
+    the bit; and wherever the test skips, the solve itself, `_crossing`,
+    must find no crossing within the walk's length.
+    """
+
+    CAP = CapSpace(0.8)
+
+    def _rays(self, rng):
+        """(start, regular chart angle) pairs: random rays, rays at and near
+        the meridians, grazing rays from just inside the boundary (target / R
+        near 1, where acos rounds worst), starts within 1e-9 of the boundary
+        and starts near the pole."""
+        r0 = self.CAP.radius
+        rays = [((r0 * math.sqrt(rng.random()), rng.random() * 2 * math.pi),
+                 rng.random() * 2 * math.pi) for _ in range(40)]
+        for r in (0.05, 0.3, 0.6, r0 - 1e-4, r0 - 1e-6, r0 - 2e-7):
+            rays += [((r, 1.0), psi) for psi in (0.0, 1e-9, math.pi - 1e-9, math.pi + 2e-13)]
+        for h in (2e-9, 1e-8, 1.01e-7, 2e-7, 1e-6, 1e-4):  # grazing: psi near pi/2
+            rays += [((r0 - h, 0.4), math.pi / 2 + t) for t in (-1e-8, 0.0, 1e-8, math.pi)]
+        rays += [((r0 - 1e-9, 2.0), psi) for psi in (0.0, 1.0, math.pi / 2, 3.0)]
+        rays += [((1e-9, 0.5), psi) for psi in (0.0, math.pi / 2, math.pi)]
+        return rays
+
+    def _lengths(self, p):
+        """Lengths at r0 - r - _REACH +- 1e-12, below it, and above the 0.5
+        sub-step, past the boundary and past the pole."""
+        edge = self.CAP.radius - p[0] - spherical._REACH
+        return [max(x, 0.0) for x in (edge - 1e-12, edge, edge + 1e-12, 0.5 * edge,
+                                      0.3, 0.75, 1.2, 2.5)]
+
+    def test_the_solve_finds_no_crossing_where_the_reach_test_skips(self):
+        cap, skipped = self.CAP, 0
+        for p, psi in self._rays(np.random.default_rng(51)):
+            assert cap._crossing(p[0], psi, 10.0) >= cap.radius - p[0] - spherical._REACH
+            for length in self._lengths(p):
+                if length < cap.radius - p[0] - spherical._REACH:
+                    skipped += 1
+                    assert cap._crossing(p[0], psi, length) == math.inf
+        assert skipped > 100
+
+    @staticmethod
+    def _walk_record(w):
+        return w.end, w.traveled, w.back_angle, w.event
+
+    def test_walks_end_as_the_solve_ends_them(self, monkeypatch):
+        cap = self.CAP
+        cases = [(p, psi, length) for p, psi in self._rays(np.random.default_rng(52))
+                 for length in self._lengths(p)]
+        skip = [self._walk_record(cap._walk(p, psi, length)) for p, psi, length in cases]
+        monkeypatch.setattr(spherical, "_REACH", math.inf)
+        solve = [self._walk_record(cap._walk(p, psi, length)) for p, psi, length in cases]
+        assert skip == solve
+        assert {w[3] for w in skip} == {None, "boundary", "vertex"}
+
+    def test_batches_mixing_walks_in_and_out_of_reach_end_as_the_solve_ends_them(
+            self, monkeypatch):
+        cap = self.CAP
+        rng = np.random.default_rng(53)
+        batches = []
+        for p in [(0.3, 1.0), (0.6, 2.0), (cap.radius - 2e-7, 0.4), (cap.radius - 1e-9, 3.0),
+                  (cap.radius, 5.0), (0.0, 0.0), (1e-9, 0.5)]:
+            edge = cap.radius - p[0] - spherical._REACH
+            lengths = np.array([max(x, 0.0) for x in (edge - 1e-12, edge + 1e-12)]
+                               + (rng.random(30) * 0.45).tolist()
+                               + (rng.random(10) * 1.5).tolist())
+            angles = rng.random(len(lengths)) * cap.sigma_at(p).length
+            batches.append((p, angles, lengths))
+            batches.append((p, angles, np.minimum(lengths, 0.5)))  # one sub-step each
+        skip = [cap._walks(p, a, length) for p, a, length in batches]
+        monkeypatch.setattr(spherical, "_REACH", math.inf)
+        solve = [cap._walks(p, a, length) for p, a, length in batches]
+        assert skip == solve
+        events = {e for _, ev in skip for e in ev}
+        assert {None, "boundary"} <= events
+        for (p, angles, lengths), (ends, events) in zip(batches, skip):
+            for a, length, end, event in zip(angles.tolist(), lengths.tolist(), ends, events):
+                w = cap._walk(p, a, length)
+                assert event == w.event
+                assert TestBatchKernels._agree(False, end, w.end)
+
+
+class TestRegularWalks:
+    """`_SphereBase._regular_walks` takes a batch of active walks no longer
+    than 0.5 in one `_step` pass, and the loop otherwise: the pass must end
+    each walk as the loop does, to the bit."""
+
+    SPACES = [CapSpace(0.8), SpindleSpace(4.0), SpindleSpace(2 * math.pi)]
+
+    @staticmethod
+    def _looped(space, p, psi, lengths):
+        """The loop's ends for each walk: one more walk of length 0.6 keeps
+        the batch from the one pass."""
+        r, phi, pole = space._regular_walks(p, np.append(psi, 1.0), np.append(lengths, 0.6))
+        return r[:-1], phi[:-1], pole[:-1]
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.describe()["type"])
+    def test_one_pass_matches_the_loop(self, space):
+        rng = np.random.default_rng(54)
+        for p in [(0.3, 1.0), (1.2, 0.5), (0.7, 5.9)]:
+            psi = rng.random(64) * 2 * math.pi
+            lengths = np.append(rng.random(63) * 0.5, 0.5)
+            got = space._regular_walks(p, psi, lengths)
+            want = self._looped(space, p, psi, lengths)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+            assert not got[2].any()
+
+    def test_a_pole_landing_falls_back_to_the_loop(self):
+        cap = CapSpace(0.8)
+        p = (0.3, 1.0)
+        # a ray off the meridian by 2e-13 (no pole at the start) that ends
+        # within 1e-13 of the pole
+        psi = np.array([math.pi + 2e-13, 0.4, 2.0])
+        lengths = np.array([0.3, 0.2, 0.45])
+        r, phi, pole = cap._regular_walks(p, psi, lengths)
+        assert pole.tolist() == [True, False, False]
+        want = self._looped(cap, p, psi, lengths)
+        assert r[1:].tolist() == want[0][1:].tolist()
+        assert phi[1:].tolist() == want[1][1:].tolist()
+        ends, events = cap._walks(p, psi, lengths)
+        assert events == ["vertex", None, None]
+        assert ends[0] == cap._walk(p, psi[0], lengths[0]).end
+
+    @pytest.mark.parametrize("lengths", [[0.2, 0.51], [0.0, 0.3], [1e-16, 0.3]])
+    def test_a_longer_or_empty_walk_takes_the_loop(self, lengths):
+        cap = CapSpace(0.8)
+        p, psi = (0.3, 1.0), np.array([0.4, 2.0])
+        got = cap._regular_walks(p, psi, np.array(lengths))
+        for j, length in enumerate(lengths):
+            w = _SphereBase._walk(cap, p, psi[j], length)
+            assert TestBatchKernels._agree(False, (got[0][j], got[1][j]), w.end)
 
 
 # lines that ask a space its variant, by file: none, every space answers
