@@ -309,9 +309,11 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
     center, radius = region
     rng = np.random.default_rng(seed)
     # `check_concavity` of each coordinate on one draw of its chords
-    chords, pts = _draw_chords(space, region, 30, 9, seed)
+    n_samples = 9
+    chords, pts = _draw_chords(space, region, n_geodesics=30, n_samples=n_samples, seed=seed)
     for f in funcs:
-        rep = _second_differences(evaluate_each(f, space, pts), chords, 9, 0.0, 0.0)
+        rep = _second_differences(evaluate_each(f, space, pts), chords, n_samples,
+                                  lam=0.0, tol=0.0)
         if rep.worst_margin >= 0.0:
             raise ConstructionError(
                 "image study requires strictly concave coordinates"

@@ -262,15 +262,18 @@ def wrap_angles(a, period):
     return np.where(x < 0.0, np.where(y < period, y, 0.0), x)
 
 
-def libm(fn, *arrays):
-    """A `math` function elementwise over float arrays of one length.
+def libm(fn, *args):
+    """A `math` function elementwise over float arrays of one length, a
+    float argument standing for an array of that float.
 
     numpy's own arctan2, hypot, arcsin and arccos round differently from
     `math`'s on some arguments (on x86-64 with numpy 2.4, about 8% of
     random ones, by an ulp), so the batch kernels take these four from
     `math`.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+    n = next(len(a) for a in args if isinstance(a, np.ndarray))
+    return np.fromiter(map(fn, *(a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+                                 for a in args)), float, n)
 
 
 def clamped_acos(x):
@@ -278,14 +281,17 @@ def clamped_acos(x):
     return math.acos(1.0 if x > 1.0 else (-1.0 if x < -1.0 else x))
 
 
-# the functions of `_SphereBase._step` on floats and on arrays, as module
-# objects, whose attribute reads cost what a read of `math.cos` does
+# the functions of `_SphereBase._step` and `CapSpace._crossing` on floats
+# and on arrays, as module objects, whose attribute reads cost what a read
+# of `math.cos` does
 FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
 FLOATS.__dict__.update(cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
-                       acos=clamped_acos, wrap=wrap_angle)
+                       acos=clamped_acos, wrap=wrap_angle, minimum=min,
+                       where=lambda c, a, b: a if c else b)
 ARRAYS.__dict__.update(cos=np.cos, sin=np.sin, atan2=lambda y, x: libm(math.atan2, y, x),
                        hypot=lambda x, y: libm(math.hypot, x, y),
-                       acos=lambda x: libm(math.acos, np.clip(x, -1.0, 1.0)), wrap=wrap_angles)
+                       acos=lambda x: libm(math.acos, np.clip(x, -1.0, 1.0)), wrap=wrap_angles,
+                       minimum=np.minimum, where=np.where)
 
 
 def walk_each(space, p, angles, lengths, ends, events, where):

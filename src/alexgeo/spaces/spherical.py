@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult,
-                   azimuth_gap, clamped_acos, libm, minimizing_angles, planar_ends, point_array,
+                   azimuth_gap, libm, minimizing_angles, planar_ends, point_array,
                    walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
@@ -96,11 +96,6 @@ class _SphereBase(Space):
                 & (lengths >= np.where(np.cos(psi) < 0.0, p[0], math.pi - p[0]) - _POLE_EPS))
         traveled = np.zeros(n)
         active = ~pole & (traveled < lengths - 1e-15)
-        if active.all() and n and lengths.max() <= 0.5:
-            # one sub-step each, unless a walk lands on a pole
-            r2, dphi, psi2, sr2 = self._step(ARRAYS, r, psi, lengths)
-            if not (sr2 < _POLE_EPS).any():
-                return r2, wrap_angles(phi + dphi, self.wrap_length), pole
         while active.any():
             idx = np.flatnonzero(active)
             s = np.minimum(0.5, lengths[idx] - traveled[idx])  # substeps of at most 0.5
@@ -380,8 +375,8 @@ class CapSpace(_SphereBase):
         """`_walk` on arrays: the regular walk and its boundary clip.  A start
         at the pole, a walk that meets a pole and one along or out of the
         boundary arc go to `_walk`.  As there, only a walk in reach of the
-        boundary (`_REACH`) solves for its crossing, one `_crossing` call
-        each, so a batch of short walks solves none."""
+        boundary (`_REACH`) solves for its crossing, all of them in one
+        `_crossing` on arrays, so a batch of short walks solves none."""
         if p[0] <= _POLE_EPS:
             return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
@@ -393,8 +388,8 @@ class CapSpace(_SphereBase):
             psi = wrap_angles(angles + math.pi / 2.0, TWO_PI)
         s_hit = np.full(n, math.inf)
         reach = ~scalar & (lengths >= self.radius - p[0] - _REACH)
-        for j in np.flatnonzero(reach).tolist():
-            s_hit[j] = self._crossing(p[0], float(psi[j]), float(lengths[j]))
+        if reach.any():
+            s_hit[reach] = self._crossing(ARRAYS, p[0], psi[reach], lengths[reach])
         hit = s_hit <= lengths + 1e-12
         r, phi, pole = self._regular_walks(p, wrap_angles(psi, TWO_PI),
                                            np.where(hit, s_hit, np.where(scalar, 0.0, lengths)))
@@ -411,33 +406,31 @@ class CapSpace(_SphereBase):
         back = math.pi if sgn > 0 else 0.0
         return WalkResult(end, length, back, HALF_ARC)
 
-    def _crossing(self, r, psi, length):
+    def _crossing(self, m, r, psi, length):
         """The arclength at which the walk of the given length from colatitude
         r at chart angle psi first meets the boundary, or inf if it does not:
         the first root of z(s) = cos(r)cos(s) - sin(r)cos(psi)sin(s) = cos(r0)
-        up to length."""
+        up to length.  m is `FLOATS`, or `ARRAYS` for arrays of psi and
+        length."""
         cr, sr = math.cos(r), math.sin(r)
-        uz = -sr * math.cos(psi)
-        R = math.hypot(cr, uz)
+        uz = -sr * m.cos(psi)
+        R = m.hypot(cr, uz)
         target = math.cos(self.radius)
+        delta = m.atan2(uz, cr)
+        base = m.acos(target / R)
         s_hit = math.inf
-        if R >= target - 1e-15:
-            delta = math.atan2(uz, cr)
-            base = clamped_acos(target / R)
-            for cand in (delta + base, delta - base):
-                c = cand
-                while c <= 1e-12:
-                    c += TWO_PI
-                if c <= length + 1e-15:
-                    s_hit = min(s_hit, c)
-        return s_hit
+        for c in (delta + base, delta - base):
+            for _ in range(2):  # c >= -2pi: two turns lift it above 1e-12
+                c = m.where(c <= 1e-12, c + TWO_PI, c)
+            s_hit = m.where(c <= length + 1e-15, m.minimum(s_hit, c), s_hit)
+        return m.where(R >= target - 1e-15, s_hit, math.inf)
 
     def _cap_clip_walk(self, p, psi, length):
         """`_SphereBase._walk` stopped where it first meets the boundary.  Only
         a walk in reach of the boundary (`_REACH`) solves for the crossing."""
         s_hit = math.inf
         if length >= self.radius - p[0] - _REACH:
-            s_hit = self._crossing(p[0], psi, length)
+            s_hit = self._crossing(FLOATS, p[0], psi, length)
         if s_hit > length + 1e-12:
             return self._cap_clip(super()._walk(p, psi, length))
         w = super()._walk(p, psi, s_hit)

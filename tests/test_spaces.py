@@ -27,8 +27,7 @@ from alexgeo.spaces import (
     regular_tetrahedron,
 )
 from alexgeo.spaces import spherical
-from alexgeo.spaces.base import CIRCLE, HALF_ARC, REFUSED, SigmaDesc, Space
-from alexgeo.spaces.spherical import _SphereBase
+from alexgeo.spaces.base import ARRAYS, CIRCLE, FLOATS, HALF_ARC, REFUSED, SigmaDesc, Space
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -1020,12 +1019,23 @@ class TestCapReach:
     def test_the_solve_finds_no_crossing_where_the_reach_test_skips(self):
         cap, skipped = self.CAP, 0
         for p, psi in self._rays(np.random.default_rng(51)):
-            assert cap._crossing(p[0], psi, 10.0) >= cap.radius - p[0] - spherical._REACH
+            assert cap._crossing(FLOATS, p[0], psi, 10.0) >= cap.radius - p[0] - spherical._REACH
             for length in self._lengths(p):
                 if length < cap.radius - p[0] - spherical._REACH:
                     skipped += 1
-                    assert cap._crossing(p[0], psi, length) == math.inf
+                    assert cap._crossing(FLOATS, p[0], psi, length) == math.inf
         assert skipped > 100
+
+    def test_the_solve_on_arrays_is_the_solve_on_floats(self):
+        cap = self.CAP
+        rays = self._rays(np.random.default_rng(55))
+        for r in sorted({p[0] for p, _ in rays}):
+            psi = np.array([a for p, a in rays if p[0] == r])
+            for length in self._lengths((r, 0.0)) + [10.0]:
+                lengths = np.full(len(psi), length)
+                got = cap._crossing(ARRAYS, r, psi, lengths)
+                want = [cap._crossing(FLOATS, r, a, length) for a in psi.tolist()]
+                assert TestBatchKernels._agree(False, got.tolist(), want)
 
     @staticmethod
     def _walk_record(w):
@@ -1054,7 +1064,7 @@ class TestCapReach:
                                + (rng.random(10) * 1.5).tolist())
             angles = rng.random(len(lengths)) * cap.sigma_at(p).length
             batches.append((p, angles, lengths))
-            batches.append((p, angles, np.minimum(lengths, 0.5)))  # one sub-step each
+            batches.append((p, angles, np.minimum(lengths, 0.5)))  # one sub-step each walk
         skip = [cap._walks(p, a, length) for p, a, length in batches]
         monkeypatch.setattr(spherical, "_REACH", math.inf)
         solve = [cap._walks(p, a, length) for p, a, length in batches]
@@ -1066,58 +1076,6 @@ class TestCapReach:
                 w = cap._walk(p, a, length)
                 assert event == w.event
                 assert TestBatchKernels._agree(False, end, w.end)
-
-
-class TestRegularWalks:
-    """`_SphereBase._regular_walks` takes a batch of active walks no longer
-    than 0.5 in one `_step` pass, and the loop otherwise: the pass must end
-    each walk as the loop does, to the bit."""
-
-    SPACES = [CapSpace(0.8), SpindleSpace(4.0), SpindleSpace(2 * math.pi)]
-
-    @staticmethod
-    def _looped(space, p, psi, lengths):
-        """The loop's ends for each walk: one more walk of length 0.6 keeps
-        the batch from the one pass."""
-        r, phi, pole = space._regular_walks(p, np.append(psi, 1.0), np.append(lengths, 0.6))
-        return r[:-1], phi[:-1], pole[:-1]
-
-    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.describe()["type"])
-    def test_one_pass_matches_the_loop(self, space):
-        rng = np.random.default_rng(54)
-        for p in [(0.3, 1.0), (1.2, 0.5), (0.7, 5.9)]:
-            psi = rng.random(64) * 2 * math.pi
-            lengths = np.append(rng.random(63) * 0.5, 0.5)
-            got = space._regular_walks(p, psi, lengths)
-            want = self._looped(space, p, psi, lengths)
-            for g, w in zip(got, want):
-                assert g.tolist() == w.tolist()
-            assert not got[2].any()
-
-    def test_a_pole_landing_falls_back_to_the_loop(self):
-        cap = CapSpace(0.8)
-        p = (0.3, 1.0)
-        # a ray off the meridian by 2e-13 (no pole at the start) that ends
-        # within 1e-13 of the pole
-        psi = np.array([math.pi + 2e-13, 0.4, 2.0])
-        lengths = np.array([0.3, 0.2, 0.45])
-        r, phi, pole = cap._regular_walks(p, psi, lengths)
-        assert pole.tolist() == [True, False, False]
-        want = self._looped(cap, p, psi, lengths)
-        assert r[1:].tolist() == want[0][1:].tolist()
-        assert phi[1:].tolist() == want[1][1:].tolist()
-        ends, events = cap._walks(p, psi, lengths)
-        assert events == ["vertex", None, None]
-        assert ends[0] == cap._walk(p, psi[0], lengths[0]).end
-
-    @pytest.mark.parametrize("lengths", [[0.2, 0.51], [0.0, 0.3], [1e-16, 0.3]])
-    def test_a_longer_or_empty_walk_takes_the_loop(self, lengths):
-        cap = CapSpace(0.8)
-        p, psi = (0.3, 1.0), np.array([0.4, 2.0])
-        got = cap._regular_walks(p, psi, np.array(lengths))
-        for j, length in enumerate(lengths):
-            w = _SphereBase._walk(cap, p, psi[j], length)
-            assert TestBatchKernels._agree(False, (got[0][j], got[1][j]), w.end)
 
 
 # lines that ask a space its variant, by file: none, every space answers
