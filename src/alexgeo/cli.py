@@ -281,6 +281,7 @@ def cmd_inf_conv(args):
 def cmd_detect_extremal(args):
     space = _load_space_arg(args.space)
     out = []
+    desc: SubsetDescriptor
     for desc, ev in detect_extremal(space, seed=args.seed):
         item = {"kind": desc.kind, "label": desc.label}
         if desc.point is not None:

@@ -5,6 +5,13 @@ The bump around p is a sum of phi_{r,c} compositions with distances to
 points placed at radius r in equally spaced directions; its strict
 concavity is measured, never assumed, and failures report the larger
 curvature parameter to retry with.
+
+The image study certifies points of the image of such a map through the
+locator G(y) = argmax min_i (f_i - y_i) (`_argmax_min`): Newton steps to
+the point where the coordinates agree, stopped by the exact certificate
+that the min's differential is nowhere positive, and a gradient ascent
+(`_ascend`) wherever those steps do not end, as at a top on a ridge of
+two coordinates.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ from .functions import (
     Affine,
     MinExpr,
     PhiRC,
+    _chain_rule,
     _compile,
     _draw_chords,
     _second_differences,
@@ -26,9 +34,9 @@ from .functions import (
     evaluate_each,
     scale,
 )
-from .flow import gradient
 from .verdict import Margin
 from .tangent import (
+    TWO_PI,
     GradientError,
     combine_min,
     directional_sup,
@@ -215,17 +223,108 @@ def _ray_top(along, a, b, c):
     return b
 
 
-def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
-    """argmax of min_i (f_i - y_i): best grid point, then gradient ascent.
+def _differentials(space, target, x):
+    """The direction space at the point x and the differential of each
+    term of `target` there, the model the locator reads once per point."""
+    sigma = space.sigma_at(x)
+    return sigma, [_chain_rule(t, space, x, sigma) for t in target.terms]
 
-    Each round reads the exact gradient of the min, the ridge direction of
-    the active coordinates, and searches the ray along it: a doubling from
-    the last step's length brackets the top, and `_ray_top` fits one
-    parabola per coordinate.  Each coordinate is smooth, but the min
-    usually tops out at a kink where another coordinate becomes active, so
-    the search lands on ridges and the ascent can follow thin ones.
-    Every point probed holds its coordinate values, so the bracket's ends
-    (x itself and the doubling's last probe) are never evaluated again.
+
+def _min_differential(sigma, diffs, vals):
+    """The differential of the min of the terms whose differentials and
+    values are given: `combine_min` of those within 1e-9 of the least
+    value, as `MinExpr._differential` forms it."""
+    vmin = min(vals)
+    return combine_min(sigma, [d for d, v in zip(diffs, vals) if v <= vmin + 1e-9])
+
+
+def _linear(d):
+    """(a, b) with d(xi) = a cos xi + b sin xi when d is one sinusoid with
+    no constant on the 2 pi circle, the differential of a smooth function
+    at a regular point; else None."""
+    if d.sigma.is_arc or d.sigma.length != TWO_PI or len(d.pieces) != 1:
+        return None
+    R, psi, C = d.pieces[0]
+    return (R * math.cos(psi), R * math.sin(psi)) if C == 0.0 else None
+
+
+def _newton_step(vals, diffs):
+    """(length, angle) of the tangent vector v at which the first-order
+    models vals_i + d_i(v) of three coordinates agree, a step of the
+    nonsmooth Newton method (Qi and Sun 1993) for the min; None when there
+    are not three, when one is not linear (`_linear`), or when the models
+    agree nowhere."""
+    slopes = [_linear(d) for d in diffs]
+    if len(slopes) != 3 or None in slopes:
+        return None
+    (a0, b0), (a1, b1), (a2, b2) = slopes
+    a1, b1, a2, b2 = a1 - a0, b1 - b0, a2 - a0, b2 - b0
+    r1, r2 = vals[0] - vals[1], vals[0] - vals[2]
+    det = a1 * b2 - a2 * b1
+    if det == 0.0:
+        return None
+    vx, vy = (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
+    return math.hypot(vx, vy), math.atan2(vy, vx) % TWO_PI
+
+
+_NEWTON_WALKS = 6  # model steps before the ascent takes over
+
+
+def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
+    """argmax of min_i (f_i - y_i): best grid point, Newton steps to where
+    the coordinates agree, and the gradient ascent where those do not end.
+
+    At each point the locator reads every coordinate's value and exact
+    differential once (`_differentials`).  With three coordinates whose
+    differentials are all linear (`_linear`: at a regular point of the
+    square or of a cone, on a mesh face), a Newton step walks to where
+    their first-order models agree (`_newton_step`, capped at 4 region
+    radii); the top of a tight map is nearly always such a point.  The
+    locator stops on the exact certificate: the min's differential is
+    nowhere positive (`directional_sup` <= 0, the top of a concave min)
+    and the next step is shorter than 1e-13.  At a point that is not
+    linear, where the models agree nowhere or agree at a point that is
+    not the top, or after `_NEWTON_WALKS` steps without a stop,
+    `_ascend` climbs from the best point seen: a top on a ridge of two
+    coordinates, or of any other count of coordinates, is reached by the
+    ascent alone.  Returns the top and its value.
+    """
+    target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
+    terms = [_compile(t, space, False) for t in target.terms]  # min of these is `target`
+    best = max(range(len(grid_pts)),
+               key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
+    x = grid_pts[best]
+    vals = [term(x) for term in terms]
+    top = (x, vals)  # the best point seen and its values
+    for _ in range(_NEWTON_WALKS):
+        sigma, diffs = _differentials(space, target, x)
+        step = _newton_step(vals, diffs)
+        if step is None:
+            break
+        if step[0] < 1e-13:
+            if directional_sup(_min_differential(sigma, diffs, vals))[0] <= 0.0:
+                return x, min(vals)
+            break  # the models agree at a point that is not the top
+        x = space._walk(x, step[1], min(step[0], 4 * region[1])).end
+        vals = [term(x) for term in terms]
+        if min(vals) >= min(top[1]):
+            top = (x, vals)
+    return _ascend(space, target, terms, *top, region)
+
+
+def _ascend(space, target, terms, x, vals, region):
+    """Gradient ascent of the min of `terms` from x, whose values are vals;
+    the first ray probe is one region radius long.
+
+    Each round reads the exact gradient of the min (`_min_differential`),
+    the ridge direction of the active coordinates, and searches the ray
+    along it: a doubling from the last step's length brackets the top,
+    and `_ray_top` fits one parabola per coordinate.  Each coordinate is
+    smooth, but the min usually tops out at a kink where another
+    coordinate becomes active, so the search lands on ridges and the
+    ascent can follow thin ones.  Every point probed holds its coordinate
+    values, so the bracket's ends (x itself and the doubling's last
+    probe) are never evaluated again.
 
     The ascent stops when the gradient vanishes (norm < 1e-11) or is a
     tie, when no step of at least 1e-11 gains more than 1e-15, and on a
@@ -234,24 +333,18 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     last stop an exact ray search zigzags across a ridge top on rounding
     gains.  Returns the last point and its value.
     """
-    target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
-    terms = [_compile(t, space, False) for t in target.terms]  # min of these is `target`
-
     def walked(x, angle, t):  # x is a grid point or a walk end: validated
         w = space._walk(x, angle, t)
         return t, [term(w.end) for term in terms], w
 
-    best = max(range(len(grid_pts)),
-               key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
-    x = grid_pts[best]
-    vals = [term(x) for term in terms]
     step = region[1]
     g = w = None
     gain = math.inf  # of the last step
     for _ in range(120):
         if g is None:
+            sigma, diffs = _differentials(space, target, x)
             try:
-                g = gradient(target, space, x)
+                g = gradient_from_directional(_min_differential(sigma, diffs, vals))
             except GradientError:
                 # the coordinates are strictly concave, so two separated
                 # maximizers of the differential are a numerical tie at

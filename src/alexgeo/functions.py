@@ -406,10 +406,16 @@ def _second_differences(values, chords, n_samples, lam, tol):
 
 
 def ensure_certificate(expr, space, center, radius):
-    """Find or verify a concavity constant near a point; returns lambda."""
+    """Find or verify a concavity constant on the ball (center, radius);
+    returns lambda.
+
+    A verified certificate whose own ball holds that ball is taken as it
+    stands; otherwise the first certificate's constant is checked there.
+    """
     certs = getattr(expr, "certificates", ())
+    cert: Certificate
     for cert in certs:
-        if cert.verified:
+        if cert.verified and space.distance(cert.center, center) + radius <= cert.radius:
             return cert.lam
     if not certs:
         raise ExprError("no concavity certificate supplied")

@@ -146,7 +146,6 @@ class DevelopmentRecord:
     bends toward the base point.
     """
 
-    kappa: float
     samples: list  # of (t, r, phi)
     turns: list  # of float, len == len(samples) - 2
     convex: bool
@@ -249,7 +248,6 @@ def develop_curve(kappa, r_samples, chords, tolerance: float = 1e-6) -> Developm
 
     convex = all(t >= -tolerance for t in turns)
     return DevelopmentRecord(
-        kappa=kappa,
         samples=triples,
         turns=turns,
         convex=convex,

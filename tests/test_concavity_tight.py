@@ -12,7 +12,8 @@ from alexgeo.concavity_tight import (
     tight_check,
     tight_image_study,
 )
-from alexgeo.functions import Dist, check_concavity, evaluate
+from alexgeo.functions import Dist, MinExpr, check_concavity, evaluate, scale
+from alexgeo.tangent import GradientError, gradient_from_directional
 from alexgeo.verdict import passed
 
 PLANE = ConeSpace(2 * math.pi)
@@ -175,30 +176,37 @@ class TestLocator:
                                        seed=114)[0] for c in centers]
 
     @staticmethod
-    def _count_per_call(monkeypatch, owner, name):
-        """Patch `owner.name` to be counted and return the list of counts
-        that each later `_argmax_min` call appends."""
-        per_call, seen = [], [0]
-        locate, real = concavity_tight._argmax_min, getattr(owner, name)
+    def _count_per_call(monkeypatch, *counted):
+        """Patch each `owner.name` of counted, a list of (owner, name)
+        pairs, to be counted, and return the list of count tuples, one
+        count per pair, that each later `_argmax_min` call appends."""
+        per_call, seen = [], [0] * len(counted)
+        locate = concavity_tight._argmax_min
 
         def counting(*args):
-            seen[0] = 0
+            seen[:] = [0] * len(counted)
             out = locate(*args)
-            per_call.append(seen[0])
+            per_call.append(tuple(seen))
             return out
 
-        def counted(*args):
-            seen[0] += 1
-            return real(*args)
+        def counter(k, real):
+            def counted_call(*args):
+                seen[k] += 1
+                return real(*args)
+            return counted_call
+
         monkeypatch.setattr(concavity_tight, "_argmax_min", counting)
-        monkeypatch.setattr(owner, name, counted)
+        for k, (owner, name) in enumerate(counted):
+            monkeypatch.setattr(owner, name, counter(k, getattr(owner, name)))
         return per_call
 
     def test_ridge_top_ends_the_ascent(self, monkeypatch):
         # an exact ray search lands on the ridge top of this image study;
         # without the ridge-top stop one call zigzags across it for 107
-        # gradients on gains of 2e-15
-        per_call = self._count_per_call(monkeypatch, concavity_tight, "gradient")
+        # gradients on gains of 2e-15.  Each point's gradient is read from
+        # its model, the differentials of the coordinates there, which the
+        # locator reads once per point it steps from
+        per_call = self._count_per_call(monkeypatch, (concavity_tight, "_differentials"))
         centers = [(0.48906059814734126, 0.42075147012653136),
                    (0.5741009410093232, 0.5301504650301253),
                    (0.43683846084333555, 0.5490980648433433)]
@@ -209,16 +217,142 @@ class TestLocator:
                                 n_support=6, n_gf=2, seed=873157000)
         assert rep.support_failures == 0
         assert len(per_call) == 10
-        assert max(per_call) <= 20
+        assert max(n for n, in per_call) <= 20
 
     def test_walk_budget_on_quick_c10(self, monkeypatch):
         # 230 locator calls; a golden-section ray search takes 124 walks per call
-        per_call = self._count_per_call(monkeypatch, PolygonSpace, "_walk")
+        per_call = self._count_per_call(monkeypatch, (PolygonSpace, "_walk"))
         rep = tight_image_study(SQUARE, self._quick_c10_funcs(), ((0.5, 0.5), 0.05),
                                 grid_n=12, n_support=150, n_gf=40, seed=115)
         assert rep.support_failures == 0 and rep.gf_worst < 1e-4
         assert len(per_call) == 230
-        assert sum(per_call) <= 40 * len(per_call)
+        assert sum(n for n, in per_call) <= 40 * len(per_call)
+
+    def test_newton_steps_certify_quick_c10(self, monkeypatch):
+        # the top is nearly always a point where the three coordinates
+        # agree, and Newton steps reach it without the ascent
+        per_call = self._count_per_call(monkeypatch, (PolygonSpace, "_walk"),
+                                        (concavity_tight, "_ascend"))
+        rep = tight_image_study(SQUARE, self._quick_c10_funcs(), ((0.5, 0.5), 0.05),
+                                grid_n=12, n_support=150, n_gf=40, seed=115)
+        assert rep.support_failures == 0 and rep.gf_worst < 1e-12
+        assert len(per_call) == 230
+        assert sum(ascents == 0 for _, ascents in per_call) >= 0.9 * len(per_call)
+        assert sum(walks for walks, _ in per_call) <= 10 * len(per_call)
+
+    @staticmethod
+    def _target(funcs, ys):
+        return MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
+
+    def test_model_gradient_is_the_gradient_of_the_min(self):
+        # the ascent's gradient, read from the model of a point, against
+        # `gradient` of the min on the same point, bit for bit: inside the
+        # square with one, two and three coordinates active, on its edge
+        # and at a corner, and at points of the 1.5 pi cone and its apex
+        funcs = self._quick_c10_funcs()
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(30):
+            x = SQUARE.random_point_near((0.5, 0.5), 0.05, rng)
+            y = SQUARE.random_point_near((0.5, 0.5), 0.05, rng)
+            for ys in (tuple(evaluate(f, SQUARE, y) for f in funcs),
+                       tuple(evaluate(f, SQUARE, x) for f in funcs)):
+                cases.append((SQUARE, funcs, ys, x))
+        for x in ((0.5, 0.0), (0.0, 0.3), (1.0, 1.0)):
+            cases.append((SQUARE, funcs, tuple(evaluate(f, SQUARE, x) for f in funcs), x))
+        cone, cone_funcs = self._cone_apex_funcs()
+        for x in ((0.0, 0.0), (0.2, 1.0), (0.3, 4.0)):
+            cases.append((cone, cone_funcs, tuple(evaluate(f, cone, (0.02, 0.3))
+                                                  for f in cone_funcs), x))
+        for space, fs, ys, x in cases:
+            x = space.validate_point(x)
+            target = self._target(fs, ys)
+            vals = [evaluate(t, space, x) for t in target.terms]
+            try:
+                expected = flow.gradient(target, space, x)
+            except GradientError:
+                with pytest.raises(GradientError):
+                    gradient_from_directional(concavity_tight._min_differential(
+                        *concavity_tight._differentials(space, target, x), vals))
+                continue
+            got = gradient_from_directional(concavity_tight._min_differential(
+                *concavity_tight._differentials(space, target, x), vals))
+            assert (got.norm.hex(), got.angle.hex(), got.sigma) == (
+                expected.norm.hex(), expected.angle.hex(), expected.sigma)
+
+    @staticmethod
+    def _cone_apex_funcs():
+        cone = ConeSpace(1.5 * math.pi)
+        return cone, [build_strictly_concave(cone, (0.25, 0.5 * math.pi * k + 0.3), r=0.2,
+                                             c=60.0, n_points=6, seed=114)[0]
+                      for k in range(3)]
+
+    @pytest.mark.parametrize("on_cone, y, expected", [
+        (False, (0.5, 0.5), "-0x1.2560000000000p-36"),
+        (False, (0.53, 0.48), "-0x1.0800000000000p-46"),
+        (True, (0.02, 0.3), "-0x1.459172edee290p+2"),
+    ], ids=["square-edge", "square-edge-off-centre", "cone-apex"])
+    def test_start_at_a_non_linear_point_takes_the_ascent(self, monkeypatch, on_cone, y,
+                                                          expected):
+        # where the differentials are no sinusoids on a 2 pi circle (on the
+        # square's edge, at the apex of the 1.5 pi cone) the locator runs
+        # the ray ascent from the start, as before the Newton steps: the
+        # expected values are that ascent's, to the bit.  At the apex the
+        # differential of the min fails the gradient inequality, so the
+        # ascent stops where it starts
+        if on_cone:
+            space, funcs = self._cone_apex_funcs()
+            region, start = ((0.0, 0.0), 0.1), (0.0, 0.0)
+        else:
+            space, funcs = SQUARE, self._quick_c10_funcs()
+            region, start = ((0.5, 0.5), 0.05), (0.5, 0.0)
+        ys = tuple(evaluate(f, space, y) for f in funcs)
+        per_call = self._count_per_call(monkeypatch, (concavity_tight, "_ascend"))
+        start = space.validate_point(start)
+        _, value = concavity_tight._argmax_min(
+            space, funcs, ys, region, [start], [tuple(evaluate(f, space, start) for f in funcs)])
+        assert value.hex() == expected
+        assert per_call == [(1,)]
+
+    def test_no_band_stop_below_the_agreement_point(self):
+        # call 460 of the replayed `closed_verify` locator calls, seeds
+        # 9101-9102: the first support test of job 140 of seed 9101.  The
+        # gradient ascent stopped where the third coordinate sat 1.00e-9
+        # above the other two (gaps 4.2e-14, 1.00e-9, 0), counted it active
+        # and read a vanishing gradient, 1.26e-10 below the top, the point
+        # where the three coordinates agree
+        rng = np.random.default_rng([9101, 3, 140])
+        a0 = rng.random() * 2.0 * math.pi
+        seed = int(rng.integers(1 << 30))
+        funcs = [build_strictly_concave(SQUARE, (0.5 + 0.08 * math.cos(a),
+                                                 0.5 + 0.08 * math.sin(a)),
+                                        r=0.35, c=60.0, n_points=6, n_geodesics=8,
+                                        seed=seed)[0]
+                 for a in (a0, a0 + 2 * math.pi / 3, a0 + 4 * math.pi / 3)]
+        region = ((0.5, 0.5), 0.05)
+        rng = np.random.default_rng(seed)  # as `tight_image_study` draws
+        grid_pts = [SQUARE.random_point_near(region[0], region[1], rng) for _ in range(16)]
+        grid_vals = [tuple(evaluate(f, SQUARE, x) for f in funcs) for x in grid_pts]
+        i, j = rng.integers(0, len(grid_vals), size=2)
+        t = rng.random()
+        ys = tuple(t * a + (1.0 - t) * b for a, b in zip(grid_vals[i], grid_vals[j]))
+        assert ys == (-1.985682454300718, -6.3370113428728905, -4.625384659144433)
+        _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, grid_pts, grid_vals)
+
+        # the agreement point, by Newton steps on central differences
+        def gaps(p):
+            v = [evaluate(f, SQUARE, p) - y for f, y in zip(funcs, ys)]
+            return np.array([v[1] - v[0], v[2] - v[0]]), min(v)
+
+        z = np.array(grid_pts[max(range(16), key=lambda k: min(
+            a - y for a, y in zip(grid_vals[k], ys)))])
+        for _ in range(12):
+            g, _ = gaps(z)
+            jac = np.column_stack([(gaps(z + h)[0] - gaps(z - h)[0]) / 2e-7
+                                   for h in (np.array([1e-7, 0.0]), np.array([0.0, 1e-7]))])
+            z = z - np.linalg.solve(jac, g)
+        assert np.abs(gaps(z)[0]).max() < 1e-13
+        assert value >= gaps(z)[1] - 1e-13
 
     def test_value_no_lower_than_a_grid_scan(self):
         # the scan zooms a 21 x 21 grid 14 times by 5 about its best point,

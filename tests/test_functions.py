@@ -711,6 +711,14 @@ class TestCheckConcavity:
         with pytest.raises(ExprError):
             ensure_certificate(bad, PLANE, (1.0, 0.0), 0.5)
 
+    def test_verified_certificate_holds_on_its_own_ball(self):
+        # a verified certificate is trusted on balls inside its own ball;
+        # elsewhere its constant is checked like any other
+        f = Dist(q=(1.0, 0.0)).with_certificate(-1.0, (3.0, 0.0), 0.5, verified=True)
+        assert ensure_certificate(f, PLANE, (3.2, 0.0), 0.25) == -1.0
+        with pytest.raises(ExprError):
+            ensure_certificate(f, PLANE, (1.5, 0.0), 0.25)
+
 
 class TestInfConvolution:
     def test_quadratic_closed_form(self):

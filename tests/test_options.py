@@ -6,7 +6,9 @@ Calls are matched to definitions by callee name (``f(...)`` and
 ``x.f(...)`` both name ``f``), with ``__init__`` named by its class.
 A dataclass field with a default is set by a constructor keyword or
 position (of its class or a subclass), a ``replace`` keyword, or an
-assignment to an attribute of its name.
+assignment to an attribute of its name.  Every dataclass field is read
+as ``x.name`` somewhere x is known to hold its class (see `typed_reads`),
+so a read of another class's attribute of the same name does not count.
 """
 import ast
 from pathlib import Path
@@ -184,17 +186,100 @@ def test_every_dataclass_default_is_set_by_a_caller():
     assert unset_fields() == []
 
 
-def read_attributes():
-    """Names read as attributes (``x.name`` in a load) anywhere in the callers."""
-    return {node.attr for _, tree in _trees(CALLERS) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _class_names(annotation, classes):
+    """The library classes an annotation names, in a string annotation too."""
+    return {n.id if isinstance(n, ast.Name) else n.value for n in ast.walk(annotation)
+            if isinstance(n, ast.Name) or isinstance(n, ast.Constant)
+            and isinstance(n.value, str)} & classes
+
+
+def typed_reads(classes):
+    """{(class, name)}: ``x.name`` loaded where x is known to hold an instance
+    of class, anywhere in the callers.
+
+    x holds the classes named by its annotation (a parameter's, or a bare or
+    assigned one in the function), or by a constructor call or a call of a
+    library function annotated to return one, assigned to it in the same
+    function or at module level; the first parameter of a method, also of
+    a lambda in a class body, holds its class.  A nested function sees the
+    names of the functions around it.  ``Cls(...).name`` and
+    ``f(...).name`` count as well.
+    """
+    returned = {}
+    for _, tree in _trees([LIBRARY]):
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.returns:
+                returned.setdefault(fn.name, set()).update(_class_names(fn.returns, classes))
+    reads = set()
+
+    def held(value, scope):
+        if isinstance(value, ast.Name):
+            return scope.get(value.id, set())
+        if isinstance(value, ast.Call):
+            f = value.func
+            name = f.id if isinstance(f, ast.Name) else (
+                f.attr if isinstance(f, ast.Attribute) else None)
+            return {name} if name in classes else returned.get(name, set())
+        return set()
+
+    def bind(body_owner, scope):
+        """scope with the annotations and assignments made in body_owner."""
+        scope = dict(scope)
+        for node in ast.walk(body_owner):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                scope[name] = scope.get(name, set()) | held(node.value, {})
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                scope[node.target.id] = _class_names(node.annotation, classes)
+        return scope
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                inner = {k: v for k, v in scope.items()
+                         if k not in {p.arg for p in params}}
+                for p in params:
+                    if p.annotation is not None:
+                        inner[p.arg] = _class_names(p.annotation, classes)
+                static = isinstance(child, ast.Lambda) or any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                if owner is not None and params and not (
+                        static and not isinstance(child, ast.Lambda)):
+                    inner[params[0].arg] = {owner}
+                visit(child, inner if isinstance(child, ast.Lambda) else bind(child, inner),
+                      None)
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    reads.update((c, child.attr) for c in held(child.value, scope))
+                visit(child, scope, owner)
+
+    for _, tree in _trees(CALLERS):
+        visit(tree, bind(ast.Module(body=[n for n in tree.body if isinstance(
+            n, (ast.Assign, ast.AnnAssign))], type_ignores=[]), {}), None)
+    return reads
 
 
 def unread_fields():
-    read = read_attributes()
+    """Fields no typed read reaches: a read through a class reaches the
+    fields of its own line of bases and of its subclasses."""
+    classes = library_classes()
+
+    def lineage(name):
+        bases = classes.get(name, ([],))[0]
+        return {name}.union(*(lineage(b) for b in bases))
+
+    reads = typed_reads(set(classes))
     return sorted(f"{path}::{owner}.{name}"
-                  for owner, (_, fields, _, path) in library_classes().items()
-                  for name in fields if name not in read)
+                  for owner, (_, fields, _, path) in classes.items()
+                  for name in fields
+                  if not any((c, name) in reads for c in classes
+                             if owner in lineage(c) or c in lineage(owner)))
 
 
 def test_every_dataclass_field_is_read():
