@@ -222,10 +222,10 @@ def typed_reads(classes):
             return {name} if name in classes else returned.get(name, set())
         return set()
 
-    def bind(body_owner, scope):
-        """scope with the annotations and assignments made in body_owner."""
+    def bind(statements, scope):
+        """scope with the annotations and assignments made in statements."""
         scope = dict(scope)
-        for node in ast.walk(body_owner):
+        for node in (n for s in statements for n in ast.walk(s)):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 name = node.targets[0].id
@@ -246,13 +246,12 @@ def typed_reads(classes):
                 for p in params:
                     if p.annotation is not None:
                         inner[p.arg] = _class_names(p.annotation, classes)
-                static = isinstance(child, ast.Lambda) or any(
+                static = not isinstance(child, ast.Lambda) and any(
                     isinstance(d, ast.Name) and d.id == "staticmethod"
                     for d in child.decorator_list)
-                if owner is not None and params and not (
-                        static and not isinstance(child, ast.Lambda)):
+                if owner is not None and params and not static:
                     inner[params[0].arg] = {owner}
-                visit(child, inner if isinstance(child, ast.Lambda) else bind(child, inner),
+                visit(child, inner if isinstance(child, ast.Lambda) else bind([child], inner),
                       None)
             else:
                 if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
@@ -260,8 +259,8 @@ def typed_reads(classes):
                 visit(child, scope, owner)
 
     for _, tree in _trees(CALLERS):
-        visit(tree, bind(ast.Module(body=[n for n in tree.body if isinstance(
-            n, (ast.Assign, ast.AnnAssign))], type_ignores=[]), {}), None)
+        visit(tree, bind([n for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))],
+                         {}), None)
     return reads
 
 
