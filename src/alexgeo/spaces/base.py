@@ -49,21 +49,21 @@ validated): `_walks(p, angles, lengths)` gives the end and the event of
 each walk from one point, as lists, and a walk that `_walk` refuses with
 `SpaceError` gets the event `REFUSED` and ends at p; `_distances(points,
 q)` gives `_distance(x, q)` for each x of points as a float array.  The
-defaults loop over the scalar kernels.  The cone and the cap, whose
-inf-convolutions c09 and the `closed_verify` benchmark run, vectorize
-the regular walk (and the cap's boundary clip) and hand every other walk
-(from the apex or the pole, through the apex, meeting a pole, along or
-out of a boundary arc) to `_walk` by `walk_each`.  The polygon, whose
-tight maps and concavity checks the benchmark runs, has a `_distances`
-that inlines `_distance` in one comprehension, `math.hypot` of the same
-differences, so it agrees with `_distance` bit for bit on every
-platform; a numpy form would cost more, as converting the points to an
-array takes longer than the loop.  The sphere sub-step
-`_step(m, ...)` takes `FLOATS` or `ARRAYS`, whose atan2, hypot and acos
-on arrays come from `math` through `libm`, so the numpy forms agree
-with the scalar kernels bit for bit where numpy's sin, cos, sqrt and
-fmod round as `math`'s do (x86-64, numpy 2.4); elsewhere an end may move
-by an ulp.
+defaults loop over the scalar kernels.  On the cone, the spindle and
+the cap each closed-form formula is written once over `m`, which the
+scalar kernels set to `FLOATS` and the batch kernels to `ARRAYS`: the
+azimuth gap, the cone's chord and regular walk, the sphere's haversine
+and sub-step and the cap's boundary crossing.  The batch walks hand
+every other walk (from the apex or the pole, through the apex, meeting
+a pole, along or out of a boundary arc) to `_walk` by `walk_each`.  The
+polygon, whose tight maps and concavity checks the benchmark runs, has
+a `_distances` that inlines `_distance` in one comprehension,
+`math.hypot` of the same differences, so it agrees with `_distance` bit
+for bit on every platform; a numpy form would cost more, as converting
+the points to an array takes longer than the loop.  `ARRAYS` takes
+atan2, hypot, asin and acos from `math` through `libm`, so the two forms
+agree bit for bit where numpy's sin, cos, sqrt and fmod round as
+`math`'s do (x86-64, numpy 2.4); elsewhere a result may move by an ulp.
 """
 from __future__ import annotations
 
@@ -71,6 +71,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from types import ModuleType
 
 import numpy as np
@@ -268,8 +269,7 @@ def libm(fn, *args):
 
     numpy's own arctan2, hypot, arcsin and arccos round differently from
     `math`'s on some arguments (on x86-64 with numpy 2.4, about 8% of
-    random ones, by an ulp), so the batch kernels take these four from
-    `math`.
+    random ones, by an ulp), so `ARRAYS` takes these four from `math`.
     """
     n = next(len(a) for a in args if isinstance(a, np.ndarray))
     return np.fromiter(map(fn, *(a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
@@ -281,17 +281,15 @@ def clamped_acos(x):
     return math.acos(1.0 if x > 1.0 else (-1.0 if x < -1.0 else x))
 
 
-# the functions of `_SphereBase._step` and `CapSpace._crossing` on floats
-# and on arrays, as module objects, whose attribute reads cost what a read
-# of `math.cos` does
+# the functions of the closed-form kernels on floats and on arrays, as
+# module objects, whose attribute reads cost what a read of `math.cos` does
 FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
-FLOATS.__dict__.update(cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
-                       acos=clamped_acos, wrap=wrap_angle, minimum=min,
-                       where=lambda c, a, b: a if c else b)
-ARRAYS.__dict__.update(cos=np.cos, sin=np.sin, atan2=lambda y, x: libm(math.atan2, y, x),
-                       hypot=lambda x, y: libm(math.hypot, x, y),
-                       acos=lambda x: libm(math.acos, np.clip(x, -1.0, 1.0)), wrap=wrap_angles,
-                       minimum=np.minimum, where=np.where)
+FLOATS.__dict__.update(cos=math.cos, sin=math.sin, sqrt=math.sqrt, atan2=math.atan2,
+                       hypot=math.hypot, asin=math.asin, acos=clamped_acos, wrap=wrap_angle,
+                       minimum=min, where=lambda c, a, b: a if c else b)
+ARRAYS.__dict__.update(cos=np.cos, sin=np.sin, sqrt=np.sqrt, wrap=wrap_angles, minimum=np.minimum,
+                       where=np.where, acos=lambda x: libm(math.acos, np.clip(x, -1.0, 1.0)),
+                       **{f: partial(libm, getattr(math, f)) for f in ("atan2", "hypot", "asin")})
 
 
 def walk_each(space, p, angles, lengths, ends, events, where):
@@ -332,13 +330,17 @@ def minimizing_angles(cands):
     return out
 
 
-def azimuth_gap(a: float, b: float, period: float) -> float:
-    """Angle between two azimuths in [0, period], at most period / 2.
-
-    Computed from |a - b|, so swapping a and b gives the same bits.
-    """
+def azimuth_gap(m, a, b, period):
+    """Angle between azimuths a and b, at most period / 2, on floats (m =
+    `FLOATS`) or arrays (m = `ARRAYS`); a and b swapped give the same bits."""
     d = abs(a - b)
-    return min(d, period - d)
+    return m.minimum(d, period - d)
+
+
+def azimuth_wraps(a, b, period):
+    """The counterclockwise and the clockwise turn from azimuth a to azimuth b."""
+    d = wrap_angle(b - a, period)
+    return d, period - d
 
 
 def angle_of(vx: float, vy: float) -> float:

@@ -12,12 +12,32 @@ import math
 
 import numpy as np
 
-from .base import (ARRAYS, CIRCLE, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
-                   azimuth_gap, minimizing_angles, planar_ends, point_array, walk_each,
-                   walk_length, wrap_angle, wrap_angles)
+from .base import (ARRAYS, CIRCLE, FLOATS, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
+                   azimuth_gap, azimuth_wraps, minimizing_angles, planar_ends, point_array,
+                   walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
+
+
+def _chord(m, r, phi, q, theta):
+    """The distance from (r, phi) to q, both off the apex, on floats (m =
+    `FLOATS`) or arrays of r and phi (m = `ARRAYS`): the law of cosines in
+    a form that does not cancel at short range."""
+    a = azimuth_gap(m, phi, q[1], theta)  # <= theta/2 <= pi: theta <= 2*pi
+    return m.hypot(r - q[0], 2.0 * m.sqrt(r * q[0]) * m.sin(0.5 * a))
+
+
+def _ray(m, r, phi, ang, length, theta):
+    """The walk from (r, phi) off the apex at chart angle ang in [0, 2pi), on
+    floats (m = `FLOATS`) or arrays of ang and length (m = `ARRAYS`): its
+    end (ex, ey) in the plane unfolded about the start (r, 0), the end's r
+    and phi, and whether it runs into the apex (then its end means nothing)."""
+    c, s = m.cos(ang), m.sin(ang)
+    through = (abs(s) < 1e-14) & (c < 0.0) & (length >= r - _APEX_EPS)
+    ex = r + length * c
+    ey = length * s
+    return ex, ey, m.hypot(ex, ey), m.wrap(phi + m.atan2(ey, ex), theta), through
 
 
 class ConeSpace(Space):
@@ -48,29 +68,20 @@ class ConeSpace(Space):
         return (2.0 * math.sqrt(rng.random()), rng.random() * self.total_angle)
 
     # -- metric -------------------------------------------------------
-    def _wraps(self, p, q):
-        d = wrap_angle(q[1] - p[1], self.total_angle)
-        return d, self.total_angle - d
-
     def distance(self, p, q) -> float:
         return self._distance(self.validate_point(p), self.validate_point(q))
 
     def _distance(self, p, q) -> float:
         if p[0] <= _APEX_EPS or q[0] <= _APEX_EPS:
             return p[0] + q[0]
-        a = azimuth_gap(p[1], q[1], self.total_angle)  # <= theta/2 <= pi: theta <= 2*pi
-        # the law of cosines in a form that does not cancel at short range
-        return math.hypot(p[0] - q[0], 2.0 * math.sqrt(p[0] * q[0]) * math.sin(0.5 * a))
+        return _chord(FLOATS, p[0], p[1], q, self.total_angle)
 
     def _distances(self, points, q):
         P = point_array(points)
         r = P[:, 0]
         if q[0] <= _APEX_EPS:
             return r + q[0]
-        d = np.abs(P[:, 1] - q[1])
-        a = np.minimum(d, self.total_angle - d)
-        far = ARRAYS.hypot(r - q[0], 2.0 * np.sqrt(r * q[0]) * np.sin(0.5 * a))
-        return np.where(r <= _APEX_EPS, r + q[0], far)
+        return np.where(r <= _APEX_EPS, r + q[0], _chord(ARRAYS, r, P[:, 1], q, self.total_angle))
 
     def sigma_at(self, p) -> SigmaDesc:
         if self.is_apex(p):
@@ -86,7 +97,7 @@ class ConeSpace(Space):
             return [q[1]]
         if self.is_apex(q):
             return [math.pi]
-        ccw, cw = self._wraps(p, q)
+        ccw, cw = azimuth_wraps(p[1], q[1], self.total_angle)
         cands = []
         # at least one wrap is <= theta/2 <= pi: theta is clamped to 2*pi
         for a, sign in ((ccw, 1.0), (cw, -1.0)):
@@ -103,21 +114,13 @@ class ConeSpace(Space):
         if self.is_apex(p):
             end = (length, self._apex_sigma.wrap(angle))
             return WalkResult(end, length, math.pi, CIRCLE)
-        ang = wrap_angle(angle, TWO_PI)
-        # straight line through the apex
-        if abs(math.sin(ang)) < 1e-14 and math.cos(ang) < 0.0 and length >= p[0] - _APEX_EPS:
-            apex = (0.0, 0.0)
-            return WalkResult(
-                apex, p[0], p[1], self._apex_sigma,
-                event="vertex", event_ref="apex",
-            )
-        ex = p[0] + length * math.cos(ang)
-        ey = length * math.sin(ang)
-        r = math.hypot(ex, ey)
-        dphi = math.atan2(ey, ex)
-        end = (r, wrap_angle(p[1] + dphi, self.total_angle))
+        ex, ey, r, phi, through = _ray(FLOATS, p[0], p[1], wrap_angle(angle, TWO_PI), length,
+                                       self.total_angle)
+        if through:
+            return WalkResult((0.0, 0.0), p[0], p[1], self._apex_sigma,
+                              event="vertex", event_ref="apex")
         back = angle_of(p[0] - ex, -ey) - angle_of(ex, ey)
-        return WalkResult(end, length, wrap_angle(back, TWO_PI), CIRCLE)
+        return WalkResult((r, phi), length, wrap_angle(back, TWO_PI), CIRCLE)
 
     def _walks(self, p, angles, lengths):
         """`_walk` on arrays; a start at the apex or a walk through it goes to `_walk`."""
@@ -125,13 +128,9 @@ class ConeSpace(Space):
             return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
-        ang = wrap_angles(angles, TWO_PI)
-        through = ((np.abs(np.sin(ang)) < 1e-14) & (np.cos(ang) < 0.0)
-                   & (lengths >= p[0] - _APEX_EPS))
-        ex = p[0] + lengths * np.cos(ang)
-        ey = lengths * np.sin(ang)
-        ends = planar_ends(ARRAYS.hypot(ex, ey),
-                           wrap_angles(p[1] + ARRAYS.atan2(ey, ex), self.total_angle))
+        _, _, r, phi, through = _ray(ARRAYS, p[0], p[1], wrap_angles(angles, TWO_PI), lengths,
+                                     self.total_angle)
+        ends = planar_ends(r, phi)
         events = [None] * len(ends)
         walk_each(self, p, angles.tolist(), lengths.tolist(), ends, events,
                   np.flatnonzero(through).tolist())
@@ -149,7 +148,7 @@ class ConeSpace(Space):
                 else:
                     pts.append((d - p[0], q[1]))
             return pts
-        ccw, cw = self._wraps(p, q)
+        ccw, cw = azimuth_wraps(p[1], q[1], self.total_angle)
         # the smaller wrap is at most theta/2 <= pi: theta is clamped to 2*pi
         a, sign = (ccw, 1.0) if ccw <= cw else (cw, -1.0)
         ax, ay = p[0], 0.0

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult,
-                   azimuth_gap, libm, minimizing_angles, planar_ends, point_array,
+                   azimuth_gap, azimuth_wraps, minimizing_angles, planar_ends, point_array,
                    walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
@@ -35,23 +35,26 @@ class _SphereBase(Space):
     wrap_length = TWO_PI  # azimuth period
     _pole_sigma = CIRCLE  # the direction space at a pole: the azimuth circle
 
-    def _loc(self, r1, r2, a):
-        """Haversine distance with azimuth separation a (capped at pi).
+    @staticmethod
+    def _loc(m, r1, r2, a):
+        """Haversine distance with azimuth separation a (capped at pi), on
+        floats (m = `FLOATS`) or arrays (m = `ARRAYS`).
 
         Unlike the spherical law of cosines it keeps its relative
-        accuracy at short range.
+        accuracy at short range.  h is clamped to 1, where 2 asin(1) is pi.
         """
-        s = math.sin(0.5 * (r1 - r2))
-        t = math.sin(0.5 * min(a, math.pi))
-        h = s * s + math.sin(r1) * math.sin(r2) * t * t
-        return 2.0 * math.asin(math.sqrt(h)) if h < 1.0 else math.pi
+        s = m.sin(0.5 * (r1 - r2))
+        t = m.sin(0.5 * m.minimum(a, math.pi))
+        h = s * s + m.sin(r1) * m.sin(r2) * t * t
+        return 2.0 * m.asin(m.sqrt(m.minimum(h, 1.0)))
 
     def _distance(self, p, q):
-        return self._loc(p[0], q[0], azimuth_gap(p[1], q[1], self.wrap_length))
+        return self._loc(FLOATS, p[0], q[0], azimuth_gap(FLOATS, p[1], q[1], self.wrap_length))
 
-    def _azimuth_sep(self, p, q):
-        d = wrap_angle(q[1] - p[1], self.wrap_length)
-        return d, self.wrap_length - d
+    def _distances(self, points, q):
+        P = point_array(points)
+        return self._loc(ARRAYS, P[:, 0], q[0],
+                         azimuth_gap(ARRAYS, P[:, 1], q[1], self.wrap_length))
 
     @staticmethod
     def _step(m, r, psi, s):
@@ -163,11 +166,11 @@ class _SphereBase(Space):
 
     def _dirs_regular(self, p, q):
         """Chart angles at regular p of minimizing directions to regular q."""
-        ccw, cw = self._azimuth_sep(p, q)
+        ccw, cw = azimuth_wraps(p[1], q[1], self.wrap_length)
         cands = []
         for a, sign in ((ccw, 1.0), (cw, -1.0)):
             if a <= math.pi + 1e-15:
-                d = self._loc(p[0], q[0], a)
+                d = self._loc(FLOATS, p[0], q[0], a)
                 if d < 1e-14 or d > math.pi - 1e-14:
                     cands.append((d, 0.0))
                     continue
@@ -360,16 +363,6 @@ class CapSpace(_SphereBase):
         w = self._walk((0.0, 0.0), p[1] + math.pi, length - p[0])
         w.traveled += p[0]
         return w
-
-    def _distances(self, points, q):
-        """`_loc` on arrays, as `_distance` calls it."""
-        P = point_array(points)
-        d = np.abs(P[:, 1] - q[1])
-        a = np.minimum(d, self.wrap_length - d)
-        s = np.sin(0.5 * (P[:, 0] - q[0]))
-        t = np.sin(0.5 * np.minimum(a, math.pi))
-        h = s * s + np.sin(P[:, 0]) * math.sin(q[0]) * t * t
-        return np.where(h < 1.0, 2.0 * libm(math.asin, np.sqrt(np.minimum(h, 1.0))), math.pi)
 
     def _walks(self, p, angles, lengths):
         """`_walk` on arrays: the regular walk and its boundary clip.  A start

@@ -3,6 +3,7 @@ import collections
 import inspect
 import math
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from alexgeo.spaces import (
     regular_tetrahedron,
 )
 from alexgeo.spaces import spherical
-from alexgeo.spaces.base import ARRAYS, CIRCLE, FLOATS, HALF_ARC, REFUSED, SigmaDesc, Space
+from alexgeo.spaces.base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, REFUSED, SigmaDesc, Space,
+                                 azimuth_wraps)
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 PENTAGON = PolygonSpace([(0.0, 0.0), (2.0, 0.0), (2.5, 1.2), (1.0, 2.2), (-0.4, 1.0)])
@@ -146,6 +148,9 @@ class TestConeMetric:
         assert v.norm == pytest.approx(math.sqrt(2))
 
 
+SPHERE = DoubledCap(CapSpace(math.pi / 2))  # the round sphere
+
+
 class TestSpindleCap:
     def test_sphere_equator(self):
         s = SpindleSpace(2 * math.pi)
@@ -170,6 +175,30 @@ class TestSpindleCap:
         w = s.walk(p, 2.2, 0.9)
         back = s.walk(w.end, w.back_angle, 0.9)
         assert s.distance(back.end, p) < 1e-9
+
+    @pytest.mark.parametrize("space, p, q", [
+        (SpindleSpace(4.0), (0.0, 0.0), (math.pi, 0.0)),
+        (SpindleSpace(4.0), (0.0, 1.0), (math.pi, 3.5)),
+        (SPHERE, (0.0, 0.0), (math.pi, 2.0)),
+    ] + [(SPHERE, (math.pi / 2, phi), (math.pi / 2, phi + math.pi))
+         for phi in (0.0, 0.7, math.pi / 2, 2.9, 4.4)],
+        ids=["spindle", "spindle-turned", "sphere"] + [f"equator-{k}" for k in range(5)])
+    def test_antipodes_are_pi_apart_to_the_bit(self, space, p, q):
+        # pole to pole, and on the equator at azimuths pi apart, the
+        # haversine sum h is 1 or rounds above it; clamped to 1 it gives
+        # 2 asin(1), which is pi, on floats and on arrays
+        p, q = space.validate_point(p), space.validate_point(q)
+        for x, y in ((p, q), (q, p)):
+            assert space.distance(x, y) == space._distance(x, y) == math.pi
+            assert space._distances([x], y).tolist() == [math.pi]
+
+    @pytest.mark.xfail(strict=True, reason="off the equator the haversine sum of an antipodal "
+                       "pair can round to 1 - 2**-53, and 2 asin(sqrt(h)) is then 3e-8 short of pi")
+    def test_antipodes_off_the_equator_are_pi_apart(self):
+        space = SPHERE
+        p = space.validate_point((math.pi / 4, 1.0))
+        q = space.validate_point((math.pi - p[0], 1.0 + math.pi))
+        assert space.distance(p, q) == pytest.approx(math.pi, rel=1e-12)
 
     @pytest.mark.parametrize("h", [1e-9, 3e-9, 1e-8])
     @pytest.mark.parametrize("space", [SpindleSpace(4.0), CapSpace(1.2)],
@@ -312,11 +341,11 @@ class TestSpindleCap:
         checked = 0
         for _ in range(400):
             p, q = space.random_point(rng), space.random_point(rng)
-            ccw, cw = space._azimuth_sep(p, q)
+            ccw, cw = azimuth_wraps(p[1], q[1], space.wrap_length)
             if abs(ccw - cw) < 1e-6:
                 continue
             a, sign = min((ccw, 1.0), (cw, -1.0))
-            d = space._loc(p[0], q[0], a)
+            d = space._loc(FLOATS, p[0], q[0], a)
             cos_a = (math.cos(q[0]) - math.cos(p[0]) * math.cos(d)) / (math.sin(p[0]) * math.sin(d))
             if abs(cos_a) > 1.0 - 1e-6:
                 continue
@@ -899,10 +928,11 @@ class TestBatchKernels:
 
     Events and refusals compare with `==` on every space, and so do ends
     and distances where the default loop serves the space, and the
-    polygon's distances, whose hypot comes from `math`.  The cone's and
-    the cap's numpy forms apply the scalar kernels' operations in the same
-    order, with atan2, hypot, asin and acos from `math`; they agree bit for
-    bit where numpy's sin, cos, sqrt and fmod round as `math`'s do (x86-64,
+    polygon's distances, whose hypot comes from `math`.  On the cone, the
+    spindle and the cap the scalar and the batch kernels call one formula,
+    written once over `FLOATS` and `ARRAYS`, whose atan2, hypot, asin and
+    acos come from `math` on arrays too; the two forms agree bit for bit
+    where numpy's sin, cos, sqrt and fmod round as `math`'s do (x86-64,
     numpy 2.4), which no CPU or numpy build promises, so their ends and
     distances compare within 1e-15, relative above 1.
     """
@@ -1125,3 +1155,17 @@ def test_each_walk_rule_has_one_copy():
     assert not any(reads.values())
     for walks in (ConeSpace._walks, CapSpace._walks):
         assert '"vertex"' not in inspect.getsource(walks)
+
+
+def test_each_distance_rule_has_one_copy():
+    # the cone's chord and ray (with its through-apex test) and the sphere's
+    # haversine are each one function over `m = FLOATS` or `m = ARRAYS`: the
+    # kernels that call them compute no trigonometry of their own
+    assert "_distances" not in vars(CapSpace) and "_distances" in vars(spherical._SphereBase)
+    trig = {"sin", "cos", "hypot", "atan2", "asin", "sqrt"}
+    for kernel in (ConeSpace._distance, ConeSpace._distances, ConeSpace._walk, ConeSpace._walks,
+                   spherical._SphereBase._distance, spherical._SphereBase._distances):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & trig, kernel.__qualname__
