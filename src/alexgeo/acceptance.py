@@ -18,14 +18,27 @@ from .concavity_tight import build_strictly_concave, tight_check, tight_image_st
 from .extremal import (
     SubsetDescriptor,
     cap_boundary_concavity,
+    distance_regularity,
     lieberman_check,
     polygon_boundary_concavity,
     verify_extremal,
 )
-from .flow import gradient_curve
+from .flow import gradient_curve, length_element_check, verify_distance_estimates
 from .functions import BoundaryDist, Dist, DistSq, InfConvolution, check_concavity, scale
-from .quasigeodesic import build_prequasigeodesic, check_quasigeodesic, trace_quasigeodesic
-from .radial import gexp_map, tangent_cone_metric, verify_radial_comparison
+from .quasigeodesic import (
+    build_prequasigeodesic,
+    check_quasigeodesic,
+    chop_extend_demo,
+    monotone_report,
+    trace_quasigeodesic,
+)
+from .radial import (
+    gexp_inverse_check,
+    gexp_map,
+    radial_curve,
+    tangent_cone_metric,
+    verify_radial_comparison,
+)
 from .spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace, random_convex_polygon, random_tetrahedron, regular_tetrahedron
 from .spaces.base import SigmaDesc
 from .tangent import TangentVec, polar_grid_sums, polar_vector
@@ -75,9 +88,16 @@ def _c02_flow_contraction(quick):
         a = gradient_curve(f, plane, p, 1.0, h).end()
         b = gradient_curve(f, plane, q, 1.0, h).end()
         errs.append(abs(plane.distance(a, b) - math.exp(-1.0) * d0))
+    # the distance estimates (i)-(iii) of the pair, and the length element
+    # of a chord flowed for time 0.3, each bound minus the measured side
+    est = verify_distance_estimates(f, plane, [(p, q)], [0.25, 0.5, 1.0], 1e-3, -1.0)
+    chord = plane.geodesic_points((1.2, 0.3), (2.2, 1.1), 41)
+    element = length_element_check(f, plane, chord, lambda s: 0.3, 1e-3, -1.0)
     return [Margin("|Phi p, Phi q| error at h=1e-3", errs[-1], 1e-2, "<"),
             Margin("halving ratio 4e-3/2e-3", errs[0] / errs[1], 1.8, ">"),
-            Margin("halving ratio 2e-3/1e-3", errs[1] / errs[2], 1.8, ">")]
+            Margin("halving ratio 2e-3/1e-3", errs[1] / errs[2], 1.8, ">"),
+            Margin("distance estimates' worst margin", est.worst, -1e-9, ">="),
+            Margin("length element margin", element, -1e-6, ">=")]
 
 
 def _c03_gexp_shortness(quick):
@@ -143,7 +163,23 @@ def _c04_radial_comparison(quick):
                                        1, grid_s, h)
         worst = max(worst, rep.worst_increase)
         done += 1
-    return [Margin("max comparison-angle increase", worst, tol, "<=")]
+    # the value drop (f(t) - f(0) - t^2/2) / t of f = dist_q^2 / 2 along
+    # radial curves does not increase
+    rng = np.random.default_rng(5)
+    drop = -math.inf
+    for _ in range(12):
+        p, xi, q = cone.random_point(rng), rng.random() * 2 * math.pi, cone.random_point(rng)
+        rec = radial_curve(cone, p, xi, 0, 1.0, 5e-3)
+        drop = max(drop, monotone_report(cone, rec, scale(0.5, DistSq(q=q)), 1.0)[0])
+    # radial curves in other directions do not re-enter a geodesic from p
+    p, q = (1.0, 0.2), (1.3, 2.0)
+    up = cone.directions_to(p, q)[0]
+    probes = [cone.sigma_at(p).wrap(up + off) for off in (0.6, 1.5, 3.0, -0.9)]
+    inverse = gexp_inverse_check(cone, p, cone.geodesic_points(p, q, 21), probes, 0, h)
+    return [Margin("max comparison-angle increase", worst, tol, "<="),
+            Margin("max value-drop increase", drop, 1e-5, "<="),
+            Margin("probe comparison-angle decrease", inverse.worst_decrease, 1e-6, "<="),
+            Margin("probe separation from the geodesic", inverse.min_separation, 0.0, ">")]
 
 
 def _aimed_two_vertex_trace(tet, rng, length):
@@ -245,8 +281,10 @@ def _c08_extremal_invariance(quick):
         drift = max(drift, ev.invariance_worst / (steps * h))
     lieb = lieberman_check(square, start_s=0.3, n_probes=6 if quick else 12,
                            tol=1e-6, seed=110)
+    floor = distance_regularity(square, SubsetDescriptor("boundary"), (1e-3, 0.2), 60, 6)
     return [Margin("criterion |grad dist_q|", crit, 1e-6, "<"),
             Margin("extremal flow drift per unit time", drift, 1e-6, "<"),
+            Margin("|grad dist_boundary| floor on its collar", floor, 0.9, ">"),
             *(replace(m, name=f"boundary geodesic {m.name}") for m in lieb.margins(1e-6))]
 
 
@@ -323,7 +361,10 @@ def _c11_entropy_decay(quick):
                    floor, "<="),
             Margin(f"{name} finest |entropy|", totals[-1], floor, "<="),
         ]
-    return margins
+    # one extend-then-chop cycle; seen from q_far the convex-curve inequality applies
+    chop = chop_extend_demo(ConeSpace(1.5 * math.pi), (1.0, 0.0), math.pi - 0.2, 0.1, 1.5,
+                            (2.5, 1.0))
+    return margins + [replace(m, name=f"extend/chop {m.name}") for m in chop.margins(1e-6)]
 
 
 _CRITERIA = [

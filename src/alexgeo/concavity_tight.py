@@ -82,25 +82,6 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     return expr, rep.worst_margin
 
 
-def superlevel_convexity(space, expr, p, level, n_pairs=100, radius=0.5, seed=0):
-    """Chord test of {f >= level}: geodesics between member points stay in.
-
-    Returns the worst violation of the level along sampled chords.
-    """
-    rng = np.random.default_rng(seed)
-    members = []
-    while len(members) < 2 * n_pairs:
-        x = space.random_point_near(p, radius, rng)
-        if evaluate(expr, space, x) >= level:
-            members.append(x)
-    worst = 0.0
-    for i in range(n_pairs):
-        a, b = members[2 * i], members[2 * i + 1]
-        for x in space.geodesic_points(a, b, 21):
-            worst = max(worst, level - evaluate(expr, space, x))
-    return worst
-
-
 # -- tightness ----------------------------------------------------------------
 @dataclass
 class TightReport:

@@ -132,9 +132,9 @@ def _argmin_on_subset(space, subset, q):
 
 
 # -- regularity of the distance to an extremal subset ------------------------
-def distance_regularity(space, subset: SubsetDescriptor, band=(1e-3, 0.2),
-                        n_samples=100, seed=0) -> float:
-    """Measured floor of |grad dist_subset| on a thin collar around it."""
+def distance_regularity(space, subset: SubsetDescriptor, band, n_samples, seed) -> float:
+    """Measured floor of |grad dist_subset| at n_samples random points x
+    with band[0] < dist_subset(x) < band[1]."""
     rng = np.random.default_rng(seed)
     floor = math.inf
     used = 0

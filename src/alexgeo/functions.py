@@ -2,8 +2,7 @@
 
 Expression trees built from distance leaves closed under monotone
 semiconcave composition, plus the numerical operators on them:
-concavity checking along sampled geodesics, inf-convolution and
-smoothing of distance functions by averaging over a small ball.
+concavity checking along sampled geodesics and inf-convolution.
 
 Node protocol: each `Expr` node answers two questions about itself.
 `_lower(space, many)` gives its value, as a closure of one validated
@@ -40,7 +39,6 @@ from .tangent import (
     combine_min,
     cos_tail_directional,
     constant_directional,
-    mean_cos_tail_directional,
 )
 from .verdict import Margin, line, passed
 
@@ -541,73 +539,3 @@ class InfConvolution:
 
     def __call__(self, space, p):
         return self.query(p).value
-
-
-# -- smoothed distance ----------------------------------------------------------
-class SmoothedDistance:
-    """Average of dist_x over the ball of radius eps around p, sampled once per seed.
-
-    The samples are uniform on the part of the ball inside the space.
-    Each of the n_mc draws is a uniform direction at p and a radius drawn
-    with the area density of the model plane; one `_walks` call walks
-    them all from p, and a draw is kept only if its walk ends without an
-    event: a walk cut short by the boundary, a corner or a vertex, or
-    refused, is dropped.  The same fixed sample set serves every query,
-    so values and differentials are deterministic and consistent.
-    """
-
-    def __init__(self, space, p, eps, n_mc=20000, seed=0):
-        if not 0.0 < eps < math.inf:
-            raise ExprError(f"smoothing needs a finite eps > 0, not {eps}")
-        self.space = space
-        self.p = space.validate_point(p)
-        self.eps = eps
-        self.samples = self._sample_ball(space, self.p, eps, n_mc, _uniforms(seed))
-
-    @staticmethod
-    def _sample_ball(space, p, eps, n, draws):
-        """The kept walk end points of n draws from the validated p."""
-        angles, radii = [], []
-        sig = space.sigma_at(p)
-        kappa = space.kappa
-        for _ in range(n):
-            angles.append(next(draws) * sig.length)
-            # area-correct radius: density proportional to sn_kappa(r)
-            while True:
-                r = eps * math.sqrt(next(draws))
-                if kappa == 0.0:
-                    break
-                accept = model_plane.sigma(kappa, r) / max(r, 1e-300)
-                if next(draws) <= accept:
-                    break
-            radii.append(r)
-        ends, events = space._walks(p, angles, radii)
-        return [x for x, event in zip(ends, events) if event is None]
-
-    def value(self, y):
-        total = 0.0
-        for d in self.space._distances(self.samples, self.space.validate_point(y)).tolist():
-            total += d  # in sample order
-        return total / len(self.samples)
-
-    def __call__(self, space, y):
-        return self.value(y)
-
-    def differential(self, y) -> DirectionalFn:
-        space = self.space
-        dist, y = space._distance, space.validate_point(y)
-        arr = np.asarray([space._directions_to(y, x)[0] for x in self.samples
-                          if dist(x, y) > 1e-12])
-        return mean_cos_tail_directional(space.sigma_at(y), arr)
-
-
-def _uniforms(seed):
-    """The values of successive `default_rng(seed).random()` calls.
-
-    numpy draws them 4096 at a time, the same stream at a fraction of
-    the cost of one call per value.
-    """
-    rng = np.random.default_rng(seed)
-    while True:
-        yield from rng.random(4096).tolist()
-

@@ -73,11 +73,6 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
 
 
 # -- appendix construction ladder ------------------------------------------
-def build_convex_curve(space, p, xi_angle, eps, T) -> CurveRecord:
-    """Joint of radial curves restarted every eps of the parameter."""
-    return _build_joint_curve(space, p, xi_angle, eps, T, speed_control=False)
-
-
 def build_prequasigeodesic(space, p, xi_angle, eps, T):
     """Speed-controlled joints with polar renormalization.
 
@@ -337,24 +332,23 @@ class ChopExtendReport:
     lemma_applicable: bool
 
     def margins(self, tol):
-        """A chop found, no extension atom, and the convex-curve inequality
-        where it applies."""
-        margins = [Margin("chop found", int(self.chop_ok), 1, ">="),
-                   Margin("|extension atom|", abs(self.extension_atom), tol, "<=")]
-        if self.lemma_applicable:
-            margins.append(Margin("lemma margin", self.lemma_margin, -tol, ">="))
-        return margins
+        """A chop found, no extension atom, and the convex-curve inequality,
+        which must apply: a report where it does not fails."""
+        return [Margin("chop found", int(self.chop_ok), 1, ">="),
+                Margin("|extension atom|", abs(self.extension_atom), tol, "<="),
+                Margin("lemma applies", int(self.lemma_applicable), 1, ">="),
+                Margin("lemma margin", self.lemma_margin, -tol, ">=")]
 
 
-def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendReport:
+def chop_extend_demo(space, p, xi_angle, eps, T, q_far) -> ChopExtendReport:
     """One extend-then-chop cycle on a built pre-quasigeodesic.
 
     Verifies the extension joint carries no entropy atom, finds t_bar
     with mu((t, t_bar)) < eps * (theta + t_bar - t), and checks the
-    convex-curve derivative inequality for a 1-concave test function.
+    convex-curve derivative inequality for the 1-concave test function
+    dist_{q_far}^2 / 2, which applies where the function's differential at
+    the cycle's start, toward the curve point about eps ahead, is >= 0.
     """
-    if T is None:
-        T = 8.0 * eps
     rec, ent = build_prequasigeodesic(space, p, xi_angle, eps, T)
     ts = rec.ts
     i0 = len(ts) // 3
@@ -381,8 +375,6 @@ def chop_extend_demo(space, p, xi_angle, eps, T=None, q_far=None) -> ChopExtendR
             break
 
     # convex-curve inequality for f = dist_q^2 / 2 (1-concave when curv >= 0)
-    if q_far is None:
-        q_far = space.random_point(np.random.default_rng(0))
     f = scale(0.5, DistSq(q=q_far))
     lam = 1.0
     j = min(len(ts) - 1, i0 + max(2, int(eps / rec.h)))

@@ -31,13 +31,15 @@ def _chord(m, r, phi, q, theta):
 def _ray(m, r, phi, ang, length, theta):
     """The walk from (r, phi) off the apex at chart angle ang in [0, 2pi), on
     floats (m = `FLOATS`) or arrays of ang and length (m = `ARRAYS`): its
-    end (ex, ey) in the plane unfolded about the start (r, 0), the end's r
-    and phi, and whether it runs into the apex (then its end means nothing)."""
+    end (ex, ey) in the plane unfolded about the start (r, 0), its polar
+    angle atan2(ey, ex) there, the end's r and phi, and whether it runs
+    into the apex (then its end means nothing)."""
     c, s = m.cos(ang), m.sin(ang)
     through = (abs(s) < 1e-14) & (c < 0.0) & (length >= r - _APEX_EPS)
     ex = r + length * c
     ey = length * s
-    return ex, ey, m.hypot(ex, ey), m.wrap(phi + m.atan2(ey, ex), theta), through
+    turn = m.atan2(ey, ex)
+    return ex, ey, turn, m.hypot(ex, ey), m.wrap(phi + turn, theta), through
 
 
 class ConeSpace(Space):
@@ -114,12 +116,12 @@ class ConeSpace(Space):
         if self.is_apex(p):
             end = (length, self._apex_sigma.wrap(angle))
             return WalkResult(end, length, math.pi, CIRCLE)
-        ex, ey, r, phi, through = _ray(FLOATS, p[0], p[1], wrap_angle(angle, TWO_PI), length,
-                                       self.total_angle)
+        ex, ey, turn, r, phi, through = _ray(FLOATS, p[0], p[1], wrap_angle(angle, TWO_PI),
+                                             length, self.total_angle)
         if through:
             return WalkResult((0.0, 0.0), p[0], p[1], self._apex_sigma,
                               event="vertex", event_ref="apex")
-        back = angle_of(p[0] - ex, -ey) - angle_of(ex, ey)
+        back = angle_of(p[0] - ex, -ey) - wrap_angle(turn, TWO_PI)
         return WalkResult((r, phi), length, wrap_angle(back, TWO_PI), CIRCLE)
 
     def _walks(self, p, angles, lengths):
@@ -128,8 +130,8 @@ class ConeSpace(Space):
             return super()._walks(p, angles, lengths)
         angles = np.asarray(angles, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
-        _, _, r, phi, through = _ray(ARRAYS, p[0], p[1], wrap_angles(angles, TWO_PI), lengths,
-                                     self.total_angle)
+        _, _, _, r, phi, through = _ray(ARRAYS, p[0], p[1], wrap_angles(angles, TWO_PI),
+                                        lengths, self.total_angle)
         ends = planar_ends(r, phi)
         events = [None] * len(ends)
         walk_each(self, p, angles.tolist(), lengths.tolist(), ends, events,

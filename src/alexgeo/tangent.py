@@ -11,8 +11,8 @@ sources (or between a source's lifts u and u + L on a circle of length
 L != 2 pi), or a cell's +-pi end on a circle longer than 2 pi.  A lift
 seam is not a breakpoint: on a 2 pi circle, the direction space of every
 regular point, cos(xi - u) = cos(xi - u - 2 pi), so one source is one
-piece.  Maxima and the gradient and supporting inequalities are exact
-sweeps over the breakpoints and the interior stationary points.
+piece.  Maxima and the gradient inequality are exact sweeps over the
+breakpoints and the interior stationary points.
 """
 from __future__ import annotations
 
@@ -137,29 +137,6 @@ def cos_tail_directional(sigma: SigmaDesc, scale: float, sources) -> Directional
             u += L * round((m - u) / L)
         pieces.append((-scale, u, 0.0))
     return DirectionalFn(sigma, breaks, pieces, single=(scale, srcs))
-
-
-def mean_cos_tail_directional(sigma: SigmaDesc, sources) -> DirectionalFn:
-    """Mean over the sources of -cos(angle distance), for L <= 2 pi.
-
-    The term of a source lifted to l is -cos(xi - l) = Re(z e^{-i xi})
-    with z = -e^{i l}.  On an arc or a 2 pi circle the lift never
-    matters, so the mean is one sinusoid.  On a shorter circle the
-    nearest lift moves by L at the source's antipode, and a cumulative
-    sum over the sorted antipodes gives the pieces.
-    """
-    u = np.asarray(sources, dtype=float)
-    L, n = sigma.length, len(u)
-    cuts = np.empty(0)
-    if not sigma.is_arc and L != TWO_PI:
-        u = np.mod(u, L)
-        u = np.sort(np.where(u <= 0.5 * L, u, u - L))  # the lifts nearest to 0
-        cuts = u + 0.5 * L
-    z = -np.exp(1j * u)
-    jumps = z[:len(cuts)] * (np.exp(1j * L) - 1.0)
-    acc = (z.sum() + np.concatenate([[0.0], np.cumsum(jumps)])) / n
-    pieces = [(abs(w), math.atan2(w.imag, w.real), 0.0) for w in acc.tolist()]
-    return DirectionalFn(sigma, [0.0] + cuts.tolist() + [L], pieces)
 
 
 def _sum_pieces(terms):
@@ -306,13 +283,6 @@ def gradient_from_directional(d: DirectionalFn) -> TangentVec:
             f"d - <g,x> = {excess:.3e} (bad concavity certificate?)"
         )
     return TangentVec(vmax, amax, sig)
-
-
-def supporting_check(d: DirectionalFn, s_vec: TangentVec, tol: float = 1e-9):
-    """Check d(x) <= -<s, x> exactly; returns (ok, worst margin)."""
-    minus_s = cos_tail_directional(d.sigma, s_vec.norm, [s_vec.angle])
-    worst = directional_sup(combine_affine(d.sigma, [(1.0, d), (-1.0, minus_s)]))[0]
-    return worst <= tol, worst
 
 
 def _cos_gaps(sigma: SigmaDesc, a: float, xs: np.ndarray) -> np.ndarray:

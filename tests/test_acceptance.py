@@ -8,11 +8,23 @@ from alexgeo.acceptance import run_criterion
 
 QUICK = False  # full sample counts; the suite targets < 5 minutes total
 
+# margins of the library's paper checks that a criterion reports
+JOINED = {
+    2: ["distance estimates' worst margin", "length element margin"],
+    4: ["max value-drop increase", "probe comparison-angle decrease",
+        "probe separation from the geodesic"],
+    8: ["|grad dist_boundary| floor on its collar"],
+    11: ["extend/chop chop found", "extend/chop |extension atom|",
+         "extend/chop lemma applies", "extend/chop lemma margin"],
+}
+
 
 def _run(number):
     res = run_criterion(number, quick=QUICK)
     print(res.line())
     assert res.passed, res.detail
+    missing = set(JOINED.get(number, ())) - {m.name for m in res.margins}
+    assert not missing, f"criterion {number} lacks {sorted(missing)}"
 
 
 def test_criterion_01_model_plane_round_trip():

@@ -8,7 +8,6 @@ from alexgeo.spaces import CapSpace, ConeSpace, PolygonSpace, SpindleSpace
 from alexgeo.concavity_tight import (
     ConstructionError,
     build_strictly_concave,
-    superlevel_convexity,
     tight_check,
     tight_image_study,
 )
@@ -42,14 +41,6 @@ class TestStrictlyConcave:
             build_strictly_concave(PLANE, (1.0, 0.5), r=0.5, c=0.2, n_points=4,
                                    n_geodesics=80, seed=3)
         assert "retry with" in str(err.value)
-
-    def test_superlevel_sets_convex(self):
-        p = (0.5, 0.5)
-        expr, _ = build_strictly_concave(SQUARE, p, r=0.4, c=50.0, n_points=4,
-                                         seed=4)
-        worst = superlevel_convexity(SQUARE, expr, p, level=-0.01, n_pairs=100,
-                                     radius=0.3, seed=5)
-        assert worst <= 1e-9
 
 
 class TestTightCheck:

@@ -25,7 +25,6 @@ from alexgeo.functions import (
     MinExpr,
     PhiRC,
     RhoDist,
-    SmoothedDistance,
     check_concavity,
     _compile,
     differential,
@@ -37,23 +36,11 @@ from alexgeo.functions import (
 )
 from alexgeo.flow import gradient
 from alexgeo.tangent import (GradientError, combine_affine, combine_min, constant_directional,
-                             cos_tail_directional, maximize_directional)
+                             cos_tail_directional)
 from alexgeo.verdict import passed
 
 PLANE = ConeSpace(2 * math.pi)
 SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
-
-
-def planar_smoothed_distance_oracle(p, eps, y):
-    """Disc average of dist_x(y) in the plane for |py| >> eps.
-
-    Polar-coordinate integral: the first-order term -r cos(theta)
-    averages out and the second-order term r^2 sin^2(theta) / (2 d)
-    contributes (1/(pi eps^2)) * (eps^4/4) * pi / (2 d), so the
-    expansion is |py| + eps^2 / (8 |py|) + O(eps^4).
-    """
-    d = math.hypot(y[0] - p[0], y[1] - p[1])
-    return d + eps * eps / (8.0 * d)
 
 
 def scalar_inf_convolution_oracle(ic, y):
@@ -568,15 +555,6 @@ class TestValidatedOnce:
             assert ic.query(y) == first
         assert v.call_count == 1
 
-    def test_smoothed_distance(self):
-        plane, y = ConeSpace(2 * math.pi), (1.4, 0.8)
-        sd = SmoothedDistance(plane, (1, 0), 0.1, n_mc=2000, seed=1)
-        with mock.patch.object(plane, "validate_point", wraps=plane.validate_point) as v:
-            sd.value(y)
-            assert v.call_count == 1
-            sd.differential(y)
-            assert v.call_count == 2
-
     def test_leaf_differential(self):
         # the leaf keeps its validated q per space, as `_compile` keeps its
         # closure, and drops it when pickled
@@ -625,11 +603,6 @@ class TestEntryChecks:
     def test_inf_convolution_needs_an_expression_tree(self):
         with pytest.raises(ExprError, match="expression tree"):
             InfConvolution(lambda space, p: 0.0, PLANE, 0.5)
-
-    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf])
-    def test_smoothed_distance_eps(self, eps):
-        with pytest.raises(ExprError, match="eps"):
-            SmoothedDistance(PLANE, (1, 0), eps, n_mc=10)
 
 
 class TestCheckConcavity:
@@ -847,94 +820,3 @@ class TestBatchedScan:
         for phi in (0.3, 2.0, 4.5):
             res = ic.query((0.79, phi))
             assert cap.on_boundary(res.argmin)
-
-
-class TestSmoothedDistance:
-    def test_far_field_expansion(self):
-        sd = SmoothedDistance(PLANE, (0.0, 0.0), 0.1, n_mc=10 ** 6, seed=5)
-        y = (2.0, 0.3)
-        yx = (2 * math.cos(0.3), 2 * math.sin(0.3))
-        assert sd.value(y) == pytest.approx(
-            planar_smoothed_distance_oracle((0, 0), 0.1, yx), abs=1e-4
-        )
-
-    def test_center_value(self):
-        sd = SmoothedDistance(PLANE, (0.0, 0.0), 0.1, n_mc=10 ** 6, seed=6)
-        assert sd.value((0.0, 0.0)) == pytest.approx(2 * 0.1 / 3, abs=1e-4)
-
-    def test_rotation_symmetry(self):
-        sd = SmoothedDistance(PLANE, (0.0, 0.0), 0.1, n_mc=200000, seed=7)
-        vals = [sd.value((1.5, a)) for a in (0.0, 1.1, 2.7, 4.4)]
-        assert max(vals) - min(vals) < 2e-3
-
-    def test_differential_linearity(self):
-        # d of the smoothed distance at a regular point fits a single harmonic
-        n_mc = 40000
-        sd = SmoothedDistance(PLANE, (0.0, 0.0), 0.2, n_mc=n_mc, seed=8)
-        d = sd.differential((1.5, 0.4))
-        xs = np.linspace(0, 2 * math.pi, 360, endpoint=False)
-        vals = np.array([d(x) for x in xs])
-        c1 = 2 * np.mean(vals * np.cos(xs))
-        s1 = 2 * np.mean(vals * np.sin(xs))
-        fit = c1 * np.cos(xs) + s1 * np.sin(xs)
-        assert float(np.max(np.abs(vals - fit))) < 3.0 / math.sqrt(n_mc)
-
-    def test_no_samples_on_the_cap_boundary(self):
-        # a walk cut short by the boundary is dropped, not kept on the rim
-        cap, p, eps = CapSpace(0.8), (0.75, 0.0), 0.1
-        sd = SmoothedDistance(cap, p, eps, n_mc=4000, seed=1)
-        assert sd.samples
-        assert not any(cap.on_boundary(x) for x in sd.samples)
-        assert max(cap.distance(x, p) for x in sd.samples) <= eps + 1e-12
-
-    def test_uniform_on_the_square_near_its_edge(self):
-        # the samples fill the disc of radius R cut by the edge y = 0 at
-        # depth h below its centre: their mean y is that region's centroid
-        R, h = 0.1, 0.02
-        sd = SmoothedDistance(SQUARE, (0.5, h), R, n_mc=20000, seed=2)
-        ys = np.array([y for _, y in sd.samples])
-        a = math.sqrt(R * R - h * h)
-        area = math.pi * R * R - R * R * math.acos(h / R) + h * a
-        centroid = h + (2.0 / 3.0) * a ** 3 / area
-        assert centroid == pytest.approx(0.05186, abs=1e-5)
-        assert ys.mean() == pytest.approx(centroid, abs=4.0 * ys.std() / math.sqrt(len(ys)))
-
-    def test_differential_at_a_cone_apex(self):
-        # on the circle of length 1.5 pi at the apex the direction to a
-        # sample x is its azimuth, and d dist_x(xi) = -cos(angle(xi, x))
-        cone = ConeSpace(1.5 * math.pi)
-        sd = SmoothedDistance(cone, (0.0, 0.0), 0.3, n_mc=400, seed=9)
-        L = cone.sigma_at((0.0, 0.0)).length
-        d = sd.differential((0.0, 0.0))
-        azimuths = np.array([phi for _, phi in sd.samples])
-        for xi in np.linspace(0.0, L, 720, endpoint=False):
-            gap = np.abs(np.mod(xi - azimuths, L))
-            mean = float(np.mean(-np.cos(np.minimum(gap, L - gap))))
-            assert d(xi) == pytest.approx(mean, abs=1e-12)
-
-    def test_generic_sampler_on_a_cone(self):
-        # off the plane, as on every space: ball samples by `walk`, values
-        # by `_distance` and differentials by `directions_to`.  The ball
-        # around p misses the apex, so it unfolds isometrically into the
-        # plane by (r, phi) -> pos2, where the disc oracle applies.
-        cone = ConeSpace(1.5 * math.pi)
-        p, eps, n_mc = (1.0, 0.2), 0.1, 50000
-        sd = SmoothedDistance(cone, p, eps, n_mc=n_mc, seed=4)
-        assert sd.samples is not None
-        # Monte Carlo sigma of the mean: dist_x(y) ~ d - <x - p, e> has
-        # standard deviation eps / 2 over the disc
-        sigma = eps / (2.0 * math.sqrt(n_mc))
-        px = cone.pos2(p)
-        for y in [(1.6, 0.3), (1.0, 0.9), (0.6, 0.1)]:
-            yx = cone.pos2(y)
-            d = math.hypot(yx[0] - px[0], yx[1] - px[1])
-            # the oracle's O(eps^4 / d^3) remainder has coefficient about 1/192
-            assert sd.value(y) == pytest.approx(
-                planar_smoothed_distance_oracle(px, eps, yx),
-                abs=4.0 * sigma + eps ** 4 / (100.0 * d ** 3))
-            # the disc is symmetric about the line through y and p: the mean
-            # direction points away from p, up to the sampled sideways offset
-            _, top = maximize_directional(sd.differential(y))
-            sig = cone.sigma_at(y)
-            away = sig.wrap(cone.directions_to(y, p)[0] + math.pi)
-            assert sig.dist(top, away) <= 4.0 * sigma / d

@@ -1,4 +1,6 @@
-"""Every defaulted parameter and dataclass field of the library is set by some caller.
+"""Every defaulted parameter and dataclass field of the library is set by
+some caller, and every top-level definition is named by the library or the
+benchmark.
 
 A parameter that no call in ``src/``, ``tests/`` or ``perfbench/`` ever
 sets is a constant wearing an option's name; the scan below lists them.
@@ -9,8 +11,11 @@ position (of its class or a subclass), a ``replace`` keyword, or an
 assignment to an attribute of its name.  Every dataclass field is read
 as ``x.name`` somewhere x is known to hold its class (see `typed_reads`),
 so a read of another class's attribute of the same name does not count.
+A definition that only tests name is a check no `alexgeo suite` run
+reports, or code nothing needs; see `unnamed_definitions`.
 """
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,3 +288,43 @@ def unread_fields():
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
+
+
+# named by tests alone, on purpose: the scalar reference that the tests pin
+# `polar_grid_sums` against, and the certificate check that holds up the
+# `Certificate` fields the benchmark does not read
+KEPT = ["src/alexgeo/functions.py::ensure_certificate", "src/alexgeo/tangent.py::scalar_product"]
+
+
+def unnamed_definitions():
+    """Top-level functions and classes of src/alexgeo that no code in src/ or
+    perfbench/ names.
+
+    A name counts as an AST name, an attribute or an imported name, its
+    own definition's body included, or as a string (split at dots and
+    commas) of an ``__all__`` list or of the tracer's ``LAYERS`` table.
+    Docstrings do not count.
+    """
+    named = set()
+    for _, tree in _trees([ROOT / "src", ROOT / "perfbench"]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in ("__all__", "LAYERS")
+                    for t in node.targets):
+                named.update(part for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                             for part in re.split(r"[.,]", c.value))
+    return sorted(f"{path.relative_to(ROOT).as_posix()}::{d.name}"
+                  for path, tree in _trees([LIBRARY]) for d in tree.body
+                  if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and d.name not in named)
+
+
+def test_every_library_definition_is_named_outside_the_tests():
+    assert unnamed_definitions() == KEPT

@@ -10,12 +10,12 @@ from alexgeo.spaces import (CapSpace, ConeSpace, PolygonSpace, SpindleSpace,
 from alexgeo.flow import CurveRecord
 from alexgeo.functions import Dist, DistSq, evaluate, scale
 from alexgeo.quasigeodesic import (
-    build_convex_curve,
     build_prequasigeodesic,
     check_quasigeodesic,
     chop_extend_demo,
     entropy,
     TraceError,
+    _build_joint_curve,
     monotone_report,
     trace_quasigeodesic,
 )
@@ -201,21 +201,21 @@ class TestCheckerCurvatureOne:
 class TestBuilders:
     def test_plane_builder_reproduces_ray(self):
         for eps in (0.2, 0.1):
-            rec = build_convex_curve(PLANE, (1.0, 0.0), 1.1, eps, 1.5)
+            rec = _build_joint_curve(PLANE, (1.0, 0.0), 1.1, eps, 1.5, speed_control=False)
             w = PLANE.walk((1.0, 0.0), 1.1, rec.ts[-1])
             assert PLANE.distance(rec.points[-1], w.end) < 1e-9
 
     def test_apex_aimed_endpoints_converge(self):
         ends = []
         for eps in (0.2, 0.1, 0.05):
-            rec = build_convex_curve(CONE, (1.0, 0.0), math.pi, eps, 2.0)
+            rec = _build_joint_curve(CONE, (1.0, 0.0), math.pi, eps, 2.0, speed_control=False)
             ends.append(rec.points[-1])
         d1 = CONE.distance(ends[0], ends[2])
         d2 = CONE.distance(ends[1], ends[2])
         assert d2 <= d1 + 1e-12
 
     def test_convex_curves_one_lipschitz(self):
-        rec = build_convex_curve(CONE, (1.0, 0.0), math.pi, 0.1, 2.0)
+        rec = _build_joint_curve(CONE, (1.0, 0.0), math.pi, 0.1, 2.0, speed_control=False)
         for i in range(len(rec.ts) - 1):
             chord = CONE.distance(rec.points[i], rec.points[i + 1])
             assert chord <= (rec.ts[i + 1] - rec.ts[i]) * (1 + 1e-9) + 1e-12
@@ -265,10 +265,17 @@ class TestEntropy:
 class TestChopExtend:
     def test_demo_on_cone(self):
         rep = chop_extend_demo(CONE, (1.0, 0.0), math.pi - 0.2, 0.1, T=1.5,
-                               q_far=(2.5, 2.8))
+                               q_far=(2.5, 1.0))
         assert passed(rep.margins(1e-6))
-        assert rep.chop_ok
+        assert rep.chop_ok and rep.lemma_applicable
         assert abs(rep.extension_atom) < 1e-9
+
+    def test_a_far_point_where_the_lemma_does_not_apply_fails(self):
+        # the differential of dist_q^2 / 2 toward the curve ahead is negative
+        rep = chop_extend_demo(CONE, (1.0, 0.0), math.pi - 0.2, 0.1, T=1.5,
+                               q_far=(2.5, 2.8))
+        assert not rep.lemma_applicable
+        assert not passed(rep.margins(1e-6))
 
     def test_comparison_corollary_for_traces(self):
         # angle(dir to p, start tangent) >= comparison angle for small t

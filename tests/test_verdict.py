@@ -57,7 +57,7 @@ def test_suite_json_lists_each_criterions_margins(tmp_path):
     assert main(["suite", "--quick", "--only", "8", "--prefix", str(tmp_path / "s")]) == 0
     result, = json.loads((tmp_path / "s.json").read_text())["results"]
     margins = result["margins"]
-    assert len(margins) == 7
+    assert len(margins) == 8
     assert all(set(m) == {"name", "observed", "limit", "sense"} for m in margins)
     assert result["passed"] is True
     assert result["detail"] == line([Margin(**m) for m in margins])
