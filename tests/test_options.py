@@ -291,8 +291,8 @@ def test_every_dataclass_field_is_read():
 
 
 # named by tests alone, on purpose: the scalar reference that the tests pin
-# `polar_grid_sums` against, and the certificate check that holds up the
-# `Certificate` fields the benchmark does not read
+# `polar_grid_sums` against, and the certificate check, the only reader of
+# the `Certificate` fields other than `center` (ROADMAP direction 13)
 KEPT = ["src/alexgeo/functions.py::ensure_certificate", "src/alexgeo/tangent.py::scalar_product"]
 
 
