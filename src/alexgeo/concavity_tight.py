@@ -9,9 +9,11 @@ curvature parameter to retry with.
 The image study certifies points of the image of such a map through the
 locator G(y) = argmax min_i (f_i - y_i) (`_argmax_min`): Newton steps to
 the point where the coordinates agree, stopped by the exact certificate
-that the min's differential is nowhere positive, and a gradient ascent
-(`_ascend`) wherever those steps do not end, as at a top on a ridge of
-two coordinates.
+that the min's differential is nowhere positive; where that point is not
+the top, secant steps along the ridge of two coordinates (`_ridge`),
+stopped by the certificate that the pair's gradients are antiparallel
+and the min's differential is nowhere above `_RIDGE_SUP`; and a gradient
+ascent (`_ascend`) wherever neither ends.
 """
 from __future__ import annotations
 
@@ -249,11 +251,116 @@ def _newton_step(vals, diffs):
 
 
 _NEWTON_WALKS = 6  # model steps before the ascent takes over
+_RIDGE_WALKS = 12  # secant steps before the ascent takes over
+# The ridge certificate's bound on the min's differential.  A ridge stop
+# leaves the slope along the ridge that a secant step shorter than 1e-13
+# does not remove, about 1e-13 times the ridge's curvature: up to 1.0e-10
+# on the replayed `closed_verify` and c10 calls, where that curvature is
+# near 1e3 and the gradients' norms are 42 to 98.  The min is concave, so
+# a point whose differential is at most 1e-9 lies at most 1e-9 times its
+# distance to the top below the top: 2e-10 across 4 region radii of 0.05.
+_RIDGE_SUP = 1e-9
+
+
+def _ridge_top(sigma, diffs, vals, gi, gj):
+    """The ridge certificate at a point: the ridge's two gradients gi and
+    gj are antiparallel and the min's differential is nowhere above
+    `_RIDGE_SUP`."""
+    return (gi[0] * gj[0] + gi[1] * gj[1] < 0.0
+            and directional_sup(_min_differential(sigma, diffs, vals))[0] <= _RIDGE_SUP)
+
+
+def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
+    """Secant steps along the ridge of two coordinates from x, a point
+    where the min's differential (on the direction space sigma, from the
+    coordinates' differentials diffs) rises most along the direction u.
+
+    The ridge is f_i = f_j for the two coordinates lowest along u.  Each
+    step reads the linear differentials of the pair, gradients gi and gj
+    (`_linear`), and walks once along h t + c: t is the unit tangent of
+    the ridge (normal to n = gi - gj), oriented as the ridge was followed
+    so far, h the secant step that zeroes the exact ridge slope <gi, t>
+    read at this point and the last, and c = -(f_i - f_j) n / |n|^2 the
+    first-order correction back onto the ridge.  The first step has no
+    secant: it walks to the best probe of the ray ascent's value-only
+    bracket along t (`_bracket`), or, when no probe of it gains, to its
+    nearest probe beyond the top, unless the ridge certificate
+    (`_ridge_top`) already holds at x.  Directions at two points are compared only through the
+    walk's arrival direction, since a chart's angle coordinate may turn
+    from point to point.
+
+    The steps stop when the next is shorter than 1e-13: x is the top if
+    the ridge certificate holds there, and is refused otherwise.  A
+    coordinate leaving the pair (another becomes the least), a point that
+    is not linear, a secant that is not concave, equal gradients, a walk
+    that meets an event or leaves 4 region radii, or `_RIDGE_WALKS` steps
+    without a stop also end them uncertified.  Returns (point, values,
+    certified): the certified top, or else the best point seen.
+    """
+    band = [k for k, v in enumerate(vals) if v <= min(vals) + 1e-9]
+    if len(band) < 2:
+        return x, vals, False
+    i, j = sorted(band, key=lambda k: diffs[k](u))[:2]
+    best = (x, vals)
+    ahead = u  # the direction the ridge is followed along, in x's chart
+    last = None  # (ridge slope, tangent step) at the last point
+    for _ in range(_RIDGE_WALKS):
+        gi, gj = _linear(diffs[i]), _linear(diffs[j])
+        if gi is None or gj is None:
+            break
+        nx, ny = gi[0] - gj[0], gi[1] - gj[1]
+        nn = nx * nx + ny * ny
+        if nn == 0.0:
+            break
+        tx, ty = -ny / math.sqrt(nn), nx / math.sqrt(nn)
+        if tx * math.cos(ahead) + ty * math.sin(ahead) < 0.0:
+            tx, ty = -tx, -ty
+        theta, slope = math.atan2(ty, tx), gi[0] * tx + gi[1] * ty
+        if last is None:
+            def along(t):
+                return _probe(space, terms, x, theta, t)
+
+            a, b, c = _bracket(along, vals, [d(theta) for d in diffs], region[1], region)
+            if b is a:  # no probe gains
+                if _ridge_top(sigma, diffs, vals, gi, gj):
+                    return x, vals, True
+                b = c
+            h, w = b[0], b[2]
+            vx, vy = h * tx, h * ty
+        else:
+            drop = last[0] - slope  # over the last tangent step, last[1]
+            if not drop * last[1] > 0.0:
+                break  # the secant is not concave
+            h, r = slope * last[1] / drop, (vals[i] - vals[j]) / nn
+            vx, vy = h * tx - r * nx, h * ty - r * ny
+        length = math.hypot(vx, vy)
+        if length < 1e-13:
+            if _ridge_top(sigma, diffs, vals, gi, gj):
+                return x, vals, True
+            break
+        if length > 4 * region[1]:
+            break
+        heading = math.atan2(vy, vx)
+        if last is None:
+            vals = b[1]
+        else:
+            w = space._walk(x, heading, length)
+            vals = [term(w.end) for term in terms]
+        x = w.end
+        if min(vals) >= min(best[1]):
+            best = (x, vals)
+        if w.event is not None or min(vals) < min(vals[i], vals[j]):
+            break
+        ahead = w.sigma.forward_of_back(w.back_angle) + theta - heading
+        last = (slope, h)
+        sigma, diffs = _differentials(space, target, x)
+    return *best, False
 
 
 def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     """argmax of min_i (f_i - y_i): best grid point, Newton steps to where
-    the coordinates agree, and the gradient ascent where those do not end.
+    the coordinates agree, secant steps along a ridge of two, and the
+    gradient ascent where those do not end.
 
     At each point the locator reads every coordinate's value and exact
     differential once (`_differentials`).  With three coordinates whose
@@ -261,14 +368,17 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     square or of a cone, on a mesh face), a Newton step walks to where
     their first-order models agree (`_newton_step`, capped at 4 region
     radii); the top of a tight map is nearly always such a point.  The
-    locator stops on the exact certificate: the min's differential is
-    nowhere positive (`directional_sup` <= 0, the top of a concave min)
-    and the next step is shorter than 1e-13.  At a point that is not
-    linear, where the models agree nowhere or agree at a point that is
-    not the top, or after `_NEWTON_WALKS` steps without a stop,
-    `_ascend` climbs from the best point seen: a top on a ridge of two
-    coordinates, or of any other count of coordinates, is reached by the
-    ascent alone.  Returns the top and its value.
+    locator stops there on the exact certificate: the min's differential
+    is nowhere positive (`directional_sup` <= 0, the top of a concave
+    min) and the next step is shorter than 1e-13.  Where the models agree
+    at a point that is not the top, the top lies on a ridge of two
+    coordinates, and `_ridge` follows it by secant steps to the point
+    where its slope vanishes; it stops there on the ridge certificate:
+    the pair's gradients are antiparallel and the min's differential is
+    nowhere above `_RIDGE_SUP`.  At a point that is not linear, where
+    the models agree nowhere, where the ridge steps end uncertified, or
+    after `_NEWTON_WALKS` steps without a stop, `_ascend` climbs from the
+    best point seen.  Returns the top and its value.
     """
     target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
     terms = [_compile(t, space, False) for t in target.terms]  # min of these is `target`
@@ -283,14 +393,61 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
         if step is None:
             break
         if step[0] < 1e-13:
-            if directional_sup(_min_differential(sigma, diffs, vals))[0] <= 0.0:
+            sup, u = directional_sup(_min_differential(sigma, diffs, vals))
+            if sup <= 0.0:
                 return x, min(vals)
-            break  # the models agree at a point that is not the top
+            # the models agree at a point that is not the top
+            x, vals, certified = _ridge(space, target, terms, x, vals, sigma, diffs, u, region)
+            if certified:
+                return x, min(vals)
+            if min(vals) >= min(top[1]):
+                top = (x, vals)
+            break
         x = space._walk(x, step[1], min(step[0], 4 * region[1])).end
         vals = [term(x) for term in terms]
         if min(vals) >= min(top[1]):
             top = (x, vals)
     return _ascend(space, target, terms, *top, region)
+
+
+def _probe(space, terms, x, angle, t):
+    """The probe t along the direction angle from x: (t, the coordinate
+    values at the walk's end, the walk); x is a grid point or a walk end,
+    so it is validated."""
+    w = space._walk(x, angle, t)
+    return t, [term(w.end) for term in terms], w
+
+
+def _gain_bound(vals, slopes, t):
+    """Bound on the gain of the min of the coordinates over the first t of
+    a ray, from their values and slopes along it: each coordinate is
+    concave, so it lies below its tangent line."""
+    return min(v + max(s, 0.0) * t for v, s in zip(vals, slopes)) - min(vals)
+
+
+def _bracket(along, vals, slopes, step, region):
+    """Bracket of the top of the min of the coordinates along one ray from
+    the point of values vals and slopes along the ray (t = 0), whose
+    probes `along(t)` gives; the first probe is `step` long.
+
+    A doubling by the golden ratio brackets the top.  When the first probe
+    does not rise, a golden shrink looks for one that does, down to 1e-13
+    or to a length over which `_gain_bound` allows no gain above 1e-15.
+    Returns probes (a, b, c): b is the best, a = b at t = 0 when no probe
+    rises, and c is the nearest probe known to lie at or beyond the ray's
+    top, None when the min still rises at 4 region radii.
+    """
+    a, b = (0.0, vals, None), along(step)
+    if min(b[1]) > min(a[1]):
+        c = along(b[0] / (1.0 - _GOLD))
+        while min(c[1]) > min(b[1]) and c[0] < 4 * region[1]:
+            a, b, c = b, c, along(c[0] / (1.0 - _GOLD))
+        return (a, b, c) if min(b[1]) >= min(c[1]) else (b, c, None)
+    c = b
+    while (min(c[1]) <= min(a[1]) and c[0] >= 1e-13
+           and _gain_bound(vals, slopes, c[0]) > 1e-15):
+        c, b = along(_GOLD * c[0]), c
+    return (a, a, c) if min(c[1]) <= min(a[1]) else (a, c, b)
 
 
 def _ascend(space, target, terms, x, vals, region):
@@ -299,25 +456,23 @@ def _ascend(space, target, terms, x, vals, region):
 
     Each round reads the exact gradient of the min (`_min_differential`),
     the ridge direction of the active coordinates, and searches the ray
-    along it: a doubling from the last step's length brackets the top,
-    and `_ray_top` fits one parabola per coordinate.  Each coordinate is
-    smooth, but the min usually tops out at a kink where another
-    coordinate becomes active, so the search lands on ridges and the
-    ascent can follow thin ones.  Every point probed holds its coordinate
-    values, so the bracket's ends (x itself and the doubling's last
-    probe) are never evaluated again.
+    along it: `_bracket` from the last step's length, then `_ray_top`.
+    Each coordinate is smooth, but the min usually tops out at a kink
+    where another coordinate becomes active, so the search lands on
+    ridges and the ascent can follow thin ones.  Every point probed holds
+    its coordinate values, so the bracket's ends are never evaluated
+    again.
 
     The ascent stops when the gradient vanishes (norm < 1e-11) or is a
     tie, when no step of at least 1e-11 gains more than 1e-15, and on a
     ridge top: the new gradient turns back on the last step (within pi/2
     of its back direction) and that step gained < 1e-13.  Without the
     last stop an exact ray search zigzags across a ridge top on rounding
-    gains.  Returns the last point and its value.
+    gains.  A ray that gains no more than 1e-15 is searched again from a
+    shorter first probe, unless `_gain_bound` allows no gain above 1e-15
+    up to its nearest probe beyond the top: each search of the same ray
+    would then fail.  Returns the last point and its value.
     """
-    def walked(x, angle, t):  # x is a grid point or a walk end: validated
-        w = space._walk(x, angle, t)
-        return t, [term(w.end) for term in terms], w
-
     step = region[1]
     g = w = None
     gain = math.inf  # of the last step
@@ -338,27 +493,17 @@ def _ascend(space, target, terms, x, vals, region):
         if g.norm < 1e-11:
             break
         def along(t):  # x and g stay fixed while one ray is searched
-            return walked(x, g.angle, t)
+            return _probe(space, terms, x, g.angle, t)
 
-        a, b = (0.0, vals, None), along(step)
-        if min(b[1]) > min(a[1]):
-            c = along(b[0] / (1.0 - _GOLD))
-            while min(c[1]) > min(b[1]) and c[0] < 4 * region[1]:
-                a, b, c = b, c, along(c[0] / (1.0 - _GOLD))
-        else:
-            c, b = b, along(_GOLD * b[0])
-            while min(b[1]) <= min(a[1]) and b[0] >= 1e-13:
-                c, b = b, along(_GOLD * b[0])
-        if min(b[1]) <= min(a[1]):
-            top = a  # no step down to 1e-13 gains
-        elif min(b[1]) < min(c[1]):
-            top = c  # still rising at 4 region radii
-        else:
-            top = _ray_top(along, a, b, c)
+        slopes = [d(g.angle) for d in diffs]
+        a, top, beyond = _bracket(along, vals, slopes, step, region)
+        if top is not a and beyond is not None:
+            top = _ray_top(along, a, top, beyond)
         gain = min(top[1]) - min(vals)
         if gain <= 1e-15 or top[0] < 1e-13:
             step *= 0.35
-            if step < 1e-11:
+            if step < 1e-11 or (beyond is not None
+                                 and _gain_bound(vals, slopes, beyond[0]) <= 1e-15):
                 break
             continue
         x, vals, w = top[2].end, top[1], top[2]

@@ -245,20 +245,6 @@ def scale(w, term, constant=0.0):
     return Affine(weights=(float(w),), constant=constant, terms=(term,))
 
 
-def validate_simple(expr) -> bool:
-    """Check the restricted outer-map grammar: nonnegative affine weights
-    and min combinations over squared-distance leaves."""
-    if isinstance(expr, DistSq):
-        return True
-    if isinstance(expr, Affine):
-        return all(w >= 0.0 for w in expr.weights) and all(
-            validate_simple(t) for t in expr.terms
-        )
-    if isinstance(expr, MinExpr):
-        return all(validate_simple(t) for t in expr.terms)
-    return False
-
-
 # -- evaluation ----------------------------------------------------------
 _FORMS = ("_compiled", "_compiled_many")  # the node attribute of each form's closure
 _MEMOS = _FORMS + ("_valid_q",)  # every cache a node keeps, with a leaf's validated q

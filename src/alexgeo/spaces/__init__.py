@@ -14,15 +14,5 @@ __all__ = [
     "CapSpace", "PolygonSpace", "MeshSpace", "MeshPoint", "DoubledPolygon",
     "DoubledCap", "build_doubling", "load_space", "parse_angle",
     "random_convex_polygon", "random_tetrahedron",
-    "regular_tetrahedron", "log_map",
+    "regular_tetrahedron",
 ]
-
-
-def log_map(space, p, q):
-    """Distance together with one minimizing direction (smallest chart angle)."""
-    from ..tangent import TangentVec
-
-    p, q = space.validate_point(p), space.validate_point(q)
-    d = space._distance(p, q)
-    dirs = space._directions_to(p, q)
-    return TangentVec(d, dirs[0], space.sigma_at(p))

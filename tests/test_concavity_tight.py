@@ -11,8 +11,8 @@ from alexgeo.concavity_tight import (
     tight_check,
     tight_image_study,
 )
-from alexgeo.functions import Dist, MinExpr, check_concavity, evaluate, scale
-from alexgeo.tangent import GradientError, gradient_from_directional
+from alexgeo.functions import Dist, DistSq, MinExpr, _compile, check_concavity, evaluate, scale
+from alexgeo.tangent import GradientError, directional_sup, gradient_from_directional
 from alexgeo.verdict import passed
 
 PLANE = ConeSpace(2 * math.pi)
@@ -300,6 +300,29 @@ class TestLocator:
         assert value.hex() == expected
         assert per_call == [(1,)]
 
+    @staticmethod
+    def _replayed_support_call(seed, job, call):
+        """(funcs, ys, region, grid points, grid values) of support test
+        `call` of `closed_verify` tight job `job` of the given seed, drawn
+        as the workload and `tight_image_study` draw them."""
+        rng = np.random.default_rng([seed, 3, job])
+        a0 = rng.random() * 2.0 * math.pi
+        study_seed = int(rng.integers(1 << 30))
+        funcs = [build_strictly_concave(SQUARE, (0.5 + 0.08 * math.cos(a),
+                                                 0.5 + 0.08 * math.sin(a)),
+                                        r=0.35, c=60.0, n_points=6, n_geodesics=8,
+                                        seed=study_seed)[0]
+                 for a in (a0, a0 + 2 * math.pi / 3, a0 + 4 * math.pi / 3)]
+        region = ((0.5, 0.5), 0.05)
+        rng = np.random.default_rng(study_seed)
+        grid_pts = [SQUARE.random_point_near(region[0], region[1], rng) for _ in range(16)]
+        grid_vals = [tuple(evaluate(f, SQUARE, x) for f in funcs) for x in grid_pts]
+        for _ in range(call + 1):
+            i, j = rng.integers(0, len(grid_vals), size=2)
+            t = rng.random()
+        ys = tuple(t * a + (1.0 - t) * b for a, b in zip(grid_vals[i], grid_vals[j]))
+        return funcs, ys, region, grid_pts, grid_vals
+
     def test_no_band_stop_below_the_agreement_point(self):
         # call 460 of the replayed `closed_verify` locator calls, seeds
         # 9101-9102: the first support test of job 140 of seed 9101.  The
@@ -307,21 +330,7 @@ class TestLocator:
         # above the other two (gaps 4.2e-14, 1.00e-9, 0), counted it active
         # and read a vanishing gradient, 1.26e-10 below the top, the point
         # where the three coordinates agree
-        rng = np.random.default_rng([9101, 3, 140])
-        a0 = rng.random() * 2.0 * math.pi
-        seed = int(rng.integers(1 << 30))
-        funcs = [build_strictly_concave(SQUARE, (0.5 + 0.08 * math.cos(a),
-                                                 0.5 + 0.08 * math.sin(a)),
-                                        r=0.35, c=60.0, n_points=6, n_geodesics=8,
-                                        seed=seed)[0]
-                 for a in (a0, a0 + 2 * math.pi / 3, a0 + 4 * math.pi / 3)]
-        region = ((0.5, 0.5), 0.05)
-        rng = np.random.default_rng(seed)  # as `tight_image_study` draws
-        grid_pts = [SQUARE.random_point_near(region[0], region[1], rng) for _ in range(16)]
-        grid_vals = [tuple(evaluate(f, SQUARE, x) for f in funcs) for x in grid_pts]
-        i, j = rng.integers(0, len(grid_vals), size=2)
-        t = rng.random()
-        ys = tuple(t * a + (1.0 - t) * b for a, b in zip(grid_vals[i], grid_vals[j]))
+        funcs, ys, region, grid_pts, grid_vals = self._replayed_support_call(9101, 140, 0)
         assert ys == (-1.985682454300718, -6.3370113428728905, -4.625384659144433)
         _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, grid_pts, grid_vals)
 
@@ -340,6 +349,89 @@ class TestLocator:
         assert np.abs(gaps(z)[0]).max() < 1e-13
         assert value >= gaps(z)[1] - 1e-13
 
+    def test_ridge_top_is_certified_without_a_crawl(self, monkeypatch):
+        # call 742 of the replayed `closed_verify` locator calls, seeds
+        # 9101-9102: the third support test of job 224 of seed 9101.  Its
+        # top lies on a curved ridge of two coordinates: the ray ascent
+        # crawled along it for 119 gradients and 610 walks, then, after
+        # Newton steps to an agreement point that is not the top, for 5
+        # gradients and 66 walks, ending uncertified at 0.02823557879928451.
+        # The ridge steps certify it in 10 walks, Newton's included
+        funcs, ys, region, grid_pts, grid_vals = self._replayed_support_call(9101, 224, 2)
+        assert ys == (-4.065924696338693, -7.844939590990661, -1.2695869909649182)
+        per_call = self._count_per_call(monkeypatch, (PolygonSpace, "_walk"),
+                                        (concavity_tight, "_ascend"))
+        ridge, ends = concavity_tight._ridge, []
+        monkeypatch.setattr(concavity_tight, "_ridge",
+                            lambda *args: ends.append(ridge(*args)) or ends[-1])
+        x, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, grid_pts, grid_vals)
+        assert [(end[0], min(end[1]), end[2]) for end in ends] == [(x, value, True)]
+        (walks, ascents), = per_call
+        assert ascents == 0 and walks <= 16
+        assert value >= 0.02823557879928451
+
+    def test_parallel_gradients_refuse_the_ridge_stop(self, monkeypatch):
+        # at x, f_0 = f_1 and their gradients point the same way; the min's
+        # differential rises by 5e-10 at most, within the ridge certificate's
+        # bound, so only the antiparallel test refuses the stop.  The top
+        # is the maximum of f_0, 2.5e-10 from x and 6.25e-20 above it: the
+        # locator matches the scan up to the ascent's gain floor of 1e-15
+        x = SQUARE.validate_point((0.5, 0.5))
+        funcs = [scale(-1.0, DistSq(q=(0.5 + 2.5e-10, 0.5))), scale(-2.0, DistSq(q=(0.6, 0.5))),
+                 scale(-1.0, DistSq(q=(0.5, 0.3)))]
+        fx = tuple(evaluate(f, SQUARE, x) for f in funcs)
+        ys, region = (fx[0], fx[1], fx[2] - 1.0), ((0.5, 0.5), 0.05)
+        target = self._target(funcs, ys)
+        terms = [_compile(t, SQUARE, False) for t in target.terms]
+        vals = [term(x) for term in terms]
+        sigma, diffs = concavity_tight._differentials(SQUARE, target, x)
+        sup, u = directional_sup(concavity_tight._min_differential(sigma, diffs, vals))
+        assert 0.0 < sup <= concavity_tight._RIDGE_SUP
+        stops, certify = [], concavity_tight._ridge_top
+        monkeypatch.setattr(concavity_tight, "_ridge_top",
+                            lambda *args: stops.append(certify(*args)) or stops[-1])
+        *_, certified = concavity_tight._ridge(SQUARE, target, terms, x, vals, sigma, diffs,
+                                               u, region)
+        assert not certified and stops and not any(stops)
+        _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, [x], [fx])
+        assert value >= self._scan(funcs, ys, region) - 1e-15
+
+    def test_no_gain_proof_ends_early(self, monkeypatch):
+        # call 1007 of full c10, a G o F sample: at the parent its Newton
+        # steps reach an agreement point that does not certify, and the
+        # ascent from there reads a gradient of norm 1e-6 and spends 396
+        # walks on rays that no probe of gains 1e-15.  The tangent lines
+        # of the coordinates bound every gain along such a ray, and the
+        # ascent returns the same point after the first of them
+        ys = (-2.051859747973874, -7.291096590281841, -2.866503421201877)
+        x = SQUARE.validate_point((0.5354116880647415, 0.48049394234622655))
+        funcs = self._quick_c10_funcs()  # full c10 builds the same coordinates
+        target = self._target(funcs, ys)
+        terms = [_compile(t, SQUARE, False) for t in target.terms]
+        vals = [term(x) for term in terms]
+        walks = []
+        walk = PolygonSpace._walk
+        monkeypatch.setattr(PolygonSpace, "_walk",
+                            lambda *args: walks.append(1) or walk(*args))
+        end, value = concavity_tight._ascend(SQUARE, target, terms, x, vals, ((0.5, 0.5), 0.05))
+        assert (end, value) == (x, min(vals)) and value == 0.0
+        assert len(walks) <= 30
+
+    @staticmethod
+    def _scan(funcs, ys, region):
+        """Best value of min_i (f_i - y_i) on a 21 x 21 grid zoomed 14 times
+        by 5 about its best point, down to a spacing of 8e-12."""
+        best, (cx, cy), half = -math.inf, region[0], 2.0 * region[1]
+        for _ in range(14):
+            offsets = np.linspace(-half, half, 21)
+            for x in cx + offsets:
+                for y in cy + offsets:
+                    v = min(evaluate(f, SQUARE, (x, y)) - yi for f, yi in zip(funcs, ys))
+                    if v > best:
+                        best, top = v, (x, y)
+            (cx, cy), half = top, half / 5.0
+        return best
+
     def test_value_no_lower_than_a_grid_scan(self):
         # the scan zooms a 21 x 21 grid 14 times by 5 about its best point,
         # down to a spacing of 8e-12: its best is a value of min_i (f_i - y_i)
@@ -351,19 +443,6 @@ class TestLocator:
                     for _ in range(36)]
         grid_vals = [tuple(evaluate(f, SQUARE, x) for f in funcs) for x in grid_pts]
 
-        def scan(ys):
-            best, (cx, cy), half = -math.inf, region[0], 2.0 * region[1]
-            for _ in range(14):
-                offsets = np.linspace(-half, half, 21)
-                for x in cx + offsets:
-                    for y in cy + offsets:
-                        v = min(evaluate(f, SQUARE, (x, y)) - yi
-                                for f, yi in zip(funcs, ys))
-                        if v > best:
-                            best, top = v, (x, y)
-                (cx, cy), half = top, half / 5.0
-            return best
-
         for k in range(4):
             i, j = rng.integers(0, len(grid_vals), size=2)
             t = rng.random()
@@ -372,4 +451,4 @@ class TestLocator:
                 ys = grid_vals[i]
             _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region,
                                                    grid_pts, grid_vals)
-            assert value >= scan(ys) - 1e-9
+            assert value >= self._scan(funcs, ys, region) - 1e-9

@@ -32,7 +32,6 @@ from alexgeo.functions import (
     evaluate,
     evaluate_each,
     scale,
-    validate_simple,
 )
 from alexgeo.flow import gradient
 from alexgeo.tangent import (GradientError, combine_affine, combine_min, constant_directional,
@@ -272,16 +271,6 @@ class TestEval:
             for sheet in (0, 1):
                 got = evaluate(BoundaryDist(), double, double.lift(x, sheet))
                 assert got == pytest.approx(want, abs=1e-12)
-
-    def test_theta_grammar(self):
-        ok = MinExpr(terms=(
-            Affine(weights=(1.0, 2.0), terms=(DistSq(q=(0, 0)), DistSq(q=(1, 0)))),
-            DistSq(q=(0.5, 0.5)),
-        ))
-        assert validate_simple(ok)
-        bad = Affine(weights=(-1.0,), terms=(DistSq(q=(0, 0)),))
-        assert not validate_simple(bad)
-        assert not validate_simple(Dist(q=(0, 0)))
 
 
 class TestCompiledEvaluation:

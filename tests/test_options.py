@@ -298,32 +298,37 @@ KEPT = ["src/alexgeo/functions.py::ensure_certificate", "src/alexgeo/tangent.py:
 
 def unnamed_definitions():
     """Top-level functions and classes of src/alexgeo that no code in src/ or
-    perfbench/ names.
+    perfbench/ names, outside their own definitions.
 
-    A name counts as an AST name, an attribute or an imported name, its
-    own definition's body included, or as a string (split at dots and
-    commas) of an ``__all__`` list or of the tracer's ``LAYERS`` table.
-    Docstrings do not count.
+    A name counts as an AST name, an attribute or an imported name, or as
+    a string (split at dots and commas) of the tracer's ``LAYERS`` table.
+    A definition's own body does not name it, so recursion alone does not
+    keep it, and neither do ``__all__`` lists or docstrings.
     """
-    named = set()
-    for _, tree in _trees([ROOT / "src", ROOT / "perfbench"]):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name.rsplit(".", 1)[-1])
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id in ("__all__", "LAYERS")
-                    for t in node.targets):
-                named.update(part for c in ast.walk(node.value)
+    named = {}  # name -> the (file, top-level definition) scopes naming it
+    for path, tree in _trees([ROOT / "src", ROOT / "perfbench"]):
+        for top in tree.body:
+            scope = (path, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.alias):
+                    names = [node.name.rsplit(".", 1)[-1]]
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+                    names = [part for c in ast.walk(node.value)
                              if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                             for part in re.split(r"[.,]", c.value))
+                             for part in re.split(r"[.,]", c.value)]
+                else:
+                    continue
+                for name in names:
+                    named.setdefault(name, set()).add(scope)
     return sorted(f"{path.relative_to(ROOT).as_posix()}::{d.name}"
                   for path, tree in _trees([LIBRARY]) for d in tree.body
                   if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and d.name not in named)
+                  and not named.get(d.name, set()) - {(path, d.name)})
 
 
 def test_every_library_definition_is_named_outside_the_tests():

@@ -22,7 +22,6 @@ from alexgeo.spaces import (
     SpaceError,
     build_doubling,
     load_space,
-    log_map,
     parse_angle,
     random_convex_polygon,
     regular_tetrahedron,
@@ -141,11 +140,6 @@ class TestConeMetric:
         p, q = (1.0, 0.0), (1.0, (2 * math.pi - 1e-6) / 2.0)
         dirs = c.directions_to(p, q)
         assert len(dirs) == 2
-
-    def test_log_map(self):
-        c = ConeSpace(2 * math.pi)
-        v = log_map(c, (1.0, 0.0), (1.0, math.pi / 2))
-        assert v.norm == pytest.approx(math.sqrt(2))
 
 
 SPHERE = DoubledCap(CapSpace(math.pi / 2))  # the round sphere
@@ -771,14 +765,13 @@ class TestSpaceInterface:
 
     @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
     def test_direction_to_itself(self, name):
-        # the zero vector of log_map still reads a chart angle from dirs[0]
+        # a point has a direction to itself, a chart angle to read
         space = INTERFACE_SPACES[name]()
         rng = np.random.default_rng(24)
         points = [space.random_point(rng) for _ in range(3)]
         points += [p for p, _ in space.cone_points() + space.corners()]
         for p in points:
             assert space.directions_to(p, p)
-            assert log_map(space, p, p).norm == 0.0
 
 
 MESH_ENTRIES = {
@@ -814,7 +807,7 @@ class TestMeshValidation:
             MESH_ENTRIES[entry](mesh, bad, good)
 
     def test_entries_above_the_space_take_the_tuple_form(self):
-        # gradient, differential and log_map validate p before reading it
+        # gradient and differential validate p before reading it
         from alexgeo.flow import gradient
         from alexgeo.functions import Dist, differential
 
@@ -823,8 +816,6 @@ class TestMeshValidation:
         raw, point = (0, (0.2, 0.3, 0.5)), MeshPoint(0, (0.2, 0.3, 0.5))
         assert gradient(expr, mesh, raw) == gradient(expr, mesh, point)
         assert differential(expr, mesh, raw)(0.7) == differential(expr, mesh, point)(0.7)
-        assert log_map(mesh, raw, (2, (0.1, 0.1, 0.8))) == \
-            log_map(mesh, point, MeshPoint(2, (0.1, 0.1, 0.8)))
 
 
 MESH_BAD_POINTS = [MeshPoint(99, (0.2, 0.3, 0.5)), MeshPoint(0, (0.5, 0.6, -0.1)),
