@@ -271,12 +271,14 @@ def _ridge_top(sigma, diffs, vals, gi, gj):
 
 
 def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
-    """Secant steps along the ridge of two coordinates from x, a point
-    where the min's differential (on the direction space sigma, from the
+    """Secant steps along the ridge of two coordinates from x, where the
+    min's differential (on the direction space sigma, from the
     coordinates' differentials diffs) rises most along the direction u.
 
-    The ridge is f_i = f_j for the two coordinates lowest along u.  Each
-    step reads the linear differentials of the pair, gradients gi and gj
+    The ridge is f_i = f_j for the two coordinates lowest along u among
+    those within 1e-9 of the least value: all three at the agreement
+    point of `_newton_step`, where `_argmax_min` calls it.  Each step
+    reads the linear differentials of the pair, gradients gi and gj
     (`_linear`), and walks once along h t + c: t is the unit tangent of
     the ridge (normal to n = gi - gj), oriented as the ridge was followed
     so far, h the secant step that zeroes the exact ridge slope <gi, t>
@@ -285,9 +287,9 @@ def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
     secant: it walks to the best probe of the ray ascent's value-only
     bracket along t (`_bracket`), or, when no probe of it gains, to its
     nearest probe beyond the top, unless the ridge certificate
-    (`_ridge_top`) already holds at x.  Directions at two points are compared only through the
-    walk's arrival direction, since a chart's angle coordinate may turn
-    from point to point.
+    (`_ridge_top`) already holds at x.  Directions at two points are
+    compared only through the walk's arrival direction, since a chart's
+    angle coordinate may turn from point to point.
 
     The steps stop when the next is shorter than 1e-13: x is the top if
     the ridge certificate holds there, and is refused otherwise.  A
@@ -298,8 +300,6 @@ def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
     certified): the certified top, or else the best point seen.
     """
     band = [k for k, v in enumerate(vals) if v <= min(vals) + 1e-9]
-    if len(band) < 2:
-        return x, vals, False
     i, j = sorted(band, key=lambda k: diffs[k](u))[:2]
     best = (x, vals)
     ahead = u  # the direction the ridge is followed along, in x's chart
