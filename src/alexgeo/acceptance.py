@@ -294,6 +294,7 @@ def _c09_inf_convolution(quick):
     f = scale(-0.5, DistSq(q=q))
     n_grid = 12 if quick else 50
     worst = 0.0
+    slopes = []  # each query's end slope, inf where it fell back to the compass
     for eps in (1.0, 0.5):
         ic = InfConvolution(f, plane, eps, lip_hint=4.0)
         for gx in np.linspace(-1.0, 2.0, n_grid):
@@ -305,7 +306,10 @@ def _c09_inf_convolution(quick):
                 xs = (2 * yx - eps * qx) / (2 - eps)
                 exact = float(-0.5 * np.sum((xs - qx) ** 2)
                               + np.sum((xs - yx) ** 2) / eps)
-                worst = max(worst, abs(ic.query(y).value - exact))
+                res = ic.query(y)
+                slopes.append(res.slope)
+                worst = max(worst, abs(res.value - exact))
+    left = sum(math.isinf(s) for s in slopes)
     # concavity defect on the curved cap, measured against the function's
     # own worst second difference (the +delta of the smoothing estimate)
     cap = CapSpace(0.8)
@@ -317,12 +321,21 @@ def _c09_inf_convolution(quick):
     defects = []
     for eps in (0.1, 0.05, 0.01):
         fe = InfConvolution(BoundaryDist(), cap, eps, lip_hint=1.5)
-        rep = check_concavity(fe, cap, 0.0, region, n_geodesics=n_geo,
+
+        def value(space, y):  # called within this round, so fe is this eps's
+            res = fe.query(y)
+            slopes.append(res.slope)
+            return res.value
+
+        rep = check_concavity(value, cap, 0.0, region, n_geodesics=n_geo,
                               n_samples=9, seed=112, tol=math.inf)
         defects.append(max(rep.worst_margin - base, 0.0))
     rise = max(b - a for a, b in zip(defects, defects[1:]))
     return [Margin("grid error vs closed form", worst, 1e-6, "<="),
-            Margin("concavity defects' largest rise", rise, 1e-9, "<=")]
+            Margin("concavity defects' largest rise", rise, 1e-9, "<="),
+            Margin("plane queries left to the compass", left, 0, "<="),
+            Margin("worst certified end slope",
+                   max((s for s in slopes if not math.isinf(s)), default=0.0), 1e-9, "<=")]
 
 
 def _c10_tight_maps(quick):

@@ -40,6 +40,7 @@ from .verdict import Margin
 from .tangent import (
     TWO_PI,
     GradientError,
+    _linear,
     combine_min,
     directional_sup,
     gradient_from_directional,
@@ -219,16 +220,6 @@ def _min_differential(sigma, diffs, vals):
     value, as `MinExpr._differential` forms it."""
     vmin = min(vals)
     return combine_min(sigma, [d for d, v in zip(diffs, vals) if v <= vmin + 1e-9])
-
-
-def _linear(d):
-    """(a, b) with d(xi) = a cos xi + b sin xi when d is one sinusoid with
-    no constant on the 2 pi circle, the differential of a smooth function
-    at a regular point; else None."""
-    if d.sigma.is_arc or d.sigma.length != TWO_PI or len(d.pieces) != 1:
-        return None
-    R, psi, C = d.pieces[0]
-    return (R * math.cos(psi), R * math.sin(psi)) if C == 0.0 else None
 
 
 def _newton_step(vals, diffs):

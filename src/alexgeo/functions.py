@@ -35,6 +35,7 @@ from . import model_plane
 from .spaces.base import REFUSED, SpaceError, libm
 from .tangent import (
     DirectionalFn,
+    _linear,
     combine_affine,
     combine_min,
     cos_tail_directional,
@@ -85,17 +86,23 @@ class _DistanceLeaf(Expr):
     """
 
     def _differential(self, space, p, sigma):
-        """-phi'(|pq|) cos angle(xi, up_p^q), min over the directions to q.
-
-        Within 1e-12 of q it is the constant phi'(0).  q is validated once
-        per space, and d is read from p, so that a mesh answers the distance
-        and the directions from one search.
-        """
+        """The first variation formula (`_first_variation`); q is validated
+        once per space."""
         q = _memo(self, "_valid_q", space, lambda: space.validate_point(self.q))
-        d = space._distance(p, q)
-        if d <= 1e-12:
-            return constant_directional(sigma, self.dphi(0.0))
-        return cos_tail_directional(sigma, self.dphi(d), space._directions_to(p, q))
+        return _first_variation(space, p, q, sigma, self.dphi)
+
+
+def _first_variation(space, p, q, sigma, dphi):
+    """d_p(phi o dist_q) = -phi'(|pq|) cos angle(xi, up_p^q), min over the
+    directions to q, for validated points p and q and the slope dphi = phi'.
+
+    Within 1e-12 of q it is the constant phi'(0).  d is read from p, so
+    that a mesh answers the distance and the directions from one search.
+    """
+    d = space._distance(p, q)
+    if d <= 1e-12:
+        return constant_directional(sigma, dphi(0.0))
+    return cos_tail_directional(sigma, dphi(d), space._directions_to(p, q))
 
 
 @dataclass(frozen=True)
@@ -419,28 +426,62 @@ class InfConvResult:
     value: float
     argmin: object
     in_domain: bool
+    slope: float  # |grad| of the objective at argmin where certified, else inf
+
+
+# The descent's stationarity certificate.  Near its minimizer the
+# objective is mu-convex, mu = 2 / eps - 1 for -d_q^2 / 2 on the plane,
+# so a point where |grad| is at most this lies at most |grad|^2 / 2 mu
+# above the minimum: 5e-19 where mu >= 1.
+_STATIONARY = 1e-9
+_DESCENT_WALKS = 12  # walks before a query falls back; twice the cap's worst of 6
+
+
+def _twice(d):
+    """The slope of d^2, as `DistSq.dphi` gives it."""
+    return 2.0 * d
 
 
 class InfConvolution:
-    """f_eps(y) = min_x f(x) + d(x, y)^2 / eps by sampled local minimization.
+    """f_eps(y) = min_x f(x) + d(x, y)^2 / eps by certified exact descent.
 
-    A query scans four stencils of 16 rays by 8 radii, the first about y
-    and each later one about the best point so far on a radius 8 times
-    smaller; the first time a scan's best point lies on its rim, the
-    next scan keeps the centre and doubles the radius instead.  Each
-    stencil is one batched `_walks` call from its centre.  Each ray
-    stops at its first event or refused walk, and the walk ends that a
-    walk-by-walk scan would read get one call of f's many-point closure
-    and one `_distances` call to y; the scan then reads their values in
-    stencil order.  A sequential compass polish of scalar walks then
-    pins the minimizer below the stencil's spacing: each round walks 8
-    directions at one step from the best point so far, a round with no
-    gain shrinks the step by 0.35, and three gaining rounds in a row
-    double it, never above the step it started with, so that the polish
-    does not crawl along a valley at a step it shrank too far.  The
-    polish reads the objective from one closure per query
+    A query runs in three stages.
+    - Domain scan: one stencil of 16 rays by 8 radii about y (`_scan`),
+      one batched `_walks` call; when its best point lies on its rim, it
+      runs once more on twice the radius, and `in_domain` is False when
+      that scan's best point lies on its rim too.
+    - Descent (`_descend`) from the scan's best point.  At each point it
+      reads the objective's exact differential: f's chain rule plus the
+      first variation of d(., y)^2 / eps, combined by `combine_affine`.
+      Where it is linear (`_linear`) it gives the gradient G, and the
+      descent walks once along -G a distance |G| / c, capped at the
+      domain scan's radius.  c is 2 / eps on the first step and then a
+      secant of the exact slope along the last step, the two-point step
+      size of Barzilai and Borwein (1988); the end slope is read along
+      the walk's arrival direction, since a chart's angle coordinate may
+      turn from point to point.  A step is accepted on exact slopes, not
+      on values, which round long before |G| reaches 1e-9 where 2 / eps
+      is large: its end slope must lie below |G|, so that the secant is
+      convex and the trapezoid rule's value change is negative.  The
+      query is certified, and returns at once, when |G| is at most
+      `_STATIONARY`; `slope` holds that |G|.
+    - Fallback, where the descent does not certify: at a point whose
+      differential is not linear (the apex, a boundary arc, the cut
+      locus of y or a kink of f), at a walk event or a refused walk, on a
+      step that fails the slope test, or after `_DESCENT_WALKS` walks.
+      Stencils about the best point so far, each on a radius 8 times
+      smaller, refine the domain scan's state, four stencils in all
+      (three after one domain stencil, two after a doubled one); then a
+      sequential compass polish of scalar walks (`_polish`) pins the
+      minimizer below their spacing.  The query returns the lower of that result
+      and the lowest point of the descent, with `slope` inf.
+
+    Each stencil ray stops at its first event or refused walk, and the
+    walk ends that a walk-by-walk scan would read get one call of f's
+    many-point closure and one `_distances` call to y.  The descent and
+    the polish read the objective from one closure per query
     (`_objective`), which holds f's one-point closure.  On a cap, the
-    stencil's and the polish's walks are nearly all too short to reach
+    stencils' and the polish's walks are nearly all too short to reach
     the boundary, and those skip the crossing solve (see
     `CapSpace._walks`).
     """
@@ -464,44 +505,115 @@ class InfConvolution:
         return lambda x: f(x) + dist(x, y) ** 2 / eps
 
     def query(self, y) -> InfConvResult:
-        space = self.space
-        f = _compile(self.expr, space, True)
-        y = space.validate_point(y)
+        y = self.space.validate_point(y)
         obj = self._objective(y)
-        best_x, best_v = y, obj(y)
-        center, radius = y, self.search_radius
-        expanded = False
+        best, radius = (obj(y), y), self.search_radius
+        best, rim = self._scan(y, y, radius, best)
+        doubled = rim
+        if doubled:
+            radius *= 2.0
+            best, rim = self._scan(y, y, radius, best)
+        v, x, slope = self._descend(y, obj, best, radius)
+        if slope <= _STATIONARY:
+            return InfConvResult(v, x, not rim, slope)
+        for _ in range(2 if doubled else 3):  # four stencils in all
+            radius /= 8.0
+            best, _ = self._scan(y, best[1], radius, best)
+        best = self._polish(obj, best, max(radius / 8.0, 1e-6))
+        if v < best[0]:
+            best = (v, x)
+        return InfConvResult(*best, not rim, math.inf)
+
+    def _scan(self, y, center, radius, best):
+        """One stencil of 16 rays by 8 radii about center, one batched
+        `_walks` call, against best = (value, point) so far.
+
+        Returns the best (value, point) and whether the stencil found a new
+        best point, lying on its rim.
+        """
+        space = self.space
         n_angles, n_radii = 16, 8
-        rays = np.arange(n_angles) + 0.5
-        steps = np.arange(1, n_radii + 1)
-        for _ in range(4):  # a scan, then three on a radius n_radii times smaller
-            angles = space.sigma_at(center).length * rays / n_angles
-            ends, events = space._walks(center, np.repeat(angles, n_radii),
-                                        np.tile(radius * steps / n_radii, n_angles))
-            read = []  # each ray outward, to its first event or refused walk
-            for j0 in range(0, n_angles * n_radii, n_radii):
-                for j in range(j0, j0 + n_radii):
-                    if events[j] == REFUSED:
-                        break
-                    read.append(j)
-                    if events[j] is not None:
-                        break
-            xs = [ends[j] for j in read]
-            vals = (f(xs) + space._distances(xs, y) ** 2 / self.eps).tolist()
-            hit_rim = False
-            for j, v in zip(read, vals):
-                if v < best_v - 1e-15:
-                    best_v, best_x = v, ends[j]
-                    hit_rim = j % n_radii == n_radii - 1
-            if hit_rim and not expanded:
-                radius *= 2.0
-                expanded = True
-                continue
-            center = best_x
-            radius /= float(n_radii)
-        # compass polish to pin the minimizer below discretization error
-        top = step = max(radius, 1e-6)
-        streak = 0  # rounds in a row that improved
+        angles = space.sigma_at(center).length * (np.arange(n_angles) + 0.5) / n_angles
+        ends, events = space._walks(center, np.repeat(angles, n_radii),
+                                    np.tile(radius * np.arange(1, n_radii + 1) / n_radii,
+                                            n_angles))
+        read = []  # each ray outward, to its first event or refused walk
+        for j0 in range(0, n_angles * n_radii, n_radii):
+            for j in range(j0, j0 + n_radii):
+                if events[j] == REFUSED:
+                    break
+                read.append(j)
+                if events[j] is not None:
+                    break
+        xs = [ends[j] for j in read]
+        vals = (_compile(self.expr, space, True)(xs)
+                + space._distances(xs, y) ** 2 / self.eps).tolist()
+        rim = False
+        for j, v in zip(read, vals):
+            if v < best[0] - 1e-15:
+                best, rim = (v, ends[j]), j % n_radii == n_radii - 1
+        return best, rim
+
+    def _gradient(self, y, x):
+        """The objective's gradient (a, b) at x, in x's chart, where its exact
+        differential is linear (`_linear`); None where it is not, or where f
+        has no differential."""
+        space = self.space
+        sigma = space.sigma_at(x)
+        try:
+            df = _chain_rule(self.expr, space, x, sigma)
+        except ExprError:
+            return None
+        return _linear(combine_affine(sigma, [
+            (1.0, df), (1.0 / self.eps, _first_variation(space, x, y, sigma, _twice))]))
+
+    def _descend(self, y, obj, start, radius):
+        """The exact descent of the class docstring from start = (value,
+        point), each step at most radius long.
+
+        Returns (value, point, |G|) at the certified point, or else the
+        lowest (value, point) seen and inf.
+        """
+        space = self.space
+        v, x = lowest = start
+        g = self._gradient(y, x)
+        c = 2.0 / self.eps
+        for _ in range(_DESCENT_WALKS):
+            if g is None:
+                break
+            norm = math.hypot(*g)
+            if norm <= _STATIONARY:
+                return v, x, norm
+            length = min(norm / c, radius)
+            try:
+                w = space._walk(x, math.atan2(-g[1], -g[0]), length)
+            except SpaceError:
+                break
+            g = self._gradient(y, w.end) if w.event is None else None
+            if g is None:
+                break
+            ahead = w.sigma.forward_of_back(w.back_angle)
+            end_slope = g[0] * math.cos(ahead) + g[1] * math.sin(ahead)
+            if not -norm < end_slope < norm:
+                break
+            c = (end_slope + norm) / length
+            x, v = w.end, obj(w.end)
+            if v < lowest[0]:
+                lowest = (v, x)
+        return *lowest, math.inf
+
+    def _polish(self, obj, best, top):
+        """Compass polish from best = (value, point), starting at the step top.
+
+        Each round walks 8 directions at one step from the best point so
+        far; a round with no gain shrinks the step by 0.35, and three
+        gaining rounds in a row double it, never above top, so that the
+        polish does not crawl along a valley at a step it shrank too far.
+        It stops when the step falls to 1e-9.
+        """
+        space = self.space
+        best_v, best_x = best
+        step, streak = top, 0  # streak: rounds in a row that improved
         while step > 1e-9:
             improved = False
             sig = space.sigma_at(best_x)
@@ -520,8 +632,7 @@ class InfConvolution:
                 step *= 0.35
             elif streak == 3:
                 step, streak = min(2.0 * step, top), 0
-        in_domain = not (expanded and hit_rim)
-        return InfConvResult(best_v, best_x, in_domain)
+        return best_v, best_x
 
     def __call__(self, space, p):
         return self.query(p).value

@@ -165,6 +165,16 @@ def combine_affine(sigma: SigmaDesc, parts) -> DirectionalFn:
     return DirectionalFn(sigma, breaks, pieces, single)
 
 
+def _linear(d):
+    """(a, b) with d(xi) = a cos xi + b sin xi when d is one sinusoid with
+    no constant on the 2 pi circle, the differential of a smooth function
+    at a regular point; else None."""
+    if d.sigma.is_arc or d.sigma.length != TWO_PI or len(d.pieces) != 1:
+        return None
+    R, psi, C = d.pieces[0]
+    return (R * math.cos(psi), R * math.sin(psi)) if C == 0.0 else None
+
+
 def _lifts(x, lo, hi):
     """The angles x + 2 pi k inside the open interval (lo, hi)."""
     x += TWO_PI * math.ceil((lo - x) / TWO_PI)

@@ -14,6 +14,7 @@ JOINED = {
     4: ["max value-drop increase", "probe comparison-angle decrease",
         "probe separation from the geodesic"],
     8: ["|grad dist_boundary| floor on its collar"],
+    9: ["plane queries left to the compass", "worst certified end slope"],
     11: ["extend/chop chop found", "extend/chop |extension atom|",
          "extend/chop lemma applies", "extend/chop lemma margin"],
 }

@@ -43,60 +43,46 @@ SQUARE = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def scalar_inf_convolution_oracle(ic, y):
-    """`InfConvolution.query` as a walk-by-walk scan: one `_walk` and one
+    """`InfConvolution.query` with walk-by-walk scans: one `_walk` and one
     objective per stencil point, each ray stopped at its first event or
-    refused walk, then the same compass polish."""
+    refused walk; the descent and the compass polish are the library's."""
     space = ic.space
     y = space.validate_point(y)
     obj = ic._objective(y)
-    best_x, best_v = y, obj(y)
-    center, radius = y, ic.search_radius
-    expanded = False
-    n_angles, n_radii = 16, 8
-    for _ in range(4):
+
+    def scan(center, radius, best):
         sig = space.sigma_at(center)
         hit_rim = False
-        for i in range(n_angles):
-            ang = sig.length * (i + 0.5) / n_angles
-            for k in range(1, n_radii + 1):
-                r = radius * k / n_radii
+        for i in range(16):
+            ang = sig.length * (i + 0.5) / 16
+            for k in range(1, 9):
                 try:
-                    w = space._walk(center, ang, r)
+                    w = space._walk(center, ang, radius * k / 8)
                 except SpaceError:
                     break
                 v = obj(w.end)
-                if v < best_v - 1e-15:
-                    best_v, best_x = v, w.end
-                    hit_rim = k == n_radii
+                if v < best[0] - 1e-15:
+                    best, hit_rim = (v, w.end), k == 8
                 if w.event is not None:
                     break
-        if hit_rim and not expanded:
-            radius *= 2.0
-            expanded = True
-            continue
-        center = best_x
-        radius /= float(n_radii)
-    top = step = max(radius, 1e-6)
-    streak = 0
-    while step > 1e-9:
-        improved = False
-        sig = space.sigma_at(best_x)
-        for k in range(8):
-            ang = sig.length * k / 8.0
-            try:
-                w = space._walk(best_x, ang, step)
-            except SpaceError:
-                continue
-            v = obj(w.end)
-            if v < best_v - 1e-16:
-                best_v, best_x = v, w.end
-                improved = True
-        streak = streak + 1 if improved else 0
-        if not improved:
-            step *= 0.35
-        elif streak == 3:
-            step, streak = min(2.0 * step, top), 0
-    return InfConvResult(best_v, best_x, not (expanded and hit_rim))
+        return best, hit_rim
+
+    best, radius = (obj(y), y), ic.search_radius
+    best, hit_rim = scan(y, radius, best)
+    doubled = hit_rim
+    if doubled:
+        radius *= 2.0
+        best, hit_rim = scan(y, radius, best)
+    v, x, slope = ic._descend(y, obj, best, radius)
+    if slope <= 1e-9:
+        return InfConvResult(v, x, not hit_rim, slope)
+    for _ in range(2 if doubled else 3):
+        radius /= 8.0
+        best, _ = scan(best[1], radius, best)
+    best = ic._polish(obj, best, max(radius / 8.0, 1e-6))
+    if v < best[0]:
+        best = (v, x)
+    return InfConvResult(*best, not hit_rim, math.inf)
 
 
 def interpret(expr, space, p):
@@ -740,6 +726,98 @@ class TestInfConvolution:
         rep = check_concavity(fe, SQUARE, 0.0, ((0.5, 0.5), 0.3),
                               n_geodesics=40, n_samples=9, seed=5, tol=1e-5)
         assert passed(rep.margins())
+
+    @staticmethod
+    def _plane_query(q, eps, lip, gx, gy):
+        ic = InfConvolution(scale(-0.5, DistSq(q=q)), PLANE, eps, lip_hint=lip)
+        return ic, ic.query((math.hypot(gx, gy), math.atan2(gy, gx)))
+
+    def test_in_domain_reads_the_domain_scan(self):
+        # the argmin 2y - q lies 1.12 from y, well inside the search radius
+        # of 6.0; a refining scan whose best point lies on its rim once
+        # doubled the radius of a scan that never ran, and read False here
+        y = PLANE.validate_point((math.hypot(-0.679, 0.577), math.atan2(0.577, -0.679)))
+        ic, res = self._plane_query((0.8, 1.0), 1.0, 4.0, -0.679, 0.577)
+        assert ic.search_radius == 6.0 and res.in_domain
+        assert PLANE.distance(res.argmin, y) == pytest.approx(1.115, abs=1e-3)
+        # negative control: the same argmin lies beyond the doubled radius
+        # of 0.3, so the domain scan's best point is on its rim; the
+        # descent still reaches the argmin, and certifies it
+        ic, far = self._plane_query((0.8, 1.0), 1.0, 0.1, -0.679, 0.577)
+        assert PLANE.distance(far.argmin, y) > 2.0 * ic.search_radius
+        assert not far.in_domain and far.slope <= 1e-9
+        assert far.value == pytest.approx(res.value, abs=1e-14)
+
+    @staticmethod
+    def _descent_costs(ic, y):
+        """The query's result and the walks and differentials of its descent."""
+        costs = []
+
+        def descend(*args):
+            with mock.patch.object(ic.space, "_walk", wraps=ic.space._walk) as walk, \
+                 mock.patch.object(ic, "_gradient", wraps=ic._gradient) as diff:
+                out = InfConvolution._descend(ic, *args)
+            costs.append((walk.call_count, diff.call_count))
+            return out
+
+        with mock.patch.object(ic, "_descend", side_effect=descend):
+            res = ic.query(y)
+        return res, costs[0]
+
+    def test_plane_queries_certify_within_a_walk_budget(self):
+        # F = -|x - q|^2 / 2 + |x - y|^2 / eps is a quadratic: the first
+        # step at c = 2 / eps undershoots, the secant then reads the exact
+        # curvature 2 / eps - 1, and the second step lands on the argmin.
+        # Measured worst over 400 random queries: 2 walks, 3 differentials;
+        # one of each on top for rounding.
+        rng = np.random.default_rng(41)
+        for k in range(60):
+            q = (0.5 + 0.5 * rng.random(), rng.random() * 2 * math.pi)
+            ic = InfConvolution(scale(-0.5, DistSq(q=q)), PLANE, (1.0, 0.5)[k % 2],
+                                lip_hint=4.0)
+            gx, gy = -1.0 + 3.0 * rng.random(), -1.5 + 3.0 * rng.random()
+            res, (walks, diffs) = self._descent_costs(ic, (math.hypot(gx, gy),
+                                                           math.atan2(gy, gx)))
+            assert res.slope <= 1e-9 and walks <= 3 and diffs <= 4
+
+    def test_cap_queries_certify_within_a_walk_budget(self):
+        # measured worst over 900 random queries of c09's region: 6 walks
+        # and 7 differentials; two of each on top.  The first point is the
+        # eps = 0.01 query on which a value-only step acceptance rounded
+        # before |G| reached 1e-9.
+        cap, rng = CapSpace(0.8), np.random.default_rng(42)
+        for eps in (0.1, 0.05, 0.01):
+            ic = InfConvolution(BoundaryDist(), cap, eps, lip_hint=1.5)
+            ys = [(0.21792319179315697, 0.3487742369849348)]
+            ys += [cap.random_point_near((0.35, 0.0), 0.3, rng) for _ in range(20)]
+            for y in ys:
+                res, (walks, diffs) = self._descent_costs(ic, y)
+                assert res.slope <= 1e-9 and walks <= 8 and diffs <= 9
+
+    def test_an_uncertified_query_ends_no_higher_than_its_descent(self):
+        # the minimizer of -d_q^2 / 2 + d^2 / eps beyond the cut locus of q
+        # on a cone lies on the convex ridge, whose differential is not
+        # linear: the fallback runs, and keeps the lower of its result and
+        # the descent's lowest point
+        cone = ConeSpace(1.5 * math.pi)
+        ic = InfConvolution(scale(-0.5, DistSq(q=(1.0, 0.3))), cone, 0.5, lip_hint=4.0)
+        rng = np.random.default_rng(11)
+        ys = [cone.random_point(rng) for _ in range(60)]
+        fell_back = 0
+        for y in ys:
+            lowest = []
+            descend = ic._descend
+
+            def recorded(*args):
+                lowest.append(descend(*args))
+                return lowest[-1]
+
+            with mock.patch.object(ic, "_descend", side_effect=recorded):
+                res = ic.query(y)
+            if math.isinf(res.slope):
+                fell_back += 1
+                assert res.value <= lowest[0][0]
+        assert fell_back > 0
 
 
 class TestBatchedScan:
