@@ -24,18 +24,19 @@ import numpy as np
 
 from .functions import (
     Affine,
-    MinExpr,
     PhiRC,
-    _chain_rule,
+    _active,
     _compile,
+    _compile_jet,
     _draw_chords,
+    _evaluate_made,
+    _min_differential,
     _second_differences,
     check_concavity,
     differential,
-    evaluate,
-    evaluate_each,
     scale,
 )
+from .spaces.base import walk_length
 from .verdict import Margin
 from .tangent import (
     TWO_PI,
@@ -59,12 +60,12 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
     radius r / 4 about p; raises ConstructionError with a suggested
     larger c when that margin is not strictly negative.
     """
-    p = space.validate_point(p)
+    p, r = space.validate_point(p), walk_length(r)
     sig = space.sigma_at(p)
     qs = []
     for i in range(n_points):
         ang = sig.length * i / n_points
-        w = space.walk(p, ang, r)
+        w = space._walk(p, ang, r)
         if w.event is not None and w.traveled < r - 1e-12:
             raise ConstructionError(
                 f"cannot place a control point at radius {r} in direction {ang}"
@@ -72,7 +73,7 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
         qs.append(w.end)
     terms = tuple(PhiRC(r=r, c=c, q=q) for q in qs)
     expr = Affine(weights=tuple(1.0 for _ in terms), terms=terms)
-    expr = Affine(weights=(1.0,), terms=(expr,), constant=-evaluate(expr, space, p))
+    expr = Affine(weights=(1.0,), terms=(expr,), constant=-_compile(expr, space, False)(p))
     region = (p, 0.25 * r)
     rep = check_concavity(expr, space, 0.0, region, n_geodesics=n_geodesics,
                           n_samples=17, seed=seed, tol=0.0)
@@ -81,7 +82,7 @@ def build_strictly_concave(space, p, r, c, n_points, n_geodesics=60, seed=0):
             f"not strictly concave (margin {rep.worst_margin:.3e}); retry with "
             f"c > {2.0 * c:g}"
         )
-    expr = expr.with_certificate(0.0, p, 0.25 * r, verified=True)
+    expr = expr.with_certificate(p)
     return expr, rep.worst_margin
 
 
@@ -207,19 +208,13 @@ def _ray_top(along, a, b, c):
     return b
 
 
-def _differentials(space, target, x):
-    """The direction space at the point x and the differential of each
-    term of `target` there, the model the locator reads once per point."""
+def _model(space, jets, x):
+    """(x, values, direction space, differentials): each term's value and
+    differential at the point x, from the terms' jets, the model the
+    locator reads once per point it steps from."""
     sigma = space.sigma_at(x)
-    return sigma, [_chain_rule(t, space, x, sigma) for t in target.terms]
-
-
-def _min_differential(sigma, diffs, vals):
-    """The differential of the min of the terms whose differentials and
-    values are given: `combine_min` of those within 1e-9 of the least
-    value, as `MinExpr._differential` forms it."""
-    vmin = min(vals)
-    return combine_min(sigma, [d for d, v in zip(diffs, vals) if v <= vmin + 1e-9])
+    read = [jet(x, sigma) for jet in jets]
+    return x, [v for v, _ in read], sigma, [d for _, d in read]
 
 
 def _newton_step(vals, diffs):
@@ -253,21 +248,23 @@ _RIDGE_WALKS = 12  # secant steps before the ascent takes over
 _RIDGE_SUP = 1e-9
 
 
-def _ridge_top(sigma, diffs, vals, gi, gj):
-    """The ridge certificate at a point: the ridge's two gradients gi and
-    gj are antiparallel and the min's differential is nowhere above
-    `_RIDGE_SUP`."""
+def _ridge_top(model, gi, gj):
+    """The ridge certificate at a point of the given model: the ridge's two
+    gradients gi and gj are antiparallel and the min's differential is
+    nowhere above `_RIDGE_SUP`."""
+    _, vals, sigma, diffs = model
     return (gi[0] * gj[0] + gi[1] * gj[1] < 0.0
-            and directional_sup(_min_differential(sigma, diffs, vals))[0] <= _RIDGE_SUP)
+            and directional_sup(_min_differential(sigma, vals, diffs))[0] <= _RIDGE_SUP)
 
 
-def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
-    """Secant steps along the ridge of two coordinates from x, where the
-    min's differential (on the direction space sigma, from the
-    coordinates' differentials diffs) rises most along the direction u.
+def _ridge(space, jets, terms, model, u, region):
+    """Secant steps along the ridge of two coordinates from the point of
+    the model (`_model`) whose min's differential rises most along the
+    direction u; jets and terms are the coordinates' jets and one-point
+    closures.
 
     The ridge is f_i = f_j for the two coordinates lowest along u among
-    those within 1e-9 of the least value: all three at the agreement
+    the active ones (`_active`): all three at the agreement
     point of `_newton_step`, where `_argmax_min` calls it.  Each step
     reads the linear differentials of the pair, gradients gi and gj
     (`_linear`), and walks once along h t + c: t is the unit tangent of
@@ -287,12 +284,12 @@ def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
     coordinate leaving the pair (another becomes the least), a point that
     is not linear, a secant that is not concave, equal gradients, a walk
     that meets an event or leaves 4 region radii, or `_RIDGE_WALKS` steps
-    without a stop also end them uncertified.  Returns (point, values,
-    certified): the certified top, or else the best point seen.
+    without a stop also end them uncertified.  Returns (model, certified):
+    the model of the certified top, or else of the best point seen.
     """
-    band = [k for k, v in enumerate(vals) if v <= min(vals) + 1e-9]
-    i, j = sorted(band, key=lambda k: diffs[k](u))[:2]
-    best = (x, vals)
+    x, vals, _, diffs = model
+    i, j = sorted(_active(vals), key=lambda k: diffs[k](u))[:2]
+    best = model
     ahead = u  # the direction the ridge is followed along, in x's chart
     last = None  # (ridge slope, tangent step) at the last point
     for _ in range(_RIDGE_WALKS):
@@ -313,8 +310,8 @@ def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
 
             a, b, c = _bracket(along, vals, [d(theta) for d in diffs], region[1], region)
             if b is a:  # no probe gains
-                if _ridge_top(sigma, diffs, vals, gi, gj):
-                    return x, vals, True
+                if _ridge_top(model, gi, gj):
+                    return model, True
                 b = c
             h, w = b[0], b[2]
             vx, vy = h * tx, h * ty
@@ -326,26 +323,23 @@ def _ridge(space, target, terms, x, vals, sigma, diffs, u, region):
             vx, vy = h * tx - r * nx, h * ty - r * ny
         length = math.hypot(vx, vy)
         if length < 1e-13:
-            if _ridge_top(sigma, diffs, vals, gi, gj):
-                return x, vals, True
+            if _ridge_top(model, gi, gj):
+                return model, True
             break
         if length > 4 * region[1]:
             break
         heading = math.atan2(vy, vx)
-        if last is None:
-            vals = b[1]
-        else:
+        if last is not None:
             w = space._walk(x, heading, length)
-            vals = [term(w.end) for term in terms]
-        x = w.end
+        model = _model(space, jets, w.end)
+        x, vals, _, diffs = model
         if min(vals) >= min(best[1]):
-            best = (x, vals)
+            best = model
         if w.event is not None or min(vals) < min(vals[i], vals[j]):
             break
         ahead = w.sigma.forward_of_back(w.back_angle) + theta - heading
         last = (slope, h)
-        sigma, diffs = _differentials(space, target, x)
-    return *best, False
+    return best, False
 
 
 def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
@@ -353,12 +347,14 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     the coordinates agree, secant steps along a ridge of two, and the
     gradient ascent where those do not end.
 
-    At each point the locator reads every coordinate's value and exact
-    differential once (`_differentials`).  With three coordinates whose
-    differentials are all linear (`_linear`: at a regular point of the
-    square or of a cone, on a mesh face), a Newton step walks to where
-    their first-order models agree (`_newton_step`, capped at 4 region
-    radii); the top of a tight map is nearly always such a point.  The
+    At each point it steps from, the locator reads every coordinate's
+    value and exact differential once, from the coordinates' jets
+    (`_model`); probes along a ray read values only.  With three
+    coordinates whose differentials are all linear (`_linear`: at a
+    regular point of the square or of a cone, on a mesh face), a Newton
+    step walks to where their first-order models agree (`_newton_step`,
+    capped at 4 region radii); the top of a tight map is nearly always
+    such a point.  The
     locator stops there on the exact certificate: the min's differential
     is nowhere positive (`directional_sup` <= 0, the top of a concave
     min) and the next step is shorter than 1e-13.  Where the models agree
@@ -371,34 +367,32 @@ def _argmax_min(space, funcs, ys, region, grid_pts, grid_vals):
     after `_NEWTON_WALKS` steps without a stop, `_ascend` climbs from the
     best point seen.  Returns the top and its value.
     """
-    target = MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
-    terms = [_compile(t, space, False) for t in target.terms]  # min of these is `target`
+    target = tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys))  # their min is the target
+    terms = [_compile(t, space, False) for t in target]
+    jets = [_compile_jet(t, space) for t in target]
     best = max(range(len(grid_pts)),
                key=lambda i: min(a - y for a, y in zip(grid_vals[i], ys)))
-    x = grid_pts[best]
-    vals = [term(x) for term in terms]
-    top = (x, vals)  # the best point seen and its values
+    model = top = _model(space, jets, grid_pts[best])  # top: the best point seen
     for _ in range(_NEWTON_WALKS):
-        sigma, diffs = _differentials(space, target, x)
+        x, vals, sigma, diffs = model
         step = _newton_step(vals, diffs)
         if step is None:
             break
         if step[0] < 1e-13:
-            sup, u = directional_sup(_min_differential(sigma, diffs, vals))
+            sup, u = directional_sup(_min_differential(sigma, vals, diffs))
             if sup <= 0.0:
                 return x, min(vals)
             # the models agree at a point that is not the top
-            x, vals, certified = _ridge(space, target, terms, x, vals, sigma, diffs, u, region)
+            model, certified = _ridge(space, jets, terms, model, u, region)
             if certified:
-                return x, min(vals)
-            if min(vals) >= min(top[1]):
-                top = (x, vals)
+                return model[0], min(model[1])
+            if min(model[1]) >= min(top[1]):
+                top = model
             break
-        x = space._walk(x, step[1], min(step[0], 4 * region[1])).end
-        vals = [term(x) for term in terms]
-        if min(vals) >= min(top[1]):
-            top = (x, vals)
-    return _ascend(space, target, terms, *top, region)
+        model = _model(space, jets, space._walk(x, step[1], min(step[0], 4 * region[1])).end)
+        if min(model[1]) >= min(top[1]):
+            top = model
+    return _ascend(space, jets, terms, top, region)
 
 
 def _probe(space, terms, x, angle, t):
@@ -441,13 +435,15 @@ def _bracket(along, vals, slopes, step, region):
     return (a, a, c) if min(c[1]) <= min(a[1]) else (a, c, b)
 
 
-def _ascend(space, target, terms, x, vals, region):
-    """Gradient ascent of the min of `terms` from x, whose values are vals;
-    the first ray probe is one region radius long.
+def _ascend(space, jets, terms, model, region):
+    """Gradient ascent of the min of the coordinates, whose jets and
+    one-point closures are jets and terms, from the point of the model
+    (`_model`); the first ray probe is one region radius long.
 
-    Each round reads the exact gradient of the min (`_min_differential`),
-    the ridge direction of the active coordinates, and searches the ray
-    along it: `_bracket` from the last step's length, then `_ray_top`.
+    Each round reads the exact gradient of the min (`_min_differential`)
+    from the model of its point, the ridge direction of the active
+    coordinates, and searches the ray along it: `_bracket` from the last
+    step's length, then `_ray_top`.
     Each coordinate is smooth, but the min usually tops out at a kink
     where another coordinate becomes active, so the search lands on
     ridges and the ascent can follow thin ones.  Every point probed holds
@@ -464,14 +460,14 @@ def _ascend(space, target, terms, x, vals, region):
     up to its nearest probe beyond the top: each search of the same ray
     would then fail.  Returns the last point and its value.
     """
+    x, vals, sigma, diffs = model
     step = region[1]
     g = w = None
     gain = math.inf  # of the last step
     for _ in range(120):
         if g is None:
-            sigma, diffs = _differentials(space, target, x)
             try:
-                g = gradient_from_directional(_min_differential(sigma, diffs, vals))
+                g = gradient_from_directional(_min_differential(sigma, vals, diffs))
             except GradientError:
                 # the coordinates are strictly concave, so two separated
                 # maximizers of the differential are a numerical tie at
@@ -497,7 +493,8 @@ def _ascend(space, target, terms, x, vals, region):
                                  and _gain_bound(vals, slopes, beyond[0]) <= 1e-15):
                 break
             continue
-        x, vals, w = top[2].end, top[1], top[2]
+        w = top[2]
+        x, vals, sigma, diffs = _model(space, jets, w.end)
         step = max(top[0] * 2.0, 1e-10)
         g = None
     return x, min(vals)
@@ -522,7 +519,7 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
     n_samples = 9
     chords, pts = _draw_chords(space, region, n_geodesics=30, n_samples=n_samples, seed=seed)
     for f in funcs:
-        rep = _second_differences(evaluate_each(f, space, pts), chords, n_samples,
+        rep = _second_differences(_evaluate_made(f, space, pts), chords, n_samples,
                                   lam=0.0, tol=0.0)
         if rep.worst_margin >= 0.0:
             raise ConstructionError(
@@ -530,8 +527,8 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
             )
     grid_pts = [space.random_point_near(center, radius, rng)
                 for _ in range(grid_n * grid_n)]
-    F = lambda x: tuple(evaluate(f, space, x) for f in funcs)
-    values = list(zip(*[evaluate_each(f, space, grid_pts) for f in funcs]))
+    F = lambda x: tuple(_compile(f, space, False)(x) for f in funcs)
+    values = list(zip(*[_evaluate_made(f, space, grid_pts) for f in funcs]))
 
     failures = 0
     for _ in range(n_support):
@@ -547,12 +544,12 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
         y = values[int(rng.integers(0, len(values)))]
         xc, _ = _argmax_min(space, funcs, y, region, grid_pts, values)
         x2, _ = _argmax_min(space, funcs, F(xc), region, grid_pts, values)
-        gf_worst = max(gf_worst, space.distance(xc, x2))
+        gf_worst = max(gf_worst, space._distance(xc, x2))
 
     lo, hi = math.inf, -math.inf
     for _ in range(300):
         i, j = rng.integers(0, len(grid_pts), size=2)
-        d = space.distance(grid_pts[i], grid_pts[j])
+        d = space._distance(grid_pts[i], grid_pts[j])
         if d < 1e-6:
             continue
         dv = math.sqrt(sum((a - b) ** 2 for a, b in zip(values[i], values[j])))

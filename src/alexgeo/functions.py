@@ -4,24 +4,28 @@ Expression trees built from distance leaves closed under monotone
 semiconcave composition, plus the numerical operators on them:
 concavity checking along sampled geodesics and inf-convolution.
 
-Node protocol: each `Expr` node answers two questions about itself.
+Node protocol: each `Expr` node answers two questions about itself,
+each as a closure built once per space and kept on the node (`_compile`,
+`_compile_jet`), so a tree is walked once, not on every call.
 `_lower(space, many)` gives its value, as a closure of one validated
 point or, when many, of a sequence of them, whose values it returns as
-a float array (see `_compile`).  The two forms share every line but the
-distance leaves' kernel, `space._distance(p, q)` or `space._distances(
-points, q)`, each read from the evaluated point, and `MinExpr`'s `min`
-or pairwise `np.minimum`.  On many points a leaf applies its phi to the
-array of distances, in a form that rounds as the scalar phi does, or
-maps the scalar phi over them.
-`_differential(space, p, sigma)` gives its chain rule, the differential
-at a validated point p from its children's.  The leaves phi o dist_q
-(`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share one rule, the first
-variation formula d_p(phi o dist_q)(xi) = -phi'(|pq|) cos angle(xi,
-up_p^q); each gives only its slope `dphi`.
-
-Concavity certificates attached to expressions are hints, never trusted:
-`ensure_certificate` runs `check_concavity` on one before returning its
-constant.
+a float array.  The two forms share every line but the distance leaves'
+kernel, `space._distance(p, q)` or `space._distances(points, q)`, each
+read from the evaluated point, and `MinExpr`'s `min` or pairwise
+`np.minimum`.  On many points a leaf applies its phi to the array of
+distances, in a form that rounds as the scalar phi does, or maps the
+scalar phi over them.
+`_jet(space)` gives its value and its differential together, as a
+closure (p, sigma) -> (value, DirectionalFn) of a validated point p
+whose direction space is sigma: forward-mode differentiation, the
+value by the same arithmetic as the one-point `_lower`, so to the bit.
+The leaves phi o dist_q (`Dist`, `DistSq`, `RhoDist`, `PhiRC`) share
+one jet, which reads `_distance` once and applies the leaf's scalar
+`phi` and, in the first variation formula d_p(phi o dist_q)(xi) =
+-phi'(|pq|) cos angle(xi, up_p^q), its slope `dphi`.  `Affine` sums
+its children's values and combines their differentials in the same
+order; `MinExpr` takes the lower envelope of the differentials of its
+terms within 1e-9 of the least value (`_active`).
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from .tangent import (
     cos_tail_directional,
     constant_directional,
 )
-from .verdict import Margin, line, passed
+from .verdict import Margin
 
 
 class ExprError(ValueError):
@@ -50,27 +54,24 @@ class ExprError(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    lam: float
     center: object
-    radius: float
-    verified: bool = False
 
 
 @dataclass(frozen=True)
 class Expr:
     certificates: tuple = ()
 
-    def with_certificate(self, lam, center, radius, verified=False):
-        cert = Certificate(lam, center, radius, verified)
-        return replace(self, certificates=self.certificates + (cert,))
+    def with_certificate(self, center):
+        return replace(self, certificates=self.certificates + (Certificate(center),))
 
     def _lower(self, space, many):
         """A closure that evaluates this node at a validated point of space,
         or, when many, at each of a sequence of them, as a float array."""
         raise ExprError(f"cannot evaluate {self!r}")
 
-    def _differential(self, space, p, sigma) -> DirectionalFn:
-        """This node's differential at a validated point p with directions sigma."""
+    def _jet(self, space):
+        """A closure (p, sigma) -> (value, differential) of this node at a
+        validated point p of space whose direction space is sigma."""
         raise ExprError(f"cannot differentiate {self!r}")
 
     def __getstate__(self):
@@ -79,27 +80,33 @@ class Expr:
 
 
 class _DistanceLeaf(Expr):
-    """phi o dist_q; a subclass gives the slope phi' as `dphi`.
+    """phi o dist_q; a subclass gives phi on one distance as `phi` and its
+    slope phi' as `dphi`.
 
     It adds methods only, so its subclasses keep their fields, repr,
     equality and hash.
     """
 
-    def _differential(self, space, p, sigma):
-        """The first variation formula (`_first_variation`); q is validated
-        once per space."""
-        q = _memo(self, "_valid_q", space, lambda: space.validate_point(self.q))
-        return _first_variation(space, p, q, sigma, self.dphi)
+    def _jet(self, space):
+        """phi(|pq|) and the first variation formula (`_first_variation`)
+        from one `_distance` read; q is validated once per space."""
+        q, phi, dphi = space.validate_point(self.q), self.phi, self.dphi
+
+        def jet(p, sigma):
+            d = space._distance(p, q)
+            return phi(d), _first_variation(space, p, q, sigma, dphi, d)
+
+        return jet
 
 
-def _first_variation(space, p, q, sigma, dphi):
+def _first_variation(space, p, q, sigma, dphi, d):
     """d_p(phi o dist_q) = -phi'(|pq|) cos angle(xi, up_p^q), min over the
-    directions to q, for validated points p and q and the slope dphi = phi'.
+    directions to q, for validated points p and q, d = `_distance(p, q)`
+    and the slope dphi = phi'.
 
     Within 1e-12 of q it is the constant phi'(0).  d is read from p, so
     that a mesh answers the distance and the directions from one search.
     """
-    d = space._distance(p, q)
     if d <= 1e-12:
         return constant_directional(sigma, dphi(0.0))
     return cos_tail_directional(sigma, dphi(d), space._directions_to(p, q))
@@ -108,6 +115,9 @@ def _first_variation(space, p, q, sigma, dphi):
 @dataclass(frozen=True)
 class Dist(_DistanceLeaf):
     q: object = None
+
+    def phi(self, x):
+        return x
 
     def dphi(self, x):
         return 1.0
@@ -121,17 +131,16 @@ class Dist(_DistanceLeaf):
 class DistSq(_DistanceLeaf):
     q: object = None
 
+    def phi(self, x):
+        return x * x
+
     def dphi(self, x):
         return 2.0 * x
 
     def _lower(self, space, many):
-        dist, q = _metric(space, many), space.validate_point(self.q)
-
-        def value(p):
-            d = dist(p, q)
-            return d * d
-
-        return value
+        """phi is array-ready: x * x."""
+        dist, q, phi = _metric(space, many), space.validate_point(self.q), self.phi
+        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -141,16 +150,18 @@ class RhoDist(_DistanceLeaf):
     kappa: float = 0.0
     q: object = None
 
+    def phi(self, x):
+        return model_plane.rho(self.kappa, x)
+
     def dphi(self, x):
         return model_plane.sigma(self.kappa, x)
 
     def _lower(self, space, many):
         """rho_kappa is not array-ready: on many points it maps over the distances."""
-        dist, q = _metric(space, many), space.validate_point(self.q)
-        rho, kappa = model_plane.rho, self.kappa
+        dist, q, phi = _metric(space, many), space.validate_point(self.q), self.phi
         if many:
-            rho = lambda kappa, d: np.array([model_plane.rho(kappa, x) for x in d.tolist()])
-        return lambda p: rho(kappa, dist(p, q))
+            return lambda points: np.array([phi(x) for x in dist(points, q).tolist()])
+        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -200,9 +211,19 @@ class Affine(Expr):
 
         return value
 
-    def _differential(self, space, p, sigma):
-        return combine_affine(sigma, [(w, _chain_rule(t, space, p, sigma))
-                                      for w, t in zip(self.weights, self.terms)])
+    def _jet(self, space):
+        parts = tuple(zip(self.weights, [_compile_jet(t, space) for t in self.terms]))
+        constant = self.constant
+
+        def jet(p, sigma):
+            v, diffs = constant, []
+            for w, term in parts:
+                tv, td = term(p, sigma)
+                v += w * tv
+                diffs.append((w, td))
+            return v, combine_affine(sigma, diffs)
+
+        return jet
 
 
 @dataclass(frozen=True)
@@ -215,12 +236,40 @@ class MinExpr(Expr):
         least = (lambda vals: functools.reduce(np.minimum, vals)) if many else min
         return lambda p: least([term(p) for term in terms])
 
-    def _differential(self, space, p, sigma):
-        """The lower envelope of the terms within 1e-9 of the least value."""
-        vals = [_compile(t, space, False)(p) for t in self.terms]
-        vmin = min(vals)
-        return combine_min(sigma, [_chain_rule(t, space, p, sigma)
-                                   for t, v in zip(self.terms, vals) if v <= vmin + 1e-9])
+    def _jet(self, space):
+        """The least value and `_min_differential`.  A term with no
+        differential at p (a boundary leaf on a double's seam) raises only
+        where it is active; its value is then read alone."""
+        parts = [(_compile_jet(t, space), _compile(t, space, False)) for t in self.terms]
+
+        def jet(p, sigma):
+            vals, diffs = [], []
+            for term, value in parts:
+                try:
+                    v, d = term(p, sigma)
+                except ExprError as exc:
+                    v, d = value(p), exc
+                vals.append(v)
+                diffs.append(d)
+            for k in _active(vals):
+                if isinstance(diffs[k], ExprError):
+                    raise diffs[k]
+            return min(vals), _min_differential(sigma, vals, diffs)
+
+        return jet
+
+
+def _active(vals):
+    """The indices of the values within 1e-9 of the least: the terms of a
+    min whose differentials make up the min's differential."""
+    vmin = min(vals)
+    return [k for k, v in enumerate(vals) if v <= vmin + 1e-9]
+
+
+def _min_differential(sigma, vals, diffs):
+    """The differential of the min of terms of values vals and differentials
+    diffs: the lower envelope of those of the `_active` terms."""
+    return combine_min(sigma, [diffs[k] for k in _active(vals)])
 
 
 @dataclass(frozen=True)
@@ -233,19 +282,25 @@ class BoundaryDist(Expr):
         bd = space.boundary_dist
         return (lambda points: np.array([bd(p) for p in points], dtype=float)) if many else bd
 
-    def _differential(self, space, p, sigma):
-        """The min of the cos-tails the space gives; sources None is a constant."""
+    def _jet(self, space):
+        """`boundary_dist` and the min of the cos-tails that `boundary_tails`
+        gives; sources None is a constant."""
         if space.boundary_tails is None:
             raise ExprError(f"{space.variant} has no boundary differential")
-        try:
-            tails = space.boundary_tails(p)
-        except SpaceError as exc:  # no differential at p, as on a double's seam
-            raise ExprError(str(exc)) from exc
-        return combine_min(sigma, [
-            constant_directional(sigma, s) if sources is None
-            else cos_tail_directional(sigma, s, sources)
-            for s, sources in tails
-        ])
+        bd, boundary_tails = self._lower(space, False), space.boundary_tails
+
+        def jet(p, sigma):
+            try:
+                tails = boundary_tails(p)
+            except SpaceError as exc:  # no differential at p, as on a double's seam
+                raise ExprError(str(exc)) from exc
+            return bd(p), combine_min(sigma, [
+                constant_directional(sigma, s) if sources is None
+                else cos_tail_directional(sigma, s, sources)
+                for s, sources in tails
+            ])
+
+        return jet
 
 
 def scale(w, term, constant=0.0):
@@ -253,8 +308,8 @@ def scale(w, term, constant=0.0):
 
 
 # -- evaluation ----------------------------------------------------------
-_FORMS = ("_compiled", "_compiled_many")  # the node attribute of each form's closure
-_MEMOS = _FORMS + ("_valid_q",)  # every cache a node keeps, with a leaf's validated q
+_FORMS = ("_compiled", "_compiled_many")  # the node attribute of each value closure
+_MEMOS = _FORMS + ("_compiled_jet",)  # every cache a node keeps, with its jet
 
 
 def _memo(node, key, space, build):
@@ -290,6 +345,14 @@ def _compile(expr, space, many):
     return _memo(expr, _FORMS[many], space, lambda: expr._lower(space, many))
 
 
+def _compile_jet(expr, space):
+    """expr's jet on space (`Expr._jet`), built once per space as `_compile`
+    builds its value closures."""
+    if not isinstance(expr, Expr):
+        raise ExprError(f"cannot differentiate {expr!r}")
+    return _memo(expr, "_compiled_jet", space, lambda: expr._jet(space))
+
+
 def evaluate(expr, space, p):
     """Value at p of an expression tree, or of a callable (space, p) -> value.
 
@@ -306,30 +369,33 @@ def evaluate_each(expr, space, points):
     """`evaluate(expr, space, p)` for each p of points, as a list of floats.
 
     A tree validates each point and makes one call of its many-point
-    closure; a callable is called on each point in order.
+    closure (`_evaluate_made`); a callable is called on each point in order.
     """
     if isinstance(expr, Expr):
-        points = [space.validate_point(p) for p in points]
-        return np.broadcast_to(_compile(expr, space, True)(points), len(points)).tolist()
+        return _evaluate_made(expr, space, [space.validate_point(p) for p in points])
     if callable(expr):
         return [float(expr(space, p)) for p in points]
     raise ExprError(f"cannot evaluate {expr!r}")
 
 
+def _evaluate_made(expr, space, points):
+    """`evaluate_each` on points that the space made (walk ends, samples,
+    geodesic points) or validated: a tree takes them as they are, in one
+    call of its many-point closure; anything else goes to `evaluate_each`."""
+    if isinstance(expr, Expr):
+        return np.broadcast_to(_compile(expr, space, True)(points), len(points)).tolist()
+    return evaluate_each(expr, space, points)
+
+
 # -- differentials --------------------------------------------------------
 def differential(expr, space, p) -> DirectionalFn:
-    """Directional derivative on the direction space at p, by chain rule.
+    """Directional derivative on the direction space at p: the second half
+    of expr's jet.
 
-    p is validated once here; each node's `_differential` takes it as it is.
+    p is validated once here; the jet takes it as it is.
     """
     p = space.validate_point(p)
-    return _chain_rule(expr, space, p, space.sigma_at(p))
-
-
-def _chain_rule(expr, space, p, sigma):
-    if not isinstance(expr, Expr):
-        raise ExprError(f"cannot differentiate {expr!r}")
-    return expr._differential(space, p, sigma)
+    return _compile_jet(expr, space)(p, space.sigma_at(p))[1]
 
 
 # -- concavity checking -----------------------------------------------------
@@ -349,8 +415,9 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
     """Sample geodesics in a ball and test discrete second differences.
 
     Every geodesic is drawn first; then f is evaluated at all their
-    samples at once (`evaluate_each`), and the second differences are
-    read geodesic by geodesic, in the order they were drawn.
+    samples at once (`_evaluate_made`: the space made them), and the
+    second differences are read geodesic by geodesic, in the order they
+    were drawn.
     """
     if n_geodesics < 1:
         raise ValueError(f"concavity check needs at least 1 geodesic, not {n_geodesics}")
@@ -358,7 +425,7 @@ def check_concavity(expr, space, lam, region, n_geodesics=100, n_samples=17,
         raise ValueError(f"concavity check needs at least 3 samples per geodesic "
                          f"for a second difference, not {n_samples}")
     chords, pts = _draw_chords(space, region, n_geodesics, n_samples, seed)
-    return _second_differences(evaluate_each(expr, space, pts), chords, n_samples, lam, tol)
+    return _second_differences(_evaluate_made(expr, space, pts), chords, n_samples, lam, tol)
 
 
 def _draw_chords(space, region, n_geodesics, n_samples, seed):
@@ -370,7 +437,7 @@ def _draw_chords(space, region, n_geodesics, n_samples, seed):
     for _ in range(n_geodesics):
         a = space.random_point_near(center, radius, rng)
         b = space.random_point_near(center, radius, rng)
-        d = space.distance(a, b)
+        d = space._distance(a, b)
         if d < 1e-6:
             continue
         chords.append((a, b, d))
@@ -394,30 +461,6 @@ def _second_differences(values, chords, n_samples, lam, tol):
     if worst == -math.inf:
         worst = 0.0
     return ConcavityReport(tol, float(worst), worst_chord)
-
-
-def ensure_certificate(expr, space, center, radius):
-    """Find or verify a concavity constant on the ball (center, radius);
-    returns lambda.
-
-    A verified certificate whose own ball holds that ball is taken as it
-    stands; otherwise the first certificate's constant is checked there.
-    """
-    certs = getattr(expr, "certificates", ())
-    cert: Certificate
-    for cert in certs:
-        if cert.verified and space.distance(cert.center, center) + radius <= cert.radius:
-            return cert.lam
-    if not certs:
-        raise ExprError("no concavity certificate supplied")
-    cand = certs[0].lam
-    rep = check_concavity(expr, space, cand, (center, radius),
-                          n_geodesics=24, n_samples=9, seed=0, tol=1e-5)
-    if not passed(rep.margins()):
-        raise ExprError(
-            f"concavity certificate lambda={cand} fails: {line(rep.margins())}"
-        )
-    return cand
 
 
 # -- inf-convolution ----------------------------------------------------------
@@ -451,8 +494,9 @@ class InfConvolution:
       runs once more on twice the radius, and `in_domain` is False when
       that scan's best point lies on its rim too.
     - Descent (`_descend`) from the scan's best point.  At each point it
-      reads the objective's exact differential: f's chain rule plus the
-      first variation of d(., y)^2 / eps, combined by `combine_affine`.
+      reads the objective's value and exact differential (`_gradient`): f's
+      jet plus the first variation of d(., y)^2 / eps, combined by
+      `combine_affine`.
       Where it is linear (`_linear`) it gives the gradient G, and the
       descent walks once along -G a distance |G| / c, capped at the
       domain scan's radius.  c is 2 / eps on the first step and then a
@@ -478,9 +522,9 @@ class InfConvolution:
 
     Each stencil ray stops at its first event or refused walk, and the
     walk ends that a walk-by-walk scan would read get one call of f's
-    many-point closure and one `_distances` call to y.  The descent and
-    the polish read the objective from one closure per query
-    (`_objective`), which holds f's one-point closure.  On a cap, the
+    many-point closure and one `_distances` call to y.  The polish reads
+    the objective from one closure per query (`_objective`), which holds
+    f's one-point closure.  On a cap, the
     stencils' and the polish's walks are nearly all too short to reach
     the boundary, and those skip the crossing solve (see
     `CapSpace._walks`).
@@ -513,7 +557,7 @@ class InfConvolution:
         if doubled:
             radius *= 2.0
             best, rim = self._scan(y, y, radius, best)
-        v, x, slope = self._descend(y, obj, best, radius)
+        v, x, slope = self._descend(y, best, radius)
         if slope <= _STATIONARY:
             return InfConvResult(v, x, not rim, slope)
         for _ in range(2 if doubled else 3):  # four stencils in all
@@ -555,19 +599,21 @@ class InfConvolution:
         return best, rim
 
     def _gradient(self, y, x):
-        """The objective's gradient (a, b) at x, in x's chart, where its exact
-        differential is linear (`_linear`); None where it is not, or where f
-        has no differential."""
+        """The objective's value at x and its gradient (a, b) there, in x's
+        chart, where its exact differential is linear (`_linear`), else None;
+        (None, None) where f has no differential.  f's value and differential
+        come from one jet, and d(x, y) from one `_distance` read."""
         space = self.space
         sigma = space.sigma_at(x)
         try:
-            df = _chain_rule(self.expr, space, x, sigma)
+            fv, df = _compile_jet(self.expr, space)(x, sigma)
         except ExprError:
-            return None
-        return _linear(combine_affine(sigma, [
-            (1.0, df), (1.0 / self.eps, _first_variation(space, x, y, sigma, _twice))]))
+            return None, None
+        d = space._distance(x, y)
+        return fv + d ** 2 / self.eps, _linear(combine_affine(sigma, [
+            (1.0, df), (1.0 / self.eps, _first_variation(space, x, y, sigma, _twice, d))]))
 
-    def _descend(self, y, obj, start, radius):
+    def _descend(self, y, start, radius):
         """The exact descent of the class docstring from start = (value,
         point), each step at most radius long.
 
@@ -576,7 +622,7 @@ class InfConvolution:
         """
         space = self.space
         v, x = lowest = start
-        g = self._gradient(y, x)
+        g = self._gradient(y, x)[1]
         c = 2.0 / self.eps
         for _ in range(_DESCENT_WALKS):
             if g is None:
@@ -589,7 +635,7 @@ class InfConvolution:
                 w = space._walk(x, math.atan2(-g[1], -g[0]), length)
             except SpaceError:
                 break
-            g = self._gradient(y, w.end) if w.event is None else None
+            end_v, g = self._gradient(y, w.end) if w.event is None else (None, None)
             if g is None:
                 break
             ahead = w.sigma.forward_of_back(w.back_angle)
@@ -597,7 +643,7 @@ class InfConvolution:
             if not -norm < end_slope < norm:
                 break
             c = (end_slope + norm) / length
-            x, v = w.end, obj(w.end)
+            x, v = w.end, end_v
             if v < lowest[0]:
                 lowest = (v, x)
         return *lowest, math.inf

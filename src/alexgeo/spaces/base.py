@@ -39,7 +39,9 @@ the length, so a caller that holds validated points (its validated
 input, or a walk end, a point of the space by construction) calls the
 kernels and validates no point twice; so do the batch kernels below,
 which `functions.evaluate_each` calls once on points it validated one
-by one.  A walk from a boundary point
+by one, and `functions._evaluate_made` on points the space made.  Such
+points are fixed points of `validate_point`: validating one returns it
+unchanged, of the same type.  A walk from a boundary point
 still raises `SpaceError` for a direction outside its arc.  The point
 helpers (`sigma_at`, `pos2`, `boundary_dist`, the mesh's `classify` and
 `vertex_of_point` and the like) read their point as given.

@@ -151,13 +151,20 @@ def _sum_pieces(terms):
 
 
 def combine_affine(sigma: SigmaDesc, parts) -> DirectionalFn:
-    """Weighted sum of directional functions (constants differentiate away)."""
+    """Weighted sum of directional functions (constants differentiate away).
+
+    Where every part is one piece on [0, L] the sum is one piece, the same
+    `_sum_pieces` of the parts' pieces, with no breakpoint merge."""
     parts = [(w, d) for w, d in parts if w != 0.0]
     if not parts:
         return constant_directional(sigma, 0.0)
-    breaks = _breaks(sigma, [b for _, d in parts for b in d.breaks])
-    pieces = [_sum_pieces([(w, d.piece_at(0.5 * (a + b))) for w, d in parts])
-              for a, b in zip(breaks, breaks[1:])]
+    whole = [0.0, sigma.length]
+    if all(d.breaks == whole for _, d in parts):
+        breaks, pieces = whole, [_sum_pieces([(w, d.pieces[0]) for w, d in parts])]
+    else:
+        breaks = _breaks(sigma, [b for _, d in parts for b in d.breaks])
+        pieces = [_sum_pieces([(w, d.piece_at(0.5 * (a + b))) for w, d in parts])
+                  for a, b in zip(breaks, breaks[1:])]
     single = None
     if len(parts) == 1 and parts[0][1].single is not None:
         s, srcs = parts[0][1].single

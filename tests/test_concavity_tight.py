@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from alexgeo.concavity_tight import (
     tight_check,
     tight_image_study,
 )
-from alexgeo.functions import Dist, DistSq, MinExpr, _compile, check_concavity, evaluate, scale
+from alexgeo.functions import (Certificate, Dist, DistSq, MinExpr, _compile, _compile_jet,
+                               check_concavity, evaluate, scale)
 from alexgeo.tangent import GradientError, directional_sup, gradient_from_directional
 from alexgeo.verdict import passed
 
@@ -26,6 +28,14 @@ class TestStrictlyConcave:
                                               n_geodesics=100, seed=1)
         assert -margin > 0.0
         assert evaluate(expr, PLANE, p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_certificate_holds_the_validated_centre(self):
+        # the benchmark's oracle reads the bump's centre from its certificate
+        expr, _ = build_strictly_concave(SQUARE, [0.5, 0.5], r=0.35, c=60.0, n_points=6,
+                                         n_geodesics=8, seed=1)
+        cert: Certificate
+        cert, = expr.certificates
+        assert cert.center == (0.5, 0.5) and type(cert.center) is tuple
 
     def test_margin_grows_with_c(self):
         p = (1.0, 0.5)
@@ -156,6 +166,28 @@ class TestImageStudy:
                     assert evaluate(f, SQUARE, x) >= chord - 1e-9
 
 
+class TestValidatedOnce:
+    def test_tight_job_of_the_benchmark_shape(self):
+        # three coordinates and their image study, as one `closed_verify`
+        # tight job: each public entry validates its input, and the points
+        # the space made (samples, chord and grid points, walk ends) are
+        # evaluated and measured as they are.  Left: the samplers' and
+        # `geodesic_points`' validation of their arguments (4 per chord,
+        # 1 per grid point) and each leaf's q, once per closure and space
+        square = PolygonSpace([[0, 0], [1, 0], [1, 1], [0, 1]])
+        centers = [(0.5 + 0.08 * math.cos(a), 0.5 + 0.08 * math.sin(a))
+                   for a in (0.4, 0.4 + 2 * math.pi / 3, 0.4 + 4 * math.pi / 3)]
+        with mock.patch.object(square, "validate_point", wraps=square.validate_point) as v:
+            funcs = [build_strictly_concave(square, c, r=0.35, c=60.0, n_points=6,
+                                            n_geodesics=8, seed=873157000)[0]
+                     for c in centers]
+            built = v.call_count
+            tight_image_study(square, funcs, ((0.5, 0.5), 0.05), grid_n=4, n_support=6,
+                              n_gf=2, seed=873157000)
+        assert built == 3 * (1 + 8 * 4 + 6 * 2)
+        assert v.call_count - built == 30 * 4 + 16 + 3 * 6
+
+
 class TestLocator:
     """`_argmax_min`: its cost per call and its value against a scan."""
 
@@ -195,9 +227,9 @@ class TestLocator:
         # an exact ray search lands on the ridge top of this image study;
         # without the ridge-top stop one call zigzags across it for 107
         # gradients on gains of 2e-15.  Each point's gradient is read from
-        # its model, the differentials of the coordinates there, which the
-        # locator reads once per point it steps from
-        per_call = self._count_per_call(monkeypatch, (concavity_tight, "_differentials"))
+        # its model, the values and differentials of the coordinates there,
+        # which the locator reads once per point it steps from
+        per_call = self._count_per_call(monkeypatch, (concavity_tight, "_model"))
         centers = [(0.48906059814734126, 0.42075147012653136),
                    (0.5741009410093232, 0.5301504650301253),
                    (0.43683846084333555, 0.5490980648433433)]
@@ -230,6 +262,10 @@ class TestLocator:
     def _target(funcs, ys):
         return MinExpr(terms=tuple(scale(1.0, f, -y) for f, y in zip(funcs, ys)))
 
+    @staticmethod
+    def _jets(target, space):
+        return [_compile_jet(t, space) for t in target.terms]
+
     def test_model_gradient_is_the_gradient_of_the_min(self):
         # the ascent's gradient, read from the model of a point, against
         # `gradient` of the min on the same point, bit for bit: inside the
@@ -254,15 +290,15 @@ class TestLocator:
             x = space.validate_point(x)
             target = self._target(fs, ys)
             vals = [evaluate(t, space, x) for t in target.terms]
+            _, _, sigma, diffs = concavity_tight._model(space, self._jets(target, space), x)
             try:
                 expected = flow.gradient(target, space, x)
             except GradientError:
                 with pytest.raises(GradientError):
-                    gradient_from_directional(concavity_tight._min_differential(
-                        *concavity_tight._differentials(space, target, x), vals))
+                    gradient_from_directional(
+                        concavity_tight._min_differential(sigma, vals, diffs))
                 continue
-            got = gradient_from_directional(concavity_tight._min_differential(
-                *concavity_tight._differentials(space, target, x), vals))
+            got = gradient_from_directional(concavity_tight._min_differential(sigma, vals, diffs))
             assert (got.norm.hex(), got.angle.hex(), got.sigma) == (
                 expected.norm.hex(), expected.angle.hex(), expected.sigma)
 
@@ -365,7 +401,8 @@ class TestLocator:
         monkeypatch.setattr(concavity_tight, "_ridge",
                             lambda *args: ends.append(ridge(*args)) or ends[-1])
         x, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, grid_pts, grid_vals)
-        assert [(end[0], min(end[1]), end[2]) for end in ends] == [(x, value, True)]
+        assert [(model[0], min(model[1]), certified)
+                for model, certified in ends] == [(x, value, True)]
         (walks, ascents), = per_call
         assert ascents == 0 and walks <= 16
         assert value >= 0.02823557879928451
@@ -382,16 +419,16 @@ class TestLocator:
         fx = tuple(evaluate(f, SQUARE, x) for f in funcs)
         ys, region = (fx[0], fx[1], fx[2] - 1.0), ((0.5, 0.5), 0.05)
         target = self._target(funcs, ys)
-        terms = [_compile(t, SQUARE, False) for t in target.terms]
+        terms, jets = [_compile(t, SQUARE, False) for t in target.terms], self._jets(target, SQUARE)
         vals = [term(x) for term in terms]
-        sigma, diffs = concavity_tight._differentials(SQUARE, target, x)
-        sup, u = directional_sup(concavity_tight._min_differential(sigma, diffs, vals))
+        model = concavity_tight._model(SQUARE, jets, x)
+        sigma, diffs = model[2:]
+        sup, u = directional_sup(concavity_tight._min_differential(sigma, vals, diffs))
         assert 0.0 < sup <= concavity_tight._RIDGE_SUP
         stops, certify = [], concavity_tight._ridge_top
         monkeypatch.setattr(concavity_tight, "_ridge_top",
                             lambda *args: stops.append(certify(*args)) or stops[-1])
-        *_, certified = concavity_tight._ridge(SQUARE, target, terms, x, vals, sigma, diffs,
-                                               u, region)
+        _, certified = concavity_tight._ridge(SQUARE, jets, terms, model, u, region)
         assert not certified and stops and not any(stops)
         _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, [x], [fx])
         assert value >= self._scan(funcs, ys, region) - 1e-15
@@ -407,13 +444,14 @@ class TestLocator:
         x = SQUARE.validate_point((0.5354116880647415, 0.48049394234622655))
         funcs = self._quick_c10_funcs()  # full c10 builds the same coordinates
         target = self._target(funcs, ys)
-        terms = [_compile(t, SQUARE, False) for t in target.terms]
+        terms, jets = [_compile(t, SQUARE, False) for t in target.terms], self._jets(target, SQUARE)
         vals = [term(x) for term in terms]
+        model = concavity_tight._model(SQUARE, jets, x)
         walks = []
         walk = PolygonSpace._walk
         monkeypatch.setattr(PolygonSpace, "_walk",
                             lambda *args: walks.append(1) or walk(*args))
-        end, value = concavity_tight._ascend(SQUARE, target, terms, x, vals, ((0.5, 0.5), 0.05))
+        end, value = concavity_tight._ascend(SQUARE, jets, terms, model, ((0.5, 0.5), 0.05))
         assert (end, value) == (x, min(vals)) and value == 0.0
         assert len(walks) <= 30
 

@@ -27,8 +27,8 @@ from alexgeo.functions import (
     RhoDist,
     check_concavity,
     _compile,
+    _compile_jet,
     differential,
-    ensure_certificate,
     evaluate,
     evaluate_each,
     scale,
@@ -73,7 +73,7 @@ def scalar_inf_convolution_oracle(ic, y):
     if doubled:
         radius *= 2.0
         best, hit_rim = scan(y, radius, best)
-    v, x, slope = ic._descend(y, obj, best, radius)
+    v, x, slope = ic._descend(y, best, radius)
     if slope <= 1e-9:
         return InfConvResult(v, x, not hit_rim, slope)
     for _ in range(2 if doubled else 3):
@@ -277,7 +277,7 @@ class TestCompiledEvaluation:
         before = (hash(tree), repr(tree))
         values = [evaluate(tree, space, p) for p in points]
         assert tree == twin and (hash(tree), repr(tree)) == before == (hash(twin), repr(twin))
-        certified = tree.with_certificate(0.0, (0.5, 0.5), 0.1)
+        certified = tree.with_certificate((0.5, 0.5))
         assert [evaluate(certified, space, p) for p in points] == values
         restored = pickle.loads(pickle.dumps(tree))
         assert restored == tree and [evaluate(restored, space, p) for p in points] == values
@@ -418,15 +418,23 @@ class TestChainRule:
         points = points + [space.random_point(rng) for _ in range(40)]
         raised = 0
         for node in nodes(tree):
+            jet = _compile_jet(node, space)
             for p in points:
+                valid = space.validate_point(p)
                 try:
                     want = reference_differential(node, space, p)
                 except ExprError:
                     with pytest.raises(ExprError):
                         differential(node, space, p)
+                    with pytest.raises(ExprError):
+                        jet(valid, space.sigma_at(valid))
                     raised += 1
                     continue
                 got = differential(node, space, p)
+                assert (got.breaks, got.pieces) == (want.breaks, want.pieces), (node, p)
+                # the jet: the compiled value and the same differential, at once
+                value, got = jet(valid, space.sigma_at(valid))
+                assert value == evaluate(node, space, p), (node, p)
                 assert (got.breaks, got.pieces) == (want.breaks, want.pieces), (node, p)
         # only the boundary leaf on a double's seam has no differential
         assert (raised > 0) == (name == "doubled_square")
@@ -531,8 +539,8 @@ class TestValidatedOnce:
         assert v.call_count == 1
 
     def test_leaf_differential(self):
-        # the leaf keeps its validated q per space, as `_compile` keeps its
-        # closure, and drops it when pickled
+        # the leaf keeps its jet, which holds its validated q, per space, as
+        # `_compile` keeps its closure, and drops it when pickled
         tetra, p = regular_tetrahedron(), MeshPoint(2, (0.3, 0.3, 0.4))
         f = Dist(q=MeshPoint(0, (0.2, 0.3, 0.5)))
         first = differential(f, tetra, p)
@@ -540,8 +548,8 @@ class TestValidatedOnce:
             again = differential(f, tetra, p)
         assert v.call_args_list == [mock.call(p)]
         assert (again.breaks, again.pieces) == (first.breaks, first.pieces)
-        assert "_valid_q" in f.__dict__ and "_valid_q" not in f.__getstate__()
-        assert "_valid_q" not in pickle.loads(pickle.dumps(f)).__dict__
+        assert "_compiled_jet" in f.__dict__ and "_compiled_jet" not in f.__getstate__()
+        assert "_compiled_jet" not in pickle.loads(pickle.dumps(f)).__dict__
 
     def test_leaf_differential_on_a_mesh_runs_one_search(self):
         # the distance and the directions from p to q come from one unfolding
@@ -551,6 +559,30 @@ class TestValidatedOnce:
             differential(Dist(q=MeshPoint(0, (0.2, 0.3, 0.5))), tetra,
                          MeshPoint(2, (0.3, 0.3, 0.4)))
         assert unfold.call_count == 1
+
+    def test_leaf_jet_on_a_mesh_runs_one_search(self):
+        # the jet's value and differential come from that one unfolding too
+        q, p = MeshPoint(0, (0.2, 0.3, 0.5)), MeshPoint(2, (0.3, 0.3, 0.4))
+        want = regular_tetrahedron().distance(p, q)
+        tetra = regular_tetrahedron()
+        f = DistSq(q=q)
+        jet, p = _compile_jet(f, tetra), tetra.validate_point(p)
+        with mock.patch.object(MeshSpace, "_unfold", autospec=True,
+                               side_effect=MeshSpace._unfold) as unfold:
+            value, d = jet(p, tetra.sigma_at(p))
+        assert unfold.call_count == 1
+        assert value == want * want and len(d.pieces) >= 1
+
+    def test_concavity_check_of_an_inf_convolution(self):
+        # 7 queries, each validating its sample once, and 4 validations of
+        # the region's centre and a chord's ends by the public sampler and
+        # `geodesic_points`; the chord's length is read by the kernel
+        cap = CapSpace(0.8)
+        ic = InfConvolution(BoundaryDist(), cap, 0.1, lip_hint=1.5)
+        with mock.patch.object(cap, "validate_point", wraps=cap.validate_point) as v:
+            check_concavity(ic, cap, 0.0, ((0.35, 1.0), 0.25), n_geodesics=1, n_samples=7,
+                            seed=5, tol=math.inf)
+        assert v.call_count == 11
 
     @pytest.mark.parametrize("make, base_point", [
         (lambda: DoubledPolygon(SQUARE), (0.3, 0.2)),
@@ -651,21 +683,6 @@ class TestCheckConcavity:
                 assert (rep.worst_margin, rep.worst_chord) == want
                 assert calls == seen  # the callable ran on the same points, in order
                 del seen[:]
-
-    def test_certificate_flow(self):
-        f = scale(-1.0, DistSq(q=(1.0, 0.0))).with_certificate(-2.0, (1.0, 0.0), 1.0)
-        assert ensure_certificate(f, PLANE, (1.0, 0.0), 0.5) == -2.0
-        bad = Dist(q=(1.0, 0.0)).with_certificate(0.0, (1.0, 0.0), 0.5)
-        with pytest.raises(ExprError):
-            ensure_certificate(bad, PLANE, (1.0, 0.0), 0.5)
-
-    def test_verified_certificate_holds_on_its_own_ball(self):
-        # a verified certificate is trusted on balls inside its own ball;
-        # elsewhere its constant is checked like any other
-        f = Dist(q=(1.0, 0.0)).with_certificate(-1.0, (3.0, 0.0), 0.5, verified=True)
-        assert ensure_certificate(f, PLANE, (3.2, 0.0), 0.25) == -1.0
-        with pytest.raises(ExprError):
-            ensure_certificate(f, PLANE, (1.5, 0.0), 0.25)
 
 
 class TestInfConvolution:

@@ -870,6 +870,32 @@ class TestValidationOnEverySpace:
         with pytest.raises(SpaceError):
             space.random_point_near(p, value, rng)
 
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    def test_points_the_space_makes_are_fixed_points(self, name):
+        # the library evaluates and measures walk ends, samples and
+        # geodesic points with the kernels, unvalidated: validating one
+        # returns it as it is, equal and of the same type
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(35)
+        starts = [space.random_point(rng) for _ in range(16)]
+        starts += [p for p, _ in space.cone_points() + space.corners()]
+        made = []
+        for p in map(space.validate_point, starts):
+            length = space.sigma_at(p).length
+            for _ in range(8):
+                try:
+                    made.append(space._walk(p, rng.random() * length, 1.5 * rng.random()).end)
+                except SpaceError:  # a direction out of a boundary point's arc
+                    pass
+            made += [space.random_point_near(p, 0.5, rng) for _ in range(8)]
+            made += space.geodesic_points(p, space.random_point(rng), 9)
+        assert len(made) >= 16 * 20
+        for x in made:
+            valid = space.validate_point(x)
+            assert valid == x and type(valid) is type(x), x
+            if isinstance(x, tuple):
+                assert [type(c) for c in valid] == [type(c) for c in x], x
+
     @pytest.mark.parametrize("name, p", [("square", (0.5, 0.0)), ("square", (1.0, 1.0)),
                                          ("cap", (0.8, 1.0))],
                              ids=["square-edge-midpoint", "square-corner", "cap-boundary"])
