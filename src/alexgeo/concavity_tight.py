@@ -410,6 +410,13 @@ def _gain_bound(vals, slopes, t):
     return min(v + max(s, 0.0) * t for v, s in zip(vals, slopes)) - min(vals)
 
 
+def _gain_floor(vals):
+    """The least gain of the min of the values that is no rounding: four
+    ulps of the largest value, and never below 1e-15, the floor of values
+    near 0 (which are differences of coordinates near 5, one ulp 8.9e-16)."""
+    return max(1e-15, 4.0 * math.ulp(max(abs(v) for v in vals)))
+
+
 def _bracket(along, vals, slopes, step, region):
     """Bracket of the top of the min of the coordinates along one ray from
     the point of values vals and slopes along the ray (t = 0), whose
@@ -417,7 +424,8 @@ def _bracket(along, vals, slopes, step, region):
 
     A doubling by the golden ratio brackets the top.  When the first probe
     does not rise, a golden shrink looks for one that does, down to 1e-13
-    or to a length over which `_gain_bound` allows no gain above 1e-15.
+    or to a length over which `_gain_bound` allows no gain above
+    `_gain_floor`.
     Returns probes (a, b, c): b is the best, a = b at t = 0 when no probe
     rises, and c is the nearest probe known to lie at or beyond the ray's
     top, None when the min still rises at 4 region radii.
@@ -430,7 +438,7 @@ def _bracket(along, vals, slopes, step, region):
         return (a, b, c) if min(b[1]) >= min(c[1]) else (b, c, None)
     c = b
     while (min(c[1]) <= min(a[1]) and c[0] >= 1e-13
-           and _gain_bound(vals, slopes, c[0]) > 1e-15):
+           and _gain_bound(vals, slopes, c[0]) > _gain_floor(vals)):
         c, b = along(_GOLD * c[0]), c
     return (a, a, c) if min(c[1]) <= min(a[1]) else (a, c, b)
 
@@ -451,14 +459,15 @@ def _ascend(space, jets, terms, model, region):
     again.
 
     The ascent stops when the gradient vanishes (norm < 1e-11) or is a
-    tie, when no step of at least 1e-11 gains more than 1e-15, and on a
-    ridge top: the new gradient turns back on the last step (within pi/2
-    of its back direction) and that step gained < 1e-13.  Without the
-    last stop an exact ray search zigzags across a ridge top on rounding
-    gains.  A ray that gains no more than 1e-15 is searched again from a
-    shorter first probe, unless `_gain_bound` allows no gain above 1e-15
-    up to its nearest probe beyond the top: each search of the same ray
-    would then fail.  Returns the last point and its value.
+    tie, when no step of at least 1e-11 gains more than the values'
+    rounding (`_gain_floor`), and on a ridge top: the new gradient turns
+    back on the last step (within pi/2 of its back direction) and that
+    step gained < 1e-13.  Without the last stop an exact ray search
+    zigzags across a ridge top on rounding gains.  A ray that gains no
+    more than the floor is searched again from a shorter first probe,
+    unless `_gain_bound` allows no gain above the floor up to its nearest
+    probe beyond the top: each search of the same ray would then fail.
+    Returns the last point and its value.
     """
     x, vals, sigma, diffs = model
     step = region[1]
@@ -486,11 +495,11 @@ def _ascend(space, jets, terms, model, region):
         a, top, beyond = _bracket(along, vals, slopes, step, region)
         if top is not a and beyond is not None:
             top = _ray_top(along, a, top, beyond)
-        gain = min(top[1]) - min(vals)
-        if gain <= 1e-15 or top[0] < 1e-13:
+        gain, floor = min(top[1]) - min(vals), _gain_floor(vals)
+        if gain <= floor or top[0] < 1e-13:
             step *= 0.35
             if step < 1e-11 or (beyond is not None
-                                 and _gain_bound(vals, slopes, beyond[0]) <= 1e-15):
+                                 and _gain_bound(vals, slopes, beyond[0]) <= floor):
                 break
             continue
         w = top[2]

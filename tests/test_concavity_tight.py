@@ -433,6 +433,26 @@ class TestLocator:
         _, value = concavity_tight._argmax_min(SQUARE, funcs, ys, region, [x], [fx])
         assert value >= self._scan(funcs, ys, region) - 1e-15
 
+    def test_rounding_is_no_gain(self, monkeypatch):
+        # call 130 of the replayed `closed_verify` locator calls, seeds
+        # 9101-9102: the first support test of job 41 of seed 9101, whose
+        # Newton steps reach an agreement point that is not the top.  From
+        # there, with each y_i lowered by 5 so that the values lie near 5
+        # (one ulp 8.9e-16), the ascent's gains fall 4.7e-3, 2.6e-5, 1.4e-7,
+        # 7.7e-10, 4.3e-12; a floor of 1e-15 took the next, 2.7e-15, as a
+        # gain and read a 7th gradient.  Four ulps of the values end it
+        funcs, ys, region, _, _ = self._replayed_support_call(9101, 41, 0)
+        target = self._target(funcs, tuple(y - 5.0 for y in ys))
+        terms, jets = [_compile(t, SQUARE, False) for t in target.terms], self._jets(target, SQUARE)
+        x = SQUARE.validate_point((0.5474125225649462, 0.5049826934157858))
+        model = concavity_tight._model(SQUARE, jets, x)
+        assert 5.0 < min(model[1]) and max(model[1]) < 5.03
+        reads, read = [], concavity_tight._model
+        monkeypatch.setattr(concavity_tight, "_model", lambda *args: reads.append(1) or read(*args))
+        _, value = concavity_tight._ascend(SQUARE, jets, terms, model, region)
+        assert 1 + len(reads) == 6
+        assert value == pytest.approx(5.0259166278043415, abs=1e-14)
+
     def test_no_gain_proof_ends_early(self, monkeypatch):
         # call 1007 of full c10, a G o F sample: at the parent its Newton
         # steps reach an agreement point that does not certify, and the
