@@ -40,13 +40,18 @@ class _SphereBase(Space):
         """Haversine distance with azimuth separation a (capped at pi), on
         floats (m = `FLOATS`) or arrays (m = `ARRAYS`).
 
-        Unlike the spherical law of cosines it keeps its relative
-        accuracy at short range.  h is clamped to 1, where 2 asin(1) is pi.
+        d = 2 atan2(sqrt(h), sqrt(1 - h)), with h = sin^2((r1 - r2) / 2) +
+        sin r1 sin r2 sin^2(a / 2) and 1 - h read as the sum cos^2((r1 +
+        r2) / 2) + sin r1 sin r2 cos^2(a / 2).  Both sums are of terms >= 0,
+        so neither cancels: the distance keeps its relative accuracy at
+        short range, unlike the spherical law of cosines, and near
+        antipodes, unlike 2 asin(sqrt(h)), whose h rounds to 1 - 2^-53
+        there and leaves it 3e-8 short of pi.
         """
-        s = m.sin(0.5 * (r1 - r2))
-        t = m.sin(0.5 * m.minimum(a, math.pi))
-        h = s * s + m.sin(r1) * m.sin(r2) * t * t
-        return 2.0 * m.asin(m.sqrt(m.minimum(h, 1.0)))
+        half = 0.5 * m.minimum(a, math.pi)
+        s, c = m.sin(0.5 * (r1 - r2)), m.cos(0.5 * (r1 + r2))
+        t, u, w = m.sin(half), m.cos(half), m.sin(r1) * m.sin(r2)
+        return 2.0 * m.atan2(m.sqrt(s * s + w * t * t), m.sqrt(c * c + w * u * u))
 
     def _distance(self, p, q):
         return self._loc(FLOATS, p[0], q[0], azimuth_gap(FLOATS, p[1], q[1], self.wrap_length))

@@ -178,17 +178,22 @@ class TestSpindleCap:
          for phi in (0.0, 0.7, math.pi / 2, 2.9, 4.4)],
         ids=["spindle", "spindle-turned", "sphere"] + [f"equator-{k}" for k in range(5)])
     def test_antipodes_are_pi_apart_to_the_bit(self, space, p, q):
-        # pole to pole, and on the equator at azimuths pi apart, the
-        # haversine sum h is 1 or rounds above it; clamped to 1 it gives
-        # 2 asin(1), which is pi, on floats and on arrays
+        # pole to pole, and on the equator at azimuths pi apart, 1 - h is
+        # 0 and the distance 2 atan2(1, 0) is pi, on floats and on arrays.
+        # An equator pair is as far apart as its stored azimuths: phi + pi
+        # rounds so that for phi = 2.9 the gap is pi - 4.4e-16, and so is
+        # the distance
         p, q = space.validate_point(p), space.validate_point(q)
+        gap = abs(q[1] - p[1])
+        want = math.pi if p[0] in (0.0, math.pi) else min(gap, 2.0 * math.pi - gap)
+        assert math.pi - want in (0.0, 4.440892098500626e-16)
         for x, y in ((p, q), (q, p)):
-            assert space.distance(x, y) == space._distance(x, y) == math.pi
-            assert space._distances([x], y).tolist() == [math.pi]
+            assert space.distance(x, y) == space._distance(x, y) == want
+            assert space._distances([x], y).tolist() == [want]
 
-    @pytest.mark.xfail(strict=True, reason="off the equator the haversine sum of an antipodal "
-                       "pair can round to 1 - 2**-53, and 2 asin(sqrt(h)) is then 3e-8 short of pi")
     def test_antipodes_off_the_equator_are_pi_apart(self):
+        # off the equator the haversine sum of an antipodal pair can round
+        # to 1 - 2**-53, where 2 asin(sqrt(h)) was 3e-8 short of pi
         space = SPHERE
         p = space.validate_point((math.pi / 4, 1.0))
         q = space.validate_point((math.pi - p[0], 1.0 + math.pi))
