@@ -30,7 +30,6 @@ from .functions import (
     _compile_jet,
     _draw_chords,
     _evaluate_made,
-    _min_differential,
     _second_differences,
     check_concavity,
     differential,
@@ -215,6 +214,13 @@ def _model(space, jets, x):
     sigma = space.sigma_at(x)
     read = [jet(x, sigma) for jet in jets]
     return x, [v for v, _ in read], sigma, [d for _, d in read]
+
+
+def _min_differential(sigma, vals, diffs):
+    """The differential of the min of the terms whose values and
+    differentials are given: the lower envelope of those of the `_active`
+    terms, as `MinExpr`'s jet forms it."""
+    return combine_min(sigma, [diffs[k] for k in _active(vals)])
 
 
 def _newton_step(vals, diffs):

@@ -25,7 +25,8 @@ one jet, which reads `_distance` once and applies the leaf's scalar
 -phi'(|pq|) cos angle(xi, up_p^q), its slope `dphi`.  `Affine` sums
 its children's values and combines their differentials in the same
 order; `MinExpr` takes the lower envelope of the differentials of its
-terms within 1e-9 of the least value (`_active`).
+terms within 1e-9 of the least value (`_active`), whose jets it reads
+after its terms' values.
 """
 from __future__ import annotations
 
@@ -237,24 +238,16 @@ class MinExpr(Expr):
         return lambda p: least([term(p) for term in terms])
 
     def _jet(self, space):
-        """The least value and `_min_differential`.  A term with no
-        differential at p (a boundary leaf on a double's seam) raises only
-        where it is active; its value is then read alone."""
-        parts = [(_compile_jet(t, space), _compile(t, space, False)) for t in self.terms]
+        """The least value, and the lower envelope of the differentials of
+        the `_active` terms, picked from the values in hand: a term with no
+        differential at p (a boundary leaf on a double's seam) that is not
+        active is not differentiated."""
+        values = [_compile(t, space, False) for t in self.terms]
+        jets = [_compile_jet(t, space) for t in self.terms]
 
         def jet(p, sigma):
-            vals, diffs = [], []
-            for term, value in parts:
-                try:
-                    v, d = term(p, sigma)
-                except ExprError as exc:
-                    v, d = value(p), exc
-                vals.append(v)
-                diffs.append(d)
-            for k in _active(vals):
-                if isinstance(diffs[k], ExprError):
-                    raise diffs[k]
-            return min(vals), _min_differential(sigma, vals, diffs)
+            vals = [value(p) for value in values]
+            return min(vals), combine_min(sigma, [jets[k](p, sigma)[1] for k in _active(vals)])
 
         return jet
 
@@ -264,12 +257,6 @@ def _active(vals):
     min whose differentials make up the min's differential."""
     vmin = min(vals)
     return [k for k, v in enumerate(vals) if v <= vmin + 1e-9]
-
-
-def _min_differential(sigma, vals, diffs):
-    """The differential of the min of terms of values vals and differentials
-    diffs: the lower envelope of those of the `_active` terms."""
-    return combine_min(sigma, [diffs[k] for k in _active(vals)])
 
 
 @dataclass(frozen=True)
