@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CurveRecord, gradient, gradient_curve
+from .flow import CurveRecord, gradient, gradient_curve, record_steps
 from .functions import BoundaryDist, Dist, DistSq, differential, scale
-from .quasigeodesic import check_quasigeodesic
-from .tangent import TangentVec, directional_sup
+from .quasigeodesic import TraceStepper, check_quasigeodesic
+from .tangent import directional_sup
 from .verdict import Margin
 
 
@@ -150,43 +150,22 @@ def distance_regularity(space, subset: SubsetDescriptor, band, n_samples, seed) 
 
 
 # -- Lieberman instance -------------------------------------------------------
-def boundary_edge_path(space, start_s, length) -> CurveRecord:
-    """Arclength path along a polygon boundary, passing corners.
+class BoundaryStepper(TraceStepper):
+    """Unit-speed slide along a polygon boundary at chart angle 0, the CCW
+    direction, on through each corner, where `forward_of_back` of the
+    arrival is the outgoing edge."""
 
-    Corner crossings are inserted as samples so vertex events sit on the
-    grid of the record.
-    """
-    n_samples = 200
-    step = length / n_samples
-    params = [k * step for k in range(n_samples + 1)]
-    corner_ts = []
-    total = space.boundary_period
-    acc = 0.0
-    corner_positions = []
-    for L in space.edge_lens:
-        acc += L
-        corner_positions.append(acc)
-    for lap in range(int(length / total) + 2):
-        for c in corner_positions:
-            t = c + lap * total - start_s
-            if 1e-12 < t < length - 1e-12:
-                corner_ts.append(t)
-    params = sorted(set(params) | set(corner_ts))
-    ts = []
-    pts = []
-    rights = []
-    events = []
-    for t in params:
-        p = space.boundary_point(start_s + t)
-        kind = space.classify(p)
-        if kind[0] == "corner":
-            events.append((t, "corner", kind[1]))
-        ts.append(t)
-        pts.append(p)
-        sig = space.sigma_at(p)
-        rights.append(TangentVec(1.0, 0.0, sig))
-    rights[-1] = None
-    return CurveRecord(ts, pts, rights, events, step)
+    def _ends_step(self, w):
+        self.fwd = w.sigma.forward_of_back(w.back_angle)
+        return True
+
+
+def boundary_edge_path(space, start_s, length) -> CurveRecord:
+    """Arclength path along a polygon boundary from `boundary_point(start_s)`,
+    CCW, at step length / 200; each corner it passes is a sample with a
+    "corner" event."""
+    stepper = BoundaryStepper(space, space.boundary_point(start_s), 0.0)
+    return record_steps(stepper, length, length / 200)
 
 
 def lieberman_check(space, start_s=0.1, n_probes=10, tol=1e-6, seed=0):

@@ -1,7 +1,8 @@
 """Gradient curves and the gradient flow, with the distance estimates
 that control them exposed as verifiers.
 
-Gradient curves and radial curves are integrated by one broken-geodesic
+Every curve of the library (gradient and radial curves, quasigeodesic
+traces, the boundary path) is integrated by one broken-geodesic
 stepper, `FlowStepper`.  A step of parameter dt walks |V| dt straight
 along the motion vector V read at its start.  A walk that meets an
 event (a cone point, the boundary) splits the step there: the event is
@@ -10,7 +11,8 @@ again at the event point.  A vanishing V is one `stop` event, after
 which the curve stays put while the parameter runs on.  On a gradient
 curve V is the gradient and the curve goes on after every event.
 `record_curve` samples a stepper on the grid 0, h, 2h, ... that ends
-at T.
+at T; `record_steps` samples a unit-speed curve (a quasigeodesic trace,
+a boundary path) after each step, so that its event points are samples.
 """
 from __future__ import annotations
 
@@ -129,6 +131,23 @@ def record_curve(stepper, T, h) -> CurveRecord:
         ts.append(t)
         points.append(stepper.cur)
     rights.append(None)
+    return CurveRecord(ts, points, rights, stepper.events, h)
+
+
+def record_steps(stepper, length, h) -> CurveRecord:
+    """Sample the stepper after each step of at most h, at its own parameter,
+    until that reaches length or the stepper's event rule sets `ended`.
+
+    A step ends at an event, so every event point is a sample and the
+    grid runs on from it.  The last right tangent is the launch vector
+    where the curve ran its full length, else None.
+    """
+    ts, points, rights = [0.0], [stepper.cur], []
+    while stepper.t < length - 1e-12 and not stepper.ended:
+        rights.append(stepper.step(min(h, length - stepper.t)))
+        ts.append(stepper.t)
+        points.append(stepper.cur)
+    rights.append(stepper.launch_vector() if stepper.t >= length - 1e-12 else None)
     return CurveRecord(ts, points, rights, stepper.events, h)
 
 

@@ -1,7 +1,8 @@
 """Quasigeodesic tracing, the construction ladder and the checker suite.
 
-Tracing is straight-line unfolding; at a cone point of total angle theta
-the curve continues so both side angles equal theta/2, which keeps every
+Tracing is straight-line unfolding by a `flow.FlowStepper`, sampled by
+`flow.record_steps`; at a cone point of total angle theta the curve
+continues so both side angles equal theta/2, which keeps every
 development convex.  The construction ladder (joints of radial curves,
 speed-controlled pieces with polar renormalization) realizes the
 monotone -> convex -> pre-quasigeodesic chain, with the log-speed drop
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_plane
-from .flow import CurveRecord
+from .flow import CurveRecord, FlowStepper, record_steps
 from .functions import DistSq, differential, evaluate, scale
 from .radial import RadialStepper
 from .tangent import TangentVec, polar_vector
@@ -24,6 +25,32 @@ from .verdict import Margin
 
 class TraceError(RuntimeError):
     pass
+
+
+class TraceStepper(FlowStepper):
+    """Unit-speed trace along `fwd`, the motion of a radial curve's geodesic
+    regime.  At a cone point it goes on by the equal split; the boundary,
+    a corner or a boundary vertex (logged as "boundary-vertex") ends the
+    curve, which sets `ended`."""
+
+    def __init__(self, space, p, fwd):
+        super().__init__(None, space, p)
+        self.fwd = fwd
+        self.ended = False
+
+    def _motion(self, rest):
+        return TangentVec(1.0, self.fwd, self.space.sigma_at(self.cur))
+
+    def _ends_step(self, w):
+        if w.event is None:
+            self.fwd = w.sigma.forward_of_back(w.back_angle)
+        elif w.event == "vertex" and not w.sigma.is_arc:
+            self.fwd = w.sigma.wrap(w.back_angle + w.sigma.length / 2.0)
+        else:
+            self.ended = True
+            if w.event == "vertex":
+                self.events[-1] = (self.t, "boundary-vertex", w.event_ref)
+        return True
 
 
 def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRecord:
@@ -35,41 +62,10 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
         record_step = max(length / 512.0, 1e-6)
     if not 0.0 < record_step < math.inf:
         raise TraceError(f"trace needs a finite record_step > 0, not {record_step}")
-    ts = [0.0]
-    points = [p]
-    rights = []
-    events = []
-    cur, fwd = p, xi_angle
-    t = 0.0
-    guard = 0
-    while t < length - 1e-12:
-        guard += 1
-        if guard > 100000:
-            raise TraceError("trace exceeded the step budget")
-        seg = min(record_step, length - t)
-        w = space._walk(cur, fwd, seg)
-        sig_cur = space.sigma_at(cur)
-        rights.append(TangentVec(1.0, fwd, sig_cur))
-        cur = w.end
-        t += w.traveled
-        ts.append(t)
-        points.append(cur)
-        if w.event is None:
-            fwd = w.sigma.forward_of_back(w.back_angle)
-            continue
-        if w.event == "vertex":
-            theta = w.sigma.length
-            if w.sigma.is_arc:
-                events.append((t, "boundary-vertex", w.event_ref))
-                break
-            fwd = w.sigma.wrap(w.back_angle + theta / 2.0)
-            events.append((t, "vertex", w.event_ref))
-            continue
-        events.append((t, w.event, w.event_ref))
-        break
-    rights.append(TangentVec(1.0, fwd, space.sigma_at(cur)) if t >= length - 1e-12
-                  else None)
-    return CurveRecord(ts, points, rights, events, record_step)
+    if length / record_step > 100000:
+        raise TraceError(f"trace needs at most 100000 steps, not length / record_step = "
+                         f"{length / record_step:.6g}")
+    return record_steps(TraceStepper(space, p, xi_angle), length, record_step)
 
 
 # -- appendix construction ladder ------------------------------------------

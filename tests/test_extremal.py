@@ -13,6 +13,7 @@ from alexgeo.spaces import (
 from alexgeo.extremal import (
     SubsetDescriptor,
     _argmin_on_subset,
+    boundary_edge_path,
     cap_boundary_concavity,
     detect_extremal,
     distance_regularity,
@@ -124,6 +125,20 @@ class TestLiebermanAndRegularity:
     def test_square_boundary_geodesics_are_quasigeodesics(self):
         rep = lieberman_check(SQUARE, start_s=0.35, n_probes=10, seed=5)
         assert passed(rep.margins(1e-6))
+
+    @pytest.mark.parametrize("start_s", [0.35, 2.7])
+    def test_boundary_path_samples_each_corner_it_passes(self, start_s):
+        # 0.9 of the perimeter from s = 0.35 passes the corners at s = 1, 2, 3;
+        # from s = 2.7 it passes s = 3, 4, 5, 6, past vertex 0 into the next lap
+        rec = boundary_edge_path(SQUARE, start_s, 3.6)
+        passed_s = [s for s in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0) if start_s < s < start_s + 3.6]
+        corners = [(t, ref) for t, kind, ref in rec.events if kind == "corner"]
+        assert [ref for _, ref in corners] == [int(s) % 4 for s in passed_s]
+        for (t, ref), s in zip(corners, passed_s):
+            assert t == pytest.approx(s - start_s, abs=1e-12)
+            i = rec.ts.index(t)
+            assert rec.points[i] == tuple(SQUARE.vertices[ref])
+        assert rec.ts[-1] == pytest.approx(3.6, abs=1e-12)
 
     def test_regularity_floor_positive(self):
         floor = distance_regularity(SQUARE, SubsetDescriptor("boundary"),

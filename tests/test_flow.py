@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -111,9 +112,16 @@ class TestGrid:
 
 
 def test_one_step_loop_walks_for_gradient_and_radial_curves():
+    # `FlowStepper.step` walks every curve: gradient and radial curves,
+    # quasigeodesic traces and the boundary path, which has no loop of its own
     src = Path(__file__).resolve().parent.parent / "src" / "alexgeo"
     assert sum((src / name).read_text(encoding="utf-8").count("_walk(")
-               for name in ("flow.py", "radial.py")) == 1
+               for name in ("flow.py", "radial.py", "quasigeodesic.py")) == 1
+    tree = ast.parse((src / "extremal.py").read_text(encoding="utf-8"))
+    path = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "boundary_edge_path")
+    assert not [n for n in ast.walk(path)
+                if isinstance(n, (ast.For, ast.While, ast.comprehension))]
 
 
 class TestDistanceEstimates:
