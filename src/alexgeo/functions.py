@@ -639,10 +639,12 @@ class InfConvolution:
         """Compass polish from best = (value, point), starting at the step top.
 
         Each round walks 8 directions at one step from the best point so
-        far; a round with no gain shrinks the step by 0.35, and three
-        gaining rounds in a row double it, never above top, so that the
-        polish does not crawl along a valley at a step it shrank too far.
-        It stops when the step falls to 1e-9.
+        far, spread evenly over a circle, or over an arc with both its ends
+        (so the polish slides along a boundary either way); a round with no
+        gain shrinks the step by 0.35, and three gaining rounds in a row
+        double it, never above top, so that the polish does not crawl along
+        a valley at a step it shrank too far.  It stops when the step falls
+        to 1e-9.
         """
         space = self.space
         best_v, best_x = best
@@ -650,8 +652,9 @@ class InfConvolution:
         while step > 1e-9:
             improved = False
             sig = space.sigma_at(best_x)
+            spacing = 7.0 if sig.is_arc else 8.0
             for k in range(8):
-                ang = sig.length * k / 8.0
+                ang = sig.length * k / spacing
                 try:
                     w = space._walk(best_x, ang, step)
                 except SpaceError:

@@ -836,6 +836,22 @@ class TestInfConvolution:
                 assert res.value <= lowest[0][0]
         assert fell_back > 0
 
+    # the minimizer of d_boundary + d(., y)^2 / eps, for y within eps / 2 of
+    # the boundary, is y's foot, where the value is d(y, boundary)^2 / eps;
+    # a polish that tried its arc's low end only at one side of it missed
+    # the foot by 7e-6 on the square and 2.5e-6 on the cap
+    def test_square_polish_slides_both_ways_along_an_edge(self):
+        y = (0.9958020988654668, 0.1422318152800518)
+        res = InfConvolution(BoundaryDist(), SQUARE, 0.1, lip_hint=1.5).query(y)
+        assert math.isinf(res.slope)
+        assert res.value == pytest.approx((1.0 - y[0]) ** 2 / 0.1, abs=1e-12)
+
+    def test_cap_polish_slides_both_ways_along_the_rim(self):
+        y = (0.7982236225916134, 0.8936688519811025)
+        res = InfConvolution(BoundaryDist(), CapSpace(0.8), 0.05, lip_hint=1.5).query(y)
+        assert math.isinf(res.slope)
+        assert res.value == pytest.approx((0.8 - y[0]) ** 2 / 0.05, abs=1e-12)
+
 
 class TestBatchedScan:
     """The batched stencil scan of `InfConvolution.query` finds what the
