@@ -81,12 +81,21 @@ class Expr:
 
 
 class _DistanceLeaf(Expr):
-    """phi o dist_q; a subclass gives phi on one distance as `phi` and its
-    slope phi' as `dphi`.
+    """phi o dist_q; a subclass gives phi on one distance as `phi`, on a
+    float array of them as `_phi_each` (by default `phi`, which is
+    array-ready for Dist and DistSq), and its slope phi' as `dphi`.
 
     It adds methods only, so its subclasses keep their fields, repr,
     equality and hash.
     """
+
+    def _lower(self, space, many):
+        dist, q = _metric(space, many), space.validate_point(self.q)
+        phi = self._phi_each if many else self.phi
+        return lambda p: phi(dist(p, q))
+
+    def _phi_each(self, d):
+        return self.phi(d)
 
     def _jet(self, space):
         """phi(|pq|) and the first variation formula (`_first_variation`)
@@ -123,10 +132,6 @@ class Dist(_DistanceLeaf):
     def dphi(self, x):
         return 1.0
 
-    def _lower(self, space, many):
-        dist, q = _metric(space, many), space.validate_point(self.q)
-        return lambda p: dist(p, q)
-
 
 @dataclass(frozen=True)
 class DistSq(_DistanceLeaf):
@@ -137,11 +142,6 @@ class DistSq(_DistanceLeaf):
 
     def dphi(self, x):
         return 2.0 * x
-
-    def _lower(self, space, many):
-        """phi is array-ready: x * x."""
-        dist, q, phi = _metric(space, many), space.validate_point(self.q), self.phi
-        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,12 @@ class RhoDist(_DistanceLeaf):
     def phi(self, x):
         return model_plane.rho(self.kappa, x)
 
+    def _phi_each(self, d):
+        """rho_kappa is not array-ready: it maps over the distances."""
+        return np.array([self.phi(x) for x in d.tolist()])
+
     def dphi(self, x):
         return model_plane.sigma(self.kappa, x)
-
-    def _lower(self, space, many):
-        """rho_kappa is not array-ready: on many points it maps over the distances."""
-        dist, q, phi = _metric(space, many), space.validate_point(self.q), self.phi
-        if many:
-            return lambda points: np.array([phi(x) for x in dist(points, q).tolist()])
-        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)
@@ -187,11 +184,6 @@ class PhiRC(_DistanceLeaf):
 
     def dphi(self, x):
         return 1.0 - 2.0 * self.c * (x - self.r) / self.r
-
-    def _lower(self, space, many):
-        dist, q = _metric(space, many), space.validate_point(self.q)
-        phi = self._phi_each if many else self.phi
-        return lambda p: phi(dist(p, q))
 
 
 @dataclass(frozen=True)

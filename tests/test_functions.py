@@ -406,8 +406,7 @@ def test_each_node_has_one_lowering():
                     assert [a.arg for a in fn.args.args] == ["self", "space", "many"]
                     lowerings[cls.name] += 1
     assert lowerings == collections.Counter(
-        {name: 1 for name in ("Expr", "Dist", "DistSq", "RhoDist", "PhiRC", "Affine", "MinExpr",
-                              "BoundaryDist")})
+        {name: 1 for name in ("Expr", "_DistanceLeaf", "Affine", "MinExpr", "BoundaryDist")})
 
 
 class TestChainRule:
