@@ -562,8 +562,7 @@ def tight_image_study(space, funcs, region, grid_n=28, n_support=1000,
         gf_worst = max(gf_worst, space._distance(xc, x2))
 
     lo, hi = math.inf, -math.inf
-    for _ in range(300):
-        i, j = rng.integers(0, len(grid_pts), size=2)
+    for i, j in rng.integers(0, len(grid_pts), size=(300, 2)).tolist():
         d = space._distance(grid_pts[i], grid_pts[j])
         if d < 1e-6:
             continue
