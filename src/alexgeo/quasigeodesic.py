@@ -70,19 +70,14 @@ def trace_quasigeodesic(space, p, xi_angle, length, record_step=None) -> CurveRe
 
 # -- appendix construction ladder ------------------------------------------
 def build_prequasigeodesic(space, p, xi_angle, eps, T):
-    """Speed-controlled joints with polar renormalization.
+    """Speed-controlled joints of radial pieces of flat comparison (kappa =
+    0) at step eps / 16, with polar renormalization.
 
-    Pieces restart after parameter eps or when the speed decays below
-    (1 - eps) of the piece-start speed; at each joint the new launch
-    vector is the polar partner of the incoming one.  Returns the curve
-    and its entropy record.
+    Pieces restart after parameter eps, when the speed decays below
+    (1 - eps) of the piece-start speed, or at a cone point; at each joint
+    the new launch vector is the polar partner of the incoming one.
+    Returns the curve and its entropy record.
     """
-    rec = _build_joint_curve(space, p, xi_angle, eps, T, speed_control=True)
-    return rec, entropy(rec)
-
-
-def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
-    """Radial pieces of flat comparison (kappa = 0) at step eps / 16."""
     h = eps / 16.0
     p = space.validate_point(p)
     ts = [0.0]
@@ -95,7 +90,7 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
     sigma_speed = 1.0  # launch speed of the current piece
     run_speed = 1.0    # current speed along the curve
     while t < T - 1e-12 and sigma_speed > 1e-10:
-        stepper = RadialStepper(space, cur, dir_angle, stop_at_vertex=speed_control)
+        stepper = RadialStepper(space, cur, dir_angle, stop_at_vertex=True)
         piece_t = 0.0
         piece_budget = min(eps, T - t)
         stall = False
@@ -115,17 +110,14 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
                 events.append((t, "stall", None))
                 stall = True
                 break
-            if stepper.at_vertex:
-                # the speed control forbids the cone-point drop: the piece
-                # ends at the vertex and the polar extension takes over
-                stall = True
-                break
-            if speed_control and speed < (1.0 - eps) * sigma_speed:
+            # the speed control forbids the cone-point drop: the piece ends
+            # at the vertex and the polar extension takes over
+            if stepper.at_vertex or speed < (1.0 - eps) * sigma_speed:
                 stall = True
                 break
         events.extend((t, k, r) for _, k, r in stepper.events
                       if k in ("vertex", "boundary"))
-        if stall and stepper.stopped:
+        if stepper.stopped:
             break
         cur = stepper.cur
         if not stepper.at_vertex:
@@ -133,9 +125,8 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
             if nxt.norm <= 1e-12:
                 events.append((t, "stall", None))
                 break
-        if stall and speed_control:
-            # renormalize with the polar of the incoming vector (equal norm);
-            # a piece ends at a cone point only under the speed control
+        if stall:
+            # renormalize with the polar of the incoming vector (equal norm)
             sig = space.sigma_at(cur)
             if stepper.at_vertex:
                 back = stepper.last_walk.back_angle
@@ -149,7 +140,8 @@ def _build_joint_curve(space, p, xi_angle, eps, T, speed_control):
             sigma_speed = sigma_speed * nxt.norm
             run_speed = sigma_speed
     rights.append(None)
-    return CurveRecord(ts, points, rights, events, h)
+    rec = CurveRecord(ts, points, rights, events, h)
+    return rec, entropy(rec)
 
 
 # -- entropy ------------------------------------------------------------------

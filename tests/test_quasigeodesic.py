@@ -15,7 +15,6 @@ from alexgeo.quasigeodesic import (
     chop_extend_demo,
     entropy,
     TraceError,
-    _build_joint_curve,
     monotone_report,
     trace_quasigeodesic,
 )
@@ -201,21 +200,21 @@ class TestCheckerCurvatureOne:
 class TestBuilders:
     def test_plane_builder_reproduces_ray(self):
         for eps in (0.2, 0.1):
-            rec = _build_joint_curve(PLANE, (1.0, 0.0), 1.1, eps, 1.5, speed_control=False)
+            rec, _ = build_prequasigeodesic(PLANE, (1.0, 0.0), 1.1, eps, 1.5)
             w = PLANE.walk((1.0, 0.0), 1.1, rec.ts[-1])
             assert PLANE.distance(rec.points[-1], w.end) < 1e-9
 
     def test_apex_aimed_endpoints_converge(self):
         ends = []
         for eps in (0.2, 0.1, 0.05):
-            rec = _build_joint_curve(CONE, (1.0, 0.0), math.pi, eps, 2.0, speed_control=False)
+            rec, _ = build_prequasigeodesic(CONE, (1.0, 0.0), math.pi, eps, 2.0)
             ends.append(rec.points[-1])
         d1 = CONE.distance(ends[0], ends[2])
         d2 = CONE.distance(ends[1], ends[2])
         assert d2 <= d1 + 1e-12
 
     def test_convex_curves_one_lipschitz(self):
-        rec = _build_joint_curve(CONE, (1.0, 0.0), math.pi, 0.1, 2.0, speed_control=False)
+        rec, _ = build_prequasigeodesic(CONE, (1.0, 0.0), math.pi, 0.1, 2.0)
         for i in range(len(rec.ts) - 1):
             chord = CONE.distance(rec.points[i], rec.points[i + 1])
             assert chord <= (rec.ts[i + 1] - rec.ts[i]) * (1 + 1e-9) + 1e-12
