@@ -34,9 +34,10 @@ class CurveRecord:
     """Sampled curve with right tangents and an event ledger.
 
     `ts` runs 0, h, 2h, ... and ends at T, the last step shorter where T
-    is not a multiple of h; T = 0 records the start point alone.
+    is not a multiple of h; T = 0 records the start point alone.  In a
+    record of `record_steps` the grid starts again at each event point.
     `right_tangents[i]` is the motion vector launched at ts[i] (zero past
-    a stop, None at the end).
+    a stop, None at the end but where `record_steps` ran the full length).
     """
 
     ts: list

@@ -644,9 +644,9 @@ class InfConvolution:
         while step > 1e-9:
             improved = False
             sig = space.sigma_at(best_x)
-            spacing = 7.0 if sig.is_arc else 8.0
+            gaps = 7.0 if sig.is_arc else 8.0  # an arc's 8 directions include both ends
             for k in range(8):
-                ang = sig.length * k / spacing
+                ang = sig.length * k / gaps
                 try:
                     w = space._walk(best_x, ang, step)
                 except SpaceError:
