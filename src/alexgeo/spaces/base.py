@@ -32,7 +32,8 @@ Validation contract: the public metric queries `distance`,
 `geodesic_points` (and on a mesh `point_vertex_dists` and
 `graph_upper_bound`) validate each point argument once, with
 `validate_point`, and raise `SpaceError` for a point outside the space
-(`walk` also for a length that is not finite and >= 0).  The kernels
+(`walk` also for a length that is not finite and >= 0, and
+`geodesic_points` for fewer than 2 samples, by `sample_count`).  The kernels
 `_distance(p, q)`, `_directions_to(p, q)` and `_walk(p, angle, length)`
 take points that `validate_point` returned and check neither them nor
 the length, so a caller that holds validated points (its validated
@@ -91,6 +92,14 @@ def walk_length(length):
     if not 0.0 <= length < math.inf:
         raise SpaceError(f"walk length must be finite and >= 0, not {length}")
     return length
+
+
+def sample_count(n):
+    """The number of points of a public `geodesic_points`, once checked: at least 2,
+    the two ends."""
+    if not n >= 2:
+        raise SpaceError(f"a geodesic needs at least 2 sample points, not {n}")
+    return n
 
 
 _PI_RE = re.compile(r"^\s*(-?[\d.]*)\s*pi\s*(?:/\s*([\d.]+))?\s*$")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .base import (ARRAYS, CIRCLE, FLOATS, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
                    azimuth_gap, azimuth_wraps, minimizing_angles, planar_ends, point_array,
-                   walk_each, walk_length, wrap_angle, wrap_angles)
+                   sample_count, walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _APEX_EPS = 1e-12
@@ -140,6 +140,7 @@ class ConeSpace(Space):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
+        n = sample_count(n)
         if self.is_apex(p) or self.is_apex(q):
             pts = []
             for i in range(n):

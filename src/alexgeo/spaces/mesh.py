@@ -28,9 +28,21 @@ from.  A surface without such vertices, such as a closed polyhedron, has
 one root.  Every distance is exact, so its certified error is 0.  A
 subdivision graph Dijkstra provides an independent upper-bound
 certificate on demand.
+
+The step of a popped window is written once, inside the search loop.
+It reads the face's exits, a table built once with the adjacency: per
+edge with a neighbour, (local edge, its second corner, edge bit,
+neighbour face, crossing back).  Each exit edge not yet crossed is
+clipped to the window's wedge, and the distance from the anchor to the
+clipped window is the next state's lower bound.  A walk to several
+ascending lengths (`_walk_lengths`, of which `_walk` is the one-length
+case) makes one pass over the edge crossings; each length ends exactly
+as its own walk would, so `geodesic_points` walks each leg once for all
+of its samples, and once more past each flat vertex it goes through.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import heapq
 import math
@@ -40,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, parse_angle,
-                   walk_length, wrap_angle)
+                   sample_count, walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _VERTEX_SNAP = 1e-9
@@ -202,6 +214,11 @@ class MeshSpace(Space):
              for e in range(3)]
             for f in self.faces
         ]
+        # per face, the exits of `_unfold`: (local edge, its second corner, edge
+        # bit, neighbour face, crossing back) for each edge with a neighbour
+        self._exits = [[(e, (e + 1) % 3, bits[e], nb[0], back[e])
+                        for e, nb in enumerate(nbrs) if nb is not None]
+                       for nbrs, bits, back in zip(self.nbr, self.edge_bits, self.crossings_back)]
 
     def _build_vertex_fans(self):
         corner_angle = {}
@@ -405,6 +422,13 @@ class MeshSpace(Space):
         return self._walk(self.validate_point(p), angle, walk_length(length))
 
     def _walk(self, p, angle, length):
+        return self._walk_lengths(p, angle, [length])[0]
+
+    def _walk_lengths(self, p, angle, lengths):
+        """`_walk(p, angle, L)` for each of the ascending lengths L (at least
+        one), in one pass over the edge crossings.  Each length keeps its own
+        remaining length, reduced by the same exit distances in the same
+        order, so it ends exactly as its walk alone does."""
         face, d = self._chart_dir(p, angle)
         kind = self.classify(p)
         if kind[0] == "vertex":
@@ -414,24 +438,25 @@ class MeshSpace(Space):
             pos = rot * self._pos(p) + shift
         else:
             pos = self._pos(p)
-        remaining = float(length)
+        remaining, out = [float(x) for x in lengths], []
         traveled = 0.0
         for _ in range(100000):  # edge crossings
             hit = self._face_exit(face, pos, d)
             if hit is None:
                 raise SpaceError("walk failed to find an exit edge")
             t_exit, e_exit = hit
-            if remaining <= t_exit:
-                end = self.bary(face, pos + remaining * d)
+            k = bisect.bisect_right(remaining, t_exit)  # the lengths that end in this face
+            for x in remaining[:k]:
+                end = self.bary(face, pos + x * d)
                 v_hit = self.vertex_of_point(end)
-                if v_hit is not None:
-                    end = self.point_at_vertex(v_hit)
-                    back = self.chart_angle_of_dir(end, face, -d)
-                    return WalkResult(end, traveled + remaining, back,
-                                      self.sigma_at(end), event="vertex",
-                                      event_ref=v_hit)
-                back = self.chart_angle_of_dir(end, face, -d)
-                return WalkResult(end, traveled + remaining, back, self.sigma_at(end))
+                if v_hit is None:
+                    out.append(self._arrival(end, face, d, traveled + x, None, None))
+                else:
+                    out.append(self._arrival(self.point_at_vertex(v_hit), face, d, traveled + x,
+                                             "vertex", v_hit))
+            remaining = remaining[k:]
+            if not remaining:
+                return out
             cross_pos = pos + t_exit * d
             a = self.charts[face][e_exit]
             b = self.charts[face][(e_exit + 1) % 3]
@@ -439,23 +464,26 @@ class MeshSpace(Space):
             for corner, cpos in ((e_exit, a), ((e_exit + 1) % 3, b)):
                 if abs(cross_pos - cpos) <= snap:
                     v = self.faces[face][corner]
-                    end = self.point_at_vertex(v)
-                    back = self.chart_angle_of_dir(end, face, -d)
-                    return WalkResult(end, traveled + abs(cpos - pos), back,
-                                      self.sigma_at(end), event="vertex", event_ref=v)
+                    w = self._arrival(self.point_at_vertex(v), face, d,
+                                      traveled + abs(cpos - pos), "vertex", v)
+                    return out + [w] * len(remaining)
             nb = self.nbr[face][e_exit]
             if nb is None:
-                end = self.bary(face, cross_pos)
-                back = self.chart_angle_of_dir(end, face, -d)
-                return WalkResult(end, traveled + t_exit, back, self.sigma_at(end),
-                                  event="boundary")
+                w = self._arrival(self.bary(face, cross_pos), face, d, traveled + t_exit,
+                                  "boundary", None)
+                return out + [w] * len(remaining)
             rot, shift = self.crossings[face][e_exit]
             pos = rot * cross_pos + shift
             d = rot * d
             face = nb[0]
-            remaining -= t_exit
+            remaining = [x - t_exit for x in remaining]
             traveled += t_exit
         raise SpaceError("walk exceeded the crossing budget")
+
+    def _arrival(self, end, face, d, traveled, event, event_ref):
+        """The result of a walk that reached `end` along the chart direction d of face."""
+        return WalkResult(end, traveled, self.chart_angle_of_dir(end, face, -d),
+                          self.sigma_at(end), event=event, event_ref=event_ref)
 
     def _face_exit(self, face, pos, d):
         """(distance, local edge) of the first exit of the ray pos + t*d."""
@@ -506,30 +534,6 @@ class MeshSpace(Space):
         ap = p - a
         t = min(max((ap.real * ab.real + ap.imag * ab.imag) / L2, 0.0), 1.0)
         return abs(p - (a + t * ab))
-
-    @staticmethod
-    def _clip_to_wedge(src, w0, w1, a, b):
-        """Clip segment [a, b] to the closed wedge from src through [w0, w1]."""
-        e0, e1, da, db = w0 - src, w1 - src, a - src, b - src
-        # each side ray of the wedge, with the sign of the side the wedge
-        # lies on (the cross products are inlined: this is the hot loop)
-        s = e0.real * e1.imag - e0.imag * e1.real
-        lo, hi = 0.0, 1.0
-        for e, sign in ((e0, 1.0 if s >= 0.0 else -1.0), (e1, -1.0 if s > 0.0 else 1.0)):
-            fa = sign * (e.real * da.imag - e.imag * da.real)
-            fb = sign * (e.real * db.imag - e.imag * db.real)
-            if fa < -1e-12 and fb < -1e-12:
-                return None
-            if abs(fb - fa) > 1e-300:
-                t = fa / (fa - fb)
-                if fa < 0.0:
-                    lo = max(lo, t)
-                elif fb < 0.0:
-                    hi = min(hi, t)
-        if lo > hi + 1e-12:
-            return None
-        ab = b - a
-        return a + lo * ab, a + hi * ab
 
     def _chain_ok(self, src, tp, window, parent, parents):
         """Validate that src->tp crosses every ancestor window in order."""
@@ -641,22 +645,18 @@ class MeshSpace(Space):
                         hit(i, d, fi, tp - src, r)
                 for v, tp in self._pseudo[fi]:
                     reach(v, off + abs(tp - src), r, fi, tp - src)
-            if src_vertex is None:
-                first = [(fi, src, e) for fi, src in anchors for e in range(3)]
-            else:  # from a vertex only the edge opposite its corner leaves the face
-                first = [(fi, self.charts[fi][c], (c + 1) % 3)
-                         for fi, c in self.fans[src_vertex][0]]
-            for fi, src, e in first:
-                nb = self.nbr[fi][e]
-                if nb is not None:
-                    w0, w1 = self.charts[fi][e], self.charts[fi][(e + 1) % 3]
-                    lb = off + self._seg_dist(src, w0, w1)
+            for fi, src in anchors:
+                ch = self.charts[fi]
+                for e, c, bit, nbf, (rot, shift) in self._exits[fi]:
+                    if src_vertex is not None and self.faces[fi][(c + 1) % 3] != src_vertex:
+                        continue  # from a vertex only the edge opposite it leaves the face
+                    lb = off + self._seg_dist(src, ch[e], ch[c])
                     if lb <= limit:
-                        rot, shift = self.crossings_back[fi][e]
-                        heapq.heappush(heap, (lb, counter, fi, nb[0], rot, shift, w0, w1,
-                                              src, None, self.edge_bits[fi][e], r))
+                        heapq.heappush(heap, (lb, counter, fi, nbf, rot, shift, ch[e], ch[c],
+                                              src, None, bit, r))
                         counter += 1
 
+        charts, exits, pseudo, chain_ok = self.charts, self._exits, self._pseudo, self._chain_ok
         open_root(0, p)
         while heap:
             item = heapq.heappop(heap)
@@ -673,42 +673,61 @@ class MeshSpace(Space):
             for i, tp_chart in targets.get(fi, ()):
                 tp = rot * tp_chart + shift
                 d = off + abs(tp - src)
-                if d <= best[i] + _TIE and self._chain_ok(src, tp, (w0, w1), parent, parents):
+                if d <= best[i] + _TIE and chain_ok(src, tp, (w0, w1), parent, parents):
                     hit(i, d, af, tp - src, r)
-            for v, tp_chart in self._pseudo[fi]:
+            for v, tp_chart in pseudo[fi]:
                 tp = rot * tp_chart + shift
                 d = off + abs(tp - src)
-                if d < reached.get(v, math.inf) and self._chain_ok(src, tp, (w0, w1),
-                                                                    parent, parents):
+                if d < reached.get(v, math.inf) and chain_ok(src, tp, (w0, w1), parent, parents):
                     reach(v, d, r, af, tp - src)
             parents[cid] = (parent, w0, w1)
-            corners = [rot * z + shift for z in self.charts[fi]]
-            for e in range(3):
-                nb = self.nbr[fi][e]
-                if nb is None:
-                    continue
-                bit = self.edge_bits[fi][e]
+            # the wedge from src through [w0, w1]: each side ray, with the sign of
+            # the side the wedge lies on
+            e0, e1 = w0 - src, w1 - src
+            s = e0.real * e1.imag - e0.imag * e1.real
+            sides = ((e0, 1.0 if s >= 0.0 else -1.0), (e1, -1.0 if s > 0.0 else 1.0))
+            z0, z1, z2 = charts[fi]
+            corners = (rot * z0 + shift, rot * z1 + shift, rot * z2 + shift)
+            for e, c, bit, nbf, (r2, s2) in exits[fi]:
                 if crossed & bit:
                     # shortest paths cross an edge at most once between two
                     # bends on these nonnegatively curved surfaces
                     continue
-                clipped = self._clip_to_wedge(src, w0, w1, corners[e], corners[(e + 1) % 3])
-                if clipped is None:
+                # the next window: the edge [a, b] clipped to the closed wedge
+                a, b = corners[e], corners[c]
+                da, db = a - src, b - src
+                lo, hi = 0.0, 1.0
+                for ray, sign in sides:
+                    fa = sign * (ray.real * da.imag - ray.imag * da.real)
+                    fb = sign * (ray.real * db.imag - ray.imag * db.real)
+                    if fa < -1e-12 and fb < -1e-12:
+                        lo = math.inf  # the edge lies outside this side
+                        break
+                    if abs(fb - fa) > 1e-300:
+                        t = fa / (fa - fb)
+                        if fa < 0.0:
+                            lo = t if t > lo else lo  # max(lo, t), without the call
+                        elif fb < 0.0:
+                            hi = t if t < hi else hi
+                if lo > hi + 1e-12:
                     continue
-                if abs(clipped[1] - clipped[0]) < 1e-12:
+                ab = b - a
+                c0, c1 = a + lo * ab, a + hi * ab
+                w = c1 - c0
+                if abs(w) < 1e-12:
                     # window pinched at a vertex: a straight path through a flat
                     # vertex lies on the closed windows on either side, a
                     # boundary vertex of angle >= pi is a pseudo-source, and no
                     # shortest path passes through a cone vertex
                     continue
-                lb2 = off + self._seg_dist(src, clipped[0], clipped[1])
+                # its lower bound: the distance from src to the window
+                ap = src - c0
+                t = (ap.real * w.real + ap.imag * w.imag) / (w.real * w.real + w.imag * w.imag)
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                lb2 = off + abs(src - (c0 + t * w))
                 if lb2 <= limit:
-                    r2, s2 = self.crossings_back[fi][e]
-                    heapq.heappush(
-                        heap,
-                        (lb2, counter, af, nb[0], rot * r2, rot * s2 + shift,
-                         clipped[0], clipped[1], src, cid, crossed | bit, r),
-                    )
+                    heapq.heappush(heap, (lb2, counter, af, nbf, rot * r2, rot * s2 + shift,
+                                          c0, c1, src, cid, crossed | bit, r))
                     counter += 1
         return [[h for h in hs if h[0] <= b + _TIE] for hs, b in zip(hits, best)], roots
 
@@ -772,6 +791,7 @@ class MeshSpace(Space):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
+        n = sample_count(n)
         d, hits, roots = self._paths(p, q)
         if d < 1e-14:
             return [p] * n
@@ -782,20 +802,31 @@ class MeshSpace(Space):
             start = p if v is None else self.point_at_vertex(v)
             legs.append((off, start, self.chart_angle_of_dir(start, face, seg / abs(seg))))
             r, face, seg = parent, face_in, seg_in
-        pts = [p]
-        for i in range(1, n):
-            s = d * i / (n - 1)
-            off, start, ang = next(leg for leg in legs if leg[0] <= s)
-            length = s - off
-            for _ in range(self.nv + 1):
-                # walks stop at every vertex: go straight on through a flat one
-                w = self._walk(start, ang, length)
-                length -= w.traveled
-                if w.event != "vertex" or length <= 1e-9:
-                    break
-                start, ang = w.end, w.sigma.forward_of_back(w.back_angle)
-            pts.append(w.end)
-        return pts
+        samples, parts = [d * i / (n - 1) for i in range(1, n)], []
+        for off, start, ang in legs:  # each leg takes the samples beyond its start
+            k = bisect.bisect_left(samples, off)
+            if k < len(samples):
+                parts.append(self._straight_ends(start, ang, [s - off for s in samples[k:]]))
+                del samples[k:]
+        return [p] + [end for part in reversed(parts) for end in part]
+
+    def _straight_ends(self, start, angle, lengths):
+        """Ends of the walks of the ascending lengths from start, each going
+        straight on through the flat vertices at which a walk stops."""
+        out = []
+        for _ in range(self.nv + 1):
+            walks = self._walk_lengths(start, angle, lengths)
+            lengths = [x - w.traveled for x, w in zip(lengths, walks)]
+            # the walks that stop at a vertex short of their length: a suffix,
+            # as they all stop where they cross the same vertex
+            k = next((j for j, (w, x) in enumerate(zip(walks, lengths))
+                      if w.event == "vertex" and x > 1e-9), len(walks))
+            out += [w.end for w in walks[:k]]
+            walks, lengths = walks[k:], lengths[k:]
+            if not walks:
+                break
+            start, angle = walks[0].end, walks[0].sigma.forward_of_back(walks[0].back_angle)
+        return out + [w.end for w in walks]
 
     def cone_points(self):
         out = []

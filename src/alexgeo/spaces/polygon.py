@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .base import (CIRCLE, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult, angle_of,
-                   walk_length, wrap_angle)
+                   sample_count, walk_length, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 _BTOL = 1e-9
@@ -272,6 +272,7 @@ class PolygonSpace(Space):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
+        n = sample_count(n)
         return [
             (p[0] + (q[0] - p[0]) * i / (n - 1), p[1] + (q[1] - p[1]) * i / (n - 1))
             for i in range(n)

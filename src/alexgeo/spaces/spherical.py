@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import (ARRAYS, CIRCLE, FLOATS, HALF_ARC, SigmaDesc, Space, SpaceError, WalkResult,
                    azimuth_gap, azimuth_wraps, minimizing_angles, planar_ends, point_array,
-                   walk_each, walk_length, wrap_angle, wrap_angles)
+                   sample_count, walk_each, walk_length, wrap_angle, wrap_angles)
 
 TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
@@ -241,6 +241,7 @@ class SpindleSpace(_SphereBase):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
+        n = sample_count(n)
         d = self._distance(p, q)
         if d < 1e-14:
             return [p] * n
@@ -447,6 +448,7 @@ class CapSpace(_SphereBase):
 
     def geodesic_points(self, p, q, n: int = 33):
         p, q = self.validate_point(p), self.validate_point(q)
+        n = sample_count(n)
         d = self._distance(p, q)
         if d < 1e-14:
             return [p] * n

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -574,3 +575,94 @@ class TestExactSearch:
             # a strip of four faces: sqrt(1.5**2 + 1/12) times the edge sqrt(2)
             d = mesh.distance_with_error(MeshPoint(i, centre), MeshPoint(7 - i, centre))
             assert d == (pytest.approx(math.sqrt(14 / 3), abs=1e-12), 0.0)
+
+
+def _geodesic_oracle(mesh, p, q, n):
+    """The samples of the shortest path from p to q, one walk per sample: each
+    walks from the start of its leg by s - off, straight on through the flat
+    vertices at which a walk stops."""
+    d, hits, roots = mesh._paths(p, q)
+    if d < 1e-14:
+        return [p] * n
+    (_, face, seg, r), legs = min(hits, key=lambda h: h[0]), []
+    while r is not None:  # last leg first, as (offset, start, angle)
+        v, off, parent, face_in, seg_in = roots[r]
+        start = p if v is None else mesh.point_at_vertex(v)
+        legs.append((off, start, mesh.chart_angle_of_dir(start, face, seg / abs(seg))))
+        r, face, seg = parent, face_in, seg_in
+    pts = [p]
+    for i in range(1, n):
+        s = d * i / (n - 1)
+        off, start, ang = next(leg for leg in legs if leg[0] <= s)
+        length = s - off
+        for _ in range(mesh.nv + 1):
+            w = mesh._walk(start, ang, length)
+            length -= w.traveled
+            if w.event != "vertex" or length <= 1e-9:
+                break
+            start, ang = w.end, w.sigma.forward_of_back(w.back_angle)
+        pts.append(w.end)
+    return pts
+
+
+def _edge_point(mesh, rng):
+    b = [float(rng.random()), 0.0, 0.0]
+    b[1] = 1.0 - b[0]
+    rng.shuffle(b)
+    return MeshPoint(int(rng.integers(len(mesh.faces))), tuple(b))
+
+
+class TestGeodesicSamples:
+    """`geodesic_points` walks each leg once for all of its samples."""
+
+    @pytest.mark.parametrize("name", ["fan_square", "l_shape", "subdivided_tetrahedron",
+                                      "open_pyramid", "icosahedron"])
+    def test_samples_equal_one_walk_per_sample(self, name):
+        rng = np.random.default_rng(61)
+        extra = []
+        if name == "fan_square":  # the diagonal, through the flat centre
+            mesh, locate = _planar(*_FAN_SQUARE)
+            extra = [(locate(0.1, 0.1), locate(0.8, 0.8)), (locate(0.0, 0.0), locate(1.0, 1.0))]
+        elif name == "l_shape":  # around the reflex corner: two legs
+            mesh, locate = _planar(*_L_SHAPE)
+            extra = [(locate(1.8, 0.5), locate(0.5, 1.8)), (locate(2.0, 0.0), locate(0.0, 2.0))]
+        elif name == "subdivided_tetrahedron":
+            mesh = _subdivided_tetrahedron(3)[0]
+        elif name == "open_pyramid":
+            mesh = _open_pyramid(rng)[0]
+        else:
+            mesh = _icosahedron(rng)[0]
+        points = [mesh.random_point(rng) for _ in range(12)]
+        points += [_edge_point(mesh, rng) for _ in range(6)]
+        points += [mesh.point_at_vertex(v) for v in range(mesh.nv)]
+        rng.shuffle(points)
+        pairs = extra + list(zip(points[::2], points[1::2]))
+        for p, q in pairs:
+            p, q = mesh.validate_point(p), mesh.validate_point(q)
+            for n in (2, 5, 9, 33):
+                assert mesh.geodesic_points(p, q, n) == _geodesic_oracle(mesh, p, q, n)
+
+    def test_one_crossing_loop(self):
+        text = (Path(__file__).resolve().parent.parent / "src" / "alexgeo" / "spaces"
+                / "mesh.py").read_text(encoding="utf-8")
+        assert text.count("._face_exit(") == 1
+        assert "_clip_to_wedge" not in text
+
+    @pytest.mark.parametrize("name, walks", [("octahedron", 1), ("fan_square", 2),
+                                             ("l_shape", 2)])
+    def test_one_walk_per_leg_and_flat_vertex(self, name, walks, monkeypatch):
+        if name == "octahedron":
+            rng = np.random.default_rng(62)
+            mesh = _octahedron(rng)[0]
+            p, q = mesh.random_point(rng), mesh.random_point(rng)
+        elif name == "fan_square":  # one leg, through the flat centre
+            mesh, locate = _planar(*_FAN_SQUARE)
+            p, q = locate(0.1, 0.1), locate(0.8, 0.8)
+        else:  # two legs, bent at the reflex corner
+            mesh, locate = _planar(*_L_SHAPE)
+            p, q = locate(1.8, 0.5), locate(0.5, 1.8)
+        calls, walk = [], MeshSpace._walk_lengths
+        monkeypatch.setattr(MeshSpace, "_walk_lengths",
+                            lambda self, *args: calls.append(1) or walk(self, *args))
+        assert len(mesh.geodesic_points(p, q, 9)) == 9
+        assert len(calls) == walks

@@ -778,6 +778,19 @@ class TestSpaceInterface:
         for p in points:
             assert space.directions_to(p, p)
 
+    @pytest.mark.parametrize("name", sorted(INTERFACE_SPACES))
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_a_geodesic_has_at_least_two_samples(self, name, n):
+        # both ends: fewer samples raised ZeroDivisionError on the cone and
+        # the polygon at n = 1, and gave 0 or 1 points elsewhere
+        space = INTERFACE_SPACES[name]()
+        rng = np.random.default_rng(25)
+        p, q = space.random_point(rng), space.random_point(rng)
+        for a, b in ((p, q), (p, p)):
+            with pytest.raises(SpaceError, match="at least 2 sample points"):
+                space.geodesic_points(a, b, n)
+            assert len(space.geodesic_points(a, b, 2)) == 2
+
 
 MESH_ENTRIES = {
     "distance": lambda m, bad, good: [m.distance(bad, good), m.distance(good, bad)],
